@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -54,6 +55,14 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become ``ConfigError`` (exit 2, one line) instead of
+    a usage dump."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 # -- small format helpers -----------------------------------------------------
@@ -129,15 +138,43 @@ def _parse_bc(spec: str):
     raise ConfigError(f"unknown boundary coupling {spec!r}")
 
 
-def _parse_ladder(spec: str) -> list[float]:
+def _finite(spec: str) -> float:
     try:
-        ladder = [float(x) for x in spec.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad ladder {spec!r}") from exc
+        value = float(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {spec!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {spec!r}")
+    return value
+
+
+def _finite_list(spec: str) -> list[float]:
+    return [_finite(x) for x in spec.split(",")]
+
+
+def _positive(spec: str) -> float:
+    value = _finite(spec)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {spec!r}")
+    return value
+
+
+def _positive_int(spec: str) -> int:
+    try:
+        value = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {spec!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _parse_ladder(spec: str) -> list[float]:
+    ladder = _finite_list(spec)
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ConfigError("ladder must be strictly descending")
+        raise argparse.ArgumentTypeError("ladder must be strictly descending")
     if any(e <= 0 for e in ladder):
-        raise ConfigError("ladder entries must be positive")
+        raise argparse.ArgumentTypeError("ladder entries must be positive")
     return ladder
 
 
@@ -239,8 +276,8 @@ def _cmd_spectrum(ns, outdir: Path) -> list[str]:
             U, bc, ns.levels, cfg, ns.eig_tol, eigenfunctions=ns.eigenfunctions
         )
     else:
-        if ns.alpha is None or ns.eps is None:
-            raise ConfigError("perturbed mode needs --alpha and --eps")
+        if ns.alpha is None or ns.eps is None or ns.profile is None:
+            raise ConfigError("perturbed mode needs --profile, --alpha and --eps")
         p = _parse_profile(ns.profile)
         spec = eigen_perturbed(
             U, p, ns.alpha, ns.eps, (ns.k_lo, ns.k_lo + ns.levels - 1), cfg, ns.eig_tol,
@@ -392,7 +429,7 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="pointbarrier",
         description="Spectra, resonances and scattering of squeezed dipole-like barriers",
     )
@@ -415,67 +452,68 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("resonances", help="scan the resonance set of a profile")
     common(sp)
-    sp.add_argument("--window", nargs=2, type=float, required=True, metavar=("LO", "HI"))
+    sp.add_argument("--window", nargs=2, type=_finite, required=True, metavar=("LO", "HI"))
     sp.add_argument("--scan-step", type=float, default=0.1)
     sp.add_argument("--eigenfunctions", action="store_true")
 
     sp = sub.add_parser("theta", help="coupling ratio at a resonant coupling")
     common(sp)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
                     help="refine to the nearest resonance before evaluating")
     sp.add_argument("--search-width", type=float, default=0.5)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of the limit or squeezed operator")
-    common(sp)
+    common(sp, profile=False)
+    sp.add_argument("--profile", help="barrier profile (perturbed mode only)")
     sp.add_argument("--mode", choices=["limit", "perturbed"], required=True)
     sp.add_argument("--potential", required=True,
                     help="harmonic | tilted_harmonic | poly:c0,c1,...")
-    sp.add_argument("--radius", type=float, required=True, help="truncation radius")
+    sp.add_argument("--radius", type=_positive, required=True, help="truncation radius")
     sp.add_argument("--bc", default="theta:1.0",
                     help="dirichlet-split | theta:V | matrix:c11,c12,c21,c22[,phi] | separated:...")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--levels", type=int, default=5)
-    sp.add_argument("--k-lo", type=int, default=1)
+    sp.add_argument("--alpha", type=_finite)
+    sp.add_argument("--eps", type=_finite)
+    sp.add_argument("--levels", type=_positive_int, default=5)
+    sp.add_argument("--k-lo", type=_positive_int, default=1)
     sp.add_argument("--eigenfunctions", action="store_true")
 
     sp = sub.add_parser("scatter", help="reflection/transmission amplitudes")
     common(sp)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--alphas", type=lambda s: [float(x) for x in s.split(",")])
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--eps-ladder", type=lambda s: [float(x) for x in s.split(",")])
-    sp.add_argument("--k", type=float)
-    sp.add_argument("--ks", type=lambda s: [float(x) for x in s.split(",")])
+    sp.add_argument("--alpha", type=_finite)
+    sp.add_argument("--alphas", type=_finite_list)
+    sp.add_argument("--eps", type=_finite)
+    sp.add_argument("--eps-ladder", type=_finite_list)
+    sp.add_argument("--k", type=_finite)
+    sp.add_argument("--ks", type=_finite_list)
 
     sp = sub.add_parser("interval", help="squeezed barrier on a bounded interval")
     common(sp)
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--count", type=int, default=6)
+    sp.add_argument("--alpha", type=_finite, required=True)
+    sp.add_argument("--eps", type=_finite, required=True)
+    sp.add_argument("--count", type=_positive_int, default=6)
 
     sp = sub.add_parser("converge", help="eigenvalue convergence down a squeezing ladder")
     common(sp)
     sp.add_argument("--potential", required=True)
-    sp.add_argument("--radius", type=float, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--radius", type=_positive, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--eps-ladder", type=_parse_ladder, required=True,
                     help="comma-separated descending list")
-    sp.add_argument("--levels", type=int, default=3)
-    sp.add_argument("--samples-per-unit", type=int, default=2001)
+    sp.add_argument("--levels", type=_positive_int, default=3)
+    sp.add_argument("--samples-per-unit", type=_positive_int, default=2001)
 
     sp = sub.add_parser("dive", help="eps^-2 blow-up of the lowest level")
     common(sp)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--eps-ladder", type=_parse_ladder, required=True)
 
     sp = sub.add_parser("hypothesis", help="coupling-ratio magnitude scan")
     common(sp, profile=False)
     sp.add_argument("--profiles", required=True, help="comma-separated profile names/paths")
-    sp.add_argument("--window", nargs=2, type=float, required=True, metavar=("LO", "HI"))
+    sp.add_argument("--window", nargs=2, type=_finite, required=True, metavar=("LO", "HI"))
     sp.add_argument("--scan-step", type=float, default=0.1)
 
     sp = sub.add_parser("rerun", help="replay a run from its manifest")
@@ -500,10 +538,13 @@ def run(argv) -> int:
     ns = parser.parse_args(argv)
 
     if ns.command == "rerun":
-        doc = json.loads(Path(ns.manifest).read_text())
-        replay = [doc["command"]]
+        try:
+            doc = json.loads(Path(ns.manifest).read_text())
+            replay, params = [doc["command"]], doc["params"]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"unreadable manifest {ns.manifest!r}: {exc}") from None
         negatable = {"refine"}
-        for key, value in doc["params"].items():
+        for key, value in params.items():
             if value is None:
                 continue
             flag = "--" + key.replace("_", "-")
@@ -511,16 +552,17 @@ def run(argv) -> int:
                 if key in negatable:
                     replay.append("--no-" + key.replace("_", "-"))
                 continue
+            # "--flag=value" keeps values that start with "-" from reading as options
             if value is True:
                 replay.append(flag)
             elif isinstance(value, list):
                 if key in ("eps_ladder", "alphas", "ks"):
-                    replay.extend([flag, ",".join(repr(v) for v in value)])
-                else:
+                    replay.append(f"{flag}={','.join(repr(v) for v in value)}")
+                else:  # nargs=2 takes no "=": plain decimals read as negative numbers
                     replay.append(flag)
-                    replay.extend(str(v) for v in value)
+                    replay.extend(np.format_float_positional(v, trim="-") for v in value)
             else:
-                replay.extend([flag, str(value)])
+                replay.append(f"{flag}={value}")
         out = ns.out if ns.out is not None else doc["out"]
         replay.extend(["--out", str(out)])
         return run(replay)
@@ -558,6 +600,9 @@ def main(argv=None) -> int:
     except PointBarrierError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # a library entry point rejected its arguments
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

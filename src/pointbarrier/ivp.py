@@ -1,25 +1,36 @@
 """Propagation engine for linear second-order equations -u'' + q(x) u = f(x).
 
 Everything downstream (shooting, spectra, scattering) reduces to carrying
-Cauchy data (u, u') across an interval.  Two transport paths are provided:
+Cauchy data (u, u') across an interval.  The engine propagates whole
+*families* of coefficients ``q_i(x) = c(x) + m_i * w(x)`` at once
+(vectorized over the family index) along a chain of segments, and picks
+one of three transports per segment:
 
-* an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
-  first-order system, with mandatory step boundaries at supplied
-  breakpoints of the coefficient (piecewise coefficients lose no order);
 * closed-form constant-coefficient propagators (cosh/sinh, cos/sin, or a
-  series near zero), used automatically for constant segments.
+  series near zero) when both parts are constants;
+* a fourth-order Magnus transport when ``c`` is callable, ``w`` a nonzero
+  constant and the state real: the members differ by a constant shift, as
+  in every eigenvalue family ``c(x) - lambda``.  Its mesh is built once
+  per (segment, config) from ``c`` and the tolerances alone and cached; a
+  call exponentiates every interval of every member in one vectorized
+  pass and chains the 2x2 matrices with a blocked scan;
+* an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
+  first-order system for the rest (callable ``w``, ``w = 0``, complex
+  states), with mandatory step boundaries at the segment ends (piecewise
+  coefficients lose no order).
 
-The engine propagates whole *families* of coefficients
-``q_i(x) = c(x) + m_i * w(x)`` at once (vectorized over the family index),
-which is what makes dense eigenvalue and resonance scans cheap.  States can
-be renormalized on the fly with an accumulated log-scale so that strongly
-exponential regimes never overflow; determinant signs are unaffected
-because the scales are positive.
+``force_rk``, ``fixed_step`` and a forcing term put every segment on the
+Runge-Kutta pair.  States can be renormalized on the fly with an
+accumulated log-scale so that strongly exponential regimes never
+overflow; determinant signs are unaffected because the scales are
+positive.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -261,19 +272,22 @@ def _rk_span(
     record_xs=None,
     record_fn=None,
     counter: _ZeroCounter | None = None,
+    member: int = 0,
 ) -> None:
     """Advance Y in place from x0 to x1 (monotone span, no interior breaks).
 
     ``record_xs`` (sorted along the direction of travel) forces exact stops
     where ``record_fn(index_in_record_xs)`` is invoked; the adaptive step
-    and the FSAL stage survive across the stops.
+    and the FSAL stage survive across the stops.  A single-column ``Y``
+    (member ``member`` of the counter) takes the scalar path.
     """
     span = abs(x1 - x0)
     if span == 0.0 and record_xs is None:
         return
     if Y.shape[1] == 1:
         _rk_span_scalar(
-            qv, forcing, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter
+            qv, forcing, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter,
+            member,
         )
     else:
         _rk_span_vector(
@@ -288,7 +302,8 @@ def _stops(x1: float, record_xs) -> list[float]:
 
 
 def _rk_span_scalar(
-    qv, forcing, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter=None
+    qv, forcing, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter=None,
+    member=0,
 ) -> None:
     """Single-trajectory path in plain Python scalars (u, v may be complex)."""
     rtol, atol = cfg.rel_tol, cfg.abs_tol
@@ -363,7 +378,7 @@ def _rk_span_scalar(
                 u, v = u5, v5
                 ku1, kv1 = ku7, kv7
                 if counter is not None:
-                    counter.update_scalar(0, u.real if isinstance(u, complex) else u)
+                    counter.update_scalar(member, u.real if isinstance(u, complex) else u)
                 continue
 
             eu = hh * (e1 * ku1 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * ku7)
@@ -376,7 +391,7 @@ def _rk_span_scalar(
                 u, v = u5, v5
                 ku1, kv1 = ku7, kv7
                 if counter is not None:
-                    counter.update_scalar(0, u.real if isinstance(u, complex) else u)
+                    counter.update_scalar(member, u.real if isinstance(u, complex) else u)
                 if rescale:
                     s = max(abs(u), abs(v))
                     if s > 1e3 or (0.0 < s < 1e-3):
@@ -511,6 +526,343 @@ def _renorm(Y: np.ndarray, logs: np.ndarray):
     return s
 
 
+# -- Magnus transport on a family-independent mesh ---------------------------------
+
+_GAUSS = math.sqrt(3.0) / 6.0  # Gauss nodes sit at 1/2 -+ _GAUSS of an interval
+_COMMUTATOR = math.sqrt(3.0) / 12.0
+_VARIATION_CAP = 0.5  # bound on |c(g1) - c(g2)| h^2 per interval (keeps zero counts exact)
+_MAX_SPLIT = 8  # most pieces a rejected interval is cut into per refinement pass
+_ROUNDING_FLOOR = 1e-14  # local tolerances below this only chase rounding noise
+_MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as underflow
+_WORK_CAP = 1 << 13  # intervals (or samples) x members handled per transport pass
+_CACHE_FLOATS = 1 << 16  # mesh cache budget in stored floats (512 kB)
+_RENORM_EVERY = 4  # chained products are rescaled every this many steps
+
+
+@dataclass(eq=False)
+class _Mesh:
+    """Intervals of one segment and what a Magnus step over each needs:
+    the signed length ``h``, the commutator term ``d = sqrt(3)/12 h^2
+    (c(g1) - c(g2))`` and the mean ``cbar`` of c at the two Gauss nodes."""
+
+    c: Callable[[float], float]
+    x: np.ndarray  # N + 1 nodes in the direction of travel
+    h: np.ndarray
+    d: np.ndarray
+    cbar: np.ndarray
+
+
+_MESH_CACHE: OrderedDict = OrderedDict()
+_CACHE_LOCK = threading.Lock()
+
+
+def _eval_c(c, xs: np.ndarray) -> np.ndarray:
+    """``c`` at every point of ``xs``: one array call when ``c`` accepts an
+    array (checked against scalar calls at both ends), else point by point."""
+    if xs.size:
+        try:
+            with np.errstate(all="ignore"):
+                vals = np.asarray(c(xs), dtype=float)
+            if vals.shape == xs.shape and vals[0] == c(float(xs[0])) and vals[-1] == c(float(xs[-1])):
+                return vals
+        except (TypeError, ValueError):  # branches or math functions: scalars only
+            pass
+    return np.fromiter((c(float(x)) for x in xs), dtype=float, count=xs.size)
+
+
+def _gauss_terms(c, lo: np.ndarray, h: np.ndarray):
+    """(d, cbar) of the Magnus steps over [lo, lo + h], plus c at both nodes."""
+    both = _eval_c(c, np.concatenate([lo + (0.5 - _GAUSS) * h, lo + (0.5 + _GAUSS) * h]))
+    c1, c2 = both[: lo.size], both[lo.size :]
+    return _COMMUTATOR * h * h * (c1 - c2), 0.5 * (c1 + c2), c1, c2
+
+
+def _magnus_entries(h, d, qbar):
+    """exp([[d, h], [h qbar, -d]]): the fourth-order Magnus step of
+    -u'' + q u = 0 over a signed length h, from the mean ``qbar`` of q at
+    the two Gauss nodes and the commutator term ``d``.
+
+    Returns (m11, m12, m21, m22, logscale), the matrix being
+    exp(logscale) times the entries; broadcasts over its arguments.
+    """
+    z = d * d + h * h * qbar
+    r = np.sqrt(np.abs(z))
+    hyper = z > 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # hyperbolic branch with exp(r) factored out of cosh r and sinh r
+        ch = np.where(hyper, 0.5 * (1.0 + np.exp(-2.0 * r)), np.cos(r))
+        sh = np.where(hyper, -0.5 * np.expm1(-2.0 * r), np.sin(r)) / r
+    logs = np.where(hyper, r, 0.0)
+    tiny = np.abs(z) <= _SERIES_THRESHOLD
+    if np.any(tiny):
+        ch = np.where(tiny, 1.0 + z / 2.0 * (1.0 + z / 12.0 * (1.0 + z / 30.0)), ch)
+        sh = np.where(tiny, 1.0 + z / 6.0 * (1.0 + z / 20.0 * (1.0 + z / 42.0)), sh)
+        logs = np.where(tiny, 0.0, logs)
+    shd = sh * d
+    shh = sh * h
+    return ch + shd, shh, shh * qbar, ch - shd, logs
+
+
+def _step_defect(c, lo, h, d, cbar, shifts):
+    """Relative gap between one Magnus step and two half steps per
+    interval, maximized over the reference shifts of c, in the norm that
+    scales u' by h (so the measure has no units); also returns the (d,
+    cbar) terms of both halves."""
+    half = 0.5 * h
+    dA, cA, _, _ = _gauss_terms(c, lo, half)
+    dB, cB, _, _ = _gauss_terms(c, lo + half, half)
+    col = lambda a: a[:, None]
+    one = _magnus_entries(col(h), col(d), col(cbar) + shifts)
+    A = _magnus_entries(col(half), col(dA), col(cA) + shifts)
+    B = _magnus_entries(col(half), col(dB), col(cB) + shifts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.exp(A[4] + B[4] - one[4])
+        two = (
+            (B[0] * A[0] + B[1] * A[2]) * f,
+            (B[0] * A[1] + B[1] * A[3]) * f,
+            (B[2] * A[0] + B[3] * A[2]) * f,
+            (B[2] * A[1] + B[3] * A[3]) * f,
+        )
+        scale = (1.0, 1.0 / col(h), col(h), 1.0)
+        gap = np.max([np.abs(p - q) * s for p, q, s in zip(one, two, scale)], axis=0)
+        size = np.max([np.abs(q) * s for q, s in zip(two, scale)], axis=0)
+        est = np.max(gap / size, axis=1)
+    return np.where(np.isfinite(est), est, np.inf), (dA, cA), (dB, cB)
+
+
+def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
+    """Refine a uniform mesh of ``seg`` until every interval passes.
+
+    An interval passes when its one-step vs two-half-step defect is at most
+    ``rel_tol`` (the per-step test of the adaptive RK) and c varies by at
+    most ``_VARIATION_CAP / h^2`` between its Gauss nodes; the mesh keeps
+    its two halves, whose error is about a sixteenth of the defect (the
+    analogue of the RK's local extrapolation).  The defect is taken for
+    the members whose coefficient is ``c``, ``c - min c`` and ``c - max
+    c``: the ends of the range where the segment's bound states live.
+    Intervals start at ``max_step`` (by default 1% of the segment); one
+    shorter than ``min_step`` raises ``StepSizeUnderflowError``.  Nothing
+    here depends on the family.
+    """
+    c = seg.c_part
+    span = abs(seg.b - seg.a)
+    hmax, hmin = cfg.step_limits(span)
+    edges = np.linspace(seg.a, seg.b, max(1, math.ceil(span / hmax - 1e-9)) + 1)
+    lo, hi = edges[:-1], edges[1:]
+    d, cbar, c1, c2 = _gauss_terms(c, lo, hi - lo)
+    seen = np.concatenate([c1, c2])
+    seen = seen[np.isfinite(seen)]
+    shifts = np.unique([0.0, -seen.min(), -seen.max()]) if seen.size else np.zeros(1)
+    tol = max(cfg.rel_tol, _ROUNDING_FLOOR)
+    kept = []
+    total = 0
+    while lo.size:
+        h = hi - lo
+        est, (dA, cA), (dB, cB) = _step_defect(c, lo, h, d, cbar, shifts)
+        with np.errstate(invalid="ignore"):
+            ok = (est <= tol) & (np.abs(c1 - c2) * h * h <= _VARIATION_CAP)
+        mid = lo + 0.5 * h
+        kept.append((lo[ok], mid[ok], dA[ok], cA[ok]))
+        kept.append((mid[ok], hi[ok], dB[ok], cB[ok]))
+        total += 2 * int(ok.sum())
+        bad = ~ok
+        if not bad.any():
+            break
+        lo, hi, est = lo[bad], hi[bad], est[bad]
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = np.ceil(1.2 * (est / tol) ** 0.2)  # the defect scales like h^5
+        parts = np.clip(np.nan_to_num(parts, nan=2.0), 2, _MAX_SPLIT).astype(int)
+        short = np.abs(hi - lo) / parts < hmin
+        if short.any() or total + 2 * int(parts.sum()) > _MAX_INTERVALS:
+            where = float(lo[np.argmax(short)] if short.any() else lo[0])
+            raise StepSizeUnderflowError(where)
+        # cut interval i into parts[i] equal pieces; shared edges stay bitwise equal
+        owner = np.repeat(np.arange(lo.size), parts)
+        j = np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
+        width = (hi - lo)[owner]
+        start = lo[owner]
+        new_lo = start + width * (j / parts[owner])
+        new_hi = np.where(j + 1 == parts[owner], hi[owner], start + width * ((j + 1) / parts[owner]))
+        lo, hi = new_lo, new_hi
+        d, cbar, c1, c2 = _gauss_terms(c, lo, hi - lo)
+    lo, hi, d, cbar = (np.concatenate(col) for col in zip(*kept))
+    direction = 1.0 if seg.b > seg.a else -1.0
+    order = np.argsort(lo * direction, kind="stable")
+    lo, hi = lo[order], hi[order]
+    return _Mesh(c, np.append(lo, hi[-1]), hi - lo, d[order], cbar[order])
+
+
+def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
+    """The cached mesh of (seg, cfg), built on first use (LRU, bounded by
+    ``_CACHE_FLOATS``)."""
+    key = (seg, cfg)
+    try:
+        with _CACHE_LOCK:
+            mesh = _MESH_CACHE.get(key)
+            if mesh is not None:
+                _MESH_CACHE.move_to_end(key)
+                return mesh
+    except TypeError:  # unhashable coefficient: build without caching
+        return _build_mesh(seg, cfg)
+    mesh = _build_mesh(seg, cfg)
+    with _CACHE_LOCK:
+        _MESH_CACHE[key] = mesh
+        stored = sum(4 * m.h.size for m in _MESH_CACHE.values())
+        while stored > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
+            _, old = _MESH_CACHE.popitem(last=False)
+            stored -= 4 * old.h.size
+    return mesh
+
+
+def _sample_plan(mesh: _Mesh, xs: np.ndarray):
+    """(node index, partial length, d, cbar) of the Magnus substep from the
+    preceding mesh node to each sample point."""
+    direction = 1.0 if mesh.h[0] > 0 else -1.0
+    idx = np.searchsorted(mesh.x * direction, xs * direction, side="right") - 1
+    idx = np.clip(idx, 0, mesh.h.size - 1)
+    t = xs - mesh.x[idx]
+    d, cbar, _, _ = _gauss_terms(mesh.c, mesh.x[idx], t)
+    return idx, t, d, cbar
+
+
+def _unit(Y: np.ndarray, logs: np.ndarray):
+    """Y (2, k) scaled to unit max-norm per column, with the logs updated."""
+    s = np.abs(Y).max(axis=0)
+    s[s == 0.0] = 1.0
+    return Y / s, logs + np.log(s)
+
+
+def _chain(M: np.ndarray, L: np.ndarray, y: np.ndarray, ly: np.ndarray, nodes: bool):
+    """Carry the states ``y`` (2, k) with log scales ``ly`` (k,) through the
+    interval matrices ``M`` (2, 2, N, k) with log scales ``L`` (N, k).
+
+    Blocked scan: running products over S ~ sqrt(N) intervals inside each
+    block (vectorized across blocks), then the block products applied
+    block after block, so no Python loop runs over members or over every
+    interval.  Returns the end state and logs, and with ``nodes`` the
+    states (2, N + 1, k) and logs (N + 1, k) at every mesh node.
+    """
+    N, k = L.shape
+    S = math.isqrt(N - 1) + 1
+    B = -(-N // S)
+    Mp = np.zeros((2, 2, B * S, k))
+    Mp[0, 0, N:] = Mp[1, 1, N:] = 1.0  # identity padding
+    Mp[:, :, :N] = M
+    # step-major layout: the matrices of step s of every block are contiguous
+    Mp = np.ascontiguousarray(Mp.reshape(2, 2, B, S, k).transpose(3, 0, 1, 2, 4))
+    Lp = np.zeros((B * S, k))
+    Lp[:N] = L
+    Lp = np.ascontiguousarray(Lp.reshape(B, S, k).swapaxes(0, 1))
+    P = np.empty((S, 2, 2, B, k))
+    P[0] = Mp[0]
+    for s in range(1, S):
+        m, p, q = Mp[s], P[s - 1], P[s]
+        np.multiply(m[:, 0, None], p[None, 0], out=q)
+        q += m[:, 1, None] * p[None, 1]
+        if s % _RENORM_EVERY == 0 or s == S - 1:
+            sc = np.abs(q).max(axis=(0, 1))
+            q /= sc
+            Lp[s] += np.log(sc)
+    LP = np.cumsum(Lp, axis=0)  # (S, B, k)
+    Yb = np.empty((2, B, k))
+    LY = np.empty((B, k))
+    cur, lcur = y, ly
+    for b in range(B):
+        Yb[:, b] = cur
+        LY[b] = lcur
+        T = P[S - 1, :, :, b]
+        cur = T[:, 0] * cur[0] + T[:, 1] * cur[1]
+        lcur = lcur + LP[S - 1, b]
+        if b % _RENORM_EVERY == _RENORM_EVERY - 1:
+            cur, lcur = _unit(cur, lcur)
+    cur, lcur = _unit(cur, lcur)
+    if not nodes:
+        return cur, lcur, None, None
+    inner = P[:, :, 0] * Yb[0] + P[:, :, 1] * Yb[1]  # (S, 2, B, k)
+    states = np.concatenate(
+        [y[:, None], inner.transpose(1, 2, 0, 3).reshape(2, B * S, k)[:, :N]], axis=1
+    )
+    logs = np.concatenate([ly[None], (LP + LY).swapaxes(0, 1).reshape(B * S, k)[:N]])
+    return cur, lcur, states, logs
+
+
+def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Zeros of u per member across the mesh, from the node states
+    (2, N + 1, k).
+
+    An interval whose mean coefficient turns u through more than a radian
+    (-qbar h^2 > 1) counts the multiples of pi crossed by the Pruefer
+    angle atan2(w u, u'), w = sqrt(-qbar): the mean-coefficient closed
+    form predicts the turn w |h|, the actual end state fixes its
+    fraction.  Any other interval holds at most one zero (the variation
+    cap of the mesh bounds max(-q) h^2 well below pi^2), seen as a sign
+    flip.
+    """
+    u, v = states
+    u0, u1, v0, v1 = u[:-1], u[1:], v[:-1], v[1:]
+    hh = h[:, None]
+    add = ((u0 != 0.0) & (u1 != 0.0) & ((u0 < 0.0) != (u1 < 0.0))).astype(int)
+    osc = -qbar * hh * hh > 1.0
+    if osc.any():
+        w = np.sqrt(np.where(osc, -qbar, 1.0))
+        sg = np.sign(hh)
+        th0 = np.arctan2(w * u0, sg * v0)
+        ph1 = np.arctan2(w * u1, sg * v1)
+        th1 = ph1 + 2.0 * math.pi * np.round((th0 + w * np.abs(hh) - ph1) / (2.0 * math.pi))
+        turns = np.floor(th1 / math.pi) - np.floor(th0 / math.pi)
+        add = np.where(osc, turns.astype(int), add)
+    return add.sum(axis=0)
+
+
+def _mesh_apply(
+    mesh, mw, Y, logs, rescale, counter, seg_samples, rec_states, rec_logs, rec_i
+) -> None:
+    """Advance the family (Y, logs) in place across one meshed segment,
+    recording ``seg_samples`` from row ``rec_i`` on.  Members are taken in
+    groups of at most ``_WORK_CAP`` intervals x members."""
+    plan = _sample_plan(mesh, np.asarray(seg_samples, dtype=float)) if seg_samples else None
+    N = mesh.h.size
+    K = len(seg_samples)
+    n = mw.size
+    group = max(1, _WORK_CAP // max(N, K))
+    h = mesh.h[:, None]
+    nodes = counter is not None or plan is not None
+    for lo in range(0, n, group):
+        cols = slice(lo, min(n, lo + group))
+        qbar = mesh.cbar[:, None] + mw[None, cols]
+        m11, m12, m21, m22, lg = _magnus_entries(h, mesh.d[:, None], qbar)
+        y, ly = _unit(Y[:, cols], logs[cols])
+        end, lend, st, sl = _chain(np.array([[m11, m12], [m21, m22]]), lg, y, ly, nodes)
+        Y[:, cols] = end
+        logs[cols] = lend
+        if counter is not None:
+            counter.counts[cols] += _mesh_zero_counts(st, qbar, mesh.h)
+        if plan is not None:
+            idx, t, d, cbar = plan
+            p11, p12, p21, p22, pl = _magnus_entries(
+                t[:, None], d[:, None], cbar[:, None] + mw[None, cols]
+            )
+            su, sv = st[:, idx]
+            rec_states[rec_i : rec_i + K, 0, cols] = p11 * su + p12 * sv
+            rec_states[rec_i : rec_i + K, 1, cols] = p21 * su + p22 * sv
+            rec_logs[rec_i : rec_i + K, cols] = sl[idx] + pl
+    if counter is not None:
+        sgn = np.sign(Y[0]).astype(int)
+        counter.psign = np.where(sgn != 0, sgn, counter.psign)
+    if not rescale:  # hand back true states, as the other transports do
+        Y *= np.exp(logs)
+        logs[:] = 0.0
+        if plan is not None:
+            rows = slice(rec_i, rec_i + K)
+            rec_states[rows] *= np.exp(rec_logs[rows])[:, None, :]
+            rec_logs[rows] = 0.0
+
+
+def _meshed(seg: FamilySegment) -> bool:
+    """Members differ by a constant shift of a callable coefficient."""
+    return callable(seg.c_part) and not callable(seg.w_part) and float(seg.w_part) != 0.0
+
+
 # -- family propagation over segment chains -----------------------------------
 
 def _q_scalar_closure(seg: FamilySegment, m0: float):
@@ -584,28 +936,6 @@ def propagate_family(
             raise ValueError(f"init must have shape (2,) or (2, {n})")
     logs = np.zeros(n)
 
-    # tiny families run faster member-by-member on the scalar fast path
-    if 1 < n <= 6 and any(callable(s.c_part) or callable(s.w_part) for s in segments):
-        parts = [
-            propagate_family(
-                segments, m[i : i + 1], Y[:, i], cfg,
-                rescale=rescale, force_rk=force_rk, samples=samples, forcing=forcing,
-                count_zeros=count_zeros,
-            )
-            for i in range(n)
-        ]
-        out = FamilyResult(
-            np.concatenate([p.states for p in parts], axis=1),
-            np.concatenate([p.logs for p in parts]),
-        )
-        if samples is not None:
-            out.sample_x = parts[0].sample_x
-            out.sample_states = np.concatenate([p.sample_states for p in parts], axis=2)
-            out.sample_logs = np.concatenate([p.sample_logs for p in parts], axis=1)
-        if count_zeros:
-            out.zero_counts = np.concatenate([p.zero_counts for p in parts])
-        return out
-
     if not segments:
         raise ValueError("need at least one segment")
     x_start = segments[0].a
@@ -632,6 +962,9 @@ def propagate_family(
         rec_states = rec_logs = None
     rec_i = 0
 
+    closed_ok = not force_rk and not cfg.fixed_step and forcing is None
+    mesh_ok = closed_ok and dtype is float
+
     counter = None
     if count_zeros:
         if dtype is complex:
@@ -649,7 +982,7 @@ def propagate_family(
                     break
                 seg_samples.append(xs)
 
-        if seg.exact and not force_rk and not cfg.fixed_step and forcing is None:
+        if closed_ok and seg.exact:
             cvec = float(seg.c_part) + m * float(seg.w_part)
             x_of_record = seg.a
             for xs in seg_samples:
@@ -659,20 +992,33 @@ def propagate_family(
                 rec_i += 1
                 x_of_record = xs
             _const_apply(cvec, seg.b - x_of_record, Y, logs, rescale, counter)
+        elif mesh_ok and _meshed(seg):
+            mesh = _mesh_for(seg, cfg)
+            _mesh_apply(mesh, m * float(seg.w_part), Y, logs, rescale, counter, seg_samples,
+                        rec_states, rec_logs, rec_i)
+            rec_i += len(seg_samples)
         else:
-            qv = _q_scalar_closure(seg, float(m[0])) if n == 1 else _qv_closure(seg, m)
+            # tiny families run faster member-by-member on the scalar fast path
             base = rec_i
+            lanes = [slice(i, i + 1) for i in range(n)] if 1 < n <= 6 else [slice(0, n)]
+            for lane in lanes:
+                Yl, logs_l = Y[:, lane], logs[lane]
+                if Yl.shape[1] == 1:
+                    qv = _q_scalar_closure(seg, float(m[lane.start]))
+                else:
+                    qv = _qv_closure(seg, m)
 
-            def record(j: int, _base=base) -> None:
-                rec_states[_base + j] = Y
-                rec_logs[_base + j] = logs
+                def record(j: int, _lane=lane, _Y=Yl, _logs=logs_l) -> None:
+                    rec_states[base + j, :, _lane] = _Y
+                    rec_logs[base + j, _lane] = _logs
 
-            _rk_span(
-                qv, forcing, seg.a, seg.b, Y, logs, cfg, hmax, hmin, rescale,
-                record_xs=seg_samples or None,
-                record_fn=record if seg_samples else None,
-                counter=counter,
-            )
+                _rk_span(
+                    qv, forcing, seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin, rescale,
+                    record_xs=seg_samples or None,
+                    record_fn=record if seg_samples else None,
+                    counter=counter,
+                    member=lane.start,
+                )
             rec_i += len(seg_samples)
         if rescale:
             _renorm(Y, logs)

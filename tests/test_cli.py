@@ -191,3 +191,60 @@ def test_custom_profile_from_json(tmp_path):
     got = json.loads(_read(out / "classify.json"))
     assert got["label"] == "house"
     assert got["class"] == "delta_prime_like"
+
+
+_PARSE_REJECTS = [
+    ["theta", "--profile", "step", "--alpha", "nan"],
+    ["interval", "--profile", "step", "--a", "-1", "--b", "2", "--alpha", "inf", "--eps", "1e-3"],
+    ["scatter", "--profile", "step", "--alpha", "1", "--eps", "nan", "--k", "1"],
+    ["scatter", "--profile", "step", "--alphas=-2,nan", "--eps", "0.1", "--k", "1"],
+    ["scatter", "--profile", "step", "--alpha", "1", "--eps-ladder", "0.1,inf", "--k", "1"],
+    ["scatter", "--profile", "step", "--alpha", "1", "--eps", "0.1", "--ks", "1,nan"],
+    ["resonances", "--profile", "step", "--window", "nan", "3"],
+    ["hypothesis", "--profiles", "step", "--window", "-1", "inf"],
+    ["converge", "--profile", "step", "--potential", "harmonic", "--radius", "7",
+     "--alpha", "1", "--eps-ladder", "0.2,0.1,nan,0.01"],
+    ["spectrum", "--mode", "limit", "--profile", "step", "--potential", "harmonic",
+     "--radius", "7", "--levels", "0"],
+    ["converge", "--profile", "step", "--potential", "harmonic", "--radius", "7",
+     "--alpha", "1", "--eps-ladder", "0.2,0.1,0.05,0.01", "--levels", "0"],
+    ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "-1"],
+    ["interval", "--profile", "step", "--a", "-1", "--b", "2", "--alpha", "1",
+     "--eps", "1e-3", "--count", "0"],
+]
+
+# out-of-domain values that only the library entry points reject
+_LIBRARY_REJECTS = [
+    ["spectrum", "--mode", "perturbed", "--profile", "step", "--potential", "harmonic",
+     "--radius", "7", "--alpha", "1", "--eps", "1.5"],
+    ["interval", "--profile", "step", "--a", "1", "--b", "2", "--alpha", "1", "--eps", "1e-3"],
+]
+
+
+@pytest.mark.parametrize("args", _PARSE_REJECTS + _LIBRARY_REJECTS)
+def test_boundary_validation(tmp_path, capsys, args):
+    out = tmp_path / "bad"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    # the parser rejects before anything is written
+    assert out.exists() == (args in _LIBRARY_REJECTS)
+
+
+def test_rerun_negative_list_round_trip(tmp_path):
+    out1 = tmp_path / "neg"
+    out2 = tmp_path / "neg2"
+    assert main(["scatter", "--profile", "step", "--alphas=-2,4", "--eps-ladder", "0.1",
+                 "--ks", "1.0", "--out", str(out1)]) == 0
+    assert main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+    assert (out1 / "scatter.csv").read_bytes() == (out2 / "scatter.csv").read_bytes()
+
+
+def test_spectrum_limit_needs_no_profile(tmp_path):
+    # the README's limit-mode example
+    assert main(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+                 "--bc", "theta:1.0", "--levels", "5", "--out", str(tmp_path / "ok")]) == 0
+    assert main(["spectrum", "--mode", "perturbed", "--potential", "harmonic",
+                 "--radius", "7", "--alpha", "1", "--eps", "0.1",
+                 "--out", str(tmp_path / "np")]) == 2

@@ -216,3 +216,80 @@ def test_zero_counting_hyperbolic():
     # sign flip across a hyperbolic segment: exactly one zero
     res = propagate_family(segs, np.zeros(1), np.array([1.0, -2.5]), count_zeros=True)
     assert res.zero_counts[0] == 1
+
+
+# -- Magnus mesh transport of lambda-families ---------------------------------
+
+def _tilted_wall_chain():
+    # -u'' + (x^2 + x - lambda) u on [-8, 0]: the members differ by a shift
+    return [FamilySegment(-8.0, 0.0, lambda x: x * x + x, -1.0)]
+
+
+def _unit_states(res):
+    norms = np.hypot(res.states[0], res.states[1])
+    return res.states / norms, res.logs + np.log(norms)
+
+
+@pytest.mark.parametrize("n", [1, 3, 49])
+def test_mesh_matches_rk_on_wall_chain(n):
+    lams = np.linspace(-2.0, 30.0, n) if n > 1 else np.array([4.2])
+    _assert_mesh_matches_rk(_tilted_wall_chain(), lams)
+
+
+def test_mesh_matches_rk_for_scalar_only_coefficient():
+    # math.sin rejects arrays: the mesh samples the coefficient point by point
+    chain = [FamilySegment(0.0, 2.0, lambda x: 4.0 * math.sin(3.0 * x), -1.0)]
+    _assert_mesh_matches_rk(chain, np.array([-3.0, 0.5, 9.0]))
+
+
+def _assert_mesh_matches_rk(chain, lams):
+    init = np.array([0.0, 1.0])
+    mesh = propagate_family(chain, lams, init, rescale=True)
+    rk = propagate_family(chain, lams, init, rescale=True, force_rk=True)
+    dir_mesh, log_mesh = _unit_states(mesh)
+    dir_rk, log_rk = _unit_states(rk)
+    assert np.allclose(dir_mesh, dir_rk, rtol=0.0, atol=1e-8)
+    assert np.allclose(log_mesh, log_rk, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("chain, lams", [
+    # crosses the lowest levels of the wall chain
+    (_tilted_wall_chain(), np.linspace(-1.0, 45.0, 181)),
+    # a gentle ramp at high frequency: several zeros inside one mesh interval
+    ([FamilySegment(0.0, 10.0, lambda x: 0.01 * x, -1.0)], np.linspace(50.0, 4000.0, 12)),
+])
+def test_mesh_zero_counts_match_rk(chain, lams):
+    init = np.array([0.0, 1.0])
+    mesh = propagate_family(chain, lams, init, rescale=True, count_zeros=True)
+    rk = propagate_family(chain, lams, init, rescale=True, count_zeros=True, force_rk=True)
+    assert mesh.zero_counts.max() - mesh.zero_counts.min() >= 10
+    assert np.array_equal(mesh.zero_counts, rk.zero_counts)
+
+
+def test_mesh_samples_match_rk():
+    xs = np.linspace(-8.0, 0.0, 37)
+    lams = np.array([1.8, 12.5])
+    init = np.array([0.0, 1.0])
+    mesh = propagate_family(_tilted_wall_chain(), lams, init, rescale=True, samples=xs)
+    rk = propagate_family(_tilted_wall_chain(), lams, init, rescale=True, samples=xs,
+                          force_rk=True)
+    u_mesh = mesh.sample_states[:, 0] * np.exp(mesh.sample_logs)
+    u_rk = rk.sample_states[:, 0] * np.exp(rk.sample_logs)
+    assert np.allclose(u_mesh, u_rk, rtol=1e-8, atol=1e-10 * np.abs(u_rk).max())
+
+
+def test_mesh_member_results_do_not_depend_on_the_family():
+    lams = np.linspace(0.0, 20.0, 9)
+    init = np.array([0.0, 1.0])
+    family = propagate_family(_tilted_wall_chain(), lams, init, rescale=True)
+    alone = propagate_family(_tilted_wall_chain(), lams[3:4], init, rescale=True)
+    assert np.allclose(family.states[:, 3], alone.states[:, 0], rtol=1e-13, atol=0.0)
+    assert family.logs[3] == pytest.approx(alone.logs[0], rel=1e-13)
+
+
+def test_mesh_step_size_underflow():
+    cfg = SolverConfig(min_step=1e-5)
+    segs = [FamilySegment(0.0, 0.6, lambda x: 1.0 / (0.5 - x) ** 2, -1.0)]
+    with pytest.raises(StepSizeUnderflowError) as err:
+        propagate_family(segs, np.array([1.0, 2.0]), np.array([1.0, 0.0]), cfg)
+    assert abs(err.value.location - 0.5) < 0.1

@@ -8,6 +8,7 @@ from pointbarrier.errors import (
     PreconditionError,
     TruncationDomainError,
 )
+from pointbarrier.ivp import SolverConfig
 from pointbarrier.spectra import (
     BoundaryTrace,
     ConnectedMatrix,
@@ -297,3 +298,17 @@ def test_corrector_mirror_branch_matches_direct(tilted, step):
     )
     l1_right = corrector_lambda1(mirrored_U, reflect(step), 5.0, lam, mirrored_tr, resonant=False)
     assert l1_left == pytest.approx(l1_right, rel=1e-9)
+
+
+def test_ladder_levels_follow_the_solver_tolerance(tilted, step, alpha1, theta1):
+    # the propagation mesh is sized by the config alone: tightening the
+    # tolerances 100x moves the criterion-05 ladder levels by < 1e-9
+    tight = SolverConfig(rel_tol=1e-12, abs_tol=1e-14)
+    limit = eigen_limit(tilted, ThetaCoupled(theta1), 3, eigenfunctions=False)
+    limit_tight = eigen_limit(tilted, ThetaCoupled(theta1), 3, tight, eigenfunctions=False)
+    assert np.max(np.abs(limit.eigenvalues - limit_tight.eigenvalues)) < 1e-9
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        spec = eigen_perturbed(tilted, step, alpha1, eps, (1, 4))
+        spec_tight = eigen_perturbed(tilted, step, alpha1, eps, (1, 4), tight)
+        assert spec.flags == spec_tight.flags == ["diving", "ok", "ok", "ok"]
+        assert np.max(np.abs(spec.eigenvalues[1:] - spec_tight.eigenvalues[1:])) < 1e-9
