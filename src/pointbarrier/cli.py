@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -59,7 +60,12 @@ class ConfigError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors become ``ConfigError`` (exit 2, one line) instead of
-    a usage dump."""
+    a usage dump, and every negative float (``-1e-05`` too, not only
+    ``-digits[.digits]``) reads as a value rather than as an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -382,7 +388,7 @@ def _cmd_converge(ns, outdir: Path) -> list[str]:
 def _cmd_dive(ns, outdir: Path) -> list[str]:
     p = _parse_profile(ns.profile)
     cfg = _solver_config(ns)
-    rep = diving_study(p, ns.alpha, ns.eps_ladder, cfg)
+    rep = diving_study(p, ns.alpha, ns.eps_ladder, cfg, moment_tol=ns.moment_tol)
     _write_json(outdir / "dive.json", rep.to_dict())
     _write_csv(
         outdir / "dive.csv",
@@ -397,7 +403,7 @@ def _cmd_hypothesis(ns, outdir: Path) -> list[str]:
     cfg = _solver_config(ns)
     rep = hypothesis_scan(
         profs, (ns.window[0], ns.window[1]), cfg,
-        scan_step=ns.scan_step, residual_tol=ns.residual_tol,
+        scan_step=ns.scan_step, residual_tol=ns.residual_tol, moment_tol=ns.moment_tol,
     )
     _write_json(outdir / "hypothesis.json", rep.to_dict())
     rows = []
@@ -558,9 +564,9 @@ def run(argv) -> int:
             elif isinstance(value, list):
                 if key in ("eps_ladder", "alphas", "ks"):
                     replay.append(f"{flag}={','.join(repr(v) for v in value)}")
-                else:  # nargs=2 takes no "=": plain decimals read as negative numbers
+                else:  # nargs=2 takes no "=": the parser reads "-1e-05" as a number
                     replay.append(flag)
-                    replay.extend(np.format_float_positional(v, trim="-") for v in value)
+                    replay.extend(repr(v) for v in value)
             else:
                 replay.append(f"{flag}={value}")
         out = ns.out if ns.out is not None else doc["out"]

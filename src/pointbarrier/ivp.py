@@ -1,29 +1,31 @@
-"""Propagation engine for linear second-order equations -u'' + q(x) u = f(x).
+"""Propagation engine for linear second-order equations -u'' + q(x) u = 0.
 
 Everything downstream (shooting, spectra, scattering) reduces to carrying
-Cauchy data (u, u') across an interval.  The engine propagates whole
+real Cauchy data (u, u') across an interval.  The engine propagates whole
 *families* of coefficients ``q_i(x) = c(x) + m_i * w(x)`` at once
 (vectorized over the family index) along a chain of segments, and picks
 one of three transports per segment:
 
 * closed-form constant-coefficient propagators (cosh/sinh, cos/sin, or a
   series near zero) when both parts are constants;
-* a fourth-order Magnus transport when ``c`` is callable, ``w`` a nonzero
-  constant and the state real: the members differ by a constant shift, as
-  in every eigenvalue family ``c(x) - lambda``.  Its mesh is built once
+* a fourth-order Magnus transport when ``c`` is callable and ``w`` a
+  nonzero constant: the members differ by a constant shift, as in every
+  eigenvalue family ``c(x) - lambda``.  Its mesh is built once
   per (segment, config) from ``c`` and the tolerances alone and cached; a
   call exponentiates every interval of every member in one vectorized
   pass and chains the 2x2 matrices with a blocked scan;
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
-  first-order system for the rest (callable ``w``, ``w = 0``, complex
-  states), with mandatory step boundaries at the segment ends (piecewise
-  coefficients lose no order).
+  first-order system for the rest (callable ``w``, ``w = 0``), with
+  mandatory step boundaries at the segment ends (piecewise coefficients
+  lose no order).
 
-``force_rk``, ``fixed_step`` and a forcing term put every segment on the
-Runge-Kutta pair.  States can be renormalized on the fly with an
-accumulated log-scale so that strongly exponential regimes never
-overflow; determinant signs are unaffected because the scales are
-positive.
+``force_rk`` puts every segment on the Runge-Kutta pair, the reference
+for the closed forms and the Magnus mesh.  States can be renormalized on
+the fly with an accumulated log-scale so that strongly exponential
+regimes never overflow; determinant signs are unaffected because the
+scales are positive.  The fundamental matrix of a chain is the
+propagation of the family ``m = (0, 0)`` from ``init = eye(2)``, with
+``unit_wronskian`` projecting out the drift of its determinant.
 """
 
 from __future__ import annotations
@@ -42,28 +44,25 @@ __all__ = [
     "SolverConfig",
     "FamilySegment",
     "FamilyResult",
-    "integrate",
-    "propagator",
     "constant_propagator",
     "propagate_family",
+    "unit_wronskian",
 ]
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and step limits for the adaptive integrator.
+    """Tolerances and step limits of the Runge-Kutta pair and the Magnus mesh.
 
     ``max_step``/``min_step`` default to 1e-2 and 1e-14 times the span of
-    the integration interval when left as ``None``.  ``fixed_step`` forces
-    plain steps of exactly ``max_step`` (used by convergence-order tests),
-    bypassing error control.
+    the integration interval (of the segment, for a mesh) when left as
+    ``None``.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float | None = None
     min_step: float | None = None
-    fixed_step: bool = False
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -75,8 +74,6 @@ class SolverConfig:
         if self.max_step is not None and self.min_step is not None:
             if not self.min_step < self.max_step:
                 raise ValueError("min_step must be smaller than max_step")
-        if self.fixed_step and self.max_step is None:
-            raise ValueError("fixed_step mode requires an explicit max_step")
 
     def step_limits(self, span: float) -> tuple[float, float]:
         hmax = self.max_step if self.max_step is not None else span * 1e-2
@@ -260,7 +257,6 @@ class _ZeroCounter:
 
 def _rk_span(
     qv: Callable[[float], np.ndarray | float],
-    forcing: Callable[[float], complex] | None,
     x0: float,
     x1: float,
     Y: np.ndarray,
@@ -286,8 +282,7 @@ def _rk_span(
         return
     if Y.shape[1] == 1:
         _rk_span_scalar(
-            qv, forcing, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter,
-            member,
+            qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter, member
         )
     else:
         _rk_span_vector(
@@ -302,17 +297,15 @@ def _stops(x1: float, record_xs) -> list[float]:
 
 
 def _rk_span_scalar(
-    qv, forcing, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter=None,
-    member=0,
+    qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter=None, member=0
 ) -> None:
-    """Single-trajectory path in plain Python scalars (u, v may be complex)."""
+    """Single-trajectory path in plain Python scalars."""
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     direction = 1.0 if x1 > x0 else -1.0
     u = Y[0, 0].item()
     v = Y[1, 0].item()
     lg = float(logs[0])
     q = qv  # float-valued closure supplied by propagate_family for n == 1
-    fz = forcing
 
     (a21,) = _DP_A[1]
     a31, a32 = _DP_A[2]
@@ -324,15 +317,11 @@ def _rk_span_scalar(
     c2, c3, c4, c5, c6 = _DP_C[1:6]
 
     x = x0
-    fixed = cfg.fixed_step
-    h = direction * hmax if fixed else None
-
     ku1 = v
-    kv1 = q(x) * u - (fz(x) if fz else 0.0)
-    if h is None:
-        qmag = abs(q(x0))
-        span = abs(x1 - x0)
-        h = direction * min(hmax, span if span > 0 else hmax, 0.5 / (math.sqrt(qmag) + (1.0 / span if span > 0 else 1.0)))
+    kv1 = q(x) * u
+    qmag = abs(q(x0))
+    span = abs(x1 - x0)
+    h = direction * min(hmax, span if span > 0 else hmax, 0.5 / (math.sqrt(qmag) + (1.0 / span if span > 0 else 1.0)))
 
     stops = _stops(x1, record_xs)
     i_stop = 0
@@ -346,40 +335,32 @@ def _rk_span_scalar(
             sv = v + hh * (a21 * kv1)
             xs = x + c2 * hh
             ku2 = sv
-            kv2 = q(xs) * su - (fz(xs) if fz else 0.0)
+            kv2 = q(xs) * su
             su = u + hh * (a31 * ku1 + a32 * ku2)
             sv = v + hh * (a31 * kv1 + a32 * kv2)
             xs = x + c3 * hh
             ku3 = sv
-            kv3 = q(xs) * su - (fz(xs) if fz else 0.0)
+            kv3 = q(xs) * su
             su = u + hh * (a41 * ku1 + a42 * ku2 + a43 * ku3)
             sv = v + hh * (a41 * kv1 + a42 * kv2 + a43 * kv3)
             xs = x + c4 * hh
             ku4 = sv
-            kv4 = q(xs) * su - (fz(xs) if fz else 0.0)
+            kv4 = q(xs) * su
             su = u + hh * (a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4)
             sv = v + hh * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
             xs = x + c5 * hh
             ku5 = sv
-            kv5 = q(xs) * su - (fz(xs) if fz else 0.0)
+            kv5 = q(xs) * su
             su = u + hh * (a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5)
             sv = v + hh * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
             xs = x + c6 * hh
             ku6 = sv
-            kv6 = q(xs) * su - (fz(xs) if fz else 0.0)
+            kv6 = q(xs) * su
             u5 = u + hh * (b1 * ku1 + b3 * ku3 + b4 * ku4 + b5 * ku5 + b6 * ku6)
             v5 = v + hh * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
             xe = x + hh
             ku7 = v5
-            kv7 = q(xe) * u5 - (fz(xe) if fz else 0.0)
-
-            if fixed:
-                x = xe
-                u, v = u5, v5
-                ku1, kv1 = ku7, kv7
-                if counter is not None:
-                    counter.update_scalar(member, u.real if isinstance(u, complex) else u)
-                continue
+            kv7 = q(xe) * u5
 
             eu = hh * (e1 * ku1 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * ku7)
             ev = hh * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
@@ -391,7 +372,7 @@ def _rk_span_scalar(
                 u, v = u5, v5
                 ku1, kv1 = ku7, kv7
                 if counter is not None:
-                    counter.update_scalar(member, u.real if isinstance(u, complex) else u)
+                    counter.update_scalar(member, u)
                 if rescale:
                     s = max(abs(u), abs(v))
                     if s > 1e3 or (0.0 < s < 1e-3):
@@ -431,7 +412,7 @@ def _rk_span_vector(
     direction = 1.0 if x1 > x0 else -1.0
     n = Y.shape[1]
     y = Y.reshape(-1).copy()  # [u_0..u_{n-1}, v_0..v_{n-1}]
-    K = np.empty((7, 2 * n), dtype=Y.dtype)
+    K = np.empty((7, 2 * n))
     A = [np.asarray(row) for row in _DP_A]
     B5 = np.asarray(_DP_B5[:6])
     E = np.asarray(_DP_E)
@@ -446,18 +427,14 @@ def _rk_span_vector(
         Y[1] = y[n:]
 
     x = x0
-    fixed = cfg.fixed_step
     eval_rhs(x, y, K[0])
-    if fixed:
-        h = direction * hmax
-    else:
-        qmag = float(np.max(np.abs(qv(x))))
-        span = abs(x1 - x0)
-        h = direction * min(
-            hmax,
-            span if span > 0 else hmax,
-            0.5 / (math.sqrt(qmag) + (1.0 / span if span > 0 else 1.0)),
-        )
+    qmag = float(np.max(np.abs(qv(x))))
+    span = abs(x1 - x0)
+    h = direction * min(
+        hmax,
+        span if span > 0 else hmax,
+        0.5 / (math.sqrt(qmag) + (1.0 / span if span > 0 else 1.0)),
+    )
 
     stops = _stops(x1, record_xs)
     i_stop = 0
@@ -471,13 +448,6 @@ def _rk_span_vector(
                 stage += y
                 eval_rhs(x + _DP_C[i] * hh, stage, K[i])
             y5 = y + hh * (B5 @ K[:6])
-            if fixed:
-                x += hh
-                y = y5
-                K[0] = K[6]
-                if counter is not None:
-                    counter.update(y[:n].real)
-                continue
             err = E @ K
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
             with np.errstate(invalid="ignore", divide="ignore"):
@@ -489,7 +459,7 @@ def _rk_span_vector(
                 y = y5
                 K[0] = K[6]
                 if counter is not None:
-                    counter.update(y[:n].real)
+                    counter.update(y[:n])
                 if rescale:
                     s = np.maximum(np.abs(y[:n]), np.abs(y[n:]))
                     if not np.all((s > 1e-3) & (s < 1e3)):
@@ -912,26 +882,27 @@ def propagate_family(
     rescale: bool = False,
     force_rk: bool = False,
     samples=None,
-    forcing: Callable[[float], complex] | None = None,
     count_zeros: bool = False,
 ) -> FamilyResult:
     """Carry Cauchy data across an ordered chain of coefficient segments.
 
     ``m`` is the family weight vector (shape (n,), possibly n = 1); the
     member coefficients are ``c_part(x) + m_i w_part(x)``.  ``init`` is a
-    shared (2,) state or a (2, n) block.  Consecutive segments must join;
-    they may run in either direction, consistently.  ``samples`` requests
-    state records at given x locations (visited in path order).
+    shared finite real (2,) state or a (2, n) block; a complex one raises
+    ``ValueError``.  Consecutive segments must join; they may run in
+    either direction, consistently.  ``samples`` requests state records
+    at given x locations (visited in path order).
     """
     cfg = cfg or DEFAULT_CONFIG
     m = np.atleast_1d(np.asarray(m, dtype=float))
     n = m.size
     init = np.asarray(init)
-    dtype = complex if np.iscomplexobj(init) else float
+    if np.iscomplexobj(init) or not np.all(np.isfinite(init)):
+        raise ValueError("init must be a finite real state")
     if init.ndim == 1:
-        Y = np.repeat(init.astype(dtype).reshape(2, 1), n, axis=1)
+        Y = np.repeat(init.astype(float).reshape(2, 1), n, axis=1)
     else:
-        Y = init.astype(dtype).copy()
+        Y = init.astype(float)
         if Y.shape != (2, n):
             raise ValueError(f"init must have shape (2,) or (2, {n})")
     logs = np.zeros(n)
@@ -955,22 +926,17 @@ def propagate_family(
         sample_x = np.asarray(samples, dtype=float)
         if sample_x.size and np.any(np.diff(sample_x) * direction < 0):
             raise ValueError("samples must be ordered along the integration direction")
-        rec_states = np.empty((sample_x.size, 2, n), dtype=dtype)
+        rec_states = np.empty((sample_x.size, 2, n))
         rec_logs = np.empty((sample_x.size, n))
     else:
         sample_x = None
         rec_states = rec_logs = None
     rec_i = 0
 
-    closed_ok = not force_rk and not cfg.fixed_step and forcing is None
-    mesh_ok = closed_ok and dtype is float
-
     counter = None
     if count_zeros:
-        if dtype is complex:
-            raise ValueError("zero counting requires a real-valued state")
         counter = _ZeroCounter(n)
-        counter.update(Y[0].real)  # seed the sign without counting
+        counter.update(Y[0])  # seed the sign without counting
 
     for seg in segments:
         seg_samples = []
@@ -982,7 +948,7 @@ def propagate_family(
                     break
                 seg_samples.append(xs)
 
-        if closed_ok and seg.exact:
+        if not force_rk and seg.exact:
             cvec = float(seg.c_part) + m * float(seg.w_part)
             x_of_record = seg.a
             for xs in seg_samples:
@@ -992,7 +958,7 @@ def propagate_family(
                 rec_i += 1
                 x_of_record = xs
             _const_apply(cvec, seg.b - x_of_record, Y, logs, rescale, counter)
-        elif mesh_ok and _meshed(seg):
+        elif not force_rk and _meshed(seg):
             mesh = _mesh_for(seg, cfg)
             _mesh_apply(mesh, m * float(seg.w_part), Y, logs, rescale, counter, seg_samples,
                         rec_states, rec_logs, rec_i)
@@ -1013,7 +979,7 @@ def propagate_family(
                     rec_logs[base + j, _lane] = _logs
 
                 _rk_span(
-                    qv, forcing, seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin, rescale,
+                    qv, seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin, rescale,
                     record_xs=seg_samples or None,
                     record_fn=record if seg_samples else None,
                     counter=counter,
@@ -1037,13 +1003,13 @@ def _const_apply(cvec, length, Y, logs, rescale, counter=None):
         return
     m11, m12, m21, m22, lg = _const_entries(cvec, length)
     if counter is not None:
-        u0 = Y[0].real.copy()
-        v0 = Y[1].real.copy()
+        u0 = Y[0].copy()
+        v0 = Y[1].copy()
     u = m11 * Y[0] + m12 * Y[1]
     v = m21 * Y[0] + m22 * Y[1]
     Y[0], Y[1] = u, v
     if counter is not None:
-        _count_const_zeros(cvec, length, u0, v0, Y[0].real, counter)
+        _count_const_zeros(cvec, length, u0, v0, Y[0], counter)
     if rescale:
         logs += lg
     elif np.any(lg != 0.0):
@@ -1074,67 +1040,6 @@ def _count_const_zeros(c, length, u0, v0, u1, counter) -> None:
     counter.counts += add
     sgn = np.sign(u1).astype(int)
     counter.psign = np.where(sgn != 0, sgn, counter.psign)
-
-
-# -- public single-trajectory interface ----------------------------------------
-
-def _split_breaks(a: float, b: float, breakpoints) -> list[tuple[float, float]]:
-    direction = 1.0 if b > a else -1.0
-    inner = sorted(
-        (float(x) for x in breakpoints if (x - a) * direction > 1e-14 and (b - x) * direction > 1e-14),
-        key=lambda x: x * direction,
-    )
-    nodes = [a] + inner + [b]
-    return [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
-
-
-def integrate(
-    q: Callable[[float], float] | None,
-    f: Callable[[float], float] | None,
-    interval: tuple[float, float],
-    init,
-    cfg: SolverConfig | None = None,
-    breakpoints: Sequence[float] = (),
-):
-    """Solve -u'' + q(x) u = f(x) with Cauchy data ``init = (u(a), u'(a))``.
-
-    Returns ``(u(b), u'(b))``.  Backward integration (a > b) is allowed.
-    ``breakpoints`` of q or f become mandatory step boundaries so that
-    discontinuous coefficients do not degrade the order.  Complex Cauchy
-    data is supported (the coefficient stays real).
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if a == b:
-        raise ValueError("integration interval has zero length")
-    u0, du0 = init
-    if not (np.isfinite(complex(u0).real) and np.isfinite(complex(du0).real)):
-        raise ValueError("initial state must be finite")
-    qf = q if q is not None else (lambda x: 0.0)
-    segs = [FamilySegment(lo, hi, qf, 0.0) for lo, hi in _split_breaks(a, b, breakpoints)]
-    res = propagate_family(segs, np.zeros(1), np.array([u0, du0]), cfg, forcing=f)
-    return res.states[0, 0], res.states[1, 0]
-
-
-def propagator(
-    q: Callable[[float], float] | None,
-    interval: tuple[float, float],
-    cfg: SolverConfig | None = None,
-    breakpoints: Sequence[float] = (),
-) -> np.ndarray:
-    """Fundamental 2x2 matrix of -u'' + q(x) u = 0 over ``interval``.
-
-    Columns are the solutions with data (1, 0) and (0, 1) at the interval
-    start.  The Wronskian of the true flow is exactly 1; the accumulated
-    determinant drift of the integration (of order steps x rel_tol) is
-    projected out, so det = 1 holds to rounding.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if a == b:
-        raise ValueError("integration interval has zero length")
-    qf = q if q is not None else (lambda x: 0.0)
-    segs = [FamilySegment(lo, hi, qf, 0.0) for lo, hi in _split_breaks(a, b, breakpoints)]
-    res = propagate_family(segs, np.zeros(2), np.eye(2), cfg)
-    return unit_wronskian(res.states.copy())
 
 
 def unit_wronskian(M: np.ndarray) -> np.ndarray:

@@ -1,36 +1,17 @@
-"""Thread-pool helper honoring the ``PB_THREADS`` environment variable.
+"""Ordered map over parameter grids.
 
-All heavy operations in this package are pure functions, so mapping them
-over parameter grids is safe.  ``PB_THREADS`` caps the worker count; the
-default of 1 keeps runs single-threaded and bit-reproducible.
+The studies and the CLI map their per-point work through ``pmap``, so a
+parameter sweep has one place to be timed or replaced from outside.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def worker_count() -> int:
-    """Number of workers allowed by ``PB_THREADS`` (default 1, minimum 1)."""
-    raw = os.environ.get("PB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def pmap(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map ``fn`` over ``items`` preserving order, using up to
-    ``worker_count()`` threads."""
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """Map ``fn`` over ``items`` in order."""
+    return [fn(x) for x in items]

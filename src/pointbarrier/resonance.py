@@ -126,7 +126,7 @@ def _eigenfunction_samples(p: Profile, alpha: float, cfg: SolverConfig, n_sample
     res = propagate_family(
         _alpha_segments(p), np.array([alpha]), np.array([1.0, 0.0]), cfg, samples=xi
     )
-    return xi, res.sample_states[:, 0, 0].astype(float).copy()
+    return xi, res.sample_states[:, 0, 0].copy()
 
 
 def _point(p, alpha, cfg, n_samples, flagged=False) -> ResonancePoint:
@@ -170,10 +170,9 @@ def resonance_scan(
         raise ValueError("scan_step must be positive")
     cfg = cfg or DEFAULT_CONFIG
 
-    roots_a = _scan_roots(p, alpha_min, alpha_max, scan_step, cfg)
-    roots = list(roots_a)
+    roots, grid, shots = _scan_roots(p, alpha_min, alpha_max, scan_step, cfg)
     if halving_check:
-        roots_b = _scan_roots(p, alpha_min, alpha_max, scan_step / 2.0, cfg)
+        roots_b, _, _ = _scan_roots(p, alpha_min, alpha_max, scan_step / 2.0, cfg)
         merge_tol = 1e-6 * max(1.0, abs(alpha_min), abs(alpha_max))
         extra = [r for r in roots_b if all(abs(r - s) > merge_tol for s in roots)]
         if extra:
@@ -195,44 +194,43 @@ def resonance_scan(
         points.append(_point(p, 0.0, cfg, n_samples))
 
     points.extend(
-        _tangency_candidates(p, alpha_min, alpha_max, scan_step, cfg, residual_tol,
+        _tangency_candidates(p, grid, shots, scan_step, cfg, residual_tol,
                              n_samples, [pt.alpha for pt in points], zero_guard)
     )
     points.sort(key=lambda pt: pt.alpha)
     return points
 
 
-def _scan_roots(p, alpha_min, alpha_max, step, cfg) -> list[float]:
+def _scan_roots(p, alpha_min, alpha_max, step, cfg):
+    """Simple roots of D on a uniform grid of about ``step``, with the grid
+    and its shots (2, n) for the tangency guard."""
     n_cells = max(1, int(math.ceil((alpha_max - alpha_min) / step)))
     grid = np.linspace(alpha_min, alpha_max, n_cells + 1)
-    fam = shoot_family(p, grid, cfg)
-    miss = fam.states[1].real
-    brackets = sign_change_brackets(grid, miss)
+    shots = shoot_family(p, grid, cfg).states
+    brackets = sign_change_brackets(grid, shots[1])
     if not brackets:
-        return []
+        return [], grid, shots
     lo = np.array([a for a, _ in brackets])
     hi = np.array([b for _, b in brackets])
 
     def fvec(xs: np.ndarray) -> np.ndarray:
-        return shoot_family(p, xs, cfg).states[1].real
+        return shoot_family(p, xs, cfg).states[1]
 
     roots = bisect_vector(fvec, lo, hi, xtol=1e-14, rtol=4e-16)
     # simplicity check: D must change sign across each reported root
     delta = step / 10.0
     left = fvec(roots - delta)
     right = fvec(roots + delta)
-    return [float(r) for r, fl, fr in zip(roots, left, right) if (fl < 0) != (fr < 0)]
+    roots = [float(r) for r, fl, fr in zip(roots, left, right) if (fl < 0) != (fr < 0)]
+    return roots, grid, shots
 
 
 def _tangency_candidates(
-    p, alpha_min, alpha_max, step, cfg, residual_tol, n_samples, known, zero_guard
+    p, grid, shots, step, cfg, residual_tol, n_samples, known, zero_guard
 ) -> list[ResonancePoint]:
-    """Double-root guard: |D| below tolerance on the grid with no sign change."""
-    n_cells = max(1, int(math.ceil((alpha_max - alpha_min) / step)))
-    grid = np.linspace(alpha_min, alpha_max, n_cells + 1)
-    fam = shoot_family(p, grid, cfg)
-    w1 = fam.states[0].real
-    dw1 = fam.states[1].real
+    """Double-root guard: |D| below tolerance on the scan grid with no sign
+    change, read off the scan's ``shots``."""
+    w1, dw1 = shots
     out = []
     for i, a in enumerate(grid):
         if abs(a) <= 1.5 * zero_guard:

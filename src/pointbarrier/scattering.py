@@ -135,7 +135,7 @@ def scatter(
     res = propagate_family(segs, np.zeros(2), np.eye(2), cfg)
     # the true barrier matrix is unimodular; projecting out the tiny
     # integration drift makes flux conservation structurally exact
-    M = _barrier_matrix_x(unit_wronskian(res.states.real), eps)
+    M = _barrier_matrix_x(unit_wronskian(res.states), eps)
     return _match_plane_waves(M, eps, k, alpha)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -255,9 +256,43 @@ def _connected_det(C: np.ndarray, YL: np.ndarray, YR: np.ndarray) -> np.ndarray:
     return det / norm
 
 
+def _wronskian_residual(YL: np.ndarray, YR: np.ndarray) -> np.ndarray:
+    det = YL[0] * YR[1] - YL[1] * YR[0]
+    return det / (_norm2(YL) * _norm2(YR))
+
+
+def _end_value(Y: np.ndarray) -> np.ndarray:
+    return Y[0] / _norm2(Y)
+
+
+def _matching(chains, cfg, combine):
+    """The matching function of one problem: Dirichlet shots along each of
+    ``chains``, whose end states ``combine`` turns into the determinant.
+
+    ``fvec(lams)`` returns the determinant values; ``fvec(lams, True)``
+    also the zero count summed over the shots, which indexes the levels
+    below each trial value.
+    """
+
+    def fvec(lams: np.ndarray, with_counts: bool = False):
+        shots = [
+            propagate_family(chain, lams, np.array([0.0, 1.0]), cfg,
+                             rescale=True, count_zeros=with_counts)
+            for chain in chains
+        ]
+        vals = combine(*(shot.states for shot in shots))
+        if with_counts:
+            return vals, sum(shot.zero_counts for shot in shots)
+        return vals
+
+    return fvec
+
+
 # -- Weyl-informed eigenvalue grids ---------------------------------------------
 
-def _weyl_gap_fn(U: ConfiningPotential) -> Callable[[float], float]:
+def _weyl_scan(U: ConfiningPotential) -> tuple[Callable[[float], float], float]:
+    """The Weyl gap function of U and a scan start below min(0, min U),
+    both from one sampling of U on [-R, R]."""
     R = U.truncation_radius
     xs = np.linspace(-R, R, 801)
     Us = np.array([U.U(float(x)) for x in xs])
@@ -272,11 +307,11 @@ def _weyl_gap_fn(U: ConfiningPotential) -> Callable[[float], float]:
             return 0.5
         return min(1.0 / dens, 20.0)
 
-    return gap
+    return gap, min(0.0, float(Us.min())) - 1.0
 
 
 def _verified_scan(
-    fc,
+    fvec,
     start: float,
     ceiling: float,
     gap_fn: Callable[[float], float],
@@ -285,15 +320,15 @@ def _verified_scan(
 ):
     """March upward bracketing sign changes of the matching determinant.
 
-    ``fc(lams) -> (values, oscillation counts)``.  Whenever the zero count
-    of the shooting solutions rises across a cell by more than the number
-    of visible sign changes, the cell hides eigenvalues (near-degenerate
-    pairs of split-like problems defeat any fixed grid), so it is bisected
-    until every root shows its own sign change.
+    ``fvec(lams, True) -> (values, oscillation counts)``.  Whenever the
+    zero count of the shooting solutions rises across a cell by more than
+    the number of visible sign changes, the cell hides eigenvalues
+    (near-degenerate pairs of split-like problems defeat any fixed grid),
+    so it is bisected until every root shows its own sign change.
     """
     brackets: list[tuple[float, float]] = []
     lam_prev = start
-    v0, c0 = fc(np.array([start]))
+    v0, c0 = fvec(np.array([start]), True)
     f_prev, n_prev = float(v0[0]), int(c0[0])
     guard = 0
     while len(brackets) < k_needed:
@@ -304,12 +339,8 @@ def _verified_scan(
             pts.append(lam)
             if lam > ceiling:
                 break
-        vals, counts = fc(np.array(pts))
-        xs = [lam_prev] + pts
-        fs = [f_prev] + list(vals)
-        cs = [n_prev] + [int(c) for c in counts]
-        for i in range(len(xs) - 1):
-            _resolve_cell(fc, xs[i], fs[i], cs[i], xs[i + 1], fs[i + 1], cs[i + 1], brackets)
+        vals, counts = fvec(np.array(pts), True)
+        _resolve_cells(fvec, [lam_prev] + pts, [f_prev, *vals], [n_prev, *counts], brackets)
         lam_prev, f_prev, n_prev = pts[-1], float(vals[-1]), int(counts[-1])
         if lam_prev > ceiling:
             if len(brackets) < k_needed:
@@ -324,7 +355,15 @@ def _verified_scan(
     return brackets[:k_needed]
 
 
-def _resolve_cell(fc, xa, fa, ca, xb, fb, cb, out, depth: int = 0) -> None:
+def _resolve_cells(fvec, xs, fs, cs, out) -> None:
+    """``_resolve_cell`` on every cell of the ascending points ``xs`` with
+    values ``fs`` and zero counts ``cs``."""
+    for i in range(len(xs) - 1):
+        _resolve_cell(fvec, xs[i], float(fs[i]), int(cs[i]),
+                      xs[i + 1], float(fs[i + 1]), int(cs[i + 1]), out)
+
+
+def _resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, depth: int = 0) -> None:
     """Emit brackets in (xa, xb), subdividing where counts reveal hidden roots."""
     sign_change = fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
     expected = max(0, cb - ca)
@@ -332,13 +371,26 @@ def _resolve_cell(fc, xa, fa, ca, xb, fb, cb, out, depth: int = 0) -> None:
         floor = 1e-5 * max(1.0, abs(xa), abs(xb))
         if xb - xa > floor and depth < 40:
             xm = 0.5 * (xa + xb)
-            vm, cm = fc(np.array([xm]))
+            vm, cm = fvec(np.array([xm]), True)
             fm, nm = float(vm[0]), int(cm[0])
-            _resolve_cell(fc, xa, fa, ca, xm, fm, nm, out, depth + 1)
-            _resolve_cell(fc, xm, fm, nm, xb, fb, cb, out, depth + 1)
+            _resolve_cell(fvec, xa, fa, ca, xm, fm, nm, out, depth + 1)
+            _resolve_cell(fvec, xm, fm, nm, xb, fb, cb, out, depth + 1)
             return
     if sign_change:
         out.append((xa, xb))
+
+
+def _grid_roots(fvec, grid: np.ndarray, xtol: float, rtol: float) -> np.ndarray:
+    """Roots of ``fvec`` in the cells of the ascending ``grid``: cells are
+    split until the zero counts show every root, then refined together."""
+    vals, counts = fvec(grid, True)
+    brackets: list[tuple[float, float]] = []
+    _resolve_cells(fvec, grid, vals, counts, brackets)
+    if not brackets:
+        return np.empty(0)
+    lo = np.array([x for x, _ in brackets])
+    hi = np.array([x for _, x in brackets])
+    return illinois_vector(fvec, lo, hi, xtol=xtol, rtol=rtol)
 
 
 def _refine(fvec, brackets, eig_tol):
@@ -375,22 +427,12 @@ def eigen_limit(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     cfg = cfg or DEFAULT_CONFIG
-    R = U.truncation_radius
     ceiling = U.wall_floor() - margin
-    gap_fn = _weyl_gap_fn(U)
-    start = min(0.0, _min_potential(U)) - 1.0
+    gap_fn, start = _weyl_scan(U)
 
     if isinstance(bc, (DirichletSplit, Separated)):
-        pairs = _separated_pairs(bc)
-        found = []
-        for side, pair in (("left", pairs[0]), ("right", pairs[1])):
-            fc = _half_fvec(U, side, pair, cfg, with_counts=True)
-            fvec = _half_fvec(U, side, pair, cfg)
-            brackets = _verified_scan(fc, start, ceiling, gap_fn, k_max, f"{side} half problem")
-            roots, residuals = _refine(fvec, brackets, eig_tol)
-            found.extend((lam, res, side) for lam, res in zip(roots, residuals))
-        found.sort(key=lambda t: t[0])
-        found = found[:k_max]
+        found = _half_levels(U, _separated_pairs(bc), k_max, cfg, eig_tol, start, ceiling,
+                             gap_fn, "half problem")
         lams = np.array([t[0] for t in found])
         residuals = np.array([t[1] for t in found])
         flags = [t[2] for t in found]
@@ -415,45 +457,25 @@ def eigen_limit(
     return spec
 
 
-def _min_potential(U: ConfiningPotential) -> float:
-    R = U.truncation_radius
-    xs = np.linspace(-R, R, 801)
-    return min(U.U(float(x)) for x in xs)
-
-
 def _separated_pairs(bc) -> tuple[tuple[float, float], tuple[float, float]]:
     if isinstance(bc, DirichletSplit):
         return (0.0, 1.0), (0.0, 1.0)
     return (bc.h1m, bc.h2m), (bc.h1p, bc.h2p)
 
 
-def _half_fvec(U, side, pair, cfg, with_counts: bool = False):
-    wall = -U.truncation_radius if side == "left" else U.truncation_radius
-
-    def fvec(lams: np.ndarray):
-        res = propagate_family(
-            _wall_chain(U, wall, 0.0), lams, np.array([0.0, 1.0]), cfg,
-            rescale=True, count_zeros=with_counts,
-        )
-        vals = _side_residual(pair, res.states)
-        return (vals, res.zero_counts) if with_counts else vals
-
-    return fvec
-
-
-def _connected_fvec(U, C, cfg):
+def _half_levels(U, pairs, k_max, cfg, eig_tol, start, ceiling, gap_fn, what):
+    """Lowest ``k_max`` levels of the half problems on [-R, 0] and [0, R]
+    with the projective conditions ``pairs`` at 0, as ascending
+    (level, residual, side) triples."""
     R = U.truncation_radius
-
-    def fvec(lams: np.ndarray) -> np.ndarray:
-        left = propagate_family(
-            _wall_chain(U, -R, 0.0), lams, np.array([0.0, 1.0]), cfg, rescale=True
-        )
-        right = propagate_family(
-            _wall_chain(U, R, 0.0), lams, np.array([0.0, 1.0]), cfg, rescale=True
-        )
-        return _connected_det(C, left.states, right.states)
-
-    return fvec
+    found = []
+    for side, wall, pair in (("left", -R, pairs[0]), ("right", R, pairs[1])):
+        fvec = _matching([_wall_chain(U, wall, 0.0)], cfg, partial(_side_residual, pair))
+        brackets = _verified_scan(fvec, start, ceiling, gap_fn, k_max, f"{side} {what}")
+        roots, residuals = _refine(fvec, brackets, eig_tol)
+        found.extend((lam, res, side) for lam, res in zip(roots, residuals))
+    found.sort(key=lambda t: t[0])
+    return found[:k_max]
 
 
 def _connected_levels(U, C, k_max, cfg, eig_tol, start, ceiling, gap_fn):
@@ -466,16 +488,13 @@ def _connected_levels(U, C, k_max, cfg, eig_tol, start, ceiling, gap_fn):
     from its endpoints; a window whose root hides within the smallest
     offset of a split value is pinned to that split value.
     """
-    split_found = []
-    for side in ("left", "right"):
-        fc = _half_fvec(U, side, (0.0, 1.0), cfg, with_counts=True)
-        fv = _half_fvec(U, side, (0.0, 1.0), cfg)
-        brackets = _verified_scan(fc, start, ceiling, gap_fn, k_max, f"{side} split window")
-        roots, _ = _refine(fv, brackets, eig_tol)
-        split_found.extend(float(r) for r in roots)
-    mus = np.sort(np.array(split_found))[:k_max]
+    split = _half_levels(U, ((0.0, 1.0), (0.0, 1.0)), k_max, cfg, eig_tol, start, ceiling,
+                         gap_fn, "split window")
+    mus = np.array([t[0] for t in split])
 
-    fvec = _connected_fvec(U, C, cfg)
+    R = U.truncation_radius
+    fvec = _matching([_wall_chain(U, -R, 0.0), _wall_chain(U, R, 0.0)], cfg,
+                     partial(_connected_det, C))
     windows = [(start, mus[0])] + [(mus[i], mus[i + 1]) for i in range(k_max - 1)]
     roots = []
     for a, b in windows:
@@ -545,18 +564,19 @@ def eigen_perturbed(
     if eps >= R:
         raise ValueError("barrier wider than the computational box")
     ceiling = U.wall_floor() - margin
-
-    lam_split = min(0.0, _min_potential(U)) - 1.0
-    neg_roots, neg_residuals = _perturbed_negative_levels(U, p, alpha, eps, lam_split, cfg)
+    gap_fn, lam_split = _weyl_scan(U)
+    # one chain per solve, so that equal barrier segments share a cached mesh
+    barrier = _barrier_chain(p, alpha, eps, U)
+    neg_roots, neg_residuals = _perturbed_negative_levels(
+        U, p, alpha, eps, barrier, lam_split
+    )
 
     entries = [(lam, res, "diving") for lam, res in zip(neg_roots, neg_residuals)]
     n_found = len(entries)
     if n_found < k_hi:
-        fc = _perturbed_fvec(U, p, alpha, eps, cfg, with_counts=True)
-        fvec = _perturbed_fvec(U, p, alpha, eps, cfg)
-        gap_fn = _weyl_gap_fn(U)
+        fvec = _perturbed_fvec(U, barrier, eps, R, cfg)
         brackets = _verified_scan(
-            fc, lam_split, ceiling, gap_fn, k_hi - n_found, "squeezed-barrier problem"
+            fvec, lam_split, ceiling, gap_fn, k_hi - n_found, "squeezed-barrier problem"
         )
         roots, residuals = _refine(fvec, brackets, eig_tol)
         entries.extend((lam, res, "ok") for lam, res in zip(roots, residuals))
@@ -573,35 +593,18 @@ def eigen_perturbed(
         [t[2] for t in chosen],
     )
     if eigenfunctions:
-        _attach_perturbed_eigenfunctions(spec, U, p, alpha, eps, cfg, samples_per_unit)
+        _attach_perturbed_eigenfunctions(spec, U, barrier, eps, cfg, samples_per_unit)
     return spec
 
 
-def _perturbed_fvec(U, p, alpha, eps, cfg, wall: float | None = None, with_counts: bool = False):
-    """Matching determinant at x = +eps for the full squeezed problem."""
-    R = U.truncation_radius
-    w = R if wall is None else wall
-
-    left_chain = _wall_chain(U, -w, -eps) + _barrier_chain(p, alpha, eps, U)
-    right_chain = _wall_chain(U, w, eps)
-
-    def fvec(lams: np.ndarray):
-        left = propagate_family(
-            left_chain, lams, np.array([0.0, 1.0]), cfg, rescale=True, count_zeros=with_counts
-        )
-        right = propagate_family(
-            right_chain, lams, np.array([0.0, 1.0]), cfg, rescale=True, count_zeros=with_counts
-        )
-        det = left.states[0] * right.states[1] - left.states[1] * right.states[0]
-        vals = det / (_norm2(left.states) * _norm2(right.states))
-        if with_counts:
-            return vals, left.zero_counts + right.zero_counts
-        return vals
-
-    return fvec
+def _perturbed_fvec(U, barrier, eps, wall, cfg):
+    """Matching determinant at x = +eps of the squeezed problem with
+    Dirichlet walls at -+wall: the left shot crosses the ``barrier`` chain."""
+    chains = [_wall_chain(U, -wall, -eps) + barrier, _wall_chain(U, wall, eps)]
+    return _matching(chains, cfg, _wronskian_residual)
 
 
-def _perturbed_negative_levels(U, p, alpha, eps, lam_split, cfg):
+def _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split):
     """All eigenvalues below ``lam_split``, chunked by depth.
 
     For each depth band the Dirichlet walls are pulled in to
@@ -633,22 +636,10 @@ def _perturbed_negative_levels(U, p, alpha, eps, lam_split, cfg):
     res_all = []
     for bottom, top in bands:
         wall = min(R, eps + 44.0 / math.sqrt(max(1.0, 0.5 * abs(top))))
-        fc = _perturbed_fvec(U, p, alpha, eps, loose, wall=wall, with_counts=True)
-        fvec = _perturbed_fvec(U, p, alpha, eps, loose, wall=wall)
-        n_pts = 60
-        grid = np.linspace(bottom, top, n_pts)
-        vals, counts = fc(grid)
-        brackets: list[tuple[float, float]] = []
-        for i in range(n_pts - 1):
-            _resolve_cell(
-                fc, grid[i], float(vals[i]), int(counts[i]),
-                grid[i + 1], float(vals[i + 1]), int(counts[i + 1]), brackets,
-            )
-        if not brackets:
+        fvec = _perturbed_fvec(U, barrier, eps, wall, loose)
+        roots = _grid_roots(fvec, np.linspace(bottom, top, 60), xtol=1e-11, rtol=1e-8)
+        if not roots.size:
             continue
-        lo = np.array([x for x, _ in brackets])
-        hi = np.array([x for _, x in brackets])
-        roots = illinois_vector(fvec, lo, hi, xtol=1e-11, rtol=1e-8)
         roots_all.extend(float(r) for r in roots)
         res_all.extend(float(abs(v)) for v in fvec(roots))
     order = np.argsort(roots_all)
@@ -657,27 +648,14 @@ def _perturbed_negative_levels(U, p, alpha, eps, lam_split, cfg):
 
 # -- interval problem (no background potential) ------------------------------------
 
-def _interval_chain(a, b, p, alpha, eps) -> list[FamilySegment]:
-    return (
+def _interval_fvec(a, b, p, alpha, eps, cfg):
+    """u(b) of the Dirichlet shot from a across the barrier, normalized."""
+    chain = (
         [FamilySegment(a, -eps, 0.0, -1.0)]
         + _barrier_chain(p, alpha, eps, None)
         + [FamilySegment(eps, b, 0.0, -1.0)]
     )
-
-
-def _interval_fvec(a, b, p, alpha, eps, cfg, with_counts: bool = False):
-    chain = _interval_chain(a, b, p, alpha, eps)
-
-    def fvec(lams: np.ndarray):
-        res = propagate_family(
-            chain, lams, np.array([0.0, 1.0]), cfg, rescale=True, count_zeros=with_counts
-        )
-        vals = res.states[0] / _norm2(res.states)
-        if with_counts:
-            return vals, res.zero_counts
-        return vals
-
-    return fvec
+    return _matching([chain], cfg, _end_value)
 
 
 def interval_spectrum(
@@ -689,9 +667,6 @@ def interval_spectrum(
     count: int,
     cfg: SolverConfig | None = None,
     eig_tol: float = DEFAULT_EIG_TOL,
-    *,
-    eigenfunctions: bool = False,
-    samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> Spectrum:
     """Lowest ``count`` nonnegative eigenvalues of the squeezed barrier on
     (a, b) with Dirichlet ends and no background potential.
@@ -705,23 +680,19 @@ def interval_spectrum(
     if count < 1:
         raise ValueError("count must be at least 1")
     cfg = cfg or DEFAULT_CONFIG
-    fc = _interval_fvec(a, b, p, alpha, eps, cfg, with_counts=True)
     fvec = _interval_fvec(a, b, p, alpha, eps, cfg)
 
     d_omega = min(math.pi / (8.0 * (abs(a) + b)), max(eps / 2.0, 1e-4))
     brackets: list[tuple[float, float]] = []
     omega = 0.0
-    v0, c0 = fc(np.array([0.0]))
+    v0, c0 = fvec(np.array([0.0]), True)
     f_prev, n_prev = float(v0[0]), int(c0[0])
     guard = 0
     while len(brackets) < count:
         omegas = omega + d_omega * np.arange(1, 513)
-        vals, counts = fc(omegas**2)
-        xs = list(np.concatenate(([omega], omegas)) ** 2)
-        fs = [f_prev] + list(vals)
-        cs = [n_prev] + [int(c) for c in counts]
-        for i in range(len(xs) - 1):
-            _resolve_cell(fc, xs[i], fs[i], cs[i], xs[i + 1], fs[i + 1], cs[i + 1], brackets)
+        vals, counts = fvec(omegas**2, True)
+        xs = np.concatenate(([omega], omegas)) ** 2
+        _resolve_cells(fvec, xs, [f_prev, *vals], [n_prev, *counts], brackets)
         omega = float(omegas[-1])
         f_prev = float(vals[-1])
         n_prev = int(counts[-1])
@@ -730,10 +701,7 @@ def interval_spectrum(
             raise SpectralWindowError("interval eigenvalue search did not terminate")
     brackets = brackets[:count]
     lams, residuals = _refine(fvec, brackets, eig_tol)
-    spec = Spectrum(lams, residuals, ["ok"] * len(lams))
-    if eigenfunctions:
-        _attach_interval_eigenfunctions(spec, a, b, p, alpha, eps, cfg, samples_per_unit)
-    return spec
+    return Spectrum(lams, residuals, ["ok"] * len(lams))
 
 
 def interval_negative_levels(
@@ -756,24 +724,10 @@ def interval_negative_levels(
     if alpha == 0.0:
         return np.empty(0)
     cfg = cfg or DEFAULT_CONFIG
-    fc = _interval_fvec(a, b, p, alpha, eps, cfg, with_counts=True)
     fvec = _interval_fvec(a, b, p, alpha, eps, cfg)
     depth = 2.0 * abs(alpha) * p.max_abs()
     mu = -np.geomspace(depth, depth * rel_floor, 220)
-    lams = mu / (eps * eps)
-    vals, counts = fc(lams)
-    brackets: list[tuple[float, float]] = []
-    for i in range(len(lams) - 1):
-        _resolve_cell(
-            fc, lams[i], float(vals[i]), int(counts[i]),
-            lams[i + 1], float(vals[i + 1]), int(counts[i + 1]), brackets,
-        )
-    if not brackets:
-        return np.empty(0)
-    lo = np.array([x for x, _ in brackets])
-    hi = np.array([x for _, x in brackets])
-    roots = illinois_vector(fvec, lo, hi, xtol=1e-12, rtol=1e-10)
-    return np.sort(roots)
+    return np.sort(_grid_roots(fvec, mu / (eps * eps), xtol=1e-12, rtol=1e-10))
 
 
 def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> np.ndarray:
@@ -920,7 +874,7 @@ def corrector_lambda1(
     xi = np.linspace(-1.0, 1.0, 2001)
     cell = _alpha_segments(p)
     res = propagate_family(cell, np.array([alpha]), np.array([1.0, 0.0]), cfg, samples=xi)
-    W = res.sample_states[:, 0, 0].real
+    W = res.sample_states[:, 0, 0]
     intW2 = _simpson(W * W, xi)
     phi2 = propagate_family(cell, np.array([alpha]), np.array([0.0, 1.0]), cfg).states[0, 0]
 
@@ -964,31 +918,16 @@ def _grid(R: float, samples_per_unit: int) -> np.ndarray:
     return np.linspace(-R, R, n)
 
 
-def _reconstruct(vals: np.ndarray, logs: np.ndarray) -> np.ndarray:
-    ref = float(np.max(logs)) if logs.size else 0.0
-    return vals * np.exp(logs - ref)
-
-
-def _normalize(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    nrm = math.sqrt(float(np.trapezoid(v * v, x)))
-    if nrm == 0.0:
-        return v
-    v = v / nrm
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return v
-
-
 def _sample_piece(chain, lam, cfg, xs_path):
     """Propagate one chain recording samples; keep values in (mantissa,
     log-exponent) form so pieces with different growth can be combined."""
     res = propagate_family(chain, np.array([lam]), np.array([0.0, 1.0]), cfg,
                            rescale=True, samples=xs_path)
     return {
-        "u": res.sample_states[:, 0, 0].real.copy(),
-        "du": res.sample_states[:, 1, 0].real.copy(),
+        "u": res.sample_states[:, 0, 0].copy(),
+        "du": res.sample_states[:, 1, 0].copy(),
         "log": res.sample_logs[:, 0].copy(),
-        "end": res.states[:, 0].real.copy(),
+        "end": res.states[:, 0].copy(),
         "end_log": float(res.logs[0]),
     }
 
@@ -1013,53 +952,47 @@ def _combine_pieces(xs, pieces):
     return v, ref, (sgn / nrm if nrm > 0 else 1.0)
 
 
+def _stitch(xs, pl, pr, target):
+    """Join a left piece and a right piece (sampled from the right wall
+    inwards) on ``xs``.  The right piece is scaled so that its end state
+    meets ``target``, the left end state carried across the interface, in
+    its larger component; returns what ``_combine_pieces`` does."""
+    idx = int(np.argmax(np.abs(pr["end"])))
+    ratio = target[idx] / pr["end"][idx]
+    # right-piece exponents shifted onto the left piece's scale
+    shift = pl["end_log"] - pr["end_log"]
+    return _combine_pieces(
+        xs, [(pl["u"], pl["log"]), (ratio * pr["u"][::-1], pr["log"][::-1] + shift)]
+    )
+
+
 def _attach_limit_eigenfunctions(spec, U, bc, cfg, samples_per_unit):
     R = U.truncation_radius
     xs = _grid(R, samples_per_unit)
     left_xs = xs[xs <= 0.0]
     right_xs = xs[xs > 0.0]
-    n_left = len(left_xs)
     funcs = np.zeros((len(spec.eigenvalues), len(xs)))
     traces = []
     for i, lam in enumerate(spec.eigenvalues):
         lam = float(lam)
         if isinstance(bc, (DirichletSplit, Separated)):
-            side = "left" if spec.flags[i].startswith("left") else "right"
-            if side == "left":
-                pc = _sample_piece(_wall_chain(U, -R, 0.0), lam, cfg, left_xs)
-                v, ref, s = _combine_pieces(
-                    xs, [(pc["u"], pc["log"]), (np.zeros(len(right_xs)), np.full(len(right_xs), -np.inf))]
-                )
-                e = math.exp(pc["end_log"] - ref) * s
-                traces.append(BoundaryTrace(
-                    v_minus=pc["end"][0] * e, v_plus=0.0,
-                    dv_minus=pc["end"][1] * e, dv_plus=0.0,
-                ))
-            else:
-                pc = _sample_piece(_wall_chain(U, R, 0.0), lam, cfg, right_xs[::-1])
-                v, ref, s = _combine_pieces(
-                    xs, [(np.zeros(n_left), np.full(n_left, -np.inf)), (pc["u"][::-1], pc["log"][::-1])]
-                )
-                e = math.exp(pc["end_log"] - ref) * s
-                traces.append(BoundaryTrace(
-                    v_minus=0.0, v_plus=pc["end"][0] * e,
-                    dv_minus=0.0, dv_plus=pc["end"][1] * e,
-                ))
-            funcs[i] = v
+            # the level lives on one side; the other side is identically zero
+            left = spec.flags[i].startswith("left")
+            path = left_xs if left else right_xs[::-1]
+            pc = _sample_piece(_wall_chain(U, -R if left else R, 0.0), lam, cfg, path)
+            live = (pc["u"], pc["log"]) if left else (pc["u"][::-1], pc["log"][::-1])
+            dead = (np.zeros(len(xs) - len(path)), np.full(len(xs) - len(path), -np.inf))
+            funcs[i], ref, s = _combine_pieces(xs, [live, dead] if left else [dead, live])
+            end = pc["end"] * (math.exp(pc["end_log"] - ref) * s)
+            (vm, dvm), (vp, dvp) = (end, (0.0, 0.0)) if left else ((0.0, 0.0), end)
+            traces.append(BoundaryTrace(v_minus=vm, v_plus=vp, dv_minus=dvm, dv_plus=dvp))
         else:
             C = bc.matrix()
             pl = _sample_piece(_wall_chain(U, -R, 0.0), lam, cfg, left_xs)
             pr = _sample_piece(_wall_chain(U, R, 0.0), lam, cfg, right_xs[::-1])
             V0 = C[0, 0] * pl["end"][0] + C[0, 1] * pl["end"][1]
             V1 = C[1, 0] * pl["end"][0] + C[1, 1] * pl["end"][1]
-            idx = int(np.argmax(np.abs(pr["end"])))
-            ratio = (V0, V1)[idx] / pr["end"][idx]
-            # right-piece exponents shifted onto the left piece's scale
-            shift = pl["end_log"] - pr["end_log"]
-            v, ref, s = _combine_pieces(
-                xs,
-                [(pl["u"], pl["log"]), (ratio * pr["u"][::-1], pr["log"][::-1] + shift)],
-            )
+            v, ref, s = _stitch(xs, pl, pr, (V0, V1))
             funcs[i] = v
             e = math.exp(pl["end_log"] - ref) * s
             traces.append(BoundaryTrace(
@@ -1071,39 +1004,19 @@ def _attach_limit_eigenfunctions(spec, U, bc, cfg, samples_per_unit):
     spec.boundary_traces = traces
 
 
-def _attach_perturbed_eigenfunctions(spec, U, p, alpha, eps, cfg, samples_per_unit):
+def _attach_perturbed_eigenfunctions(spec, U, barrier, eps, cfg, samples_per_unit):
     R = U.truncation_radius
     xs = _grid(R, samples_per_unit)
     left_xs = xs[xs <= eps]
     right_xs = xs[xs > eps]
-    left_chain = _wall_chain(U, -R, -eps) + _barrier_chain(p, alpha, eps, U)
+    left_chain = _wall_chain(U, -R, -eps) + barrier
     right_chain = _wall_chain(U, R, eps)
     funcs = np.zeros((len(spec.eigenvalues), len(xs)))
     for i, lam in enumerate(spec.eigenvalues):
         lam = float(lam)
         pl = _sample_piece(left_chain, lam, cfg, left_xs)
         pr = _sample_piece(right_chain, lam, cfg, right_xs[::-1])
-        idx = int(np.argmax(np.abs(pr["end"])))
-        ratio = pl["end"][idx] / pr["end"][idx]
-        shift = pl["end_log"] - pr["end_log"]
-        v, _, _ = _combine_pieces(
-            xs, [(pl["u"], pl["log"]), (ratio * pr["u"][::-1], pr["log"][::-1] + shift)]
-        )
-        funcs[i] = v
+        funcs[i], _, _ = _stitch(xs, pl, pr, pl["end"])
     spec.x = xs
     spec.eigenfunctions = funcs
     spec.boundary_traces = None
-
-
-def _attach_interval_eigenfunctions(spec, a, b, p, alpha, eps, cfg, samples_per_unit):
-    n = int(round((b - a) * samples_per_unit)) + 1
-    xs = np.linspace(a, b, n)
-    chain = _interval_chain(a, b, p, alpha, eps)
-    funcs = np.zeros((len(spec.eigenvalues), len(xs)))
-    for i, lam in enumerate(spec.eigenvalues):
-        res = propagate_family(chain, np.array([lam]), np.array([0.0, 1.0]), cfg,
-                               rescale=True, samples=xs)
-        v = _reconstruct(res.sample_states[:, 0, 0].real, res.sample_logs[:, 0])
-        funcs[i] = _normalize(xs, v)
-    spec.x = xs
-    spec.eigenfunctions = funcs

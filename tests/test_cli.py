@@ -248,3 +248,40 @@ def test_spectrum_limit_needs_no_profile(tmp_path):
     assert main(["spectrum", "--mode", "perturbed", "--potential", "harmonic",
                  "--radius", "7", "--alpha", "1", "--eps", "0.1",
                  "--out", str(tmp_path / "np")]) == 2
+
+
+def _off_dipole_step(tmp_path):
+    # the step profile scaled by 1.000001: m0 = 0, m1 = -1.000001
+    doc = {
+        "label": "step_off",
+        "segments": [
+            {"interval": [-1.0, 0.0], "coeffs": [1.000001]},
+            {"interval": [0.0, 1.0], "coeffs": [-1.000001]},
+        ],
+    }
+    path = tmp_path / "step_off.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("args", [
+    ["dive", "--alpha", "1.0", "--eps-ladder", "0.1,0.05"],
+    ["hypothesis", "--window", "-5", "5"],
+])
+def test_moment_tol_reaches_the_dipole_check(tmp_path, args):
+    prof = _off_dipole_step(tmp_path)
+    profile = ["--profiles" if args[0] == "hypothesis" else "--profile", prof]
+    assert main(["classify", "--profile", prof, "--moment-tol", "1e-3",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert main(args + profile + ["--out", str(tmp_path / "strict")]) == 4
+    assert main(args + profile + ["--moment-tol", "1e-3", "--out", str(tmp_path / "loose")]) == 0
+
+
+@pytest.mark.parametrize("window, lo", [(["-1e-05", "3"], -1e-05), (["-2.5E+1", "0"], -25.0)])
+def test_exponent_form_negative_window(tmp_path, window, lo):
+    out = tmp_path / "w"
+    assert main(["resonances", "--profile", "step", "--window", *window, "--out", str(out)]) == 0
+    manifest = json.loads(_read(out / "manifest.json"))
+    assert manifest["params"]["window"] == [lo, float(window[1])]
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "w2")]) == 0
+    assert _read(tmp_path / "w2" / "resonances.csv") == _read(out / "resonances.csv")

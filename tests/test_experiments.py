@@ -96,13 +96,6 @@ def test_hypothesis_scan_rejects_non_dipole():
         hypothesis_scan([even_counterexample_profile()], (-10.0, 10.0))
 
 
-def test_worker_threads_do_not_change_results(step, bump, monkeypatch):
-    serial = hypothesis_scan([step, bump], (-20.0, 20.0), scan_step=0.25)
-    monkeypatch.setenv("PB_THREADS", "3")
-    threaded = hypothesis_scan([step, bump], (-20.0, 20.0), scan_step=0.25)
-    assert serial.to_dict() == threaded.to_dict()
-
-
 @pytest.mark.parametrize("which", ["negative", "positive"])
 def test_probability_ratio_matches_theta_squared(tilted, alpha1, theta1, which):
     theta = step_theta(-alpha1) if which == "negative" else theta1

@@ -8,40 +8,45 @@ from pointbarrier.ivp import (
     FamilySegment,
     SolverConfig,
     constant_propagator,
-    integrate,
     propagate_family,
-    propagator,
+    unit_wronskian,
 )
 
 
+def _fundamental(q, a, b, breakpoints=(), cfg=None):
+    """Fundamental matrix of -u'' + q u = 0 from a to b, the way scatter
+    builds it: one segment per piece between breakpoints, the family
+    m = (0, 0) started from the identity, then projected onto det = 1."""
+    direction = 1.0 if b > a else -1.0
+    inner = sorted((x for x in breakpoints if (x - a) * direction > 0 and (b - x) * direction > 0),
+                   key=lambda x: x * direction)
+    nodes = [a, *inner, b]
+    segs = [FamilySegment(lo, hi, q, 0.0) for lo, hi in zip(nodes, nodes[1:])]
+    return unit_wronskian(propagate_family(segs, np.zeros(2), np.eye(2), cfg).states)
+
+
 def test_constant_solution():
-    u, du = integrate(lambda x: 0.0, lambda x: 0.0, (0.0, 1.0), (1.0, 0.0))
+    M = _fundamental(lambda x: 0.0, 0.0, 1.0)
+    u, du = M @ [1.0, 0.0]
     assert u == pytest.approx(1.0, abs=1e-12)
     assert du == pytest.approx(0.0, abs=1e-12)
 
 
 def test_trigonometric_closed_form():
     # -u'' - u = 0 with (1, 0): u = cos x
-    u, du = integrate(lambda x: -1.0, None, (0.0, math.pi / 2), (1.0, 0.0))
+    u, du = _fundamental(lambda x: -1.0, 0.0, math.pi / 2) @ [1.0, 0.0]
     assert u == pytest.approx(0.0, abs=1e-10)
     assert du == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_hyperbolic_closed_form():
-    u, du = integrate(lambda x: 1.0, None, (0.0, 1.0), (0.0, 1.0))
+    u, du = _fundamental(lambda x: 1.0, 0.0, 1.0) @ [0.0, 1.0]
     assert u == pytest.approx(math.sinh(1.0), rel=1e-10)
     assert du == pytest.approx(math.cosh(1.0), rel=1e-10)
 
 
-def test_forced_equation():
-    # -u'' = 1 with (0, 0): u = -x^2/2
-    u, du = integrate(lambda x: 0.0, lambda x: 1.0, (0.0, 2.0), (0.0, 0.0))
-    assert u == pytest.approx(-2.0, rel=1e-10)
-    assert du == pytest.approx(-2.0, rel=1e-10)
-
-
 def test_free_propagator():
-    M = propagator(None, (0.0, 2.5))
+    M = _fundamental(lambda x: 0.0, 0.0, 2.5)
     assert np.allclose(M, [[1.0, 2.5], [0.0, 1.0]], atol=1e-12)
 
 
@@ -95,7 +100,7 @@ def test_wronskian_conservation_property():
     cfg = SolverConfig()
     for _ in range(12):
         q, breaks = _random_piecewise(rng)
-        M = propagator(q, (0.0, 1.0), cfg, breakpoints=breaks)
+        M = _fundamental(q, 0.0, 1.0, breaks, cfg)
         assert abs(np.linalg.det(M) - 1.0) <= 10.0 * cfg.rel_tol
 
 
@@ -104,9 +109,9 @@ def test_composition_property():
     for _ in range(6):
         q, breaks = _random_piecewise(rng)
         b = rng.uniform(0.2, 0.8)
-        M_full = propagator(q, (0.0, 1.0), breakpoints=breaks)
-        M_1 = propagator(q, (0.0, b), breakpoints=breaks)
-        M_2 = propagator(q, (b, 1.0), breakpoints=breaks)
+        M_full = _fundamental(q, 0.0, 1.0, breaks)
+        M_1 = _fundamental(q, 0.0, b, breaks)
+        M_2 = _fundamental(q, b, 1.0, breaks)
         assert np.allclose(M_2 @ M_1, M_full, atol=5e-8)
 
 
@@ -114,36 +119,16 @@ def test_reversal_property():
     rng = np.random.default_rng(17)
     for _ in range(6):
         q, breaks = _random_piecewise(rng)
-        Mf = propagator(q, (0.0, 1.0), breakpoints=breaks)
-        Mb = propagator(q, (1.0, 0.0), breakpoints=breaks)
+        Mf = _fundamental(q, 0.0, 1.0, breaks)
+        Mb = _fundamental(q, 1.0, 0.0, breaks)
         assert np.allclose(Mf @ Mb, np.eye(2), atol=5e-8)
-
-
-def test_fixed_step_convergence_order():
-    # halving the step must reduce the endpoint error by the nominal order
-    q = lambda x: -1.0
-    exact = math.cos(2.0)
-    errs = []
-    for h in (0.02, 0.01):
-        cfg = SolverConfig(max_step=h, fixed_step=True)
-        u, _ = integrate(q, None, (0.0, 2.0), (1.0, 0.0), cfg)
-        errs.append(abs(u - exact))
-    order = math.log2(errs[0] / errs[1])
-    assert order >= 3.5
-
-
-def test_complex_state():
-    u, du = integrate(lambda x: -4.0, None, (0.0, 1.0), (1.0 + 0.0j, 2.0j))
-    ref = complex(math.cos(2.0), math.sin(2.0))
-    assert abs(u - ref) < 1e-10
-    assert abs(du - 2.0j * ref) < 1e-10
 
 
 def test_breakpoints_preserve_accuracy():
     # sharp coefficient jump: without declared breakpoints the controller
     # still converges, but declaring them must give the exact composition
     q = lambda x: 25.0 if x < 0.5 else -25.0
-    M = propagator(q, (0.0, 1.0), breakpoints=[0.5])
+    M = _fundamental(q, 0.0, 1.0, [0.5])
     ref = constant_propagator(-25.0, 0.5) @ constant_propagator(25.0, 0.5)
     assert np.allclose(M, ref, rtol=5e-8, atol=1e-9)
 
@@ -151,21 +136,29 @@ def test_breakpoints_preserve_accuracy():
 def test_step_size_underflow():
     cfg = SolverConfig(min_step=1e-5)
     with pytest.raises(StepSizeUnderflowError) as err:
-        integrate(lambda x: 1.0 / (0.5 - x) ** 2, None, (0.0, 0.6), (1.0, 0.0), cfg)
+        _fundamental(lambda x: 1.0 / (0.5 - x) ** 2, 0.0, 0.6, cfg=cfg)
     assert abs(err.value.location - 0.5) < 0.1
 
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        integrate(None, None, (0.0, 0.0), (1.0, 0.0))
+        _fundamental(lambda x: 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        integrate(None, None, (0.0, 1.0), (math.inf, 0.0))
+        propagate_family([FamilySegment(0.0, 1.0, lambda x: 0.0)], np.zeros(1),
+                         np.array([math.inf, 0.0]))
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(min_step=1.0, max_step=0.5)
+
+
+def test_complex_init_is_rejected():
+    # the engine carries real states only; numpy would drop the imaginary part
+    segs = [FamilySegment(0.0, 1.0, -4.0)]
     with pytest.raises(ValueError):
-        SolverConfig(fixed_step=True)
+        propagate_family(segs, np.zeros(1), np.array([1.0 + 0.0j, 2.0j]))
+    with pytest.raises(ValueError):
+        propagate_family(segs, np.zeros(2), np.array([[1.0, 0.0], [0.0, 1.0j]]))
 
 
 def test_family_exact_matches_rk():
@@ -191,7 +184,7 @@ def test_family_samples_match_endpoints():
     for x, state in zip(xs, res.sample_states[:, :, 0]):
         if x == 0.0:
             continue
-        u, du = integrate(lambda t: math.sin(3 * t), None, (0.0, float(x)), (0.2, 1.0))
+        u, du = _fundamental(lambda t: math.sin(3 * t), 0.0, float(x)) @ [0.2, 1.0]
         assert state[0] == pytest.approx(u, rel=1e-8, abs=1e-10)
         assert state[1] == pytest.approx(du, rel=1e-8, abs=1e-10)
 
