@@ -87,7 +87,9 @@ class Profile:
     def max_abs(self, samples_per_segment: int = 257) -> float:
         """Upper estimate of max |profile| (exact for constant segments).
 
-        Used only to size search windows, never in a quantitative result.
+        Sizes search windows in ``spectra``, and sets the derivative scale
+        of ``resonance.scaled_residual``: it enters the resonance residual
+        gate and every reported ``residual``.
         """
         worst = 0.0
         for seg in self.segments:

@@ -108,7 +108,7 @@ def shoot(
     return float(res.states[0, 0]), float(res.states[1, 0])
 
 
-def scaled_residual(p: Profile, alpha: float, w1: float, dw1: float) -> float:
+def scaled_residual(p: Profile, alpha, w1, dw1, *, max_abs: float | None = None):
     """Neumann defect |w'(1)| measured against the shot's natural scale.
 
     The eigenfunction of a shot normalized to w(-1) = 1 grows like
@@ -116,9 +116,16 @@ def scaled_residual(p: Profile, alpha: float, w1: float, dw1: float) -> float:
     is meaningless for large couplings; dividing by
     kappa * max(1, |w(1)|) with kappa = max(1, sqrt(|alpha| max|profile|))
     keeps the defect comparable to a unit-normalized one.
+
+    Broadcasts over arrays of ``alpha``, ``w1`` and ``dw1``; scalar inputs
+    give a float.  ``max_abs`` passes a precomputed ``p.max_abs()``.
+    ``np.fmax`` ignores a NaN argument as the builtin ``max(1.0, x)`` does,
+    so array and scalar results agree bitwise.
     """
-    kappa = max(1.0, math.sqrt(abs(alpha) * p.max_abs()))
-    return abs(dw1) / (kappa * max(1.0, abs(w1)))
+    pmax = p.max_abs() if max_abs is None else max_abs
+    kappa = np.fmax(1.0, np.sqrt(np.abs(alpha) * pmax))
+    rho = np.abs(dw1) / (kappa * np.fmax(1.0, np.abs(w1)))
+    return float(rho) if np.ndim(rho) == 0 else rho
 
 
 def _eigenfunction_samples(p: Profile, alpha: float, cfg: SolverConfig, n_samples: int):
@@ -129,13 +136,13 @@ def _eigenfunction_samples(p: Profile, alpha: float, cfg: SolverConfig, n_sample
     return xi, res.sample_states[:, 0, 0].copy()
 
 
-def _point(p, alpha, cfg, n_samples, flagged=False) -> ResonancePoint:
+def _point(p, alpha, cfg, n_samples, pmax, flagged=False) -> ResonancePoint:
     w1, dw1 = shoot(p, alpha, cfg)
     xi, w = _eigenfunction_samples(p, alpha, cfg, n_samples)
     return ResonancePoint(
         alpha=float(alpha),
         theta=float(w1),
-        residual=scaled_residual(p, alpha, w1, dw1),
+        residual=scaled_residual(p, alpha, w1, dw1, max_abs=pmax),
         xi=xi,
         w=w,
         flagged=flagged,
@@ -159,7 +166,11 @@ def resonance_scan(
     vectorized bisection; roots are simple away from zero, so bracketing
     finds them all provided ``scan_step`` is below the smallest root gap.
     A second pass at half the step guards against a too-coarse grid (a
-    warning is raised and the extra roots are merged in).  alpha = 0 is
+    warning is raised and the extra roots are merged in).  It reuses the
+    coarse shots for the half grid's even points and refines only the
+    half-step brackets that hold no coarse root, so a half cell that holds
+    a coarse root plus two more roots is not searched again (bisecting it
+    could only find one of the two, and only by chance).  alpha = 0 is
     inserted analytically whenever the window contains it.  Grid points
     where |D| dips below tolerance without a sign change are returned as
     ``flagged`` tangency candidates rather than confirmed resonances.
@@ -169,12 +180,13 @@ def resonance_scan(
     if scan_step <= 0:
         raise ValueError("scan_step must be positive")
     cfg = cfg or DEFAULT_CONFIG
+    pmax = p.max_abs()
 
-    roots, grid, shots = _scan_roots(p, alpha_min, alpha_max, scan_step, cfg)
+    grid = _grid(alpha_min, alpha_max, scan_step)
+    shots = shoot_family(p, grid, cfg).states
+    roots = _refine(p, sign_change_brackets(grid, shots[1]), scan_step, cfg)
     if halving_check:
-        roots_b, _, _ = _scan_roots(p, alpha_min, alpha_max, scan_step / 2.0, cfg)
-        merge_tol = 1e-6 * max(1.0, abs(alpha_min), abs(alpha_max))
-        extra = [r for r in roots_b if all(abs(r - s) > merge_tol for s in roots)]
+        extra = _half_step_roots(p, grid, shots[1], roots, scan_step, cfg)
         if extra:
             warnings.warn(
                 f"scan_step={scan_step} too coarse for profile {p.label!r}: "
@@ -187,29 +199,30 @@ def resonance_scan(
     # a double root of D with no sign change, so it is inserted by hand.
     zero_guard = max(scan_step, 1e-6)
     roots = [r for r in roots if abs(r) > 1e-12]
-    points = [_point(p, r, cfg, n_samples) for r in sorted(roots)]
+    points = [_point(p, r, cfg, n_samples, pmax) for r in sorted(roots)]
     points = [pt for pt in points if pt.residual <= residual_tol]
 
     if alpha_min <= 0.0 <= alpha_max:
-        points.append(_point(p, 0.0, cfg, n_samples))
+        points.append(_point(p, 0.0, cfg, n_samples, pmax))
 
     points.extend(
         _tangency_candidates(p, grid, shots, scan_step, cfg, residual_tol,
-                             n_samples, [pt.alpha for pt in points], zero_guard)
+                             n_samples, [pt.alpha for pt in points], zero_guard, pmax)
     )
     points.sort(key=lambda pt: pt.alpha)
     return points
 
 
-def _scan_roots(p, alpha_min, alpha_max, step, cfg):
-    """Simple roots of D on a uniform grid of about ``step``, with the grid
-    and its shots (2, n) for the tangency guard."""
+def _grid(alpha_min, alpha_max, step) -> np.ndarray:
+    """Uniform scan grid of cells no wider than about ``step``."""
     n_cells = max(1, int(math.ceil((alpha_max - alpha_min) / step)))
-    grid = np.linspace(alpha_min, alpha_max, n_cells + 1)
-    shots = shoot_family(p, grid, cfg).states
-    brackets = sign_change_brackets(grid, shots[1])
+    return np.linspace(alpha_min, alpha_max, n_cells + 1)
+
+
+def _refine(p, brackets, step, cfg) -> list[float]:
+    """Simple roots of D in the sign-change ``brackets`` of a grid of ``step``."""
     if not brackets:
-        return [], grid, shots
+        return []
     lo = np.array([a for a, _ in brackets])
     hi = np.array([b for _, b in brackets])
 
@@ -219,32 +232,56 @@ def _scan_roots(p, alpha_min, alpha_max, step, cfg):
     roots = bisect_vector(fvec, lo, hi, xtol=1e-14, rtol=4e-16)
     # simplicity check: D must change sign across each reported root
     delta = step / 10.0
-    left = fvec(roots - delta)
-    right = fvec(roots + delta)
-    roots = [float(r) for r, fl, fr in zip(roots, left, right) if (fl < 0) != (fr < 0)]
-    return roots, grid, shots
+    sides = fvec(np.concatenate([roots - delta, roots + delta]))
+    left, right = sides[:roots.size], sides[roots.size:]
+    return [float(r) for r, fl, fr in zip(roots, left, right) if (fl < 0) != (fr < 0)]
+
+
+def _half_step_roots(p, grid, miss, roots, step, cfg) -> list[float]:
+    """Roots of the half-step re-scan that the coarse pass did not find.
+
+    ``grid`` and ``miss`` are the coarse grid and its D values.  When the
+    half grid's even points equal the coarse grid bitwise, only its
+    midpoints are shot.  A half-step bracket that holds a coarse root
+    (within the merge tolerance) is not refined: its root would be merged
+    away.
+    """
+    alpha_min, alpha_max = float(grid[0]), float(grid[-1])
+    half = _grid(alpha_min, alpha_max, step / 2.0)
+    if half.size == 2 * grid.size - 1 and np.array_equal(half[::2], grid):
+        miss_half = np.empty(half.size)
+        miss_half[::2] = miss
+        miss_half[1::2] = shoot_family(p, half[1::2], cfg).states[1]
+    else:
+        miss_half = shoot_family(p, half, cfg).states[1]
+    merge_tol = 1e-6 * max(1.0, abs(alpha_min), abs(alpha_max))
+    known = np.array(roots)
+    unexplained = [
+        (a, b) for a, b in sign_change_brackets(half, miss_half)
+        if not np.any((a - merge_tol <= known) & (known <= b + merge_tol))
+    ]
+    return _refine(p, unexplained, step / 2.0, cfg)
 
 
 def _tangency_candidates(
-    p, grid, shots, step, cfg, residual_tol, n_samples, known, zero_guard
+    p, grid, shots, step, cfg, residual_tol, n_samples, known, zero_guard, pmax
 ) -> list[ResonancePoint]:
     """Double-root guard: |D| below tolerance on the scan grid with no sign
     change, read off the scan's ``shots``."""
     w1, dw1 = shots
+    rho = scaled_residual(p, grid, w1, dw1, max_abs=pmax)
     out = []
-    for i, a in enumerate(grid):
+    for i in np.flatnonzero(rho <= residual_tol):
+        a = grid[i]
         if abs(a) <= 1.5 * zero_guard:
             continue
         if any(abs(a - r) <= 2.0 * step for r in known):
-            continue
-        rho = scaled_residual(p, a, w1[i], dw1[i])
-        if rho > residual_tol:
             continue
         is_min = (i == 0 or abs(dw1[i]) <= abs(dw1[i - 1])) and (
             i == len(grid) - 1 or abs(dw1[i]) <= abs(dw1[i + 1])
         )
         if is_min:
-            out.append(_point(p, float(a), cfg, n_samples, flagged=True))
+            out.append(_point(p, float(a), cfg, n_samples, pmax, flagged=True))
     return out
 
 

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from conftest import bisect_oracle
 
 from pointbarrier.errors import NotInResonanceSetError
 from pointbarrier.resonance import (
@@ -162,3 +164,80 @@ def test_scan_input_validation(step):
         resonance_scan(step, 1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         resonance_scan(step, 0.0, 1.0, -0.5)
+
+
+def test_halving_pass_shoots_only_new_midpoints(bump, monkeypatch):
+    from pointbarrier import resonance
+
+    counts = {"members": 0, "bisections": 0}
+    shoot_family_, bisect_vector_ = resonance.shoot_family, resonance.bisect_vector
+
+    def counted_shoot_family(p, alphas, *args, **kwargs):
+        counts["members"] += np.size(alphas)
+        return shoot_family_(p, alphas, *args, **kwargs)
+
+    def counted_bisect_vector(*args, **kwargs):
+        counts["bisections"] += 1
+        return bisect_vector_(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, "shoot_family", counted_shoot_family)
+    monkeypatch.setattr(resonance, "bisect_vector", counted_bisect_vector)
+
+    lo, hi, step_ = -20.0, 20.0, 0.1
+    n_cells = max(1, int(math.ceil((hi - lo) / step_)))
+    plain = resonance_scan(bump, lo, hi, step_, halving_check=False)
+    without = dict(counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # no extra roots on this window
+        checked = resonance_scan(bump, lo, hi, step_, halving_check=True)
+    members = counts["members"] - 2 * without["members"]
+    assert members == n_cells
+    assert counts["bisections"] == 2 * without["bisections"]
+    assert len(plain) == len(checked) > 0
+    for a, b in zip(plain, checked):
+        assert (a.alpha, a.theta, a.residual, a.flagged) == (b.alpha, b.theta, b.residual, b.flagged)
+        assert a.w.tobytes() == b.w.tobytes()
+
+
+def test_halving_rescan_recovers_two_roots_in_one_cell(step, kappa_roots):
+    # the cell [10, 60] holds both 15.42 and 49.96, so D has the same sign
+    # at its ends; the cell [60, 110] holds one root the coarse pass finds
+    k1, k2 = kappa_roots
+    k3 = bisect_oracle(lambda k: math.tanh(k) - math.tan(k), 3 * math.pi + 0.2, 3.5 * math.pi - 0.2)
+    with pytest.warns(UserWarning, match="too coarse"):
+        pts = resonance_scan(step, 10.0, 110.0, 50.0)
+    alphas = [pt.alpha for pt in pts]
+    assert len(alphas) == 3 and not any(pt.flagged for pt in pts)
+    for a, k in zip(alphas, (k1, k2, k3)):
+        assert a == pytest.approx(k * k, abs=1e-6)
+
+
+def test_tangency_candidate_flagged_below_tolerance_only(step):
+    from pointbarrier.ivp import DEFAULT_CONFIG
+    from pointbarrier.resonance import DEFAULT_RESIDUAL_TOL, _tangency_candidates
+
+    pmax = step.max_abs()
+    grid = np.linspace(10.0, 11.0, 11)
+    w1 = np.full(grid.size, 2.0)
+    # |D| dips to a minimum at grid[5] without changing sign
+    dw1 = 1e-3 * (1.0 + (np.arange(grid.size) - 5.0) ** 2)
+    kappa = math.sqrt(grid[5] * pmax)
+
+    def candidates(dip):
+        dw1[5] = dip * kappa * 2.0
+        return _tangency_candidates(step, grid, np.array([w1, dw1]), 0.1, DEFAULT_CONFIG,
+                                    DEFAULT_RESIDUAL_TOL, 11, [], 1e-6, pmax)
+
+    (pt,) = candidates(0.5 * DEFAULT_RESIDUAL_TOL)
+    assert pt.flagged and pt.alpha == grid[5]
+    assert candidates(1.01 * DEFAULT_RESIDUAL_TOL) == []
+
+
+def test_scaled_residual_array_matches_scalar(bump):
+    alphas = np.array([-150.0, -3.5, 0.0, 0.25, 17.0, 199.9])
+    states = shoot_family(bump, alphas).states
+    rho = scaled_residual(bump, alphas, states[0], states[1])
+    assert isinstance(rho, np.ndarray) and rho.shape == alphas.shape
+    for i, a in enumerate(alphas):
+        one = scaled_residual(bump, float(a), float(states[0, i]), float(states[1, i]))
+        assert isinstance(one, float) and one == rho[i]
