@@ -108,7 +108,7 @@ def shoot(
     return float(res.states[0, 0]), float(res.states[1, 0])
 
 
-def scaled_residual(p: Profile, alpha, w1, dw1, *, max_abs: float | None = None):
+def scaled_residual(p: Profile, alpha, w1, dw1):
     """Neumann defect |w'(1)| measured against the shot's natural scale.
 
     The eigenfunction of a shot normalized to w(-1) = 1 grows like
@@ -118,12 +118,10 @@ def scaled_residual(p: Profile, alpha, w1, dw1, *, max_abs: float | None = None)
     keeps the defect comparable to a unit-normalized one.
 
     Broadcasts over arrays of ``alpha``, ``w1`` and ``dw1``; scalar inputs
-    give a float.  ``max_abs`` passes a precomputed ``p.max_abs()``.
-    ``np.fmax`` ignores a NaN argument as the builtin ``max(1.0, x)`` does,
-    so array and scalar results agree bitwise.
+    give a float.  ``np.fmax`` ignores a NaN argument as the builtin
+    ``max(1.0, x)`` does, so array and scalar results agree bitwise.
     """
-    pmax = p.max_abs() if max_abs is None else max_abs
-    kappa = np.fmax(1.0, np.sqrt(np.abs(alpha) * pmax))
+    kappa = np.fmax(1.0, np.sqrt(np.abs(alpha) * p.max_abs()))
     rho = np.abs(dw1) / (kappa * np.fmax(1.0, np.abs(w1)))
     return float(rho) if np.ndim(rho) == 0 else rho
 
@@ -136,13 +134,13 @@ def _eigenfunction_samples(p: Profile, alpha: float, cfg: SolverConfig, n_sample
     return xi, res.sample_states[:, 0, 0].copy()
 
 
-def _point(p, alpha, cfg, n_samples, pmax, flagged=False) -> ResonancePoint:
+def _point(p, alpha, cfg, n_samples, flagged=False) -> ResonancePoint:
     w1, dw1 = shoot(p, alpha, cfg)
     xi, w = _eigenfunction_samples(p, alpha, cfg, n_samples)
     return ResonancePoint(
         alpha=float(alpha),
         theta=float(w1),
-        residual=scaled_residual(p, alpha, w1, dw1, max_abs=pmax),
+        residual=scaled_residual(p, alpha, w1, dw1),
         xi=xi,
         w=w,
         flagged=flagged,
@@ -180,7 +178,6 @@ def resonance_scan(
     if scan_step <= 0:
         raise ValueError("scan_step must be positive")
     cfg = cfg or DEFAULT_CONFIG
-    pmax = p.max_abs()
 
     grid = _grid(alpha_min, alpha_max, scan_step)
     shots = shoot_family(p, grid, cfg).states
@@ -199,15 +196,15 @@ def resonance_scan(
     # a double root of D with no sign change, so it is inserted by hand.
     zero_guard = max(scan_step, 1e-6)
     roots = [r for r in roots if abs(r) > 1e-12]
-    points = [_point(p, r, cfg, n_samples, pmax) for r in sorted(roots)]
+    points = [_point(p, r, cfg, n_samples) for r in sorted(roots)]
     points = [pt for pt in points if pt.residual <= residual_tol]
 
     if alpha_min <= 0.0 <= alpha_max:
-        points.append(_point(p, 0.0, cfg, n_samples, pmax))
+        points.append(_point(p, 0.0, cfg, n_samples))
 
     points.extend(
         _tangency_candidates(p, grid, shots, scan_step, cfg, residual_tol,
-                             n_samples, [pt.alpha for pt in points], zero_guard, pmax)
+                             n_samples, [pt.alpha for pt in points], zero_guard)
     )
     points.sort(key=lambda pt: pt.alpha)
     return points
@@ -240,36 +237,35 @@ def _refine(p, brackets, step, cfg) -> list[float]:
 def _half_step_roots(p, grid, miss, roots, step, cfg) -> list[float]:
     """Roots of the half-step re-scan that the coarse pass did not find.
 
-    ``grid`` and ``miss`` are the coarse grid and its D values.  When the
-    half grid's even points equal the coarse grid bitwise, only its
-    midpoints are shot.  A half-step bracket that holds a coarse root
-    (within the merge tolerance) is not refined: its root would be merged
-    away.
+    ``grid`` and ``miss`` are the coarse grid and its D values.  The half
+    grid splits every coarse cell in two; its even points are the coarse
+    grid (``linspace`` gives them bitwise), so only its midpoints are shot.
+    A half-step bracket that holds a coarse root is not refined; roots
+    refined elsewhere are dropped when they lie within the merge tolerance
+    of a coarse root.
     """
     alpha_min, alpha_max = float(grid[0]), float(grid[-1])
-    half = _grid(alpha_min, alpha_max, step / 2.0)
-    if half.size == 2 * grid.size - 1 and np.array_equal(half[::2], grid):
-        miss_half = np.empty(half.size)
-        miss_half[::2] = miss
-        miss_half[1::2] = shoot_family(p, half[1::2], cfg).states[1]
-    else:
-        miss_half = shoot_family(p, half, cfg).states[1]
-    merge_tol = 1e-6 * max(1.0, abs(alpha_min), abs(alpha_max))
+    half = np.linspace(alpha_min, alpha_max, 2 * grid.size - 1)
+    miss_half = np.empty(half.size)
+    miss_half[::2] = miss
+    miss_half[1::2] = shoot_family(p, half[1::2], cfg).states[1]
     known = np.array(roots)
     unexplained = [
         (a, b) for a, b in sign_change_brackets(half, miss_half)
-        if not np.any((a - merge_tol <= known) & (known <= b + merge_tol))
+        if not np.any((a <= known) & (known <= b))
     ]
-    return _refine(p, unexplained, step / 2.0, cfg)
+    merge_tol = 1e-6 * max(1.0, abs(alpha_min), abs(alpha_max))
+    refined = _refine(p, unexplained, step / 2.0, cfg)
+    return [r for r in refined if all(abs(r - s) > merge_tol for s in roots)]
 
 
 def _tangency_candidates(
-    p, grid, shots, step, cfg, residual_tol, n_samples, known, zero_guard, pmax
+    p, grid, shots, step, cfg, residual_tol, n_samples, known, zero_guard
 ) -> list[ResonancePoint]:
     """Double-root guard: |D| below tolerance on the scan grid with no sign
     change, read off the scan's ``shots``."""
     w1, dw1 = shots
-    rho = scaled_residual(p, grid, w1, dw1, max_abs=pmax)
+    rho = scaled_residual(p, grid, w1, dw1)
     out = []
     for i in np.flatnonzero(rho <= residual_tol):
         a = grid[i]
@@ -281,7 +277,7 @@ def _tangency_candidates(
             i == len(grid) - 1 or abs(dw1[i]) <= abs(dw1[i + 1])
         )
         if is_min:
-            out.append(_point(p, float(a), cfg, n_samples, pmax, flagged=True))
+            out.append(_point(p, float(a), cfg, n_samples, flagged=True))
     return out
 
 

@@ -226,7 +226,7 @@ def test_tangency_candidate_flagged_below_tolerance_only(step):
     def candidates(dip):
         dw1[5] = dip * kappa * 2.0
         return _tangency_candidates(step, grid, np.array([w1, dw1]), 0.1, DEFAULT_CONFIG,
-                                    DEFAULT_RESIDUAL_TOL, 11, [], 1e-6, pmax)
+                                    DEFAULT_RESIDUAL_TOL, 11, [], 1e-6)
 
     (pt,) = candidates(0.5 * DEFAULT_RESIDUAL_TOL)
     assert pt.flagged and pt.alpha == grid[5]
@@ -241,3 +241,35 @@ def test_scaled_residual_array_matches_scalar(bump):
     for i, a in enumerate(alphas):
         one = scaled_residual(bump, float(a), float(states[0, i]), float(states[1, i]))
         assert isinstance(one, float) and one == rho[i]
+
+
+def test_halving_pass_refines_next_to_a_root_below_a_grid_point(step, monkeypatch):
+    # D has a root just below the grid point 1.0 (inside the merge
+    # tolerance) and two roots in the coarse cell [1, 2], which the coarse
+    # grid cannot see; the half cells [1, 1.5] and [1.5, 2] hold one each
+    from pointbarrier import resonance
+
+    r1, r2, r3 = 1.0 - 1e-7, 1.3, 1.8
+
+    class Shots:
+        def __init__(self, alphas):
+            alphas = np.asarray(alphas, dtype=float)
+            self.states = np.array([np.ones_like(alphas), (alphas - r1) * (alphas - r2) * (alphas - r3)])
+
+    monkeypatch.setattr(resonance, "shoot_family", lambda p, alphas, cfg=None: Shots(alphas))
+    grid = np.linspace(0.0, 3.0, 4)
+    miss = Shots(grid).states[1]
+    (known,) = resonance._refine(step, resonance.sign_change_brackets(grid, miss), 1.0, None)
+    assert known == pytest.approx(r1, abs=1e-12)
+    extra = resonance._half_step_roots(step, grid, miss, [known], 1.0, None)
+    assert extra == pytest.approx([r2, r3], abs=1e-12)
+
+
+@pytest.mark.parametrize("lo, hi, step_", [(-200.0, 200.0, 0.1), (-1e-05, 3.0, 0.1),
+                                            (0.3, 100.0, 0.7), (-60.0, 60.0, 1.3)])
+def test_half_grid_even_points_are_the_coarse_grid(lo, hi, step_):
+    from pointbarrier.resonance import _grid
+
+    grid = _grid(lo, hi, step_)
+    half = np.linspace(lo, hi, 2 * grid.size - 1)
+    assert half[::2].tobytes() == grid.tobytes()
