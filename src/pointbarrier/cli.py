@@ -110,38 +110,54 @@ def _parse_profile(spec: str) -> Profile:
     )
 
 
-def _parse_potential(spec: str, radius: float) -> ConfiningPotential:
-    if spec == "harmonic":
-        return polynomial_potential([0.0, 0.0, 1.0], radius, "harmonic")
-    if spec == "tilted_harmonic":
-        return polynomial_potential([0.0, 1.0, 1.0], radius, "tilted_harmonic")
+_NAMED_POTENTIALS = {"harmonic": [0.0, 0.0, 1.0], "tilted_harmonic": [0.0, 1.0, 1.0]}
+
+
+def _potential_coeffs(spec: str) -> list[float]:
+    if spec in _NAMED_POTENTIALS:
+        return _NAMED_POTENTIALS[spec]
     if spec.startswith("poly:"):
-        try:
-            coeffs = [float(c) for c in spec[5:].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad polynomial potential {spec!r}") from exc
-        return polynomial_potential(coeffs, radius)
+        return _finite_list(spec[5:])
     raise ConfigError(f"unknown potential {spec!r}: use harmonic, tilted_harmonic or poly:c0,c1,...")
+
+
+def _parse_potential(spec: str, radius: float) -> ConfiningPotential:
+    label = spec if spec in _NAMED_POTENTIALS else None
+    return polynomial_potential(_potential_coeffs(spec), radius, label)
 
 
 def _parse_bc(spec: str):
     if spec == "dirichlet-split":
         return DirichletSplit()
     if spec.startswith("theta:"):
-        return ThetaCoupled(float(spec[6:]))
+        return ThetaCoupled(_finite(spec[6:]))
     if spec.startswith("matrix:"):
-        vals = [float(c) for c in spec[7:].split(",")]
+        vals = _finite_list(spec[7:])
         if len(vals) == 4:
             return ConnectedMatrix(*vals)
         if len(vals) == 5:
             return ConnectedMatrix(vals[0], vals[1], vals[2], vals[3], phi=vals[4])
         raise ConfigError("matrix coupling needs c11,c12,c21,c22[,phi]")
     if spec.startswith("separated:"):
-        vals = [float(c) for c in spec[10:].split(",")]
+        vals = _finite_list(spec[10:])
         if len(vals) != 4:
             raise ConfigError("separated coupling needs h1m,h2m,h1p,h2p")
         return Separated(*vals)
     raise ConfigError(f"unknown boundary coupling {spec!r}")
+
+
+def _checked_spec(parse):
+    """An argparse type that rejects what ``parse`` rejects, before any
+    output is written, and keeps the spec string for the manifest."""
+
+    def check(spec: str) -> str:
+        try:
+            parse(spec)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return spec
+
+    return check
 
 
 def _finite(spec: str) -> float:
@@ -444,11 +460,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, profile=True):
         sp.add_argument("--out", default="pb_out", help="output directory")
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
-        sp.add_argument("--abs-tol", type=float, default=1e-12)
-        sp.add_argument("--residual-tol", type=float, default=1e-9)
-        sp.add_argument("--eig-tol", type=float, default=1e-8)
-        sp.add_argument("--moment-tol", type=float, default=1e-10)
+        sp.add_argument("--rel-tol", type=_positive, default=1e-10)
+        sp.add_argument("--abs-tol", type=_positive, default=1e-12)
+        sp.add_argument("--residual-tol", type=_positive, default=1e-9)
+        sp.add_argument("--eig-tol", type=_positive, default=1e-8)
+        sp.add_argument("--moment-tol", type=_positive, default=1e-10)
         if profile:
             sp.add_argument("--profile", required=True,
                             help="step | odd_cubic | asymmetric_bump | even_quadratic | path.json")
@@ -459,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("resonances", help="scan the resonance set of a profile")
     common(sp)
     sp.add_argument("--window", nargs=2, type=_finite, required=True, metavar=("LO", "HI"))
-    sp.add_argument("--scan-step", type=float, default=0.1)
+    sp.add_argument("--scan-step", type=_positive, default=0.1)
     sp.add_argument("--eigenfunctions", action="store_true")
 
     sp = sub.add_parser("theta", help="coupling ratio at a resonant coupling")
@@ -467,16 +483,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
                     help="refine to the nearest resonance before evaluating")
-    sp.add_argument("--search-width", type=float, default=0.5)
+    sp.add_argument("--search-width", type=_positive, default=0.5)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of the limit or squeezed operator")
     common(sp, profile=False)
     sp.add_argument("--profile", help="barrier profile (perturbed mode only)")
     sp.add_argument("--mode", choices=["limit", "perturbed"], required=True)
-    sp.add_argument("--potential", required=True,
+    sp.add_argument("--potential", type=_checked_spec(_potential_coeffs), required=True,
                     help="harmonic | tilted_harmonic | poly:c0,c1,...")
     sp.add_argument("--radius", type=_positive, required=True, help="truncation radius")
-    sp.add_argument("--bc", default="theta:1.0",
+    sp.add_argument("--bc", type=_checked_spec(_parse_bc), default="theta:1.0",
                     help="dirichlet-split | theta:V | matrix:c11,c12,c21,c22[,phi] | separated:...")
     sp.add_argument("--alpha", type=_finite)
     sp.add_argument("--eps", type=_finite)
@@ -495,15 +511,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("interval", help="squeezed barrier on a bounded interval")
     common(sp)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
+    sp.add_argument("--a", type=_finite, required=True)
+    sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--eps", type=_finite, required=True)
     sp.add_argument("--count", type=_positive_int, default=6)
 
     sp = sub.add_parser("converge", help="eigenvalue convergence down a squeezing ladder")
     common(sp)
-    sp.add_argument("--potential", required=True)
+    sp.add_argument("--potential", type=_checked_spec(_potential_coeffs), required=True)
     sp.add_argument("--radius", type=_positive, required=True)
     sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--eps-ladder", type=_parse_ladder, required=True,
@@ -520,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, profile=False)
     sp.add_argument("--profiles", required=True, help="comma-separated profile names/paths")
     sp.add_argument("--window", nargs=2, type=_finite, required=True, metavar=("LO", "HI"))
-    sp.add_argument("--scan-step", type=float, default=0.1)
+    sp.add_argument("--scan-step", type=_positive, default=0.1)
 
     sp = sub.add_parser("rerun", help="replay a run from its manifest")
     sp.add_argument("manifest", help="path to a manifest.json")

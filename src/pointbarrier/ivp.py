@@ -4,27 +4,27 @@ Everything downstream (shooting, spectra, scattering) reduces to carrying
 real Cauchy data (u, u') across an interval.  The engine propagates whole
 *families* of coefficients ``q_i(x) = c(x) + m_i * w(x)`` at once
 (vectorized over the family index) along a chain of segments, and picks
-one of three transports per segment:
+one of two transports per segment:
 
-* closed-form constant-coefficient propagators (cosh/sinh, cos/sin, or a
-  series near zero) when both parts are constants;
-* a fourth-order Magnus transport when ``c`` is callable and ``w`` a
-  nonzero constant: the members differ by a constant shift, as in every
-  eigenvalue family ``c(x) - lambda``.  Its mesh is built once
-  per (segment, config) from ``c`` and the tolerances alone and cached; a
+* a fourth-order Magnus transport when ``w`` is a constant (zero
+  included): the members differ by a constant shift, as in every
+  eigenvalue family ``c(x) - lambda``.  Its mesh is built once per
+  (segment, config) from ``c`` and the tolerances alone and cached; a
   call exponentiates every interval of every member in one vectorized
-  pass and chains the 2x2 matrices with a blocked scan;
+  pass and chains the 2x2 matrices with a blocked scan.  A constant ``c``
+  needs one interval, on which the Magnus step is the exact
+  constant-coefficient propagator (cosh/sinh, cos/sin, or a series near
+  zero);
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
-  first-order system for the rest (callable ``w``, ``w = 0``), with
-  mandatory step boundaries at the segment ends (piecewise coefficients
-  lose no order).
+  first-order system when ``w`` is callable, with mandatory step
+  boundaries at the segment ends (piecewise coefficients lose no order).
 
 ``force_rk`` puts every segment on the Runge-Kutta pair, the reference
-for the closed forms and the Magnus mesh.  States can be renormalized on
-the fly with an accumulated log-scale so that strongly exponential
-regimes never overflow; determinant signs are unaffected because the
-scales are positive.  The fundamental matrix of a chain is the
-propagation of the family ``m = (0, 0)`` from ``init = eye(2)``, with
+for the Magnus transport.  States can be renormalized on the fly with an
+accumulated log-scale so that strongly exponential regimes never
+overflow; determinant signs are unaffected because the scales are
+positive.  The fundamental matrix of a chain is the propagation of a
+family of two equal members from ``init = eye(2)``, with
 ``unit_wronskian`` projecting out the drift of its determinant.
 """
 
@@ -65,11 +65,11 @@ class SolverConfig:
     min_step: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         for name in ("max_step", "min_step"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_step is not None and self.min_step is not None:
             if not self.min_step < self.max_step:
@@ -92,18 +92,16 @@ class FamilySegment:
 
     The coefficient of the family member with weight ``m`` is
     ``c_part(x) + m * w_part(x)``; each part is either a plain float
-    (constant on the segment) or a callable of ``x``.  Segments where both
-    parts are floats are transported in closed form unless ``force_rk``.
+    (constant on the segment) or a callable of ``x``.  A float
+    ``w_part`` (zero included) puts the segment on the Magnus mesh, where
+    a float ``c_part`` takes one exact step; a callable ``w_part`` puts it
+    on the Runge-Kutta pair.
     """
 
     a: float
     b: float
     c_part: float | Callable[[float], float]
     w_part: float | Callable[[float], float] = 0.0
-
-    @property
-    def exact(self) -> bool:
-        return not callable(self.c_part) and not callable(self.w_part)
 
 
 @dataclass
@@ -151,79 +149,6 @@ _DP_B4 = (
 )
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
-_SERIES_THRESHOLD = 1e-6  # |c| L^2 below this: use the power series
-_EXP_SPLIT = 40.0  # kappa*|L| above this: factor out exp(kappa |L|)
-
-
-# -- constant-coefficient closed forms ----------------------------------------
-
-def _const_entries(c: np.ndarray, length: float):
-    """Entries of the propagator of -u'' + c u = 0 over a signed ``length``.
-
-    Returns (m11, m12, m21, m22, logscale); the true matrix is
-    exp(logscale) times the returned entries.  Vectorized over ``c``.
-    """
-    c = np.asarray(c, dtype=float)
-    z = c * length * length
-    m11 = np.empty_like(c)
-    m12 = np.empty_like(c)
-    m21 = np.empty_like(c)
-    logs = np.zeros_like(c)
-
-    tiny = np.abs(z) <= _SERIES_THRESHOLD
-    if np.any(tiny):
-        zt = z[tiny]
-        cosh_like = 1.0 + zt / 2.0 * (1.0 + zt / 12.0 * (1.0 + zt / 30.0))
-        sinc_like = 1.0 + zt / 6.0 * (1.0 + zt / 20.0 * (1.0 + zt / 42.0))
-        m11[tiny] = cosh_like
-        m12[tiny] = length * sinc_like
-        m21[tiny] = c[tiny] * length * sinc_like
-
-    pos = (c > 0) & ~tiny
-    if np.any(pos):
-        k = np.sqrt(c[pos])
-        t = k * length
-        big = np.abs(t) > _EXP_SPLIT
-        ch = np.empty_like(t)
-        sh = np.empty_like(t)
-        if np.any(~big):
-            ch[~big] = np.cosh(t[~big])
-            sh[~big] = np.sinh(t[~big])
-        if np.any(big):
-            # factor out exp(|t|); cosh t = e^|t| (1 + e^{-2|t|}) / 2
-            e = np.exp(-2.0 * np.abs(t[big]))
-            ch[big] = 0.5 * (1.0 + e)
-            sh[big] = 0.5 * np.sign(t[big]) * (1.0 - e)
-        m11[pos] = ch
-        m12[pos] = sh / k
-        m21[pos] = k * sh
-        lg = np.zeros_like(t)
-        lg[big] = np.abs(t[big])
-        logs[pos] = lg
-
-    neg = (c < 0) & ~tiny
-    if np.any(neg):
-        w = np.sqrt(-c[neg])
-        t = w * length
-        m11[neg] = np.cos(t)
-        m12[neg] = np.sin(t) / w
-        m21[neg] = -w * np.sin(t)
-
-    return m11, m12, m21, m11.copy(), logs
-
-
-def constant_propagator(c: float, length: float) -> np.ndarray:
-    """Exact 2x2 propagator of -u'' + c u = 0 over a signed ``length``.
-
-    ``c > 0`` gives the hyperbolic matrix [[cosh kL, sinh kL / k],
-    [k sinh kL, cosh kL]] with k = sqrt(c); ``c < 0`` the trigonometric
-    analogue; c near 0 is evaluated by series (free-particle limit
-    [[1, L], [0, 1]]).
-    """
-    m11, m12, m21, m22, logs = _const_entries(np.array([float(c)]), float(length))
-    scale = math.exp(logs[0])
-    return np.array([[m11[0], m12[0]], [m21[0], m22[0]]]) * scale
-
 
 # -- adaptive RK on a family ---------------------------------------------------
 
@@ -231,8 +156,8 @@ class _ZeroCounter:
     """Per-member count of interior zeros of u, tracked via sign flips.
 
     Valid because accepted steps are far shorter than the local zero
-    spacing (h ~ 0.03 / sqrt|q| versus pi / sqrt|q|); constant segments
-    are counted in closed form instead.
+    spacing (h ~ 0.03 / sqrt|q| versus pi / sqrt|q|); the Magnus transport
+    counts from its node states instead (``_mesh_zero_counts``).
     """
 
     __slots__ = ("counts", "psign")
@@ -507,6 +432,7 @@ _MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as under
 _WORK_CAP = 1 << 13  # intervals (or samples) x members handled per transport pass
 _CACHE_FLOATS = 1 << 16  # mesh cache budget in stored floats (512 kB)
 _RENORM_EVERY = 4  # chained products are rescaled every this many steps
+_SERIES_THRESHOLD = 1e-6  # |z| below this: the step's cosh/sinh by power series
 
 
 @dataclass(eq=False)
@@ -515,7 +441,7 @@ class _Mesh:
     the signed length ``h``, the commutator term ``d = sqrt(3)/12 h^2
     (c(g1) - c(g2))`` and the mean ``cbar`` of c at the two Gauss nodes."""
 
-    c: Callable[[float], float]
+    c: float | Callable[[float], float]
     x: np.ndarray  # N + 1 nodes in the direction of travel
     h: np.ndarray
     d: np.ndarray
@@ -528,7 +454,10 @@ _CACHE_LOCK = threading.Lock()
 
 def _eval_c(c, xs: np.ndarray) -> np.ndarray:
     """``c`` at every point of ``xs``: one array call when ``c`` accepts an
-    array (checked against scalar calls at both ends), else point by point."""
+    array (checked against scalar calls at both ends), else point by point;
+    a float ``c`` is constant."""
+    if not callable(c):
+        return np.full(xs.shape, float(c))
     if xs.size:
         try:
             with np.errstate(all="ignore"):
@@ -571,6 +500,19 @@ def _magnus_entries(h, d, qbar):
     shd = sh * d
     shh = sh * h
     return ch + shd, shh, shh * qbar, ch - shd, logs
+
+
+def constant_propagator(c: float, length: float) -> np.ndarray:
+    """Exact 2x2 propagator of -u'' + c u = 0 over a signed ``length``.
+
+    ``c > 0`` gives the hyperbolic matrix [[cosh kL, sinh kL / k],
+    [k sinh kL, cosh kL]] with k = sqrt(c); ``c < 0`` the trigonometric
+    analogue; c near 0 is evaluated by series (free-particle limit
+    [[1, L], [0, 1]]).  This is the Magnus step with a vanishing
+    commutator term, exact for constant coefficients.
+    """
+    m11, m12, m21, m22, logs = _magnus_entries(float(length), 0.0, float(c))
+    return np.array([[m11, m12], [m21, m22]]) * math.exp(logs)
 
 
 def _step_defect(c, lo, h, d, cbar, shifts):
@@ -664,7 +606,12 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
 
 def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     """The cached mesh of (seg, cfg), built on first use (LRU, bounded by
-    ``_CACHE_FLOATS``)."""
+    ``_CACHE_FLOATS``).  A constant ``c_part`` needs no cache: its mesh is
+    the whole segment, where the Magnus step (d = 0) is exact."""
+    if not callable(seg.c_part):
+        c = float(seg.c_part)
+        return _Mesh(c, np.array([seg.a, seg.b]), np.array([seg.b - seg.a]), np.zeros(1),
+                     np.array([c]))
     key = (seg, cfg)
     try:
         with _CACHE_LOCK:
@@ -828,49 +775,22 @@ def _mesh_apply(
             rec_logs[rows] = 0.0
 
 
-def _meshed(seg: FamilySegment) -> bool:
-    """Members differ by a constant shift of a callable coefficient."""
-    return callable(seg.c_part) and not callable(seg.w_part) and float(seg.w_part) != 0.0
-
-
 # -- family propagation over segment chains -----------------------------------
 
-def _q_scalar_closure(seg: FamilySegment, m0: float):
-    """Float-valued coefficient closure for single-trajectory runs."""
+def _q_closure(seg: FamilySegment, m):
+    """Coefficient closure of the members ``m``: a float for the scalar
+    path (float-valued closure), an array for the family path."""
     cp, wp = seg.c_part, seg.w_part
-    if callable(cp) and callable(wp):
-        return lambda x: cp(x) + m0 * wp(x)
-    if callable(cp):
-        mw = m0 * float(wp)
-        if mw == 0.0:
-            return cp
-        return lambda x: cp(x) + mw
     if callable(wp):
+        if callable(cp):
+            return lambda x: cp(x) + m * wp(x)
         c0 = float(cp)
-        return lambda x: c0 + m0 * wp(x)
-    const = float(cp) + m0 * float(wp)
-    return lambda x: const
-
-
-def _qv_closure(seg: FamilySegment, m: np.ndarray):
-    cp, wp = seg.c_part, seg.w_part
-    c_call = callable(cp)
-    w_call = callable(wp)
-    if not w_call and float(wp) == 0.0:
-        if c_call:
-            return cp
-        const = float(cp) * np.ones_like(m)
-        return lambda x: const
-    if not c_call and not w_call:
-        const = float(cp) + m * float(wp)
-        return lambda x: const
-    if c_call and w_call:
-        return lambda x: cp(x) + m * wp(x)
-    if c_call:
-        mw = m * float(wp)
+        return lambda x: c0 + m * wp(x)
+    mw = m * float(wp)  # a constant w reaches the RK under force_rk only
+    if callable(cp):
         return lambda x: cp(x) + mw
-    c0 = float(cp)
-    return lambda x: c0 + m * wp(x)
+    const = float(cp) + mw
+    return lambda x: const
 
 
 def propagate_family(
@@ -948,17 +868,7 @@ def propagate_family(
                     break
                 seg_samples.append(xs)
 
-        if not force_rk and seg.exact:
-            cvec = float(seg.c_part) + m * float(seg.w_part)
-            x_of_record = seg.a
-            for xs in seg_samples:
-                _const_apply(cvec, xs - x_of_record, Y, logs, rescale, counter)
-                rec_states[rec_i] = Y
-                rec_logs[rec_i] = logs
-                rec_i += 1
-                x_of_record = xs
-            _const_apply(cvec, seg.b - x_of_record, Y, logs, rescale, counter)
-        elif not force_rk and _meshed(seg):
+        if not force_rk and not callable(seg.w_part):
             mesh = _mesh_for(seg, cfg)
             _mesh_apply(mesh, m * float(seg.w_part), Y, logs, rescale, counter, seg_samples,
                         rec_states, rec_logs, rec_i)
@@ -969,10 +879,7 @@ def propagate_family(
             lanes = [slice(i, i + 1) for i in range(n)] if 1 < n <= 6 else [slice(0, n)]
             for lane in lanes:
                 Yl, logs_l = Y[:, lane], logs[lane]
-                if Yl.shape[1] == 1:
-                    qv = _q_scalar_closure(seg, float(m[lane.start]))
-                else:
-                    qv = _qv_closure(seg, m)
+                qv = _q_closure(seg, float(m[lane.start]) if Yl.shape[1] == 1 else m)
 
                 def record(j: int, _lane=lane, _Y=Yl, _logs=logs_l) -> None:
                     rec_states[base + j, :, _lane] = _Y
@@ -996,50 +903,6 @@ def propagate_family(
         Y, logs, sample_x, rec_states, rec_logs,
         counter.counts if counter is not None else None,
     )
-
-
-def _const_apply(cvec, length, Y, logs, rescale, counter=None):
-    if length == 0.0:
-        return
-    m11, m12, m21, m22, lg = _const_entries(cvec, length)
-    if counter is not None:
-        u0 = Y[0].copy()
-        v0 = Y[1].copy()
-    u = m11 * Y[0] + m12 * Y[1]
-    v = m21 * Y[0] + m22 * Y[1]
-    Y[0], Y[1] = u, v
-    if counter is not None:
-        _count_const_zeros(cvec, length, u0, v0, Y[0], counter)
-    if rescale:
-        logs += lg
-    elif np.any(lg != 0.0):
-        Y *= np.exp(lg)
-
-
-def _count_const_zeros(c, length, u0, v0, u1, counter) -> None:
-    """Closed-form zero count across a constant-coefficient segment.
-
-    Oscillatory members (c < 0) write u(t) = A sin(w t + psi) and count the
-    sign changes of the sine; all other members have at most one zero,
-    detected by the endpoint sign flip.
-    """
-    z = np.abs(c) * length * length
-    osc = (c < 0) & (z > _SERIES_THRESHOLD)
-    add = np.zeros(c.shape, dtype=int)
-    if np.any(osc):
-        w = np.sqrt(-c[osc])
-        s = abs(length)
-        vv = v0[osc] if length > 0 else -v0[osc]
-        psi = np.arctan2(u0[osc], vv / w)
-        add[osc] = (
-            np.floor((psi + w * s) / math.pi).astype(int)
-            - np.floor(psi / math.pi).astype(int)
-        )
-    flip = ~osc & (u0 != 0.0) & (u1 != 0.0) & (np.sign(u0) != np.sign(u1))
-    add[flip] = 1
-    counter.counts += add
-    sgn = np.sign(u1).astype(int)
-    counter.psign = np.where(sgn != 0, sgn, counter.psign)
 
 
 def unit_wronskian(M: np.ndarray) -> np.ndarray:

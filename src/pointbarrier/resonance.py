@@ -102,7 +102,8 @@ def shoot(
     """Endpoint data (w(1), w'(1)) of the shot with w(-1)=normalization, w'(-1)=0.
 
     ``w'(1)`` is the resonance miss function D(alpha).  Piecewise-constant
-    profile segments are transported in closed form unless ``force_rk``.
+    profile segments take one exact constant-coefficient step unless
+    ``force_rk``.
     """
     res = shoot_family(p, [alpha], cfg, force_rk=force_rk, normalization=normalization)
     return float(res.states[0, 0]), float(res.states[1, 0])

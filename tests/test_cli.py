@@ -211,6 +211,29 @@ _PARSE_REJECTS = [
     ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "-1"],
     ["interval", "--profile", "step", "--a", "-1", "--b", "2", "--alpha", "1",
      "--eps", "1e-3", "--count", "0"],
+    # tolerances and step widths must be positive and finite
+    ["theta", "--profile", "step", "--alpha", "3", "--no-refine", "--residual-tol", "nan"],
+    ["resonances", "--profile", "step", "--window", "-20", "20", "--residual-tol", "nan"],
+    ["classify", "--profile", "step", "--moment-tol", "nan"],
+    ["resonances", "--profile", "step", "--window", "-20", "20", "--rel-tol", "nan"],
+    ["resonances", "--profile", "step", "--window", "-20", "20", "--abs-tol", "-1e-12"],
+    ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+     "--eig-tol", "0"],
+    ["resonances", "--profile", "step", "--window", "-20", "20", "--scan-step", "nan"],
+    ["hypothesis", "--profiles", "step", "--window", "-5", "5", "--scan-step", "-0.1"],
+    ["theta", "--profile", "step", "--alpha", "3", "--search-width", "inf"],
+    # --bc and --potential entries must be finite
+    ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+     "--levels", "2", "--bc", "theta:nan"],
+    ["spectrum", "--mode", "limit", "--potential", "poly:0,0,nan", "--radius", "7"],
+    ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+     "--bc", "separated:nan,1,0,1"],
+    ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+     "--bc", "matrix:1,0,0,inf"],
+    ["converge", "--profile", "step", "--potential", "poly:0,inf,1", "--radius", "7",
+     "--alpha", "1", "--eps-ladder", "0.2,0.1"],
+    ["interval", "--profile", "step", "--a", "-1", "--b", "inf", "--alpha", "1",
+     "--eps", "1e-3"],
 ]
 
 # out-of-domain values that only the library entry points reject

@@ -148,6 +148,9 @@ def test_invalid_inputs():
                          np.array([math.inf, 0.0]))
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=-1.0)
+    for field in ("rel_tol", "abs_tol", "max_step", "min_step"):
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: math.nan})
     with pytest.raises(ValueError):
         SolverConfig(min_step=1.0, max_step=0.5)
 
@@ -167,6 +170,14 @@ def test_family_exact_matches_rk():
     exact = propagate_family(segs, m, np.array([1.0, 0.0]))
     rk = propagate_family(segs, m, np.array([1.0, 0.0]), force_rk=True)
     assert np.allclose(exact.states, rk.states, rtol=1e-9, atol=1e-10)
+    # sampled states and zero counts, with members oscillating on either piece
+    m = np.array([-90.0, -3.0, 0.0, 2.0, 60.0, 150.0])
+    kw = dict(samples=np.linspace(-1.0, 1.0, 17), count_zeros=True)  # 0.0 is a sample
+    exact = propagate_family(segs, m, np.array([1.0, 0.0]), **kw)
+    rk = propagate_family(segs, m, np.array([1.0, 0.0]), force_rk=True, **kw)
+    assert np.allclose(exact.sample_states, rk.sample_states, rtol=1e-9, atol=1e-10)
+    assert exact.zero_counts.max() >= 3
+    assert np.array_equal(exact.zero_counts, rk.zero_counts)
 
 
 def test_family_rescaling_tracks_logs():

@@ -21,6 +21,42 @@ def test_exact_cross_check(step):
     assert abs(rn.T - re.T) <= 1e-9
 
 
+def _dop853_amplitudes(p, alpha, eps, k):
+    """R and T with the barrier matrix integrated by scipy's DOP853, segment
+    by segment in xi = x / eps, and matched to plane waves at x = -+eps."""
+    from scipy.integrate import solve_ivp
+
+    tau2 = (eps * k) ** 2
+    M = np.eye(2)
+    for seg in p.segments:
+        def rhs(xi, y, _seg=seg):
+            q = alpha * _seg(xi) - tau2
+            return [y[1], q * y[0], y[3], q * y[2]]
+
+        sol = solve_ivp(rhs, (seg.a, seg.b), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                        rtol=1e-13, atol=1e-15)
+        assert sol.success
+        y = sol.y[:, -1]
+        M = np.array([[y[0], y[2]], [y[1], y[3]]]) @ M
+    M = np.diag([1.0, 1.0 / eps]) @ M @ np.diag([1.0, eps])  # (w, w') -> (y, y')
+    em, ep = cmath.exp(-1j * k * eps), cmath.exp(1j * k * eps)
+    # M (em + R ep, ik em - ik R ep) = T (ep, ik ep)
+    incident = M @ [em, 1j * k * em]
+    reflected = M @ [ep, -1j * k * ep]
+    R, T = np.linalg.solve(np.column_stack([reflected, [-ep, -1j * k * ep]]), -incident)
+    return R, T
+
+
+@pytest.mark.parametrize("alpha, eps, k", [
+    (20.0, 1e-3, 1.0), (-20.0, 0.05, 2.7), (12.5, 0.2, 0.5), (-7.3, 1e-2, 3.0),
+])
+def test_bump_matches_an_independent_integrator(bump, alpha, eps, k):
+    r = scatter(bump, alpha, eps, k)
+    R_ref, T_ref = _dop853_amplitudes(bump, alpha, eps, k)
+    assert abs(r.R - R_ref) <= 1e-9
+    assert abs(r.T - T_ref) <= 1e-9
+
+
 def test_unitarity_randomized(step, bump):
     rng = np.random.default_rng(23)
     for profile in (step, bump):
