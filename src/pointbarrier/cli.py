@@ -201,7 +201,7 @@ def _parse_ladder(spec: str) -> list[float]:
 
 
 def _solver_config(ns) -> SolverConfig:
-    return SolverConfig(rel_tol=ns.rel_tol, abs_tol=ns.abs_tol)
+    return SolverConfig(rel_tol=ns.rel_tol)
 
 
 def _eigenfunction_csvs(outdir: Path, spec, prefix: str) -> list[str]:
@@ -322,7 +322,7 @@ def _cmd_spectrum(ns, outdir: Path) -> list[str]:
 
 def _cmd_scatter(ns, outdir: Path) -> list[str]:
     p = _parse_profile(ns.profile)
-    cfg = SolverConfig(rel_tol=min(ns.rel_tol, 1e-12), abs_tol=min(ns.abs_tol, 1e-14))
+    cfg = SolverConfig(rel_tol=min(ns.rel_tol, 1e-12))
     alphas = ns.alphas if ns.alphas is not None else [ns.alpha]
     epses = ns.eps_ladder if ns.eps_ladder is not None else [ns.eps]
     ks = ns.ks if ns.ks is not None else [ns.k]
@@ -461,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, profile=True):
         sp.add_argument("--out", default="pb_out", help="output directory")
         sp.add_argument("--rel-tol", type=_positive, default=1e-10)
-        sp.add_argument("--abs-tol", type=_positive, default=1e-12)
         sp.add_argument("--residual-tol", type=_positive, default=1e-9)
         sp.add_argument("--eig-tol", type=_positive, default=1e-8)
         sp.add_argument("--moment-tol", type=_positive, default=1e-10)

@@ -23,7 +23,8 @@ class NumericsError(PointBarrierError, RuntimeError):
 
 
 class StepSizeUnderflowError(NumericsError):
-    """The adaptive integrator had to shrink the step below ``min_step``.
+    """The adaptive integrator had to shrink the step, or the mesh builder
+    an interval, below ``min_step``.
 
     Carries the location where the integration stalled.
     """

@@ -6,23 +6,24 @@ real Cauchy data (u, u') across an interval.  The engine propagates whole
 (vectorized over the family index) along a chain of segments, and picks
 one of two transports per segment:
 
-* a fourth-order Magnus transport when ``w`` is a constant (zero
+* a sixth-order Magnus transport when ``w`` is a constant (zero
   included): the members differ by a constant shift, as in every
-  eigenvalue family ``c(x) - lambda``.  Its mesh is built once per
-  (segment, config) from ``c`` and the tolerances alone and cached; a
-  call exponentiates every interval of every member in one vectorized
-  pass and chains the 2x2 matrices with a blocked scan.  A constant ``c``
-  needs one interval, on which the Magnus step is the exact
-  constant-coefficient propagator (cosh/sinh, cos/sin, or a series near
-  zero);
+  eigenvalue family ``c(x) - lambda``.  Each step uses c at three Gauss
+  nodes (Blanes, Casas & Ros, BIT 40 (2000) 434-450); sl(2) is closed
+  under commutators, so its exponent is a traceless 2x2 matrix whose
+  exponential is closed form (cosh/sinh, cos/sin, or a series near zero).
+  The mesh is built once per (segment, config) from ``c`` and the
+  tolerance alone and cached; a call exponentiates every interval of
+  every member in one vectorized pass and chains the 2x2 matrices with a
+  blocked scan.  A constant ``c`` needs one interval, on which the step
+  is the exact constant-coefficient propagator;
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
-  first-order system when ``w`` is callable, with mandatory step
-  boundaries at the segment ends (piecewise coefficients lose no order).
+  first-order system when ``w`` is callable, as in the coupling families
+  ``alpha * profile`` of resonance shots, with mandatory step boundaries
+  at the segment ends (piecewise coefficients lose no order).
 
-``force_rk`` puts every segment on the Runge-Kutta pair, the reference
-for the Magnus transport.  States can be renormalized on the fly with an
-accumulated log-scale so that strongly exponential regimes never
-overflow; determinant signs are unaffected because the scales are
+States carry an accumulated log-scale so that strongly exponential regimes
+never overflow; determinant signs are unaffected because the scales are
 positive.  The fundamental matrix of a chain is the propagation of a
 family of two equal members from ``init = eye(2)``, with
 ``unit_wronskian`` projecting out the drift of its determinant.
@@ -52,20 +53,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and step limits of the Runge-Kutta pair and the Magnus mesh.
+    """Tolerance and step limits of the Magnus mesh and the Runge-Kutta pair.
 
-    ``max_step``/``min_step`` default to 1e-2 and 1e-14 times the span of
-    the integration interval (of the segment, for a mesh) when left as
-    ``None``.
+    ``rel_tol`` bounds the one-step vs two-half-step defect of every mesh
+    interval and the local error of every RK step relative to the state
+    (with the absolute floor ``_RK_ABS_TOL``).  ``max_step``/``min_step``
+    default to 1e-2 and 1e-14 times the span of the integration interval
+    (of the segment, for a mesh) when left as ``None``.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     max_step: float | None = None
     min_step: float | None = None
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):  # NaN fails too
+        if not self.rel_tol > 0:  # NaN fails too
             raise ValueError("tolerances must be positive")
         for name in ("max_step", "min_step"):
             v = getattr(self, name)
@@ -92,10 +94,10 @@ class FamilySegment:
 
     The coefficient of the family member with weight ``m`` is
     ``c_part(x) + m * w_part(x)``; each part is either a plain float
-    (constant on the segment) or a callable of ``x``.  A float
-    ``w_part`` (zero included) puts the segment on the Magnus mesh, where
-    a float ``c_part`` takes one exact step; a callable ``w_part`` puts it
-    on the Runge-Kutta pair.
+    (constant on the segment) or a callable of ``x``.  A float ``w_part``
+    (zero included) puts the segment on the Magnus mesh, where a float
+    ``c_part`` takes one exact step; a callable ``w_part`` puts it on the
+    Runge-Kutta pair.
     """
 
     a: float
@@ -148,37 +150,14 @@ _DP_B4 = (
     1.0 / 40.0,
 )
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+_RK_ABS_TOL = 1e-12  # absolute floor of the RK error test
 
 
 # -- adaptive RK on a family ---------------------------------------------------
-
-class _ZeroCounter:
-    """Per-member count of interior zeros of u, tracked via sign flips.
-
-    Valid because accepted steps are far shorter than the local zero
-    spacing (h ~ 0.03 / sqrt|q| versus pi / sqrt|q|); the Magnus transport
-    counts from its node states instead (``_mesh_zero_counts``).
-    """
-
-    __slots__ = ("counts", "psign")
-
-    def __init__(self, n: int):
-        self.counts = np.zeros(n, dtype=int)
-        self.psign = np.zeros(n, dtype=int)
-
-    def update(self, u: np.ndarray) -> None:
-        sgn = np.sign(u).astype(int)
-        flip = (self.psign != 0) & (sgn != 0) & (sgn != self.psign)
-        self.counts[flip] += 1
-        self.psign = np.where(sgn != 0, sgn, self.psign)
-
-    def update_scalar(self, i: int, u: float) -> None:
-        sgn = 1 if u > 0 else (-1 if u < 0 else 0)
-        if sgn != 0:
-            if self.psign[i] != 0 and sgn != self.psign[i]:
-                self.counts[i] += 1
-            self.psign[i] = sgn
-
+#
+# Zero counts of the RK come from sign flips of u between accepted steps,
+# which are far shorter than the local zero spacing (h ~ 0.03 / sqrt|q|
+# versus pi / sqrt|q|).
 
 def _rk_span(
     qv: Callable[[float], np.ndarray | float],
@@ -192,27 +171,21 @@ def _rk_span(
     rescale: bool,
     record_xs=None,
     record_fn=None,
-    counter: _ZeroCounter | None = None,
-    member: int = 0,
+    counts: np.ndarray | None = None,
 ) -> None:
     """Advance Y in place from x0 to x1 (monotone span, no interior breaks).
 
     ``record_xs`` (sorted along the direction of travel) forces exact stops
     where ``record_fn(index_in_record_xs)`` is invoked; the adaptive step
-    and the FSAL stage survive across the stops.  A single-column ``Y``
-    (member ``member`` of the counter) takes the scalar path.
+    and the FSAL stage survive across the stops.  ``counts`` (one entry
+    per column of ``Y``) gathers the zeros of u.  A single-column ``Y``
+    takes the scalar path.
     """
     span = abs(x1 - x0)
     if span == 0.0 and record_xs is None:
         return
-    if Y.shape[1] == 1:
-        _rk_span_scalar(
-            qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter, member
-        )
-    else:
-        _rk_span_vector(
-            qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter
-        )
+    path = _rk_span_scalar if Y.shape[1] == 1 else _rk_span_vector
+    path(qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counts)
 
 
 def _stops(x1: float, record_xs) -> list[float]:
@@ -222,15 +195,16 @@ def _stops(x1: float, record_xs) -> list[float]:
 
 
 def _rk_span_scalar(
-    qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter=None, member=0
+    qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counts=None
 ) -> None:
     """Single-trajectory path in plain Python scalars."""
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    rtol, atol = cfg.rel_tol, _RK_ABS_TOL
     direction = 1.0 if x1 > x0 else -1.0
     u = Y[0, 0].item()
     v = Y[1, 0].item()
     lg = float(logs[0])
     q = qv  # float-valued closure supplied by propagate_family for n == 1
+    psign = (u > 0) - (u < 0)
 
     (a21,) = _DP_A[1]
     a31, a32 = _DP_A[2]
@@ -296,8 +270,11 @@ def _rk_span_scalar(
                 x = xe
                 u, v = u5, v5
                 ku1, kv1 = ku7, kv7
-                if counter is not None:
-                    counter.update_scalar(member, u)
+                if counts is not None:
+                    sgn = (u > 0) - (u < 0)
+                    if sgn and psign and sgn != psign:
+                        counts[0] += 1
+                    psign = sgn or psign
                 if rescale:
                     s = max(abs(u), abs(v))
                     if s > 1e3 or (0.0 < s < 1e-3):
@@ -330,10 +307,10 @@ def _rk_span_scalar(
 
 
 def _rk_span_vector(
-    qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counter=None
+    qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counts=None
 ) -> None:
     """Family path: flat (2n,) states, stage combinations via BLAS matvec."""
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    rtol, atol = cfg.rel_tol, _RK_ABS_TOL
     direction = 1.0 if x1 > x0 else -1.0
     n = Y.shape[1]
     y = Y.reshape(-1).copy()  # [u_0..u_{n-1}, v_0..v_{n-1}]
@@ -342,6 +319,7 @@ def _rk_span_vector(
     B5 = np.asarray(_DP_B5[:6])
     E = np.asarray(_DP_E)
     stage = np.empty_like(y)
+    psign = np.sign(y[:n])
 
     def eval_rhs(x: float, state: np.ndarray, out: np.ndarray) -> None:
         out[:n] = state[n:]
@@ -383,8 +361,10 @@ def _rk_span_vector(
                 x += hh
                 y = y5
                 K[0] = K[6]
-                if counter is not None:
-                    counter.update(y[:n])
+                if counts is not None:
+                    sgn = np.sign(y[:n])
+                    counts[(psign != 0) & (sgn != 0) & (sgn != psign)] += 1
+                    psign = np.where(sgn != 0, sgn, psign)
                 if rescale:
                     s = np.maximum(np.abs(y[:n]), np.abs(y[n:]))
                     if not np.all((s > 1e-3) & (s < 1e3)):
@@ -410,42 +390,33 @@ def _rk_span_vector(
     flush()
 
 
-def _renorm(Y: np.ndarray, logs: np.ndarray):
-    """Scale each family member to unit max-norm, accumulating log scales."""
-    s = np.maximum(np.abs(Y[0]), np.abs(Y[1]))
-    if np.all((s > 1e-3) & (s < 1e3)):
-        return None
-    s = np.where(s == 0.0, 1.0, s)
-    Y /= s
-    logs += np.log(s)
-    return s
+# -- sixth-order Magnus transport on a cached mesh ------------------------------
 
-
-# -- Magnus transport on a family-independent mesh ---------------------------------
-
-_GAUSS = math.sqrt(3.0) / 6.0  # Gauss nodes sit at 1/2 -+ _GAUSS of an interval
-_COMMUTATOR = math.sqrt(3.0) / 12.0
-_VARIATION_CAP = 0.5  # bound on |c(g1) - c(g2)| h^2 per interval (keeps zero counts exact)
+_GAUSS = math.sqrt(15.0) / 10.0  # Gauss nodes sit at 1/2 - _GAUSS, 1/2, 1/2 + _GAUSS
+_GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
+_VARIATION_CAP = 0.5  # bound on h^2 times the spread of c over an interval's nodes (zero counts)
 _MAX_SPLIT = 8  # most pieces a rejected interval is cut into per refinement pass
 _ROUNDING_FLOOR = 1e-14  # local tolerances below this only chase rounding noise
 _MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as underflow
 _WORK_CAP = 1 << 13  # intervals (or samples) x members handled per transport pass
 _CACHE_FLOATS = 1 << 16  # mesh cache budget in stored floats (512 kB)
 _RENORM_EVERY = 4  # chained products are rescaled every this many steps
-_SERIES_THRESHOLD = 1e-6  # |z| below this: the step's cosh/sinh by power series
+_SERIES_THRESHOLD = 1e-6  # |det| below this: the step's cosh/sinh by power series
 
 
 @dataclass(eq=False)
 class _Mesh:
-    """Intervals of one segment and what a Magnus step over each needs:
-    the signed length ``h``, the commutator term ``d = sqrt(3)/12 h^2
-    (c(g1) - c(g2))`` and the mean ``cbar`` of c at the two Gauss nodes."""
+    """Intervals of one segment and c at the three Gauss nodes of each:
+    the member shifted by ``mw`` steps with ``q = cn + mw``."""
 
     c: float | Callable[[float], float]
     x: np.ndarray  # N + 1 nodes in the direction of travel
     h: np.ndarray
-    d: np.ndarray
-    cbar: np.ndarray
+    cn: np.ndarray  # (3, N)
+
+    @property
+    def floats(self) -> int:
+        return self.x.size + self.h.size + self.cn.size
 
 
 _MESH_CACHE: OrderedDict = OrderedDict()
@@ -469,37 +440,52 @@ def _eval_c(c, xs: np.ndarray) -> np.ndarray:
     return np.fromiter((c(float(x)) for x in xs), dtype=float, count=xs.size)
 
 
-def _gauss_terms(c, lo: np.ndarray, h: np.ndarray):
-    """(d, cbar) of the Magnus steps over [lo, lo + h], plus c at both nodes."""
-    both = _eval_c(c, np.concatenate([lo + (0.5 - _GAUSS) * h, lo + (0.5 + _GAUSS) * h]))
-    c1, c2 = both[: lo.size], both[lo.size :]
-    return _COMMUTATOR * h * h * (c1 - c2), 0.5 * (c1 + c2), c1, c2
+def _nodes(c, lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``c`` at the three Gauss nodes of every interval [lo, lo + h]: (3, N)."""
+    xs = np.concatenate([lo + (0.5 - _GAUSS) * h, lo + 0.5 * h, lo + (0.5 + _GAUSS) * h])
+    return _eval_c(c, xs).reshape(3, lo.size)
 
 
-def _magnus_entries(h, d, qbar):
-    """exp([[d, h], [h qbar, -d]]): the fourth-order Magnus step of
-    -u'' + q u = 0 over a signed length h, from the mean ``qbar`` of q at
-    the two Gauss nodes and the commutator term ``d``.
-
-    Returns (m11, m12, m21, m22, logscale), the matrix being
-    exp(logscale) times the entries; broadcasts over its arguments.
-    """
-    z = d * d + h * h * qbar
-    r = np.sqrt(np.abs(z))
-    hyper = z > 0.0
+def _expm(x, y, z):
+    """exp([[x, y], [z, -x]]) as (m11, m12, m21, m22, logscale), the matrix
+    being exp(logscale) times the entries; broadcasts over its arguments."""
+    det = x * x + y * z
+    r = np.sqrt(np.abs(det))
+    hyper = det > 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # hyperbolic branch with exp(r) factored out of cosh r and sinh r
         ch = np.where(hyper, 0.5 * (1.0 + np.exp(-2.0 * r)), np.cos(r))
         sh = np.where(hyper, -0.5 * np.expm1(-2.0 * r), np.sin(r)) / r
     logs = np.where(hyper, r, 0.0)
-    tiny = np.abs(z) <= _SERIES_THRESHOLD
+    tiny = np.abs(det) <= _SERIES_THRESHOLD
     if np.any(tiny):
-        ch = np.where(tiny, 1.0 + z / 2.0 * (1.0 + z / 12.0 * (1.0 + z / 30.0)), ch)
-        sh = np.where(tiny, 1.0 + z / 6.0 * (1.0 + z / 20.0 * (1.0 + z / 42.0)), sh)
+        ch = np.where(tiny, 1.0 + det / 2.0 * (1.0 + det / 12.0 * (1.0 + det / 30.0)), ch)
+        sh = np.where(tiny, 1.0 + det / 6.0 * (1.0 + det / 20.0 * (1.0 + det / 42.0)), sh)
         logs = np.where(tiny, 0.0, logs)
-    shd = sh * d
-    shh = sh * h
-    return ch + shd, shh, shh * qbar, ch - shd, logs
+    shx = sh * x
+    return ch + shx, sh * y, sh * z, ch - shx, logs
+
+
+def _steps(h, q):
+    """Sixth-order Magnus steps of -u'' + q u = 0 over signed lengths ``h``
+    from q at the three Gauss nodes (``q[0]``, ``q[1]``, ``q[2]``), as
+    ``_expm`` entries.
+
+    With A = [[0, 1], [q, 0]] at the nodes, a1 = h A2, a2 = sqrt(15) h / 3
+    (A3 - A1) and a3 = 10 h / 3 (A3 - 2 A2 + A1), the exponent is a1 + a3 /
+    12 + [-20 a1 - a3 + C1, a2 + C2] / 240 with C1 = [a1, a2] and C2 =
+    -[a1, 2 a3 + C1] / 60, written out below as [[x, y], [z, -x]].
+    """
+    q1, q2, q3 = q
+    a2 = math.sqrt(15.0) / 3.0 * h * (q3 - q1)
+    a3 = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)
+    hq2 = h * q2
+    x = h * a2 / 240.0 * (-20.0 + 4.0 / 3.0 * h * hq2 + h * a3 / 30.0)
+    y = h + h * h / 240.0 * (h * a2 * a2 / 15.0 - 4.0 / 3.0 * a3)
+    z = hq2 + a3 / 12.0 + h / 240.0 * (
+        4.0 / 3.0 * hq2 * a3 + a3 * a3 / 15.0 - 2.0 * a2 * a2 + h * hq2 * a2 * a2 / 15.0
+    )
+    return _expm(x, y, z)
 
 
 def constant_propagator(c: float, length: float) -> np.ndarray:
@@ -508,47 +494,47 @@ def constant_propagator(c: float, length: float) -> np.ndarray:
     ``c > 0`` gives the hyperbolic matrix [[cosh kL, sinh kL / k],
     [k sinh kL, cosh kL]] with k = sqrt(c); ``c < 0`` the trigonometric
     analogue; c near 0 is evaluated by series (free-particle limit
-    [[1, L], [0, 1]]).  This is the Magnus step with a vanishing
-    commutator term, exact for constant coefficients.
+    [[1, L], [0, 1]]).  This is the Magnus step of a constant
+    coefficient, which is exact.
     """
-    m11, m12, m21, m22, logs = _magnus_entries(float(length), 0.0, float(c))
+    L = float(length)
+    m11, m12, m21, m22, logs = _expm(0.0, L, L * float(c))
     return np.array([[m11, m12], [m21, m22]]) * math.exp(logs)
 
 
-def _step_defect(c, lo, h, d, cbar, shifts):
+def _step_defect(c, lo, h, cn, shifts):
     """Relative gap between one Magnus step and two half steps per
     interval, maximized over the reference shifts of c, in the norm that
-    scales u' by h (so the measure has no units); also returns the (d,
-    cbar) terms of both halves."""
+    scales u' by h (so the measure has no units); also returns c at the
+    nodes of both halves."""
     half = 0.5 * h
-    dA, cA, _, _ = _gauss_terms(c, lo, half)
-    dB, cB, _, _ = _gauss_terms(c, lo + half, half)
-    col = lambda a: a[:, None]
-    one = _magnus_entries(col(h), col(d), col(cbar) + shifts)
-    A = _magnus_entries(col(half), col(dA), col(cA) + shifts)
-    B = _magnus_entries(col(half), col(dB), col(cB) + shifts)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = np.exp(A[4] + B[4] - one[4])
+    A, B = _nodes(c, lo, half), _nodes(c, lo + half, half)
+    col = h[:, None]
+    one = _steps(col, cn[..., None] + shifts)
+    sa = _steps(0.5 * col, A[..., None] + shifts)
+    sb = _steps(0.5 * col, B[..., None] + shifts)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        f = np.exp(sa[4] + sb[4] - one[4])
         two = (
-            (B[0] * A[0] + B[1] * A[2]) * f,
-            (B[0] * A[1] + B[1] * A[3]) * f,
-            (B[2] * A[0] + B[3] * A[2]) * f,
-            (B[2] * A[1] + B[3] * A[3]) * f,
+            (sb[0] * sa[0] + sb[1] * sa[2]) * f,
+            (sb[0] * sa[1] + sb[1] * sa[3]) * f,
+            (sb[2] * sa[0] + sb[3] * sa[2]) * f,
+            (sb[2] * sa[1] + sb[3] * sa[3]) * f,
         )
-        scale = (1.0, 1.0 / col(h), col(h), 1.0)
-        gap = np.max([np.abs(p - q) * s for p, q, s in zip(one, two, scale)], axis=0)
-        size = np.max([np.abs(q) * s for q, s in zip(two, scale)], axis=0)
+        scale = (1.0, 1.0 / col, col, 1.0)
+        gap = np.max([np.abs(p - t) * s for p, t, s in zip(one, two, scale)], axis=0)
+        size = np.max([np.abs(t) * s for t, s in zip(two, scale)], axis=0)
         est = np.max(gap / size, axis=1)
-    return np.where(np.isfinite(est), est, np.inf), (dA, cA), (dB, cB)
+    return np.where(np.isfinite(est), est, np.inf), A, B
 
 
 def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     """Refine a uniform mesh of ``seg`` until every interval passes.
 
     An interval passes when its one-step vs two-half-step defect is at most
-    ``rel_tol`` (the per-step test of the adaptive RK) and c varies by at
-    most ``_VARIATION_CAP / h^2`` between its Gauss nodes; the mesh keeps
-    its two halves, whose error is about a sixteenth of the defect (the
+    ``rel_tol`` (the per-step test of the adaptive RK) and c spreads by at
+    most ``_VARIATION_CAP / h^2`` over its Gauss nodes; the mesh keeps its
+    two halves, whose error is about a sixty-fourth of the defect (the
     analogue of the RK's local extrapolation).  The defect is taken for
     the members whose coefficient is ``c``, ``c - min c`` and ``c - max
     c``: the ends of the range where the segment's bound states live.
@@ -561,28 +547,27 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     hmax, hmin = cfg.step_limits(span)
     edges = np.linspace(seg.a, seg.b, max(1, math.ceil(span / hmax - 1e-9)) + 1)
     lo, hi = edges[:-1], edges[1:]
-    d, cbar, c1, c2 = _gauss_terms(c, lo, hi - lo)
-    seen = np.concatenate([c1, c2])
-    seen = seen[np.isfinite(seen)]
+    cn = _nodes(c, lo, hi - lo)
+    seen = cn[np.isfinite(cn)]
     shifts = np.unique([0.0, -seen.min(), -seen.max()]) if seen.size else np.zeros(1)
     tol = max(cfg.rel_tol, _ROUNDING_FLOOR)
     kept = []
     total = 0
     while lo.size:
         h = hi - lo
-        est, (dA, cA), (dB, cB) = _step_defect(c, lo, h, d, cbar, shifts)
+        est, A, B = _step_defect(c, lo, h, cn, shifts)
         with np.errstate(invalid="ignore"):
-            ok = (est <= tol) & (np.abs(c1 - c2) * h * h <= _VARIATION_CAP)
+            ok = (est <= tol) & (np.ptp(cn, axis=0) * h * h <= _VARIATION_CAP)
         mid = lo + 0.5 * h
-        kept.append((lo[ok], mid[ok], dA[ok], cA[ok]))
-        kept.append((mid[ok], hi[ok], dB[ok], cB[ok]))
+        kept.append((lo[ok], mid[ok], A[:, ok]))
+        kept.append((mid[ok], hi[ok], B[:, ok]))
         total += 2 * int(ok.sum())
         bad = ~ok
         if not bad.any():
             break
         lo, hi, est = lo[bad], hi[bad], est[bad]
         with np.errstate(over="ignore", invalid="ignore"):
-            parts = np.ceil(1.2 * (est / tol) ** 0.2)  # the defect scales like h^5
+            parts = np.ceil(1.2 * (est / tol) ** (1.0 / 7.0))  # the defect scales like h^7
         parts = np.clip(np.nan_to_num(parts, nan=2.0), 2, _MAX_SPLIT).astype(int)
         short = np.abs(hi - lo) / parts < hmin
         if short.any() or total + 2 * int(parts.sum()) > _MAX_INTERVALS:
@@ -596,22 +581,22 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
         new_lo = start + width * (j / parts[owner])
         new_hi = np.where(j + 1 == parts[owner], hi[owner], start + width * ((j + 1) / parts[owner]))
         lo, hi = new_lo, new_hi
-        d, cbar, c1, c2 = _gauss_terms(c, lo, hi - lo)
-    lo, hi, d, cbar = (np.concatenate(col) for col in zip(*kept))
+        cn = _nodes(c, lo, hi - lo)
+    lo, hi, cn = zip(*kept)
+    lo, hi, cn = np.concatenate(lo), np.concatenate(hi), np.concatenate(cn, axis=1)
     direction = 1.0 if seg.b > seg.a else -1.0
     order = np.argsort(lo * direction, kind="stable")
     lo, hi = lo[order], hi[order]
-    return _Mesh(c, np.append(lo, hi[-1]), hi - lo, d[order], cbar[order])
+    return _Mesh(c, np.append(lo, hi[-1]), hi - lo, cn[:, order])
 
 
 def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     """The cached mesh of (seg, cfg), built on first use (LRU, bounded by
     ``_CACHE_FLOATS``).  A constant ``c_part`` needs no cache: its mesh is
-    the whole segment, where the Magnus step (d = 0) is exact."""
+    the whole segment, where the Magnus step is exact."""
     if not callable(seg.c_part):
-        c = float(seg.c_part)
-        return _Mesh(c, np.array([seg.a, seg.b]), np.array([seg.b - seg.a]), np.zeros(1),
-                     np.array([c]))
+        lo, h = np.array([seg.a]), np.array([seg.b - seg.a])
+        return _Mesh(seg.c_part, np.array([seg.a, seg.b]), h, _nodes(seg.c_part, lo, h))
     key = (seg, cfg)
     try:
         with _CACHE_LOCK:
@@ -624,22 +609,21 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     mesh = _build_mesh(seg, cfg)
     with _CACHE_LOCK:
         _MESH_CACHE[key] = mesh
-        stored = sum(4 * m.h.size for m in _MESH_CACHE.values())
+        stored = sum(m.floats for m in _MESH_CACHE.values())
         while stored > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
             _, old = _MESH_CACHE.popitem(last=False)
-            stored -= 4 * old.h.size
+            stored -= old.floats
     return mesh
 
 
 def _sample_plan(mesh: _Mesh, xs: np.ndarray):
-    """(node index, partial length, d, cbar) of the Magnus substep from the
-    preceding mesh node to each sample point."""
+    """(node index, partial length, c at its Gauss nodes) of the Magnus
+    substep from the preceding mesh node to each sample point."""
     direction = 1.0 if mesh.h[0] > 0 else -1.0
     idx = np.searchsorted(mesh.x * direction, xs * direction, side="right") - 1
     idx = np.clip(idx, 0, mesh.h.size - 1)
     t = xs - mesh.x[idx]
-    d, cbar, _, _ = _gauss_terms(mesh.c, mesh.x[idx], t)
-    return idx, t, d, cbar
+    return idx, t, _nodes(mesh.c, mesh.x[idx], t)
 
 
 def _unit(Y: np.ndarray, logs: np.ndarray):
@@ -705,7 +689,8 @@ def _chain(M: np.ndarray, L: np.ndarray, y: np.ndarray, ly: np.ndarray, nodes: b
 
 def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Zeros of u per member across the mesh, from the node states
-    (2, N + 1, k).
+    (2, N + 1, k) and the mean coefficient ``qbar`` (N, k) of every
+    interval.
 
     An interval whose mean coefficient turns u through more than a radian
     (-qbar h^2 > 1) counts the multiples of pi crossed by the Pruefer
@@ -731,67 +716,38 @@ def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np
     return add.sum(axis=0)
 
 
-def _mesh_apply(
-    mesh, mw, Y, logs, rescale, counter, seg_samples, rec_states, rec_logs, rec_i
-) -> None:
-    """Advance the family (Y, logs) in place across one meshed segment,
-    recording ``seg_samples`` from row ``rec_i`` on.  Members are taken in
-    groups of at most ``_WORK_CAP`` intervals x members."""
+def _mesh_apply(mesh, mw, Y, logs, counts, seg_samples, rec_states, rec_logs, rec_i) -> None:
+    """Advance the family (Y, logs), shifted by ``mw``, in place across one
+    meshed segment, recording ``seg_samples`` from row ``rec_i`` on.
+    Members are taken in groups of at most ``_WORK_CAP`` intervals x
+    members."""
     plan = _sample_plan(mesh, np.asarray(seg_samples, dtype=float)) if seg_samples else None
     N = mesh.h.size
     K = len(seg_samples)
-    n = mw.size
+    rows = slice(rec_i, rec_i + K)
     group = max(1, _WORK_CAP // max(N, K))
     h = mesh.h[:, None]
-    nodes = counter is not None or plan is not None
-    for lo in range(0, n, group):
-        cols = slice(lo, min(n, lo + group))
-        qbar = mesh.cbar[:, None] + mw[None, cols]
-        m11, m12, m21, m22, lg = _magnus_entries(h, mesh.d[:, None], qbar)
-        y, ly = _unit(Y[:, cols], logs[cols])
+    nodes = counts is not None or plan is not None
+    for lo in range(0, mw.size, group):
+        c = slice(lo, lo + group)
+        q = mesh.cn[..., None] + mw[c]
+        m11, m12, m21, m22, lg = _steps(h, q)
+        y, ly = _unit(Y[:, c], logs[c])
         end, lend, st, sl = _chain(np.array([[m11, m12], [m21, m22]]), lg, y, ly, nodes)
-        Y[:, cols] = end
-        logs[cols] = lend
-        if counter is not None:
-            counter.counts[cols] += _mesh_zero_counts(st, qbar, mesh.h)
+        Y[:, c] = end
+        logs[c] = lend
+        if counts is not None:
+            counts[c] += _mesh_zero_counts(st, np.tensordot(_GAUSS_WEIGHTS, q, 1), mesh.h)
         if plan is not None:
-            idx, t, d, cbar = plan
-            p11, p12, p21, p22, pl = _magnus_entries(
-                t[:, None], d[:, None], cbar[:, None] + mw[None, cols]
-            )
+            idx, t, cs = plan
+            p11, p12, p21, p22, pl = _steps(t[:, None], cs[..., None] + mw[c])
             su, sv = st[:, idx]
-            rec_states[rec_i : rec_i + K, 0, cols] = p11 * su + p12 * sv
-            rec_states[rec_i : rec_i + K, 1, cols] = p21 * su + p22 * sv
-            rec_logs[rec_i : rec_i + K, cols] = sl[idx] + pl
-    if counter is not None:
-        sgn = np.sign(Y[0]).astype(int)
-        counter.psign = np.where(sgn != 0, sgn, counter.psign)
-    if not rescale:  # hand back true states, as the other transports do
-        Y *= np.exp(logs)
-        logs[:] = 0.0
-        if plan is not None:
-            rows = slice(rec_i, rec_i + K)
-            rec_states[rows] *= np.exp(rec_logs[rows])[:, None, :]
-            rec_logs[rows] = 0.0
+            rec_states[rows, 0, c] = p11 * su + p12 * sv
+            rec_states[rows, 1, c] = p21 * su + p22 * sv
+            rec_logs[rows, c] = sl[idx] + pl
 
 
 # -- family propagation over segment chains -----------------------------------
-
-def _q_closure(seg: FamilySegment, m):
-    """Coefficient closure of the members ``m``: a float for the scalar
-    path (float-valued closure), an array for the family path."""
-    cp, wp = seg.c_part, seg.w_part
-    if callable(wp):
-        if callable(cp):
-            return lambda x: cp(x) + m * wp(x)
-        c0 = float(cp)
-        return lambda x: c0 + m * wp(x)
-    mw = m * float(wp)  # a constant w reaches the RK under force_rk only
-    if callable(cp):
-        return lambda x: cp(x) + mw
-    const = float(cp) + mw
-    return lambda x: const
-
 
 def propagate_family(
     segments: Sequence[FamilySegment],
@@ -800,7 +756,6 @@ def propagate_family(
     cfg: SolverConfig | None = None,
     *,
     rescale: bool = False,
-    force_rk: bool = False,
     samples=None,
     count_zeros: bool = False,
 ) -> FamilyResult:
@@ -839,9 +794,6 @@ def propagate_family(
         if abs(left.b - right.a) > 1e-12 * max(1.0, abs(left.b)):
             raise ValueError("segments must join end-to-start")
 
-    span_total = abs(x_end - x_start)
-    hmax, hmin = cfg.step_limits(span_total)
-
     if samples is not None:
         sample_x = np.asarray(samples, dtype=float)
         if sample_x.size and np.any(np.diff(sample_x) * direction < 0):
@@ -852,11 +804,8 @@ def propagate_family(
         sample_x = None
         rec_states = rec_logs = None
     rec_i = 0
-
-    counter = None
-    if count_zeros:
-        counter = _ZeroCounter(n)
-        counter.update(Y[0])  # seed the sign without counting
+    counts = np.zeros(n, dtype=int) if count_zeros else None
+    hmax, hmin = cfg.step_limits(abs(x_end - x_start))
 
     for seg in segments:
         seg_samples = []
@@ -867,42 +816,46 @@ def propagate_family(
                 if not inside:
                     break
                 seg_samples.append(xs)
-
-        if not force_rk and not callable(seg.w_part):
-            mesh = _mesh_for(seg, cfg)
-            _mesh_apply(mesh, m * float(seg.w_part), Y, logs, rescale, counter, seg_samples,
+        if not callable(seg.w_part):
+            _mesh_apply(_mesh_for(seg, cfg), m * float(seg.w_part), Y, logs, counts, seg_samples,
                         rec_states, rec_logs, rec_i)
             rec_i += len(seg_samples)
-        else:
-            # tiny families run faster member-by-member on the scalar fast path
-            base = rec_i
-            lanes = [slice(i, i + 1) for i in range(n)] if 1 < n <= 6 else [slice(0, n)]
-            for lane in lanes:
-                Yl, logs_l = Y[:, lane], logs[lane]
-                qv = _q_closure(seg, float(m[lane.start]) if Yl.shape[1] == 1 else m)
+            continue
+        if not rescale:  # the RK's absolute tolerance reads true states
+            Y *= np.exp(logs)
+            logs[:] = 0.0
+        cp, wp = seg.c_part, seg.w_part
+        c = cp if callable(cp) else (lambda x, c0=float(cp): c0)
+        # tiny families run faster member-by-member on the scalar fast path
+        base = rec_i
+        lanes = [slice(i, i + 1) for i in range(n)] if 1 < n <= 6 else [slice(0, n)]
+        for lane in lanes:
+            Yl, logs_l = Y[:, lane], logs[lane]
+            ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
 
-                def record(j: int, _lane=lane, _Y=Yl, _logs=logs_l) -> None:
-                    rec_states[base + j, :, _lane] = _Y
-                    rec_logs[base + j, _lane] = _logs
+            def record(j: int, _lane=lane, _Y=Yl, _logs=logs_l) -> None:
+                rec_states[base + j, :, _lane] = _Y
+                rec_logs[base + j, _lane] = _logs
 
-                _rk_span(
-                    qv, seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin, rescale,
-                    record_xs=seg_samples or None,
-                    record_fn=record if seg_samples else None,
-                    counter=counter,
-                    member=lane.start,
-                )
-            rec_i += len(seg_samples)
-        if rescale:
-            _renorm(Y, logs)
+            _rk_span(
+                lambda x, ml=ml: c(x) + ml * wp(x), seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin,
+                rescale,
+                record_xs=seg_samples or None,
+                record_fn=record if seg_samples else None,
+                counts=counts[lane] if counts is not None else None,
+            )
+        rec_i += len(seg_samples)
 
     if sample_x is not None and rec_i != sample_x.size:
         raise ValueError("some sample points fell outside the integration path")
+    if not rescale:  # hand back true states
+        Y *= np.exp(logs)
+        logs[:] = 0.0
+        if rec_states is not None:
+            rec_states *= np.exp(rec_logs)[:, None, :]
+            rec_logs[:] = 0.0
 
-    return FamilyResult(
-        Y, logs, sample_x, rec_states, rec_logs,
-        counter.counts if counter is not None else None,
-    )
+    return FamilyResult(Y, logs, sample_x, rec_states, rec_logs, counts)
 
 
 def unit_wronskian(M: np.ndarray) -> np.ndarray:

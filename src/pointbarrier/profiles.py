@@ -5,7 +5,7 @@ A profile is the fixed shape of the squeezed potential
 ordered list of polynomial segments whose intervals partition [-1, 1]
 exactly; evaluation outside [-1, 1] is identically zero.  The piecewise
 polynomial representation keeps moments exact (no quadrature) and lets
-downstream propagators treat constant segments in closed form.
+the propagator take one exact step over each constant segment.
 """
 
 from __future__ import annotations

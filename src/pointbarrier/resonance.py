@@ -78,7 +78,6 @@ def shoot_family(
     alphas,
     cfg: SolverConfig | None = None,
     *,
-    force_rk: bool = False,
     normalization: float = 1.0,
 ) -> FamilyResult:
     """Left-Neumann shots for a whole vector of coupling constants at once."""
@@ -87,7 +86,6 @@ def shoot_family(
         np.asarray(alphas, dtype=float),
         np.array([float(normalization), 0.0]),
         cfg or DEFAULT_CONFIG,
-        force_rk=force_rk,
     )
 
 
@@ -96,16 +94,15 @@ def shoot(
     alpha: float,
     cfg: SolverConfig | None = None,
     *,
-    force_rk: bool = False,
     normalization: float = 1.0,
 ) -> tuple[float, float]:
     """Endpoint data (w(1), w'(1)) of the shot with w(-1)=normalization, w'(-1)=0.
 
     ``w'(1)`` is the resonance miss function D(alpha).  Piecewise-constant
-    profile segments take one exact constant-coefficient step unless
-    ``force_rk``.
+    profile segments take one exact constant-coefficient step; the others
+    run on the Runge-Kutta pair.
     """
-    res = shoot_family(p, [alpha], cfg, force_rk=force_rk, normalization=normalization)
+    res = shoot_family(p, [alpha], cfg, normalization=normalization)
     return float(res.states[0, 0]), float(res.states[1, 0])
 
 

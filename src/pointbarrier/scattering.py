@@ -44,9 +44,8 @@ __all__ = [
 
 # scattering meshes the barrier at a tighter relative tolerance than the
 # generic default, so that R and T agree with independent integrations to
-# 1e-9 (the Magnus mesh reads rel_tol only; unit_wronskian keeps the flux
-# defect at rounding level)
-SCATTER_CONFIG = SolverConfig(rel_tol=1e-12, abs_tol=1e-14)
+# 1e-9 (unit_wronskian keeps the flux defect at rounding level)
+SCATTER_CONFIG = SolverConfig(rel_tol=1e-12)
 
 
 @dataclass(frozen=True)

@@ -620,7 +620,7 @@ def _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split):
     lam_min = min(lam_split, -depth)
     if lam_min >= lam_split:
         return np.empty(0), np.empty(0)
-    loose = SolverConfig(rel_tol=1e-8, abs_tol=1e-10)
+    loose = SolverConfig(rel_tol=1e-8)
     R = U.truncation_radius
 
     bands = []

@@ -216,7 +216,7 @@ _PARSE_REJECTS = [
     ["resonances", "--profile", "step", "--window", "-20", "20", "--residual-tol", "nan"],
     ["classify", "--profile", "step", "--moment-tol", "nan"],
     ["resonances", "--profile", "step", "--window", "-20", "20", "--rel-tol", "nan"],
-    ["resonances", "--profile", "step", "--window", "-20", "20", "--abs-tol", "-1e-12"],
+    ["resonances", "--profile", "step", "--window", "-20", "20", "--rel-tol", "-1e-12"],
     ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
      "--eig-tol", "0"],
     ["resonances", "--profile", "step", "--window", "-20", "20", "--scan-step", "nan"],
@@ -262,6 +262,21 @@ def test_rerun_negative_list_round_trip(tmp_path):
                  "--ks", "1.0", "--out", str(out1)]) == 0
     assert main(["rerun", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
     assert (out1 / "scatter.csv").read_bytes() == (out2 / "scatter.csv").read_bytes()
+
+
+def test_rerun_rejects_a_manifest_with_abs_tol(tmp_path, capsys):
+    # manifests written before --abs-tol was removed record abs_tol
+    out = tmp_path / "old"
+    assert main(["classify", "--profile", "step", "--out", str(out)]) == 0
+    doc = json.loads(_read(out / "manifest.json"))
+    doc["params"]["abs_tol"] = 1e-12
+    (out / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("configuration error") and "--abs-tol" in err
+    assert not (tmp_path / "again").exists()
 
 
 def test_spectrum_limit_needs_no_profile(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dop853_family
 
 from pointbarrier.errors import StepSizeUnderflowError
 from pointbarrier.ivp import (
@@ -148,7 +149,7 @@ def test_invalid_inputs():
                          np.array([math.inf, 0.0]))
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=-1.0)
-    for field in ("rel_tol", "abs_tol", "max_step", "min_step"):
+    for field in ("rel_tol", "max_step", "min_step"):
         with pytest.raises(ValueError):
             SolverConfig(**{field: math.nan})
     with pytest.raises(ValueError):
@@ -168,16 +169,16 @@ def test_family_exact_matches_rk():
     segs = [FamilySegment(-1.0, 0.0, 0.0, 1.0), FamilySegment(0.0, 1.0, 0.0, -1.0)]
     m = np.array([0.5, 4.0, 15.0])
     exact = propagate_family(segs, m, np.array([1.0, 0.0]))
-    rk = propagate_family(segs, m, np.array([1.0, 0.0]), force_rk=True)
-    assert np.allclose(exact.states, rk.states, rtol=1e-9, atol=1e-10)
+    rk, _, _ = dop853_family(segs, m, np.array([1.0, 0.0]))
+    assert np.allclose(exact.states, rk, rtol=1e-9, atol=1e-10)
     # sampled states and zero counts, with members oscillating on either piece
     m = np.array([-90.0, -3.0, 0.0, 2.0, 60.0, 150.0])
-    kw = dict(samples=np.linspace(-1.0, 1.0, 17), count_zeros=True)  # 0.0 is a sample
-    exact = propagate_family(segs, m, np.array([1.0, 0.0]), **kw)
-    rk = propagate_family(segs, m, np.array([1.0, 0.0]), force_rk=True, **kw)
-    assert np.allclose(exact.sample_states, rk.sample_states, rtol=1e-9, atol=1e-10)
+    xs = np.linspace(-1.0, 1.0, 17)  # 0.0 is a sample
+    exact = propagate_family(segs, m, np.array([1.0, 0.0]), samples=xs, count_zeros=True)
+    _, rk_samples, rk_zeros = dop853_family(segs, m, np.array([1.0, 0.0]), samples=xs)
+    assert np.allclose(exact.sample_states, rk_samples, rtol=1e-9, atol=1e-10)
     assert exact.zero_counts.max() >= 3
-    assert np.array_equal(exact.zero_counts, rk.zero_counts)
+    assert np.array_equal(exact.zero_counts, rk_zeros)
 
 
 def test_family_rescaling_tracks_logs():
@@ -206,10 +207,42 @@ def test_zero_counting_oscillatory():
     segs = [FamilySegment(0.0, 1.0, -w * w, 0.0)]
     res = propagate_family(segs, np.zeros(1), np.array([0.0, 1.0]), count_zeros=True)
     assert res.zero_counts[0] == 2
-    # same count through the generic integrator
-    res = propagate_family(segs, np.zeros(1), np.array([0.0, 1.0]),
-                           count_zeros=True, force_rk=True)
-    assert res.zero_counts[0] == 2
+    # same count through an independent integrator, on a span that does not
+    # end at a zero
+    segs = [FamilySegment(0.0, 1.2, -w * w, 0.0)]
+    res = propagate_family(segs, np.zeros(1), np.array([0.0, 1.0]), count_zeros=True)
+    _, _, rk_zeros = dop853_family(segs, np.zeros(1), np.array([0.0, 1.0]))
+    assert res.zero_counts[0] == rk_zeros[0] == 2
+
+
+@pytest.mark.parametrize("c_part", [1.0, lambda x: 0.0 * x + 1.0])
+def test_zero_counts_with_several_zeros_per_mesh_interval(c_part):
+    # -u'' + (1 - lambda) u = 0 from (0, 1): u = sin(w x) / w with w^2 = lambda - 1,
+    # so (0, L] holds floor(w L / pi) zeros.  A float c is one exact step over
+    # the whole segment; the callable one is meshed in intervals of 0.25.
+    from pointbarrier.ivp import _mesh_for
+
+    cfg = SolverConfig(max_step=0.5)
+    L = 3.0
+    segs = [FamilySegment(0.0, L, c_part, -1.0)]
+    w = np.array([0.7, 3.3, 12.9, 41.7, 95.3, 250.1])
+    res = propagate_family(segs, w * w + 1.0, np.array([0.0, 1.0]), cfg, count_zeros=True)
+    assert np.array_equal(res.zero_counts, np.floor(w * L / math.pi))
+    widest = np.abs(_mesh_for(segs[0], cfg).h).max()
+    assert w.max() * widest / math.pi > 15  # zeros in one interval
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_rk_zero_counts_match_an_independent_integrator(n):
+    # a callable w runs on the RK pair: its scalar path (n = 1), one lane
+    # per member (n <= 6) and the vector path
+    chain = [FamilySegment(-1.0, 0.0, 0.0, lambda x: 1.0 + x),
+             FamilySegment(0.0, 1.0, 0.0, lambda x: -1.0 - x * x)]
+    m = np.linspace(-300.0, 290.0, n) if n > 1 else np.array([-250.0])
+    res = propagate_family(chain, m, np.array([1.0, 0.0]), count_zeros=True)
+    _, _, ref = dop853_family(chain, m, np.array([1.0, 0.0]))
+    assert res.zero_counts.max() >= 3
+    assert np.array_equal(res.zero_counts, ref)
 
 
 def test_zero_counting_hyperbolic():
@@ -229,9 +262,9 @@ def _tilted_wall_chain():
     return [FamilySegment(-8.0, 0.0, lambda x: x * x + x, -1.0)]
 
 
-def _unit_states(res):
-    norms = np.hypot(res.states[0], res.states[1])
-    return res.states / norms, res.logs + np.log(norms)
+def _unit_states(states, logs):
+    norms = np.hypot(states[0], states[1])
+    return states / norms, logs + np.log(norms)
 
 
 @pytest.mark.parametrize("n", [1, 3, 49])
@@ -246,12 +279,20 @@ def test_mesh_matches_rk_for_scalar_only_coefficient():
     _assert_mesh_matches_rk(chain, np.array([-3.0, 0.5, 9.0]))
 
 
-def _assert_mesh_matches_rk(chain, lams):
+def test_mesh_is_sized_for_the_deepest_member():
+    # without a step ceiling only the defect test sizes the mesh, and it must
+    # resolve the fastest oscillating member c - max c, not c alone
+    chain = [FamilySegment(-12.0, 0.0, lambda x: x * x, -1.0)]
+    cfg = SolverConfig(rel_tol=1e-8, max_step=12.0)
+    _assert_mesh_matches_rk(chain, np.array([1.0, 72.0, 139.7]), cfg)
+
+
+def _assert_mesh_matches_rk(chain, lams, cfg=None):
     init = np.array([0.0, 1.0])
-    mesh = propagate_family(chain, lams, init, rescale=True)
-    rk = propagate_family(chain, lams, init, rescale=True, force_rk=True)
-    dir_mesh, log_mesh = _unit_states(mesh)
-    dir_rk, log_rk = _unit_states(rk)
+    mesh = propagate_family(chain, lams, init, cfg, rescale=True)
+    rk, _, _ = dop853_family(chain, lams, init)
+    dir_mesh, log_mesh = _unit_states(mesh.states, mesh.logs)
+    dir_rk, log_rk = _unit_states(rk, 0.0)
     assert np.allclose(dir_mesh, dir_rk, rtol=0.0, atol=1e-8)
     assert np.allclose(log_mesh, log_rk, rtol=0.0, atol=1e-8)
 
@@ -265,9 +306,9 @@ def _assert_mesh_matches_rk(chain, lams):
 def test_mesh_zero_counts_match_rk(chain, lams):
     init = np.array([0.0, 1.0])
     mesh = propagate_family(chain, lams, init, rescale=True, count_zeros=True)
-    rk = propagate_family(chain, lams, init, rescale=True, count_zeros=True, force_rk=True)
+    _, _, rk_zeros = dop853_family(chain, lams, init)
     assert mesh.zero_counts.max() - mesh.zero_counts.min() >= 10
-    assert np.array_equal(mesh.zero_counts, rk.zero_counts)
+    assert np.array_equal(mesh.zero_counts, rk_zeros)
 
 
 def test_mesh_samples_match_rk():
@@ -275,10 +316,9 @@ def test_mesh_samples_match_rk():
     lams = np.array([1.8, 12.5])
     init = np.array([0.0, 1.0])
     mesh = propagate_family(_tilted_wall_chain(), lams, init, rescale=True, samples=xs)
-    rk = propagate_family(_tilted_wall_chain(), lams, init, rescale=True, samples=xs,
-                          force_rk=True)
+    _, rk_samples, _ = dop853_family(_tilted_wall_chain(), lams, init, samples=xs)
     u_mesh = mesh.sample_states[:, 0] * np.exp(mesh.sample_logs)
-    u_rk = rk.sample_states[:, 0] * np.exp(rk.sample_logs)
+    u_rk = rk_samples[:, 0]
     assert np.allclose(u_mesh, u_rk, rtol=1e-8, atol=1e-10 * np.abs(u_rk).max())
 
 

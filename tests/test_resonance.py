@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bisect_oracle
+from conftest import bisect_oracle, dop853_family
 
 from pointbarrier.errors import NotInResonanceSetError
+from pointbarrier.ivp import FamilySegment
 from pointbarrier.resonance import (
     coupling_theta,
     resonance_scan,
@@ -113,10 +114,32 @@ def test_odd_profile_symmetry(odd_cubic):
             assert pt.theta * mirror.theta == pytest.approx(1.0, rel=1e-6)
 
 
+def _step_shot(alpha):
+    """Closed-form (w(1), w'(1)) of the step profile's shot from (1, 0):
+    a cosh (cos) arc on (-1, 0) followed by a cos (cosh) arc on (0, 1)."""
+    k = math.sqrt(abs(alpha))
+    if alpha >= 0.0:
+        w0, dw0 = math.cosh(k), k * math.sinh(k)
+        return w0 * math.cos(k) + dw0 / k * math.sin(k), -k * w0 * math.sin(k) + dw0 * math.cos(k)
+    w0, dw0 = math.cos(k), -k * math.sin(k)
+    return w0 * math.cosh(k) + dw0 / k * math.sinh(k), k * w0 * math.sinh(k) + dw0 * math.cosh(k)
+
+
 def test_fast_path_agrees_with_generic(step, alpha1):
-    fast = shoot_family(step, [alpha1, 4.0, -9.0])
-    slow = shoot_family(step, [alpha1, 4.0, -9.0], force_rk=True)
-    assert np.allclose(fast.states, slow.states, rtol=1e-9, atol=5e-9)
+    alphas = [alpha1, 4.0, -9.0]
+    fast = shoot_family(step, alphas)
+    slow = np.array([_step_shot(a) for a in alphas]).T
+    assert np.allclose(fast.states, slow, rtol=1e-9, atol=5e-9)
+
+
+@pytest.mark.parametrize("profile", ["bump", "odd_cubic"])
+def test_shots_match_an_independent_integrator(profile, request):
+    p = request.getfixturevalue(profile)
+    alphas = np.array([-200.0, -137.3, -20.5, -1.5, 0.7, 9.0, 63.9, 128.0, 150.2, 200.0])
+    shots = shoot_family(p, alphas).states
+    ref, _, _ = dop853_family([FamilySegment(s.a, s.b, 0.0, s) for s in p.segments],
+                              alphas, np.array([1.0, 0.0]))
+    assert np.all(np.abs(shots - ref) <= 1e-9 * np.abs(ref).max(axis=0))
 
 
 def test_step_h_values(kappa_roots):

@@ -303,7 +303,7 @@ def test_corrector_mirror_branch_matches_direct(tilted, step):
 def test_ladder_levels_follow_the_solver_tolerance(tilted, step, alpha1, theta1):
     # the propagation mesh is sized by the config alone: tightening the
     # tolerances 100x moves the criterion-05 ladder levels by < 1e-9
-    tight = SolverConfig(rel_tol=1e-12, abs_tol=1e-14)
+    tight = SolverConfig(rel_tol=1e-12)
     limit = eigen_limit(tilted, ThetaCoupled(theta1), 3, eigenfunctions=False)
     limit_tight = eigen_limit(tilted, ThetaCoupled(theta1), 3, tight, eigenfunctions=False)
     assert np.max(np.abs(limit.eigenvalues - limit_tight.eigenvalues)) < 1e-9
