@@ -30,7 +30,7 @@ from .ivp import SolverConfig
 from .parallel import pmap
 from .profiles import Profile, builtin, classify, load as load_profile
 from .resonance import coupling_theta, resonance_scan, scaled_residual, shoot
-from .scattering import scatter
+from .scattering import SCATTER_CONFIG, scatter
 from .spectra import (
     ConnectedMatrix,
     ConfiningPotential,
@@ -322,7 +322,7 @@ def _cmd_spectrum(ns, outdir: Path) -> list[str]:
 
 def _cmd_scatter(ns, outdir: Path) -> list[str]:
     p = _parse_profile(ns.profile)
-    cfg = SolverConfig(rel_tol=min(ns.rel_tol, 1e-12))
+    cfg = SolverConfig(rel_tol=min(ns.rel_tol, SCATTER_CONFIG.rel_tol))
     alphas = ns.alphas if ns.alphas is not None else [ns.alpha]
     epses = ns.eps_ladder if ns.eps_ladder is not None else [ns.eps]
     ks = ns.ks if ns.ks is not None else [ns.k]

@@ -13,10 +13,11 @@ one of two transports per segment:
   under commutators, so its exponent is a traceless 2x2 matrix whose
   exponential is closed form (cosh/sinh, cos/sin, or a series near zero).
   The mesh is built once per (segment, config) from ``c`` and the
-  tolerance alone and cached; a call exponentiates every interval of
-  every member in one vectorized pass and chains the 2x2 matrices with a
-  blocked scan.  A constant ``c`` needs one interval, on which the step
-  is the exact constant-coefficient propagator;
+  tolerance alone (an explicit ``max_step`` also caps its intervals) and
+  cached; a call exponentiates every interval of every member in one
+  vectorized pass and chains the 2x2 matrices with a blocked scan.  A
+  constant ``c`` needs one interval, on which the step is the exact
+  constant-coefficient propagator;
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
   first-order system when ``w`` is callable, as in the coupling families
   ``alpha * profile`` of resonance shots, with mandatory step boundaries
@@ -57,9 +58,11 @@ class SolverConfig:
 
     ``rel_tol`` bounds the one-step vs two-half-step defect of every mesh
     interval and the local error of every RK step relative to the state
-    (with the absolute floor ``_RK_ABS_TOL``).  ``max_step``/``min_step``
-    default to 1e-2 and 1e-14 times the span of the integration interval
-    (of the segment, for a mesh) when left as ``None``.
+    (with the absolute floor ``_RK_ABS_TOL``).  ``max_step`` caps every
+    step when given; left as ``None`` it defaults to 1e-2 times the span
+    of the chain for the RK, and the mesh has no cap but its segment, so
+    the tolerance alone sizes its intervals.  ``min_step`` defaults to
+    1e-14 times the span (of the segment, for a mesh).
     """
 
     rel_tol: float = 1e-10
@@ -77,8 +80,8 @@ class SolverConfig:
             if not self.min_step < self.max_step:
                 raise ValueError("min_step must be smaller than max_step")
 
-    def step_limits(self, span: float) -> tuple[float, float]:
-        hmax = self.max_step if self.max_step is not None else span * 1e-2
+    def step_limits(self, span: float, default_max: float = 1e-2) -> tuple[float, float]:
+        hmax = self.max_step if self.max_step is not None else span * default_max
         hmin = self.min_step if self.min_step is not None else span * 1e-14
         hmax = min(hmax, span)
         hmin = min(hmin, 0.5 * hmax)
@@ -537,14 +540,15 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     two halves, whose error is about a sixty-fourth of the defect (the
     analogue of the RK's local extrapolation).  The defect is taken for
     the members whose coefficient is ``c``, ``c - min c`` and ``c - max
-    c``: the ends of the range where the segment's bound states live.
-    Intervals start at ``max_step`` (by default 1% of the segment); one
-    shorter than ``min_step`` raises ``StepSizeUnderflowError``.  Nothing
-    here depends on the family.
+    c``: the ends of the range where the segment's bound states live,
+    as seen at the nodes of the first pass.  The first pass is the whole
+    segment, or intervals of ``max_step`` when one is set; one shorter
+    than ``min_step`` raises ``StepSizeUnderflowError``.  Nothing here
+    depends on the family.
     """
     c = seg.c_part
     span = abs(seg.b - seg.a)
-    hmax, hmin = cfg.step_limits(span)
+    hmax, hmin = cfg.step_limits(span, default_max=1.0)
     edges = np.linspace(seg.a, seg.b, max(1, math.ceil(span / hmax - 1e-9)) + 1)
     lo, hi = edges[:-1], edges[1:]
     cn = _nodes(c, lo, hi - lo)

@@ -195,6 +195,15 @@ def resonance_scan(
     zero_guard = max(scan_step, 1e-6)
     roots = [r for r in roots if abs(r) > 1e-12]
     points = [_point(p, r, cfg, n_samples) for r in sorted(roots)]
+    dropped = [pt for pt in points if not pt.residual <= residual_tol]
+    if dropped:
+        # D changes sign across each of them, so a root is there; the shot
+        # at the refined alpha is not accurate enough to confirm it
+        warnings.warn(
+            f"residual_tol={residual_tol:g} drops sign-change roots of profile {p.label!r}: "
+            + ", ".join(f"alpha={pt.alpha!r} (residual {pt.residual:.3e})" for pt in dropped),
+            stacklevel=2,
+        )
     points = [pt for pt in points if pt.residual <= residual_tol]
 
     if alpha_min <= 0.0 <= alpha_max:

@@ -10,10 +10,11 @@ squeezing parameter.
 Off the resonance set the transmission probability decays like eps^2; at a
 resonant coupling it approaches the positive limit 4 theta^2 / (1 +
 theta^2)^2 fixed by the coupling ratio theta, independently of the
-wavenumber.  The generic route carries the barrier matrix across a Magnus
-mesh of every profile segment; for the step profile it is also the product
-of two constant-coefficient propagators, which ``step_scatter_exact``
-assembles directly as a cross-check.
+wavenumber.  The generic route carries the barrier matrix across every
+profile segment: one exact constant-coefficient step over a constant
+segment, a Magnus mesh over any other.  For the step profile it is thus
+the product of two constant-coefficient propagators, which
+``step_scatter_exact`` assembles directly as a cross-check.
 """
 
 from __future__ import annotations
@@ -117,9 +118,10 @@ def scatter(
 ) -> ScatteringResult:
     """Reflection/transmission amplitudes for the squeezed barrier.
 
-    The barrier matrix is carried across a Magnus mesh of every profile
-    segment, for the family ``alpha * profile - m`` at ``m = (eps k)^2``.
-    The mesh depends on the profile and ``alpha`` only, so every
+    The barrier matrix is carried across every profile segment for the
+    family ``alpha * profile - m`` at ``m = (eps k)^2``.  A constant
+    segment takes one exact step; any other is carried across a Magnus
+    mesh that depends on the profile and ``alpha`` only, so every
     ``(eps, k)`` point at one ``alpha`` reuses it.
     """
     if k <= 0:
@@ -128,7 +130,8 @@ def scatter(
         raise ValueError("eps must be positive")
     cfg = cfg or SCATTER_CONFIG
     segs = [
-        FamilySegment(s.a, s.b, Segment(s.a, s.b, tuple(alpha * c for c in s.coeffs)), -1.0)
+        FamilySegment(s.a, s.b, alpha * s.coeffs[0] if s.is_constant
+                      else Segment(s.a, s.b, tuple(alpha * c for c in s.coeffs)), -1.0)
         for s in p.segments
     ]
     res = propagate_family(segs, np.full(2, (eps * k) ** 2), np.eye(2), cfg)

@@ -287,6 +287,48 @@ def test_mesh_is_sized_for_the_deepest_member():
     _assert_mesh_matches_rk(chain, np.array([1.0, 72.0, 139.7]), cfg)
 
 
+def _assert_members_match_dop853(chain, m):
+    """End states to 1e-9 of each member's largest entry, and zero counts,
+    at the default config."""
+    init = np.array([0.0, 1.0])
+    res = propagate_family(chain, m, init, count_zeros=True)
+    ref, _, zeros = dop853_family(chain, m, init)
+    assert np.all(np.abs(res.states - ref) <= 1e-9 * np.abs(ref).max(axis=0))
+    assert np.array_equal(res.zero_counts, zeros)
+    return zeros
+
+
+def test_wall_mesh_is_sized_by_the_tolerance_alone():
+    # x^2 on [-3, 0] at the default config: fewer intervals than the old
+    # floor of 1% of the segment (200, both halves kept), and every member
+    # whose coefficient spans c - max c to c - min c still within 1e-9
+    from pointbarrier.ivp import _mesh_for
+
+    seg = FamilySegment(-3.0, 0.0, lambda x: x * x, 1.0)
+    assert _mesh_for(seg, SolverConfig()).h.size < 200
+    zeros = _assert_members_match_dop853([seg], np.linspace(-9.0, 0.0, 7))
+    assert zeros.max() >= 2
+
+
+def test_oscillating_coefficient_is_not_aliased_by_a_one_interval_start():
+    # the first pass is the whole segment, where c = 50 cos(40 x) runs
+    # through 12 periods; its three nodes must not pass for a smooth c
+    seg = FamilySegment(0.0, 2.0, lambda x: 50.0 * np.cos(40.0 * x), -1.0)
+    zeros = _assert_members_match_dop853([seg], np.array([-60.0, 0.0, 20.0, 49.0]))
+    assert zeros.max() >= 4
+
+
+def test_explicit_max_step_still_caps_every_interval():
+    from pointbarrier.ivp import _mesh_for
+
+    seg = FamilySegment(-3.0, 0.0, lambda x: x * x, 1.0)
+    free = np.abs(_mesh_for(seg, SolverConfig()).h)
+    capped = np.abs(_mesh_for(seg, SolverConfig(max_step=0.01)).h)
+    assert free.max() > 0.01
+    assert capped.max() <= 0.01
+    assert capped.size >= 2 * 300  # both halves of every first-pass interval
+
+
 def _assert_mesh_matches_rk(chain, lams, cfg=None):
     init = np.array([0.0, 1.0])
     mesh = propagate_family(chain, lams, init, cfg, rescale=True)

@@ -182,6 +182,21 @@ def test_halving_rescan_recovers_missed_roots(step, kappa_roots):
     assert any(abs(a - k2 * k2) < 1e-6 for a in alphas)
 
 
+def test_dropped_sign_change_roots_are_named_in_a_warning(step, kappa_roots):
+    # no shot meets residual_tol = 1e-30, so both refined roots on [0, 60]
+    # are dropped; the scan still returns what it did, and says so
+    kept = resonance_scan(step, 0.0, 60.0, 1.0)
+    roots = [pt for pt in kept if pt.alpha != 0.0]
+    assert len(roots) == 2
+    with pytest.warns(UserWarning, match="drops sign-change roots") as record:
+        pts = resonance_scan(step, 0.0, 60.0, 1.0, residual_tol=1e-30)
+    assert [pt.alpha for pt in pts] == [0.0]
+    assert len(record) == 1
+    msg = str(record[0].message)
+    for pt in roots:
+        assert f"alpha={pt.alpha!r} (residual {pt.residual:.3e})" in msg
+
+
 def test_scan_input_validation(step):
     with pytest.raises(ValueError):
         resonance_scan(step, 1.0, 0.0, 0.1)

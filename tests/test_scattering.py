@@ -21,6 +21,34 @@ def test_exact_cross_check(step):
     assert abs(rn.T - re.T) <= 1e-9
 
 
+def test_constant_segments_take_one_exact_step(step, bump, monkeypatch):
+    # a constant profile segment is one exact step: no mesh is built or
+    # cached, and scatter is the two-propagator product of the closed form
+    from pointbarrier import ivp
+
+    cached = list(ivp._MESH_CACHE)
+    for alpha in (0.5, 4.0, 12.5, 20.0):
+        for eps in (1e-3, 0.05, 0.2):
+            for k in (0.3, 1.0, 2.9):
+                rn = scatter(step, alpha, eps, k)
+                re = step_scatter_exact(math.sqrt(alpha), eps, k)
+                assert abs(rn.R - re.R) <= 1e-13
+                assert abs(rn.T - re.T) <= 1e-13
+    assert list(ivp._MESH_CACHE) == cached
+
+    meshes = []
+    mesh_for = ivp._mesh_for
+
+    def recorded(seg, cfg):
+        meshes.append(mesh_for(seg, cfg))
+        return meshes[-1]
+
+    monkeypatch.setattr(ivp, "_mesh_for", recorded)
+    scatter(bump, 17.0, 0.01, 1.3)
+    assert [m.h.size for m in meshes][-1] == 1  # the zero segment on (1/2, 1)
+    assert min(m.h.size for m in meshes[:-1]) > 1
+
+
 def _dop853_amplitudes(p, alpha, eps, k):
     """R and T with the barrier matrix integrated by scipy's DOP853, segment
     by segment in xi = x / eps, and matched to plane waves at x = -+eps."""
