@@ -725,7 +725,7 @@ def _mesh_apply(mesh, mw, Y, logs, counts, seg_samples, rec_states, rec_logs, re
     meshed segment, recording ``seg_samples`` from row ``rec_i`` on.
     Members are taken in groups of at most ``_WORK_CAP`` intervals x
     members."""
-    plan = _sample_plan(mesh, np.asarray(seg_samples, dtype=float)) if seg_samples else None
+    plan = _sample_plan(mesh, seg_samples) if len(seg_samples) else None
     N = mesh.h.size
     K = len(seg_samples)
     rows = slice(rec_i, rec_i + K)
@@ -812,14 +812,12 @@ def propagate_family(
     hmax, hmin = cfg.step_limits(abs(x_end - x_start))
 
     for seg in segments:
-        seg_samples = []
+        seg_samples = np.empty(0)
         if sample_x is not None:
-            while rec_i + len(seg_samples) < sample_x.size:
-                xs = sample_x[rec_i + len(seg_samples)]
-                inside = (xs - seg.a) * direction >= -1e-12 and (seg.b - xs) * direction >= -1e-12
-                if not inside:
-                    break
-                seg_samples.append(xs)
+            # the samples from rec_i on up to the first one off this segment
+            rest = sample_x[rec_i:]
+            inside = ((rest - seg.a) * direction >= -1e-12) & ((seg.b - rest) * direction >= -1e-12)
+            seg_samples = rest if inside.all() else rest[:int(np.argmin(inside))]
         if not callable(seg.w_part):
             _mesh_apply(_mesh_for(seg, cfg), m * float(seg.w_part), Y, logs, counts, seg_samples,
                         rec_states, rec_logs, rec_i)
@@ -844,8 +842,8 @@ def propagate_family(
             _rk_span(
                 lambda x, ml=ml: c(x) + ml * wp(x), seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin,
                 rescale,
-                record_xs=seg_samples or None,
-                record_fn=record if seg_samples else None,
+                record_xs=seg_samples if len(seg_samples) else None,
+                record_fn=record if len(seg_samples) else None,
                 counts=counts[lane] if counts is not None else None,
             )
         rec_i += len(seg_samples)

@@ -320,29 +320,30 @@ def _verified_scan(
 ):
     """March upward bracketing sign changes of the matching determinant.
 
-    ``fvec(lams, True) -> (values, oscillation counts)``.  Whenever the
-    zero count of the shooting solutions rises across a cell by more than
-    the number of visible sign changes, the cell hides eigenvalues
-    (near-degenerate pairs of split-like problems defeat any fixed grid),
-    so it is bisected until every root shows its own sign change.
+    ``fvec(lams, True) -> (values, oscillation counts)``.  Each chunk of
+    the Weyl grid is shot in one call (the first one with the start point).
+    Whenever the zero count of the shooting solutions rises across a cell
+    by more than the number of visible sign changes, the cell hides
+    eigenvalues (near-degenerate pairs of split-like problems defeat any
+    fixed grid), so ``_resolve_cells`` halves it, one level of midpoints
+    per call, until every root shows its own sign change.
     """
     brackets: list[tuple[float, float]] = []
-    lam_prev = start
-    v0, c0 = fvec(np.array([start]), True)
-    f_prev, n_prev = float(v0[0]), int(c0[0])
+    xs = [start]
+    vals, counts = np.empty(0), np.empty(0, dtype=int)  # shots of xs[:vals.size]
     guard = 0
     while len(brackets) < k_needed:
-        pts = []
-        lam = lam_prev
+        lam = xs[-1]
         for _ in range(_CHUNK):
             lam = lam + 0.5 * gap_fn(lam)
-            pts.append(lam)
+            xs.append(lam)
             if lam > ceiling:
                 break
-        vals, counts = fvec(np.array(pts), True)
-        _resolve_cells(fvec, [lam_prev] + pts, [f_prev, *vals], [n_prev, *counts], brackets)
-        lam_prev, f_prev, n_prev = pts[-1], float(vals[-1]), int(counts[-1])
-        if lam_prev > ceiling:
+        v, c = fvec(np.array(xs[vals.size:]), True)
+        vals, counts = np.concatenate((vals, v)), np.concatenate((counts, c))
+        _resolve_cells(fvec, xs, vals, counts, brackets)
+        xs, vals, counts = xs[-1:], vals[-1:], counts[-1:]
+        if xs[0] > ceiling:
             if len(brackets) < k_needed:
                 raise TruncationDomainError(
                     f"{what}: only {len(brackets)} of {k_needed} eigenvalues found below "
@@ -356,28 +357,41 @@ def _verified_scan(
 
 
 def _resolve_cells(fvec, xs, fs, cs, out) -> None:
-    """``_resolve_cell`` on every cell of the ascending points ``xs`` with
-    values ``fs`` and zero counts ``cs``."""
-    for i in range(len(xs) - 1):
-        _resolve_cell(fvec, xs[i], float(fs[i]), int(cs[i]),
-                      xs[i + 1], float(fs[i + 1]), int(cs[i + 1]), out)
+    """Append to ``out`` the sign-change brackets in the cells of the
+    ascending points ``xs``, with values ``fs`` and zero counts ``cs``, in
+    ascending order.
 
-
-def _resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, depth: int = 0) -> None:
-    """Emit brackets in (xa, xb), subdividing where counts reveal hidden roots."""
-    sign_change = fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
-    expected = max(0, cb - ca)
-    if expected >= 2 or (expected == 1 and not sign_change):
-        floor = 1e-5 * max(1.0, abs(xa), abs(xb))
-        if xb - xa > floor and depth < 40:
-            xm = 0.5 * (xa + xb)
-            vm, cm = fvec(np.array([xm]), True)
-            fm, nm = float(vm[0]), int(cm[0])
-            _resolve_cell(fvec, xa, fa, ca, xm, fm, nm, out, depth + 1)
-            _resolve_cell(fvec, xm, fm, nm, xb, fb, cb, out, depth + 1)
-            return
-    if sign_change:
-        out.append((xa, xb))
+    A cell whose count rises by two or more, or by one with no sign
+    change, hides roots: it is halved until each root shows its own sign
+    change, down to a width of 1e-5 max(1, |xa|, |xb|) or 40 halvings.
+    Halving is level-synchronous: every pending cell of one level is split
+    at once and all the midpoints are shot in one ``fvec(mids, True)``
+    call.  The cells stay disjoint, so sorting the brackets by their left
+    ends gives the order of a left-to-right depth-first halving.
+    """
+    x = np.asarray(xs, dtype=float)
+    f = np.asarray(fs, dtype=float)
+    c = np.asarray(cs, dtype=int)
+    xa, fa, ca, xb, fb, cb = x[:-1], f[:-1], c[:-1], x[1:], f[1:], c[1:]
+    lo, hi = [], []
+    for depth in range(41):
+        sign = (fa != 0.0) & (fb != 0.0) & ((fa < 0.0) != (fb < 0.0))
+        rise = cb - ca
+        floor = 1e-5 * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
+        split = ((rise >= 2) | ((rise == 1) & ~sign)) & (xb - xa > floor) & (depth < 40)
+        done = sign & ~split
+        lo.append(xa[done])
+        hi.append(xb[done])
+        if not split.any():
+            break
+        xa, fa, ca, xb, fb, cb = (v[split] for v in (xa, fa, ca, xb, fb, cb))
+        xm = 0.5 * (xa + xb)
+        fm, cm = fvec(xm, True)
+        xa, fa, ca = np.concatenate((xa, xm)), np.concatenate((fa, fm)), np.concatenate((ca, cm))
+        xb, fb, cb = np.concatenate((xm, xb)), np.concatenate((fm, fb)), np.concatenate((cm, cb))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    order = np.argsort(lo)
+    out.extend(zip(lo[order].tolist(), hi[order].tolist()))
 
 
 def _grid_roots(fvec, grid: np.ndarray, xtol: float, rtol: float) -> np.ndarray:
@@ -685,17 +699,16 @@ def interval_spectrum(
     d_omega = min(math.pi / (8.0 * (abs(a) + b)), max(eps / 2.0, 1e-4))
     brackets: list[tuple[float, float]] = []
     omega = 0.0
-    v0, c0 = fvec(np.array([0.0]), True)
-    f_prev, n_prev = float(v0[0]), int(c0[0])
+    vals, counts = np.empty(0), np.empty(0, dtype=int)  # shot of the last point scanned
     guard = 0
     while len(brackets) < count:
         omegas = omega + d_omega * np.arange(1, 513)
-        vals, counts = fvec(omegas**2, True)
         xs = np.concatenate(([omega], omegas)) ** 2
-        _resolve_cells(fvec, xs, [f_prev, *vals], [n_prev, *counts], brackets)
+        v, c = fvec(xs[vals.size:], True)
+        vals, counts = np.concatenate((vals, v)), np.concatenate((counts, c))
+        _resolve_cells(fvec, xs, vals, counts, brackets)
         omega = float(omegas[-1])
-        f_prev = float(vals[-1])
-        n_prev = int(counts[-1])
+        vals, counts = vals[-1:], counts[-1:]
         guard += 1
         if guard > 200:
             raise SpectralWindowError("interval eigenvalue search did not terminate")

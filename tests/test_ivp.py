@@ -364,13 +364,84 @@ def test_mesh_samples_match_rk():
     assert np.allclose(u_mesh, u_rk, rtol=1e-8, atol=1e-10 * np.abs(u_rk).max())
 
 
+def _wall_and_barrier_chain():
+    # the left shot of a squeezed-barrier problem: a wall segment, then a
+    # narrow asymmetric barrier whose coefficient is a callable
+    eps, alpha = 0.05, 3.0
+
+    def barrier(x):
+        t = x / eps
+        return alpha / eps**2 * (1.0 - t * t) * (1.0 + 0.5 * t)
+
+    return [FamilySegment(-4.0, -eps, lambda x: x * x + x, -1.0),
+            FamilySegment(-eps, eps, barrier, -1.0)]
+
+
 def test_mesh_member_results_do_not_depend_on_the_family():
-    lams = np.linspace(0.0, 20.0, 9)
+    # bitwise: a member's states, logs, zero counts and sample records are
+    # the same whichever family carries it, also across _WORK_CAP groups
+    from pointbarrier import ivp
+
+    chain = _wall_and_barrier_chain()
+    lams = np.linspace(-5.0, 60.0, 64)
+    xs = np.linspace(-4.0, 0.05, 301)
     init = np.array([0.0, 1.0])
-    family = propagate_family(_tilted_wall_chain(), lams, init, rescale=True)
-    alone = propagate_family(_tilted_wall_chain(), lams[3:4], init, rescale=True)
-    assert np.allclose(family.states[:, 3], alone.states[:, 0], rtol=1e-13, atol=0.0)
-    assert family.logs[3] == pytest.approx(alone.logs[0], rel=1e-13)
+    wall_mesh = ivp._mesh_for(chain[0], ivp.DEFAULT_CONFIG)
+    assert lams.size * max(wall_mesh.h.size, xs.size) > 2 * ivp._WORK_CAP
+
+    def run(m):
+        return propagate_family(chain, m, init, rescale=True, samples=xs, count_zeros=True)
+
+    family = run(lams)
+    assert family.zero_counts.max() >= 3
+    for part in (slice(3, 4), slice(0, 1), slice(63, 64), slice(5, 41)):
+        alone = run(lams[part])
+        assert np.array_equal(family.states[:, part], alone.states)
+        assert np.array_equal(family.logs[part], alone.logs)
+        assert np.array_equal(family.zero_counts[part], alone.zero_counts)
+        assert np.array_equal(family.sample_states[:, :, part], alone.sample_states)
+        assert np.array_equal(family.sample_logs[:, part], alone.sample_logs)
+
+
+def test_samples_go_to_segments_in_path_order(monkeypatch):
+    # each segment records the samples from the last one taken up to the
+    # first off it; a sample at a join goes to the earlier segment
+    from pointbarrier import ivp
+
+    seen = []
+    mesh_apply, rk_span = ivp._mesh_apply, ivp._rk_span
+
+    def spy_mesh(mesh, mw, Y, logs, counts, seg_samples, *rest):
+        seen.append(np.asarray(seg_samples).tolist())
+        mesh_apply(mesh, mw, Y, logs, counts, seg_samples, *rest)
+
+    def spy_rk(*args, record_xs=None, **kwargs):
+        seen.append([] if record_xs is None else np.asarray(record_xs).tolist())
+        rk_span(*args, record_xs=record_xs, **kwargs)
+
+    monkeypatch.setattr(ivp, "_mesh_apply", spy_mesh)
+    monkeypatch.setattr(ivp, "_rk_span", spy_rk)
+    segs = [
+        FamilySegment(0.0, 1.0, lambda x: x, -1.0),
+        FamilySegment(1.0, 2.0, 3.0, -1.0),
+        FamilySegment(2.0, 2.5, 0.0, lambda x: -1.0 - x),  # RK
+        FamilySegment(2.5, 3.0, 1.0, -1.0),
+    ]
+    xs = [0.0, 0.5, 1.0, 1.5, 2.0, 2.0, 3.0]
+    res = propagate_family(segs, np.array([0.5, 2.0]), np.array([0.0, 1.0]), samples=xs)
+    # the RK takes a family of two member by member
+    assert seen == [[0.0, 0.5, 1.0], [1.5, 2.0, 2.0], [], [], [3.0]]
+    assert np.all(np.isfinite(res.sample_states))
+    assert np.allclose(res.sample_states[-1], res.states, rtol=1e-9)
+
+    seen.clear()
+    back = [FamilySegment(s.b, s.a, s.c_part, s.w_part) for s in reversed(segs)]
+    propagate_family(back, np.array([0.5]), np.array([0.0, 1.0]), samples=[2.2, 2.0, 0.5, 0.0])
+    assert seen == [[], [2.2, 2.0], [], [0.5, 0.0]]
+
+    for off in ([0.5, 3.5], [-0.5, 0.5], [0.5, 3.0 + 1e-9]):
+        with pytest.raises(ValueError, match="outside the integration path"):
+            propagate_family(segs, np.array([0.5]), np.array([0.0, 1.0]), samples=off)
 
 
 def test_mesh_step_size_underflow():

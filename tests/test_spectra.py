@@ -312,3 +312,67 @@ def test_ladder_levels_follow_the_solver_tolerance(tilted, step, alpha1, theta1)
         spec_tight = eigen_perturbed(tilted, step, alpha1, eps, (1, 4), tight)
         assert spec.flags == spec_tight.flags == ["diving", "ok", "ok", "ok"]
         assert np.max(np.abs(spec.eigenvalues[1:] - spec_tight.eigenvalues[1:])) < 1e-9
+
+
+# -- bracketing by count-guided halving -------------------------------------------
+
+def _recursive_resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, mids, depth=0):
+    """Reference: depth-first halving, one midpoint shot per call;
+    ``mids`` collects (depth, midpoint) of every shot."""
+    sign_change = fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
+    expected = max(0, cb - ca)
+    if expected >= 2 or (expected == 1 and not sign_change):
+        floor = 1e-5 * max(1.0, abs(xa), abs(xb))
+        if xb - xa > floor and depth < 40:
+            xm = 0.5 * (xa + xb)
+            vm, cm = fvec(np.array([xm]), True)
+            fm, nm = float(vm[0]), int(cm[0])
+            mids.append((depth, xm))
+            _recursive_resolve_cell(fvec, xa, fa, ca, xm, fm, nm, out, mids, depth + 1)
+            _recursive_resolve_cell(fvec, xm, fm, nm, xb, fb, cb, out, mids, depth + 1)
+            return
+    if sign_change:
+        out.append((xa, xb))
+
+
+def test_resolve_cells_matches_recursive_reference():
+    from pointbarrier.spectra import _resolve_cells
+
+    # sign changes at the roots; the count steps at the roots and at the
+    # phantoms, where the value keeps its sign
+    roots = np.array([0.5, 2.3, 2.3001, 4.0, 6.7])
+    phantoms = np.array([5.25, 8.5])
+
+    def fvec(x, with_counts=False):
+        x = np.asarray(x, dtype=float)
+        vals = np.prod(x[:, None] - roots, axis=1)
+        return vals, np.sum(x[:, None] > np.concatenate((roots, phantoms)), axis=1)
+
+    calls = []
+
+    def counted(x, with_counts=False):
+        assert with_counts
+        calls.append(np.array(x))
+        return fvec(x, True)
+
+    # cells: [0, 1] one plain root; [2, 3] a hidden pair; 4.0 an exact zero
+    # at a node; [5, 6] a count rise with no sign change, halved to the
+    # width floor and dropped; [6, 7] a root; [8, 1e9] a phantom that
+    # stops at 40 halvings before the floor
+    xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e9]
+    fs, cs = fvec(xs, True)
+    assert fs[4] == 0.0
+    want, mids = [], []
+    for i in range(len(xs) - 1):
+        _recursive_resolve_cell(fvec, xs[i], float(fs[i]), int(cs[i]),
+                                xs[i + 1], float(fs[i + 1]), int(cs[i + 1]), want, mids)
+    got = []
+    _resolve_cells(counted, xs, fs, cs, got)
+    assert got == want
+    assert [round(a, 3) for a, _ in got] == [0.0, 2.3, 2.3, 6.0]
+    depths = sorted({d for d, _ in mids})
+    assert depths == list(range(40))
+    # one call per halving level, holding every midpoint of that level
+    assert len(calls) == len(depths)
+    for d, shot in zip(depths, calls):
+        assert sorted(shot.tolist()) == sorted(x for dd, x in mids if dd == d)
