@@ -5,10 +5,13 @@ Whole-line problems with a confining potential are truncated to a box
 and is monitored by a wall-margin check).  Eigenvalues are located by
 shooting: Cauchy data is carried from each wall to a matching point, an
 interface condition is applied there, and the eigenvalues are the zeros of
-the resulting scalar matching determinant.  The determinant is evaluated
-for whole vectors of trial eigenvalues at once (one family propagation per
-grid pass), bracketed on a Weyl-informed grid, and polished by a
-safeguarded vectorized secant iteration.
+the normalized matching Wronskian (``_matching``, one formula for every
+problem).  The Wronskian is evaluated for whole vectors of trial
+eigenvalues at once (one family propagation per grid pass), together with
+the exact Sturm index of every trial value: the number of eigenvalues at
+or below it, from the zero counts of the shots and the Pruefer angles at
+the matching point.  The index steers the bracketing scan, and the roots
+are polished by a safeguarded vectorized secant iteration.
 
 The interface condition at the origin is one of:
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,7 +99,7 @@ class ConnectedMatrix:
     """(v, v')(+0) = e^{i phi} C (v, v')(-0) with real unimodular C.
 
     The phase multiplies the whole interface matrix by a unit scalar, so
-    it cancels from the matching determinant: eigenvalues depend on C
+    it cancels from the matching condition: eigenvalues depend on C
     only.  det C = 1 is enforced to 1e-12.
     """
 
@@ -187,7 +189,7 @@ class Spectrum:
 
     Eigenfunctions are normalized to unit L2 norm on the sampled grid and
     oriented so the largest-magnitude sample is positive.  ``residuals``
-    are the normalized matching-determinant values at convergence;
+    are the normalized matching-Wronskian values at convergence;
     ``flags`` carry 'ok', 'left'/'right' (split problems), 'degenerate'
     (near-coincident split pairs) or 'diving' (below the bounded window).
     """
@@ -205,7 +207,7 @@ class Spectrum:
             raise ValueError("eigenvalues must be ascending")
 
 
-# -- matching determinants -----------------------------------------------------
+# -- matching Wronskians -------------------------------------------------------
 
 def _norm2(Y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(Y[0]) ** 2 + np.abs(Y[1]) ** 2)
@@ -242,37 +244,33 @@ def _barrier_chain(p: Profile, alpha: float, eps: float,
     return segs
 
 
-def _side_residual(pair: tuple[float, float], Y: np.ndarray) -> np.ndarray:
-    h1, h2 = pair
-    scale = math.hypot(h1, h2)
-    return (h2 * Y[0] - h1 * Y[1]) / (scale * _norm2(Y))
+def _reduced_angle(Y):
+    """The Pruefer angle atan2(v, v') of the states ``Y``, mod pi."""
+    return np.arctan2(Y[0], Y[1]) % math.pi
 
 
-def _connected_det(C: np.ndarray, YL: np.ndarray, YR: np.ndarray) -> np.ndarray:
-    V0 = C[0, 0] * YL[0] + C[0, 1] * YL[1]
-    V1 = C[1, 0] * YL[0] + C[1, 1] * YL[1]
-    det = V0 * YR[1] - V1 * YR[0]
-    norm = np.sqrt(V0**2 + V1**2) * _norm2(YR)
-    return det / norm
-
-
-def _wronskian_residual(YL: np.ndarray, YR: np.ndarray) -> np.ndarray:
-    det = YL[0] * YR[1] - YL[1] * YR[0]
-    return det / (_norm2(YL) * _norm2(YR))
-
-
-def _end_value(Y: np.ndarray) -> np.ndarray:
-    return Y[0] / _norm2(Y)
-
-
-def _matching(chains, cfg, combine):
+def _matching(chains, cfg, C=None, W=(0.0, 1.0)):
     """The matching function of one problem: Dirichlet shots along each of
-    ``chains``, whose end states ``combine`` turns into the determinant.
+    ``chains`` meet at their common end.  The first shot must run towards
+    +x; a lone shot run towards -x is passed as its mirror image x -> -x,
+    with C = diag(1, -1) and W mirrored alike.
 
-    ``fvec(lams)`` returns the determinant values; ``fvec(lams, True)``
-    also the zero count summed over the shots, which indexes the levels
-    below each trial value.
+    ``fvec(lams)`` returns the normalized Wronskian
+    (V0 W1 - V1 W0) / (|V| |W|) of V = C Y, the first shot's end state
+    carried across the interface matrix ``C`` (default: none), and W, the
+    second shot's end state or, for one chain, the fixed boundary vector
+    ``W``: (0, 1) for a Dirichlet end, (h1, h2) for h1 v' = h2 v.
+    ``fvec(lams, True)`` also returns the exact number of eigenvalues
+    <= lam, the matching-point Pruefer index of SLEIGN2:
+
+        N = (zeros of the shots) + [a < F0] + [a >= r],
+
+    with a, F0 and r the reduced angles of V, C (0, 1) and W in [0, pi),
+    except that a fixed W takes r in (0, pi]: a Dirichlet end has r = pi.
     """
+    F0 = 0.0 if C is None else _reduced_angle(C[:, 1])
+    W = np.asarray(W, dtype=float)
+    r_fixed = _reduced_angle(W) or math.pi
 
     def fvec(lams: np.ndarray, with_counts: bool = False):
         shots = [
@@ -280,10 +278,14 @@ def _matching(chains, cfg, combine):
                              rescale=True, count_zeros=with_counts)
             for chain in chains
         ]
-        vals = combine(*(shot.states for shot in shots))
-        if with_counts:
-            return vals, sum(shot.zero_counts for shot in shots)
-        return vals
+        V = shots[0].states if C is None else C @ shots[0].states
+        Y = shots[1].states if len(shots) == 2 else W
+        vals = (V[0] * Y[1] - V[1] * Y[0]) / (_norm2(V) * _norm2(Y))
+        if not with_counts:
+            return vals
+        r = _reduced_angle(Y) if len(shots) == 2 else r_fixed
+        a = _reduced_angle(V)
+        return vals, sum(shot.zero_counts for shot in shots) + (a < F0) + (a >= r)
 
     return fvec
 
@@ -318,15 +320,16 @@ def _verified_scan(
     k_needed: int,
     what: str,
 ):
-    """March upward bracketing sign changes of the matching determinant.
+    """March upward bracketing sign changes of the matching Wronskian.
 
-    ``fvec(lams, True) -> (values, oscillation counts)``.  Each chunk of
-    the Weyl grid is shot in one call (the first one with the start point).
-    Whenever the zero count of the shooting solutions rises across a cell
-    by more than the number of visible sign changes, the cell hides
-    eigenvalues (near-degenerate pairs of split-like problems defeat any
-    fixed grid), so ``_resolve_cells`` halves it, one level of midpoints
-    per call, until every root shows its own sign change.
+    ``fvec(lams, True) -> (values, Sturm index)``.  Each chunk of the Weyl
+    grid is shot in one call (the first one with the start point).  The
+    index counts the eigenvalues at or below each point exactly, so a cell
+    across which it rises by two or more holds that many roots (near-
+    degenerate pairs of split-like problems defeat any fixed grid), and
+    ``_resolve_cells`` halves it, one level of midpoints per call, until
+    every root shows its own sign change.  The index is 0 at ``start``
+    when no level lies below it, as ``_scan_start`` makes sure.
     """
     brackets: list[tuple[float, float]] = []
     xs = [start]
@@ -362,8 +365,9 @@ def _resolve_cells(fvec, xs, fs, cs, out) -> None:
     ascending order.
 
     A cell whose count rises by two or more, or by one with no sign
-    change, hides roots: it is halved until each root shows its own sign
-    change, down to a width of 1e-5 max(1, |xa|, |xb|) or 40 halvings.
+    change (a count that is not an exact index), hides roots: it is
+    halved until each root shows its own sign change, down to a width of
+    1e-5 max(1, |xa|, |xb|) or 40 halvings.
     Halving is level-synchronous: every pending cell of one level is split
     at once and all the midpoints are shot in one ``fvec(mids, True)``
     call.  The cells stay disjoint, so sorting the brackets by their left
@@ -434,8 +438,13 @@ def eigen_limit(
     """Lowest ``k_max`` eigenvalues of -v'' + U v with interface ``bc`` at 0.
 
     Dirichlet walls sit at +-R (R from the potential record).  Split-type
-    couplings may return near-coincident pairs; both members are reported
-    and flagged.  Raises ``TruncationDomainError`` when a requested level
+    couplings solve their two half problems; they may return near-
+    coincident pairs, and both members are reported and flagged.  A
+    connected coupling (``ThetaCoupled``, ``ConnectedMatrix``) solves one
+    problem across the interface matrix.  Every problem is scanned
+    upwards from a start below its lowest level, moved down until the
+    Sturm index reads 0 there, so bound states of attractive couplings
+    are found.  Raises ``TruncationDomainError`` when a requested level
     comes within ``margin`` of the wall potential.
     """
     if k_max < 1:
@@ -444,20 +453,21 @@ def eigen_limit(
     ceiling = U.wall_floor() - margin
     gap_fn, start = _weyl_scan(U)
 
-    if isinstance(bc, (DirichletSplit, Separated)):
-        found = _half_levels(U, _separated_pairs(bc), k_max, cfg, eig_tol, start, ceiling,
-                             gap_fn, "half problem")
-        lams = np.array([t[0] for t in found])
-        residuals = np.array([t[1] for t in found])
-        flags = [t[2] for t in found]
-        for i in range(len(lams) - 1):
-            if lams[i + 1] - lams[i] < 10.0 * eig_tol:
-                flags[i] += ",degenerate"
-                flags[i + 1] += ",degenerate"
-    else:
-        C = bc.matrix()
-        lams, residuals = _connected_levels(U, C, k_max, cfg, eig_tol, start, ceiling, gap_fn)
-        flags = ["ok"] * len(lams)
+    found = []
+    for flag, fvec in _limit_problems(U, bc, cfg):
+        what = "coupled problem" if flag == "ok" else f"{flag} half problem"
+        brackets = _verified_scan(fvec, _scan_start(fvec, start, what), ceiling, gap_fn,
+                                  k_max, what)
+        roots, residuals = _refine(fvec, brackets, eig_tol)
+        found.extend((lam, res, flag) for lam, res in zip(roots, residuals))
+    found = sorted(found, key=lambda t: t[0])[:k_max]
+    lams = np.array([t[0] for t in found])
+    residuals = np.array([t[1] for t in found])
+    flags = [t[2] for t in found]
+    for i in range(len(lams) - 1):
+        if lams[i + 1] - lams[i] < 10.0 * eig_tol:
+            flags[i] += ",degenerate"
+            flags[i + 1] += ",degenerate"
 
     if lams.size and lams[-1] > ceiling:
         raise TruncationDomainError(
@@ -471,77 +481,31 @@ def eigen_limit(
     return spec
 
 
-def _separated_pairs(bc) -> tuple[tuple[float, float], tuple[float, float]]:
+_MIRROR = np.diag([1.0, -1.0])
+
+
+def _limit_problems(U, bc, cfg):
+    """(flag, matching function) of each problem of the limit operator: the
+    two half problems of a split coupling, or the one coupled problem."""
+    R = U.truncation_radius
+    left, right = _wall_chain(U, -R, 0.0), _wall_chain(U, R, 0.0)
     if isinstance(bc, DirichletSplit):
-        return (0.0, 1.0), (0.0, 1.0)
-    return (bc.h1m, bc.h2m), (bc.h1p, bc.h2p)
+        bc = Separated(0.0, 1.0, 0.0, 1.0)
+    if isinstance(bc, Separated):
+        # the right half is the mirror image of a left one: x -> -x flips v'
+        return [("left", _matching([left], cfg, W=(bc.h1m, bc.h2m))),
+                ("right", _matching([right], cfg, C=_MIRROR, W=(bc.h1p, -bc.h2p)))]
+    return [("ok", _matching([left, right], cfg, C=bc.matrix()))]
 
 
-def _half_levels(U, pairs, k_max, cfg, eig_tol, start, ceiling, gap_fn, what):
-    """Lowest ``k_max`` levels of the half problems on [-R, 0] and [0, R]
-    with the projective conditions ``pairs`` at 0, as ascending
-    (level, residual, side) triples."""
-    R = U.truncation_radius
-    found = []
-    for side, wall, pair in (("left", -R, pairs[0]), ("right", R, pairs[1])):
-        fvec = _matching([_wall_chain(U, wall, 0.0)], cfg, partial(_side_residual, pair))
-        brackets = _verified_scan(fvec, start, ceiling, gap_fn, k_max, f"{side} {what}")
-        roots, residuals = _refine(fvec, brackets, eig_tol)
-        found.extend((lam, res, side) for lam, res in zip(roots, residuals))
-    found.sort(key=lambda t: t[0])
-    return found[:k_max]
-
-
-def _connected_levels(U, C, k_max, cfg, eig_tol, start, ceiling, gap_fn):
-    """Eigenvalues of a connected interface condition via interlacing.
-
-    The coupled levels interlace the Dirichlet-split levels (the split form
-    domain is a subspace of the coupled one), so between consecutive split
-    values there is exactly one coupled eigenvalue, no matter how tightly
-    it hugs a split value.  Each window is bracketed with shrinking offsets
-    from its endpoints; a window whose root hides within the smallest
-    offset of a split value is pinned to that split value.
-    """
-    split = _half_levels(U, ((0.0, 1.0), (0.0, 1.0)), k_max, cfg, eig_tol, start, ceiling,
-                         gap_fn, "split window")
-    mus = np.array([t[0] for t in split])
-
-    R = U.truncation_radius
-    fvec = _matching([_wall_chain(U, -R, 0.0), _wall_chain(U, R, 0.0)], cfg,
-                     partial(_connected_det, C))
-    windows = [(start, mus[0])] + [(mus[i], mus[i + 1]) for i in range(k_max - 1)]
-    roots = []
-    for a, b in windows:
-        scale = max(1.0, abs(a), abs(b))
-        if b - a <= 1e-11 * scale:
-            roots.append(b)  # coincident split pair pins the coupled level
-            continue
-        root = None
-        for delta_rel in (1e-7, 1e-10, 1e-13):
-            delta = delta_rel * scale
-            aa, bb = a + delta, b - delta
-            if not aa < bb:
-                continue
-            va, vb = fvec(np.array([aa, bb]))
-            if va == 0.0:
-                root = aa
-                break
-            if vb == 0.0:
-                root = bb
-                break
-            if (va < 0.0) != (vb < 0.0):
-                root, _ = brent(lambda t: float(fvec(np.array([t]))[0]), aa, bb,
-                                fa=float(va), fb=float(vb), xtol=1e-13)
-                break
-        if root is None:
-            # the coupled level hides within the smallest offset of a split
-            # value; decide which endpoint by the determinant magnitude
-            va, vb = np.abs(fvec(np.array([a + 1e-13 * scale, b - 1e-13 * scale])))
-            root = a if va < vb else b
-        roots.append(float(root))
-    roots = np.array(roots)
-    residuals = np.abs(fvec(roots))
-    return roots, residuals
+def _scan_start(fvec, start: float, what: str) -> float:
+    """Move ``start`` down (start -> 2 start - 1) until no eigenvalue lies
+    at or below it."""
+    for _ in range(60):
+        if fvec(np.array([start]), True)[1][0] == 0:
+            return start
+        start = 2.0 * start - 1.0
+    raise SpectralWindowError(f"{what}: eigenvalues remain below {start:.6g}")
 
 
 # -- perturbed operator -----------------------------------------------------------
@@ -612,10 +576,10 @@ def eigen_perturbed(
 
 
 def _perturbed_fvec(U, barrier, eps, wall, cfg):
-    """Matching determinant at x = +eps of the squeezed problem with
+    """Matching Wronskian at x = +eps of the squeezed problem with
     Dirichlet walls at -+wall: the left shot crosses the ``barrier`` chain."""
     chains = [_wall_chain(U, -wall, -eps) + barrier, _wall_chain(U, wall, eps)]
-    return _matching(chains, cfg, _wronskian_residual)
+    return _matching(chains, cfg)
 
 
 def _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split):
@@ -669,7 +633,7 @@ def _interval_fvec(a, b, p, alpha, eps, cfg):
         + _barrier_chain(p, alpha, eps, None)
         + [FamilySegment(eps, b, 0.0, -1.0)]
     )
-    return _matching([chain], cfg, _end_value)
+    return _matching([chain], cfg)
 
 
 def interval_spectrum(
@@ -1000,18 +964,13 @@ def _attach_limit_eigenfunctions(spec, U, bc, cfg, samples_per_unit):
             (vm, dvm), (vp, dvp) = (end, (0.0, 0.0)) if left else ((0.0, 0.0), end)
             traces.append(BoundaryTrace(v_minus=vm, v_plus=vp, dv_minus=dvm, dv_plus=dvp))
         else:
-            C = bc.matrix()
             pl = _sample_piece(_wall_chain(U, -R, 0.0), lam, cfg, left_xs)
             pr = _sample_piece(_wall_chain(U, R, 0.0), lam, cfg, right_xs[::-1])
-            V0 = C[0, 0] * pl["end"][0] + C[0, 1] * pl["end"][1]
-            V1 = C[1, 0] * pl["end"][0] + C[1, 1] * pl["end"][1]
-            v, ref, s = _stitch(xs, pl, pr, (V0, V1))
-            funcs[i] = v
+            V = bc.matrix() @ pl["end"]
+            funcs[i], ref, s = _stitch(xs, pl, pr, V)
             e = math.exp(pl["end_log"] - ref) * s
-            traces.append(BoundaryTrace(
-                v_minus=pl["end"][0] * e, v_plus=V0 * e,
-                dv_minus=pl["end"][1] * e, dv_plus=V1 * e,
-            ))
+            (vm, dvm), (vp, dvp) = pl["end"] * e, V * e
+            traces.append(BoundaryTrace(v_minus=vm, v_plus=vp, dv_minus=dvm, dv_plus=dvp))
     spec.x = xs
     spec.eigenfunctions = funcs
     spec.boundary_traces = traces

@@ -89,6 +89,17 @@ def test_spectrum_limit_csv(tmp_path):
     assert "eigenfunction_002.csv" in manifest["outputs"]
 
 
+def test_spectrum_limit_levels_beyond_the_half_problems(tmp_path):
+    # each Dirichlet half of the box has only 6 levels below the wall
+    # ceiling of 24, but the coupled problem has 8: 1, 3, ..., 15
+    out = tmp_path / "sp8"
+    assert main(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+                 "--bc", "theta:1.0", "--levels", "8", "--out", str(out)]) == 0
+    lines = _read(out / "spectrum.csv").strip().splitlines()
+    lams = [float(line.split(",")[1]) for line in lines[1:]]
+    assert np.allclose(lams, [2 * k + 1 for k in range(8)], rtol=0.0, atol=1e-8)
+
+
 def test_spectrum_perturbed(tmp_path):
     out = tmp_path / "pp"
     assert run(["spectrum", "--profile", "step", "--mode", "perturbed",

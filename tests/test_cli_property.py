@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pointbarrier.cli import main  # noqa: E402
@@ -70,7 +70,8 @@ def _solver_argv(draw) -> list[str]:
         if mode == "limit":
             theta = "theta:" + draw(_plain(-3.0, 3.0))
             return argv + ["--bc", draw(st.sampled_from(
-                ["dirichlet-split", "separated:1,0,1,0", "matrix:1,0.5,0,1", theta, theta]))]
+                ["dirichlet-split", "separated:1,0,1,0", "matrix:1,0.5,0,1",
+                 "matrix:1,0,-5,1", theta, theta]))]
         return argv + ["--profile", draw(PROFILES), "--alpha", draw(_number(-6.0, 6.0)),
                        "--eps", draw(_plain(0.05, 0.5))]
     argv = [command, "--profile", draw(PROFILES)]
@@ -100,6 +101,8 @@ def test_exit_codes_and_replay(argv):
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_solver_argv())
+@example(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+          "--levels", "3", "--bc", "matrix:1,0,-5,1"])  # attractive delta coupling
 def test_solver_exit_codes_and_replay(argv):
     _check_exit_code_and_replay(argv)
 

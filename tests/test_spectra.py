@@ -376,3 +376,110 @@ def test_resolve_cells_matches_recursive_reference():
     assert len(calls) == len(depths)
     for d, shot in zip(depths, calls):
         assert sorted(shot.tolist()) == sorted(x for dd, x in mids if dd == d)
+
+
+# -- exact Sturm index and connected couplings -----------------------------------
+
+POTENTIALS = {
+    "harmonic": (lambda x: x * x, [0.0, 0.0, 1.0], 7.0),
+    "double_well": (lambda x: 0.3 * x - 2.0 * x**2 + 0.5 * x**4, [0.0, 0.3, -2.0, 0.0, 0.5], 5.0),
+}
+
+
+def _fd_levels(Ufun, lo, hi, n, k, s=0.0):
+    """Lowest ``k`` levels of -v'' + U v + s delta(x) v on [lo, hi] with
+    Dirichlet ends: three-point stencil on ``n`` interior nodes, with s/h
+    added at the node x = 0 when the grid has one."""
+    from scipy.linalg import eigh_tridiagonal
+
+    h = (hi - lo) / (n + 1)
+    xs = lo + h * np.arange(1, n + 1)
+    diag = 2.0 / h**2 + Ufun(xs)
+    diag[np.abs(xs) < 0.5 * h] += s / h
+    off = np.full(n - 1, -1.0 / h**2)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+@pytest.mark.parametrize("s", [2.0, -5.0])
+def test_delta_coupling_against_finite_differences(name, s):
+    # (v, v')(+0) = (v(-0), v'(-0) + s v(-0)) is -v'' + U v + s delta v:
+    # non-diagonal couplings, and s = -5 binds a level below min(0, min U) - 1
+    Ufun, coeffs, R = POTENTIALS[name]
+    spec = eigen_limit(polynomial_potential(coeffs, R), ConnectedMatrix(1.0, 0.0, s, 1.0), 6,
+                       eigenfunctions=False)
+    ref = _fd_levels(Ufun, -R, R, 8001, 6, s)
+    assert spec.flags == ["ok"] * 6
+    assert np.allclose(spec.eigenvalues, ref, rtol=1e-4, atol=0.0)
+    assert np.all(spec.residuals < 1e-9)
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIALS))
+def test_sturm_index_counts_finite_difference_levels(name, cfg):
+    from pointbarrier.spectra import _limit_problems
+
+    Ufun, coeffs, R = POTENTIALS[name]
+    U = polynomial_potential(coeffs, R)
+    grid = np.linspace(-30.0, 16.0, 185)
+    cases = [
+        (ConnectedMatrix(1.0, 0.0, 2.0, 1.0), [_fd_levels(Ufun, -R, R, 8001, 30, 2.0)]),
+        (ConnectedMatrix(1.0, 0.0, -5.0, 1.0), [_fd_levels(Ufun, -R, R, 8001, 30, -5.0)]),
+        (DirichletSplit(), [_fd_levels(Ufun, -R, 0.0, 4000, 30), _fd_levels(Ufun, 0.0, R, 4000, 30)]),
+    ]
+    for bc, refs in cases:
+        problems = _limit_problems(U, bc, cfg)
+        assert len(problems) == len(refs)
+        for (what, fvec), ref in zip(problems, refs):
+            # grid points within the FD error of a level are left out
+            lams = grid[np.min(np.abs(grid[:, None] - ref), axis=1) > 1e-3]
+            assert lams.size > 170
+            _, N = fvec(lams, True)
+            assert N.tolist() == np.sum(lams[:, None] >= ref, axis=1).tolist(), (bc, what)
+
+
+@pytest.mark.parametrize("bc", [
+    ConnectedMatrix(0.0, 1.0, -1.0, 0.0),  # C (0, 1) = (1, 0): F0 = pi/2
+    ConnectedMatrix(2.0, 3.0, 1.0, 2.0),
+    Separated(1.0, 0.7, 1.0, -0.4),
+])
+def test_sturm_index_rises_once_per_sign_change(harmonic, cfg, bc):
+    from pointbarrier.spectra import _limit_problems
+
+    lams = np.linspace(-40.0, 16.0, 1121)
+    for what, fvec in _limit_problems(harmonic, bc, cfg):
+        f, N = fvec(lams, True)
+        assert N[0] == 0, what
+        rises = np.diff(N)
+        assert np.all(rises >= 0), what
+        flips = (f[1:] < 0.0) != (f[:-1] < 0.0)
+        assert rises.tolist() == flips.astype(int).tolist(), what
+        assert N[-1] >= 4, what
+
+
+def test_perturbed_scan_splits_only_cells_holding_two_levels(monkeypatch, tilted, step, alpha1):
+    # the converge configuration at eps = 0.05: with an exact index a cell
+    # whose index rises by one holds one root and shows its sign change, so
+    # no cell is halved for a count step without a root
+    from pointbarrier import spectra
+
+    resolve = spectra._resolve_cells
+    split_rises = []
+
+    def spy(fvec, xs, fs, cs, out):
+        known = dict(zip(np.asarray(xs, dtype=float).tolist(), np.asarray(cs).tolist()))
+
+        def shoot_mids(mids, with_counts=False):
+            vals, counts = fvec(mids, True)
+            pts = sorted(known)
+            for m in np.asarray(mids).tolist():
+                i = int(np.searchsorted(pts, m))
+                split_rises.append(known[pts[i]] - known[pts[i - 1]])
+            known.update(zip(np.asarray(mids).tolist(), counts.tolist()))
+            return vals, counts
+
+        resolve(shoot_mids, xs, fs, cs, out)
+
+    monkeypatch.setattr(spectra, "_resolve_cells", spy)
+    spec = eigen_perturbed(tilted, step, alpha1, 0.05, (1, 4))
+    assert spec.flags == ["diving", "ok", "ok", "ok"]
+    assert all(rise >= 2 for rise in split_rises), split_rises
