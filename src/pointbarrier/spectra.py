@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     NotInResonanceSetError,
@@ -60,7 +59,6 @@ __all__ = [
     "interval_limit_frequencies",
     "split_limit_frequencies",
     "corrector_lambda1",
-    "finite_difference_levels",
 ]
 
 DEFAULT_EIG_TOL = 1e-8
@@ -294,22 +292,25 @@ def _matching(chains, cfg, C=None, W=(0.0, 1.0)):
 
 def _weyl_scan(U: ConfiningPotential) -> tuple[Callable[[float], float], float]:
     """The Weyl gap function of U and a scan start below min(0, min U),
-    both from one sampling of U on [-R, R]."""
+    both from one sampling of U on [-R, R].  Below min U the gap is the
+    distance to min U (at least 0.5), so a deep start reaches it in a few
+    steps."""
     R = U.truncation_radius
     xs = np.linspace(-R, R, 801)
     Us = np.array([U.U(float(x)) for x in xs])
+    u_min = float(Us.min())
 
     def gap(lam: float) -> float:
         diff = lam - Us
         mask = diff > 1e-9
         if not np.any(mask):
-            return 0.5
+            return max(0.5, u_min - lam)
         dens = np.trapezoid(1.0 / np.sqrt(diff[mask]), xs[mask]) / (2.0 * math.pi)
         if dens <= 0.0:
             return 0.5
         return min(1.0 / dens, 20.0)
 
-    return gap, min(0.0, float(Us.min())) - 1.0
+    return gap, min(0.0, u_min) - 1.0
 
 
 def _verified_scan(
@@ -867,25 +868,6 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     n = len(x) - 1
     h = (x[-1] - x[0]) / n
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
-
-
-# -- finite-difference reference (independent of all shooting paths) -----------------
-
-def finite_difference_levels(
-    Ufun: Callable[[float], float], x_lo: float, x_hi: float, n: int, k: int
-) -> np.ndarray:
-    """Lowest ``k`` Dirichlet eigenvalues of -v'' + U v on [x_lo, x_hi] by a
-    symmetric three-point discretization with ``n`` interior points.
-
-    Serves as the independent cross-check for the shooting solvers; its
-    error is O(h^2) with h = (x_hi - x_lo) / (n + 1).
-    """
-    h = (x_hi - x_lo) / (n + 1)
-    xs = x_lo + h * np.arange(1, n + 1)
-    diag = 2.0 / (h * h) + np.array([Ufun(float(x)) for x in xs])
-    off = np.full(n - 1, -1.0 / (h * h))
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-    return vals
 
 
 # -- eigenfunction assembly ----------------------------------------------------------

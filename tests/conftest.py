@@ -3,7 +3,8 @@
 The transcendental constants (resonant couplings of the step profile) are
 recomputed here by plain bisection on tanh(k) - tan(k), independently of
 the library's scan machinery, and frozen for the whole session.  Family
-propagations are checked against scipy's DOP853 integrator.
+propagations are checked against scipy's DOP853 integrator, and eigenvalues
+against a tridiagonal finite-difference diagonalization.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 
 from pointbarrier import profiles
 from pointbarrier.ivp import SolverConfig
@@ -66,6 +68,20 @@ def dop853_family(segments, m, init, samples=None):
         y = sol.y[:, -1]
     sampled = np.array(recorded) if samples is not None else None
     return y.reshape(2, n), sampled, zeros
+
+
+def fd_levels(U, lo, hi, n, k, s=0.0):
+    """Lowest ``k`` Dirichlet eigenvalues of -v'' + U v + s delta(x) v on
+    [lo, hi]: three-point stencil on ``n`` interior nodes, ``U`` evaluated
+    on the node array at once, s/h added at the node x = 0 when the grid
+    has one.  Independent of every shooting path; the error is O(h^2) for
+    smooth U, with h = (hi - lo) / (n + 1)."""
+    h = (hi - lo) / (n + 1)
+    xs = lo + h * np.arange(1, n + 1)
+    diag = 2.0 / h**2 + U(xs)
+    diag[np.abs(xs) < 0.5 * h] += s / h
+    off = np.full(n - 1, -1.0 / h**2)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
 
 
 def gauss_legendre_moment(p, k, n=48):

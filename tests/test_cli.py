@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,3 +338,14 @@ def test_exponent_form_negative_window(tmp_path, window, lo):
     assert manifest["params"]["window"] == [lo, float(window[1])]
     assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "w2")]) == 0
     assert _read(tmp_path / "w2" / "resonances.csv") == _read(out / "resonances.csv")
+
+
+def test_cli_import_loads_no_scipy():
+    # the library and its CLI run on numpy and the standard library alone
+    code = ("import pointbarrier.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -103,6 +103,10 @@ def test_exit_codes_and_replay(argv):
 @given(_solver_argv())
 @example(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
           "--levels", "3", "--bc", "matrix:1,0,-5,1"])  # attractive delta coupling
+@example(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+          "--levels", "3", "--bc", "dirichlet-split"])
+@example(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+          "--levels", "3", "--bc", "separated:1,0,1,0"])
 def test_solver_exit_codes_and_replay(argv):
     _check_exit_code_and_replay(argv)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import fd_levels
 
 from pointbarrier.errors import (
     NotInResonanceSetError,
@@ -19,7 +20,6 @@ from pointbarrier.spectra import (
     corrector_lambda1,
     eigen_limit,
     eigen_perturbed,
-    finite_difference_levels,
     interval_limit_frequencies,
     interval_negative_levels,
     interval_spectrum,
@@ -66,7 +66,7 @@ def test_finite_difference_oracle_equivalence(harmonic):
     # independent route: dense symmetric three-point discretization of the
     # decoupled half problems
     spec = eigen_limit(harmonic, DirichletSplit(), 6, eigenfunctions=False)
-    fd = finite_difference_levels(lambda x: x * x, 0.0, harmonic.truncation_radius, 24000, 3)
+    fd = fd_levels(lambda x: x * x, 0.0, harmonic.truncation_radius, 24000, 3)
     merged = np.sort(np.concatenate([fd, fd]))
     assert np.allclose(spec.eigenvalues, merged, atol=1e-5)
 
@@ -150,20 +150,15 @@ def test_spectrum_ordering_validation():
 @pytest.fixture(scope="module")
 def fd_perturbed_reference(tilted, alpha1):
     """Dense FD diagonalization of the squeezed operator at eps = 0.1."""
-    from scipy.linalg import eigh_tridiagonal
-
     eps = 0.1
     L = tilted.truncation_radius
-    n = 64000
-    h = 2 * L / (n + 1)
-    xs = -L + h * np.arange(1, n + 1)
-    V = xs * xs + xs
-    inside = np.abs(xs) <= eps
-    V = V + np.where(inside & (xs < 0), alpha1 / eps**2, 0.0)
-    V = V - np.where(inside & (xs >= 0), alpha1 / eps**2, 0.0)
-    diag = 2.0 / h**2 + V
-    off = np.full(n - 1, -1.0 / h**2)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, 5), eigvals_only=True)
+
+    def V(xs):
+        inside = np.abs(xs) <= eps
+        return (xs * xs + xs + np.where(inside & (xs < 0), alpha1 / eps**2, 0.0)
+                - np.where(inside & (xs >= 0), alpha1 / eps**2, 0.0))
+
+    return fd_levels(V, -L, L, 64000, 6)
 
 
 def test_perturbed_against_dense_diagonalization(tilted, step, alpha1, fd_perturbed_reference):
@@ -386,20 +381,6 @@ POTENTIALS = {
 }
 
 
-def _fd_levels(Ufun, lo, hi, n, k, s=0.0):
-    """Lowest ``k`` levels of -v'' + U v + s delta(x) v on [lo, hi] with
-    Dirichlet ends: three-point stencil on ``n`` interior nodes, with s/h
-    added at the node x = 0 when the grid has one."""
-    from scipy.linalg import eigh_tridiagonal
-
-    h = (hi - lo) / (n + 1)
-    xs = lo + h * np.arange(1, n + 1)
-    diag = 2.0 / h**2 + Ufun(xs)
-    diag[np.abs(xs) < 0.5 * h] += s / h
-    off = np.full(n - 1, -1.0 / h**2)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
-
-
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
 @pytest.mark.parametrize("s", [2.0, -5.0])
 def test_delta_coupling_against_finite_differences(name, s):
@@ -408,10 +389,30 @@ def test_delta_coupling_against_finite_differences(name, s):
     Ufun, coeffs, R = POTENTIALS[name]
     spec = eigen_limit(polynomial_potential(coeffs, R), ConnectedMatrix(1.0, 0.0, s, 1.0), 6,
                        eigenfunctions=False)
-    ref = _fd_levels(Ufun, -R, R, 8001, 6, s)
+    ref = fd_levels(Ufun, -R, R, 8001, 6, s)
     assert spec.flags == ["ok"] * 6
     assert np.allclose(spec.eigenvalues, ref, rtol=1e-4, atol=0.0)
     assert np.all(spec.residuals < 1e-9)
+
+
+def test_deep_bound_level_is_reached_in_few_steps(monkeypatch, harmonic):
+    # s = -50 binds a level near -625, so the scan starts far below min U:
+    # the gap there is the distance to min U, not a fixed 0.5
+    from pointbarrier import spectra
+
+    members = []
+    propagate = spectra.propagate_family
+
+    def counted(chain, lams, *args, **kwargs):
+        members.append(np.size(lams))
+        return propagate(chain, lams, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "propagate_family", counted)
+    spec = eigen_limit(harmonic, ConnectedMatrix(1.0, 0.0, -50.0, 1.0), 3, eigenfunctions=False)
+    assert sum(members) < 1000
+    R = harmonic.truncation_radius
+    ref = fd_levels(lambda x: x * x, -R, R, 28001, 3, -50.0)
+    assert np.allclose(spec.eigenvalues, ref, rtol=1e-4, atol=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
@@ -422,9 +423,9 @@ def test_sturm_index_counts_finite_difference_levels(name, cfg):
     U = polynomial_potential(coeffs, R)
     grid = np.linspace(-30.0, 16.0, 185)
     cases = [
-        (ConnectedMatrix(1.0, 0.0, 2.0, 1.0), [_fd_levels(Ufun, -R, R, 8001, 30, 2.0)]),
-        (ConnectedMatrix(1.0, 0.0, -5.0, 1.0), [_fd_levels(Ufun, -R, R, 8001, 30, -5.0)]),
-        (DirichletSplit(), [_fd_levels(Ufun, -R, 0.0, 4000, 30), _fd_levels(Ufun, 0.0, R, 4000, 30)]),
+        (ConnectedMatrix(1.0, 0.0, 2.0, 1.0), [fd_levels(Ufun, -R, R, 8001, 30, 2.0)]),
+        (ConnectedMatrix(1.0, 0.0, -5.0, 1.0), [fd_levels(Ufun, -R, R, 8001, 30, -5.0)]),
+        (DirichletSplit(), [fd_levels(Ufun, -R, 0.0, 4000, 30), fd_levels(Ufun, 0.0, R, 4000, 30)]),
     ]
     for bc, refs in cases:
         problems = _limit_problems(U, bc, cfg)
