@@ -13,21 +13,24 @@ the squeezed barrier, as well as its limiting transmission probability.
 
 ``alpha = 0`` is always resonant (constants solve the equation, theta = 1)
 but is a *double* zero of D for zero-mean profiles, so scans insert it
-analytically instead of relying on a sign change.
+analytically instead of relying on a sign change.  Away from 0 every
+resonance is a simple zero of D, and the scan counts them: the Neumann
+index N(alpha), the number of eigenvalues <= 0 of
+-w'' + alpha profile w = lambda w, rises by exactly one at each resonance
+as |alpha| grows, so a scan knows how many roots each grid cell holds.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInResonanceSetError
+from .errors import NotInResonanceSetError, NumericsError
 from .ivp import DEFAULT_CONFIG, FamilyResult, FamilySegment, SolverConfig, propagate_family
-from .profiles import Profile
-from .rootfind import bisect_vector, sign_change_brackets
+from .profiles import Profile, ProfileKind, classify
+from .rootfind import bisect_vector, resolve_cells
 
 __all__ = [
     "ResonancePoint",
@@ -51,9 +54,9 @@ class ResonancePoint:
     the natural derivative scale of the shot (see ``scaled_residual``), so
     it stays meaningful when the eigenfunction grows exponentially in the
     coupling constant.  ``xi``/``w`` sample the eigenfunction, normalized
-    to w(-1) = 1, on a uniform grid of [-1, 1].  ``flagged`` marks
-    tangency candidates reported by the double-root guard, which are not
-    confirmed sign-change roots.
+    to w(-1) = 1, on a uniform grid of [-1, 1].  ``flagged`` marks a
+    counted root whose shot misses the scan's residual tolerance: the index
+    proves a resonance there, but the shot is too inexact to confirm it.
     """
 
     alpha: float
@@ -132,17 +135,11 @@ def _eigenfunction_samples(p: Profile, alpha: float, cfg: SolverConfig, n_sample
     return xi, res.sample_states[:, 0, 0].copy()
 
 
-def _point(p, alpha, cfg, n_samples, flagged=False) -> ResonancePoint:
+def _point(p, alpha, cfg, n_samples, residual_tol) -> ResonancePoint:
     w1, dw1 = shoot(p, alpha, cfg)
     xi, w = _eigenfunction_samples(p, alpha, cfg, n_samples)
-    return ResonancePoint(
-        alpha=float(alpha),
-        theta=float(w1),
-        residual=scaled_residual(p, alpha, w1, dw1),
-        xi=xi,
-        w=w,
-        flagged=flagged,
-    )
+    rho = scaled_residual(p, alpha, w1, dw1)
+    return ResonancePoint(float(alpha), float(w1), rho, xi, w, flagged=not rho <= residual_tol)
 
 
 def resonance_scan(
@@ -154,22 +151,18 @@ def resonance_scan(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     *,
     n_samples: int = 401,
-    halving_check: bool = True,
 ) -> list[ResonancePoint]:
     """All resonant couplings in [alpha_min, alpha_max], sorted ascending.
 
-    Sign changes of D(alpha) on a uniform grid are bracketed and refined by
-    vectorized bisection; roots are simple away from zero, so bracketing
-    finds them all provided ``scan_step`` is below the smallest root gap.
-    A second pass at half the step guards against a too-coarse grid (a
-    warning is raised and the extra roots are merged in).  It reuses the
-    coarse shots for the half grid's even points and refines only the
-    half-step brackets that hold no coarse root, so a half cell that holds
-    a coarse root plus two more roots is not searched again (bisecting it
-    could only find one of the two, and only by chance).  alpha = 0 is
-    inserted analytically whenever the window contains it.  Grid points
-    where |D| dips below tolerance without a sign change are returned as
-    ``flagged`` tangency candidates rather than confirmed resonances.
+    Each side of alpha = 0 is scanned in t = |alpha| on the points of one
+    uniform grid of the window.  The Neumann index (see ``_counted``)
+    rises by exactly one at each resonance of a side, so
+    ``resolve_cells`` halves every cell that hides roots until each shows
+    its own sign change of D, and the brackets of both sides are refined
+    together by vectorized bisection.  A side that brackets fewer roots
+    than its index rise at the halving floor raises ``NumericsError``.
+    alpha = 0 is inserted analytically whenever the window contains it.
+    Roots whose shot misses ``residual_tol`` come back ``flagged``.
     """
     if not alpha_min < alpha_max:
         raise ValueError("need alpha_min < alpha_max")
@@ -177,115 +170,77 @@ def resonance_scan(
         raise ValueError("scan_step must be positive")
     cfg = cfg or DEFAULT_CONFIG
 
-    grid = _grid(alpha_min, alpha_max, scan_step)
-    shots = shoot_family(p, grid, cfg).states
-    roots = _refine(p, sign_change_brackets(grid, shots[1]), scan_step, cfg)
-    if halving_check:
-        extra = _half_step_roots(p, grid, shots[1], roots, scan_step, cfg)
-        if extra:
-            warnings.warn(
-                f"scan_step={scan_step} too coarse for profile {p.label!r}: "
-                f"half-step re-scan found additional resonances {extra}",
-                stacklevel=2,
-            )
-            roots.extend(extra)
-
-    # alpha = 0 is resonant for every profile; for zero-mean profiles it is
-    # a double root of D with no sign change, so it is inserted by hand.
-    zero_guard = max(scan_step, 1e-6)
-    roots = [r for r in roots if abs(r) > 1e-12]
-    points = [_point(p, r, cfg, n_samples) for r in sorted(roots)]
-    dropped = [pt for pt in points if not pt.residual <= residual_tol]
-    if dropped:
-        # D changes sign across each of them, so a root is there; the shot
-        # at the refined alpha is not accurate enough to confirm it
-        warnings.warn(
-            f"residual_tol={residual_tol:g} drops sign-change roots of profile {p.label!r}: "
-            + ", ".join(f"alpha={pt.alpha!r} (residual {pt.residual:.3e})" for pt in dropped),
-            stacklevel=2,
-        )
-    points = [pt for pt in points if pt.residual <= residual_tol]
-
+    n_cells = max(1, math.ceil((alpha_max - alpha_min) / scan_step))
+    grid = np.linspace(alpha_min, alpha_max, n_cells + 1)
+    cls = classify(p)
+    m0 = cls.m0 if cls.kind is ProfileKind.GENERAL else 0.0
+    brackets = []
+    for side in (-1.0, 1.0):
+        brackets.extend(_side_brackets(p, side, side * grid, m0, cfg))
+    points = [_point(p, r, cfg, n_samples, residual_tol) for r in _refine(p, brackets, cfg)]
     if alpha_min <= 0.0 <= alpha_max:
-        points.append(_point(p, 0.0, cfg, n_samples))
-
-    points.extend(
-        _tangency_candidates(p, grid, shots, scan_step, cfg, residual_tol,
-                             n_samples, [pt.alpha for pt in points], zero_guard)
-    )
+        points.append(_point(p, 0.0, cfg, n_samples, residual_tol))
     points.sort(key=lambda pt: pt.alpha)
     return points
 
 
-def _grid(alpha_min, alpha_max, step) -> np.ndarray:
-    """Uniform scan grid of cells no wider than about ``step``."""
-    n_cells = max(1, int(math.ceil((alpha_max - alpha_min) / step)))
-    return np.linspace(alpha_min, alpha_max, n_cells + 1)
+def _counted(p, side, cfg):
+    """``fvec(ts, True) -> (D, N)`` at alpha = side * ts.
 
-
-def _refine(p, brackets, step, cfg) -> list[float]:
-    """Simple roots of D in the sign-change ``brackets`` of a grid of ``step``."""
-    if not brackets:
-        return []
-    lo = np.array([a for a, _ in brackets])
-    hi = np.array([b for _, b in brackets])
-
-    def fvec(xs: np.ndarray) -> np.ndarray:
-        return shoot_family(p, xs, cfg).states[1]
-
-    roots = bisect_vector(fvec, lo, hi, xtol=1e-14, rtol=4e-16)
-    # simplicity check: D must change sign across each reported root
-    delta = step / 10.0
-    sides = fvec(np.concatenate([roots - delta, roots + delta]))
-    left, right = sides[:roots.size], sides[roots.size:]
-    return [float(r) for r, fl, fr in zip(roots, left, right) if (fl < 0) != (fr < 0)]
-
-
-def _half_step_roots(p, grid, miss, roots, step, cfg) -> list[float]:
-    """Roots of the half-step re-scan that the coarse pass did not find.
-
-    ``grid`` and ``miss`` are the coarse grid and its D values.  The half
-    grid splits every coarse cell in two; its even points are the coarse
-    grid (``linspace`` gives them bitwise), so only its midpoints are shot.
-    A half-step bracket that holds a coarse root is not refined; roots
-    refined elsewhere are dropped when they lie within the merge tolerance
-    of a coarse root.
+    N is the Neumann index: the number of eigenvalues <= 0 of
+    -w'' + alpha profile w = lambda w with Neumann ends, read off the
+    left Neumann shot as its zero count plus [atan2(w, w') mod pi >= pi/2]
+    at xi = 1.  Each eigencurve crosses 0 only at a resonance, with slope
+    of sign -sgn(alpha), so N never decreases in t and rises by exactly
+    one at each resonance (Binding & Volkmer, SIAM Rev. 38 (1996) 27-48).
     """
-    alpha_min, alpha_max = float(grid[0]), float(grid[-1])
-    half = np.linspace(alpha_min, alpha_max, 2 * grid.size - 1)
-    miss_half = np.empty(half.size)
-    miss_half[::2] = miss
-    miss_half[1::2] = shoot_family(p, half[1::2], cfg).states[1]
-    known = np.array(roots)
-    unexplained = [
-        (a, b) for a, b in sign_change_brackets(half, miss_half)
-        if not np.any((a <= known) & (known <= b))
-    ]
-    merge_tol = 1e-6 * max(1.0, abs(alpha_min), abs(alpha_max))
-    refined = _refine(p, unexplained, step / 2.0, cfg)
-    return [r for r in refined if all(abs(r - s) > merge_tol for s in roots)]
+    segs = _alpha_segments(p)
+
+    def fvec(ts, with_counts=True):
+        res = propagate_family(segs, side * np.asarray(ts, dtype=float),
+                               np.array([1.0, 0.0]), cfg, count_zeros=True)
+        w1, dw1 = res.states
+        return dw1, res.zero_counts + (np.arctan2(w1, dw1) % math.pi >= 0.5 * math.pi)
+
+    return fvec
 
 
-def _tangency_candidates(
-    p, grid, shots, step, cfg, residual_tol, n_samples, known, zero_guard
-) -> list[ResonancePoint]:
-    """Double-root guard: |D| below tolerance on the scan grid with no sign
-    change, read off the scan's ``shots``."""
-    w1, dw1 = shots
-    rho = scaled_residual(p, grid, w1, dw1)
-    out = []
-    for i in np.flatnonzero(rho <= residual_tol):
-        a = grid[i]
-        if abs(a) <= 1.5 * zero_guard:
-            continue
-        if any(abs(a - r) <= 2.0 * step for r in known):
-            continue
-        is_min = (i == 0 or abs(dw1[i]) <= abs(dw1[i - 1])) and (
-            i == len(grid) - 1 or abs(dw1[i]) <= abs(dw1[i + 1])
+def _side_brackets(p, side, ts, m0, cfg) -> list[tuple[float, float]]:
+    """Sign-change brackets, in alpha, of the resonances on one ``side``
+    (+1 or -1) of alpha = 0, from the grid points ``ts`` = side * grid.
+
+    A side that holds 0 starts its scan there, where the shot is exactly
+    (1, 0) and N = 1.  For a nonzero mean m0 the ground level leaves 0
+    upwards on the side where alpha m0 > 0, so N starts at 0 there.
+    """
+    ts = np.sort(ts)
+    if ts[-1] <= 0.0:
+        return []
+    if ts[0] < 0.0:
+        ts = np.concatenate(([0.0], ts[ts > 0.0]))
+    fvec = _counted(p, side, cfg)
+    fs, cs = fvec(ts, True)
+    if ts[0] == 0.0 and side * m0 > 0.0:
+        cs[0] -= 1
+    out: list[tuple[float, float]] = []
+    resolve_cells(fvec, ts, fs, cs, out)
+    if len(out) < cs[-1] - cs[0]:
+        lo, hi = sorted((side * ts[0], side * ts[-1]))
+        raise NumericsError(
+            f"resonance scan of profile {p.label!r} on [{lo:.10g}, {hi:.10g}]: the Neumann "
+            f"index counts {cs[-1] - cs[0]} resonances, but only {len(out)} show a sign "
+            "change at the halving floor"
         )
-        if is_min:
-            out.append(_point(p, float(a), cfg, n_samples, flagged=True))
-    return out
+    return [(a, b) if side > 0.0 else (-b, -a) for a, b in out]
+
+
+def _refine(p, brackets, cfg) -> np.ndarray:
+    """Roots of D in the sign-change ``brackets``, all in one bisection."""
+    if not brackets:
+        return np.empty(0)
+    lo, hi = np.array(brackets).T
+    miss = lambda xs: shoot_family(p, xs, cfg).states[1]
+    return bisect_vector(miss, lo, hi, xtol=1e-14, rtol=4e-16)
 
 
 def coupling_theta(

@@ -1,7 +1,9 @@
 """Bracketing and scalar root refinement used by every spectral scan.
 
 Scans evaluate a smooth miss function on a grid (often vectorized), pick up
-sign changes, then polish each bracket.  ``brent`` is the classic
+sign changes, then polish each bracket.  Every eigenvalue and resonance
+scan brackets with ``resolve_cells``: an exact root count at the grid
+points tells it which cells hide roots.  ``brent`` is the classic
 inverse-quadratic/secant/bisection combination; ``bisect_vector`` polishes
 many brackets simultaneously when the miss function can be evaluated on a
 whole vector of points at once (one family propagation per iteration).
@@ -30,6 +32,45 @@ def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple
         if (fa < 0.0) != (fb < 0.0):
             out.append((xs[i], xs[i + 1]))
     return out
+
+
+def resolve_cells(fvec, xs, fs, cs, out) -> None:
+    """Append to ``out`` the sign-change brackets in the cells of the
+    ascending points ``xs``, with values ``fs`` and zero counts ``cs``, in
+    ascending order.
+
+    A cell whose count rises by two or more, or by one with no sign
+    change (a count that is not an exact index), hides roots: it is
+    halved until each root shows its own sign change, down to a width of
+    1e-5 max(1, |xa|, |xb|) or 40 halvings.
+    Halving is level-synchronous: every pending cell of one level is split
+    at once and all the midpoints are shot in one ``fvec(mids, True)``
+    call.  The cells stay disjoint, so sorting the brackets by their left
+    ends gives the order of a left-to-right depth-first halving.
+    """
+    x = np.asarray(xs, dtype=float)
+    f = np.asarray(fs, dtype=float)
+    c = np.asarray(cs, dtype=int)
+    xa, fa, ca, xb, fb, cb = x[:-1], f[:-1], c[:-1], x[1:], f[1:], c[1:]
+    lo, hi = [], []
+    for depth in range(41):
+        sign = (fa != 0.0) & (fb != 0.0) & ((fa < 0.0) != (fb < 0.0))
+        rise = cb - ca
+        floor = 1e-5 * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
+        split = ((rise >= 2) | ((rise == 1) & ~sign)) & (xb - xa > floor) & (depth < 40)
+        done = sign & ~split
+        lo.append(xa[done])
+        hi.append(xb[done])
+        if not split.any():
+            break
+        xa, fa, ca, xb, fb, cb = (v[split] for v in (xa, fa, ca, xb, fb, cb))
+        xm = 0.5 * (xa + xb)
+        fm, cm = fvec(xm, True)
+        xa, fa, ca = np.concatenate((xa, xm)), np.concatenate((fa, fm)), np.concatenate((ca, cm))
+        xb, fb, cb = np.concatenate((xm, xb)), np.concatenate((fm, fb)), np.concatenate((cm, cb))
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    order = np.argsort(lo)
+    out.extend(zip(lo[order].tolist(), hi[order].tolist()))
 
 
 def brent(

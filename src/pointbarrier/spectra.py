@@ -41,7 +41,7 @@ from .errors import (
 from .ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_family
 from .profiles import Profile, reflect
 from .resonance import _alpha_segments, scaled_residual, shoot
-from .rootfind import brent, illinois_vector, sign_change_brackets
+from .rootfind import brent, illinois_vector, resolve_cells, sign_change_brackets
 
 __all__ = [
     "DirichletSplit",
@@ -328,7 +328,7 @@ def _verified_scan(
     index counts the eigenvalues at or below each point exactly, so a cell
     across which it rises by two or more holds that many roots (near-
     degenerate pairs of split-like problems defeat any fixed grid), and
-    ``_resolve_cells`` halves it, one level of midpoints per call, until
+    ``resolve_cells`` halves it, one level of midpoints per call, until
     every root shows its own sign change.  The index is 0 at ``start``
     when no level lies below it, as ``_scan_start`` makes sure.
     """
@@ -345,7 +345,7 @@ def _verified_scan(
                 break
         v, c = fvec(np.array(xs[vals.size:]), True)
         vals, counts = np.concatenate((vals, v)), np.concatenate((counts, c))
-        _resolve_cells(fvec, xs, vals, counts, brackets)
+        resolve_cells(fvec, xs, vals, counts, brackets)
         xs, vals, counts = xs[-1:], vals[-1:], counts[-1:]
         if xs[0] > ceiling:
             if len(brackets) < k_needed:
@@ -360,51 +360,12 @@ def _verified_scan(
     return brackets[:k_needed]
 
 
-def _resolve_cells(fvec, xs, fs, cs, out) -> None:
-    """Append to ``out`` the sign-change brackets in the cells of the
-    ascending points ``xs``, with values ``fs`` and zero counts ``cs``, in
-    ascending order.
-
-    A cell whose count rises by two or more, or by one with no sign
-    change (a count that is not an exact index), hides roots: it is
-    halved until each root shows its own sign change, down to a width of
-    1e-5 max(1, |xa|, |xb|) or 40 halvings.
-    Halving is level-synchronous: every pending cell of one level is split
-    at once and all the midpoints are shot in one ``fvec(mids, True)``
-    call.  The cells stay disjoint, so sorting the brackets by their left
-    ends gives the order of a left-to-right depth-first halving.
-    """
-    x = np.asarray(xs, dtype=float)
-    f = np.asarray(fs, dtype=float)
-    c = np.asarray(cs, dtype=int)
-    xa, fa, ca, xb, fb, cb = x[:-1], f[:-1], c[:-1], x[1:], f[1:], c[1:]
-    lo, hi = [], []
-    for depth in range(41):
-        sign = (fa != 0.0) & (fb != 0.0) & ((fa < 0.0) != (fb < 0.0))
-        rise = cb - ca
-        floor = 1e-5 * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
-        split = ((rise >= 2) | ((rise == 1) & ~sign)) & (xb - xa > floor) & (depth < 40)
-        done = sign & ~split
-        lo.append(xa[done])
-        hi.append(xb[done])
-        if not split.any():
-            break
-        xa, fa, ca, xb, fb, cb = (v[split] for v in (xa, fa, ca, xb, fb, cb))
-        xm = 0.5 * (xa + xb)
-        fm, cm = fvec(xm, True)
-        xa, fa, ca = np.concatenate((xa, xm)), np.concatenate((fa, fm)), np.concatenate((ca, cm))
-        xb, fb, cb = np.concatenate((xm, xb)), np.concatenate((fm, fb)), np.concatenate((cm, cb))
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    order = np.argsort(lo)
-    out.extend(zip(lo[order].tolist(), hi[order].tolist()))
-
-
 def _grid_roots(fvec, grid: np.ndarray, xtol: float, rtol: float) -> np.ndarray:
     """Roots of ``fvec`` in the cells of the ascending ``grid``: cells are
     split until the zero counts show every root, then refined together."""
     vals, counts = fvec(grid, True)
     brackets: list[tuple[float, float]] = []
-    _resolve_cells(fvec, grid, vals, counts, brackets)
+    resolve_cells(fvec, grid, vals, counts, brackets)
     if not brackets:
         return np.empty(0)
     lo = np.array([x for x, _ in brackets])
@@ -461,14 +422,16 @@ def eigen_limit(
                                   k_max, what)
         roots, residuals = _refine(fvec, brackets, eig_tol)
         found.extend((lam, res, flag) for lam, res in zip(roots, residuals))
-    found = sorted(found, key=lambda t: t[0])[:k_max]
+    found = sorted(found, key=lambda t: t[0])
     lams = np.array([t[0] for t in found])
     residuals = np.array([t[1] for t in found])
     flags = [t[2] for t in found]
+    # flag before the cut: the partner of the last kept level may lie beyond it
     for i in range(len(lams) - 1):
         if lams[i + 1] - lams[i] < 10.0 * eig_tol:
             flags[i] += ",degenerate"
             flags[i + 1] += ",degenerate"
+    lams, residuals, flags = lams[:k_max], residuals[:k_max], flags[:k_max]
 
     if lams.size and lams[-1] > ceiling:
         raise TruncationDomainError(
@@ -671,7 +634,7 @@ def interval_spectrum(
         xs = np.concatenate(([omega], omegas)) ** 2
         v, c = fvec(xs[vals.size:], True)
         vals, counts = np.concatenate((vals, v)), np.concatenate((counts, c))
-        _resolve_cells(fvec, xs, vals, counts, brackets)
+        resolve_cells(fvec, xs, vals, counts, brackets)
         omega = float(omegas[-1])
         vals, counts = vals[-1:], counts[-1:]
         guard += 1

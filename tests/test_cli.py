@@ -49,6 +49,42 @@ def test_resonance_eigenfunction_export(tmp_path):
     assert first[0] == -1.0 and first[1] == 1.0  # w(-1) = 1 normalization
 
 
+def test_resonances_finds_the_near_degenerate_even_pair(tmp_path):
+    out = tmp_path / "pair"
+    assert main(["resonances", "--profile", "even_quadratic", "--window", "100", "110",
+                 "--out", str(out)]) == 0
+    lines = _read(out / "resonances.csv").strip().splitlines()
+    alphas = [float(line.split(",")[0]) for line in lines[1:]]
+    assert np.allclose(alphas, [106.86346, 106.86817], rtol=0.0, atol=1e-5)
+
+
+def test_resonances_shortfall_exits_3(tmp_path, capsys):
+    # the pair at 350.8957 is 4e-6 apart, below the 1e-5 relative halving
+    # floor: the index counts two roots that no cell separates
+    out = tmp_path / "short"
+    assert main(["resonances", "--profile", "even_quadratic", "--window", "350", "352",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:")
+    assert "[350, 352]" in err[0]
+
+
+def test_residual_gate_misses_go_to_candidates(tmp_path, kappa_roots):
+    # no shot meets residual_tol = 1e-30: the two counted roots on [0, 60]
+    # are written as candidates, not dropped
+    out = tmp_path / "cand"
+    assert main(["resonances", "--profile", "step", "--window", "0", "60", "--scan-step", "1",
+                 "--residual-tol", "1e-30", "--out", str(out)]) == 0
+    confirmed = _read(out / "resonances.csv").strip().splitlines()
+    assert [float(line.split(",")[0]) for line in confirmed[1:]] == [0.0]
+    lines = _read(out / "resonance_candidates.csv").strip().splitlines()
+    assert lines[0] == "alpha,theta,residual"
+    alphas = [float(line.split(",")[0]) for line in lines[1:]]
+    assert np.allclose(alphas, [k * k for k in kappa_roots], rtol=0.0, atol=1e-7)
+    manifest = json.loads(_read(out / "manifest.json"))
+    assert manifest["outputs"] == ["resonances.csv", "resonance_candidates.csv"]
+
+
 def test_byte_identical_reruns(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
@@ -252,6 +288,17 @@ _PARSE_REJECTS = [
 ]
 
 # out-of-domain values that only the library entry points reject
+def test_spectrum_limit_flags_a_degenerate_partner_beyond_the_cut(tmp_path):
+    # the split harmonic box has the pairs (3, 3) and (7, 7); with three
+    # levels the partner of level 3 is cut, but level 3 is still flagged
+    out = tmp_path / "deg"
+    assert main(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+                 "--levels", "3", "--bc", "dirichlet-split", "--out", str(out)]) == 0
+    lines = _read(out / "spectrum.csv").strip().splitlines()
+    flags = [line.split(",", 3)[3] for line in lines[1:]]
+    assert flags == ["left,degenerate", "right,degenerate", "left,degenerate"]
+
+
 _LIBRARY_REJECTS = [
     ["spectrum", "--mode", "perturbed", "--profile", "step", "--potential", "harmonic",
      "--radius", "7", "--alpha", "1", "--eps", "1.5"],

@@ -1,11 +1,14 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 from conftest import bisect_oracle, dop853_family
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pointbarrier import profiles, resonance
 from pointbarrier.errors import NotInResonanceSetError
+from pointbarrier.experiments import even_counterexample_profile
 from pointbarrier.ivp import FamilySegment
 from pointbarrier.resonance import (
     coupling_theta,
@@ -171,30 +174,14 @@ def test_scaled_residual_discriminates(step, alpha1):
 
 
 def test_halving_rescan_recovers_missed_roots(step, kappa_roots):
-    # a deliberately coarse grid misses the first resonance; the half-step
-    # consistency pass warns and merges it back in
+    # the coarse cell [0, 30] holds the first root, but D vanishes at its
+    # left end (the double zero at 0), so it shows no sign change; the
+    # index rises by one across it, so it is halved until the root shows
+    # its own (and no warning is issued: warnings are errors in this suite)
     k1, k2 = kappa_roots
-    with pytest.warns(UserWarning, match="too coarse"):
-        pts = resonance_scan(step, 0.0, 60.0, 30.0)
-    alphas = [pt.alpha for pt in pts]
-    assert alphas[0] == 0.0
-    assert any(abs(a - k1 * k1) < 1e-6 for a in alphas)
-    assert any(abs(a - k2 * k2) < 1e-6 for a in alphas)
-
-
-def test_dropped_sign_change_roots_are_named_in_a_warning(step, kappa_roots):
-    # no shot meets residual_tol = 1e-30, so both refined roots on [0, 60]
-    # are dropped; the scan still returns what it did, and says so
-    kept = resonance_scan(step, 0.0, 60.0, 1.0)
-    roots = [pt for pt in kept if pt.alpha != 0.0]
-    assert len(roots) == 2
-    with pytest.warns(UserWarning, match="drops sign-change roots") as record:
-        pts = resonance_scan(step, 0.0, 60.0, 1.0, residual_tol=1e-30)
-    assert [pt.alpha for pt in pts] == [0.0]
-    assert len(record) == 1
-    msg = str(record[0].message)
-    for pt in roots:
-        assert f"alpha={pt.alpha!r} (residual {pt.residual:.3e})" in msg
+    pts = resonance_scan(step, 0.0, 60.0, 30.0)
+    assert [pt.alpha for pt in pts] == pytest.approx([0.0, k1 * k1, k2 * k2], abs=1e-7)
+    assert not any(pt.flagged for pt in pts)
 
 
 def test_scan_input_validation(step):
@@ -204,71 +191,16 @@ def test_scan_input_validation(step):
         resonance_scan(step, 0.0, 1.0, -0.5)
 
 
-def test_halving_pass_shoots_only_new_midpoints(bump, monkeypatch):
-    from pointbarrier import resonance
-
-    counts = {"members": 0, "bisections": 0}
-    shoot_family_, bisect_vector_ = resonance.shoot_family, resonance.bisect_vector
-
-    def counted_shoot_family(p, alphas, *args, **kwargs):
-        counts["members"] += np.size(alphas)
-        return shoot_family_(p, alphas, *args, **kwargs)
-
-    def counted_bisect_vector(*args, **kwargs):
-        counts["bisections"] += 1
-        return bisect_vector_(*args, **kwargs)
-
-    monkeypatch.setattr(resonance, "shoot_family", counted_shoot_family)
-    monkeypatch.setattr(resonance, "bisect_vector", counted_bisect_vector)
-
-    lo, hi, step_ = -20.0, 20.0, 0.1
-    n_cells = max(1, int(math.ceil((hi - lo) / step_)))
-    plain = resonance_scan(bump, lo, hi, step_, halving_check=False)
-    without = dict(counts)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # no extra roots on this window
-        checked = resonance_scan(bump, lo, hi, step_, halving_check=True)
-    members = counts["members"] - 2 * without["members"]
-    assert members == n_cells
-    assert counts["bisections"] == 2 * without["bisections"]
-    assert len(plain) == len(checked) > 0
-    for a, b in zip(plain, checked):
-        assert (a.alpha, a.theta, a.residual, a.flagged) == (b.alpha, b.theta, b.residual, b.flagged)
-        assert a.w.tobytes() == b.w.tobytes()
-
-
 def test_halving_rescan_recovers_two_roots_in_one_cell(step, kappa_roots):
     # the cell [10, 60] holds both 15.42 and 49.96, so D has the same sign
-    # at its ends; the cell [60, 110] holds one root the coarse pass finds
+    # at its ends but the index rises by 2; the cell [60, 110] holds one
     k1, k2 = kappa_roots
     k3 = bisect_oracle(lambda k: math.tanh(k) - math.tan(k), 3 * math.pi + 0.2, 3.5 * math.pi - 0.2)
-    with pytest.warns(UserWarning, match="too coarse"):
-        pts = resonance_scan(step, 10.0, 110.0, 50.0)
+    pts = resonance_scan(step, 10.0, 110.0, 50.0)
     alphas = [pt.alpha for pt in pts]
     assert len(alphas) == 3 and not any(pt.flagged for pt in pts)
     for a, k in zip(alphas, (k1, k2, k3)):
-        assert a == pytest.approx(k * k, abs=1e-6)
-
-
-def test_tangency_candidate_flagged_below_tolerance_only(step):
-    from pointbarrier.ivp import DEFAULT_CONFIG
-    from pointbarrier.resonance import DEFAULT_RESIDUAL_TOL, _tangency_candidates
-
-    pmax = step.max_abs()
-    grid = np.linspace(10.0, 11.0, 11)
-    w1 = np.full(grid.size, 2.0)
-    # |D| dips to a minimum at grid[5] without changing sign
-    dw1 = 1e-3 * (1.0 + (np.arange(grid.size) - 5.0) ** 2)
-    kappa = math.sqrt(grid[5] * pmax)
-
-    def candidates(dip):
-        dw1[5] = dip * kappa * 2.0
-        return _tangency_candidates(step, grid, np.array([w1, dw1]), 0.1, DEFAULT_CONFIG,
-                                    DEFAULT_RESIDUAL_TOL, 11, [], 1e-6)
-
-    (pt,) = candidates(0.5 * DEFAULT_RESIDUAL_TOL)
-    assert pt.flagged and pt.alpha == grid[5]
-    assert candidates(1.01 * DEFAULT_RESIDUAL_TOL) == []
+        assert a == pytest.approx(k * k, abs=1e-7)
 
 
 def test_scaled_residual_array_matches_scalar(bump):
@@ -281,33 +213,116 @@ def test_scaled_residual_array_matches_scalar(bump):
         assert isinstance(one, float) and one == rho[i]
 
 
-def test_halving_pass_refines_next_to_a_root_below_a_grid_point(step, monkeypatch):
-    # D has a root just below the grid point 1.0 (inside the merge
-    # tolerance) and two roots in the coarse cell [1, 2], which the coarse
-    # grid cannot see; the half cells [1, 1.5] and [1.5, 2] hold one each
-    from pointbarrier import resonance
+# -- the Neumann index ---------------------------------------------------------
 
-    r1, r2, r3 = 1.0 - 1e-7, 1.3, 1.8
-
-    class Shots:
-        def __init__(self, alphas):
-            alphas = np.asarray(alphas, dtype=float)
-            self.states = np.array([np.ones_like(alphas), (alphas - r1) * (alphas - r2) * (alphas - r3)])
-
-    monkeypatch.setattr(resonance, "shoot_family", lambda p, alphas, cfg=None: Shots(alphas))
-    grid = np.linspace(0.0, 3.0, 4)
-    miss = Shots(grid).states[1]
-    (known,) = resonance._refine(step, resonance.sign_change_brackets(grid, miss), 1.0, None)
-    assert known == pytest.approx(r1, abs=1e-12)
-    extra = resonance._half_step_roots(step, grid, miss, [known], 1.0, None)
-    assert extra == pytest.approx([r2, r3], abs=1e-12)
+def _step_resonances(t_max):
+    """|alpha| of the step resonances up to ``t_max``: squares of the zeros
+    of step_h, one on each (n pi, n pi + pi/2), found by plain bisection."""
+    g = lambda k: math.tanh(k) - math.tan(k)
+    out, n = [], 1
+    while (n * math.pi) ** 2 < t_max:
+        k = bisect_oracle(g, n * math.pi + 1e-3, (n + 0.5) * math.pi - 1e-9)
+        if k * k <= t_max:
+            out.append(k * k)
+        n += 1
+    return np.array(out)
 
 
-@pytest.mark.parametrize("lo, hi, step_", [(-200.0, 200.0, 0.1), (-1e-05, 3.0, 0.1),
-                                            (0.3, 100.0, 0.7), (-60.0, 60.0, 1.3)])
-def test_half_grid_even_points_are_the_coarse_grid(lo, hi, step_):
-    from pointbarrier.resonance import _grid
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_index_counts_the_closed_form_step_roots(step, side):
+    # N(t) = 1 + the number of resonances in (0, t] on either side: the
+    # constants at alpha = 0 are the one level <= 0 until the first one
+    ts = np.linspace(0.0, 400.0, 1601)
+    _, counts = resonance._counted(step, side, None)(ts)
+    roots = _step_resonances(400.0)
+    assert roots.size == 6
+    assert counts.tolist() == (1 + np.searchsorted(roots, ts, side="right")).tolist()
 
-    grid = _grid(lo, hi, step_)
-    half = np.linspace(lo, hi, 2 * grid.size - 1)
-    assert half[::2].tobytes() == grid.tobytes()
+
+@pytest.mark.parametrize("lo, hi, step_", [(-60.0, 0.0, 0.1), (-60.0, 0.0, 30.0),
+                                            (-110.0, -10.0, 50.0), (-200.0, 200.0, 0.1),
+                                            (-60.0, 60.0, 1.3)])
+def test_counted_scan_finds_every_closed_form_step_root(step, lo, hi, step_):
+    # the negative mirrors of the two coarse windows above: a root in a
+    # cell ending at the double zero at 0, and two roots in one cell
+    t = _step_resonances(max(-lo, hi))
+    want = np.sort(np.concatenate((-t, [0.0], t)))
+    want = want[(lo <= want) & (want <= hi)]
+    pts = resonance_scan(step, lo, hi, step_)
+    assert [pt.alpha for pt in pts] == pytest.approx(want.tolist(), abs=1e-7)
+    assert not any(pt.flagged for pt in pts)
+
+
+def _dop853_miss(p, alpha):
+    segs = [FamilySegment(s.a, s.b, 0.0, s) for s in p.segments]
+    return float(dop853_family(segs, [alpha], np.array([1.0, 0.0]))[0][1, 0])
+
+
+def test_near_degenerate_even_pair_is_found():
+    # double-well tunnelling: two resonances 4.7e-3 apart with the same
+    # sign of D on either side of the pair, so no 0.1 grid sees them
+    even = even_counterexample_profile()
+    pts = resonance_scan(even, 100.0, 110.0, 0.1)
+    assert len(pts) == 2
+    f = lambda a: _dop853_miss(even, a)
+    want = [bisect_oracle(f, 106.86, 106.8658, iters=24),
+            bisect_oracle(f, 106.8658, 106.87, iters=24)]
+    assert [pt.alpha for pt in pts] == pytest.approx(want, abs=1e-7)
+    assert [abs(pt.theta) for pt in pts] == pytest.approx([1.0, 1.0], abs=1e-8)
+    assert not any(pt.flagged for pt in pts)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["step", "odd_cubic", "bump", "even_quadratic"]),
+       side=st.sampled_from([-1.0, 1.0]),
+       ts=st.lists(st.floats(0.0, 400.0), min_size=2, max_size=40))
+def test_index_never_decreases_in_the_coupling_size(name, side, ts):
+    p = (even_counterexample_profile() if name == "even_quadratic"
+         else profiles.builtin("asymmetric_bump" if name == "bump" else name, {}))
+    _, counts = resonance._counted(p, side, None)(np.sort(ts))
+    assert np.all(np.diff(counts) >= 0), counts
+
+
+def test_constant_profile_resonances():
+    # -w'' + alpha w = lambda w has Neumann levels alpha + (n pi / 2)^2 and
+    # eigenfunctions cos(n pi (xi + 1) / 2): resonances at -(n pi / 2)^2
+    # with theta = (-1)^n; the ground level leaves 0 upwards for alpha > 0
+    const = profiles.Profile((profiles.Segment(-1.0, 1.0, (1.0,)),), label="constant")
+    pts = resonance_scan(const, -30.0, 30.0, 0.1)
+    want = [-((n * math.pi / 2) ** 2) for n in (3, 2, 1)] + [0.0]
+    assert [pt.alpha for pt in pts] == pytest.approx(want, abs=1e-7)
+    assert [pt.theta for pt in pts] == pytest.approx([-1.0, 1.0, -1.0, 1.0], abs=1e-8)
+
+
+def _tilted_miss(alpha):
+    """Closed-form D(alpha) of 2 on (-1, 0), -1 on (0, 1): exact transfer
+    matrices of w'' = alpha profile w over the two unit segments."""
+    Y = np.array([1.0, 0.0])
+    for c in (2.0, -1.0):
+        q = alpha * c
+        k = math.sqrt(abs(q))
+        if q > 0:
+            T = [[math.cosh(k), math.sinh(k) / k], [k * math.sinh(k), math.cosh(k)]]
+        elif q < 0:
+            T = [[math.cos(k), math.sin(k) / k], [-k * math.sin(k), math.cos(k)]]
+        else:
+            T = [[1.0, 1.0], [0.0, 1.0]]
+        Y = np.array(T) @ Y
+    return Y[1]
+
+
+@pytest.mark.parametrize("lo, hi, step_", [(-30.0, 30.0, 0.1), (-45.3, 61.7, 0.25),
+                                            (-5.0, 100.0, 1.0)])
+def test_nonzero_mean_profile_straddling_zero(lo, hi, step_):
+    tilted = profiles.Profile((profiles.Segment(-1.0, 0.0, (2.0,)),
+                               profiles.Segment(0.0, 1.0, (-1.0,))), label="tilted_step")
+    grid = np.linspace(lo, hi, 20001)
+    miss = np.array([_tilted_miss(a) for a in grid])
+    flips = np.flatnonzero((miss[:-1] < 0) != (miss[1:] < 0))
+    # m0 = 1, so alpha = 0 is a simple zero of D, among the flips
+    roots = [bisect_oracle(_tilted_miss, grid[i], grid[i + 1]) for i in flips]
+    want = sorted(0.0 if abs(r) < 1e-6 else r for r in roots)
+    assert len(want) >= 4
+    pts = resonance_scan(tilted, lo, hi, step_)
+    assert [pt.alpha for pt in pts] == pytest.approx(want, abs=1e-7)

@@ -331,7 +331,7 @@ def _recursive_resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, mids, depth=0):
 
 
 def test_resolve_cells_matches_recursive_reference():
-    from pointbarrier.spectra import _resolve_cells
+    from pointbarrier.rootfind import resolve_cells
 
     # sign changes at the roots; the count steps at the roots and at the
     # phantoms, where the value keeps its sign
@@ -362,7 +362,7 @@ def test_resolve_cells_matches_recursive_reference():
         _recursive_resolve_cell(fvec, xs[i], float(fs[i]), int(cs[i]),
                                 xs[i + 1], float(fs[i + 1]), int(cs[i + 1]), want, mids)
     got = []
-    _resolve_cells(counted, xs, fs, cs, got)
+    resolve_cells(counted, xs, fs, cs, got)
     assert got == want
     assert [round(a, 3) for a, _ in got] == [0.0, 2.3, 2.3, 6.0]
     depths = sorted({d for d, _ in mids})
@@ -463,7 +463,7 @@ def test_perturbed_scan_splits_only_cells_holding_two_levels(monkeypatch, tilted
     # no cell is halved for a count step without a root
     from pointbarrier import spectra
 
-    resolve = spectra._resolve_cells
+    resolve = spectra.resolve_cells
     split_rises = []
 
     def spy(fvec, xs, fs, cs, out):
@@ -480,7 +480,7 @@ def test_perturbed_scan_splits_only_cells_holding_two_levels(monkeypatch, tilted
 
         resolve(shoot_mids, xs, fs, cs, out)
 
-    monkeypatch.setattr(spectra, "_resolve_cells", spy)
+    monkeypatch.setattr(spectra, "resolve_cells", spy)
     spec = eigen_perturbed(tilted, step, alpha1, 0.05, (1, 4))
     assert spec.flags == ["diving", "ok", "ok", "ok"]
     assert all(rise >= 2 for rise in split_rises), split_rises
