@@ -87,7 +87,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             elif isinstance(cell, (np.floating,)):
                 cells.append(_fmt(float(cell)))
             else:
-                cells.append(str(cell))
+                text = str(cell)
+                if "," in text or '"' in text:  # a flag such as left,degenerate
+                    text = '"' + text.replace('"', '""') + '"'  # as csv.QUOTE_MINIMAL
+                cells.append(text)
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
 
@@ -305,11 +308,12 @@ def _cmd_spectrum(ns, outdir: Path) -> list[str]:
             U, p, ns.alpha, ns.eps, (ns.k_lo, ns.k_lo + ns.levels - 1), cfg, ns.eig_tol,
             eigenfunctions=ns.eigenfunctions,
         )
+    first = ns.k_lo if ns.mode == "perturbed" else 1  # global index of the first level
     _write_csv(
         outdir / "spectrum.csv",
         ["index", "eigenvalue", "residual", "flag"],
         [
-            (i + 1, lam, res, flag)
+            (first + i, lam, res, flag)
             for i, (lam, res, flag) in enumerate(
                 zip(spec.eigenvalues, spec.residuals, spec.flags)
             )

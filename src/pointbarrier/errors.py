@@ -24,7 +24,7 @@ class NumericsError(PointBarrierError, RuntimeError):
 
 class StepSizeUnderflowError(NumericsError):
     """The adaptive integrator had to shrink the step, or the mesh builder
-    an interval, below ``min_step``.
+    an interval, below 1e-14 times its span.
 
     Carries the location where the integration stalled.
     """

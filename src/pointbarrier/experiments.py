@@ -29,6 +29,7 @@ from .spectra import (
     ConfiningPotential,
     DirichletSplit,
     ThetaCoupled,
+    diving_count,
     eigen_limit,
     eigen_perturbed,
     interval_negative_levels,
@@ -80,10 +81,10 @@ class ConvergenceRow:
 class ConvergenceReport:
     """Outcome of one squeezing-ladder study.
 
-    ``diving_counts`` lists the number of levels classified as diving at
-    each ladder entry; the count must be non-decreasing as eps shrinks and
-    stable at the bottom of the ladder for the index alignment to make
-    sense.
+    ``diving_counts`` lists the number of diving levels the Sturm index
+    counts at each ladder entry; the count must be non-decreasing as eps
+    shrinks and stable at the bottom of the ladder for the index alignment
+    to make sense.
     """
 
     alpha: float
@@ -130,10 +131,11 @@ def convergence_study(
 
     The limit operator is chosen by resonance membership of ``alpha``
     (coupled interface at a resonance, decoupled Dirichlet halves
-    otherwise).  For every ladder entry the perturbed levels below the
-    bounded window are set aside as diving, the remaining ones are matched
-    in order against the limit levels inside a trust window of half the
-    local limit gap, and the per-level convergence order is fitted by
+    otherwise).  For every ladder entry the Sturm index counts the
+    perturbed levels below the bounded window (``diving_count``); only the
+    ``k_count`` levels above them are located, with their eigenfunctions,
+    and matched in order against the limit levels inside a trust window of
+    half the local limit gap.  The per-level convergence order is fitted by
     least squares on the smallest four ladder entries.
     """
     cfg = cfg or DEFAULT_CONFIG
@@ -164,27 +166,18 @@ def convergence_study(
     )
     limit_gap = float(np.min(np.diff(limit.eigenvalues))) if k_count > 1 else 2.0
 
-    n_pred = interval_negative_levels(-30.0, 30.0, p, alpha, 1.0, cfg).size
-
     def ladder_entry(eps: float):
+        n_dive = diving_count(U, p, alpha, eps, cfg)
         spec = eigen_perturbed(
-            U, p, alpha, eps, (1, n_pred + k_count), cfg, eig_tol,
+            U, p, alpha, eps, (n_dive + 1, n_dive + k_count), cfg, eig_tol,
             eigenfunctions=True, samples_per_unit=samples_per_unit,
         )
-        n_obs = sum(1 for f in spec.flags if f == "diving")
-        if n_obs != n_pred:
-            spec = eigen_perturbed(
-                U, p, alpha, eps, (1, n_obs + k_count), cfg, eig_tol,
-                eigenfunctions=True, samples_per_unit=samples_per_unit,
-            )
-            n_obs = sum(1 for f in spec.flags if f == "diving")
-        bounded = spec.eigenvalues[n_obs : n_obs + k_count]
-        if len(bounded) < k_count:
-            raise AlignmentError(f"only {len(bounded)} bounded levels found at eps={eps}")
+        if not np.array_equal(spec.x, limit.x):
+            raise AlignmentError("perturbed and limit eigenfunction grids differ")
         lam_row = []
         dist_row = []
         for k in range(k_count):
-            lam = float(bounded[k])
+            lam = float(spec.eigenvalues[k])
             ref = float(limit.eigenvalues[k])
             if abs(lam - ref) > 0.45 * limit_gap + 2.0 * eps * max(1.0, abs(ref)):
                 raise AlignmentError(
@@ -192,12 +185,10 @@ def convergence_study(
                     f"within the trust window of {ref:.6g}"
                 )
             lam_row.append(lam)
-            if not np.array_equal(spec.x, limit.x):
-                raise AlignmentError("perturbed and limit eigenfunction grids differ")
             dist_row.append(
-                _l2_distance(spec.x, spec.eigenfunctions[n_obs + k], limit.eigenfunctions[k])
+                _l2_distance(spec.x, spec.eigenfunctions[k], limit.eigenfunctions[k])
             )
-        return n_obs, lam_row, dist_row
+        return n_dive, lam_row, dist_row
 
     entries = pmap(ladder_entry, eps_ladder)
     diving_counts = [e[0] for e in entries]

@@ -13,11 +13,10 @@ one of two transports per segment:
   under commutators, so its exponent is a traceless 2x2 matrix whose
   exponential is closed form (cosh/sinh, cos/sin, or a series near zero).
   The mesh is built once per (segment, config) from ``c`` and the
-  tolerance alone (an explicit ``max_step`` also caps its intervals) and
-  cached; a call exponentiates every interval of every member in one
-  vectorized pass and chains the 2x2 matrices with a blocked scan.  A
-  constant ``c`` needs one interval, on which the step is the exact
-  constant-coefficient propagator;
+  tolerance alone and cached; a call exponentiates every interval of
+  every member in one vectorized pass and chains the 2x2 matrices with a
+  blocked scan.  A constant ``c`` needs one interval, on which the step
+  is the exact constant-coefficient propagator;
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
   first-order system when ``w`` is callable, as in the coupling families
   ``alpha * profile`` of resonance shots, with mandatory step boundaries
@@ -33,7 +32,6 @@ family of two equal members from ``init = eye(2)``, with
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -54,38 +52,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerance and step limits of the Magnus mesh and the Runge-Kutta pair.
+    """Tolerance of the Magnus mesh and the Runge-Kutta pair.
 
     ``rel_tol`` bounds the one-step vs two-half-step defect of every mesh
     interval and the local error of every RK step relative to the state
-    (with the absolute floor ``_RK_ABS_TOL``).  ``max_step`` caps every
-    step when given; left as ``None`` it defaults to 1e-2 times the span
-    of the chain for the RK, and the mesh has no cap but its segment, so
-    the tolerance alone sizes its intervals.  ``min_step`` defaults to
-    1e-14 times the span (of the segment, for a mesh).
+    (with the absolute floor ``_RK_ABS_TOL``).  The tolerance alone sizes
+    the mesh; the RK steps are capped at 1e-2 times the span of the chain.
+    A mesh interval or RK step shorter than ``_MIN_STEP`` times its span
+    (of the segment, for a mesh) raises ``StepSizeUnderflowError``.
     """
 
     rel_tol: float = 1e-10
-    max_step: float | None = None
-    min_step: float | None = None
 
     def __post_init__(self):
         if not self.rel_tol > 0:  # NaN fails too
             raise ValueError("tolerances must be positive")
-        for name in ("max_step", "min_step"):
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_step is not None and self.min_step is not None:
-            if not self.min_step < self.max_step:
-                raise ValueError("min_step must be smaller than max_step")
-
-    def step_limits(self, span: float, default_max: float = 1e-2) -> tuple[float, float]:
-        hmax = self.max_step if self.max_step is not None else span * default_max
-        hmin = self.min_step if self.min_step is not None else span * 1e-14
-        hmax = min(hmax, span)
-        hmin = min(hmin, 0.5 * hmax)
-        return hmax, hmin
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -115,8 +96,8 @@ class FamilyResult:
 
     ``states`` has shape (2, n); ``logs`` holds the accumulated natural-log
     scale factor per member (zero unless ``rescale`` was requested).  When
-    sample points were supplied, ``sample_x``, ``sample_states``
-    ((k, 2, n)) and ``sample_logs`` ((k, n)) record the states there.
+    sample points were supplied, ``sample_states`` ((k, 2, n)) and
+    ``sample_logs`` ((k, n)) record the states there.
     ``zero_counts`` (when requested) counts the interior zeros of u along
     the path per member, which by Sturm oscillation theory indexes the
     eigenvalues of regular problems.
@@ -124,7 +105,6 @@ class FamilyResult:
 
     states: np.ndarray
     logs: np.ndarray
-    sample_x: np.ndarray | None = None
     sample_states: np.ndarray | None = None
     sample_logs: np.ndarray | None = None
     zero_counts: np.ndarray | None = None
@@ -154,6 +134,8 @@ _DP_B4 = (
 )
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 _RK_ABS_TOL = 1e-12  # absolute floor of the RK error test
+_RK_MAX_STEP = 1e-2  # RK step cap, relative to the span of the chain
+_MIN_STEP = 1e-14  # underflow floor of a step or mesh interval, relative to its span
 
 
 # -- adaptive RK on a family ---------------------------------------------------
@@ -423,7 +405,6 @@ class _Mesh:
 
 
 _MESH_CACHE: OrderedDict = OrderedDict()
-_CACHE_LOCK = threading.Lock()
 
 
 def _eval_c(c, xs: np.ndarray) -> np.ndarray:
@@ -542,15 +523,13 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     the members whose coefficient is ``c``, ``c - min c`` and ``c - max
     c``: the ends of the range where the segment's bound states live,
     as seen at the nodes of the first pass.  The first pass is the whole
-    segment, or intervals of ``max_step`` when one is set; one shorter
-    than ``min_step`` raises ``StepSizeUnderflowError``.  Nothing here
-    depends on the family.
+    segment; an interval shorter than ``_MIN_STEP`` times the segment
+    raises ``StepSizeUnderflowError``.  Nothing here depends on the
+    family.
     """
     c = seg.c_part
-    span = abs(seg.b - seg.a)
-    hmax, hmin = cfg.step_limits(span, default_max=1.0)
-    edges = np.linspace(seg.a, seg.b, max(1, math.ceil(span / hmax - 1e-9)) + 1)
-    lo, hi = edges[:-1], edges[1:]
+    hmin = _MIN_STEP * abs(seg.b - seg.a)
+    lo, hi = np.array([float(seg.a)]), np.array([float(seg.b)])
     cn = _nodes(c, lo, hi - lo)
     seen = cn[np.isfinite(cn)]
     shifts = np.unique([0.0, -seen.min(), -seen.max()]) if seen.size else np.zeros(1)
@@ -603,20 +582,18 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
         return _Mesh(seg.c_part, np.array([seg.a, seg.b]), h, _nodes(seg.c_part, lo, h))
     key = (seg, cfg)
     try:
-        with _CACHE_LOCK:
-            mesh = _MESH_CACHE.get(key)
-            if mesh is not None:
-                _MESH_CACHE.move_to_end(key)
-                return mesh
+        mesh = _MESH_CACHE.get(key)
     except TypeError:  # unhashable coefficient: build without caching
         return _build_mesh(seg, cfg)
+    if mesh is not None:
+        _MESH_CACHE.move_to_end(key)
+        return mesh
     mesh = _build_mesh(seg, cfg)
-    with _CACHE_LOCK:
-        _MESH_CACHE[key] = mesh
-        stored = sum(m.floats for m in _MESH_CACHE.values())
-        while stored > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
-            _, old = _MESH_CACHE.popitem(last=False)
-            stored -= old.floats
+    _MESH_CACHE[key] = mesh
+    stored = sum(m.floats for m in _MESH_CACHE.values())
+    while stored > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
+        _, old = _MESH_CACHE.popitem(last=False)
+        stored -= old.floats
     return mesh
 
 
@@ -809,7 +786,8 @@ def propagate_family(
         rec_states = rec_logs = None
     rec_i = 0
     counts = np.zeros(n, dtype=int) if count_zeros else None
-    hmax, hmin = cfg.step_limits(abs(x_end - x_start))
+    span = abs(x_end - x_start)
+    hmax, hmin = _RK_MAX_STEP * span, _MIN_STEP * span
 
     for seg in segments:
         seg_samples = np.empty(0)
@@ -857,7 +835,7 @@ def propagate_family(
             rec_states *= np.exp(rec_logs)[:, None, :]
             rec_logs[:] = 0.0
 
-    return FamilyResult(Y, logs, sample_x, rec_states, rec_logs, counts)
+    return FamilyResult(Y, logs, rec_states, rec_logs, counts)
 
 
 def unit_wronskian(M: np.ndarray) -> np.ndarray:

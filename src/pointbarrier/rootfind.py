@@ -39,9 +39,11 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
     ascending points ``xs``, with values ``fs`` and zero counts ``cs``, in
     ascending order.
 
-    A cell whose count rises by two or more, or by one with no sign
-    change (a count that is not an exact index), hides roots: it is
-    halved until each root shows its own sign change, down to a width of
+    A zero of f exactly on a node ends the bracket of the cell to its
+    left, where a count of the roots at or below each point puts it.  A
+    cell whose count rises by two or more, or by one with no sign change
+    (a count that is not an exact index), hides roots: it is halved until
+    each root shows its own sign change, down to a width of
     1e-5 max(1, |xa|, |xb|) or 40 halvings.
     Halving is level-synchronous: every pending cell of one level is split
     at once and all the midpoints are shot in one ``fvec(mids, True)``
@@ -54,7 +56,7 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
     xa, fa, ca, xb, fb, cb = x[:-1], f[:-1], c[:-1], x[1:], f[1:], c[1:]
     lo, hi = [], []
     for depth in range(41):
-        sign = (fa != 0.0) & (fb != 0.0) & ((fa < 0.0) != (fb < 0.0))
+        sign = (fa != 0.0) & ((fb == 0.0) | ((fa < 0.0) != (fb < 0.0)))
         rise = cb - ca
         floor = 1e-5 * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
         split = ((rise >= 2) | ((rise == 1) & ~sign)) & (xb - xa > floor) & (depth < 40)
@@ -145,15 +147,17 @@ def illinois_vector(
     Converges superlinearly while keeping each iterate strictly inside its
     bracket, so one vectorized function evaluation per iteration polishes
     every root simultaneously.  Falls back to the midpoint whenever the
-    secant step degenerates.
+    secant step degenerates.  A bracket end where f is 0 is its root.
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     flo = np.asarray(fvec(lo), dtype=float).copy()
     fhi = np.asarray(fvec(hi), dtype=float).copy()
-    if np.any((flo < 0.0) == (fhi < 0.0)):
-        bad = np.nonzero((flo < 0.0) == (fhi < 0.0))[0]
-        raise ValueError(f"bracket {bad[0]} does not straddle a sign change")
+    bad = (flo != 0.0) & (fhi != 0.0) & ((flo < 0.0) == (fhi < 0.0))
+    if np.any(bad):
+        raise ValueError(f"bracket {np.nonzero(bad)[0][0]} does not straddle a sign change")
+    hi = np.where(flo == 0.0, lo, hi)  # collapse onto an end where f is 0
+    lo = np.where(fhi == 0.0, hi, lo)
     side = np.zeros(lo.shape, dtype=int)  # -1: last replaced lo, +1: last replaced hi
     for _ in range(maxiter):
         width = np.abs(hi - lo)

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (
     NotInResonanceSetError,
+    NumericsError,
     PreconditionError,
     SpectralWindowError,
     TruncationDomainError,
@@ -54,6 +55,7 @@ __all__ = [
     "polynomial_potential",
     "eigen_limit",
     "eigen_perturbed",
+    "diving_count",
     "interval_spectrum",
     "interval_negative_levels",
     "interval_limit_frequencies",
@@ -329,8 +331,9 @@ def _verified_scan(
     across which it rises by two or more holds that many roots (near-
     degenerate pairs of split-like problems defeat any fixed grid), and
     ``resolve_cells`` halves it, one level of midpoints per call, until
-    every root shows its own sign change.  The index is 0 at ``start``
-    when no level lies below it, as ``_scan_start`` makes sure.
+    every root shows its own sign change.  Only the rises of the index
+    matter, so levels below ``start`` (the diving levels of the squeezed
+    problem) are neither found nor in the way.
     """
     brackets: list[tuple[float, float]] = []
     xs = [start]
@@ -362,10 +365,15 @@ def _verified_scan(
 
 def _grid_roots(fvec, grid: np.ndarray, xtol: float, rtol: float) -> np.ndarray:
     """Roots of ``fvec`` in the cells of the ascending ``grid``: cells are
-    split until the zero counts show every root, then refined together."""
+    split until the zero counts show every root, then refined together.
+    Raises ``NumericsError`` when the brackets fall short of the count."""
     vals, counts = fvec(grid, True)
     brackets: list[tuple[float, float]] = []
     resolve_cells(fvec, grid, vals, counts, brackets)
+    if len(brackets) < counts[-1] - counts[0]:
+        raise NumericsError(
+            f"the Sturm index counts {counts[-1] - counts[0]} eigenvalues in ({grid[0]:.10g}, "
+            f"{grid[-1]:.10g}], but only {len(brackets)} show a sign change at the halving floor")
     if not brackets:
         return np.empty(0)
     lo = np.array([x for x, _ in brackets])
@@ -490,53 +498,61 @@ def eigen_perturbed(
     """Eigenvalues k_lo..k_hi (1-based, global) of the squeezed-barrier
     operator -y'' + (U + alpha eps^-2 profile(x/eps)) y on [-R, R].
 
-    The search window reaches down to -2 |alpha| max|profile| eps^-2, which
-    bounds the operator from below, so deep levels that dive like eps^-2
-    are always located.  Deep levels are refined to a relative accuracy of
-    about 1e-7 (they scale like eps^-2 and only their count and magnitude
-    matter); bounded levels are refined to ``eig_tol``.
+    The Sturm index counts the levels below the bounded window, which dive
+    like eps^-2 (``diving_count``), and only the levels asked for are
+    located.  Diving ones are searched for down to -2 |alpha| max|profile|
+    eps^-2, a lower bound of the operator, and refined to about 1e-7
+    relative (only their count and magnitude matter); a search that finds
+    other than the counted number raises ``NumericsError``.  Bounded ones
+    are scanned upwards and refined to ``eig_tol``.
     """
     k_lo, k_hi = k_range
     if not (1 <= k_lo <= k_hi):
         raise ValueError("need 1 <= k_lo <= k_hi")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("need 0 < eps < 1")
     cfg = cfg or DEFAULT_CONFIG
-    R = U.truncation_radius
-    if eps >= R:
-        raise ValueError("barrier wider than the computational box")
-    ceiling = U.wall_floor() - margin
-    gap_fn, lam_split = _weyl_scan(U)
-    # one chain per solve, so that equal barrier segments share a cached mesh
-    barrier = _barrier_chain(p, alpha, eps, U)
-    neg_roots, neg_residuals = _perturbed_negative_levels(
-        U, p, alpha, eps, barrier, lam_split
-    )
-
-    entries = [(lam, res, "diving") for lam, res in zip(neg_roots, neg_residuals)]
-    n_found = len(entries)
-    if n_found < k_hi:
-        fvec = _perturbed_fvec(U, barrier, eps, R, cfg)
-        brackets = _verified_scan(
-            fvec, lam_split, ceiling, gap_fn, k_hi - n_found, "squeezed-barrier problem"
-        )
-        roots, residuals = _refine(fvec, brackets, eig_tol)
-        entries.extend((lam, res, "ok") for lam, res in zip(roots, residuals))
-
-    entries.sort(key=lambda t: t[0])
-    if len(entries) < k_hi:
-        raise SpectralWindowError(
-            f"found only {len(entries)} levels, requested up to index {k_hi}"
-        )
-    chosen = entries[k_lo - 1 : k_hi]
-    spec = Spectrum(
-        np.array([t[0] for t in chosen]),
-        np.array([t[1] for t in chosen]),
-        [t[2] for t in chosen],
-    )
+    barrier, fvec, gap_fn, lam_split, n_dive = _perturbed_problem(U, p, alpha, eps, cfg)
+    lams, residuals, flags = np.empty(0), np.empty(0), []
+    first = n_dive + 1  # the global index of lams[0]
+    if k_lo <= n_dive:
+        lams, residuals = _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split)
+        if lams.size != n_dive:
+            raise NumericsError(f"the Sturm index counts {n_dive} levels below "
+                                f"{lam_split:.6g}, but the diving search found {lams.size}")
+        flags, first = ["diving"] * n_dive, 1
+    if k_hi > n_dive:
+        brackets = _verified_scan(fvec, lam_split, U.wall_floor() - margin, gap_fn,
+                                  k_hi - n_dive, "squeezed-barrier problem")
+        roots, res = _refine(fvec, brackets, eig_tol)
+        lams, residuals = np.concatenate((lams, roots)), np.concatenate((residuals, res))
+        flags += ["ok"] * roots.size
+    chosen = slice(k_lo - first, k_hi - first + 1)
+    spec = Spectrum(lams[chosen], residuals[chosen], flags[chosen])
     if eigenfunctions:
         _attach_perturbed_eigenfunctions(spec, U, barrier, eps, cfg, samples_per_unit)
     return spec
+
+
+def diving_count(U: ConfiningPotential, p: Profile, alpha: float, eps: float,
+                 cfg: SolverConfig | None = None) -> int:
+    """Number of diving levels of the squeezed-barrier operator (see
+    ``eigen_perturbed``): the Sturm index at the scan start of the bounded
+    window, from one counted shot."""
+    return _perturbed_problem(U, p, alpha, eps, cfg or DEFAULT_CONFIG)[-1]
+
+
+def _perturbed_problem(U, p, alpha, eps, cfg):
+    """(barrier chain, matching function, Weyl gap function, scan start of
+    the bounded window, number of levels below that start) of the
+    squeezed-barrier problem."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("need 0 < eps < 1")
+    if eps >= U.truncation_radius:
+        raise ValueError("barrier wider than the computational box")
+    gap_fn, lam_split = _weyl_scan(U)
+    # one chain per solve, so that equal barrier segments share a cached mesh
+    barrier = _barrier_chain(p, alpha, eps, U)
+    fvec = _perturbed_fvec(U, barrier, eps, U.truncation_radius, cfg)
+    return barrier, fvec, gap_fn, lam_split, int(fvec(np.array([lam_split]), True)[1][0])
 
 
 def _perturbed_fvec(U, barrier, eps, wall, cfg):
@@ -556,12 +572,8 @@ def _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split):
     size eps^-2.  A cheaper tolerance is used: these levels scale like
     eps^-2 and only their count and leading digits matter.
     """
-    if alpha == 0.0:
-        return np.empty(0), np.empty(0)
     depth = 2.0 * abs(alpha) * p.max_abs() / (eps * eps)
     lam_min = min(lam_split, -depth)
-    if lam_min >= lam_split:
-        return np.empty(0), np.empty(0)
     loose = SolverConfig(rel_tol=1e-8)
     R = U.truncation_radius
 

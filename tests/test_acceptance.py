@@ -17,6 +17,7 @@ from pointbarrier.spectra import (
     DirichletSplit,
     ThetaCoupled,
     corrector_lambda1,
+    diving_count,
     eigen_limit,
     eigen_perturbed,
     interval_limit_frequencies,
@@ -62,9 +63,10 @@ def study_resonant(tilted, step, alpha1):
 
 def _bounded_level(U, p, alpha, eps, k_in_limit):
     """Global alignment: k-th bounded level of the squeezed problem."""
-    spec = eigen_perturbed(U, p, alpha, eps, (1, 3 + k_in_limit), eigenfunctions=False)
-    n_div = sum(1 for f in spec.flags if f == "diving")
-    return float(spec.eigenvalues[n_div + k_in_limit - 1])
+    k = diving_count(U, p, alpha, eps) + k_in_limit
+    spec = eigen_perturbed(U, p, alpha, eps, (k, k), eigenfunctions=False)
+    assert spec.flags == ["ok"]
+    return float(spec.eigenvalues[0])
 
 
 def test_criterion_01_resonance_oracle(step, kappa_roots, scan_result):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -12,6 +13,11 @@ from pointbarrier.cli import main, run
 
 def _read(path):
     return path.read_text()
+
+
+def _read_rows(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_classify_step(tmp_path):
@@ -287,18 +293,34 @@ _PARSE_REJECTS = [
      "--eps", "1e-3"],
 ]
 
-# out-of-domain values that only the library entry points reject
+
 def test_spectrum_limit_flags_a_degenerate_partner_beyond_the_cut(tmp_path):
     # the split harmonic box has the pairs (3, 3) and (7, 7); with three
     # levels the partner of level 3 is cut, but level 3 is still flagged
     out = tmp_path / "deg"
     assert main(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
                  "--levels", "3", "--bc", "dirichlet-split", "--out", str(out)]) == 0
-    lines = _read(out / "spectrum.csv").strip().splitlines()
-    flags = [line.split(",", 3)[3] for line in lines[1:]]
-    assert flags == ["left,degenerate", "right,degenerate", "left,degenerate"]
+    rows = _read_rows(out / "spectrum.csv")
+    assert [row["flag"] for row in rows] == ["left,degenerate", "right,degenerate",
+                                             "left,degenerate"]
+    assert all(None not in row for row in rows)  # no cell beyond the header's four
 
 
+def test_spectrum_perturbed_indexes_levels_globally(tmp_path):
+    # --k-lo 2 writes global levels 2-4, bitwise equal to those of a run from 1
+    common = ["spectrum", "--mode", "perturbed", "--potential", "tilted_harmonic",
+              "--radius", "8", "--profile", "step", "--alpha", "15.418205716980063",
+              "--eps", "0.05"]
+    assert main(common + ["--k-lo", "1", "--levels", "4", "--out", str(tmp_path / "a")]) == 0
+    assert main(common + ["--k-lo", "2", "--levels", "3", "--out", str(tmp_path / "b")]) == 0
+    full = _read_rows(tmp_path / "a" / "spectrum.csv")
+    tail = _read_rows(tmp_path / "b" / "spectrum.csv")
+    assert [row["index"] for row in full] == ["1", "2", "3", "4"]
+    assert [row["flag"] for row in full] == ["diving", "ok", "ok", "ok"]
+    assert tail == full[1:]
+
+
+# out-of-domain values that only the library entry points reject
 _LIBRARY_REJECTS = [
     ["spectrum", "--mode", "perturbed", "--profile", "step", "--potential", "harmonic",
      "--radius", "7", "--alpha", "1", "--eps", "1.5"],

@@ -135,9 +135,8 @@ def test_breakpoints_preserve_accuracy():
 
 
 def test_step_size_underflow():
-    cfg = SolverConfig(min_step=1e-5)
     with pytest.raises(StepSizeUnderflowError) as err:
-        _fundamental(lambda x: 1.0 / (0.5 - x) ** 2, 0.0, 0.6, cfg=cfg)
+        _fundamental(lambda x: 1.0 / (0.5 - x) ** 2, 0.0, 0.6)
     assert abs(err.value.location - 0.5) < 0.1
 
 
@@ -149,11 +148,8 @@ def test_invalid_inputs():
                          np.array([math.inf, 0.0]))
     with pytest.raises(ValueError):
         SolverConfig(rel_tol=-1.0)
-    for field in ("rel_tol", "max_step", "min_step"):
-        with pytest.raises(ValueError):
-            SolverConfig(**{field: math.nan})
     with pytest.raises(ValueError):
-        SolverConfig(min_step=1.0, max_step=0.5)
+        SolverConfig(rel_tol=math.nan)
 
 
 def test_complex_init_is_rejected():
@@ -219,16 +215,16 @@ def test_zero_counting_oscillatory():
 def test_zero_counts_with_several_zeros_per_mesh_interval(c_part):
     # -u'' + (1 - lambda) u = 0 from (0, 1): u = sin(w x) / w with w^2 = lambda - 1,
     # so (0, L] holds floor(w L / pi) zeros.  A float c is one exact step over
-    # the whole segment; the callable one is meshed in intervals of 0.25.
+    # the whole segment; the callable one passes on its first pass, which
+    # keeps the two halves of the segment.
     from pointbarrier.ivp import _mesh_for
 
-    cfg = SolverConfig(max_step=0.5)
     L = 3.0
     segs = [FamilySegment(0.0, L, c_part, -1.0)]
     w = np.array([0.7, 3.3, 12.9, 41.7, 95.3, 250.1])
-    res = propagate_family(segs, w * w + 1.0, np.array([0.0, 1.0]), cfg, count_zeros=True)
+    res = propagate_family(segs, w * w + 1.0, np.array([0.0, 1.0]), count_zeros=True)
     assert np.array_equal(res.zero_counts, np.floor(w * L / math.pi))
-    widest = np.abs(_mesh_for(segs[0], cfg).h).max()
+    widest = np.abs(_mesh_for(segs[0], SolverConfig()).h).max()
     assert w.max() * widest / math.pi > 15  # zeros in one interval
 
 
@@ -280,10 +276,10 @@ def test_mesh_matches_rk_for_scalar_only_coefficient():
 
 
 def test_mesh_is_sized_for_the_deepest_member():
-    # without a step ceiling only the defect test sizes the mesh, and it must
-    # resolve the fastest oscillating member c - max c, not c alone
+    # only the defect test sizes the mesh, and it must resolve the fastest
+    # oscillating member c - max c, not c alone
     chain = [FamilySegment(-12.0, 0.0, lambda x: x * x, -1.0)]
-    cfg = SolverConfig(rel_tol=1e-8, max_step=12.0)
+    cfg = SolverConfig(rel_tol=1e-8)
     _assert_mesh_matches_rk(chain, np.array([1.0, 72.0, 139.7]), cfg)
 
 
@@ -316,17 +312,6 @@ def test_oscillating_coefficient_is_not_aliased_by_a_one_interval_start():
     seg = FamilySegment(0.0, 2.0, lambda x: 50.0 * np.cos(40.0 * x), -1.0)
     zeros = _assert_members_match_dop853([seg], np.array([-60.0, 0.0, 20.0, 49.0]))
     assert zeros.max() >= 4
-
-
-def test_explicit_max_step_still_caps_every_interval():
-    from pointbarrier.ivp import _mesh_for
-
-    seg = FamilySegment(-3.0, 0.0, lambda x: x * x, 1.0)
-    free = np.abs(_mesh_for(seg, SolverConfig()).h)
-    capped = np.abs(_mesh_for(seg, SolverConfig(max_step=0.01)).h)
-    assert free.max() > 0.01
-    assert capped.max() <= 0.01
-    assert capped.size >= 2 * 300  # both halves of every first-pass interval
 
 
 def _assert_mesh_matches_rk(chain, lams, cfg=None):
@@ -445,8 +430,15 @@ def test_samples_go_to_segments_in_path_order(monkeypatch):
 
 
 def test_mesh_step_size_underflow():
-    cfg = SolverConfig(min_step=1e-5)
     segs = [FamilySegment(0.0, 0.6, lambda x: 1.0 / (0.5 - x) ** 2, -1.0)]
     with pytest.raises(StepSizeUnderflowError) as err:
-        propagate_family(segs, np.array([1.0, 2.0]), np.array([1.0, 0.0]), cfg)
+        propagate_family(segs, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+    assert abs(err.value.location - 0.5) < 0.1
+
+
+def test_rk_step_size_underflow():
+    # a callable w puts the same singular coefficient on the RK pair
+    segs = [FamilySegment(0.0, 0.6, lambda x: 1.0 / (0.5 - x) ** 2, lambda x: 1.0)]
+    with pytest.raises(StepSizeUnderflowError) as err:
+        propagate_family(segs, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
     assert abs(err.value.location - 0.5) < 0.1

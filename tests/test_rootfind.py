@@ -37,5 +37,8 @@ def test_illinois_vector_polynomials():
     hi = np.array([1.0, 3.0])
     roots = illinois_vector(f, lo, hi)
     assert np.allclose(roots, [0.3, 2.7], atol=1e-11)
+    # a bracket end where f is 0 is the root, at either end
+    roots = illinois_vector(f, np.array([0.3, 2.0, -1.0]), np.array([1.0, 2.7, 0.3]))
+    assert roots.tolist() == [0.3, 2.7, -1.0]
     with pytest.raises(ValueError):
         illinois_vector(f, np.array([0.4]), np.array([1.0]))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from conftest import fd_levels
 
+from pointbarrier import profiles, spectra
 from pointbarrier.errors import (
     NotInResonanceSetError,
+    NumericsError,
     PreconditionError,
     TruncationDomainError,
 )
@@ -18,6 +20,7 @@ from pointbarrier.spectra import (
     Spectrum,
     ThetaCoupled,
     corrector_lambda1,
+    diving_count,
     eigen_limit,
     eigen_perturbed,
     interval_limit_frequencies,
@@ -192,6 +195,66 @@ def test_perturbed_input_validation(tilted, step):
         eigen_perturbed(tilted, step, 1.0, 0.1, (3, 2))
 
 
+@pytest.mark.parametrize("name", ["step", "odd_cubic", "asymmetric_bump"])
+def test_diving_count_is_the_number_of_diving_levels(tilted, name):
+    # the Sturm index at the bounded window's start against the levels the
+    # diving search locates, on both sides of alpha = 0
+    p = profiles.builtin(name, {})
+    counts = set()
+    for alpha in (-30.0, 0.0, 3.0, 60.0):
+        for eps in (0.5, 0.05):
+            n = diving_count(tilted, p, alpha, eps)
+            spec = eigen_perturbed(tilted, p, alpha, eps, (1, n + 1))
+            assert spec.flags == ["diving"] * n + ["ok"]
+            counts.add(n)
+    assert {0, 1, 2} <= counts
+
+
+def test_bounded_levels_are_found_without_locating_the_diving_ones(tilted, step, alpha1,
+                                                                  monkeypatch):
+    eps = 0.05
+    n = diving_count(tilted, step, alpha1, eps)
+    full = eigen_perturbed(tilted, step, alpha1, eps, (1, n + 3))
+
+    def located(*args):
+        raise AssertionError("diving levels located")
+
+    monkeypatch.setattr(spectra, "_perturbed_negative_levels", located)
+    bounded = eigen_perturbed(tilted, step, alpha1, eps, (n + 1, n + 3))
+    assert n >= 1
+    assert bounded.flags == ["ok"] * 3
+    assert np.array_equal(bounded.eigenvalues, full.eigenvalues[n:])
+    assert np.array_equal(bounded.residuals, full.residuals[n:])
+
+
+def test_a_diving_search_short_of_the_count_raises(tilted, step, alpha1, monkeypatch):
+    found = spectra._perturbed_negative_levels
+
+    def one_short(*args):
+        roots, residuals = found(*args)
+        return roots[1:], residuals[1:]
+
+    monkeypatch.setattr(spectra, "_perturbed_negative_levels", one_short)
+    with pytest.raises(NumericsError, match="counts 1 levels .* found 0"):
+        eigen_perturbed(tilted, step, alpha1, 0.1, (1, 2))
+
+
+def test_grid_roots_raise_when_brackets_fall_short_of_the_count():
+    # the count rises at 0.5 and 2.5 but the value changes sign only at 0.5:
+    # a root the sign cannot show is an error, not a silent omission
+    def fvec(x, with_counts=False):
+        x = np.asarray(x, dtype=float)
+        vals = x - 0.5
+        if not with_counts:
+            return vals
+        return vals, (x >= 0.5).astype(int) + (x >= 2.5)
+
+    grid = np.linspace(0.0, 4.0, 9)
+    with pytest.raises(NumericsError, match="counts 2 eigenvalues .* only 1"):
+        spectra._grid_roots(fvec, grid, xtol=1e-12, rtol=1e-12)
+    assert np.allclose(spectra._grid_roots(fvec, grid[:5], xtol=1e-12, rtol=1e-12), [0.5])
+
+
 # -- interval problems ---------------------------------------------------------------
 
 def test_interval_free_string(step):
@@ -314,7 +377,7 @@ def test_ladder_levels_follow_the_solver_tolerance(tilted, step, alpha1, theta1)
 def _recursive_resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, mids, depth=0):
     """Reference: depth-first halving, one midpoint shot per call;
     ``mids`` collects (depth, midpoint) of every shot."""
-    sign_change = fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0)
+    sign_change = fa != 0.0 and (fb == 0.0 or (fa < 0.0) != (fb < 0.0))
     expected = max(0, cb - ca)
     if expected >= 2 or (expected == 1 and not sign_change):
         floor = 1e-5 * max(1.0, abs(xa), abs(xb))
@@ -331,17 +394,17 @@ def _recursive_resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, mids, depth=0):
 
 
 def test_resolve_cells_matches_recursive_reference():
-    from pointbarrier.rootfind import resolve_cells
+    from pointbarrier.rootfind import illinois_vector, resolve_cells
 
-    # sign changes at the roots; the count steps at the roots and at the
-    # phantoms, where the value keeps its sign
+    # sign changes at the roots; the count of roots at or below x steps at
+    # the roots and at the phantoms, where the value keeps its sign
     roots = np.array([0.5, 2.3, 2.3001, 4.0, 6.7])
     phantoms = np.array([5.25, 8.5])
 
     def fvec(x, with_counts=False):
         x = np.asarray(x, dtype=float)
         vals = np.prod(x[:, None] - roots, axis=1)
-        return vals, np.sum(x[:, None] > np.concatenate((roots, phantoms)), axis=1)
+        return vals, np.sum(x[:, None] >= np.concatenate((roots, phantoms)), axis=1)
 
     calls = []
 
@@ -350,10 +413,10 @@ def test_resolve_cells_matches_recursive_reference():
         calls.append(np.array(x))
         return fvec(x, True)
 
-    # cells: [0, 1] one plain root; [2, 3] a hidden pair; 4.0 an exact zero
-    # at a node; [5, 6] a count rise with no sign change, halved to the
-    # width floor and dropped; [6, 7] a root; [8, 1e9] a phantom that
-    # stops at 40 halvings before the floor
+    # cells: [0, 1] one plain root; [2, 3] a hidden pair; [3, 4] a root
+    # exactly on its right node; [5, 6] a count rise with no sign change,
+    # halved to the width floor and dropped; [6, 7] a root; [8, 1e9] a
+    # phantom that stops at 40 halvings before the floor
     xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e9]
     fs, cs = fvec(xs, True)
     assert fs[4] == 0.0
@@ -364,7 +427,12 @@ def test_resolve_cells_matches_recursive_reference():
     got = []
     resolve_cells(counted, xs, fs, cs, got)
     assert got == want
-    assert [round(a, 3) for a, _ in got] == [0.0, 2.3, 2.3, 6.0]
+    assert [round(a, 3) for a, _ in got] == [0.0, 2.3, 2.3, 3.0, 6.0]
+    # a bracket end where f is 0 is the root itself
+    lo, hi = np.array(got).T
+    refined = illinois_vector(lambda x: fvec(x)[0], lo, hi)
+    assert refined[3] == 4.0
+    assert np.allclose(refined, roots, atol=1e-12)
     depths = sorted({d for d, _ in mids})
     assert depths == list(range(40))
     # one call per halving level, holding every midpoint of that level
@@ -398,8 +466,6 @@ def test_delta_coupling_against_finite_differences(name, s):
 def test_deep_bound_level_is_reached_in_few_steps(monkeypatch, harmonic):
     # s = -50 binds a level near -625, so the scan starts far below min U:
     # the gap there is the distance to min U, not a fixed 0.5
-    from pointbarrier import spectra
-
     members = []
     propagate = spectra.propagate_family
 
@@ -461,8 +527,6 @@ def test_perturbed_scan_splits_only_cells_holding_two_levels(monkeypatch, tilted
     # the converge configuration at eps = 0.05: with an exact index a cell
     # whose index rises by one holds one root and shows its sign change, so
     # no cell is halved for a count step without a root
-    from pointbarrier import spectra
-
     resolve = spectra.resolve_cells
     split_rises = []
 
