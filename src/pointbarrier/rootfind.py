@@ -4,9 +4,13 @@ Scans evaluate a smooth miss function on a grid (often vectorized), pick up
 sign changes, then polish each bracket.  Every eigenvalue and resonance
 scan brackets with ``resolve_cells``: an exact root count at the grid
 points tells it which cells hide roots.  ``brent`` is the classic
-inverse-quadratic/secant/bisection combination; ``bisect_vector`` polishes
-many brackets simultaneously when the miss function can be evaluated on a
-whole vector of points at once (one family propagation per iteration).
+inverse-quadratic/secant/bisection combination.  ``illinois_vector`` and
+``bisect_vector`` polish many brackets simultaneously when the miss
+function can be evaluated on a whole vector of points at once (one family
+propagation per iteration).  ``illinois_vector`` shoots only the brackets
+still open, so each root depends on its own bracket alone, and keeps its
+secant point a tolerance step inside the bracket, so an end that already
+sits on the root closes the bracket at the next shot.
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
     cell whose count rises by two or more, or by one with no sign change
     (a count that is not an exact index), hides roots: it is halved until
     each root shows its own sign change, down to a width of
-    1e-5 max(1, |xa|, |xb|) or 40 halvings.
+    1e-5 max(1, |xa|, |xb|) or 40 halvings.  A rise of one without a sign
+    change next to a sign change without a rise is a root on their common
+    node, which rounding puts on one side by its sign and on the other by
+    its count: the sign-change cell brackets it, and neither is halved.
     Halving is level-synchronous: every pending cell of one level is split
     at once and all the midpoints are shot in one ``fvec(mids, True)``
     call.  The cells stay disjoint, so sorting the brackets by their left
@@ -59,7 +66,10 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
         sign = (fa != 0.0) & ((fb == 0.0) | ((fa < 0.0) != (fb < 0.0)))
         rise = cb - ca
         floor = 1e-5 * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
-        split = ((rise >= 2) | ((rise == 1) & ~sign)) & (xb - xa > floor) & (depth < 40)
+        uncounted = sign & (rise == 0)
+        on_node = np.isin(xb, xa[uncounted]) | np.isin(xa, xb[uncounted])
+        split = (((rise >= 2) | ((rise == 1) & ~sign & ~on_node)) & (xb - xa > floor)
+                 & (depth < 40))
         done = sign & ~split
         lo.append(xa[done])
         hi.append(xb[done])
@@ -144,15 +154,22 @@ def illinois_vector(
 ) -> np.ndarray:
     """Safeguarded regula falsi (Illinois weighting) on many brackets at once.
 
-    Converges superlinearly while keeping each iterate strictly inside its
-    bracket, so one vectorized function evaluation per iteration polishes
-    every root simultaneously.  Falls back to the midpoint whenever the
-    secant step degenerates.  A bracket end where f is 0 is its root.
+    Returns the midpoint of each final bracket, whose width is at most
+    ``tol = xtol + rtol max(|lo|, |hi|)``.  Both ends of every bracket are
+    shot in one ``fvec`` call; after that each call carries only the open
+    brackets, those still wider than ``tol``, so a converged bracket is
+    never shot again and each root depends on its own bracket alone
+    (bitwise, for an ``fvec`` whose members do not depend on the family).
+    The secant point is kept ``tol / 2`` inside its bracket, Brent's
+    minimum step: once an end sits on the root, the next point lands
+    across it and closes the bracket, where regula falsi would creep.
+    A non-finite secant falls back to the midpoint.  A bracket end where
+    f is 0 is its root.
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
-    flo = np.asarray(fvec(lo), dtype=float).copy()
-    fhi = np.asarray(fvec(hi), dtype=float).copy()
+    f = np.asarray(fvec(np.concatenate((lo, hi))), dtype=float)
+    flo, fhi = f[:lo.size].copy(), f[lo.size:].copy()
     bad = (flo != 0.0) & (fhi != 0.0) & ((flo < 0.0) == (fhi < 0.0))
     if np.any(bad):
         raise ValueError(f"bracket {np.nonzero(bad)[0][0]} does not straddle a sign change")
@@ -160,35 +177,27 @@ def illinois_vector(
     lo = np.where(fhi == 0.0, hi, lo)
     side = np.zeros(lo.shape, dtype=int)  # -1: last replaced lo, +1: last replaced hi
     for _ in range(maxiter):
-        width = np.abs(hi - lo)
         tol = xtol + rtol * np.maximum(np.abs(lo), np.abs(hi))
-        if np.all(width <= tol):
+        live = np.nonzero(np.abs(hi - lo) > tol)[0]
+        if not live.size:
             break
-        denom = fhi - flo
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = (lo * fhi - hi * flo) / denom
-        mid = 0.5 * (lo + hi)
-        bad = ~np.isfinite(x)
-        margin = 1e-12 * np.maximum(1.0, np.abs(x))
-        bad |= (x - np.minimum(lo, hi)) < margin
-        bad |= (np.maximum(lo, hi) - x) < margin
-        x = np.where(bad, mid, x)
+        a, b, fa, fb, half = lo[live], hi[live], flo[live], fhi[live], 0.5 * tol[live]
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)
+        x = np.where(np.isfinite(x), x, 0.5 * (a + b))
+        x = np.clip(x, np.minimum(a, b) + half, np.maximum(a, b) - half)
         fx = np.asarray(fvec(x), dtype=float)
-        replace_hi = (fx < 0.0) != (flo < 0.0)
+        replace_hi = (fx < 0.0) != (fa < 0.0)
         # Illinois: halve the retained endpoint's value on a repeated side
-        stale_hi = replace_hi & (side == 1)
-        stale_lo = ~replace_hi & (side == -1)
-        flo = np.where(stale_hi, 0.5 * flo, flo)
-        fhi = np.where(stale_lo, 0.5 * fhi, fhi)
-        lo = np.where(replace_hi, lo, x)
-        flo = np.where(replace_hi, flo, fx)
-        hi = np.where(replace_hi, x, hi)
-        fhi = np.where(replace_hi, fx, fhi)
-        side = np.where(replace_hi, 1, -1)
+        s = side[live]
+        fa = np.where(replace_hi & (s == 1), 0.5 * fa, fa)
+        fb = np.where(~replace_hi & (s == -1), 0.5 * fb, fb)
         exact = fx == 0.0
-        if np.any(exact):
-            lo = np.where(exact, x, lo)
-            hi = np.where(exact, x, hi)
+        lo[live] = np.where(replace_hi & ~exact, a, x)
+        hi[live] = np.where(replace_hi | exact, x, b)
+        flo[live] = np.where(replace_hi, fa, fx)
+        fhi[live] = np.where(replace_hi, fx, fb)
+        side[live] = np.where(replace_hi, 1, -1)
     return 0.5 * (lo + hi)
 
 

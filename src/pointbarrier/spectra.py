@@ -40,7 +40,7 @@ from .errors import (
     TruncationDomainError,
 )
 from .ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_family
-from .profiles import Profile, reflect
+from .profiles import Profile, Segment, reflect
 from .resonance import _alpha_segments, scaled_residual, shoot
 from .rootfind import brent, illinois_vector, resolve_cells, sign_change_brackets
 
@@ -217,6 +217,24 @@ def _wall_chain(U: ConfiningPotential, wall: float, target: float) -> list[Famil
     return [FamilySegment(wall, target, U.U, -1.0)]
 
 
+@dataclass(frozen=True)
+class _BarrierPart:
+    """The coefficient U(x) + inv2 seg(x / eps) of one barrier segment (U
+    may be None).  A value, not a closure: equal barriers built by
+    different calls hit the same cached mesh."""
+
+    seg: Segment
+    inv2: float
+    eps: float
+    U: ConfiningPotential | None
+
+    def __call__(self, x):
+        val = self.inv2 * self.seg(x / self.eps)
+        if self.U is not None:
+            val += self.U.U(x)
+        return val
+
+
 def _barrier_chain(p: Profile, alpha: float, eps: float,
                    U: ConfiningPotential | None) -> list[FamilySegment]:
     """Segments covering [-eps, eps] in x with the squeezed profile.
@@ -229,18 +247,10 @@ def _barrier_chain(p: Profile, alpha: float, eps: float,
     segs = []
     for seg in p.segments:
         lo, hi = eps * seg.a, eps * seg.b
-
         if U is None and seg.is_constant:
             segs.append(FamilySegment(lo, hi, inv2 * seg.coeffs[0], -1.0))
-            continue
-
-        def cpart(x: float, _seg=seg, _inv2=inv2) -> float:
-            val = _inv2 * _seg(x / eps)
-            if U is not None:
-                val += U.U(x)
-            return val
-
-        segs.append(FamilySegment(lo, hi, cpart, -1.0))
+        else:
+            segs.append(FamilySegment(lo, hi, _BarrierPart(seg, inv2, eps, U), -1.0))
     return segs
 
 
@@ -318,6 +328,7 @@ def _weyl_scan(U: ConfiningPotential) -> tuple[Callable[[float], float], float]:
 def _verified_scan(
     fvec,
     start: float,
+    shot,
     ceiling: float,
     gap_fn: Callable[[float], float],
     k_needed: int,
@@ -325,19 +336,20 @@ def _verified_scan(
 ):
     """March upward bracketing sign changes of the matching Wronskian.
 
-    ``fvec(lams, True) -> (values, Sturm index)``.  Each chunk of the Weyl
-    grid is shot in one call (the first one with the start point).  The
-    index counts the eigenvalues at or below each point exactly, so a cell
-    across which it rises by two or more holds that many roots (near-
-    degenerate pairs of split-like problems defeat any fixed grid), and
-    ``resolve_cells`` halves it, one level of midpoints per call, until
-    every root shows its own sign change.  Only the rises of the index
+    ``fvec(lams, True) -> (values, Sturm index)``; ``shot`` is that of
+    ``[start]``, which the caller has already taken.  Each chunk of the
+    Weyl grid is shot in one call.  The index counts the eigenvalues at or
+    below each point exactly, so a cell across which it rises by two or
+    more holds that many roots (near-degenerate pairs of split-like
+    problems defeat any fixed grid), and ``resolve_cells`` halves it, one
+    level of midpoints per call, until every root shows its own sign
+    change.  Only the rises of the index
     matter, so levels below ``start`` (the diving levels of the squeezed
     problem) are neither found nor in the way.
     """
     brackets: list[tuple[float, float]] = []
     xs = [start]
-    vals, counts = np.empty(0), np.empty(0, dtype=int)  # shots of xs[:vals.size]
+    vals, counts = shot  # shots of xs[:vals.size]
     guard = 0
     while len(brackets) < k_needed:
         lam = xs[-1]
@@ -426,7 +438,7 @@ def eigen_limit(
     found = []
     for flag, fvec in _limit_problems(U, bc, cfg):
         what = "coupled problem" if flag == "ok" else f"{flag} half problem"
-        brackets = _verified_scan(fvec, _scan_start(fvec, start, what), ceiling, gap_fn,
+        brackets = _verified_scan(fvec, *_scan_start(fvec, start, what), ceiling, gap_fn,
                                   k_max, what)
         roots, residuals = _refine(fvec, brackets, eig_tol)
         found.extend((lam, res, flag) for lam, res in zip(roots, residuals))
@@ -470,12 +482,13 @@ def _limit_problems(U, bc, cfg):
     return [("ok", _matching([left, right], cfg, C=bc.matrix()))]
 
 
-def _scan_start(fvec, start: float, what: str) -> float:
+def _scan_start(fvec, start: float, what: str):
     """Move ``start`` down (start -> 2 start - 1) until no eigenvalue lies
-    at or below it."""
+    at or below it; returns it with its counted shot."""
     for _ in range(60):
-        if fvec(np.array([start]), True)[1][0] == 0:
-            return start
+        shot = fvec(np.array([start]), True)
+        if shot[1][0] == 0:
+            return start, shot
         start = 2.0 * start - 1.0
     raise SpectralWindowError(f"{what}: eigenvalues remain below {start:.6g}")
 
@@ -510,7 +523,8 @@ def eigen_perturbed(
     if not (1 <= k_lo <= k_hi):
         raise ValueError("need 1 <= k_lo <= k_hi")
     cfg = cfg or DEFAULT_CONFIG
-    barrier, fvec, gap_fn, lam_split, n_dive = _perturbed_problem(U, p, alpha, eps, cfg)
+    barrier, fvec, gap_fn, lam_split, shot = _perturbed_problem(U, p, alpha, eps, cfg)
+    n_dive = int(shot[1][0])
     lams, residuals, flags = np.empty(0), np.empty(0), []
     first = n_dive + 1  # the global index of lams[0]
     if k_lo <= n_dive:
@@ -520,7 +534,7 @@ def eigen_perturbed(
                                 f"{lam_split:.6g}, but the diving search found {lams.size}")
         flags, first = ["diving"] * n_dive, 1
     if k_hi > n_dive:
-        brackets = _verified_scan(fvec, lam_split, U.wall_floor() - margin, gap_fn,
+        brackets = _verified_scan(fvec, lam_split, shot, U.wall_floor() - margin, gap_fn,
                                   k_hi - n_dive, "squeezed-barrier problem")
         roots, res = _refine(fvec, brackets, eig_tol)
         lams, residuals = np.concatenate((lams, roots)), np.concatenate((residuals, res))
@@ -537,22 +551,22 @@ def diving_count(U: ConfiningPotential, p: Profile, alpha: float, eps: float,
     """Number of diving levels of the squeezed-barrier operator (see
     ``eigen_perturbed``): the Sturm index at the scan start of the bounded
     window, from one counted shot."""
-    return _perturbed_problem(U, p, alpha, eps, cfg or DEFAULT_CONFIG)[-1]
+    return int(_perturbed_problem(U, p, alpha, eps, cfg or DEFAULT_CONFIG)[-1][1][0])
 
 
 def _perturbed_problem(U, p, alpha, eps, cfg):
     """(barrier chain, matching function, Weyl gap function, scan start of
-    the bounded window, number of levels below that start) of the
-    squeezed-barrier problem."""
+    the bounded window, its counted shot) of the squeezed-barrier problem:
+    the Sturm index of the shot is the number of levels at or below the
+    start."""
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
     if eps >= U.truncation_radius:
         raise ValueError("barrier wider than the computational box")
     gap_fn, lam_split = _weyl_scan(U)
-    # one chain per solve, so that equal barrier segments share a cached mesh
     barrier = _barrier_chain(p, alpha, eps, U)
     fvec = _perturbed_fvec(U, barrier, eps, U.truncation_radius, cfg)
-    return barrier, fvec, gap_fn, lam_split, int(fvec(np.array([lam_split]), True)[1][0])
+    return barrier, fvec, gap_fn, lam_split, fvec(np.array([lam_split]), True)
 
 
 def _perturbed_fvec(U, barrier, eps, wall, cfg):

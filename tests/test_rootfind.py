@@ -42,3 +42,54 @@ def test_illinois_vector_polynomials():
     assert roots.tolist() == [0.3, 2.7, -1.0]
     with pytest.raises(ValueError):
         illinois_vector(f, np.array([0.4]), np.array([1.0]))
+
+
+def test_illinois_vector_closes_a_converged_end_in_one_step():
+    # regula falsi pins one end of this bracket near 1 and creeps from the
+    # other; the tolerance step lands across the root instead (the margin-
+    # to-midpoint rule took 25 calls here)
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x))
+        return np.sin(np.pi * x * x)
+
+    root = illinois_vector(f, np.array([0.5]), np.array([1.2]), xtol=1e-11)
+    assert len(calls) <= 10
+    assert abs(root[0] - 1.0) <= 1e-11
+    # both ends in the first call
+    assert calls[0].tolist() == [0.5, 1.2]
+
+
+def _poly(x):
+    return (x * x - 2.0) * (x * x - 3.0) * (x - 0.3) * (x + 1.7)
+
+
+def test_illinois_vector_roots_do_not_depend_on_the_batch():
+    lo = np.array([0.0, 1.3, 1.6, -1.72])
+    hi = np.array([1.0, 1.5, 1.9, -1.6])
+    together = illinois_vector(_poly, lo, hi)
+    alone = [illinois_vector(_poly, lo[i:i + 1], hi[i:i + 1])[0] for i in range(lo.size)]
+    assert together.tolist() == alone
+    assert np.allclose(together, [0.3, math.sqrt(2.0), math.sqrt(3.0), -1.7], atol=1e-12)
+
+
+def test_illinois_vector_shoots_only_open_brackets():
+    # a linear piece converges at once, sin(pi x^2) takes longer: the
+    # linear bracket drops out of the calls for good
+    def f(x):
+        calls.append(np.array(x))
+        return np.where(x < 0.0, x + 0.37, np.sin(np.pi * x * x))
+
+    calls = []
+    lo, hi = np.array([-1.0, 0.5, 2.1]), np.array([-1e-3, 1.2, 2.3])
+    roots = illinois_vector(f, lo, hi, xtol=1e-12)
+    assert np.allclose(roots, [-0.37, 1.0, math.sqrt(5.0)], atol=1e-12)
+    owners = [np.searchsorted(hi, shot) for shot in calls[1:]]
+    for k in range(lo.size):
+        present = [bool(np.any(o == k)) for o in owners]
+        # once a bracket has left the calls it never comes back
+        assert present == sorted(present, reverse=True)
+    # no call carries a bracket twice
+    assert all(np.unique(o).size == o.size for o in owners)
+    assert sum(np.any(o == 0) for o in owners) < sum(np.any(o == 1) for o in owners)

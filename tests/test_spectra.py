@@ -239,6 +239,33 @@ def test_a_diving_search_short_of_the_count_raises(tilted, step, alpha1, monkeyp
         eigen_perturbed(tilted, step, alpha1, 0.1, (1, 2))
 
 
+def test_a_second_solve_shares_the_barrier_meshes_and_the_start_shot(tilted, step, alpha1,
+                                                                     monkeypatch):
+    # barrier coefficients are values, so the solve after diving_count
+    # builds no mesh, and it shoots its scan start once
+    from pointbarrier import ivp
+
+    eps = 0.2
+    assert spectra._barrier_chain(step, alpha1, eps, tilted) == spectra._barrier_chain(
+        step, alpha1, eps, tilted)
+    n = diving_count(tilted, step, alpha1, eps)
+    builds, starts = [], []
+    build = ivp._build_mesh
+    monkeypatch.setattr(ivp, "_build_mesh", lambda *args: builds.append(args) or build(*args))
+    start = spectra._weyl_scan(tilted)[1]
+    propagate = spectra.propagate_family
+
+    def spy(chain, lams, *args, **kwargs):
+        starts.append(int(np.count_nonzero(np.asarray(lams) == start)))
+        return propagate(chain, lams, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "propagate_family", spy)
+    eigen_perturbed(tilted, step, alpha1, eps, (n + 1, n + 2), eigenfunctions=True,
+                    samples_per_unit=101)
+    assert builds == []
+    assert sum(starts) == 2  # one counted shot: one member on each chain
+
+
 def test_grid_roots_raise_when_brackets_fall_short_of_the_count():
     # the count rises at 0.5 and 2.5 but the value changes sign only at 0.5:
     # a root the sign cannot show is an error, not a silent omission
@@ -307,6 +334,27 @@ def test_interval_nonresonant_limit(step):
     omegas = np.sqrt(spec.eigenvalues)
     limits = split_limit_frequencies(-1.0, 2.0, 6)
     assert np.max(np.abs(omegas - limits) / limits) <= 1e-3
+
+
+def test_a_level_on_a_grid_node_costs_no_halving(odd_cubic, monkeypatch):
+    # at alpha = 0 the levels of (-2, 0.6569) lie on nodes of the omega
+    # grid, where rounding can put one below the node by its count and
+    # above it by its sign: the sign-change cell brackets it as it is
+    halvings = []
+    resolve = spectra.resolve_cells
+
+    def spy(fvec, xs, fs, cs, out):
+        def shoot(mids, with_counts=False):
+            halvings.append(np.size(mids))
+            return fvec(mids, with_counts)
+
+        resolve(shoot, xs, fs, cs, out)
+
+    monkeypatch.setattr(spectra, "resolve_cells", spy)
+    spec = interval_spectrum(-2.0, 0.6569, odd_cubic, -0.0, 0.5, 1)
+    assert halvings == []
+    omega = interval_limit_frequencies(-2.0, 0.6569, 1.0, 1)[0]
+    assert abs(math.sqrt(spec.eigenvalues[0]) - omega) < 1e-11
 
 
 def test_interval_validation(step):
@@ -479,6 +527,43 @@ def test_deep_bound_level_is_reached_in_few_steps(monkeypatch, harmonic):
     R = harmonic.truncation_radius
     ref = fd_levels(lambda x: x * x, -R, R, 28001, 3, -50.0)
     assert np.allclose(spec.eigenvalues, ref, rtol=1e-4, atol=0.0)
+
+
+def _refine_members(monkeypatch):
+    """Members passed to the matching functions by ``illinois_vector``."""
+    members = []
+    refine = spectra.illinois_vector
+
+    def counted(fvec, lo, hi, **kwargs):
+        def shoot(lams):
+            members.append(np.size(lams))
+            return fvec(lams)
+
+        return refine(shoot, lo, hi, **kwargs)
+
+    monkeypatch.setattr(spectra, "illinois_vector", counted)
+    return members
+
+
+def test_limit_levels_are_refined_in_few_members(monkeypatch, harmonic):
+    # the spectrum workload: a converged bracket is not shot again, and a
+    # converged end closes its bracket at once (165 members when every
+    # bracket was shot until the last converged, creeping by midpoints)
+    members = _refine_members(monkeypatch)
+    spec = eigen_limit(harmonic, ThetaCoupled(1.0), 5, eigenfunctions=False)
+    assert sum(members) <= 60
+    assert np.allclose(spec.eigenvalues, [1.0, 3.0, 5.0, 7.0, 9.0], atol=1e-8)
+
+
+def test_bounded_levels_of_a_converge_rung_are_refined_in_few_members(monkeypatch, tilted,
+                                                                      step, alpha1):
+    # the converge rung eps = 0.05: 39 members; 54 when every bracket was
+    # shot until the last converged, creeping by midpoints
+    n = diving_count(tilted, step, alpha1, 0.05)
+    members = _refine_members(monkeypatch)
+    spec = eigen_perturbed(tilted, step, alpha1, 0.05, (n + 1, n + 3))
+    assert spec.flags == ["ok"] * 3
+    assert sum(members) <= 45
 
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
