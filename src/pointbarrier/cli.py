@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NumericsError, PointBarrierError, PreconditionError
+from .errors import NumericsError, PointBarrierError, PreconditionError, ProfileFormatError
 from .ivp import SolverConfig
 from .parallel import pmap
 from .profiles import Profile, builtin, classify, load as load_profile
@@ -106,7 +106,10 @@ def _parse_profile(spec: str) -> Profile:
         return even_counterexample_profile()
     path = Path(spec)
     if path.exists():
-        return load_profile(path)
+        try:
+            return load_profile(path)
+        except (ProfileFormatError, OSError) as exc:
+            raise ConfigError(f"unreadable profile {spec!r}: {exc}") from None
     raise ConfigError(
         f"unknown profile {spec!r}: use step, odd_cubic, asymmetric_bump, "
         "even_quadratic, or a path to a profile JSON document"

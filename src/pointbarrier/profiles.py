@@ -11,6 +11,7 @@ the propagator take one exact step over each constant segment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -47,7 +48,8 @@ class Profile:
     Invariants (validated on construction):
 
     * segment intervals are a gapless, overlap-free partition of [-1, 1];
-    * every segment interval has positive length.
+    * every segment interval has positive length;
+    * every breakpoint and coefficient is finite.
 
     Values at internal breakpoints take the right-hand segment
     (right-continuous tie-break); the value at +1 takes the last segment.
@@ -64,6 +66,9 @@ class Profile:
         if abs(self.segments[-1].b - 1.0) > _PARTITION_TOL:
             raise ProfileFormatError(f"last segment must end at +1, got {self.segments[-1].b}")
         for seg in self.segments:
+            if not all(math.isfinite(v) for v in (seg.a, seg.b, *seg.coeffs)):
+                raise ProfileFormatError(
+                    f"segment ({seg.a}, {seg.b}) has a non-finite end or coefficient")
             if not seg.b > seg.a:
                 raise ProfileFormatError(f"segment ({seg.a}, {seg.b}) has non-positive length")
             if len(seg.coeffs) == 0:

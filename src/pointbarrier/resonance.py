@@ -160,7 +160,8 @@ def resonance_scan(
     ``resolve_cells`` halves every cell that hides roots until each shows
     its own sign change of D, and the brackets of both sides are refined
     together by vectorized bisection.  A side that brackets fewer roots
-    than its index rise at the halving floor raises ``NumericsError``.
+    than its index rise (a pair closer than the halving floor) raises
+    ``NumericsError`` naming the profile and the side's window.
     alpha = 0 is inserted analytically whenever the window contains it.
     Roots whose shot misses ``residual_tol`` come back ``flagged``.
     """
@@ -168,6 +169,8 @@ def resonance_scan(
         raise ValueError("need alpha_min < alpha_max")
     if scan_step <= 0:
         raise ValueError("scan_step must be positive")
+    if not math.isfinite((alpha_max - alpha_min) / scan_step):
+        raise ValueError("(alpha_max - alpha_min) / scan_step must be finite")
     cfg = cfg or DEFAULT_CONFIG
 
     n_cells = max(1, math.ceil((alpha_max - alpha_min) / scan_step))
@@ -223,14 +226,12 @@ def _side_brackets(p, side, ts, m0, cfg) -> list[tuple[float, float]]:
     if ts[0] == 0.0 and side * m0 > 0.0:
         cs[0] -= 1
     out: list[tuple[float, float]] = []
-    resolve_cells(fvec, ts, fs, cs, out)
-    if len(out) < cs[-1] - cs[0]:
+    try:
+        resolve_cells(fvec, ts, fs, cs, out)
+    except NumericsError as exc:
         lo, hi = sorted((side * ts[0], side * ts[-1]))
         raise NumericsError(
-            f"resonance scan of profile {p.label!r} on [{lo:.10g}, {hi:.10g}]: the Neumann "
-            f"index counts {cs[-1] - cs[0]} resonances, but only {len(out)} show a sign "
-            "change at the halving floor"
-        )
+            f"resonance scan of profile {p.label!r} on [{lo:.10g}, {hi:.10g}]: {exc}") from None
     return [(a, b) if side > 0.0 else (-b, -a) for a, b in out]
 
 

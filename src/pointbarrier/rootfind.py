@@ -20,6 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import NumericsError
+
 _EPS = float(np.finfo(float).eps)
 
 
@@ -55,11 +57,14 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
     Halving is level-synchronous: every pending cell of one level is split
     at once and all the midpoints are shot in one ``fvec(mids, True)``
     call.  The cells stay disjoint, so sorting the brackets by their left
-    ends gives the order of a left-to-right depth-first halving.
+    ends gives the order of a left-to-right depth-first halving.  Raises
+    ``NumericsError`` when the brackets fall short of the count's rise
+    ``cs[-1] - cs[0]`` (roots closer than the halving floor).
     """
     x = np.asarray(xs, dtype=float)
     f = np.asarray(fs, dtype=float)
     c = np.asarray(cs, dtype=int)
+    counted = int(c[-1] - c[0])
     xa, fa, ca, xb, fb, cb = x[:-1], f[:-1], c[:-1], x[1:], f[1:], c[1:]
     lo, hi = [], []
     for depth in range(41):
@@ -81,6 +86,10 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
         xa, fa, ca = np.concatenate((xa, xm)), np.concatenate((fa, fm)), np.concatenate((ca, cm))
         xb, fb, cb = np.concatenate((xm, xb)), np.concatenate((fm, fb)), np.concatenate((cm, cb))
     lo, hi = np.concatenate(lo), np.concatenate(hi)
+    if lo.size < counted:
+        raise NumericsError(
+            f"the index counts {counted} roots in ({x[0]:.10g}, {x[-1]:.10g}], but only "
+            f"{lo.size} show a sign change at the halving floor")
     order = np.argsort(lo)
     out.extend(zip(lo[order].tolist(), hi[order].tolist()))
 

@@ -128,13 +128,19 @@ def scatter(
         raise ValueError("wavenumber k must be positive")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    try:
+        m = (eps * k) ** 2
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(m):
+        raise ValueError(f"(eps k)^2 overflows at eps = {eps!r}, k = {k!r}")
     cfg = cfg or SCATTER_CONFIG
     segs = [
         FamilySegment(s.a, s.b, alpha * s.coeffs[0] if s.is_constant
                       else Segment(s.a, s.b, tuple(alpha * c for c in s.coeffs)), -1.0)
         for s in p.segments
     ]
-    res = propagate_family(segs, np.full(2, (eps * k) ** 2), np.eye(2), cfg)
+    res = propagate_family(segs, np.full(2, m), np.eye(2), cfg)
     # the true barrier matrix is unimodular; projecting out the tiny
     # integration drift makes flux conservation structurally exact
     M = _barrier_matrix_x(unit_wronskian(res.states), eps)

@@ -337,15 +337,17 @@ def _verified_scan(
     """March upward bracketing sign changes of the matching Wronskian.
 
     ``fvec(lams, True) -> (values, Sturm index)``; ``shot`` is that of
-    ``[start]``, which the caller has already taken.  Each chunk of the
-    Weyl grid is shot in one call.  The index counts the eigenvalues at or
-    below each point exactly, so a cell across which it rises by two or
-    more holds that many roots (near-degenerate pairs of split-like
-    problems defeat any fixed grid), and ``resolve_cells`` halves it, one
-    level of midpoints per call, until every root shows its own sign
-    change.  Only the rises of the index
-    matter, so levels below ``start`` (the diving levels of the squeezed
-    problem) are neither found nor in the way.
+    ``[start]``, which the caller has already taken.  The grid steps by
+    half of ``gap_fn`` (the Weyl gap, or an omega-uniform step for the
+    interval), and each chunk of it is shot in one call.  The index counts
+    the eigenvalues at or below each point exactly, so a cell across which
+    it rises by two or more holds that many roots (near-degenerate pairs
+    of split-like problems defeat any fixed grid), and ``resolve_cells``
+    halves it, one level of midpoints per call, until every root shows its
+    own sign change; a pair closer than its halving floor raises
+    ``NumericsError``.  Only the rises of the index matter, so levels
+    below ``start`` (the diving levels of the squeezed problem) are
+    neither found nor in the way.
     """
     brackets: list[tuple[float, float]] = []
     xs = [start]
@@ -377,15 +379,9 @@ def _verified_scan(
 
 def _grid_roots(fvec, grid: np.ndarray, xtol: float, rtol: float) -> np.ndarray:
     """Roots of ``fvec`` in the cells of the ascending ``grid``: cells are
-    split until the zero counts show every root, then refined together.
-    Raises ``NumericsError`` when the brackets fall short of the count."""
-    vals, counts = fvec(grid, True)
+    split until the zero counts show every root, then refined together."""
     brackets: list[tuple[float, float]] = []
-    resolve_cells(fvec, grid, vals, counts, brackets)
-    if len(brackets) < counts[-1] - counts[0]:
-        raise NumericsError(
-            f"the Sturm index counts {counts[-1] - counts[0]} eigenvalues in ({grid[0]:.10g}, "
-            f"{grid[-1]:.10g}], but only {len(brackets)} show a sign change at the halving floor")
+    resolve_cells(fvec, grid, *fvec(grid, True), brackets)
     if not brackets:
         return np.empty(0)
     lo = np.array([x for x, _ in brackets])
@@ -639,9 +635,10 @@ def interval_spectrum(
     """Lowest ``count`` nonnegative eigenvalues of the squeezed barrier on
     (a, b) with Dirichlet ends and no background potential.
 
-    The scan runs over the frequency omega = sqrt(lambda); near-coincident
-    pairs (both half-intervals close to resonance) are resolved by an
-    omega step that also shrinks with eps.
+    ``_verified_scan`` marches up from lambda = 0 on a grid uniform in the
+    frequency omega = sqrt(lambda), one step pi / (8 (|a| + b)).  The
+    Sturm index halves near-coincident pairs (both half-intervals close to
+    resonance) apart, down to the halving floor of ``resolve_cells``.
     """
     if not (a < -eps < eps < b):
         raise ValueError("need a < -eps < eps < b")
@@ -649,24 +646,13 @@ def interval_spectrum(
         raise ValueError("count must be at least 1")
     cfg = cfg or DEFAULT_CONFIG
     fvec = _interval_fvec(a, b, p, alpha, eps, cfg)
+    d_omega = math.pi / (8.0 * (abs(a) + b))
 
-    d_omega = min(math.pi / (8.0 * (abs(a) + b)), max(eps / 2.0, 1e-4))
-    brackets: list[tuple[float, float]] = []
-    omega = 0.0
-    vals, counts = np.empty(0), np.empty(0, dtype=int)  # shot of the last point scanned
-    guard = 0
-    while len(brackets) < count:
-        omegas = omega + d_omega * np.arange(1, 513)
-        xs = np.concatenate(([omega], omegas)) ** 2
-        v, c = fvec(xs[vals.size:], True)
-        vals, counts = np.concatenate((vals, v)), np.concatenate((counts, c))
-        resolve_cells(fvec, xs, vals, counts, brackets)
-        omega = float(omegas[-1])
-        vals, counts = vals[-1:], counts[-1:]
-        guard += 1
-        if guard > 200:
-            raise SpectralWindowError("interval eigenvalue search did not terminate")
-    brackets = brackets[:count]
+    def gap(lam: float) -> float:  # lam + gap / 2 = (sqrt(lam) + d_omega)^2
+        return 2.0 * d_omega * (2.0 * math.sqrt(lam) + d_omega)
+
+    brackets = _verified_scan(fvec, 0.0, fvec(np.array([0.0]), True), math.inf, gap, count,
+                              "interval problem")
     lams, residuals = _refine(fvec, brackets, eig_tol)
     return Spectrum(lams, residuals, ["ok"] * len(lams))
 

@@ -218,7 +218,7 @@ def test_converge_cli(tmp_path):
     assert len(lines) == 5  # header + 4 ladder entries for one level
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # config error
     assert main(["spectrum", "--profile", "step", "--mode", "limit",
                  "--potential", "mystery", "--radius", "7",
@@ -230,6 +230,37 @@ def test_exit_codes(tmp_path):
     assert main(["spectrum", "--profile", "step", "--mode", "limit",
                  "--potential", "harmonic", "--radius", "2", "--bc", "theta:1.0",
                  "--levels", "3", "--out", str(tmp_path / "x3")]) == 3
+    # unreadable profiles: non-finite entries, a directory, a malformed document
+    specs = {
+        "inf.json": '{"segments": [{"interval": [-1, 1], "coeffs": [1e999]}]}',
+        "nan.json": '{"segments": [{"interval": [-1, 1], "coeffs": [NaN]}]}',
+        "nan_end.json": '{"segments": [{"interval": [-1, NaN], "coeffs": [1]}]}',
+        "broken.json": '{"segments": 3',
+    }
+    for name, text in specs.items():
+        (tmp_path / name).write_text(text)
+    profile = lambda name: str(tmp_path / name)
+    rejects = [
+        ["classify", "--profile", profile("inf.json")],
+        ["resonances", "--profile", profile("nan.json"), "--window", "0", "5"],
+        ["scatter", "--profile", profile("nan.json"), "--alpha", "1", "--eps", "0.1", "--k", "1"],
+        ["classify", "--profile", profile("nan_end.json")],
+        ["classify", "--profile", profile("broken.json")],
+        ["classify", "--profile", str(tmp_path)],
+        ["hypothesis", "--profiles", "step,", "--window", "-1", "1"],
+        # overflowing inputs
+        ["theta", "--profile", "step", "--alpha", "1", "--search-width", "1e308"],
+        ["resonances", "--profile", "step", "--window", "-1e308", "1e308",
+         "--scan-step", "1e300"],
+        ["scatter", "--profile", "step", "--alpha", "1", "--eps", "0.1", "--k", "1e200"],
+    ]
+    capsys.readouterr()
+    for i, argv in enumerate(rejects):
+        assert main(argv + ["--out", str(tmp_path / f"r{i}")]) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error:"), (argv, err)
+        if i < 4:
+            assert "non-finite" in err[0], err
 
 
 def test_custom_profile_from_json(tmp_path):
@@ -292,6 +323,19 @@ _PARSE_REJECTS = [
     ["interval", "--profile", "step", "--a", "-1", "--b", "inf", "--alpha", "1",
      "--eps", "1e-3"],
 ]
+
+
+def test_spectrum_limit_pair_below_the_halving_floor_exits_3(tmp_path, capsys):
+    # matrix:0,-1e-6,1e6,0 nearly splits the box into two Dirichlet halves:
+    # level 4 is one of a pair 6e-6 apart that no cell separates
+    common = ["spectrum", "--mode", "limit", "--potential", "harmonic",
+              "--bc", "matrix:0,-0.000001,1000000,0", "--levels", "4"]
+    for radius in ("9", "7"):
+        assert main(common + ["--radius", radius, "--out", str(tmp_path / radius)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+        assert "halving floor" in err[0]
+        assert "enlarge the truncation radius" not in err[0]
 
 
 def test_spectrum_limit_flags_a_degenerate_partner_beyond_the_cut(tmp_path):

@@ -143,6 +143,13 @@ def test_partition_validation():
         Profile((Segment(-0.5, 1.0, (1.0,)),))  # wrong left end
     with pytest.raises(ProfileFormatError):
         Profile((Segment(-1.0, -1.0, (1.0,)), Segment(-1.0, 1.0, (1.0,))))  # empty
+    for coeffs in ((float("inf"),), (0.0, float("nan")), (1e308, float("-inf"))):
+        with pytest.raises(ProfileFormatError, match="non-finite"):
+            Profile((Segment(-1.0, 1.0, coeffs),))
+    with pytest.raises(ProfileFormatError, match="non-finite"):
+        Profile((Segment(-1.0, float("nan"), (1.0,)), Segment(float("nan"), 1.0, (1.0,))))
+    with pytest.raises(ProfileFormatError, match="non-finite"):
+        from_json_dict({"segments": [{"interval": [-1.0, 1.0], "coeffs": [1e999]}]})
 
 
 def test_json_round_trip(bump, tmp_path):

@@ -3,13 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from pointbarrier.rootfind import bisect_vector, brent, illinois_vector, sign_change_brackets
+from pointbarrier.errors import NumericsError
+from pointbarrier.rootfind import (
+    bisect_vector,
+    brent,
+    illinois_vector,
+    resolve_cells,
+    sign_change_brackets,
+)
 
 
 def test_sign_change_brackets():
     xs = [0.0, 1.0, 2.0, 3.0, 4.0]
     fs = [1.0, -1.0, -2.0, 0.0, 3.0]
     assert sign_change_brackets(xs, fs) == [(0.0, 1.0)]
+
+
+def test_resolve_cells_raises_when_brackets_fall_short_of_the_count():
+    # the count rises at 0.5 and 2.5 but the value changes sign only at 0.5:
+    # a root the sign cannot show is an error, not a silent omission
+    def fvec(x, with_counts=False):
+        x = np.asarray(x, dtype=float)
+        vals = x - 0.5
+        if not with_counts:
+            return vals
+        return vals, (x >= 0.5).astype(int) + (x >= 2.5)
+
+    grid = np.linspace(0.0, 4.0, 9)
+    with pytest.raises(NumericsError, match=r"counts 2 roots in \(0, 4\], but only 1"):
+        resolve_cells(fvec, grid, *fvec(grid, True), [])
+    out = []
+    resolve_cells(fvec, grid[:5], *fvec(grid[:5], True), out)
+    assert out == [(0.0, 0.5)]  # the root on the node 0.5 ends the cell to its left
 
 
 def test_brent_cosine():

@@ -266,20 +266,13 @@ def test_a_second_solve_shares_the_barrier_meshes_and_the_start_shot(tilted, ste
     assert sum(starts) == 2  # one counted shot: one member on each chain
 
 
-def test_grid_roots_raise_when_brackets_fall_short_of_the_count():
-    # the count rises at 0.5 and 2.5 but the value changes sign only at 0.5:
-    # a root the sign cannot show is an error, not a silent omission
-    def fvec(x, with_counts=False):
-        x = np.asarray(x, dtype=float)
-        vals = x - 0.5
-        if not with_counts:
-            return vals
-        return vals, (x >= 0.5).astype(int) + (x >= 2.5)
-
-    grid = np.linspace(0.0, 4.0, 9)
-    with pytest.raises(NumericsError, match="counts 2 eigenvalues .* only 1"):
-        spectra._grid_roots(fvec, grid, xtol=1e-12, rtol=1e-12)
-    assert np.allclose(spectra._grid_roots(fvec, grid[:5], xtol=1e-12, rtol=1e-12), [0.5])
+def test_limit_pair_closer_than_the_halving_floor_raises():
+    # C = [[0, -1e-6], [1e6, 0]] nearly decouples two Dirichlet halves: the
+    # pairs at 7, 11, ... are about 6e-6 apart, below the 7e-5 floor at 7,
+    # so the index counts levels no sign change shows
+    U = polynomial_potential([0.0, 0.0, 1.0], 9.0)
+    with pytest.raises(NumericsError, match="halving floor"):
+        eigen_limit(U, ConnectedMatrix(0.0, -1e-6, 1e6, 0.0), 4, eigenfunctions=False)
 
 
 # -- interval problems ---------------------------------------------------------------
@@ -355,6 +348,39 @@ def test_a_level_on_a_grid_node_costs_no_halving(odd_cubic, monkeypatch):
     assert halvings == []
     omega = interval_limit_frequencies(-2.0, 0.6569, 1.0, 1)[0]
     assert abs(math.sqrt(spec.eigenvalues[0]) - omega) < 1e-11
+
+
+def _family_members(monkeypatch):
+    """The family members of every ``spectra.propagate_family`` call from now
+    on, one entry per call."""
+    members = []
+    propagate = spectra.propagate_family
+
+    def spy(chain, lams, *args, **kwargs):
+        members.append(np.size(lams))
+        return propagate(chain, lams, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "propagate_family", spy)
+    return members
+
+
+def test_interval_scan_shoots_only_the_chunks_it_needs(monkeypatch, step, odd_cubic):
+    # the lowest level of (-2, 0.6569) lies 8 omega steps up, in the first
+    # chunk of 48; the split pairs at eps = 1e-3 are halved apart
+    members = _family_members(monkeypatch)
+    interval_spectrum(-2.0, 0.6569, odd_cubic, -0.0, 0.5, 1)
+    assert sum(members) <= 60
+    members.clear()
+    spec = interval_spectrum(-1.0, 2.0, step, 5.0, 1e-3, 6)
+    assert sum(members) <= 400
+    gaps = np.diff(spec.eigenvalues)
+    assert gaps.min() < 1e-2 and np.all(gaps > 0.0)  # the pairs near pi^2 and 4 pi^2
+
+
+def test_interval_pair_closer_than_the_halving_floor_raises(step):
+    # at eps = 1e-5 the split pairs are closer than 1e-5 max(1, lambda)
+    with pytest.raises(NumericsError, match="halving floor"):
+        interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 6)
 
 
 def test_interval_validation(step):
@@ -441,18 +467,29 @@ def _recursive_resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, mids, depth=0):
         out.append((xa, xb))
 
 
-def test_resolve_cells_matches_recursive_reference():
-    from pointbarrier.rootfind import illinois_vector, resolve_cells
+_ROOTS = np.array([0.5, 2.3, 2.3001, 4.0, 6.7])
+# cells: [0, 1] one plain root; [2, 3] a hidden pair; [3, 4] a root
+# exactly on its right node; [6, 7] a root
+_NODES = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e9]
 
-    # sign changes at the roots; the count of roots at or below x steps at
-    # the roots and at the phantoms, where the value keeps its sign
-    roots = np.array([0.5, 2.3, 2.3001, 4.0, 6.7])
-    phantoms = np.array([5.25, 8.5])
+
+def _counted_roots(phantoms):
+    """f with sign changes at ``_ROOTS``, and the count of roots at or
+    below x, which also steps at ``phantoms``, where f keeps its sign."""
+    steps = np.concatenate((_ROOTS, phantoms))
 
     def fvec(x, with_counts=False):
         x = np.asarray(x, dtype=float)
-        vals = np.prod(x[:, None] - roots, axis=1)
-        return vals, np.sum(x[:, None] >= np.concatenate((roots, phantoms)), axis=1)
+        vals = np.prod(x[:, None] - _ROOTS, axis=1)
+        return vals, np.sum(x[:, None] >= steps, axis=1)
+
+    return fvec
+
+
+def _resolve_against_reference(fvec):
+    """``resolve_cells`` on ``_NODES`` with its calls recorded, next to the
+    recursive reference's brackets and (depth, midpoint) shots."""
+    from pointbarrier.rootfind import resolve_cells
 
     calls = []
 
@@ -461,32 +498,50 @@ def test_resolve_cells_matches_recursive_reference():
         calls.append(np.array(x))
         return fvec(x, True)
 
-    # cells: [0, 1] one plain root; [2, 3] a hidden pair; [3, 4] a root
-    # exactly on its right node; [5, 6] a count rise with no sign change,
-    # halved to the width floor and dropped; [6, 7] a root; [8, 1e9] a
-    # phantom that stops at 40 halvings before the floor
-    xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e9]
-    fs, cs = fvec(xs, True)
+    fs, cs = fvec(_NODES, True)
     assert fs[4] == 0.0
     want, mids = [], []
-    for i in range(len(xs) - 1):
-        _recursive_resolve_cell(fvec, xs[i], float(fs[i]), int(cs[i]),
-                                xs[i + 1], float(fs[i + 1]), int(cs[i + 1]), want, mids)
-    got = []
-    resolve_cells(counted, xs, fs, cs, got)
-    assert got == want
-    assert [round(a, 3) for a, _ in got] == [0.0, 2.3, 2.3, 3.0, 6.0]
-    # a bracket end where f is 0 is the root itself
-    lo, hi = np.array(got).T
-    refined = illinois_vector(lambda x: fvec(x)[0], lo, hi)
-    assert refined[3] == 4.0
-    assert np.allclose(refined, roots, atol=1e-12)
+    for i in range(len(_NODES) - 1):
+        _recursive_resolve_cell(fvec, _NODES[i], float(fs[i]), int(cs[i]), _NODES[i + 1],
+                                float(fs[i + 1]), int(cs[i + 1]), want, mids)
+    got, error = [], None
+    try:
+        resolve_cells(counted, _NODES, fs, cs, got)
+    except NumericsError as exc:
+        error = exc
     depths = sorted({d for d, _ in mids})
-    assert depths == list(range(40))
     # one call per halving level, holding every midpoint of that level
     assert len(calls) == len(depths)
     for d, shot in zip(depths, calls):
         assert sorted(shot.tolist()) == sorted(x for dd, x in mids if dd == d)
+    return got, want, depths, error
+
+
+def test_resolve_cells_matches_recursive_reference():
+    from pointbarrier.rootfind import illinois_vector
+
+    fvec = _counted_roots(np.empty(0))
+    got, want, depths, error = _resolve_against_reference(fvec)
+    assert error is None
+    assert got == want
+    assert [round(a, 3) for a, _ in got] == [0.0, 2.3, 2.3, 3.0, 6.0]
+    assert depths == list(range(12))  # the pair 1e-4 apart in [2, 3]
+    # a bracket end where f is 0 is the root itself
+    lo, hi = np.array(got).T
+    refined = illinois_vector(lambda x: fvec(x)[0], lo, hi)
+    assert refined[3] == 4.0
+    assert np.allclose(refined, _ROOTS, atol=1e-12)
+
+
+def test_resolve_cells_raises_on_count_rises_no_sign_change_shows():
+    # [5, 6] a count rise with no sign change, halved to the width floor;
+    # [8, 1e9] one that stops at 40 halvings before the floor: both are
+    # halved as the reference does, then the shortfall raises
+    _, _, depths, error = _resolve_against_reference(_counted_roots(np.array([5.25, 8.5])))
+    assert depths == list(range(40))
+    assert error is not None
+    assert str(error) == ("the index counts 7 roots in (0, 1000000000], but only 5 show a "
+                          "sign change at the halving floor")
 
 
 # -- exact Sturm index and connected couplings -----------------------------------
