@@ -36,6 +36,19 @@ class StepSizeUnderflowError(NumericsError):
         )
 
 
+class BracketShortfallError(NumericsError):
+    """An exact root index counts more roots in an interval than show a
+    sign change at the halving floor.
+
+    Carries both numbers, so a caller can name the interval in its own
+    coordinate.
+    """
+
+    def __init__(self, counted: int, found: int, message: str):
+        self.counted, self.found = counted, found
+        super().__init__(message)
+
+
 class TruncationDomainError(NumericsError):
     """The truncated computational box is too small: a requested eigenvalue
     comes within the safety margin of the wall potential."""

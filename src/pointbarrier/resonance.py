@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInResonanceSetError, NumericsError
+from .errors import BracketShortfallError, NotInResonanceSetError, NumericsError
 from .ivp import DEFAULT_CONFIG, FamilyResult, FamilySegment, SolverConfig, propagate_family
 from .profiles import Profile, ProfileKind, classify
 from .rootfind import bisect_vector, resolve_cells
@@ -160,8 +160,7 @@ def resonance_scan(
     ``resolve_cells`` halves every cell that hides roots until each shows
     its own sign change of D, and the brackets of both sides are refined
     together by vectorized bisection.  A side that brackets fewer roots
-    than its index rise (a pair closer than the halving floor) raises
-    ``NumericsError`` naming the profile and the side's window.
+    than its index rise at the halving floor raises ``NumericsError``.
     alpha = 0 is inserted analytically whenever the window contains it.
     Roots whose shot misses ``residual_tol`` come back ``flagged``.
     """
@@ -228,10 +227,12 @@ def _side_brackets(p, side, ts, m0, cfg) -> list[tuple[float, float]]:
     out: list[tuple[float, float]] = []
     try:
         resolve_cells(fvec, ts, fs, cs, out)
-    except NumericsError as exc:
+    except BracketShortfallError as exc:
         lo, hi = sorted((side * ts[0], side * ts[-1]))
         raise NumericsError(
-            f"resonance scan of profile {p.label!r} on [{lo:.10g}, {hi:.10g}]: {exc}") from None
+            f"resonance scan of profile {p.label!r} on [{lo:.10g}, {hi:.10g}]: the Neumann "
+            f"index counts {exc.counted} resonances, but only {exc.found} show a sign change "
+            "at the halving floor") from None
     return [(a, b) if side > 0.0 else (-b, -a) for a, b in out]
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import BracketShortfallError
 
 _EPS = float(np.finfo(float).eps)
 
@@ -58,8 +58,8 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
     at once and all the midpoints are shot in one ``fvec(mids, True)``
     call.  The cells stay disjoint, so sorting the brackets by their left
     ends gives the order of a left-to-right depth-first halving.  Raises
-    ``NumericsError`` when the brackets fall short of the count's rise
-    ``cs[-1] - cs[0]`` (roots closer than the halving floor).
+    ``BracketShortfallError`` when the brackets fall short of the count's
+    rise ``cs[-1] - cs[0]`` (roots closer than the halving floor).
     """
     x = np.asarray(xs, dtype=float)
     f = np.asarray(fs, dtype=float)
@@ -87,7 +87,8 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
         xb, fb, cb = np.concatenate((xm, xb)), np.concatenate((fm, fb)), np.concatenate((cm, cb))
     lo, hi = np.concatenate(lo), np.concatenate(hi)
     if lo.size < counted:
-        raise NumericsError(
+        raise BracketShortfallError(
+            counted, lo.size,
             f"the index counts {counted} roots in ({x[0]:.10g}, {x[-1]:.10g}], but only "
             f"{lo.size} show a sign change at the halving floor")
     order = np.argsort(lo)

@@ -337,17 +337,17 @@ def _verified_scan(
     """March upward bracketing sign changes of the matching Wronskian.
 
     ``fvec(lams, True) -> (values, Sturm index)``; ``shot`` is that of
-    ``[start]``, which the caller has already taken.  The grid steps by
-    half of ``gap_fn`` (the Weyl gap, or an omega-uniform step for the
-    interval), and each chunk of it is shot in one call.  The index counts
-    the eigenvalues at or below each point exactly, so a cell across which
-    it rises by two or more holds that many roots (near-degenerate pairs
-    of split-like problems defeat any fixed grid), and ``resolve_cells``
-    halves it, one level of midpoints per call, until every root shows its
-    own sign change; a pair closer than its halving floor raises
-    ``NumericsError``.  Only the rises of the index matter, so levels
-    below ``start`` (the diving levels of the squeezed problem) are
-    neither found nor in the way.
+    ``[start]``, taken by the caller.  Each chunk of the grid, in steps of
+    half of ``gap_fn``, is shot in one call.  The index counts the
+    eigenvalues at or below each point exactly, so ``resolve_cells``
+    halves a cell across which it rises by two or more (near-degenerate
+    pairs of split-like problems defeat any fixed grid) until every root
+    shows its own sign change.  A chunk is resolved only up to its first
+    point that counts every level still needed: a pair closer than the
+    halving floor raises ``NumericsError`` only when it holds a requested
+    level.  Only the rises of the index matter, so levels below ``start``
+    (the diving levels of the squeezed problem) are neither found nor in
+    the way.
     """
     brackets: list[tuple[float, float]] = []
     xs = [start]
@@ -362,7 +362,9 @@ def _verified_scan(
                 break
         v, c = fvec(np.array(xs[vals.size:]), True)
         vals, counts = np.concatenate((vals, v)), np.concatenate((counts, c))
-        resolve_cells(fvec, xs, vals, counts, brackets)
+        reached = np.flatnonzero(counts - counts[0] >= k_needed - len(brackets))
+        end = reached[0] + 1 if reached.size else len(xs)
+        resolve_cells(fvec, xs[:end], vals[:end], counts[:end], brackets)
         xs, vals, counts = xs[-1:], vals[-1:], counts[-1:]
         if xs[0] > ceiling:
             if len(brackets) < k_needed:
@@ -384,16 +386,14 @@ def _grid_roots(fvec, grid: np.ndarray, xtol: float, rtol: float) -> np.ndarray:
     resolve_cells(fvec, grid, *fvec(grid, True), brackets)
     if not brackets:
         return np.empty(0)
-    lo = np.array([x for x, _ in brackets])
-    hi = np.array([x for _, x in brackets])
+    lo, hi = np.array(brackets).T
     return illinois_vector(fvec, lo, hi, xtol=xtol, rtol=rtol)
 
 
 def _refine(fvec, brackets, eig_tol):
     if not brackets:
         return np.empty(0), np.empty(0)
-    lo = np.array([a for a, _ in brackets])
-    hi = np.array([b for _, b in brackets])
+    lo, hi = np.array(brackets).T
     xtol = max(1e-13, min(1e-10, eig_tol * 1e-3))
     roots = illinois_vector(fvec, lo, hi, xtol=xtol, rtol=1e-14)
     residuals = np.abs(fvec(roots))
@@ -635,10 +635,9 @@ def interval_spectrum(
     """Lowest ``count`` nonnegative eigenvalues of the squeezed barrier on
     (a, b) with Dirichlet ends and no background potential.
 
-    ``_verified_scan`` marches up from lambda = 0 on a grid uniform in the
-    frequency omega = sqrt(lambda), one step pi / (8 (|a| + b)).  The
-    Sturm index halves near-coincident pairs (both half-intervals close to
-    resonance) apart, down to the halving floor of ``resolve_cells``.
+    ``_verified_scan`` marches up from lambda = 0 in steps of
+    pi / (8 (|a| + b)) in omega = sqrt(lambda); the Sturm index halves
+    near-coincident pairs (both half-intervals close to resonance) apart.
     """
     if not (a < -eps < eps < b):
         raise ValueError("need a < -eps < eps < b")

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pointbarrier import profiles, resonance
-from pointbarrier.errors import NotInResonanceSetError
+from pointbarrier.errors import NotInResonanceSetError, NumericsError
 from pointbarrier.experiments import even_counterexample_profile
 from pointbarrier.ivp import FamilySegment
 from pointbarrier.resonance import (
@@ -293,6 +293,18 @@ def test_constant_profile_resonances():
     want = [-((n * math.pi / 2) ** 2) for n in (3, 2, 1)] + [0.0]
     assert [pt.alpha for pt in pts] == pytest.approx(want, abs=1e-7)
     assert [pt.theta for pt in pts] == pytest.approx([-1.0, 1.0, -1.0, 1.0], abs=1e-8)
+
+
+def test_negative_side_shortfall_names_the_alpha_window():
+    # -profile resonates at -alpha: the pair of 1 - 3 xi^2 at 350.8957,
+    # 4e-6 apart, becomes one at -350.8957 that no cell separates; the
+    # message names the window in alpha only, not in t = |alpha|
+    neg = profiles.Profile((profiles.Segment(-1.0, 1.0, (-1.0, 0.0, 3.0)),), label="negated")
+    with pytest.raises(NumericsError) as info:
+        resonance_scan(neg, -352.0, -350.0)
+    assert str(info.value) == ("resonance scan of profile 'negated' on [-352, -350]: the "
+                               "Neumann index counts 2 resonances, but only 0 show a sign "
+                               "change at the halving floor")
 
 
 def _tilted_miss(alpha):

@@ -266,13 +266,15 @@ def test_a_second_solve_shares_the_barrier_meshes_and_the_start_shot(tilted, ste
     assert sum(starts) == 2  # one counted shot: one member on each chain
 
 
-def test_limit_pair_closer_than_the_halving_floor_raises():
+def test_limit_levels_below_a_pair_closer_than_the_halving_floor_are_found():
     # C = [[0, -1e-6], [1e6, 0]] nearly decouples two Dirichlet halves: the
-    # pairs at 7, 11, ... are about 6e-6 apart, below the 7e-5 floor at 7,
-    # so the index counts levels no sign change shows
+    # pair at 7 is about 6e-6 apart, below the 7e-5 floor there, but the
+    # two levels asked for lie below it (four levels exit 3: see
+    # test_cli::test_spectrum_limit_pair_below_the_halving_floor_exits_3)
     U = polynomial_potential([0.0, 0.0, 1.0], 9.0)
-    with pytest.raises(NumericsError, match="halving floor"):
-        eigen_limit(U, ConnectedMatrix(0.0, -1e-6, 1e6, 0.0), 4, eigenfunctions=False)
+    spec = eigen_limit(U, ConnectedMatrix(0.0, -1e-6, 1e6, 0.0), 2, eigenfunctions=False)
+    assert spec.eigenvalues.size == 2 and spec.eigenvalues[0] < -9.9e11
+    assert spec.eigenvalues[1] == pytest.approx(2.9999977432, abs=1e-9)
 
 
 # -- interval problems ---------------------------------------------------------------
@@ -378,9 +380,16 @@ def test_interval_scan_shoots_only_the_chunks_it_needs(monkeypatch, step, odd_cu
 
 
 def test_interval_pair_closer_than_the_halving_floor_raises(step):
-    # at eps = 1e-5 the split pairs are closer than 1e-5 max(1, lambda)
+    # at eps = 1e-5 the split pairs near (k pi)^2 are closer than
+    # 1e-5 max(1, lambda); the halving happens to separate those at pi^2
+    # and 4 pi^2, but not the one at 9 pi^2, whose lower member is level 8
     with pytest.raises(NumericsError, match="halving floor"):
-        interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 6)
+        interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 8)
+    assert interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 7).eigenvalues[-1] < 62.0
+    # the lowest level lies below every pair, in the same chunk of omega as
+    # the pair at pi^2: the scan stops at it, so no pair can fail the call
+    spec = interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 1)
+    assert spec.eigenvalues == pytest.approx([2.4674269787], abs=1e-9)
 
 
 def test_interval_validation(step):
