@@ -30,7 +30,7 @@ from .ivp import SolverConfig
 from .parallel import pmap
 from .profiles import Profile, builtin, classify, load as load_profile
 from .resonance import coupling_theta, resonance_scan, scaled_residual, shoot
-from .scattering import SCATTER_CONFIG, scatter
+from .scattering import SCATTER_CONFIG, scatter_sweep
 from .spectra import (
     ConnectedMatrix,
     ConfiningPotential,
@@ -335,15 +335,15 @@ def _cmd_scatter(ns, outdir: Path) -> list[str]:
     ks = ns.ks if ns.ks is not None else [ns.k]
     if any(v is None for v in (alphas[0], epses[0], ks[0])):
         raise ConfigError("scatter needs --alpha/--alphas, --eps/--eps-ladder and --k/--ks")
-    grid = [(a, e, k) for a in alphas for e in epses for k in ks]
-    results = pmap(lambda t: scatter(p, t[0], t[1], t[2], cfg), grid)
+    pts = [(e, k) for e in epses for k in ks]
+    sweeps = pmap(lambda a: scatter_sweep(p, a, pts, cfg), alphas)  # one family per alpha
     _write_csv(
         outdir / "scatter.csv",
         ["alpha", "eps", "k", "re_r", "im_r", "re_t", "im_t", "t2"],
         [
             (r.alpha, r.eps, r.k, r.R.real, r.R.imag, r.T.real, r.T.imag,
              r.transmission_probability)
-            for r in results
+            for sweep in sweeps for r in sweep
         ],
     )
     return ["scatter.csv"]

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import StepSizeUnderflowError
+from .errors import NumericsError, StepSizeUnderflowError
 
 __all__ = [
     "SolverConfig",
@@ -839,8 +839,9 @@ def propagate_family(
 
 
 def unit_wronskian(M: np.ndarray) -> np.ndarray:
-    """Project a near-unimodular real 2x2 matrix onto det = 1."""
+    """Project a near-unimodular real 2x2 matrix onto det = 1; a determinant
+    that is not positive and finite raises ``NumericsError``."""
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if not det > 0:
-        raise ValueError(f"propagator determinant collapsed to {det}")
+    if not 0 < det < math.inf:
+        raise NumericsError(f"propagator determinant collapsed to {det}")
     return M / math.sqrt(det)

@@ -1,7 +1,8 @@
 """Ordered map over parameter grids.
 
-The studies and the CLI map their per-point work through ``pmap``, so a
-parameter sweep has one place to be timed or replaced from outside.
+The studies map their per-point work through ``pmap``, and the CLI its
+scatter sweep, one ``scatter_sweep`` per alpha, so a parameter sweep has
+one place to be timed or replaced from outside.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ profile segment: one exact constant-coefficient step over a constant
 segment, a Magnus mesh over any other.  For the step profile it is thus
 the product of two constant-coefficient propagators, which
 ``step_scatter_exact`` assembles directly as a cross-check.
+
+A sweep over ``(eps, k)`` at one alpha is one family propagation
+(``scatter_sweep``), so a sweep pays per alpha, not per point.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from .profiles import Profile, Segment
 __all__ = [
     "ScatteringResult",
     "scatter",
+    "scatter_sweep",
     "transmission_limit",
     "step_scatter_exact",
     "SCATTER_CONFIG",
@@ -109,42 +114,58 @@ def _barrier_matrix_x(M_xi: np.ndarray, eps: float) -> np.ndarray:
     )
 
 
-def scatter(
-    p: Profile,
-    alpha: float,
-    eps: float,
-    k: float,
-    cfg: SolverConfig | None = None,
-) -> ScatteringResult:
-    """Reflection/transmission amplitudes for the squeezed barrier.
+def scatter_sweep(p: Profile, alpha: float, points: Sequence[tuple[float, float]],
+                  cfg: SolverConfig | None = None) -> list[ScatteringResult]:
+    """Reflection/transmission amplitudes at every ``(eps, k)`` of ``points``.
 
-    The barrier matrix is carried across every profile segment for the
-    family ``alpha * profile - m`` at ``m = (eps k)^2``.  A constant
+    The barrier matrices of all points come from one family ``alpha *
+    profile - m`` with two members ``m = (eps k)^2`` per point.  A constant
     segment takes one exact step; any other is carried across a Magnus
-    mesh that depends on the profile and ``alpha`` only, so every
-    ``(eps, k)`` point at one ``alpha`` reuses it.
+    mesh that depends on the profile and ``alpha`` only.  A member's bits do
+    not depend on the family that carries it, so each result equals its
+    one-point sweep.  A barrier matrix that is not finite, or whose
+    determinant is not positive, raises ``NumericsError``.
     """
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    try:
-        m = (eps * k) ** 2
-    except OverflowError:
-        m = math.inf
-    if not math.isfinite(m):
-        raise ValueError(f"(eps k)^2 overflows at eps = {eps!r}, k = {k!r}")
+    ms = []
+    for eps, k in points:
+        if k <= 0:
+            raise ValueError("wavenumber k must be positive")
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        try:
+            m = (eps * k) ** 2
+        except OverflowError:
+            m = math.inf
+        if not math.isfinite(m):
+            raise ValueError(f"(eps k)^2 overflows at eps = {eps!r}, k = {k!r}")
+        ms.append(m)
     cfg = cfg or SCATTER_CONFIG
     segs = [
         FamilySegment(s.a, s.b, alpha * s.coeffs[0] if s.is_constant
                       else Segment(s.a, s.b, tuple(alpha * c for c in s.coeffs)), -1.0)
         for s in p.segments
     ]
-    res = propagate_family(segs, np.full(2, m), np.eye(2), cfg)
-    # the true barrier matrix is unimodular; projecting out the tiny
-    # integration drift makes flux conservation structurally exact
-    M = _barrier_matrix_x(unit_wronskian(res.states), eps)
-    return _match_plane_waves(M, eps, k, alpha)
+    results = []
+    # an overflow surfaces as a non-finite matrix or a degenerate match, both rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        # members 2j and 2j + 1 carry the columns of point j's fundamental matrix
+        res = propagate_family(segs, np.repeat(ms, 2), np.tile(np.eye(2), len(ms)), cfg)
+        for j, (eps, k) in enumerate(points):
+            # the true barrier matrix is unimodular; projecting out the tiny
+            # integration drift makes flux conservation structurally exact
+            M = _barrier_matrix_x(unit_wronskian(res.states[:, 2 * j:2 * j + 2]), eps)
+            if not np.isfinite(M).all():
+                raise NumericsError(f"barrier matrix overflows at alpha = {alpha!r}, "
+                                    f"eps = {eps!r}, k = {k!r}")
+            results.append(_match_plane_waves(M, eps, k, alpha))
+    return results
+
+
+def scatter(p: Profile, alpha: float, eps: float, k: float,
+            cfg: SolverConfig | None = None) -> ScatteringResult:
+    """Reflection/transmission amplitudes for the squeezed barrier: the
+    one-point ``scatter_sweep``."""
+    return scatter_sweep(p, alpha, [(eps, k)], cfg)[0]
 
 
 def step_scatter_exact(kappa: float, eps: float, k: float) -> ScatteringResult:

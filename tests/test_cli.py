@@ -261,6 +261,40 @@ def test_exit_codes(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("configuration error:"), (argv, err)
         if i < 4:
             assert "non-finite" in err[0], err
+    # blow-ups of the barrier matrix are numerical failures (tier 1 turns a
+    # leaked numpy warning into an error)
+    blowups = [
+        ["--profile", "step", "--alpha=1e6", "--eps", "0.1", "--k", "1"],
+        ["--profile", "step", "--alpha=-1e6", "--eps", "0.1", "--k", "1"],
+        ["--profile", "asymmetric_bump", "--alpha=-3000", "--eps", "0.1", "--k", "1"],
+        ["--profile", "asymmetric_bump", "--alpha=1e300", "--eps", "0.1", "--k", "1"],
+        ["--profile", "asymmetric_bump", "--alpha", "1", "--eps", "1e-300", "--k", "1e-300"],
+    ]
+    for i, argv in enumerate(blowups):
+        assert main(["scatter", *argv, "--out", str(tmp_path / f"b{i}")]) == 3, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure:"), (argv, err)
+
+
+def test_scatter_propagates_one_family_per_alpha(tmp_path, monkeypatch):
+    from pointbarrier import scattering
+
+    sizes = []
+    propagate = scattering.propagate_family
+
+    def counted(segs, m, *args, **kwargs):
+        sizes.append(np.size(m))
+        return propagate(segs, m, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "propagate_family", counted)
+    out = tmp_path / "sw"
+    assert main(["scatter", "--profile", "asymmetric_bump", "--alphas=-3,0.5,7",
+                 "--eps-ladder", "0.1,0.001", "--ks", "2,0.5", "--out", str(out)]) == 0
+    assert sizes == [8, 8, 8]
+    rows = [line.split(",")[:3] for line in _read(out / "scatter.csv").strip().splitlines()[1:]]
+    assert [tuple(map(float, r)) for r in rows] == [
+        (a, e, k) for a in (-3.0, 0.5, 7.0) for e in (0.1, 0.001) for k in (2.0, 0.5)
+    ]
 
 
 def test_custom_profile_from_json(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pointbarrier.resonance import resonance_scan, step_h
-from pointbarrier.scattering import scatter, step_scatter_exact, transmission_limit
+from pointbarrier.scattering import scatter, scatter_sweep, step_scatter_exact, transmission_limit
 
 
 def test_free_barrier(step):
@@ -47,6 +47,23 @@ def test_constant_segments_take_one_exact_step(step, bump, monkeypatch):
     scatter(bump, 17.0, 0.01, 1.3)
     assert [m.h.size for m in meshes][-1] == 1  # the zero segment on (1/2, 1)
     assert min(m.h.size for m in meshes[:-1]) > 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 4.0, -4.0, 19.9, -19.9])
+def test_sweep_members_equal_their_one_point_results(step, bump, odd_cubic, alpha):
+    # bitwise: a point's amplitudes do not depend on the sweep that carries
+    # it; the first point has eps k < 1e-3, so on a zero coefficient (alpha
+    # = 0, or the bump's zero segment) _expm takes its series branch while
+    # the other members of the family do not
+    points = [(10.0 ** -3.5, 0.3)] + [(e, k) for e in (10.0 ** -2.2, 0.04, 0.2)
+                                      for k in (0.3, 1.7, 3.0)]
+    assert points[0][0] * points[0][1] < 1e-3
+    for profile in (step, bump, odd_cubic):
+        sweep = scatter_sweep(profile, alpha, points)
+        assert [(r.alpha, r.eps, r.k) for r in sweep] == [(alpha, e, k) for e, k in points]
+        for r, (eps, k) in zip(sweep, points):
+            alone = scatter(profile, alpha, eps, k)
+            assert r.R == alone.R and r.T == alone.T, (profile.label, eps, k)
 
 
 def _dop853_amplitudes(p, alpha, eps, k):
@@ -179,3 +196,6 @@ def test_input_validation(step):
         scatter(step, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         step_scatter_exact(1.0, -0.1, 1.0)
+    # a bad point anywhere in a sweep is rejected
+    with pytest.raises(ValueError, match="positive"):
+        scatter_sweep(step, 1.0, [(0.1, 1.0), (0.1, -1.0)])
