@@ -494,10 +494,10 @@ def _step_defect(c, lo, h, cn, shifts):
     half = 0.5 * h
     A, B = _nodes(c, lo, half), _nodes(c, lo + half, half)
     col = h[:, None]
-    one = _steps(col, cn[..., None] + shifts)
-    sa = _steps(0.5 * col, A[..., None] + shifts)
-    sb = _steps(0.5 * col, B[..., None] + shifts)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        one = _steps(col, cn[..., None] + shifts)
+        sa = _steps(0.5 * col, A[..., None] + shifts)
+        sb = _steps(0.5 * col, B[..., None] + shifts)
         f = np.exp(sa[4] + sb[4] - one[4])
         two = (
             (sb[0] * sa[0] + sb[1] * sa[2]) * f,

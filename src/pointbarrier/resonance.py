@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BracketShortfallError, NotInResonanceSetError, NumericsError
 from .ivp import DEFAULT_CONFIG, FamilyResult, FamilySegment, SolverConfig, propagate_family
 from .profiles import Profile, ProfileKind, classify
-from .rootfind import bisect_vector, resolve_cells
+from .rootfind import illinois_vector, resolve_cells
 
 __all__ = [
     "ResonancePoint",
@@ -159,7 +159,7 @@ def resonance_scan(
     rises by exactly one at each resonance of a side, so
     ``resolve_cells`` halves every cell that hides roots until each shows
     its own sign change of D, and the brackets of both sides are refined
-    together by vectorized bisection.  A side that brackets fewer roots
+    together by ``illinois_vector``.  A side that brackets fewer roots
     than its index rise at the halving floor raises ``NumericsError``.
     alpha = 0 is inserted analytically whenever the window contains it.
     Roots whose shot misses ``residual_tol`` come back ``flagged``.
@@ -237,12 +237,13 @@ def _side_brackets(p, side, ts, m0, cfg) -> list[tuple[float, float]]:
 
 
 def _refine(p, brackets, cfg) -> np.ndarray:
-    """Roots of D in the sign-change ``brackets``, all in one bisection."""
+    """Roots of D in the sign-change ``brackets``, all in one
+    ``illinois_vector`` call: each shot carries only the open brackets."""
     if not brackets:
         return np.empty(0)
     lo, hi = np.array(brackets).T
     miss = lambda xs: shoot_family(p, xs, cfg).states[1]
-    return bisect_vector(miss, lo, hi, xtol=1e-14, rtol=4e-16)
+    return illinois_vector(miss, lo, hi, xtol=1e-14, rtol=4e-16)
 
 
 def coupling_theta(

@@ -1,28 +1,24 @@
-"""Bracketing and scalar root refinement used by every spectral scan.
+"""Bracketing and root refinement used by every spectral scan.
 
 Scans evaluate a smooth miss function on a grid (often vectorized), pick up
-sign changes, then polish each bracket.  Every eigenvalue and resonance
+sign changes, then polish the brackets.  Every eigenvalue and resonance
 scan brackets with ``resolve_cells``: an exact root count at the grid
-points tells it which cells hide roots.  ``brent`` is the classic
-inverse-quadratic/secant/bisection combination.  ``illinois_vector`` and
-``bisect_vector`` polish many brackets simultaneously when the miss
-function can be evaluated on a whole vector of points at once (one family
-propagation per iteration).  ``illinois_vector`` shoots only the brackets
-still open, so each root depends on its own bracket alone, and keeps its
-secant point a tolerance step inside the bracket, so an end that already
-sits on the root closes the bracket at the next shot.
+points tells it which cells hide roots.  ``illinois_vector`` is the one
+refiner: it polishes many brackets at once, with the miss function
+evaluated on a whole vector of points per iteration (one family
+propagation).  It shoots only the brackets still open, so each root
+depends on its own bracket alone, and keeps its secant point a tolerance
+step inside the bracket, so an end that already sits on the root closes
+the bracket at the next shot.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BracketShortfallError
-
-_EPS = float(np.finfo(float).eps)
 
 
 def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple[float, float]]:
@@ -95,65 +91,6 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
     out.extend(zip(lo[order].tolist(), hi[order].tolist()))
 
 
-def brent(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float | None = None,
-    fb: float | None = None,
-    xtol: float = 1e-13,
-    rtol: float = 8.0 * _EPS,
-    maxiter: int = 128,
-) -> tuple[float, float]:
-    """Root of f in the sign-change bracket [a, b]; returns (root, f(root))."""
-    fa = f(a) if fa is None else fa
-    fb = f(b) if fb is None else fb
-    if fa == 0.0:
-        return a, 0.0
-    if fb == 0.0:
-        return b, 0.0
-    if (fa < 0.0) == (fb < 0.0):
-        raise ValueError(f"not a sign-change bracket: f({a})={fa}, f({b})={fb}")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(maxiter):
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * rtol * abs(b) + 0.5 * xtol
-        mid = 0.5 * (c - b)
-        if abs(mid) <= tol or fb == 0.0:
-            return b, fb
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = mid
-        else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * mid * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * mid * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * mid * q - abs(tol * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = e = mid
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, mid)
-        fb = f(b)
-        if (fb < 0.0) == (fc < 0.0):
-            c, fc = a, fa
-            d = e = b - a
-    return b, fb
-
-
 def illinois_vector(
     fvec: Callable[[np.ndarray], np.ndarray],
     lo,
@@ -210,32 +147,3 @@ def illinois_vector(
         side[live] = np.where(replace_hi, 1, -1)
     return 0.5 * (lo + hi)
 
-
-def bisect_vector(
-    fvec: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    xtol: float = 1e-13,
-    rtol: float = 1e-13,
-    maxiter: int = 100,
-) -> np.ndarray:
-    """Bisection on many brackets at once.
-
-    ``fvec`` maps an array of abscissae to an array of function values for
-    the corresponding brackets (one evaluation of a whole family per
-    iteration).  Each (lo[i], hi[i]) must bracket a sign change.
-    """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    flo = fvec(lo)
-    neg_lo = flo < 0.0
-    for _ in range(maxiter):
-        width = hi - lo
-        if np.all(np.abs(width) <= xtol + rtol * np.abs(hi)):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = fvec(mid)
-        go_right = (fm < 0.0) == neg_lo
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    return 0.5 * (lo + hi)

@@ -42,7 +42,7 @@ from .errors import (
 from .ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_family
 from .profiles import Profile, Segment, reflect
 from .resonance import _alpha_segments, scaled_residual, shoot
-from .rootfind import brent, illinois_vector, resolve_cells, sign_change_brackets
+from .rootfind import illinois_vector, resolve_cells, sign_change_brackets
 
 __all__ = [
     "DirichletSplit",
@@ -689,8 +689,9 @@ def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> 
     These are the roots of ``tan(b w) = theta^2 tan(a w)``, evaluated in
     the pole-free form G(w) = sin(bw)cos(aw) - theta^2 sin(aw)cos(bw) so
     that coincident tangent poles (e.g. theta = 1 with |a| = b) are kept.
-    Brackets come from a fine frequency grid; each root is polished by
-    Newton steps on G.
+    Brackets come from a fine frequency grid, a chunk at a time; one
+    ``illinois_vector`` call refines the brackets of a chunk, and three
+    Newton steps on G polish each root.
     """
     if not (a < 0.0 < b):
         raise ValueError("need a < 0 < b")
@@ -718,19 +719,16 @@ def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> 
         fs = G(ws)
         xs = np.concatenate(([w0], ws))
         vals = np.concatenate(([f0], fs))
-        for lo, hi in sign_change_brackets(xs, vals):
-            if len(roots) >= count:
-                break
-            if lo == 0.0:
-                continue
-            w = _brent_scalar(G, lo, hi)
+        brackets = [(lo, hi) for lo, hi in sign_change_brackets(xs, vals) if lo > 0.0]
+        if brackets:
+            lo, hi = np.array(brackets[:count - len(roots)]).T
+            w = illinois_vector(G, lo, hi, xtol=1e-14, rtol=4e-16)
+            stop = np.zeros(w.shape, dtype=bool)
             for _ in range(3):
                 d = dG(w)
-                if d == 0.0:
-                    break
-                w -= G(w) / d
-            if w > 1e-12:
-                roots.append(float(w))
+                stop |= d == 0.0
+                w = np.where(stop, w, w - G(w) / np.where(stop, 1.0, d))
+            roots.extend(w[w > 1e-12].tolist())
         w0 = float(ws[-1])
         f0 = float(fs[-1])
         guard += 1
@@ -751,11 +749,6 @@ def split_limit_frequencies(a: float, b: float, count: int) -> np.ndarray:
         vals.append(k * math.pi / abs(a))
         vals.append(k * math.pi / b)
     return np.array(sorted(vals)[:count])
-
-
-def _brent_scalar(f, lo, hi):
-    root, _ = brent(lambda x: float(f(x)), float(lo), float(hi), xtol=1e-14)
-    return root
 
 
 # -- first-order eigenvalue correction ----------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,23 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["scatter", *argv, "--out", str(tmp_path / f"b{i}")]) == 3, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:"), (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval", "--profile", "asymmetric_bump", "--a", "-1", "--b", "2", "--alpha=1e300",
+     "--eps", "1e-3"],
+    ["spectrum", "--mode", "perturbed", "--potential", "tilted_harmonic", "--radius", "8",
+     "--profile", "asymmetric_bump", "--alpha=1e300", "--eps", "0.05", "--levels", "2"],
+])
+def test_overflowing_mesh_exits_3_without_a_warning(argv, tmp_path, capsys):
+    # a coupling of 1e300 overflows the Magnus steps of the mesh defect:
+    # the mesh gives up with exit 3, and no numpy warning leaks on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_scatter_propagates_one_family_per_alpha(tmp_path, monkeypatch):

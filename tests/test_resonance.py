@@ -338,3 +338,56 @@ def test_nonzero_mean_profile_straddling_zero(lo, hi, step_):
     assert len(want) >= 4
     pts = resonance_scan(tilted, lo, hi, step_)
     assert [pt.alpha for pt in pts] == pytest.approx(want, abs=1e-7)
+
+
+# -- the refine of the asymmetric bump on [-200, 200] --------------------------
+
+@pytest.fixture(scope="module")
+def bump_scan():
+    """The bump's scan of the hypothesis window, with the sizes of the
+    families that ``_refine`` propagates."""
+    refine, propagate = resonance._refine, resonance.propagate_family
+    inside, sizes = [], []
+
+    def counted_propagate(segs, m, *args, **kwargs):
+        if inside:
+            sizes.append(np.size(m))
+        return propagate(segs, m, *args, **kwargs)
+
+    def counted_refine(*args):
+        inside.append(True)
+        try:
+            return refine(*args)
+        finally:
+            inside.pop()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resonance, "propagate_family", counted_propagate)
+        mp.setattr(resonance, "_refine", counted_refine)
+        pts = resonance_scan(profiles.builtin("asymmetric_bump", {}), -200.0, 200.0, 0.1)
+    return pts, sizes
+
+
+def test_bump_roots_straddle_an_independent_sign_change(bump_scan, bump):
+    # every refined root, flagged or not, sits within 1e-7 of a zero of D
+    # shot by DOP853: D changes sign across [r - 1e-7, r + 1e-7]
+    pts, _ = bump_scan
+    roots = np.array([pt.alpha for pt in pts if pt.alpha != 0.0])
+    assert roots.size == 7
+    ends = np.concatenate((roots - 1e-7, roots + 1e-7))
+    segs = [FamilySegment(s.a, s.b, 0.0, s) for s in bump.segments]
+    dw1 = dop853_family(segs, ends, np.array([1.0, 0.0]))[0][1]
+    left, right = dw1[:roots.size], dw1[roots.size:]
+    assert np.all((left < 0.0) != (right < 0.0)), (roots, left, right)
+
+
+def test_bump_candidates_stay_flagged(bump_scan):
+    pts, _ = bump_scan
+    flagged = [pt.alpha for pt in pts if pt.flagged]
+    assert flagged == pytest.approx([-152.30544931934, -90.369994899977], abs=1e-7)
+
+
+def test_bump_refine_takes_a_handful_of_shots(bump_scan):
+    # the secant refine needs 8 family propagations here, 45 by bisection
+    _, sizes = bump_scan
+    assert 0 < len(sizes) <= 12, sizes

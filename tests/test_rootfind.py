@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from pointbarrier.errors import NumericsError
-from pointbarrier.rootfind import (
-    bisect_vector,
-    brent,
-    illinois_vector,
-    resolve_cells,
-    sign_change_brackets,
-)
+from pointbarrier.rootfind import illinois_vector, resolve_cells, sign_change_brackets
 
 
 def test_sign_change_brackets():
@@ -35,25 +29,6 @@ def test_resolve_cells_raises_when_brackets_fall_short_of_the_count():
     out = []
     resolve_cells(fvec, grid[:5], *fvec(grid[:5], True), out)
     assert out == [(0.0, 0.5)]  # the root on the node 0.5 ends the cell to its left
-
-
-def test_brent_cosine():
-    root, froot = brent(math.cos, 1.0, 2.0)
-    assert root == pytest.approx(math.pi / 2, abs=1e-12)
-    assert abs(froot) < 1e-12
-
-
-def test_brent_rejects_bad_bracket():
-    with pytest.raises(ValueError):
-        brent(math.cos, 0.1, 0.2)
-
-
-def test_bisect_vector():
-    f = lambda x: np.sin(x)
-    lo = np.array([3.0, 6.0])
-    hi = np.array([3.3, 6.5])
-    roots = bisect_vector(f, lo, hi)
-    assert np.allclose(roots, [math.pi, 2 * math.pi], atol=1e-11)
 
 
 def test_illinois_vector_polynomials():
