@@ -568,9 +568,17 @@ def run(argv) -> int:
     if ns.command == "rerun":
         try:
             doc = json.loads(Path(ns.manifest).read_text())
-            replay, params = [doc["command"]], doc["params"]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"unreadable manifest {ns.manifest!r}: {exc}") from None
+        if not (isinstance(doc, dict) and isinstance(doc.get("command"), str)
+                and doc["command"] in _COMMANDS and isinstance(doc.get("params"), dict)):
+            raise ConfigError(f"malformed manifest {ns.manifest!r}: need an object with a "
+                              "subcommand name 'command' and an object 'params'")
+        out = ns.out if ns.out is not None else doc.get("out")
+        if not isinstance(out, str):
+            raise ConfigError(f"manifest {ns.manifest!r} names no output directory 'out'; "
+                              "pass --out")
+        replay, params = [doc["command"]], doc["params"]
         negatable = {"refine"}
         for key, value in params.items():
             if value is None:
@@ -591,12 +599,14 @@ def run(argv) -> int:
                     replay.extend(repr(v) for v in value)
             else:
                 replay.append(f"{flag}={value}")
-        out = ns.out if ns.out is not None else doc["out"]
-        replay.extend(["--out", str(out)])
+        replay.extend(["--out", out])
         return run(replay)
 
     outdir = Path(ns.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {ns.out!r}: {exc}") from None
     t0 = time.perf_counter()
     outputs = _COMMANDS[ns.command](ns, outdir)
     wall = time.perf_counter() - t0

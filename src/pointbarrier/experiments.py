@@ -44,9 +44,14 @@ __all__ = [
     "convergence_study",
     "diving_study",
     "hypothesis_scan",
-    "probability_ratio",
     "even_counterexample_profile",
 ]
+
+_ORDER_THRESHOLD = 0.8  # least fitted convergence order that counts as order-eps
+_DIVING_DOMAIN = (-2.0, 2.0)  # interval of the squeezed diving problem
+_ORACLE_HALFWIDTH = 30.0  # half-width of the unsqueezed interval of the diving oracle
+_EVEN_WINDOW = (-30.0, 30.0)  # coupling window of the even counterexample scan
+_EVEN_SCAN_STEP = 0.2
 
 
 # -- convergence of the bounded spectrum ----------------------------------------
@@ -124,7 +129,6 @@ def convergence_study(
     *,
     eig_tol: float = DEFAULT_EIG_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    order_threshold: float = 0.8,
     samples_per_unit: int = 2001,
 ) -> ConvergenceReport:
     """Track the lowest ``k_count`` bounded levels down a squeezing ladder.
@@ -223,7 +227,7 @@ def convergence_study(
             ys = np.log([max(e, 1e-300) for e in errors[-4:]])
             order, logc = np.polyfit(xs, ys, 1)
             const = math.exp(logc)
-            orders_ok &= order >= order_threshold
+            orders_ok &= order >= _ORDER_THRESHOLD
         if any(d2 > d1 for d1, d2 in zip(dists, dists[1:])):
             monotone_ok = False
         report.rows.append(
@@ -242,7 +246,7 @@ def convergence_study(
         "all_exact": all(r.exact for r in report.rows),
         "orders_ok": bool(orders_ok),
         "l2_monotone": bool(monotone_ok),
-        "order_threshold": order_threshold,
+        "order_threshold": _ORDER_THRESHOLD,
     }
     return report
 
@@ -276,8 +280,6 @@ def diving_study(
     eps_ladder,
     cfg: SolverConfig | None = None,
     *,
-    domain: tuple[float, float] = (-2.0, 2.0),
-    oracle_halfwidth: float = 30.0,
     moment_tol: float = 1e-10,
 ) -> DivingReport:
     """Follow the lowest level of the squeezed barrier down a ladder.
@@ -294,7 +296,7 @@ def diving_study(
             f"profile {p.label!r} is not in the unit-dipole class (m0=0, m1=-1)"
         )
     cfg = cfg or DEFAULT_CONFIG
-    S = oracle_halfwidth
+    S = _ORACLE_HALFWIDTH
     oracle = interval_negative_levels(-S, S, p, alpha, 1.0, cfg)
     if oracle.size == 0:
         raise PreconditionError(
@@ -302,7 +304,7 @@ def diving_study(
             "the diving study does not apply"
         )
     mu = float(oracle[0])
-    a, b = domain
+    a, b = _DIVING_DOMAIN
     rows = []
     for eps in eps_ladder:
         negs = interval_negative_levels(a, b, p, alpha, float(eps), cfg)
@@ -373,8 +375,6 @@ def hypothesis_scan(
     scan_step: float = 0.1,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     moment_tol: float = 1e-10,
-    even_window: tuple[float, float] = (-30.0, 30.0),
-    even_scan_step: float = 0.2,
 ) -> HypothesisReport:
     """Scan the resonance sets of unit-dipole profiles and record whether
     |theta| sits above 1 on the positive side and below 1 on the negative
@@ -410,10 +410,10 @@ def hypothesis_scan(
         }
 
     even = even_counterexample_profile()
-    ev_lo, ev_hi = even_window
+    ev_lo, ev_hi = _EVEN_WINDOW
     even_pts = [
         pt
-        for pt in resonance_scan(even, ev_lo, ev_hi, even_scan_step, cfg, residual_tol)
+        for pt in resonance_scan(even, ev_lo, ev_hi, _EVEN_SCAN_STEP, cfg, residual_tol)
         if not pt.flagged
     ]
     even_rows = [_hypothesis_row(pt) for pt in even_pts]
@@ -443,26 +443,3 @@ def _hypothesis_row(pt: ResonancePoint) -> HypothesisRow:
         alpha=a, theta=pt.theta, abs_theta=abs(pt.theta), side=side, satisfies=ok
     )
 
-
-def probability_ratio(x: np.ndarray, v: np.ndarray, r: float) -> float:
-    """Ratio of the probability masses of v^2 on (0, r) and (-r, 0).
-
-    At a resonant coupling this tends to theta^2 as r -> 0 (the marginal
-    density drop across the interface).  The eigenfunction jumps at 0, so
-    the sample sitting on the interface is ignored and each side's
-    boundary value is reconstructed from its own interior samples.
-    """
-    tiny = 1e-12
-    mr = (x > tiny) & (x <= r)
-    ml = (x >= -r) & (x < -tiny)
-    xr, vr = x[mr], v[mr]
-    xl, vl = x[ml], v[ml]
-    if len(xr) < 2 or len(xl) < 2:
-        raise ValueError("need at least two samples strictly inside each side")
-    v0r = vr[0] - (vr[1] - vr[0]) / (xr[1] - xr[0]) * xr[0]
-    v0l = vl[-1] - (vl[-2] - vl[-1]) / (xl[-2] - xl[-1]) * xl[-1]
-    num = float(np.trapezoid(np.r_[v0r, vr] ** 2, np.r_[0.0, xr]))
-    den = float(np.trapezoid(np.r_[vl, v0l] ** 2, np.r_[xl, 0.0]))
-    if den == 0.0:
-        raise ValueError("no probability mass on the left of the interface")
-    return num / den

@@ -44,7 +44,6 @@ __all__ = [
     "SolverConfig",
     "FamilySegment",
     "FamilyResult",
-    "constant_propagator",
     "propagate_family",
     "unit_wronskian",
 ]
@@ -470,20 +469,6 @@ def _steps(h, q):
         4.0 / 3.0 * hq2 * a3 + a3 * a3 / 15.0 - 2.0 * a2 * a2 + h * hq2 * a2 * a2 / 15.0
     )
     return _expm(x, y, z)
-
-
-def constant_propagator(c: float, length: float) -> np.ndarray:
-    """Exact 2x2 propagator of -u'' + c u = 0 over a signed ``length``.
-
-    ``c > 0`` gives the hyperbolic matrix [[cosh kL, sinh kL / k],
-    [k sinh kL, cosh kL]] with k = sqrt(c); ``c < 0`` the trigonometric
-    analogue; c near 0 is evaluated by series (free-particle limit
-    [[1, L], [0, 1]]).  This is the Magnus step of a constant
-    coefficient, which is exact.
-    """
-    L = float(length)
-    m11, m12, m21, m22, logs = _expm(0.0, L, L * float(c))
-    return np.array([[m11, m12], [m21, m22]]) * math.exp(logs)
 
 
 def _step_defect(c, lo, h, cn, shifts):

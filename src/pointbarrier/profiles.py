@@ -20,6 +20,7 @@ from typing import Sequence
 from .errors import ProfileFormatError
 
 _PARTITION_TOL = 1e-12
+_MAX_ABS_SAMPLES = 257  # samples per non-constant segment in ``Profile.max_abs``
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class Profile:
         """Interior breakpoints, excluding the support endpoints."""
         return tuple(seg.b for seg in self.segments[:-1])
 
-    def max_abs(self, samples_per_segment: int = 257) -> float:
+    def max_abs(self) -> float:
         """Upper estimate of max |profile| (exact for constant segments).
 
         Sizes search windows in ``spectra``, and sets the derivative scale
@@ -101,7 +102,7 @@ class Profile:
             if seg.is_constant:
                 worst = max(worst, abs(seg.coeffs[0]))
                 continue
-            n = samples_per_segment
+            n = _MAX_ABS_SAMPLES
             for i in range(n + 1):
                 xi = seg.a + (seg.b - seg.a) * i / n
                 worst = max(worst, abs(seg(xi)))
@@ -186,22 +187,6 @@ def is_dipole_normalized(p: Profile, moment_tol: float = 1e-10) -> bool:
     return cls.kind is ProfileKind.DELTA_PRIME_LIKE and abs(cls.m1 + 1.0) <= moment_tol
 
 
-def scaled_potential(p: Profile, alpha: float, eps: float, x: float) -> float:
-    """The squeezed barrier ``alpha * eps**-2 * profile(x / eps)``."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return alpha / (eps * eps) * evaluate(p, x / eps)
-
-
-def reflect(p: Profile) -> Profile:
-    """Profile mirrored through the origin: ``reflect(p)(xi) == p(-xi)``."""
-    segs = []
-    for seg in reversed(p.segments):
-        coeffs = tuple(c * (-1.0) ** j for j, c in enumerate(seg.coeffs))
-        segs.append(Segment(-seg.b, -seg.a, coeffs))
-    return Profile(tuple(segs), label=p.label + "_reflected")
-
-
 # -- builtin profiles -------------------------------------------------------
 
 _BUILTIN_NAMES = ("step", "odd_cubic", "asymmetric_bump", "custom")
@@ -256,9 +241,11 @@ def _profile_from_spec(raw_segments: Sequence[dict], label: str) -> Profile:
     segs = []
     try:
         for raw in raw_segments:
-            a, b = raw["interval"]
-            coeffs = tuple(float(c) for c in raw["coeffs"])
-            segs.append(Segment(float(a), float(b), coeffs))
+            interval, coeffs = raw["interval"], raw["coeffs"]
+            if not isinstance(interval, list) or not isinstance(coeffs, list):
+                raise TypeError("'interval' and 'coeffs' must be JSON arrays")
+            a, b = interval
+            segs.append(Segment(float(a), float(b), tuple(float(c) for c in coeffs)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProfileFormatError(f"malformed profile segments: {exc}") from exc
     return Profile(tuple(segs), label=str(label))
@@ -266,23 +253,10 @@ def _profile_from_spec(raw_segments: Sequence[dict], label: str) -> Profile:
 
 # -- JSON document format ---------------------------------------------------
 
-def to_json_dict(p: Profile) -> dict:
-    return {
-        "label": p.label,
-        "segments": [
-            {"interval": [seg.a, seg.b], "coeffs": list(seg.coeffs)} for seg in p.segments
-        ],
-    }
-
-
 def from_json_dict(doc: dict) -> Profile:
     if not isinstance(doc, dict) or "segments" not in doc:
         raise ProfileFormatError("profile document must be an object with a 'segments' key")
     return _profile_from_spec(doc["segments"], doc.get("label", "custom"))
-
-
-def save(p: Profile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(p), indent=2, sort_keys=True) + "\n")
 
 
 def load(path: str | Path) -> Profile:

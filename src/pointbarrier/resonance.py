@@ -39,11 +39,10 @@ __all__ = [
     "resonance_scan",
     "coupling_theta",
     "scaled_residual",
-    "step_h",
-    "step_theta",
 ]
 
 DEFAULT_RESIDUAL_TOL = 1e-9
+_EIGENFUNCTION_SAMPLES = 401  # uniform samples of each resonance eigenfunction on [-1, 1]
 
 
 @dataclass(frozen=True)
@@ -76,36 +75,25 @@ def _alpha_segments(p: Profile) -> list[FamilySegment]:
     return segs
 
 
-def shoot_family(
-    p: Profile,
-    alphas,
-    cfg: SolverConfig | None = None,
-    *,
-    normalization: float = 1.0,
-) -> FamilyResult:
-    """Left-Neumann shots for a whole vector of coupling constants at once."""
+def shoot_family(p: Profile, alphas, cfg: SolverConfig | None = None) -> FamilyResult:
+    """Left-Neumann shots, w(-1) = 1 and w'(-1) = 0, for a whole vector of
+    coupling constants at once."""
     return propagate_family(
         _alpha_segments(p),
         np.asarray(alphas, dtype=float),
-        np.array([float(normalization), 0.0]),
+        np.array([1.0, 0.0]),
         cfg or DEFAULT_CONFIG,
     )
 
 
-def shoot(
-    p: Profile,
-    alpha: float,
-    cfg: SolverConfig | None = None,
-    *,
-    normalization: float = 1.0,
-) -> tuple[float, float]:
-    """Endpoint data (w(1), w'(1)) of the shot with w(-1)=normalization, w'(-1)=0.
+def shoot(p: Profile, alpha: float, cfg: SolverConfig | None = None) -> tuple[float, float]:
+    """Endpoint data (w(1), w'(1)) of the shot with w(-1) = 1, w'(-1) = 0.
 
     ``w'(1)`` is the resonance miss function D(alpha).  Piecewise-constant
     profile segments take one exact constant-coefficient step; the others
     run on the Runge-Kutta pair.
     """
-    res = shoot_family(p, [alpha], cfg, normalization=normalization)
+    res = shoot_family(p, [alpha], cfg)
     return float(res.states[0, 0]), float(res.states[1, 0])
 
 
@@ -127,17 +115,17 @@ def scaled_residual(p: Profile, alpha, w1, dw1):
     return float(rho) if np.ndim(rho) == 0 else rho
 
 
-def _eigenfunction_samples(p: Profile, alpha: float, cfg: SolverConfig, n_samples: int):
-    xi = np.linspace(-1.0, 1.0, n_samples)
+def _eigenfunction_samples(p: Profile, alpha: float, cfg: SolverConfig):
+    xi = np.linspace(-1.0, 1.0, _EIGENFUNCTION_SAMPLES)
     res = propagate_family(
         _alpha_segments(p), np.array([alpha]), np.array([1.0, 0.0]), cfg, samples=xi
     )
     return xi, res.sample_states[:, 0, 0].copy()
 
 
-def _point(p, alpha, cfg, n_samples, residual_tol) -> ResonancePoint:
+def _point(p, alpha, cfg, residual_tol) -> ResonancePoint:
     w1, dw1 = shoot(p, alpha, cfg)
-    xi, w = _eigenfunction_samples(p, alpha, cfg, n_samples)
+    xi, w = _eigenfunction_samples(p, alpha, cfg)
     rho = scaled_residual(p, alpha, w1, dw1)
     return ResonancePoint(float(alpha), float(w1), rho, xi, w, flagged=not rho <= residual_tol)
 
@@ -149,8 +137,6 @@ def resonance_scan(
     scan_step: float = 0.1,
     cfg: SolverConfig | None = None,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    *,
-    n_samples: int = 401,
 ) -> list[ResonancePoint]:
     """All resonant couplings in [alpha_min, alpha_max], sorted ascending.
 
@@ -179,9 +165,9 @@ def resonance_scan(
     brackets = []
     for side in (-1.0, 1.0):
         brackets.extend(_side_brackets(p, side, side * grid, m0, cfg))
-    points = [_point(p, r, cfg, n_samples, residual_tol) for r in _refine(p, brackets, cfg)]
+    points = [_point(p, r, cfg, residual_tol) for r in _refine(p, brackets, cfg)]
     if alpha_min <= 0.0 <= alpha_max:
-        points.append(_point(p, 0.0, cfg, n_samples, residual_tol))
+        points.append(_point(p, 0.0, cfg, residual_tol))
     points.sort(key=lambda pt: pt.alpha)
     return points
 
@@ -251,21 +237,17 @@ def coupling_theta(
     alpha_resonant: float,
     cfg: SolverConfig | None = None,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    *,
-    normalization: float = 1.0,
 ) -> float:
     """Endpoint ratio w(1)/w(-1) of the Neumann eigenfunction at a resonance.
 
     The caller must supply a refined resonant coupling; if the shot's
     scale-normalized Neumann defect exceeds ``residual_tol`` the value is
-    rejected.  The result does not depend on ``normalization``.
+    rejected.
     """
     if alpha_resonant == 0.0:
         return 1.0
-    cfg = cfg or DEFAULT_CONFIG
-    w1, dw1 = shoot(p, alpha_resonant, cfg, normalization=normalization)
-    theta = w1 / normalization
-    rho = scaled_residual(p, alpha_resonant, theta, dw1 / normalization)
+    theta, dw1 = shoot(p, alpha_resonant, cfg or DEFAULT_CONFIG)
+    rho = scaled_residual(p, alpha_resonant, theta, dw1)
     if rho > residual_tol:
         raise NotInResonanceSetError(
             f"alpha={alpha_resonant} is not in the resonance set of {p.label!r}: "
@@ -273,30 +255,3 @@ def coupling_theta(
         )
     return theta
 
-
-# -- closed forms for the step profile ----------------------------------------
-
-def step_h(kappa: float) -> float:
-    """Characteristic function kappa*(tanh(kappa) - tan(kappa)) of the step
-    profile; its positive zeros are the square roots of the positive
-    resonances."""
-    if abs(math.cos(kappa)) < 1e-12:
-        raise ValueError(f"kappa={kappa} is a tangent pole")
-    return kappa * (math.tanh(kappa) - math.tan(kappa))
-
-
-def step_theta(alpha: float) -> float:
-    """Closed-form coupling ratio of the step profile.
-
-    cosh(sqrt(alpha))/cos(sqrt(alpha)) for alpha >= 0 and
-    cos(sqrt(-alpha))/cosh(sqrt(-alpha)) for alpha < 0; only meaningful at
-    resonant alpha, but defined wherever the cosine does not vanish.
-    """
-    if alpha >= 0.0:
-        s = math.sqrt(alpha)
-        c = math.cos(s)
-        if abs(c) < 1e-12:
-            raise ValueError(f"cos(sqrt(alpha)) vanishes at alpha={alpha}")
-        return math.cosh(s) / c
-    s = math.sqrt(-alpha)
-    return math.cos(s) / math.cosh(s)

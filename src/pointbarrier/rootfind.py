@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import BracketShortfallError
 
+_MAXITER = 80  # most shots after the first in ``illinois_vector``
+
 
 def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple[float, float]]:
     """Consecutive grid cells where f changes sign strictly."""
@@ -97,12 +99,12 @@ def illinois_vector(
     hi,
     xtol: float = 1e-13,
     rtol: float = 1e-14,
-    maxiter: int = 80,
 ) -> np.ndarray:
     """Safeguarded regula falsi (Illinois weighting) on many brackets at once.
 
     Returns the midpoint of each final bracket, whose width is at most
-    ``tol = xtol + rtol max(|lo|, |hi|)``.  Both ends of every bracket are
+    ``tol = xtol + rtol max(|lo|, |hi|)`` unless ``_MAXITER`` shots after
+    the first leave it wider.  Both ends of every bracket are
     shot in one ``fvec`` call; after that each call carries only the open
     brackets, those still wider than ``tol``, so a converged bracket is
     never shot again and each root depends on its own bracket alone
@@ -123,7 +125,7 @@ def illinois_vector(
     hi = np.where(flo == 0.0, lo, hi)  # collapse onto an end where f is 0
     lo = np.where(fhi == 0.0, hi, lo)
     side = np.zeros(lo.shape, dtype=int)  # -1: last replaced lo, +1: last replaced hi
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         tol = xtol + rtol * np.maximum(np.abs(lo), np.abs(hi))
         live = np.nonzero(np.abs(hi - lo) > tol)[0]
         if not live.size:

@@ -10,11 +10,9 @@ squeezing parameter.
 Off the resonance set the transmission probability decays like eps^2; at a
 resonant coupling it approaches the positive limit 4 theta^2 / (1 +
 theta^2)^2 fixed by the coupling ratio theta, independently of the
-wavenumber.  The generic route carries the barrier matrix across every
-profile segment: one exact constant-coefficient step over a constant
-segment, a Magnus mesh over any other.  For the step profile it is thus
-the product of two constant-coefficient propagators, which
-``step_scatter_exact`` assembles directly as a cross-check.
+wavenumber.  The barrier matrix is carried across every profile
+segment: one exact constant-coefficient step over a constant segment, a
+Magnus mesh over any other.
 
 A sweep over ``(eps, k)`` at one alpha is one family propagation
 (``scatter_sweep``), so a sweep pays per alpha, not per point.
@@ -30,23 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericsError
-from .ivp import (
-    FamilySegment,
-    SolverConfig,
-    constant_propagator,
-    propagate_family,
-    unit_wronskian,
-)
+from .ivp import FamilySegment, SolverConfig, propagate_family, unit_wronskian
 from .profiles import Profile, Segment
 
-__all__ = [
-    "ScatteringResult",
-    "scatter",
-    "scatter_sweep",
-    "transmission_limit",
-    "step_scatter_exact",
-    "SCATTER_CONFIG",
-]
+__all__ = ["ScatteringResult", "scatter_sweep", "SCATTER_CONFIG"]
 
 # scattering meshes the barrier at a tighter relative tolerance than the
 # generic default, so that R and T agree with independent integrations to
@@ -160,37 +145,3 @@ def scatter_sweep(p: Profile, alpha: float, points: Sequence[tuple[float, float]
             results.append(_match_plane_waves(M, eps, k, alpha))
     return results
 
-
-def scatter(p: Profile, alpha: float, eps: float, k: float,
-            cfg: SolverConfig | None = None) -> ScatteringResult:
-    """Reflection/transmission amplitudes for the squeezed barrier: the
-    one-point ``scatter_sweep``."""
-    return scatter_sweep(p, alpha, [(eps, k)], cfg)[0]
-
-
-def step_scatter_exact(kappa: float, eps: float, k: float) -> ScatteringResult:
-    """Closed-form scattering for the step profile at alpha = kappa^2 > 0.
-
-    The barrier matrix is the product of two constant-coefficient
-    propagators (hyperbolic on the uphill half, trigonometric on the well),
-    followed by the same plane-wave matching as the generic route.
-    """
-    if k <= 0:
-        raise ValueError("wavenumber k must be positive")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    alpha = kappa * kappa
-    tau2 = (eps * k) ** 2
-    M_xi = constant_propagator(-alpha - tau2, 1.0) @ constant_propagator(alpha - tau2, 1.0)
-    M = _barrier_matrix_x(M_xi, eps)
-    return _match_plane_waves(M, eps, k, alpha)
-
-
-def transmission_limit(theta: float) -> float:
-    """Limiting transmission probability 4 theta^2 / (1 + theta^2)^2 at a
-    resonant coupling with ratio theta; 1 at theta = 1, -> 0 as |theta|
-    grows (~ 4 / theta^2)."""
-    t2 = theta * theta
-    if math.isinf(t2):
-        return 0.0
-    return 4.0 * t2 / (1.0 + t2) ** 2

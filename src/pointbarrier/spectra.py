@@ -32,16 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    NotInResonanceSetError,
-    NumericsError,
-    PreconditionError,
-    SpectralWindowError,
-    TruncationDomainError,
-)
+from .errors import NumericsError, SpectralWindowError, TruncationDomainError
 from .ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_family
-from .profiles import Profile, Segment, reflect
-from .resonance import _alpha_segments, scaled_residual, shoot
+from .profiles import Profile, Segment
 from .rootfind import illinois_vector, resolve_cells, sign_change_brackets
 
 __all__ = [
@@ -60,11 +53,11 @@ __all__ = [
     "interval_negative_levels",
     "interval_limit_frequencies",
     "split_limit_frequencies",
-    "corrector_lambda1",
 ]
 
 DEFAULT_EIG_TOL = 1e-8
-DEFAULT_MARGIN = 25.0
+_WALL_MARGIN = 25.0  # least gap between the wall potential and a requested level
+_DEPTH_FLOOR = 1e-7  # shallowest interval well scanned, relative to the lower bound
 SAMPLES_PER_UNIT = 2001
 _CHUNK = 48
 
@@ -141,9 +134,9 @@ BoundaryCoupling = DirichletSplit | ThetaCoupled | ConnectedMatrix | Separated
 class ConfiningPotential:
     """Smooth background potential with its truncation radius.
 
-    The wall check ``U(+-R) >= lambda + margin`` runs at solve time; the
-    default margin of 25 makes the Dirichlet-truncation error far below
-    the eigenvalue tolerance.
+    The wall check ``U(+-R) >= lambda + 25`` runs at solve time
+    (``_WALL_MARGIN``); a margin of 25 makes the Dirichlet-truncation
+    error far below the eigenvalue tolerance.
     """
 
     U: Callable[[float], float]
@@ -409,7 +402,6 @@ def eigen_limit(
     cfg: SolverConfig | None = None,
     eig_tol: float = DEFAULT_EIG_TOL,
     *,
-    margin: float = DEFAULT_MARGIN,
     eigenfunctions: bool = True,
     samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> Spectrum:
@@ -423,12 +415,12 @@ def eigen_limit(
     upwards from a start below its lowest level, moved down until the
     Sturm index reads 0 there, so bound states of attractive couplings
     are found.  Raises ``TruncationDomainError`` when a requested level
-    comes within ``margin`` of the wall potential.
+    comes within ``_WALL_MARGIN`` of the wall potential.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     cfg = cfg or DEFAULT_CONFIG
-    ceiling = U.wall_floor() - margin
+    ceiling = U.wall_floor() - _WALL_MARGIN
     gap_fn, start = _weyl_scan(U)
 
     found = []
@@ -451,7 +443,7 @@ def eigen_limit(
 
     if lams.size and lams[-1] > ceiling:
         raise TruncationDomainError(
-            f"eigenvalue {lams[-1]:.6g} is within {margin} of the wall potential "
+            f"eigenvalue {lams[-1]:.6g} is within {_WALL_MARGIN} of the wall potential "
             f"{U.wall_floor():.6g}; enlarge the truncation radius"
         )
 
@@ -500,7 +492,6 @@ def eigen_perturbed(
     cfg: SolverConfig | None = None,
     eig_tol: float = DEFAULT_EIG_TOL,
     *,
-    margin: float = DEFAULT_MARGIN,
     eigenfunctions: bool = False,
     samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> Spectrum:
@@ -530,7 +521,7 @@ def eigen_perturbed(
                                 f"{lam_split:.6g}, but the diving search found {lams.size}")
         flags, first = ["diving"] * n_dive, 1
     if k_hi > n_dive:
-        brackets = _verified_scan(fvec, lam_split, shot, U.wall_floor() - margin, gap_fn,
+        brackets = _verified_scan(fvec, lam_split, shot, U.wall_floor() - _WALL_MARGIN, gap_fn,
                                   k_hi - n_dive, "squeezed-barrier problem")
         roots, res = _refine(fvec, brackets, eig_tol)
         lams, residuals = np.concatenate((lams, roots)), np.concatenate((residuals, res))
@@ -663,22 +654,20 @@ def interval_negative_levels(
     alpha: float,
     eps: float,
     cfg: SolverConfig | None = None,
-    *,
-    rel_floor: float = 1e-7,
 ) -> np.ndarray:
     """All negative eigenvalues of the squeezed barrier on (a, b), ascending.
 
     Scans the rescaled depth mu = eps^2 lambda on a geometric grid from the
-    operator lower bound -2 |alpha| max|profile| down to ``rel_floor``
-    times that depth, which picks up arbitrarily shallow wells at desk
-    scale.
+    operator lower bound -2 |alpha| max|profile| down to ``_DEPTH_FLOOR``
+    (1e-7) times that depth, which picks up arbitrarily shallow wells at
+    desk scale.
     """
     if alpha == 0.0:
         return np.empty(0)
     cfg = cfg or DEFAULT_CONFIG
     fvec = _interval_fvec(a, b, p, alpha, eps, cfg)
     depth = 2.0 * abs(alpha) * p.max_abs()
-    mu = -np.geomspace(depth, depth * rel_floor, 220)
+    mu = -np.geomspace(depth, depth * _DEPTH_FLOOR, 220)
     return np.sort(_grid_roots(fvec, mu / (eps * eps), xtol=1e-12, rtol=1e-10))
 
 
@@ -749,92 +738,6 @@ def split_limit_frequencies(a: float, b: float, count: int) -> np.ndarray:
         vals.append(k * math.pi / abs(a))
         vals.append(k * math.pi / b)
     return np.array(sorted(vals)[:count])
-
-
-# -- first-order eigenvalue correction ----------------------------------------------
-
-def corrector_lambda1(
-    U: ConfiningPotential,
-    p: Profile,
-    alpha: float,
-    lam: float,
-    v_data: BoundaryTrace,
-    resonant: bool,
-    cfg: SolverConfig | None = None,
-    residual_tol: float = 1e-9,
-) -> float:
-    """First-order coefficient lambda_1 of the eigenvalue expansion
-    lambda(eps) ~ lambda + eps lambda_1 for the squeezed barrier.
-
-    ``v_data`` holds the boundary data of the unit-normalized limit
-    eigenfunction.  Non-resonant branch (eigenfunction supported on one
-    half-axis): solve the one-sided Neumann cell problem
-    -w1'' + alpha profile w1 = 0, w1'(-1) = 0, w1'(1) = v'(+0) and return
-    v'(+0) (v'(+0) - w1(1)); the left-half case is handled by mirror
-    symmetry.  Resonant branch: with W the Neumann cell eigenfunction
-    normalized to W(-1) = 1 and theta = W(1),
-
-        g1 = v'(-0) phi2(1) - v'(+0) - theta v'(-0),
-        h1 = (U(0) - lam) [ v(-0) int W^2 - theta v(+0) - v(-0) ],
-        lambda_1 = h1 v(-0) - g1 v'(+0),
-
-    where phi2 is the cell solution with data (0, 1) at -1 and the second
-    derivatives v''(+-0) = (U(0) - lam) v(+-0) come from the differential
-    equation rather than numerical differentiation.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    vd = v_data
-    scale = max(abs(vd.v_minus), abs(vd.v_plus), abs(vd.dv_minus), abs(vd.dv_plus), 1e-30)
-
-    if not resonant:
-        left_dead = max(abs(vd.v_minus), abs(vd.dv_minus)) <= 1e-8 * scale
-        right_dead = max(abs(vd.v_plus), abs(vd.dv_plus)) <= 1e-8 * scale
-        if left_dead == right_dead:
-            raise PreconditionError(
-                "non-resonant branch needs an eigenfunction vanishing on exactly one half-axis"
-            )
-        if right_dead:
-            # eigenfunction lives on the left: mirror the problem
-            prof = reflect(p)
-            slope = -vd.dv_minus
-        else:
-            prof = p
-            slope = vd.dv_plus
-        w1_end, miss = shoot(prof, alpha, cfg)
-        if scaled_residual(prof, alpha, w1_end, miss) <= residual_tol:
-            raise PreconditionError(
-                "non-resonant corrector called at a resonant coupling (singular cell problem)"
-            )
-        w1_at_1 = slope * w1_end / miss
-        return slope * (slope - w1_at_1)
-
-    w1_end, miss = shoot(p, alpha, cfg)
-    rho = scaled_residual(p, alpha, w1_end, miss)
-    if rho > residual_tol:
-        raise NotInResonanceSetError(
-            f"resonant corrector called off the resonance set (defect {rho:.3e})"
-        )
-    theta = w1_end
-    # cell eigenfunction samples for int W^2 (Simpson on a uniform grid)
-    xi = np.linspace(-1.0, 1.0, 2001)
-    cell = _alpha_segments(p)
-    res = propagate_family(cell, np.array([alpha]), np.array([1.0, 0.0]), cfg, samples=xi)
-    W = res.sample_states[:, 0, 0]
-    intW2 = _simpson(W * W, xi)
-    phi2 = propagate_family(cell, np.array([alpha]), np.array([0.0, 1.0]), cfg).states[0, 0]
-
-    g1 = vd.dv_minus * phi2 - vd.dv_plus - theta * vd.dv_minus
-    u0 = U.U(0.0)
-    ddv_minus = (u0 - lam) * vd.v_minus
-    ddv_plus = (u0 - lam) * vd.v_plus
-    h1 = (u0 - lam) * vd.v_minus * intW2 - theta * ddv_plus - ddv_minus
-    return h1 * vd.v_minus - g1 * vd.dv_plus
-
-
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    n = len(x) - 1
-    h = (x[-1] - x[0]) / n
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
 # -- eigenfunction assembly ----------------------------------------------------------

@@ -4,7 +4,11 @@ The transcendental constants (resonant couplings of the step profile) are
 recomputed here by plain bisection on tanh(k) - tan(k), independently of
 the library's scan machinery, and frozen for the whole session.  Family
 propagations are checked against scipy's DOP853 integrator, and eigenvalues
-against a tridiagonal finite-difference diagonalization.
+against a tridiagonal finite-difference diagonalization.  The closed forms
+of the step profile (its resonance function, coupling ratio and scattering
+amplitudes), the resonant transmission limit and the first-order
+eigenvalue corrector live here too: they check the library, which does not
+use them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,11 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
 from pointbarrier import profiles
-from pointbarrier.ivp import SolverConfig
+from pointbarrier.errors import NotInResonanceSetError, PreconditionError
+from pointbarrier.ivp import DEFAULT_CONFIG, SolverConfig, propagate_family
+from pointbarrier.profiles import Profile, Segment
+from pointbarrier.resonance import _alpha_segments, scaled_residual, shoot
+from pointbarrier.scattering import _barrier_matrix_x, _match_plane_waves
 from pointbarrier.spectra import polynomial_potential
 
 
@@ -95,6 +103,166 @@ def gauss_legendre_moment(p, k, n=48):
         total += half * float(np.sum(weights * xs**k * np.array([seg(x) for x in xs])))
     return total
 
+
+# -- closed forms for the step profile ------------------------------------------
+
+def step_h(kappa: float) -> float:
+    """Characteristic function kappa*(tanh(kappa) - tan(kappa)) of the step
+    profile; its positive zeros are the square roots of the positive
+    resonances."""
+    if abs(math.cos(kappa)) < 1e-12:
+        raise ValueError(f"kappa={kappa} is a tangent pole")
+    return kappa * (math.tanh(kappa) - math.tan(kappa))
+
+
+def step_theta(alpha: float) -> float:
+    """Closed-form coupling ratio of the step profile.
+
+    cosh(sqrt(alpha))/cos(sqrt(alpha)) for alpha >= 0 and
+    cos(sqrt(-alpha))/cosh(sqrt(-alpha)) for alpha < 0; only meaningful at
+    resonant alpha, but defined wherever the cosine does not vanish.
+    """
+    if alpha >= 0.0:
+        s = math.sqrt(alpha)
+        c = math.cos(s)
+        if abs(c) < 1e-12:
+            raise ValueError(f"cos(sqrt(alpha)) vanishes at alpha={alpha}")
+        return math.cosh(s) / c
+    s = math.sqrt(-alpha)
+    return math.cos(s) / math.cosh(s)
+
+
+def constant_propagator(c: float, length: float) -> np.ndarray:
+    """Exact 2x2 propagator of -u'' + c u = 0 over a signed ``length``:
+    [[cosh kL, sinh kL / k], [k sinh kL, cosh kL]] with k = sqrt(c) for
+    c > 0, the trigonometric analogue for c < 0, [[1, L], [0, 1]] at 0."""
+    L = float(length)
+    if c > 0.0:
+        k = math.sqrt(c)
+        return np.array([[math.cosh(k * L), math.sinh(k * L) / k],
+                         [k * math.sinh(k * L), math.cosh(k * L)]])
+    if c < 0.0:
+        k = math.sqrt(-c)
+        return np.array([[math.cos(k * L), math.sin(k * L) / k],
+                         [-k * math.sin(k * L), math.cos(k * L)]])
+    return np.array([[1.0, L], [0.0, 1.0]])
+
+
+def step_scatter_exact(kappa: float, eps: float, k: float):
+    """Closed-form scattering for the step profile at alpha = kappa^2 > 0.
+
+    The barrier matrix is the product of two constant-coefficient
+    propagators (hyperbolic on the uphill half, trigonometric on the well),
+    followed by the same plane-wave matching as ``scatter_sweep``.
+    """
+    if k <= 0:
+        raise ValueError("wavenumber k must be positive")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    alpha = kappa * kappa
+    tau2 = (eps * k) ** 2
+    M_xi = constant_propagator(-alpha - tau2, 1.0) @ constant_propagator(alpha - tau2, 1.0)
+    M = _barrier_matrix_x(M_xi, eps)
+    return _match_plane_waves(M, eps, k, alpha)
+
+
+def transmission_limit(theta: float) -> float:
+    """Limiting transmission probability 4 theta^2 / (1 + theta^2)^2 at a
+    resonant coupling with ratio theta; 1 at theta = 1, -> 0 as |theta|
+    grows (~ 4 / theta^2)."""
+    t2 = theta * theta
+    if math.isinf(t2):
+        return 0.0
+    return 4.0 * t2 / (1.0 + t2) ** 2
+
+
+# -- first-order eigenvalue correction -----------------------------------------
+
+def reflect(p: Profile) -> Profile:
+    """Profile mirrored through the origin: ``reflect(p)(xi) == p(-xi)``."""
+    segs = []
+    for seg in reversed(p.segments):
+        coeffs = tuple(c * (-1.0) ** j for j, c in enumerate(seg.coeffs))
+        segs.append(Segment(-seg.b, -seg.a, coeffs))
+    return Profile(tuple(segs), label=p.label + "_reflected")
+
+
+def corrector_lambda1(U, p, alpha, lam, v_data, resonant, cfg=None, residual_tol=1e-9):
+    """First-order coefficient lambda_1 of the eigenvalue expansion
+    lambda(eps) ~ lambda + eps lambda_1 for the squeezed barrier.
+
+    ``v_data`` holds the boundary data (a ``spectra.BoundaryTrace``) of the
+    unit-normalized limit eigenfunction.  Non-resonant branch
+    (eigenfunction supported on one half-axis): solve the one-sided Neumann
+    cell problem -w1'' + alpha profile w1 = 0, w1'(-1) = 0, w1'(1) = v'(+0)
+    and return v'(+0) (v'(+0) - w1(1)); the left-half case is handled by
+    mirror symmetry.  Resonant branch: with W the Neumann cell
+    eigenfunction normalized to W(-1) = 1 and theta = W(1),
+
+        g1 = v'(-0) phi2(1) - v'(+0) - theta v'(-0),
+        h1 = (U(0) - lam) [ v(-0) int W^2 - theta v(+0) - v(-0) ],
+        lambda_1 = h1 v(-0) - g1 v'(+0),
+
+    where phi2 is the cell solution with data (0, 1) at -1 and the second
+    derivatives v''(+-0) = (U(0) - lam) v(+-0) come from the differential
+    equation rather than numerical differentiation.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    vd = v_data
+    scale = max(abs(vd.v_minus), abs(vd.v_plus), abs(vd.dv_minus), abs(vd.dv_plus), 1e-30)
+
+    if not resonant:
+        left_dead = max(abs(vd.v_minus), abs(vd.dv_minus)) <= 1e-8 * scale
+        right_dead = max(abs(vd.v_plus), abs(vd.dv_plus)) <= 1e-8 * scale
+        if left_dead == right_dead:
+            raise PreconditionError(
+                "non-resonant branch needs an eigenfunction vanishing on exactly one half-axis"
+            )
+        if right_dead:
+            # eigenfunction lives on the left: mirror the problem
+            prof = reflect(p)
+            slope = -vd.dv_minus
+        else:
+            prof = p
+            slope = vd.dv_plus
+        w1_end, miss = shoot(prof, alpha, cfg)
+        if scaled_residual(prof, alpha, w1_end, miss) <= residual_tol:
+            raise PreconditionError(
+                "non-resonant corrector called at a resonant coupling (singular cell problem)"
+            )
+        w1_at_1 = slope * w1_end / miss
+        return slope * (slope - w1_at_1)
+
+    w1_end, miss = shoot(p, alpha, cfg)
+    rho = scaled_residual(p, alpha, w1_end, miss)
+    if rho > residual_tol:
+        raise NotInResonanceSetError(
+            f"resonant corrector called off the resonance set (defect {rho:.3e})"
+        )
+    theta = w1_end
+    # cell eigenfunction samples for int W^2 (Simpson on a uniform grid)
+    xi = np.linspace(-1.0, 1.0, 2001)
+    cell = _alpha_segments(p)
+    res = propagate_family(cell, np.array([alpha]), np.array([1.0, 0.0]), cfg, samples=xi)
+    W = res.sample_states[:, 0, 0]
+    intW2 = _simpson(W * W, xi)
+    phi2 = propagate_family(cell, np.array([alpha]), np.array([0.0, 1.0]), cfg).states[0, 0]
+
+    g1 = vd.dv_minus * phi2 - vd.dv_plus - theta * vd.dv_minus
+    u0 = U.U(0.0)
+    ddv_minus = (u0 - lam) * vd.v_minus
+    ddv_plus = (u0 - lam) * vd.v_plus
+    h1 = (u0 - lam) * vd.v_minus * intW2 - theta * ddv_plus - ddv_minus
+    return h1 * vd.v_minus - g1 * vd.dv_plus
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    n = len(x) - 1
+    h = (x[-1] - x[0]) / n
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+
+
+# -- fixtures ----------------------------------------------------------------------
 
 @pytest.fixture(scope="session")
 def step():

@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 import pytest
+from conftest import corrector_lambda1, step_theta, transmission_limit
 
-from pointbarrier.resonance import coupling_theta, resonance_scan, step_theta
-from pointbarrier.scattering import scatter, transmission_limit
+from pointbarrier.resonance import coupling_theta, resonance_scan
+from pointbarrier.scattering import scatter_sweep
 from pointbarrier.spectra import (
     DirichletSplit,
     ThetaCoupled,
-    corrector_lambda1,
     diving_count,
     eigen_limit,
     eigen_perturbed,
@@ -104,7 +104,7 @@ def test_criterion_03_scattering_unitarity(step, bump):
                 alpha = rng.uniform(-20.0, 20.0)
                 eps = 10.0 ** rng.uniform(-3.0, -0.7)
                 k = rng.uniform(0.3, 3.0)
-                r = scatter(profile, alpha, eps, k)
+                r = scatter_sweep(profile, alpha, [(eps, k)])[0]
                 assert abs(abs(r.R) ** 2 + abs(r.T) ** 2 - 1.0) <= 1e-10
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"sweep took {elapsed:.2f}s"
@@ -113,12 +113,12 @@ def test_criterion_03_scattering_unitarity(step, bump):
 def test_criterion_04_transmission_asymptotics(step, alpha1, theta1):
     with criterion(4, "off-resonance slope 2, on-resonance plateau, k-independent"):
         epss = np.geomspace(1e-1, 1e-3, 7)
-        t2 = [scatter(step, 4.0, e, 1.0).transmission_probability for e in epss]
+        t2 = [scatter_sweep(step, 4.0, [(e, 1.0)])[0].transmission_probability for e in epss]
         slope = np.polyfit(np.log(epss), np.log(t2), 1)[0]
         assert abs(slope - 2.0) <= 0.05
         lim = transmission_limit(theta1)
         plateau = {
-            k: scatter(step, alpha1, 1e-3, k).transmission_probability
+            k: scatter_sweep(step, alpha1, [(1e-3, k)])[0].transmission_probability
             for k in (0.5, 1.0, 2.0)
         }
         for val in plateau.values():

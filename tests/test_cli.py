@@ -237,6 +237,7 @@ def test_exit_codes(tmp_path, capsys):
         "nan.json": '{"segments": [{"interval": [-1, 1], "coeffs": [NaN]}]}',
         "nan_end.json": '{"segments": [{"interval": [-1, NaN], "coeffs": [1]}]}',
         "broken.json": '{"segments": 3',
+        "string.json": '{"segments": [{"interval": [-1, 1], "coeffs": "12"}]}',
     }
     for name, text in specs.items():
         (tmp_path / name).write_text(text)
@@ -248,6 +249,7 @@ def test_exit_codes(tmp_path, capsys):
         ["classify", "--profile", profile("nan_end.json")],
         ["classify", "--profile", profile("broken.json")],
         ["classify", "--profile", str(tmp_path)],
+        ["classify", "--profile", profile("string.json")],  # once read as 1 + 2 xi
         ["hypothesis", "--profiles", "step,", "--window", "-1", "1"],
         # overflowing inputs
         ["theta", "--profile", "step", "--alpha", "1", "--search-width", "1e308"],
@@ -457,6 +459,42 @@ def test_rerun_rejects_a_manifest_with_abs_tol(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("configuration error") and "--abs-tol" in err
     assert not (tmp_path / "again").exists()
+
+
+def _one_config_error_line(capsys):
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:"), err
+    return lines[0]
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    for out in (afile, afile / "below"):
+        assert main(["classify", "--profile", "step", "--out", str(out)]) == 2
+        assert "output directory" in _one_config_error_line(capsys)
+    assert afile.read_text() == "keep"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: {k: v for k, v in doc.items() if k != "out"},
+    lambda doc: {**doc, "out": None},
+    lambda doc: {**doc, "params": [1]},
+    lambda doc: {k: v for k, v in doc.items() if k != "params"},
+    lambda doc: {**doc, "command": ["classify"]},
+    lambda doc: {**doc, "command": "rerun"},
+    lambda doc: [doc],
+], ids=["no-out", "null-out", "params-array", "no-params", "command-array", "command-rerun",
+        "array"])
+def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, edit):
+    out = tmp_path / "m"
+    assert main(["classify", "--profile", "step", "--out", str(out)]) == 0
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edit(json.loads(_read(out / "manifest.json")))))
+    capsys.readouterr()
+    assert main(["rerun", str(path)]) == 2
+    assert "manifest" in _one_config_error_line(capsys)
 
 
 def test_spectrum_limit_needs_no_profile(tmp_path):

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from conftest import step_theta
 
 from pointbarrier.errors import PreconditionError
 from pointbarrier.experiments import (
@@ -8,10 +10,8 @@ from pointbarrier.experiments import (
     diving_study,
     even_counterexample_profile,
     hypothesis_scan,
-    probability_ratio,
 )
 from pointbarrier.profiles import classify
-from pointbarrier.resonance import step_theta
 from pointbarrier.spectra import ThetaCoupled, eigen_limit, interval_negative_levels
 
 
@@ -94,6 +94,30 @@ def test_hypothesis_scan_small_window(step, odd_cubic, bump):
 def test_hypothesis_scan_rejects_non_dipole():
     with pytest.raises(PreconditionError):
         hypothesis_scan([even_counterexample_profile()], (-10.0, 10.0))
+
+
+def probability_ratio(x: np.ndarray, v: np.ndarray, r: float) -> float:
+    """Ratio of the probability masses of v^2 on (0, r) and (-r, 0).
+
+    At a resonant coupling this tends to theta^2 as r -> 0 (the marginal
+    density drop across the interface).  The eigenfunction jumps at 0, so
+    the sample sitting on the interface is ignored and each side's
+    boundary value is reconstructed from its own interior samples.
+    """
+    tiny = 1e-12
+    mr = (x > tiny) & (x <= r)
+    ml = (x >= -r) & (x < -tiny)
+    xr, vr = x[mr], v[mr]
+    xl, vl = x[ml], v[ml]
+    if len(xr) < 2 or len(xl) < 2:
+        raise ValueError("need at least two samples strictly inside each side")
+    v0r = vr[0] - (vr[1] - vr[0]) / (xr[1] - xr[0]) * xr[0]
+    v0l = vl[-1] - (vl[-2] - vl[-1]) / (xl[-2] - xl[-1]) * xl[-1]
+    num = float(np.trapezoid(np.r_[v0r, vr] ** 2, np.r_[0.0, xr]))
+    den = float(np.trapezoid(np.r_[vl, v0l] ** 2, np.r_[xl, 0.0]))
+    if den == 0.0:
+        raise ValueError("no probability mass on the left of the interface")
+    return num / den
 
 
 @pytest.mark.parametrize("which", ["negative", "positive"])

@@ -2,16 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dop853_family
+from conftest import constant_propagator, dop853_family
 
 from pointbarrier.errors import StepSizeUnderflowError
-from pointbarrier.ivp import (
-    FamilySegment,
-    SolverConfig,
-    constant_propagator,
-    propagate_family,
-    unit_wronskian,
-)
+from pointbarrier.ivp import FamilySegment, SolverConfig, propagate_family, unit_wronskian
 
 
 def _fundamental(q, a, b, breakpoints=(), cfg=None):
@@ -51,9 +45,15 @@ def test_free_propagator():
     assert np.allclose(M, [[1.0, 2.5], [0.0, 1.0]], atol=1e-12)
 
 
+def _constant_step(c, length):
+    """Fundamental matrix of -u'' + c u = 0 over ``length`` from one
+    constant segment: the library's exact constant-coefficient step."""
+    return propagate_family([FamilySegment(0.0, length, c, 0.0)], np.zeros(2), np.eye(2)).states
+
+
 def test_constant_propagator_closed_forms():
     kappa = 1.7
-    M = constant_propagator(kappa**2, 1.0)
+    M = _constant_step(kappa**2, 1.0)
     ref = np.array(
         [
             [math.cosh(kappa), math.sinh(kappa) / kappa],
@@ -62,7 +62,7 @@ def test_constant_propagator_closed_forms():
     )
     assert np.allclose(M, ref, rtol=1e-14)
     w = 3.0
-    M = constant_propagator(-w * w, 0.7)
+    M = _constant_step(-w * w, 0.7)
     ref = np.array(
         [
             [math.cos(w * 0.7), math.sin(w * 0.7) / w],
@@ -72,10 +72,10 @@ def test_constant_propagator_closed_forms():
     assert np.allclose(M, ref, rtol=1e-14)
     # series region joins the exact branches smoothly
     for c in (1e-9, -1e-9, 0.0):
-        M = constant_propagator(c, 0.3)
+        M = _constant_step(c, 0.3)
         assert np.allclose(M, [[1.0, 0.3], [0.0, 1.0]], atol=1e-9)
     # scaled deep-hyperbolic branch stays finite and consistent
-    M = constant_propagator(100.0, 10.0)  # cosh(100) ~ 1e43
+    M = _constant_step(100.0, 10.0)  # cosh(100) ~ 1e43
     assert math.isfinite(M[0, 0]) and M[0, 0] > 1e42
     assert M[0, 0] == pytest.approx(math.cosh(100.0), rel=1e-12)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,9 @@ from pointbarrier.profiles import (
     from_json_dict,
     is_dipole_normalized,
     moment,
-    reflect,
-    scaled_potential,
-    to_json_dict,
 )
 
-from conftest import gauss_legendre_moment
+from conftest import gauss_legendre_moment, reflect
 
 
 def test_step_evaluation(step):
@@ -115,14 +114,6 @@ def test_odd_symmetry(odd_cubic):
         assert evaluate(odd_cubic, xi) == pytest.approx(-evaluate(odd_cubic, -xi), abs=1e-14)
 
 
-def test_scaled_potential(step):
-    assert scaled_potential(step, 1.0, 0.1, -0.05) == pytest.approx(100.0)
-    assert scaled_potential(step, 2.0, 0.5, 0.25) == pytest.approx(-8.0)
-    assert scaled_potential(step, 3.0, 0.2, 0.4) == 0.0  # x = 2 eps
-    with pytest.raises(ValueError):
-        scaled_potential(step, 1.0, 0.0, 0.1)
-
-
 def test_builtin_errors():
     with pytest.raises(ValueError):
         builtin("gaussian", {})
@@ -153,15 +144,30 @@ def test_partition_validation():
 
 
 def test_json_round_trip(bump, tmp_path):
-    doc = to_json_dict(bump)
+    doc = {
+        "label": bump.label,
+        "segments": [{"interval": [seg.a, seg.b], "coeffs": list(seg.coeffs)}
+                     for seg in bump.segments],
+    }
     again = from_json_dict(doc)
     assert again == bump
     path = tmp_path / "bump.json"
-    profiles.save(bump, path)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     loaded = profiles.load(path)
     assert loaded == bump
     with pytest.raises(ProfileFormatError):
         from_json_dict({"label": "x"})
+
+
+@pytest.mark.parametrize("segment", [
+    {"interval": [-1, 1], "coeffs": "12"},  # once read as 1 + 2 xi
+    {"interval": "-1", "coeffs": [1.0]},
+    {"interval": [-1, 1], "coeffs": 1.0},
+    {"interval": {"a": -1, "b": 1}, "coeffs": [1.0]},
+], ids=["coeffs-string", "interval-string", "coeffs-number", "interval-object"])
+def test_segment_fields_must_be_arrays(segment):
+    with pytest.raises(ProfileFormatError, match="JSON arrays"):
+        from_json_dict({"segments": [segment]})
 
 
 def test_reflect(step, bump):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import bisect_oracle, dop853_family
+from conftest import bisect_oracle, dop853_family, step_h, step_theta
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +16,6 @@ from pointbarrier.resonance import (
     scaled_residual,
     shoot,
     shoot_family,
-    step_h,
-    step_theta,
 )
 
 
@@ -74,12 +72,6 @@ def test_eigenfunction_trace(step, alpha1):
     assert pt.w[0] == pytest.approx(1.0, abs=1e-12)  # w(-1) = 1 normalization
     assert pt.w[-1] == pytest.approx(pt.theta, rel=1e-10)
     assert pt.residual <= 1e-9
-
-
-def test_theta_normalization_invariance(step, alpha1):
-    t1 = coupling_theta(step, alpha1, normalization=1.0)
-    t2 = coupling_theta(step, alpha1, normalization=-17.5)
-    assert t1 == pytest.approx(t2, abs=1e-10)
 
 
 def test_theta_rejects_non_resonant(step):
@@ -143,27 +135,6 @@ def test_shots_match_an_independent_integrator(profile, request):
     ref, _, _ = dop853_family([FamilySegment(s.a, s.b, 0.0, s) for s in p.segments],
                               alphas, np.array([1.0, 0.0]))
     assert np.all(np.abs(shots - ref) <= 1e-9 * np.abs(ref).max(axis=0))
-
-
-def test_step_h_values(kappa_roots):
-    assert step_h(0.0) == 0.0
-    assert abs(step_h(kappa_roots[0])) <= 1e-8
-    assert step_h(1.0) == pytest.approx(math.tanh(1.0) - math.tan(1.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        step_h(math.pi / 2)
-
-
-def test_step_theta_values(alpha1, kappa_roots):
-    k1 = kappa_roots[0]
-    assert step_theta(0.0) == 1.0
-    assert step_theta(alpha1) == pytest.approx(math.cosh(k1) / math.cos(k1), rel=1e-12)
-    assert step_theta(alpha1) == pytest.approx(-35.9, rel=2e-3)
-    neg = step_theta(-alpha1)
-    assert neg == pytest.approx(math.cos(k1) / math.cosh(k1), rel=1e-12)
-    assert abs(neg) < 1.0
-    assert neg == pytest.approx(-0.0279, rel=2e-3)
-    with pytest.raises(ValueError):
-        step_theta((math.pi / 2) ** 2)
 
 
 def test_scaled_residual_discriminates(step, alpha1):

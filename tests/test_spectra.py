@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fd_levels
+from conftest import corrector_lambda1, fd_levels, reflect
 
 from pointbarrier import profiles, spectra
 from pointbarrier.errors import (
@@ -19,7 +19,6 @@ from pointbarrier.spectra import (
     Separated,
     Spectrum,
     ThetaCoupled,
-    corrector_lambda1,
     diving_count,
     eigen_limit,
     eigen_perturbed,
@@ -424,7 +423,6 @@ def test_corrector_branch_guards(tilted, step, alpha1):
 def test_corrector_mirror_branch_matches_direct(tilted, step):
     # the left-half branch is handled by mirror symmetry: check it against
     # the right-half branch of the mirrored problem
-    from pointbarrier.profiles import reflect
     from pointbarrier.spectra import polynomial_potential
 
     split = eigen_limit(tilted, DirichletSplit(), 2, eigenfunctions=True)
