@@ -3,9 +3,9 @@ solver modules, and write CSV/JSON outputs plus a manifest.
 
 Every run writes ``manifest.json`` recording the subcommand, the full
 parameter set, the tool version and the wall time; ``rerun`` replays a
-manifest.  CSV payloads are written with 17 significant digits and contain
-nothing run-dependent, so identical configurations produce byte-identical
-files.
+manifest.  CSV payloads write floats as ``%.17e`` (18 significant digits)
+and contain nothing run-dependent, so identical configurations produce
+byte-identical files.
 
 Exit status: 0 on success, 2 for configuration errors, 3 for numerical
 failures, 4 for violated preconditions (e.g. a profile outside the
@@ -73,26 +73,68 @@ class _Parser(argparse.ArgumentParser):
 
 # -- small format helpers -----------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17e}"
+_FLOAT = "%.17e"
+_FLOATS = (float, np.floating)
+_CHUNK_ROWS = 2048  # rows formatted by one % and written by one call
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(_fmt(cell))
-            elif isinstance(cell, (np.floating,)):
-                cells.append(_fmt(float(cell)))
-            else:
-                text = str(cell)
-                if "," in text or '"' in text:  # a flag such as left,degenerate
-                    text = '"' + text.replace('"', '""') + '"'  # as csv.QUOTE_MINIMAL
-                cells.append(text)
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n")
+def _needs_quotes(text: str) -> bool:
+    """Whether csv.QUOTE_MINIMAL quotes ``text``: a comma, a quote, CR or LF."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _text(cell) -> str:
+    """One cell of a column that is not all floats: a float as ``%.17e``,
+    anything else as ``str`` quoted as csv.QUOTE_MINIMAL does (a flag such
+    as left,degenerate, or a profile label)."""
+    if isinstance(cell, _FLOATS):
+        return _FLOAT % cell
+    text = str(cell)
+    if _needs_quotes(text):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column(cells):
+    """(row template field, % arguments) of one column of a chunk."""
+    kinds = set(map(type, cells))
+    if all(issubclass(kind, _FLOATS) for kind in kinds):
+        return _FLOAT, cells
+    if kinds == {str} and not _needs_quotes("".join(cells)):
+        return "%s", cells  # text that needs no quotes, such as a formatted grid
+    return "%s", [_text(cell) for cell in cells]
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``columns``, one sequence of cells per ``header`` name, all of
+    one length; a table of no rows may give no columns.  Each chunk of
+    ``_CHUNK_ROWS`` rows is one ``%`` over a row template repeated once per
+    row, on the chunk's cells laid out row by row."""
+    columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n_rows, _CHUNK_ROWS):
+            fields, cells = zip(*(_column(col[lo:lo + _CHUNK_ROWS]) for col in columns))
+            n, k = len(cells[0]), len(cells)
+            flat = [None] * (n * k)
+            for j, col in enumerate(cells):
+                flat[j::k] = col
+            fh.write((",".join(fields) + "\n") * n % tuple(flat))
+
+
+def _curve_csvs(outdir: Path, prefix: str, header: list[str], curves) -> list[str]:
+    """Write each sampled (grid, values) curve to ``{prefix}_{i:03d}.csv``.
+    A grid equal to the one before it is not formatted again, so curves on
+    one shared grid format it once."""
+    names, grid, grid_text = [], None, None
+    for i, (x, v) in enumerate(curves):
+        if grid is None or not np.array_equal(x, grid):
+            grid, grid_text = x, list(map(_FLOAT.__mod__, x.tolist()))
+        name = f"{prefix}_{i:03d}.csv"
+        _write_csv(outdir / name, header, [grid_text, v.tolist()])
+        names.append(name)
+    return names
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -210,17 +252,6 @@ def _solver_config(ns) -> SolverConfig:
     return SolverConfig(rel_tol=ns.rel_tol)
 
 
-def _eigenfunction_csvs(outdir: Path, spec, prefix: str) -> list[str]:
-    names = []
-    if spec.eigenfunctions is None:
-        return names
-    for i, v in enumerate(spec.eigenfunctions):
-        name = f"{prefix}_{i:03d}.csv"
-        _write_csv(outdir / name, ["x", "v"], zip(spec.x, v))
-        names.append(name)
-    return names
-
-
 # -- subcommand implementations --------------------------------------------------
 
 def _cmd_classify(ns, outdir: Path) -> list[str]:
@@ -247,19 +278,17 @@ def _cmd_resonances(ns, outdir: Path) -> list[str]:
     _write_csv(
         outdir / "resonances.csv",
         ["alpha", "theta", "residual"],
-        [(pt.alpha, pt.theta, pt.residual) for pt in confirmed],
+        zip(*[(pt.alpha, pt.theta, pt.residual) for pt in confirmed]),
     )
     names = ["resonances.csv"]
     if ns.eigenfunctions:
-        for i, pt in enumerate(confirmed):
-            name = f"resonance_eigenfunction_{i:03d}.csv"
-            _write_csv(outdir / name, ["xi", "w"], zip(pt.xi, pt.w))
-            names.append(name)
+        names += _curve_csvs(outdir, "resonance_eigenfunction", ["xi", "w"],
+                             ((pt.xi, pt.w) for pt in confirmed))
     if any(pt.flagged for pt in pts):
         _write_csv(
             outdir / "resonance_candidates.csv",
             ["alpha", "theta", "residual"],
-            [(pt.alpha, pt.theta, pt.residual) for pt in pts if pt.flagged],
+            zip(*[(pt.alpha, pt.theta, pt.residual) for pt in pts if pt.flagged]),
         )
         names.append("resonance_candidates.csv")
     return names
@@ -315,15 +344,13 @@ def _cmd_spectrum(ns, outdir: Path) -> list[str]:
     _write_csv(
         outdir / "spectrum.csv",
         ["index", "eigenvalue", "residual", "flag"],
-        [
-            (first + i, lam, res, flag)
-            for i, (lam, res, flag) in enumerate(
-                zip(spec.eigenvalues, spec.residuals, spec.flags)
-            )
-        ],
+        [range(first, first + len(spec.flags)), spec.eigenvalues.tolist(),
+         spec.residuals.tolist(), spec.flags],
     )
     names = ["spectrum.csv"]
-    names += _eigenfunction_csvs(outdir, spec, "eigenfunction")
+    if spec.eigenfunctions is not None:
+        names += _curve_csvs(outdir, "eigenfunction", ["x", "v"],
+                             ((spec.x, v) for v in spec.eigenfunctions))
     return names
 
 
@@ -340,11 +367,11 @@ def _cmd_scatter(ns, outdir: Path) -> list[str]:
     _write_csv(
         outdir / "scatter.csv",
         ["alpha", "eps", "k", "re_r", "im_r", "re_t", "im_t", "t2"],
-        [
+        zip(*[
             (r.alpha, r.eps, r.k, r.R.real, r.R.imag, r.T.real, r.T.imag,
              r.transmission_probability)
             for sweep in sweeps for r in sweep
-        ],
+        ]),
     )
     return ["scatter.csv"]
 
@@ -365,10 +392,10 @@ def _cmd_interval(ns, outdir: Path) -> list[str]:
     _write_csv(
         outdir / "interval.csv",
         ["index", "omega", "lambda", "omega_limit", "abs_diff", "rel_diff"],
-        [
+        zip(*[
             (i + 1, om, lam, wl, abs(om - wl), abs(om - wl) / wl)
             for i, (om, lam, wl) in enumerate(zip(omegas, spec.eigenvalues, limits))
-        ],
+        ]),
     )
     _write_json(
         outdir / "interval.json",
@@ -403,7 +430,7 @@ def _cmd_converge(ns, outdir: Path) -> list[str]:
     _write_csv(
         outdir / "converge.csv",
         ["k", "eps", "lambda_eps", "lambda_limit", "error", "l2_distance", "fitted_order"],
-        rows,
+        zip(*rows),
     )
     return ["converge.json", "converge.csv"]
 
@@ -416,7 +443,7 @@ def _cmd_dive(ns, outdir: Path) -> list[str]:
     _write_csv(
         outdir / "dive.csv",
         ["eps", "lambda1", "eps2_lambda1", "mu_oracle"],
-        [(eps, lam, mu_eps, rep.mu_oracle) for eps, lam, mu_eps in rep.rows],
+        zip(*[(eps, lam, mu_eps, rep.mu_oracle) for eps, lam, mu_eps in rep.rows]),
     )
     return ["dive.json", "dive.csv"]
 
@@ -439,7 +466,7 @@ def _cmd_hypothesis(ns, outdir: Path) -> list[str]:
     _write_csv(
         outdir / "hypothesis.csv",
         ["profile", "alpha", "theta", "abs_theta", "side", "satisfies"],
-        rows,
+        zip(*rows),
     )
     return ["hypothesis.json", "hypothesis.csv"]
 

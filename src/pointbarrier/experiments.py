@@ -29,9 +29,8 @@ from .spectra import (
     ConfiningPotential,
     DirichletSplit,
     ThetaCoupled,
-    diving_count,
+    _perturbed_problem,
     eigen_limit,
-    eigen_perturbed,
     interval_negative_levels,
 )
 
@@ -135,11 +134,11 @@ def convergence_study(
 
     The limit operator is chosen by resonance membership of ``alpha``
     (coupled interface at a resonance, decoupled Dirichlet halves
-    otherwise).  For every ladder entry the Sturm index counts the
-    perturbed levels below the bounded window (``diving_count``); only the
-    ``k_count`` levels above them are located, with their eigenfunctions,
-    and matched in order against the limit levels inside a trust window of
-    half the local limit gap.  The per-level convergence order is fitted by
+    otherwise).  For every ladder entry one counted shot gives the Sturm
+    index of the perturbed levels below the bounded window, and the same
+    problem locates only the ``k_count`` levels above them, with their
+    eigenfunctions.  They are matched in order against the limit levels
+    inside a trust window of half the local limit gap.  The per-level convergence order is fitted by
     least squares on the smallest four ladder entries.
     """
     cfg = cfg or DEFAULT_CONFIG
@@ -171,11 +170,8 @@ def convergence_study(
     limit_gap = float(np.min(np.diff(limit.eigenvalues))) if k_count > 1 else 2.0
 
     def ladder_entry(eps: float):
-        n_dive = diving_count(U, p, alpha, eps, cfg)
-        spec = eigen_perturbed(
-            U, p, alpha, eps, (n_dive + 1, n_dive + k_count), cfg, eig_tol,
-            eigenfunctions=True, samples_per_unit=samples_per_unit,
-        )
+        n_dive, levels = _perturbed_problem(U, p, alpha, eps, cfg)
+        spec = levels((n_dive + 1, n_dive + k_count), eig_tol, True, samples_per_unit)
         if not np.array_equal(spec.x, limit.x):
             raise AlignmentError("perturbed and limit eigenfunction grids differ")
         lam_row = []

@@ -48,7 +48,6 @@ __all__ = [
     "polynomial_potential",
     "eigen_limit",
     "eigen_perturbed",
-    "diving_count",
     "interval_spectrum",
     "interval_negative_levels",
     "interval_limit_frequencies",
@@ -499,53 +498,26 @@ def eigen_perturbed(
     operator -y'' + (U + alpha eps^-2 profile(x/eps)) y on [-R, R].
 
     The Sturm index counts the levels below the bounded window, which dive
-    like eps^-2 (``diving_count``), and only the levels asked for are
-    located.  Diving ones are searched for down to -2 |alpha| max|profile|
-    eps^-2, a lower bound of the operator, and refined to about 1e-7
-    relative (only their count and magnitude matter); a search that finds
-    other than the counted number raises ``NumericsError``.  Bounded ones
-    are scanned upwards and refined to ``eig_tol``.
+    like eps^-2, and only the levels asked for are located.  Diving ones
+    are searched for down to -2 |alpha| max|profile| eps^-2, a lower bound
+    of the operator, and refined to about 1e-7 relative (only their count
+    and magnitude matter); a search that finds other than the counted
+    number raises ``NumericsError``.  Bounded ones are scanned upwards and
+    refined to ``eig_tol``.
     """
     k_lo, k_hi = k_range
     if not (1 <= k_lo <= k_hi):
         raise ValueError("need 1 <= k_lo <= k_hi")
-    cfg = cfg or DEFAULT_CONFIG
-    barrier, fvec, gap_fn, lam_split, shot = _perturbed_problem(U, p, alpha, eps, cfg)
-    n_dive = int(shot[1][0])
-    lams, residuals, flags = np.empty(0), np.empty(0), []
-    first = n_dive + 1  # the global index of lams[0]
-    if k_lo <= n_dive:
-        lams, residuals = _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split)
-        if lams.size != n_dive:
-            raise NumericsError(f"the Sturm index counts {n_dive} levels below "
-                                f"{lam_split:.6g}, but the diving search found {lams.size}")
-        flags, first = ["diving"] * n_dive, 1
-    if k_hi > n_dive:
-        brackets = _verified_scan(fvec, lam_split, shot, U.wall_floor() - _WALL_MARGIN, gap_fn,
-                                  k_hi - n_dive, "squeezed-barrier problem")
-        roots, res = _refine(fvec, brackets, eig_tol)
-        lams, residuals = np.concatenate((lams, roots)), np.concatenate((residuals, res))
-        flags += ["ok"] * roots.size
-    chosen = slice(k_lo - first, k_hi - first + 1)
-    spec = Spectrum(lams[chosen], residuals[chosen], flags[chosen])
-    if eigenfunctions:
-        _attach_perturbed_eigenfunctions(spec, U, barrier, eps, cfg, samples_per_unit)
-    return spec
-
-
-def diving_count(U: ConfiningPotential, p: Profile, alpha: float, eps: float,
-                 cfg: SolverConfig | None = None) -> int:
-    """Number of diving levels of the squeezed-barrier operator (see
-    ``eigen_perturbed``): the Sturm index at the scan start of the bounded
-    window, from one counted shot."""
-    return int(_perturbed_problem(U, p, alpha, eps, cfg or DEFAULT_CONFIG)[-1][1][0])
+    _, levels = _perturbed_problem(U, p, alpha, eps, cfg or DEFAULT_CONFIG)
+    return levels(k_range, eig_tol, eigenfunctions, samples_per_unit)
 
 
 def _perturbed_problem(U, p, alpha, eps, cfg):
-    """(barrier chain, matching function, Weyl gap function, scan start of
-    the bounded window, its counted shot) of the squeezed-barrier problem:
-    the Sturm index of the shot is the number of levels at or below the
-    start."""
+    """(n_dive, levels) of the squeezed-barrier problem, from one Weyl scan
+    and one counted shot at the scan start of the bounded window: its Sturm
+    index ``n_dive`` is the number of diving levels, and ``levels(k_range,
+    eig_tol, eigenfunctions, samples_per_unit)`` solves for the levels
+    k_lo..k_hi (see ``eigen_perturbed``)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
     if eps >= U.truncation_radius:
@@ -553,7 +525,32 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
     gap_fn, lam_split = _weyl_scan(U)
     barrier = _barrier_chain(p, alpha, eps, U)
     fvec = _perturbed_fvec(U, barrier, eps, U.truncation_radius, cfg)
-    return barrier, fvec, gap_fn, lam_split, fvec(np.array([lam_split]), True)
+    shot = fvec(np.array([lam_split]), True)
+    n_dive = int(shot[1][0])
+
+    def levels(k_range, eig_tol, eigenfunctions, samples_per_unit) -> Spectrum:
+        k_lo, k_hi = k_range
+        lams, residuals, flags = np.empty(0), np.empty(0), []
+        first = n_dive + 1  # the global index of lams[0]
+        if k_lo <= n_dive:
+            lams, residuals = _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split)
+            if lams.size != n_dive:
+                raise NumericsError(f"the Sturm index counts {n_dive} levels below "
+                                    f"{lam_split:.6g}, but the diving search found {lams.size}")
+            flags, first = ["diving"] * n_dive, 1
+        if k_hi > n_dive:
+            brackets = _verified_scan(fvec, lam_split, shot, U.wall_floor() - _WALL_MARGIN,
+                                      gap_fn, k_hi - n_dive, "squeezed-barrier problem")
+            roots, res = _refine(fvec, brackets, eig_tol)
+            lams, residuals = np.concatenate((lams, roots)), np.concatenate((residuals, res))
+            flags += ["ok"] * roots.size
+        chosen = slice(k_lo - first, k_hi - first + 1)
+        spec = Spectrum(lams[chosen], residuals[chosen], flags[chosen])
+        if eigenfunctions:
+            _attach_perturbed_eigenfunctions(spec, U, barrier, eps, cfg, samples_per_unit)
+        return spec
+
+    return n_dive, levels
 
 
 def _perturbed_fvec(U, barrier, eps, wall, cfg):

@@ -26,7 +26,7 @@ from pointbarrier.ivp import DEFAULT_CONFIG, SolverConfig, propagate_family
 from pointbarrier.profiles import Profile, Segment
 from pointbarrier.resonance import _alpha_segments, scaled_residual, shoot
 from pointbarrier.scattering import _barrier_matrix_x, _match_plane_waves
-from pointbarrier.spectra import polynomial_potential
+from pointbarrier.spectra import _perturbed_problem, polynomial_potential
 
 
 def bisect_oracle(f, a, b, iters=200):
@@ -92,6 +92,14 @@ def fd_levels(U, lo, hi, n, k, s=0.0):
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1), eigvals_only=True)
 
 
+def diving_count(U, p, alpha, eps, cfg=None) -> int:
+    """Number of diving levels of the squeezed-barrier operator, as the
+    library reads it: the Sturm index of its one counted shot at the scan
+    start of the bounded window.  Tests use it to address bounded levels
+    by global index; it is not an independent oracle."""
+    return _perturbed_problem(U, p, alpha, eps, cfg or DEFAULT_CONFIG)[0]
+
+
 def gauss_legendre_moment(p, k, n=48):
     """High-order quadrature oracle for profile moments (per segment)."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
@@ -102,6 +110,27 @@ def gauss_legendre_moment(p, k, n=48):
         xs = mid + half * nodes
         total += half * float(np.sum(weights * xs**k * np.array([seg(x) for x in xs])))
     return total
+
+
+# -- CSV payloads ---------------------------------------------------------------
+
+def write_csv_per_cell(path, header, rows) -> None:
+    """Reference for the CLI's chunked CSV writer, one cell at a time:
+    floats (numpy's included) as ``%.17e``, every other cell as ``str``,
+    quoted where csv.QUOTE_MINIMAL quotes (a comma, a quote, CR or LF)."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for cell in row:
+            if isinstance(cell, (float, np.floating)):
+                cells.append(f"{float(cell):.17e}")
+            else:
+                text = str(cell)
+                if any(ch in text for ch in ',"\r\n'):
+                    text = '"' + text.replace('"', '""') + '"'
+                cells.append(text)
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n")
 
 
 # -- closed forms for the step profile ------------------------------------------

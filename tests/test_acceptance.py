@@ -10,14 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import corrector_lambda1, step_theta, transmission_limit
+from conftest import corrector_lambda1, diving_count, step_theta, transmission_limit
 
 from pointbarrier.resonance import coupling_theta, resonance_scan
 from pointbarrier.scattering import scatter_sweep
 from pointbarrier.spectra import (
     DirichletSplit,
     ThetaCoupled,
-    diving_count,
     eigen_limit,
     eigen_perturbed,
     interval_limit_frequencies,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import write_csv_per_cell
 
-from pointbarrier.cli import main, run
+from pointbarrier.cli import _CHUNK_ROWS, _write_csv, main, run
 
 
 def _read(path):
@@ -333,6 +335,50 @@ def test_custom_profile_from_json(tmp_path):
     got = json.loads(_read(out / "classify.json"))
     assert got["label"] == "house"
     assert got["class"] == "delta_prime_like"
+
+
+_CELLS = [
+    1.1, 1.0 / 3.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, np.float64(-2.5e-300),
+    np.float32(0.1), 7, np.int64(-3), True, None, "left,degenerate", 'say "hi"',
+    "two\nlines", "cr\rend", "ok", "",
+]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+def test_csv_writer_matches_the_per_cell_reference(tmp_path, n_rows):
+    # one column per kind of cell, one that cycles through every kind, and
+    # one that holds floats until its last row: the last chunk of
+    # _CHUNK_ROWS + 1 rows then mixes a float column with text
+    rng = np.random.default_rng(n_rows)
+    floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    rows = [
+        (*_CELLS, _CELLS[i % len(_CELLS)], float(floats[i]), f"{floats[i]:.17e}",
+         "end" if i == n_rows - 1 else float(floats[i]))
+        for i in range(n_rows)
+    ]
+    header = [f"c{j}" for j in range(len(_CELLS) + 4)]
+    _write_csv(tmp_path / "chunked.csv", header, zip(*rows))
+    write_csv_per_cell(tmp_path / "per_cell.csv", header, rows)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+
+
+def test_a_profile_label_with_a_newline_is_quoted(tmp_path):
+    doc = {
+        "label": "two\nlines",
+        "segments": [
+            {"interval": [-1.0, 0.0], "coeffs": [1.0]},
+            {"interval": [0.0, 1.0], "coeffs": [-1.0]},
+        ],
+    }
+    path = tmp_path / "two_lines.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "hy"
+    assert run(["hypothesis", "--profiles", str(path), "--window", "-20", "20",
+                "--out", str(out)]) == 0
+    with open(out / "hypothesis.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    assert {r["profile"] for r in records} == {"two\nlines", "even_quadratic"}
+    assert {r["satisfies"] for r in records} <= {"True", "False"}
 
 
 _PARSE_REJECTS = [

@@ -28,6 +28,27 @@ def test_zero_coupling_study_is_exact(tilted, step):
         assert max(row.errors) <= 1e-7
 
 
+def test_each_rung_shoots_its_scan_start_once(tilted, step, monkeypatch):
+    # one counted shot per rung gives both the diving count and the start of
+    # the bounded scan: one start member on each of the rung's two chains,
+    # whose matching point is x = eps
+    from pointbarrier import spectra
+
+    ladder = [0.2, 0.1, 0.05, 0.025]
+    start = spectra._weyl_scan(tilted)[1]
+    starts = dict.fromkeys(ladder, 0)
+    propagate = spectra.propagate_family
+
+    def spy(chain, lams, *args, **kwargs):
+        if chain[-1].b in starts and np.array_equal(lams, [start]):
+            starts[chain[-1].b] += 1
+        return propagate(chain, lams, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "propagate_family", spy)
+    convergence_study(tilted, step, 0.0, ladder, 1, samples_per_unit=101)
+    assert starts == dict.fromkeys(ladder, 2)
+
+
 def test_study_requires_disjoint_half_spectra(harmonic, step):
     # an even background makes the decoupled halves coincide level by level
     with pytest.raises(PreconditionError):

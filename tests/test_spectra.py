@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import corrector_lambda1, fd_levels, reflect
+from conftest import corrector_lambda1, diving_count, fd_levels, reflect
 
 from pointbarrier import profiles, spectra
 from pointbarrier.errors import (
@@ -19,7 +19,6 @@ from pointbarrier.spectra import (
     Separated,
     Spectrum,
     ThetaCoupled,
-    diving_count,
     eigen_limit,
     eigen_perturbed,
     interval_limit_frequencies,
