@@ -29,7 +29,7 @@ from .errors import NumericsError, PointBarrierError, PreconditionError, Profile
 from .ivp import SolverConfig
 from .parallel import pmap
 from .profiles import Profile, builtin, classify, load as load_profile
-from .resonance import coupling_theta, resonance_scan, scaled_residual, shoot
+from .resonance import coupling_theta, eigenfunction, resonance_scan, scaled_residual, shoot
 from .scattering import SCATTER_CONFIG, scatter_sweep
 from .spectra import (
     ConnectedMatrix,
@@ -283,7 +283,7 @@ def _cmd_resonances(ns, outdir: Path) -> list[str]:
     names = ["resonances.csv"]
     if ns.eigenfunctions:
         names += _curve_csvs(outdir, "resonance_eigenfunction", ["xi", "w"],
-                             ((pt.xi, pt.w) for pt in confirmed))
+                             (eigenfunction(p, pt.alpha, cfg) for pt in confirmed))
     if any(pt.flagged for pt in pts):
         _write_csv(
             outdir / "resonance_candidates.csv",

@@ -132,6 +132,9 @@ _DP_B4 = (
     1.0 / 40.0,
 )
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+_DP_A_ROWS = tuple(np.array(row) for row in _DP_A)  # the tableau as the vector path reads it
+_DP_B5_ROW = np.array(_DP_B5[:6])
+_DP_E_ROW = np.array(_DP_E)
 _RK_ABS_TOL = 1e-12  # absolute floor of the RK error test
 _RK_MAX_STEP = 1e-2  # RK step cap, relative to the span of the chain
 _MIN_STEP = 1e-14  # underflow floor of a step or mesh interval, relative to its span
@@ -293,17 +296,16 @@ def _rk_span_scalar(
 def _rk_span_vector(
     qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counts=None
 ) -> None:
-    """Family path: flat (2n,) states, stage combinations via BLAS matvec."""
+    """Family path: flat (2n,) states, stage combinations via BLAS matvec,
+    every array of the step loop allocated once per call."""
     rtol, atol = cfg.rel_tol, _RK_ABS_TOL
     direction = 1.0 if x1 > x0 else -1.0
     n = Y.shape[1]
     y = Y.reshape(-1).copy()  # [u_0..u_{n-1}, v_0..v_{n-1}]
+    y5, comb, stage, err, scale = (np.empty_like(y) for _ in range(5))
     K = np.empty((7, 2 * n))
-    A = [np.asarray(row) for row in _DP_A]
-    B5 = np.asarray(_DP_B5[:6])
-    E = np.asarray(_DP_E)
-    stage = np.empty_like(y)
     psign = np.sign(y[:n])
+    sgn = np.empty_like(psign)
 
     def eval_rhs(x: float, state: np.ndarray, out: np.ndarray) -> None:
         out[:n] = state[n:]
@@ -331,24 +333,31 @@ def _rk_span_vector(
             clip = abs(h) > abs(target - x)
             hh = target - x if clip else h
             for i in range(1, 7):
-                np.multiply(hh, A[i] @ K[:i], out=stage)
+                np.matmul(_DP_A_ROWS[i], K[:i], out=comb)
+                np.multiply(hh, comb, out=stage)
                 stage += y
                 eval_rhs(x + _DP_C[i] * hh, stage, K[i])
-            y5 = y + hh * (B5 @ K[:6])
-            err = E @ K
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                err_norm = abs(hh) * float(np.max(np.abs(err) / scale))
+            np.matmul(_DP_B5_ROW, K[:6], out=comb)
+            np.multiply(hh, comb, out=y5)
+            y5 += y
+            np.matmul(_DP_E_ROW, K, out=err)
+            np.abs(y, out=scale)
+            np.maximum(scale, np.abs(y5, out=comb), out=scale)
+            scale *= rtol
+            scale += atol
+            np.abs(err, out=err)
+            err /= scale
+            err_norm = abs(hh) * float(err.max())
             if not math.isfinite(err_norm):
                 err_norm = math.inf
             if err_norm <= 1.0:
                 x += hh
-                y = y5
+                y, y5 = y5, y
                 K[0] = K[6]
                 if counts is not None:
-                    sgn = np.sign(y[:n])
-                    counts[(psign != 0) & (sgn != 0) & (sgn != psign)] += 1
-                    psign = np.where(sgn != 0, sgn, psign)
+                    np.sign(y[:n], out=sgn)
+                    counts += sgn * psign < 0
+                    np.copyto(psign, sgn, where=sgn != 0)
                 if rescale:
                     s = np.maximum(np.abs(y[:n]), np.abs(y[n:]))
                     if not np.all((s > 1e-3) & (s < 1e3)):
@@ -386,6 +395,7 @@ _WORK_CAP = 1 << 13  # intervals (or samples) x members handled per transport pa
 _CACHE_FLOATS = 1 << 16  # mesh cache budget in stored floats (512 kB)
 _RENORM_EVERY = 4  # chained products are rescaled every this many steps
 _SERIES_THRESHOLD = 1e-6  # |det| below this: the step's cosh/sinh by power series
+_EXACT_COUNT = 2.0**53  # largest zero count of one interval that a double holds exactly
 
 
 @dataclass(eq=False)
@@ -414,8 +424,7 @@ def _eval_c(c, xs: np.ndarray) -> np.ndarray:
         return np.full(xs.shape, float(c))
     if xs.size:
         try:
-            with np.errstate(all="ignore"):
-                vals = np.asarray(c(xs), dtype=float)
+            vals = np.asarray(c(xs), dtype=float)
             if vals.shape == xs.shape and vals[0] == c(float(xs[0])) and vals[-1] == c(float(xs[-1])):
                 return vals
         except (TypeError, ValueError):  # branches or math functions: scalars only
@@ -435,10 +444,9 @@ def _expm(x, y, z):
     det = x * x + y * z
     r = np.sqrt(np.abs(det))
     hyper = det > 0.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # hyperbolic branch with exp(r) factored out of cosh r and sinh r
-        ch = np.where(hyper, 0.5 * (1.0 + np.exp(-2.0 * r)), np.cos(r))
-        sh = np.where(hyper, -0.5 * np.expm1(-2.0 * r), np.sin(r)) / r
+    # hyperbolic branch with exp(r) factored out of cosh r and sinh r
+    ch = np.where(hyper, 0.5 * (1.0 + np.exp(-2.0 * r)), np.cos(r))
+    sh = np.where(hyper, -0.5 * np.expm1(-2.0 * r), np.sin(r)) / r
     logs = np.where(hyper, r, 0.0)
     tiny = np.abs(det) <= _SERIES_THRESHOLD
     if np.any(tiny):
@@ -479,21 +487,20 @@ def _step_defect(c, lo, h, cn, shifts):
     half = 0.5 * h
     A, B = _nodes(c, lo, half), _nodes(c, lo + half, half)
     col = h[:, None]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        one = _steps(col, cn[..., None] + shifts)
-        sa = _steps(0.5 * col, A[..., None] + shifts)
-        sb = _steps(0.5 * col, B[..., None] + shifts)
-        f = np.exp(sa[4] + sb[4] - one[4])
-        two = (
-            (sb[0] * sa[0] + sb[1] * sa[2]) * f,
-            (sb[0] * sa[1] + sb[1] * sa[3]) * f,
-            (sb[2] * sa[0] + sb[3] * sa[2]) * f,
-            (sb[2] * sa[1] + sb[3] * sa[3]) * f,
-        )
-        scale = (1.0, 1.0 / col, col, 1.0)
-        gap = np.max([np.abs(p - t) * s for p, t, s in zip(one, two, scale)], axis=0)
-        size = np.max([np.abs(t) * s for t, s in zip(two, scale)], axis=0)
-        est = np.max(gap / size, axis=1)
+    one = _steps(col, cn[..., None] + shifts)
+    sa = _steps(0.5 * col, A[..., None] + shifts)
+    sb = _steps(0.5 * col, B[..., None] + shifts)
+    f = np.exp(sa[4] + sb[4] - one[4])
+    two = (
+        (sb[0] * sa[0] + sb[1] * sa[2]) * f,
+        (sb[0] * sa[1] + sb[1] * sa[3]) * f,
+        (sb[2] * sa[0] + sb[3] * sa[2]) * f,
+        (sb[2] * sa[1] + sb[3] * sa[3]) * f,
+    )
+    scale = (1.0, 1.0 / col, col, 1.0)
+    gap = np.max([np.abs(p - t) * s for p, t, s in zip(one, two, scale)], axis=0)
+    size = np.max([np.abs(t) * s for t, s in zip(two, scale)], axis=0)
+    est = np.max(gap / size, axis=1)
     return np.where(np.isfinite(est), est, np.inf), A, B
 
 
@@ -524,8 +531,7 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     while lo.size:
         h = hi - lo
         est, A, B = _step_defect(c, lo, h, cn, shifts)
-        with np.errstate(invalid="ignore"):
-            ok = (est <= tol) & (np.ptp(cn, axis=0) * h * h <= _VARIATION_CAP)
+        ok = (est <= tol) & (np.ptp(cn, axis=0) * h * h <= _VARIATION_CAP)
         mid = lo + 0.5 * h
         kept.append((lo[ok], mid[ok], A[:, ok]))
         kept.append((mid[ok], hi[ok], B[:, ok]))
@@ -534,8 +540,7 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
         if not bad.any():
             break
         lo, hi, est = lo[bad], hi[bad], est[bad]
-        with np.errstate(over="ignore", invalid="ignore"):
-            parts = np.ceil(1.2 * (est / tol) ** (1.0 / 7.0))  # the defect scales like h^7
+        parts = np.ceil(1.2 * (est / tol) ** (1.0 / 7.0))  # the defect scales like h^7
         parts = np.clip(np.nan_to_num(parts, nan=2.0), 2, _MAX_SPLIT).astype(int)
         short = np.abs(hi - lo) / parts < hmin
         if short.any() or total + 2 * int(parts.sum()) > _MAX_INTERVALS:
@@ -664,7 +669,8 @@ def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np
     form predicts the turn w |h|, the actual end state fixes its
     fraction.  Any other interval holds at most one zero (the variation
     cap of the mesh bounds max(-q) h^2 well below pi^2), seen as a sign
-    flip.
+    flip.  A turn count that a double cannot hold exactly (above 2^53, or
+    not finite) raises ``NumericsError``.
     """
     u, v = states
     u0, u1, v0, v1 = u[:-1], u[1:], v[:-1], v[1:]
@@ -677,7 +683,11 @@ def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np
         th0 = np.arctan2(w * u0, sg * v0)
         ph1 = np.arctan2(w * u1, sg * v1)
         th1 = ph1 + 2.0 * math.pi * np.round((th0 + w * np.abs(hh) - ph1) / (2.0 * math.pi))
-        turns = np.floor(th1 / math.pi) - np.floor(th0 / math.pi)
+        turns = np.where(osc, np.floor(th1 / math.pi) - np.floor(th0 / math.pi), 0.0)
+        if not np.all(np.abs(turns) <= _EXACT_COUNT):  # NaN fails too
+            raise NumericsError(
+                f"a mesh interval turns u through {np.max(np.abs(turns)):.6g} half-periods, "
+                "more than a double counts exactly")
         add = np.where(osc, turns.astype(int), add)
     return add.sum(axis=0)
 
@@ -732,7 +742,9 @@ def propagate_family(
     shared finite real (2,) state or a (2, n) block; a complex one raises
     ``ValueError``.  Consecutive segments must join; they may run in
     either direction, consistently.  ``samples`` requests state records
-    at given x locations (visited in path order).
+    at given x locations (visited in path order).  A returned state, log
+    or sample that is not finite, or a zero count that a double cannot
+    hold exactly, raises ``NumericsError``; numpy warns of nothing inside.
     """
     cfg = cfg or DEFAULT_CONFIG
     m = np.atleast_1d(np.asarray(m, dtype=float))
@@ -774,51 +786,64 @@ def propagate_family(
     span = abs(x_end - x_start)
     hmax, hmin = _RK_MAX_STEP * span, _MIN_STEP * span
 
-    for seg in segments:
-        seg_samples = np.empty(0)
-        if sample_x is not None:
-            # the samples from rec_i on up to the first one off this segment
-            rest = sample_x[rec_i:]
-            inside = ((rest - seg.a) * direction >= -1e-12) & ((seg.b - rest) * direction >= -1e-12)
-            seg_samples = rest if inside.all() else rest[:int(np.argmin(inside))]
-        if not callable(seg.w_part):
-            _mesh_apply(_mesh_for(seg, cfg), m * float(seg.w_part), Y, logs, counts, seg_samples,
-                        rec_states, rec_logs, rec_i)
+    # one boundary for the whole chain: an overflow or a NaN inside shows
+    # up as a non-finite result, which raises below
+    with np.errstate(all="ignore"):
+        for seg in segments:
+            seg_samples = np.empty(0)
+            if sample_x is not None:
+                # the samples from rec_i on up to the first one off this segment
+                rest = sample_x[rec_i:]
+                inside = (((rest - seg.a) * direction >= -1e-12)
+                          & ((seg.b - rest) * direction >= -1e-12))
+                seg_samples = rest if inside.all() else rest[:int(np.argmin(inside))]
+            if not callable(seg.w_part):
+                _mesh_apply(_mesh_for(seg, cfg), m * float(seg.w_part), Y, logs, counts,
+                            seg_samples, rec_states, rec_logs, rec_i)
+                rec_i += len(seg_samples)
+                continue
+            if not rescale:  # the RK's absolute tolerance reads true states
+                Y *= np.exp(logs)
+                logs[:] = 0.0
+            cp, wp = seg.c_part, seg.w_part
+            c0 = None if callable(cp) else float(cp)
+            # tiny families run faster member-by-member on the scalar fast path
+            base = rec_i
+            lanes = [slice(i, i + 1) for i in range(n)] if 1 < n <= 6 else [slice(0, n)]
+            for lane in lanes:
+                Yl, logs_l = Y[:, lane], logs[lane]
+                ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
+
+                def record(j: int, _lane=lane, _Y=Yl, _logs=logs_l) -> None:
+                    rec_states[base + j, :, _lane] = _Y
+                    rec_logs[base + j, _lane] = _logs
+
+                if c0 is None:
+                    qv = lambda x, ml=ml: cp(x) + ml * wp(x)
+                else:
+                    qv = lambda x, ml=ml: c0 + ml * wp(x)
+                _rk_span(
+                    qv, seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin, rescale,
+                    record_xs=seg_samples if len(seg_samples) else None,
+                    record_fn=record if len(seg_samples) else None,
+                    counts=counts[lane] if counts is not None else None,
+                )
             rec_i += len(seg_samples)
-            continue
-        if not rescale:  # the RK's absolute tolerance reads true states
+
+        if sample_x is not None and rec_i != sample_x.size:
+            raise ValueError("some sample points fell outside the integration path")
+        if not rescale:  # hand back true states
             Y *= np.exp(logs)
             logs[:] = 0.0
-        cp, wp = seg.c_part, seg.w_part
-        c = cp if callable(cp) else (lambda x, c0=float(cp): c0)
-        # tiny families run faster member-by-member on the scalar fast path
-        base = rec_i
-        lanes = [slice(i, i + 1) for i in range(n)] if 1 < n <= 6 else [slice(0, n)]
-        for lane in lanes:
-            Yl, logs_l = Y[:, lane], logs[lane]
-            ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
+            if rec_states is not None:
+                rec_states *= np.exp(rec_logs)[:, None, :]
+                rec_logs[:] = 0.0
 
-            def record(j: int, _lane=lane, _Y=Yl, _logs=logs_l) -> None:
-                rec_states[base + j, :, _lane] = _Y
-                rec_logs[base + j, _lane] = _logs
-
-            _rk_span(
-                lambda x, ml=ml: c(x) + ml * wp(x), seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin,
-                rescale,
-                record_xs=seg_samples if len(seg_samples) else None,
-                record_fn=record if len(seg_samples) else None,
-                counts=counts[lane] if counts is not None else None,
-            )
-        rec_i += len(seg_samples)
-
-    if sample_x is not None and rec_i != sample_x.size:
-        raise ValueError("some sample points fell outside the integration path")
-    if not rescale:  # hand back true states
-        Y *= np.exp(logs)
-        logs[:] = 0.0
-        if rec_states is not None:
-            rec_states *= np.exp(rec_logs)[:, None, :]
-            rec_logs[:] = 0.0
+    results = (Y, logs) if rec_states is None else (Y, logs, rec_states, rec_logs)
+    if not all(np.isfinite(r).all() for r in results):
+        raise NumericsError(
+            f"the propagation over [{x_start:.10g}, {x_end:.10g}] of weights "
+            f"{m.min():.10g} to {m.max():.10g} leaves the range of a double")
 
     return FamilyResult(Y, logs, rec_states, rec_logs, counts)
 

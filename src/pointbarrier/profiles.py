@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -90,8 +91,10 @@ class Profile:
         """Interior breakpoints, excluding the support endpoints."""
         return tuple(seg.b for seg in self.segments[:-1])
 
+    @cached_property
     def max_abs(self) -> float:
-        """Upper estimate of max |profile| (exact for constant segments).
+        """Upper estimate of max |profile| (exact for constant segments),
+        sampled once per profile.
 
         Sizes search windows in ``spectra``, and sets the derivative scale
         of ``resonance.scaled_residual``: it enters the resonance residual

@@ -37,6 +37,7 @@ __all__ = [
     "shoot",
     "shoot_family",
     "resonance_scan",
+    "eigenfunction",
     "coupling_theta",
     "scaled_residual",
 ]
@@ -52,17 +53,15 @@ class ResonancePoint:
     ``residual`` is the scale-normalized Neumann defect |w'(1)| divided by
     the natural derivative scale of the shot (see ``scaled_residual``), so
     it stays meaningful when the eigenfunction grows exponentially in the
-    coupling constant.  ``xi``/``w`` sample the eigenfunction, normalized
-    to w(-1) = 1, on a uniform grid of [-1, 1].  ``flagged`` marks a
-    counted root whose shot misses the scan's residual tolerance: the index
-    proves a resonance there, but the shot is too inexact to confirm it.
+    coupling constant.  ``flagged`` marks a counted root whose shot misses
+    the scan's residual tolerance: the index proves a resonance there, but
+    the shot is too inexact to confirm it.  A point carries no samples of
+    its eigenfunction; ``eigenfunction`` shoots them on request.
     """
 
     alpha: float
     theta: float
     residual: float
-    xi: np.ndarray
-    w: np.ndarray
     flagged: bool = False
 
 
@@ -110,24 +109,26 @@ def scaled_residual(p: Profile, alpha, w1, dw1):
     give a float.  ``np.fmax`` ignores a NaN argument as the builtin
     ``max(1.0, x)`` does, so array and scalar results agree bitwise.
     """
-    kappa = np.fmax(1.0, np.sqrt(np.abs(alpha) * p.max_abs()))
+    kappa = np.fmax(1.0, np.sqrt(np.abs(alpha) * p.max_abs))
     rho = np.abs(dw1) / (kappa * np.fmax(1.0, np.abs(w1)))
     return float(rho) if np.ndim(rho) == 0 else rho
 
 
-def _eigenfunction_samples(p: Profile, alpha: float, cfg: SolverConfig):
+def eigenfunction(p: Profile, alpha: float, cfg: SolverConfig | None = None):
+    """``(xi, w)``: the left-Neumann shot at ``alpha``, normalized to
+    w(-1) = 1, sampled on a uniform grid of 401 points of [-1, 1]."""
     xi = np.linspace(-1.0, 1.0, _EIGENFUNCTION_SAMPLES)
     res = propagate_family(
-        _alpha_segments(p), np.array([alpha]), np.array([1.0, 0.0]), cfg, samples=xi
+        _alpha_segments(p), np.array([alpha]), np.array([1.0, 0.0]), cfg or DEFAULT_CONFIG,
+        samples=xi,
     )
     return xi, res.sample_states[:, 0, 0].copy()
 
 
 def _point(p, alpha, cfg, residual_tol) -> ResonancePoint:
     w1, dw1 = shoot(p, alpha, cfg)
-    xi, w = _eigenfunction_samples(p, alpha, cfg)
     rho = scaled_residual(p, alpha, w1, dw1)
-    return ResonancePoint(float(alpha), float(w1), rho, xi, w, flagged=not rho <= residual_tol)
+    return ResonancePoint(float(alpha), float(w1), rho, flagged=not rho <= residual_tol)
 
 
 def resonance_scan(

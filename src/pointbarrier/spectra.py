@@ -570,7 +570,7 @@ def _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split):
     size eps^-2.  A cheaper tolerance is used: these levels scale like
     eps^-2 and only their count and leading digits matter.
     """
-    depth = 2.0 * abs(alpha) * p.max_abs() / (eps * eps)
+    depth = 2.0 * abs(alpha) * p.max_abs / (eps * eps)
     lam_min = min(lam_split, -depth)
     loose = SolverConfig(rel_tol=1e-8)
     R = U.truncation_radius
@@ -663,7 +663,7 @@ def interval_negative_levels(
         return np.empty(0)
     cfg = cfg or DEFAULT_CONFIG
     fvec = _interval_fvec(a, b, p, alpha, eps, cfg)
-    depth = 2.0 * abs(alpha) * p.max_abs()
+    depth = 2.0 * abs(alpha) * p.max_abs
     mu = -np.geomspace(depth, depth * _DEPTH_FLOOR, 220)
     return np.sort(_grid_roots(fvec, mu / (eps * eps), xtol=1e-12, rtol=1e-10))
 

@@ -12,6 +12,8 @@ import pytest
 from conftest import write_csv_per_cell
 
 from pointbarrier.cli import _CHUNK_ROWS, _write_csv, main, run
+from pointbarrier.profiles import builtin
+from pointbarrier.resonance import eigenfunction
 
 
 def _read(path):
@@ -56,6 +58,23 @@ def test_resonance_eigenfunction_export(tmp_path):
     assert lines[0] == "xi,w"
     first = [float(c) for c in lines[1].split(",")]
     assert first[0] == -1.0 and first[1] == 1.0  # w(-1) = 1 normalization
+
+
+@pytest.mark.parametrize("profile, window", [("step", ["14", "17"]),
+                                             ("asymmetric_bump", ["-200", "0"])])
+def test_resonance_eigenfunctions_match_the_per_root_reference(tmp_path, profile, window):
+    # each confirmed root's file is its own one-member shot, written cell by cell
+    out = tmp_path / "rf"
+    assert main(["resonances", "--profile", profile, "--window", *window, "--eigenfunctions",
+                 "--out", str(out)]) == 0
+    p = builtin(profile, {})
+    alphas = [float(row["alpha"]) for row in _read_rows(out / "resonances.csv")]
+    names = sorted(path.name for path in out.glob("resonance_eigenfunction_*.csv"))
+    assert alphas and names == [f"resonance_eigenfunction_{i:03d}.csv" for i in range(len(alphas))]
+    for name, alpha in zip(names, alphas):
+        xi, w = eigenfunction(p, alpha)
+        write_csv_per_cell(tmp_path / "ref.csv", ["xi", "w"], zip(xi, w))
+        assert _read(out / name) == _read(tmp_path / "ref.csv"), name
 
 
 def test_resonances_finds_the_near_degenerate_even_pair(tmp_path):
@@ -279,6 +298,22 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["scatter", *argv, "--out", str(tmp_path / f"b{i}")]) == 3, argv
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure:"), (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    # cosh(1000) overflows the state handed back at |alpha| = 1e6
+    ["resonances", "--profile", "step", "--window", "-1e6", "1e6", "--scan-step", "1e5"],
+    # alpha = 1e300 turns the oscillatory half through about 3e149 half-periods
+    ["theta", "--profile", "step", "--alpha", "15.4182", "--refine", "--search-width", "1e300"],
+])
+def test_shots_beyond_a_double_exit_3_without_a_warning(argv, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("argv", [

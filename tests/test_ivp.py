@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import constant_propagator, dop853_family
 
-from pointbarrier.errors import StepSizeUnderflowError
+from pointbarrier.errors import NumericsError, StepSizeUnderflowError
 from pointbarrier.ivp import FamilySegment, SolverConfig, propagate_family, unit_wronskian
 
 
@@ -183,6 +183,19 @@ def test_family_rescaling_tracks_logs():
     value = math.log(abs(res.states[0, 0])) + res.logs[0]
     # u(8) = cosh(80): log = 80 - log 2
     assert value == pytest.approx(80.0 - math.log(2.0), abs=1e-9)
+
+
+def test_results_beyond_a_double_raise():
+    # u(1) = cosh(1000) overflows as a true state but not as a scaled one
+    segs = [FamilySegment(0.0, 1.0, 1e6, 0.0)]
+    with pytest.raises(NumericsError, match="range of a double"):
+        propagate_family(segs, np.zeros(1), np.array([1.0, 0.0]))
+    res = propagate_family(segs, np.zeros(1), np.array([1.0, 0.0]), rescale=True)
+    assert math.log(abs(res.states[0, 0])) + res.logs[0] == pytest.approx(1000.0 - math.log(2.0))
+    # sqrt(1e300) / pi half-periods on one interval: more than a double counts
+    segs = [FamilySegment(0.0, 1.0, -1e300, 0.0)]
+    with pytest.raises(NumericsError, match="counts exactly"):
+        propagate_family(segs, np.zeros(1), np.array([0.0, 1.0]), rescale=True, count_zeros=True)
 
 
 def test_family_samples_match_endpoints():

@@ -176,3 +176,14 @@ def test_reflect(step, bump):
         assert evaluate(mirrored, xi) == pytest.approx(evaluate(step, -xi), abs=1e-14)
     assert moment(reflect(bump), 0) == pytest.approx(0.0, abs=1e-13)
     assert moment(reflect(bump), 1) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_max_abs_samples_a_profile_once(monkeypatch):
+    p = builtin("asymmetric_bump", {})
+    first = p.max_abs
+
+    def unsampled(self, xi):
+        raise AssertionError("max_abs sampled the profile again")
+
+    monkeypatch.setattr(Segment, "__call__", unsampled)
+    assert p.max_abs == first > 0.0

@@ -12,6 +12,7 @@ from pointbarrier.experiments import even_counterexample_profile
 from pointbarrier.ivp import FamilySegment
 from pointbarrier.resonance import (
     coupling_theta,
+    eigenfunction,
     resonance_scan,
     scaled_residual,
     shoot,
@@ -68,10 +69,26 @@ def test_scan_theta_matches_closed_form(step):
 def test_eigenfunction_trace(step, alpha1):
     pts = resonance_scan(step, 15.0, 16.0, 0.05)
     (pt,) = pts
-    assert pt.xi[0] == -1.0 and pt.xi[-1] == 1.0
-    assert pt.w[0] == pytest.approx(1.0, abs=1e-12)  # w(-1) = 1 normalization
-    assert pt.w[-1] == pytest.approx(pt.theta, rel=1e-10)
+    xi, w = eigenfunction(step, pt.alpha)
+    assert xi[0] == -1.0 and xi[-1] == 1.0
+    assert w[0] == pytest.approx(1.0, abs=1e-12)  # w(-1) = 1 normalization
+    assert w[-1] == pytest.approx(pt.theta, rel=1e-10)
     assert pt.residual <= 1e-9
+
+
+def test_scan_samples_no_eigenfunction(monkeypatch, step, bump):
+    # a scan returns alpha, theta, residual and flag only: no shot of it
+    # records samples, which only ``eigenfunction`` asks for
+    propagate, sampled = resonance.propagate_family, []
+
+    def spy(*args, **kwargs):
+        sampled.append(kwargs.get("samples") is not None)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(resonance, "propagate_family", spy)
+    resonance_scan(step, -20.0, 20.0, 0.1)
+    resonance_scan(bump, -60.0, 0.0, 0.1)
+    assert sampled and not any(sampled)
 
 
 def test_theta_rejects_non_resonant(step):
