@@ -298,7 +298,7 @@ def _cmd_theta(ns, outdir: Path) -> list[str]:
     p = _parse_profile(ns.profile)
     cfg = _solver_config(ns)
     alpha = ns.alpha
-    refined_from = None
+    refined_from = best = None
     if ns.refine and alpha != 0.0:
         pts = resonance_scan(
             p,
@@ -311,14 +311,14 @@ def _cmd_theta(ns, outdir: Path) -> list[str]:
         confirmed = [pt for pt in pts if not pt.flagged]
         if confirmed:
             best = min(confirmed, key=lambda pt: abs(pt.alpha - alpha))
-            refined_from, alpha = alpha, best.alpha
-    theta = coupling_theta(p, alpha, cfg, ns.residual_tol)
-    w1, dw1 = shoot(p, alpha, cfg)
+            refined_from = alpha
+    if best is None:  # else the scan's point already holds the shot at the root
+        best = coupling_theta(p, alpha, cfg, ns.residual_tol)
     doc = {
-        "alpha": alpha,
+        "alpha": best.alpha,
         "refined_from": refined_from,
-        "theta": theta,
-        "residual": scaled_residual(p, alpha, w1, dw1),
+        "theta": best.theta,
+        "residual": best.residual,
     }
     _write_json(outdir / "theta.json", doc)
     return ["theta.json"]

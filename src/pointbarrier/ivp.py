@@ -25,8 +25,7 @@ one of two transports per segment:
 States carry an accumulated log-scale so that strongly exponential regimes
 never overflow; determinant signs are unaffected because the scales are
 positive.  The fundamental matrix of a chain is the propagation of a
-family of two equal members from ``init = eye(2)``, with
-``unit_wronskian`` projecting out the drift of its determinant.
+family of two equal members from ``init = eye(2)``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "FamilySegment",
     "FamilyResult",
     "propagate_family",
-    "unit_wronskian",
 ]
 
 
@@ -847,11 +845,3 @@ def propagate_family(
 
     return FamilyResult(Y, logs, rec_states, rec_logs, counts)
 
-
-def unit_wronskian(M: np.ndarray) -> np.ndarray:
-    """Project a near-unimodular real 2x2 matrix onto det = 1; a determinant
-    that is not positive and finite raises ``NumericsError``."""
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if not 0 < det < math.inf:
-        raise NumericsError(f"propagator determinant collapsed to {det}")
-    return M / math.sqrt(det)

@@ -238,21 +238,19 @@ def coupling_theta(
     alpha_resonant: float,
     cfg: SolverConfig | None = None,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-) -> float:
-    """Endpoint ratio w(1)/w(-1) of the Neumann eigenfunction at a resonance.
+) -> ResonancePoint:
+    """The resonance point at ``alpha_resonant`` from one shot: ``theta`` is
+    the endpoint ratio w(1)/w(-1) of the Neumann eigenfunction.
 
     The caller must supply a refined resonant coupling; if the shot's
     scale-normalized Neumann defect exceeds ``residual_tol`` the value is
     rejected.
     """
-    if alpha_resonant == 0.0:
-        return 1.0
-    theta, dw1 = shoot(p, alpha_resonant, cfg or DEFAULT_CONFIG)
-    rho = scaled_residual(p, alpha_resonant, theta, dw1)
-    if rho > residual_tol:
+    pt = _point(p, alpha_resonant, cfg, residual_tol)
+    if pt.flagged:
         raise NotInResonanceSetError(
             f"alpha={alpha_resonant} is not in the resonance set of {p.label!r}: "
-            f"scaled Neumann defect {rho:.3e} exceeds {residual_tol:.1e}"
+            f"scaled Neumann defect {pt.residual:.3e} exceeds {residual_tol:.1e}"
         )
-    return theta
+    return pt
 

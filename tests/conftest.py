@@ -6,14 +6,17 @@ the library's scan machinery, and frozen for the whole session.  Family
 propagations are checked against scipy's DOP853 integrator, and eigenvalues
 against a tridiagonal finite-difference diagonalization.  The closed forms
 of the step profile (its resonance function, coupling ratio and scattering
-amplitudes), the resonant transmission limit and the first-order
-eigenvalue corrector live here too: they check the library, which does not
-use them.
+amplitudes, the latter also in ``decimal`` arithmetic for barriers whose
+matrices leave the range of a double), the resonant transmission limit and
+the first-order eigenvalue corrector live here too: they check the
+library, which does not use them.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from pointbarrier.errors import NotInResonanceSetError, PreconditionError
 from pointbarrier.ivp import DEFAULT_CONFIG, SolverConfig, propagate_family
 from pointbarrier.profiles import Profile, Segment
 from pointbarrier.resonance import _alpha_segments, scaled_residual, shoot
-from pointbarrier.scattering import _barrier_matrix_x, _match_plane_waves
+from pointbarrier.scattering import ScatteringResult
 from pointbarrier.spectra import _perturbed_problem, polynomial_potential
 
 
@@ -177,12 +180,31 @@ def constant_propagator(c: float, length: float) -> np.ndarray:
     return np.array([[1.0, L], [0.0, 1.0]])
 
 
+def match_plane_waves(M, ep, em, ik):
+    """``(R, T)`` of e^{ikx} + R e^{-ikx} at x = -eps matched to T e^{ikx}
+    at x = eps through the x-variable barrier matrix ``M`` (nested 2x2,
+    carrying (y, y') from -eps to eps), with ``ep`` = e^{ik eps} and ``em``
+    = e^{-ik eps}.
+
+    A general 2x2 solve by Cramer's rule that does not use det M = 1, so
+    the numerator of T cancels about 2 log10 |M| digits.  Plain arithmetic
+    only: it runs on complex floats and on ``DecimalComplex`` alike.
+    """
+    incident = [M[0][0] * em + M[0][1] * (ik * em), M[1][0] * em + M[1][1] * (ik * em)]
+    reflected = [M[0][0] * ep - M[0][1] * (ik * ep), M[1][0] * ep - M[1][1] * (ik * ep)]
+    # incident + R reflected = T (ep, ik ep)
+    det = ep * reflected[1] - reflected[0] * (ik * ep)
+    R = (incident[0] * (ik * ep) - ep * incident[1]) / det
+    T = (incident[0] * reflected[1] - reflected[0] * incident[1]) / det
+    return R, T
+
+
 def step_scatter_exact(kappa: float, eps: float, k: float):
     """Closed-form scattering for the step profile at alpha = kappa^2 > 0.
 
     The barrier matrix is the product of two constant-coefficient
     propagators (hyperbolic on the uphill half, trigonometric on the well),
-    followed by the same plane-wave matching as ``scatter_sweep``.
+    matched to plane waves by ``match_plane_waves``.
     """
     if k <= 0:
         raise ValueError("wavenumber k must be positive")
@@ -191,8 +213,92 @@ def step_scatter_exact(kappa: float, eps: float, k: float):
     alpha = kappa * kappa
     tau2 = (eps * k) ** 2
     M_xi = constant_propagator(-alpha - tau2, 1.0) @ constant_propagator(alpha - tau2, 1.0)
-    M = _barrier_matrix_x(M_xi, eps)
-    return _match_plane_waves(M, eps, k, alpha)
+    M = np.diag([1.0, 1.0 / eps]) @ M_xi @ np.diag([1.0, eps])  # (w, w') -> (y, y')
+    R, T = match_plane_waves(M, cmath.exp(1j * k * eps), cmath.exp(-1j * k * eps), 1j * k)
+    return ScatteringResult(k=k, eps=eps, alpha=alpha, R=complex(R), T=complex(T))
+
+
+class DecimalComplex:
+    """x + iy on two ``decimal.Decimal`` parts, with the field operations
+    that ``match_plane_waves`` uses; arithmetic runs at the context
+    precision."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Decimal(re), Decimal(im)
+
+    def __add__(self, z):
+        return DecimalComplex(self.re + z.re, self.im + z.im)
+
+    def __sub__(self, z):
+        return DecimalComplex(self.re - z.re, self.im - z.im)
+
+    def __mul__(self, z):
+        if not isinstance(z, DecimalComplex):  # a real Decimal
+            z = DecimalComplex(z)
+        return DecimalComplex(self.re * z.re - self.im * z.im, self.re * z.im + self.im * z.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, z):
+        n = z.re * z.re + z.im * z.im
+        return DecimalComplex((self.re * z.re + self.im * z.im) / n,
+                              (self.im * z.re - self.re * z.im) / n)
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
+def _decimal_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x by their Taylor series, summed at the context
+    precision; the alternating terms cancel about |x| / ln 10 digits."""
+    tol = Decimal(10) ** -(getcontext().prec + 5)
+    cs = [Decimal(0), Decimal(0)]
+    term, n = Decimal(1), 0
+    while n <= abs(x) or abs(term) > tol:
+        cs[n % 2] += term if n % 4 < 2 else -term
+        n += 1
+        term = term * x / n
+    return cs[0], cs[1]
+
+
+def _decimal_propagator(c: Decimal):
+    """Exact propagator of -u'' + c u = 0 over a unit length, as nested
+    Decimals: cosh and sinh from ``Decimal.exp`` for c > 0, cos and sin from
+    their Taylor series for c < 0."""
+    if c > 0:
+        s = c.sqrt()
+        e = s.exp()
+        ch, sh = (e + 1 / e) / 2, (e - 1 / e) / 2
+        return [[ch, sh / s], [s * sh, ch]]
+    if c < 0:
+        s = (-c).sqrt()
+        cos, sin = _decimal_cos_sin(s)
+        return [[cos, sin / s], [-s * sin, cos]]
+    return [[Decimal(1), Decimal(1)], [Decimal(0), Decimal(1)]]
+
+
+def step_scatter_decimal(alpha: float, eps: float, k: float, digits: int = 200):
+    """``(R, T)`` of the step profile at any real alpha, from the exact step
+    propagators in decimal arithmetic, independently of the library's
+    propagation and of its det M = 1 matching.
+
+    The work runs at ``digits`` significant digits plus what the Taylor
+    sums and the Cramer solve of ``match_plane_waves`` cancel: about
+    3 sqrt(|alpha|) / ln 10 digits, and log10(1 / eps) more.
+    """
+    growth = math.sqrt(abs(alpha) + (eps * k) ** 2) / math.log(10.0)
+    with localcontext() as ctx:
+        ctx.prec = digits + 3 * math.ceil(growth) + math.ceil(abs(math.log10(eps))) + 10
+        a, e, kk = Decimal(alpha), Decimal(eps), Decimal(k)
+        tau2 = (e * kk) ** 2
+        left, right = _decimal_propagator(a - tau2), _decimal_propagator(-a - tau2)
+        M = [[sum(right[i][j] * left[j][n] for j in range(2)) for n in range(2)]
+             for i in range(2)]
+        M = [[M[0][0], M[0][1] * e], [M[1][0] / e, M[1][1]]]  # (w, w') -> (y, y')
+        cos, sin = _decimal_cos_sin(e * kk)
+        R, T = match_plane_waves(M, DecimalComplex(cos, sin), DecimalComplex(cos, -sin),
+                                 DecimalComplex(0, kk))
+        return complex(R), complex(T)
 
 
 def transmission_limit(theta: float) -> float:

@@ -82,14 +82,14 @@ def test_criterion_01_resonance_oracle(step, kappa_roots, scan_result):
 def test_criterion_02_coupling_function_oracle(step, scan_result):
     with criterion(2, "coupling ratio matches the closed form at every resonance"):
         pts, _ = scan_result
-        assert coupling_theta(step, 0.0) == pytest.approx(1.0, abs=1e-10)
+        assert coupling_theta(step, 0.0).theta == pytest.approx(1.0, abs=1e-10)
         for pt in pts:
-            theta = coupling_theta(step, pt.alpha)
+            theta = coupling_theta(step, pt.alpha).theta
             assert theta == pytest.approx(step_theta(pt.alpha), rel=1e-6)
         # negative branch of the closed form
         neg = resonance_scan(step, -20.0, -10.0, 0.1)
         for pt in neg:
-            assert coupling_theta(step, pt.alpha) == pytest.approx(
+            assert coupling_theta(step, pt.alpha).theta == pytest.approx(
                 step_theta(pt.alpha), rel=1e-6
             )
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import write_csv_per_cell
+from conftest import step_scatter_decimal, write_csv_per_cell
 
 from pointbarrier.cli import _CHUNK_ROWS, _write_csv, main, run
 from pointbarrier.profiles import builtin
@@ -198,6 +198,24 @@ def test_theta_refinement(tmp_path, alpha1, theta1):
     assert doc["theta"] == pytest.approx(theta1, rel=1e-8)
 
 
+def test_theta_shoots_its_refined_root_once(tmp_path, monkeypatch):
+    # the scan's resonance point carries theta and the residual of the root
+    from pointbarrier import resonance
+
+    weights = []
+    propagate = resonance.propagate_family
+
+    def spy(segments, m, *args, **kwargs):
+        weights.append(np.atleast_1d(m).tolist())
+        return propagate(segments, m, *args, **kwargs)
+
+    monkeypatch.setattr(resonance, "propagate_family", spy)
+    out = tmp_path / "th"
+    assert run(["theta", "--profile", "step", "--alpha", "15.4", "--out", str(out)]) == 0
+    alpha = json.loads(_read(out / "theta.json"))["alpha"]
+    assert weights.count([alpha]) == 1
+
+
 def test_rerun_preserves_negated_flags(tmp_path, alpha1):
     out1 = tmp_path / "nr"
     out2 = tmp_path / "nr2"
@@ -285,19 +303,43 @@ def test_exit_codes(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("configuration error:"), (argv, err)
         if i < 4:
             assert "non-finite" in err[0], err
-    # blow-ups of the barrier matrix are numerical failures (tier 1 turns a
-    # leaked numpy warning into an error)
-    blowups = [
-        ["--profile", "step", "--alpha=1e6", "--eps", "0.1", "--k", "1"],
-        ["--profile", "step", "--alpha=-1e6", "--eps", "0.1", "--k", "1"],
-        ["--profile", "asymmetric_bump", "--alpha=-3000", "--eps", "0.1", "--k", "1"],
-        ["--profile", "asymmetric_bump", "--alpha=1e300", "--eps", "0.1", "--k", "1"],
-        ["--profile", "asymmetric_bump", "--alpha", "1", "--eps", "1e-300", "--k", "1e-300"],
-    ]
-    for i, argv in enumerate(blowups):
-        assert main(["scatter", *argv, "--out", str(tmp_path / f"b{i}")]) == 3, argv
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("numerical failure:"), (argv, err)
+    # a barrier whose Magnus mesh overflows is a numerical failure (tier 1
+    # turns a leaked numpy warning into an error)
+    argv = ["scatter", "--profile", "asymmetric_bump", "--alpha=1e300", "--eps", "0.1", "--k", "1"]
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+
+
+@pytest.mark.parametrize("profile, alpha, eps, k", [
+    ("step", "900", "0.1", "1"),
+    ("step", "1600", "0.1", "1"),
+    ("step", "10000", "0.1", "1"),
+    ("step", "1e6", "0.1", "1"),
+    ("step", "-1e6", "0.1", "1"),
+    ("asymmetric_bump", "-3000", "0.1", "1"),
+    ("asymmetric_bump", "1", "1e-300", "1e-300"),
+])
+def test_strong_barriers_scatter_without_a_warning(profile, alpha, eps, k, tmp_path):
+    # barrier matrices far beyond a double's range, and (eps k)^2 below it,
+    # still give finite amplitudes: each column carries its own log scale
+    out = tmp_path / "s"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["scatter", "--profile", profile, f"--alpha={alpha}", "--eps", eps,
+                     "--k", k, "--out", str(out)])
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    (row,) = _read_rows(out / "scatter.csv")
+    R = complex(float(row["re_r"]), float(row["im_r"]))
+    T = complex(float(row["re_t"]), float(row["im_t"]))
+    assert abs(abs(R) ** 2 + abs(T) ** 2 - 1.0) <= 1e-10
+    if profile == "step":
+        R_ref, T_ref = step_scatter_decimal(float(alpha), float(eps), float(k))
+        # at |alpha| = 1e6, |T| is about 1e-434: the correctly rounded T is 0
+        assert (T_ref == 0) == (abs(float(alpha)) == 1e6)
+        assert abs(T - T_ref) <= 1e-12 * abs(T_ref)
+        assert abs(R - R_ref) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [

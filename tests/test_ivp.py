@@ -5,19 +5,19 @@ import pytest
 from conftest import constant_propagator, dop853_family
 
 from pointbarrier.errors import NumericsError, StepSizeUnderflowError
-from pointbarrier.ivp import FamilySegment, SolverConfig, propagate_family, unit_wronskian
+from pointbarrier.ivp import FamilySegment, SolverConfig, propagate_family
 
 
 def _fundamental(q, a, b, breakpoints=(), cfg=None):
     """Fundamental matrix of -u'' + q u = 0 from a to b, the way scatter
     builds it: one segment per piece between breakpoints, the family
-    m = (0, 0) started from the identity, then projected onto det = 1."""
+    m = (0, 0) started from the identity, its determinant left as computed."""
     direction = 1.0 if b > a else -1.0
     inner = sorted((x for x in breakpoints if (x - a) * direction > 0 and (b - x) * direction > 0),
                    key=lambda x: x * direction)
     nodes = [a, *inner, b]
     segs = [FamilySegment(lo, hi, q, 0.0) for lo, hi in zip(nodes, nodes[1:])]
-    return unit_wronskian(propagate_family(segs, np.zeros(2), np.eye(2), cfg).states)
+    return propagate_family(segs, np.zeros(2), np.eye(2), cfg).states
 
 
 def test_constant_solution():

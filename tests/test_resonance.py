@@ -96,8 +96,11 @@ def test_theta_rejects_non_resonant(step):
         coupling_theta(step, 5.0)
 
 
-def test_theta_at_zero(step):
-    assert coupling_theta(step, 0.0) == 1.0
+def test_theta_at_zero(step, bump, odd_cubic):
+    # the shot at zero coupling is exact on constant and meshed segments alike
+    for profile in (step, bump, odd_cubic):
+        pt = coupling_theta(profile, 0.0)
+        assert (pt.alpha, pt.theta, pt.residual) == (0.0, 1.0, 0.0)
 
 
 def test_negative_resonances_and_reciprocity(step, alpha1, kappa_roots):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import step_h, step_scatter_exact, transmission_limit
+from conftest import (match_plane_waves, step_h, step_scatter_decimal, step_scatter_exact,
+                      transmission_limit)
 
 from pointbarrier.resonance import resonance_scan
 from pointbarrier.scattering import scatter_sweep
@@ -68,6 +69,28 @@ def test_sweep_members_equal_their_one_point_results(step, bump, odd_cubic, alph
             assert r.R == alone.R and r.T == alone.T, (profile.label, eps, k)
 
 
+def test_decimal_oracle_agrees_with_the_closed_form():
+    # the two step oracles share no propagator code: floats and numpy on one
+    # side, Decimal Taylor series and exp on the other
+    for kappa, eps, k in [(2.0, 0.05, 1.0), (0.7, 0.2, 2.9), (4.4, 1e-3, 0.3)]:
+        re = step_scatter_exact(kappa, eps, k)
+        R, T = step_scatter_decimal(kappa * kappa, eps, k)
+        assert abs(re.R - R) <= 1e-13
+        assert abs(re.T - T) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [100.0, -100.0, 400.0, -400.0, 2500.0, -2500.0, 1e4, -1e4])
+def test_strong_step_matches_the_decimal_oracle(step, alpha):
+    # T = -2ik e^{-L} / D keeps its digits however strong the barrier: a
+    # general 2x2 solve cancels two products of size |M|^2 and already errs
+    # by 6e-8 relative at alpha = 100, where |T| is 6e-6
+    points = [(0.1, 1.0), (0.02, 2.5), (1e-3, 0.7)]
+    for r, (eps, k) in zip(scatter_sweep(step, alpha, points), points):
+        R, T = step_scatter_decimal(alpha, eps, k)
+        assert abs(r.T - T) <= 1e-12 * abs(T), (eps, k)
+        assert abs(r.R - R) <= 1e-12, (eps, k)
+
+
 def _dop853_amplitudes(p, alpha, eps, k):
     """R and T with the barrier matrix integrated by scipy's DOP853, segment
     by segment in xi = x / eps, and matched to plane waves at x = -+eps."""
@@ -86,12 +109,7 @@ def _dop853_amplitudes(p, alpha, eps, k):
         y = sol.y[:, -1]
         M = np.array([[y[0], y[2]], [y[1], y[3]]]) @ M
     M = np.diag([1.0, 1.0 / eps]) @ M @ np.diag([1.0, eps])  # (w, w') -> (y, y')
-    em, ep = cmath.exp(-1j * k * eps), cmath.exp(1j * k * eps)
-    # M (em + R ep, ik em - ik R ep) = T (ep, ik ep)
-    incident = M @ [em, 1j * k * em]
-    reflected = M @ [ep, -1j * k * ep]
-    R, T = np.linalg.solve(np.column_stack([reflected, [-ep, -1j * k * ep]]), -incident)
-    return R, T
+    return match_plane_waves(M, cmath.exp(1j * k * eps), cmath.exp(-1j * k * eps), 1j * k)
 
 
 @pytest.mark.parametrize("alpha, eps, k", [
