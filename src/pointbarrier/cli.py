@@ -29,7 +29,7 @@ from .errors import NumericsError, PointBarrierError, PreconditionError, Profile
 from .ivp import SolverConfig
 from .parallel import pmap
 from .profiles import Profile, builtin, classify, load as load_profile
-from .resonance import coupling_theta, eigenfunction, resonance_scan, scaled_residual, shoot
+from .resonance import _point, coupling_theta, eigenfunction, resonance_scan
 from .scattering import SCATTER_CONFIG, scatter_sweep
 from .spectra import (
     ConnectedMatrix,
@@ -381,14 +381,11 @@ def _cmd_interval(ns, outdir: Path) -> list[str]:
     cfg = _solver_config(ns)
     spec = interval_spectrum(ns.a, ns.b, p, ns.alpha, ns.eps, ns.count, cfg, ns.eig_tol)
     omegas = np.sqrt(spec.eigenvalues)
-    w1, dw1 = shoot(p, ns.alpha, cfg)
-    resonant = ns.alpha == 0.0 or scaled_residual(p, ns.alpha, w1, dw1) <= ns.residual_tol
-    if resonant:
-        theta = 1.0 if ns.alpha == 0.0 else w1
-        limits = interval_limit_frequencies(ns.a, ns.b, theta, ns.count)
-    else:
-        theta = None
+    pt = _point(p, ns.alpha, cfg, ns.residual_tol)
+    if pt.flagged:
         limits = split_limit_frequencies(ns.a, ns.b, ns.count)
+    else:
+        limits = interval_limit_frequencies(ns.a, ns.b, pt.theta, ns.count)
     _write_csv(
         outdir / "interval.csv",
         ["index", "omega", "lambda", "omega_limit", "abs_diff", "rel_diff"],
@@ -404,8 +401,8 @@ def _cmd_interval(ns, outdir: Path) -> list[str]:
             "b": ns.b,
             "alpha": ns.alpha,
             "eps": ns.eps,
-            "resonant": resonant,
-            "theta": theta,
+            "resonant": not pt.flagged,
+            "theta": None if pt.flagged else pt.theta,
             "omegas": [float(w) for w in omegas],
             "omega_limits": [float(w) for w in limits],
         },

@@ -20,9 +20,8 @@ from .profiles import Profile, Segment, is_dipole_normalized
 from .resonance import (
     DEFAULT_RESIDUAL_TOL,
     ResonancePoint,
+    _point,
     resonance_scan,
-    scaled_residual,
-    shoot,
 )
 from .spectra import (
     DEFAULT_EIG_TOL,
@@ -160,9 +159,9 @@ def convergence_study(
             f"(minimal gap {worst:.3e}); the order-eps alignment is ill-posed"
         )
 
-    w1, dw1 = shoot(p, alpha, cfg)
-    resonant = alpha == 0.0 or scaled_residual(p, alpha, w1, dw1) <= residual_tol
-    theta = (1.0 if alpha == 0.0 else w1) if resonant else None
+    pt = _point(p, alpha, cfg, residual_tol)
+    resonant = not pt.flagged
+    theta = pt.theta if resonant else None
     bc = ThetaCoupled(theta) if resonant else DirichletSplit()
     limit = eigen_limit(
         U, bc, k_count, cfg, eig_tol, eigenfunctions=True, samples_per_unit=samples_per_unit

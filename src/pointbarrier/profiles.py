@@ -86,11 +86,6 @@ class Profile:
     def __call__(self, xi: float) -> float:
         return evaluate(self, xi)
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior breakpoints, excluding the support endpoints."""
-        return tuple(seg.b for seg in self.segments[:-1])
-
     @cached_property
     def max_abs(self) -> float:
         """Upper estimate of max |profile| (exact for constant segments),

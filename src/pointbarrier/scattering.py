@@ -54,10 +54,6 @@ class ScatteringResult:
     T: complex
 
     @property
-    def reflection_probability(self) -> float:
-        return abs(self.R) ** 2
-
-    @property
     def transmission_probability(self) -> float:
         return abs(self.T) ** 2
 

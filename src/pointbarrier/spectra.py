@@ -5,13 +5,15 @@ Whole-line problems with a confining potential are truncated to a box
 and is monitored by a wall-margin check).  Eigenvalues are located by
 shooting: Cauchy data is carried from each wall to a matching point, an
 interface condition is applied there, and the eigenvalues are the zeros of
-the normalized matching Wronskian (``_matching``, one formula for every
-problem).  The Wronskian is evaluated for whole vectors of trial
-eigenvalues at once (one family propagation per grid pass), together with
-the exact Sturm index of every trial value: the number of eigenvalues at
-or below it, from the zero counts of the shots and the Pruefer angles at
-the matching point.  The index steers the bracketing scan, and the roots
-are polished by a safeguarded vectorized secant iteration.
+the normalized matching Wronskian.  Each problem is one value
+(``_Problem``), from which one formula builds its Wronskian (``_matching``)
+and one assembler its eigenfunctions (``_attach_eigenfunctions``).  The
+Wronskian is evaluated for whole vectors of trial eigenvalues at once (one
+family propagation per grid pass), together with the exact Sturm index of
+every trial value: the number of eigenvalues at or below it, from the zero
+counts of the shots and the Pruefer angles at the matching point.  The
+index steers the bracketing scan, and the roots are polished by a
+safeguarded vectorized secant iteration.
 
 The interface condition at the origin is one of:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +45,6 @@ __all__ = [
     "ConnectedMatrix",
     "Separated",
     "ConfiningPotential",
-    "BoundaryTrace",
     "Spectrum",
     "polynomial_potential",
     "eigen_limit",
@@ -164,26 +165,17 @@ def polynomial_potential(coeffs: Sequence[float], radius: float, label: str | No
     return ConfiningPotential(U, radius, label or ("poly:" + ",".join(repr(c) for c in cs)))
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """One-sided boundary data (v, v') at the origin of a normalized
-    eigenfunction."""
-
-    v_minus: float
-    v_plus: float
-    dv_minus: float
-    dv_plus: float
-
-
 @dataclass
 class Spectrum:
     """Ordered eigenvalues with optional sampled eigenfunctions.
 
-    Eigenfunctions are normalized to unit L2 norm on the sampled grid and
-    oriented so the largest-magnitude sample is positive.  ``residuals``
-    are the normalized matching-Wronskian values at convergence;
-    ``flags`` carry 'ok', 'left'/'right' (split problems), 'degenerate'
-    (near-coincident split pairs) or 'diving' (below the bounded window).
+    ``eigenfunctions[i]`` samples level i on the uniform grid ``x`` of
+    [-R, R] (both None unless requested), normalized to unit L2 norm there
+    and oriented so the largest-magnitude sample is positive; a split
+    level is exactly 0 on its other half.  ``residuals`` are the
+    normalized matching-Wronskian values at convergence; ``flags`` carry
+    'ok', 'left'/'right' (split problems), 'degenerate' (near-coincident
+    split pairs) or 'diving' (below the bounded window).
     """
 
     eigenvalues: np.ndarray
@@ -191,7 +183,6 @@ class Spectrum:
     flags: list[str]
     x: np.ndarray | None = None
     eigenfunctions: np.ndarray | None = None
-    boundary_traces: list[BoundaryTrace] | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -251,25 +242,35 @@ def _reduced_angle(Y):
     return np.arctan2(Y[0], Y[1]) % math.pi
 
 
-def _matching(chains, cfg, C=None, W=(0.0, 1.0)):
-    """The matching function of one problem: Dirichlet shots along each of
-    ``chains`` meet at their common end.  The first shot must run towards
-    +x; a lone shot run towards -x is passed as its mirror image x -> -x,
-    with C = diag(1, -1) and W mirrored alike.
+class _Problem(NamedTuple):
+    """One eigenvalue problem: Dirichlet shots along ``chains`` meet at
+    their common end, the matching point, where the interface matrix ``C``
+    (None: none) carries the first shot's end state across.  A lone shot
+    meets the fixed end vector ``W``: (0, 1) for a Dirichlet end, (h1, h2)
+    for h1 v' = h2 v.  It is matched as if it ran towards +x: one run
+    towards -x takes C = diag(1, -1) and W mirrored alike."""
+
+    chains: list[list[FamilySegment]]
+    C: np.ndarray | None = None
+    W: tuple[float, float] = (0.0, 1.0)
+
+
+def _matching(problem: _Problem, cfg):
+    """The matching function of ``problem``.
 
     ``fvec(lams)`` returns the normalized Wronskian
     (V0 W1 - V1 W0) / (|V| |W|) of V = C Y, the first shot's end state
-    carried across the interface matrix ``C`` (default: none), and W, the
-    second shot's end state or, for one chain, the fixed boundary vector
-    ``W``: (0, 1) for a Dirichlet end, (h1, h2) for h1 v' = h2 v.
-    ``fvec(lams, True)`` also returns the exact number of eigenvalues
-    <= lam, the matching-point Pruefer index of SLEIGN2:
+    carried across C, and W, the second shot's end state or, for one
+    chain, the fixed end vector.  ``fvec(lams, True)`` also returns the
+    exact number of eigenvalues <= lam, the matching-point Pruefer index
+    of SLEIGN2:
 
         N = (zeros of the shots) + [a < F0] + [a >= r],
 
     with a, F0 and r the reduced angles of V, C (0, 1) and W in [0, pi),
     except that a fixed W takes r in (0, pi]: a Dirichlet end has r = pi.
     """
+    chains, C, W = problem
     F0 = 0.0 if C is None else _reduced_angle(C[:, 1])
     W = np.asarray(W, dtype=float)
     r_fixed = _reduced_angle(W) or math.pi
@@ -423,16 +424,16 @@ def eigen_limit(
     gap_fn, start = _weyl_scan(U)
 
     found = []
-    for flag, fvec in _limit_problems(U, bc, cfg):
+    for flag, problem in _limit_problems(U, bc):
+        fvec = _matching(problem, cfg)
         what = "coupled problem" if flag == "ok" else f"{flag} half problem"
         brackets = _verified_scan(fvec, *_scan_start(fvec, start, what), ceiling, gap_fn,
                                   k_max, what)
         roots, residuals = _refine(fvec, brackets, eig_tol)
-        found.extend((lam, res, flag) for lam, res in zip(roots, residuals))
-    found = sorted(found, key=lambda t: t[0])
-    lams = np.array([t[0] for t in found])
-    residuals = np.array([t[1] for t in found])
-    flags = [t[2] for t in found]
+        found.extend((lam, res, flag, problem) for lam, res in zip(roots, residuals))
+    found.sort(key=lambda t: t[0])
+    lams, residuals = np.array([t[:2] for t in found]).T
+    flags, problems = [t[2] for t in found], [t[3] for t in found]
     # flag before the cut: the partner of the last kept level may lie beyond it
     for i in range(len(lams) - 1):
         if lams[i + 1] - lams[i] < 10.0 * eig_tol:
@@ -448,25 +449,25 @@ def eigen_limit(
 
     spec = Spectrum(lams, residuals, flags)
     if eigenfunctions:
-        _attach_limit_eigenfunctions(spec, U, bc, cfg, samples_per_unit)
+        _attach_eigenfunctions(spec, U.truncation_radius, problems, cfg, samples_per_unit)
     return spec
 
 
 _MIRROR = np.diag([1.0, -1.0])
 
 
-def _limit_problems(U, bc, cfg):
-    """(flag, matching function) of each problem of the limit operator: the
-    two half problems of a split coupling, or the one coupled problem."""
+def _limit_problems(U, bc) -> list[tuple[str, _Problem]]:
+    """(flag, problem) of each problem of the limit operator: the two half
+    problems of a split coupling, or the one coupled problem."""
     R = U.truncation_radius
     left, right = _wall_chain(U, -R, 0.0), _wall_chain(U, R, 0.0)
     if isinstance(bc, DirichletSplit):
         bc = Separated(0.0, 1.0, 0.0, 1.0)
     if isinstance(bc, Separated):
         # the right half is the mirror image of a left one: x -> -x flips v'
-        return [("left", _matching([left], cfg, W=(bc.h1m, bc.h2m))),
-                ("right", _matching([right], cfg, C=_MIRROR, W=(bc.h1p, -bc.h2p)))]
-    return [("ok", _matching([left, right], cfg, C=bc.matrix()))]
+        return [("left", _Problem([left], W=(bc.h1m, bc.h2m))),
+                ("right", _Problem([right], _MIRROR, (bc.h1p, -bc.h2p)))]
+    return [("ok", _Problem([left, right], bc.matrix()))]
 
 
 def _scan_start(fvec, start: float, what: str):
@@ -524,7 +525,8 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
         raise ValueError("barrier wider than the computational box")
     gap_fn, lam_split = _weyl_scan(U)
     barrier = _barrier_chain(p, alpha, eps, U)
-    fvec = _perturbed_fvec(U, barrier, eps, U.truncation_radius, cfg)
+    problem = _perturbed_chains(U, barrier, eps, U.truncation_radius)
+    fvec = _matching(problem, cfg)
     shot = fvec(np.array([lam_split]), True)
     n_dive = int(shot[1][0])
 
@@ -547,17 +549,17 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
         chosen = slice(k_lo - first, k_hi - first + 1)
         spec = Spectrum(lams[chosen], residuals[chosen], flags[chosen])
         if eigenfunctions:
-            _attach_perturbed_eigenfunctions(spec, U, barrier, eps, cfg, samples_per_unit)
+            _attach_eigenfunctions(spec, U.truncation_radius, [problem] * len(spec.flags), cfg,
+                                   samples_per_unit)
         return spec
 
     return n_dive, levels
 
 
-def _perturbed_fvec(U, barrier, eps, wall, cfg):
-    """Matching Wronskian at x = +eps of the squeezed problem with
-    Dirichlet walls at -+wall: the left shot crosses the ``barrier`` chain."""
-    chains = [_wall_chain(U, -wall, -eps) + barrier, _wall_chain(U, wall, eps)]
-    return _matching(chains, cfg)
+def _perturbed_chains(U, barrier, eps, wall) -> _Problem:
+    """The squeezed problem with Dirichlet walls at -+wall, matched at
+    x = +eps: the left shot crosses the ``barrier`` chain."""
+    return _Problem([_wall_chain(U, -wall, -eps) + barrier, _wall_chain(U, wall, eps)])
 
 
 def _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split):
@@ -588,7 +590,7 @@ def _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split):
     res_all = []
     for bottom, top in bands:
         wall = min(R, eps + 44.0 / math.sqrt(max(1.0, 0.5 * abs(top))))
-        fvec = _perturbed_fvec(U, barrier, eps, wall, loose)
+        fvec = _matching(_perturbed_chains(U, barrier, eps, wall), loose)
         roots = _grid_roots(fvec, np.linspace(bottom, top, 60), xtol=1e-11, rtol=1e-8)
         if not roots.size:
             continue
@@ -607,7 +609,7 @@ def _interval_fvec(a, b, p, alpha, eps, cfg):
         + _barrier_chain(p, alpha, eps, None)
         + [FamilySegment(eps, b, 0.0, -1.0)]
     )
-    return _matching([chain], cfg)
+    return _matching(_Problem([chain]), cfg)
 
 
 def interval_spectrum(
@@ -739,105 +741,45 @@ def split_limit_frequencies(a: float, b: float, count: int) -> np.ndarray:
 
 # -- eigenfunction assembly ----------------------------------------------------------
 
-def _grid(R: float, samples_per_unit: int) -> np.ndarray:
-    n = int(round(2 * R * samples_per_unit)) + 1
-    return np.linspace(-R, R, n)
+def _attach_eigenfunctions(spec, R, problems, cfg, samples_per_unit):
+    """Sample the eigenfunction of each level of ``spec`` on the uniform
+    grid of [-R, R], ``samples_per_unit`` points per unit length;
+    ``problems[i]`` is the problem of level i.
 
-
-def _sample_piece(chain, lam, cfg, xs_path):
-    """Propagate one chain recording samples; keep values in (mantissa,
-    log-exponent) form so pieces with different growth can be combined."""
-    res = propagate_family(chain, np.array([lam]), np.array([0.0, 1.0]), cfg,
-                           rescale=True, samples=xs_path)
-    return {
-        "u": res.sample_states[:, 0, 0].copy(),
-        "du": res.sample_states[:, 1, 0].copy(),
-        "log": res.sample_logs[:, 0].copy(),
-        "end": res.states[:, 0].copy(),
-        "end_log": float(res.logs[0]),
-    }
-
-
-def _l2(x, v):
-    return math.sqrt(float(np.trapezoid(v * v, x)))
-
-
-def _combine_pieces(xs, pieces):
-    """Stitch (values, exponents) pieces on a shared grid, normalize to unit
-    L2 norm, orient the largest sample positive; returns (v, overall scale
-    applied to raw e^0-exponent quantities)."""
-    ref = max(float(np.max(pc_log)) for _, pc_log in pieces if pc_log.size)
-    v = np.concatenate([vals * np.exp(logs - ref) for vals, logs in pieces])
-    nrm = _l2(xs, v)
-    sgn = 1.0
-    if nrm > 0:
-        v = v / nrm
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-            sgn = -1.0
-    return v, ref, (sgn / nrm if nrm > 0 else 1.0)
-
-
-def _stitch(xs, pl, pr, target):
-    """Join a left piece and a right piece (sampled from the right wall
-    inwards) on ``xs``.  The right piece is scaled so that its end state
-    meets ``target``, the left end state carried across the interface, in
-    its larger component; returns what ``_combine_pieces`` does."""
-    idx = int(np.argmax(np.abs(pr["end"])))
-    ratio = target[idx] / pr["end"][idx]
-    # right-piece exponents shifted onto the left piece's scale
-    shift = pl["end_log"] - pr["end_log"]
-    return _combine_pieces(
-        xs, [(pl["u"], pl["log"]), (ratio * pr["u"][::-1], pr["log"][::-1] + shift)]
-    )
-
-
-def _attach_limit_eigenfunctions(spec, U, bc, cfg, samples_per_unit):
-    R = U.truncation_radius
-    xs = _grid(R, samples_per_unit)
-    left_xs = xs[xs <= 0.0]
-    right_xs = xs[xs > 0.0]
+    A shot from -R samples the grid points at or left of the matching
+    point, one from +R those right of it, and the side of a lone shot is
+    0.  A second shot is scaled so that its end state meets C applied to
+    the first one's.  Samples stay (mantissa, log-exponent) pairs until
+    the shots are joined, normalized to unit L2 norm on the grid and
+    oriented so the largest-magnitude sample is positive.
+    """
+    xs = np.linspace(-R, R, int(round(2 * R * samples_per_unit)) + 1)
     funcs = np.zeros((len(spec.eigenvalues), len(xs)))
-    traces = []
-    for i, lam in enumerate(spec.eigenvalues):
-        lam = float(lam)
-        if isinstance(bc, (DirichletSplit, Separated)):
-            # the level lives on one side; the other side is identically zero
-            left = spec.flags[i].startswith("left")
-            path = left_xs if left else right_xs[::-1]
-            pc = _sample_piece(_wall_chain(U, -R if left else R, 0.0), lam, cfg, path)
-            live = (pc["u"], pc["log"]) if left else (pc["u"][::-1], pc["log"][::-1])
-            dead = (np.zeros(len(xs) - len(path)), np.full(len(xs) - len(path), -np.inf))
-            funcs[i], ref, s = _combine_pieces(xs, [live, dead] if left else [dead, live])
-            end = pc["end"] * (math.exp(pc["end_log"] - ref) * s)
-            (vm, dvm), (vp, dvp) = (end, (0.0, 0.0)) if left else ((0.0, 0.0), end)
-            traces.append(BoundaryTrace(v_minus=vm, v_plus=vp, dv_minus=dvm, dv_plus=dvp))
-        else:
-            pl = _sample_piece(_wall_chain(U, -R, 0.0), lam, cfg, left_xs)
-            pr = _sample_piece(_wall_chain(U, R, 0.0), lam, cfg, right_xs[::-1])
-            V = bc.matrix() @ pl["end"]
-            funcs[i], ref, s = _stitch(xs, pl, pr, V)
-            e = math.exp(pl["end_log"] - ref) * s
-            (vm, dvm), (vp, dvp) = pl["end"] * e, V * e
-            traces.append(BoundaryTrace(v_minus=vm, v_plus=vp, dv_minus=dvm, dv_plus=dvp))
+    for i, (lam, (chains, C, _)) in enumerate(zip(spec.eigenvalues, problems)):
+        n_left = int(np.searchsorted(xs, chains[0][-1].b, side="right"))
+        vals, logs = np.zeros(len(xs)), np.full(len(xs), -np.inf)
+        for j, chain in enumerate(chains):
+            from_left = chain[0].a < chain[-1].b
+            side = slice(0, n_left) if from_left else slice(n_left, None)
+            path = xs[side] if from_left else xs[side][::-1]
+            res = propagate_family(chain, np.array([float(lam)]), np.array([0.0, 1.0]), cfg,
+                                   rescale=True, samples=path)
+            u, log = res.sample_states[:, 0, 0], res.sample_logs[:, 0]
+            end, end_log = res.states[:, 0], float(res.logs[0])
+            if not from_left:
+                u, log = u[::-1], log[::-1]
+            if j == 0:
+                target, target_log = (end if C is None else C @ end), end_log
+            else:
+                k = int(np.argmax(np.abs(end)))
+                u, log = target[k] / end[k] * u, log + (target_log - end_log)
+            vals[side], logs[side] = u, log
+        v = vals * np.exp(logs - logs.max())
+        nrm = math.sqrt(float(np.trapezoid(v * v, xs)))
+        if nrm > 0:
+            v = v / nrm
+            if v[np.argmax(np.abs(v))] < 0:
+                v = -v
+        funcs[i] = v
     spec.x = xs
     spec.eigenfunctions = funcs
-    spec.boundary_traces = traces
-
-
-def _attach_perturbed_eigenfunctions(spec, U, barrier, eps, cfg, samples_per_unit):
-    R = U.truncation_radius
-    xs = _grid(R, samples_per_unit)
-    left_xs = xs[xs <= eps]
-    right_xs = xs[xs > eps]
-    left_chain = _wall_chain(U, -R, -eps) + barrier
-    right_chain = _wall_chain(U, R, eps)
-    funcs = np.zeros((len(spec.eigenvalues), len(xs)))
-    for i, lam in enumerate(spec.eigenvalues):
-        lam = float(lam)
-        pl = _sample_piece(left_chain, lam, cfg, left_xs)
-        pr = _sample_piece(right_chain, lam, cfg, right_xs[::-1])
-        funcs[i], _, _ = _stitch(xs, pl, pr, pl["end"])
-    spec.x = xs
-    spec.eigenfunctions = funcs
-    spec.boundary_traces = None

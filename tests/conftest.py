@@ -9,7 +9,8 @@ of the step profile (its resonance function, coupling ratio and scattering
 amplitudes, the latter also in ``decimal`` arithmetic for barriers whose
 matrices leave the range of a double), the resonant transmission limit and
 the first-order eigenvalue corrector live here too: they check the
-library, which does not use them.
+library, which does not use them.  So does the boundary data of a limit
+eigenfunction at the origin, which only the corrector reads.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from decimal import Decimal, getcontext, localcontext
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from pointbarrier import profiles
 from pointbarrier.errors import NotInResonanceSetError, PreconditionError
-from pointbarrier.ivp import DEFAULT_CONFIG, SolverConfig, propagate_family
+from pointbarrier.ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_family
 from pointbarrier.profiles import Profile, Segment
 from pointbarrier.resonance import _alpha_segments, scaled_residual, shoot
 from pointbarrier.scattering import ScatteringResult
@@ -322,12 +324,51 @@ def reflect(p: Profile) -> Profile:
     return Profile(tuple(segs), label=p.label + "_reflected")
 
 
+class BoundaryTrace(NamedTuple):
+    """One-sided boundary data (v, v') at the origin of a normalized
+    eigenfunction."""
+
+    v_minus: float
+    v_plus: float
+    dv_minus: float
+    dv_plus: float
+
+
+def limit_trace(U, spec, k, cfg=None) -> BoundaryTrace:
+    """(v, v') at 0- and 0+ of eigenfunction ``k`` of the limit spectrum
+    ``spec`` (sampled with the default solver configuration, or ``cfg``).
+
+    Each side takes a Dirichlet shot of its own from its wall to 0,
+    sampled on that side's grid points (x <= 0 on the left, x > 0 on the
+    right) and scaled to the returned eigenfunction at that side's largest
+    sample.  A side where the eigenfunction is 0 has zero data.
+    """
+    R = U.truncation_radius
+    x, v, lam = spec.x, spec.eigenfunctions[k], float(spec.eigenvalues[k])
+    data = []
+    for wall, side in ((-R, x <= 0.0), (R, x > 0.0)):
+        path, vals = (x[side], v[side]) if wall < 0 else (x[side][::-1], v[side][::-1])
+        j = int(np.argmax(np.abs(vals)))
+        if vals[j] == 0.0:
+            data.append((0.0, 0.0))
+            continue
+        shot = propagate_family([FamilySegment(wall, 0.0, U.U, -1.0)], np.array([lam]),
+                                np.array([0.0, 1.0]), cfg or DEFAULT_CONFIG, rescale=True,
+                                samples=path)
+        scale = vals[j] / shot.sample_states[j, 0, 0] * math.exp(
+            float(shot.logs[0] - shot.sample_logs[j, 0]))
+        data.append(tuple(scale * shot.states[:, 0]))
+    (vm, dvm), (vp, dvp) = data
+    return BoundaryTrace(v_minus=vm, v_plus=vp, dv_minus=dvm, dv_plus=dvp)
+
+
 def corrector_lambda1(U, p, alpha, lam, v_data, resonant, cfg=None, residual_tol=1e-9):
     """First-order coefficient lambda_1 of the eigenvalue expansion
     lambda(eps) ~ lambda + eps lambda_1 for the squeezed barrier.
 
-    ``v_data`` holds the boundary data (a ``spectra.BoundaryTrace``) of the
-    unit-normalized limit eigenfunction.  Non-resonant branch
+    ``v_data`` holds the boundary data (a ``BoundaryTrace``, from
+    ``limit_trace`` or built by hand) of the unit-normalized limit
+    eigenfunction.  Non-resonant branch
     (eigenfunction supported on one half-axis): solve the one-sided Neumann
     cell problem -w1'' + alpha profile w1 = 0, w1'(-1) = 0, w1'(1) = v'(+0)
     and return v'(+0) (v'(+0) - w1(1)); the left-half case is handled by

@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import corrector_lambda1, diving_count, step_theta, transmission_limit
+from conftest import (
+    corrector_lambda1,
+    diving_count,
+    limit_trace,
+    step_theta,
+    transmission_limit,
+)
 
 from pointbarrier.resonance import coupling_theta, resonance_scan
 from pointbarrier.scattering import scatter_sweep
@@ -146,7 +152,7 @@ def test_criterion_06_corrector_consistency(tilted, step, alpha1, theta1):
         k_right = next(i for i, f in enumerate(split.flags) if f.startswith("right"))
         lam0 = float(split.eigenvalues[k_right])
         l1 = corrector_lambda1(
-            tilted, step, 5.0, lam0, split.boundary_traces[k_right], resonant=False
+            tilted, step, 5.0, lam0, limit_trace(tilted, split, k_right), resonant=False
         )
         lams = [_bounded_level(tilted, step, 5.0, e, k_right + 1) for e in SLOPE_LADDER]
         slope = np.polyfit(SLOPE_LADDER, lams, 2)[1]
@@ -156,7 +162,7 @@ def test_criterion_06_corrector_consistency(tilted, step, alpha1, theta1):
         coupled = eigen_limit(tilted, ThetaCoupled(theta1), 1, eigenfunctions=True)
         l1r = corrector_lambda1(
             tilted, step, alpha1, float(coupled.eigenvalues[0]),
-            coupled.boundary_traces[0], resonant=True,
+            limit_trace(tilted, coupled, 0), resonant=True,
         )
         lams = [_bounded_level(tilted, step, alpha1, e, 1) for e in SLOPE_LADDER]
         slope = np.polyfit(SLOPE_LADDER, lams, 2)[1]

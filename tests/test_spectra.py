@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import corrector_lambda1, diving_count, fd_levels, reflect
+from conftest import (
+    BoundaryTrace,
+    corrector_lambda1,
+    diving_count,
+    fd_levels,
+    limit_trace,
+    reflect,
+)
 
 from pointbarrier import profiles, spectra
 from pointbarrier.errors import (
@@ -13,7 +20,6 @@ from pointbarrier.errors import (
 )
 from pointbarrier.ivp import SolverConfig
 from pointbarrier.spectra import (
-    BoundaryTrace,
     ConnectedMatrix,
     DirichletSplit,
     Separated,
@@ -128,7 +134,7 @@ def test_eigenfunction_normalization_and_traces(harmonic):
         norm = math.sqrt(float(np.trapezoid(v * v, spec.x)))
         assert norm == pytest.approx(1.0, abs=1e-8)
         assert v[np.argmax(np.abs(v))] > 0
-    tr = spec.boundary_traces[0]
+    tr = limit_trace(harmonic, spec, 0)
     assert tr.v_minus == pytest.approx(math.pi**-0.25, rel=1e-8)
     assert tr.v_plus == pytest.approx(tr.v_minus, rel=1e-10)
     assert abs(tr.dv_minus) < 1e-9
@@ -136,7 +142,8 @@ def test_eigenfunction_normalization_and_traces(harmonic):
 
 def test_coupled_trace_satisfies_interface(tilted, theta1):
     spec = eigen_limit(tilted, ThetaCoupled(theta1), 2, eigenfunctions=True)
-    for tr in spec.boundary_traces:
+    for k in range(2):
+        tr = limit_trace(tilted, spec, k)
         assert tr.v_plus == pytest.approx(theta1 * tr.v_minus, rel=1e-8)
         assert theta1 * tr.dv_plus == pytest.approx(tr.dv_minus, rel=1e-8)
 
@@ -171,10 +178,24 @@ def test_perturbed_against_dense_diagonalization(tilted, step, alpha1, fd_pertur
 
 
 def test_perturbed_zero_coupling_matches_continuity_limit(tilted, step):
-    limit = eigen_limit(tilted, ThetaCoupled(1.0), 3, eigenfunctions=False)
+    # one assembler samples both problems: at alpha = 0 the squeezed
+    # problem (matched at +eps) is the continuous one (matched at 0)
+    limit = eigen_limit(tilted, ThetaCoupled(1.0), 3, eigenfunctions=True)
     for eps in (0.2, 0.05):
-        spec = eigen_perturbed(tilted, step, 0.0, eps, (1, 3), eigenfunctions=False)
+        spec = eigen_perturbed(tilted, step, 0.0, eps, (1, 3), eigenfunctions=True)
         assert np.allclose(spec.eigenvalues, limit.eigenvalues, atol=1e-8)
+        assert np.array_equal(spec.x, limit.x)
+        assert np.max(np.abs(spec.eigenfunctions - limit.eigenfunctions)) <= 1e-7
+
+
+def test_split_eigenfunctions_vanish_on_the_dead_half(tilted):
+    spec = eigen_limit(tilted, DirichletSplit(), 4, eigenfunctions=True)
+    assert sorted(f.split(",")[0] for f in spec.flags) == ["left", "left", "right", "right"]
+    for flag, v in zip(spec.flags, spec.eigenfunctions):
+        dead = spec.x > 0.0 if flag.startswith("left") else spec.x <= 0.0
+        assert np.all(v[dead] == 0.0), flag
+        assert np.max(np.abs(v[~dead])) > 0.0
+        assert v[np.argmax(np.abs(v))] > 0.0
 
 
 def test_perturbed_diving_scale(tilted, step, alpha1):
@@ -402,7 +423,8 @@ def test_interval_validation(step):
 def test_corrector_vanishes_without_perturbation(harmonic, step):
     lim = eigen_limit(harmonic, ThetaCoupled(1.0), 1, eigenfunctions=True)
     lam1 = corrector_lambda1(
-        harmonic, step, 0.0, float(lim.eigenvalues[0]), lim.boundary_traces[0], resonant=True
+        harmonic, step, 0.0, float(lim.eigenvalues[0]), limit_trace(harmonic, lim, 0),
+        resonant=True,
     )
     assert lam1 == pytest.approx(0.0, abs=1e-9)
 
@@ -427,7 +449,7 @@ def test_corrector_mirror_branch_matches_direct(tilted, step):
     split = eigen_limit(tilted, DirichletSplit(), 2, eigenfunctions=True)
     k_left = next(i for i, f in enumerate(split.flags) if f.startswith("left"))
     lam = float(split.eigenvalues[k_left])
-    tr = split.boundary_traces[k_left]
+    tr = limit_trace(tilted, split, k_left)
     l1_left = corrector_lambda1(tilted, step, 5.0, lam, tr, resonant=False)
 
     mirrored_U = polynomial_potential([0.0, -1.0, 1.0], tilted.truncation_radius)
@@ -629,7 +651,7 @@ def test_bounded_levels_of_a_converge_rung_are_refined_in_few_members(monkeypatc
 
 @pytest.mark.parametrize("name", sorted(POTENTIALS))
 def test_sturm_index_counts_finite_difference_levels(name, cfg):
-    from pointbarrier.spectra import _limit_problems
+    from pointbarrier.spectra import _limit_problems, _matching
 
     Ufun, coeffs, R = POTENTIALS[name]
     U = polynomial_potential(coeffs, R)
@@ -640,9 +662,10 @@ def test_sturm_index_counts_finite_difference_levels(name, cfg):
         (DirichletSplit(), [fd_levels(Ufun, -R, 0.0, 4000, 30), fd_levels(Ufun, 0.0, R, 4000, 30)]),
     ]
     for bc, refs in cases:
-        problems = _limit_problems(U, bc, cfg)
+        problems = _limit_problems(U, bc)
         assert len(problems) == len(refs)
-        for (what, fvec), ref in zip(problems, refs):
+        for (what, problem), ref in zip(problems, refs):
+            fvec = _matching(problem, cfg)
             # grid points within the FD error of a level are left out
             lams = grid[np.min(np.abs(grid[:, None] - ref), axis=1) > 1e-3]
             assert lams.size > 170
@@ -656,11 +679,11 @@ def test_sturm_index_counts_finite_difference_levels(name, cfg):
     Separated(1.0, 0.7, 1.0, -0.4),
 ])
 def test_sturm_index_rises_once_per_sign_change(harmonic, cfg, bc):
-    from pointbarrier.spectra import _limit_problems
+    from pointbarrier.spectra import _limit_problems, _matching
 
     lams = np.linspace(-40.0, 16.0, 1121)
-    for what, fvec in _limit_problems(harmonic, bc, cfg):
-        f, N = fvec(lams, True)
+    for what, problem in _limit_problems(harmonic, bc):
+        f, N = _matching(problem, cfg)(lams, True)
         assert N[0] == 0, what
         rises = np.diff(N)
         assert np.all(rises >= 0), what
