@@ -1,11 +1,11 @@
 """Command-line front end: parse a run configuration, dispatch to the
 solver modules, and write CSV/JSON outputs plus a manifest.
 
-Every run writes ``manifest.json`` recording the subcommand, the full
-parameter set, the tool version and the wall time; ``rerun`` replays a
-manifest.  CSV payloads write floats as ``%.17e`` (18 significant digits)
-and contain nothing run-dependent, so identical configurations produce
-byte-identical files.
+Every run writes ``manifest.json`` recording the argument vector, the
+subcommand, the full parameter set, the tool version and the wall time;
+``rerun`` replays the argument vector of a manifest.  CSV payloads write
+floats as ``%.17e`` (18 significant digits) and contain nothing
+run-dependent, so identical configurations produce byte-identical files.
 
 Exit status: 0 on success, 2 for configuration errors, 3 for numerical
 failures, 4 for violated preconditions (e.g. a profile outside the
@@ -26,12 +26,21 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericsError, PointBarrierError, PreconditionError, ProfileFormatError
-from .ivp import SolverConfig
+from .ivp import DEFAULT_CONFIG, SolverConfig
 from .parallel import pmap
-from .profiles import Profile, builtin, classify, load as load_profile
-from .resonance import _point, coupling_theta, eigenfunction, resonance_scan
+from .profiles import DEFAULT_MOMENT_TOL, Profile, builtin, classify, load as load_profile
+from .resonance import (
+    DEFAULT_RESIDUAL_TOL,
+    DEFAULT_SCAN_STEP,
+    _point,
+    coupling_theta,
+    eigenfunction,
+    resonance_scan,
+)
 from .scattering import SCATTER_CONFIG, scatter_sweep
 from .spectra import (
+    DEFAULT_EIG_TOL,
+    SAMPLES_PER_UNIT,
     ConnectedMatrix,
     ConfiningPotential,
     DirichletSplit,
@@ -51,7 +60,14 @@ from .experiments import (
     hypothesis_scan,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # the manifest records the ``argv`` that ``rerun`` replays
+
+_TOLERANCES = {  # each tolerance option and the library default it mirrors
+    "--rel-tol": DEFAULT_CONFIG.rel_tol,
+    "--residual-tol": DEFAULT_RESIDUAL_TOL,
+    "--eig-tol": DEFAULT_EIG_TOL,
+    "--moment-tol": DEFAULT_MOMENT_TOL,
+}
 
 
 class ConfigError(ValueError):
@@ -143,7 +159,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _parse_profile(spec: str) -> Profile:
     if spec in ("step", "odd_cubic", "asymmetric_bump"):
-        return builtin(spec, {})
+        return builtin(spec)
     if spec == "even_quadratic":
         return even_counterexample_profile()
     path = Path(spec)
@@ -357,13 +373,8 @@ def _cmd_spectrum(ns, outdir: Path) -> list[str]:
 def _cmd_scatter(ns, outdir: Path) -> list[str]:
     p = _parse_profile(ns.profile)
     cfg = SolverConfig(rel_tol=min(ns.rel_tol, SCATTER_CONFIG.rel_tol))
-    alphas = ns.alphas if ns.alphas is not None else [ns.alpha]
-    epses = ns.eps_ladder if ns.eps_ladder is not None else [ns.eps]
-    ks = ns.ks if ns.ks is not None else [ns.k]
-    if any(v is None for v in (alphas[0], epses[0], ks[0])):
-        raise ConfigError("scatter needs --alpha/--alphas, --eps/--eps-ladder and --k/--ks")
-    pts = [(e, k) for e in epses for k in ks]
-    sweeps = pmap(lambda a: scatter_sweep(p, a, pts, cfg), alphas)  # one family per alpha
+    pts = [(e, k) for e in ns.eps_ladder for k in ns.ks]
+    sweeps = pmap(lambda a: scatter_sweep(p, a, pts, cfg), ns.alphas)  # one family per alpha
     _write_csv(
         outdir / "scatter.csv",
         ["alpha", "eps", "k", "re_r", "im_r", "re_t", "im_t", "t2"],
@@ -489,34 +500,36 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"pointbarrier {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp, profile=True):
+    def tolerance(sp, flag, **kwargs):
+        sp.add_argument(flag, type=_positive, default=_TOLERANCES[flag], **kwargs)
+
+    def common(sp, *tolerances, profile=True):
+        """--out, the tolerances the subcommand reads, and --profile."""
         sp.add_argument("--out", default="pb_out", help="output directory")
-        sp.add_argument("--rel-tol", type=_positive, default=1e-10)
-        sp.add_argument("--residual-tol", type=_positive, default=1e-9)
-        sp.add_argument("--eig-tol", type=_positive, default=1e-8)
-        sp.add_argument("--moment-tol", type=_positive, default=1e-10)
+        for flag in tolerances:
+            tolerance(sp, flag)
         if profile:
             sp.add_argument("--profile", required=True,
                             help="step | odd_cubic | asymmetric_bump | even_quadratic | path.json")
 
     sp = sub.add_parser("classify", help="moment classification of a profile")
-    common(sp)
+    common(sp, "--moment-tol")
 
     sp = sub.add_parser("resonances", help="scan the resonance set of a profile")
-    common(sp)
+    common(sp, "--rel-tol", "--residual-tol")
     sp.add_argument("--window", nargs=2, type=_finite, required=True, metavar=("LO", "HI"))
-    sp.add_argument("--scan-step", type=_positive, default=0.1)
+    sp.add_argument("--scan-step", type=_positive, default=DEFAULT_SCAN_STEP)
     sp.add_argument("--eigenfunctions", action="store_true")
 
     sp = sub.add_parser("theta", help="coupling ratio at a resonant coupling")
-    common(sp)
+    common(sp, "--rel-tol", "--residual-tol")
     sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
                     help="refine to the nearest resonance before evaluating")
     sp.add_argument("--search-width", type=_positive, default=0.5)
 
     sp = sub.add_parser("spectrum", help="eigenvalues of the limit or squeezed operator")
-    common(sp, profile=False)
+    common(sp, "--rel-tol", "--eig-tol", profile=False)
     sp.add_argument("--profile", help="barrier profile (perturbed mode only)")
     sp.add_argument("--mode", choices=["limit", "perturbed"], required=True)
     sp.add_argument("--potential", type=_checked_spec(_potential_coeffs), required=True,
@@ -532,15 +545,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("scatter", help="reflection/transmission amplitudes")
     common(sp)
-    sp.add_argument("--alpha", type=_finite)
-    sp.add_argument("--alphas", type=_finite_list)
-    sp.add_argument("--eps", type=_finite)
-    sp.add_argument("--eps-ladder", type=_finite_list)
-    sp.add_argument("--k", type=_finite)
-    sp.add_argument("--ks", type=_finite_list)
+    tolerance(sp, "--rel-tol", help=f"propagator tolerance, capped at {SCATTER_CONFIG.rel_tol:g}")
+    # two spellings of each comma-separated list; "--alphas=-2,4" keeps a
+    # list that starts with "-" from reading as an option
+    sp.add_argument("--alphas", "--alpha", type=_finite_list, required=True)
+    sp.add_argument("--eps-ladder", "--eps", type=_finite_list, required=True)
+    sp.add_argument("--ks", "--k", type=_finite_list, required=True)
 
     sp = sub.add_parser("interval", help="squeezed barrier on a bounded interval")
-    common(sp)
+    common(sp, "--rel-tol", "--residual-tol", "--eig-tol")
     sp.add_argument("--a", type=_finite, required=True)
     sp.add_argument("--b", type=_finite, required=True)
     sp.add_argument("--alpha", type=_finite, required=True)
@@ -548,29 +561,29 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=_positive_int, default=6)
 
     sp = sub.add_parser("converge", help="eigenvalue convergence down a squeezing ladder")
-    common(sp)
+    common(sp, "--rel-tol", "--residual-tol", "--eig-tol")
     sp.add_argument("--potential", type=_checked_spec(_potential_coeffs), required=True)
     sp.add_argument("--radius", type=_positive, required=True)
     sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--eps-ladder", type=_parse_ladder, required=True,
                     help="comma-separated descending list")
     sp.add_argument("--levels", type=_positive_int, default=3)
-    sp.add_argument("--samples-per-unit", type=_positive_int, default=2001)
+    sp.add_argument("--samples-per-unit", type=_positive_int, default=SAMPLES_PER_UNIT)
 
     sp = sub.add_parser("dive", help="eps^-2 blow-up of the lowest level")
-    common(sp)
+    common(sp, "--rel-tol", "--moment-tol")
     sp.add_argument("--alpha", type=_finite, required=True)
     sp.add_argument("--eps-ladder", type=_parse_ladder, required=True)
 
     sp = sub.add_parser("hypothesis", help="coupling-ratio magnitude scan")
-    common(sp, profile=False)
+    common(sp, "--rel-tol", "--residual-tol", "--moment-tol", profile=False)
     sp.add_argument("--profiles", required=True, help="comma-separated profile names/paths")
     sp.add_argument("--window", nargs=2, type=_finite, required=True, metavar=("LO", "HI"))
-    sp.add_argument("--scan-step", type=_positive, default=0.1)
+    sp.add_argument("--scan-step", type=_positive, default=DEFAULT_SCAN_STEP)
 
-    sp = sub.add_parser("rerun", help="replay a run from its manifest")
+    sp = sub.add_parser("rerun", help="replay the argument vector of a manifest")
     sp.add_argument("manifest", help="path to a manifest.json")
-    sp.add_argument("--out", default=None, help="output directory (defaults to the manifest's)")
+    sp.add_argument("--out", default=None, help="output directory (defaults to the recorded one)")
 
     return top
 
@@ -586,45 +599,20 @@ def _namespace_params(ns) -> dict:
 
 def run(argv) -> int:
     """Parse arguments, execute one subcommand, write outputs + manifest."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    argv = list(argv)
+    ns = _build_parser().parse_args(argv)
 
     if ns.command == "rerun":
         try:
             doc = json.loads(Path(ns.manifest).read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"unreadable manifest {ns.manifest!r}: {exc}") from None
-        if not (isinstance(doc, dict) and isinstance(doc.get("command"), str)
-                and doc["command"] in _COMMANDS and isinstance(doc.get("params"), dict)):
-            raise ConfigError(f"malformed manifest {ns.manifest!r}: need an object with a "
-                              "subcommand name 'command' and an object 'params'")
-        out = ns.out if ns.out is not None else doc.get("out")
-        if not isinstance(out, str):
-            raise ConfigError(f"manifest {ns.manifest!r} names no output directory 'out'; "
-                              "pass --out")
-        replay, params = [doc["command"]], doc["params"]
-        negatable = {"refine"}
-        for key, value in params.items():
-            if value is None:
-                continue
-            flag = "--" + key.replace("_", "-")
-            if value is False:
-                if key in negatable:
-                    replay.append("--no-" + key.replace("_", "-"))
-                continue
-            # "--flag=value" keeps values that start with "-" from reading as options
-            if value is True:
-                replay.append(flag)
-            elif isinstance(value, list):
-                if key in ("eps_ladder", "alphas", "ks"):
-                    replay.append(f"{flag}={','.join(repr(v) for v in value)}")
-                else:  # nargs=2 takes no "=": the parser reads "-1e-05" as a number
-                    replay.append(flag)
-                    replay.extend(repr(v) for v in value)
-            else:
-                replay.append(f"{flag}={value}")
-        replay.extend(["--out", out])
-        return run(replay)
+        replay = doc.get("argv") if isinstance(doc, dict) else None
+        if not (isinstance(replay, list) and replay and all(isinstance(a, str) for a in replay)
+                and replay[0] in _COMMANDS):
+            raise ConfigError(f"malformed manifest {ns.manifest!r}: need an object whose 'argv' "
+                              "is a list of strings that starts with a subcommand name")
+        return run(replay if ns.out is None else replay + ["--out", ns.out])
 
     outdir = Path(ns.out)
     try:
@@ -637,6 +625,7 @@ def run(argv) -> int:
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "pointbarrier", "version": __version__},
+        "argv": argv,
         "command": ns.command,
         "params": _namespace_params(ns),
         "out": str(ns.out),

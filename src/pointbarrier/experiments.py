@@ -16,15 +16,17 @@ import numpy as np
 from .errors import AlignmentError, PreconditionError
 from .ivp import DEFAULT_CONFIG, SolverConfig
 from .parallel import pmap
-from .profiles import Profile, Segment, is_dipole_normalized
+from .profiles import DEFAULT_MOMENT_TOL, Profile, Segment, is_dipole_normalized
 from .resonance import (
     DEFAULT_RESIDUAL_TOL,
+    DEFAULT_SCAN_STEP,
     ResonancePoint,
     _point,
     resonance_scan,
 )
 from .spectra import (
     DEFAULT_EIG_TOL,
+    SAMPLES_PER_UNIT,
     ConfiningPotential,
     DirichletSplit,
     ThetaCoupled,
@@ -127,7 +129,7 @@ def convergence_study(
     *,
     eig_tol: float = DEFAULT_EIG_TOL,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    samples_per_unit: int = 2001,
+    samples_per_unit: int = SAMPLES_PER_UNIT,
 ) -> ConvergenceReport:
     """Track the lowest ``k_count`` bounded levels down a squeezing ladder.
 
@@ -275,7 +277,7 @@ def diving_study(
     eps_ladder,
     cfg: SolverConfig | None = None,
     *,
-    moment_tol: float = 1e-10,
+    moment_tol: float = DEFAULT_MOMENT_TOL,
 ) -> DivingReport:
     """Follow the lowest level of the squeezed barrier down a ladder.
 
@@ -367,9 +369,9 @@ def hypothesis_scan(
     alpha_window: tuple[float, float],
     cfg: SolverConfig | None = None,
     *,
-    scan_step: float = 0.1,
+    scan_step: float = DEFAULT_SCAN_STEP,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    moment_tol: float = 1e-10,
+    moment_tol: float = DEFAULT_MOMENT_TOL,
 ) -> HypothesisReport:
     """Scan the resonance sets of unit-dipole profiles and record whether
     |theta| sits above 1 on the positive side and below 1 on the negative

@@ -21,6 +21,7 @@ from typing import Sequence
 from .errors import ProfileFormatError
 
 _PARTITION_TOL = 1e-12
+DEFAULT_MOMENT_TOL = 1e-10
 _MAX_ABS_SAMPLES = 257  # samples per non-constant segment in ``Profile.max_abs``
 
 
@@ -162,7 +163,7 @@ def moment(p: Profile, k: int) -> float:
     return total
 
 
-def classify(p: Profile, moment_tol: float = 1e-10) -> ProfileClass:
+def classify(p: Profile, moment_tol: float = DEFAULT_MOMENT_TOL) -> ProfileClass:
     """Moment classification with tolerance ``moment_tol`` (> 0).
 
     ``DELTA_PRIME_LIKE(c=-m1)`` iff |m0| <= tol < |m1|; ``ZERO_MEAN_ONLY``
@@ -179,7 +180,7 @@ def classify(p: Profile, moment_tol: float = 1e-10) -> ProfileClass:
     return ProfileClass(ProfileKind.GENERAL, m0=m0, m1=m1)
 
 
-def is_dipole_normalized(p: Profile, moment_tol: float = 1e-10) -> bool:
+def is_dipole_normalized(p: Profile, moment_tol: float = DEFAULT_MOMENT_TOL) -> bool:
     """True when m0 = 0 and m1 = -1 within tolerance (unit dipole class)."""
     cls = classify(p, moment_tol)
     return cls.kind is ProfileKind.DELTA_PRIME_LIKE and abs(cls.m1 + 1.0) <= moment_tol
@@ -187,10 +188,10 @@ def is_dipole_normalized(p: Profile, moment_tol: float = 1e-10) -> bool:
 
 # -- builtin profiles -------------------------------------------------------
 
-_BUILTIN_NAMES = ("step", "odd_cubic", "asymmetric_bump", "custom")
+_BUILTIN_NAMES = ("step", "odd_cubic", "asymmetric_bump")
 
 
-def builtin(name: str, params: dict | None = None) -> Profile:
+def builtin(name: str) -> Profile:
     """Construct a named profile.
 
     * ``step``: +1 on (-1, 0), -1 on (0, 1).  Moments (0, -1).
@@ -198,10 +199,9 @@ def builtin(name: str, params: dict | None = None) -> Profile:
       exactly, vanishing at the support endpoints.
     * ``asymmetric_bump``: parabolic lobes of unequal width, m0 = 0 and
       m1 = -1 but not odd; the negative lobe occupies (0, 1/2) only.
-    * ``custom``: build from ``params`` with keys ``segments`` (list of
-      ``{"interval": [a, b], "coeffs": [...]}``) and optional ``label``.
+
+    Other shapes come from a JSON document (``load``, ``from_json_dict``).
     """
-    params = params or {}
     if name == "step":
         return Profile(
             (Segment(-1.0, 0.0, (1.0,)), Segment(0.0, 1.0, (-1.0,))),
@@ -226,12 +226,6 @@ def builtin(name: str, params: dict | None = None) -> Profile:
             ),
             label="asymmetric_bump",
         )
-    if name == "custom":
-        try:
-            raw_segments = params["segments"]
-        except (KeyError, TypeError) as exc:
-            raise ProfileFormatError("custom profile needs a 'segments' list") from exc
-        return _profile_from_spec(raw_segments, params.get("label", "custom"))
     raise ValueError(f"unknown builtin profile {name!r}; expected one of {_BUILTIN_NAMES}")
 
 

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_RESIDUAL_TOL = 1e-9
+DEFAULT_SCAN_STEP = 0.1  # width of the coupling grid cells of a resonance scan
 _EIGENFUNCTION_SAMPLES = 401  # uniform samples of each resonance eigenfunction on [-1, 1]
 
 
@@ -135,7 +136,7 @@ def resonance_scan(
     p: Profile,
     alpha_min: float,
     alpha_max: float,
-    scan_step: float = 0.1,
+    scan_step: float = DEFAULT_SCAN_STEP,
     cfg: SolverConfig | None = None,
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
 ) -> list[ResonancePoint]:

@@ -60,6 +60,7 @@ _WALL_MARGIN = 25.0  # least gap between the wall potential and a requested leve
 _DEPTH_FLOOR = 1e-7  # shallowest interval well scanned, relative to the lower bound
 SAMPLES_PER_UNIT = 2001
 _CHUNK = 48
+_BELOW_PI = math.nextafter(math.pi, 0.0)
 
 
 # -- interface conditions ------------------------------------------------------
@@ -238,8 +239,9 @@ def _barrier_chain(p: Profile, alpha: float, eps: float,
 
 
 def _reduced_angle(Y):
-    """The Pruefer angle atan2(v, v') of the states ``Y``, mod pi."""
-    return np.arctan2(Y[0], Y[1]) % math.pi
+    """The Pruefer angle atan2(v, v') of the states ``Y``, mod pi, in
+    [0, pi): a tiny negative angle would round to pi itself."""
+    return np.minimum(np.arctan2(Y[0], Y[1]) % math.pi, _BELOW_PI)
 
 
 class _Problem(NamedTuple):
@@ -336,9 +338,11 @@ def _verified_scan(
     halves a cell across which it rises by two or more (near-degenerate
     pairs of split-like problems defeat any fixed grid) until every root
     shows its own sign change.  A chunk is resolved only up to its first
-    point that counts every level still needed: a pair closer than the
-    halving floor raises ``NumericsError`` only when it holds a requested
-    level.  Only the rises of the index matter, so levels below ``start``
+    point that counts every level still needed, and one cell past it with
+    the index held at that point's: a level on that point may show its
+    sign change only in the next cell, and a pair closer than the halving
+    floor raises ``NumericsError`` only when it holds a requested level.
+    Only the rises of the index matter, so levels below ``start``
     (the diving levels of the squeezed problem) are neither found nor in
     the way.
     """
@@ -356,8 +360,12 @@ def _verified_scan(
         v, c = fvec(np.array(xs[vals.size:]), True)
         vals, counts = np.concatenate((vals, v)), np.concatenate((counts, c))
         reached = np.flatnonzero(counts - counts[0] >= k_needed - len(brackets))
-        end = reached[0] + 1 if reached.size else len(xs)
-        resolve_cells(fvec, xs[:end], vals[:end], counts[:end], brackets)
+        if reached.size:
+            end = min(reached[0] + 2, len(xs))
+            cs = np.minimum(counts[:end], counts[reached[0]])
+        else:
+            end, cs = len(xs), counts
+        resolve_cells(fvec, xs[:end], vals[:end], cs, brackets)
         xs, vals, counts = xs[-1:], vals[-1:], counts[-1:]
         if xs[0] > ceiling:
             if len(brackets) < k_needed:

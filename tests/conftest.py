@@ -442,17 +442,17 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
 
 @pytest.fixture(scope="session")
 def step():
-    return profiles.builtin("step", {})
+    return profiles.builtin("step")
 
 
 @pytest.fixture(scope="session")
 def odd_cubic():
-    return profiles.builtin("odd_cubic", {})
+    return profiles.builtin("odd_cubic")
 
 
 @pytest.fixture(scope="session")
 def bump():
-    return profiles.builtin("asymmetric_bump", {})
+    return profiles.builtin("asymmetric_bump")
 
 
 @pytest.fixture(scope="session")

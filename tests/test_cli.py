@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import json
 import math
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import step_scatter_decimal, write_csv_per_cell
 
-from pointbarrier.cli import _CHUNK_ROWS, _write_csv, main, run
+from pointbarrier.cli import _CHUNK_ROWS, _build_parser, _write_csv, main, run
 from pointbarrier.profiles import builtin
 from pointbarrier.resonance import eigenfunction
 
@@ -67,7 +69,7 @@ def test_resonance_eigenfunctions_match_the_per_root_reference(tmp_path, profile
     out = tmp_path / "rf"
     assert main(["resonances", "--profile", profile, "--window", *window, "--eigenfunctions",
                  "--out", str(out)]) == 0
-    p = builtin(profile, {})
+    p = builtin(profile)
     alphas = [float(row["alpha"]) for row in _read_rows(out / "resonances.csv")]
     names = sorted(path.name for path in out.glob("resonance_eigenfunction_*.csv"))
     assert alphas and names == [f"resonance_eigenfunction_{i:03d}.csv" for i in range(len(alphas))]
@@ -125,10 +127,16 @@ def test_byte_identical_reruns(tmp_path):
 def test_manifest_rerun_round_trip(tmp_path):
     out1 = tmp_path / "a"
     out3 = tmp_path / "c"
-    assert run(["scatter", "--profile", "step", "--alpha", "4.0",
-                "--eps-ladder", "0.1,0.01", "--ks", "0.5,1.0", "--out", str(out1)]) == 0
+    argv = ["scatter", "--profile", "step", "--alpha", "4.0",
+            "--eps-ladder", "0.1,0.01", "--ks", "0.5,1.0", "--out", str(out1)]
+    assert run(argv) == 0
+    assert json.loads(_read(out1 / "manifest.json"))["argv"] == argv
     assert run(["rerun", str(out1 / "manifest.json"), "--out", str(out3)]) == 0
     assert _read(out1 / "scatter.csv") == _read(out3 / "scatter.csv")
+    assert json.loads(_read(out3 / "manifest.json"))["argv"] == argv + ["--out", str(out3)]
+    # without --out the replay writes where the recorded run wrote
+    assert run(["rerun", str(out3 / "manifest.json")]) == 0
+    assert json.loads(_read(out3 / "manifest.json"))["argv"] == argv + ["--out", str(out3)]
 
 
 def test_scatter_single_and_sweep(tmp_path, alpha1, theta1):
@@ -499,6 +507,9 @@ _PARSE_REJECTS = [
      "--alpha", "1", "--eps-ladder", "0.2,0.1"],
     ["interval", "--profile", "step", "--a", "-1", "--b", "inf", "--alpha", "1",
      "--eps", "1e-3"],
+    # scatter needs every axis, in either spelling
+    ["scatter", "--profile", "step", "--alpha", "1", "--eps", "0.1"],
+    ["scatter", "--profile", "step", "--eps-ladder", "0.1", "--ks", "1"],
 ]
 
 
@@ -570,11 +581,11 @@ def test_rerun_negative_list_round_trip(tmp_path):
 
 
 def test_rerun_rejects_a_manifest_with_abs_tol(tmp_path, capsys):
-    # manifests written before --abs-tol was removed record abs_tol
+    # a run recorded before --abs-tol was removed replays it
     out = tmp_path / "old"
     assert main(["classify", "--profile", "step", "--out", str(out)]) == 0
     doc = json.loads(_read(out / "manifest.json"))
-    doc["params"]["abs_tol"] = 1e-12
+    doc["argv"] += ["--abs-tol", "1e-12"]
     (out / "manifest.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "again")]) == 2
@@ -601,14 +612,14 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda doc: {k: v for k, v in doc.items() if k != "out"},
-    lambda doc: {**doc, "out": None},
-    lambda doc: {**doc, "params": [1]},
-    lambda doc: {k: v for k, v in doc.items() if k != "params"},
-    lambda doc: {**doc, "command": ["classify"]},
-    lambda doc: {**doc, "command": "rerun"},
+    lambda doc: {k: v for k, v in doc.items() if k != "argv"},
+    lambda doc: {**doc, "argv": {"command": "classify"}},
+    lambda doc: {**doc, "argv": []},
+    lambda doc: {**doc, "argv": [*doc["argv"], 1e-9]},
+    lambda doc: {**doc, "argv": [["classify"], *doc["argv"][1:]]},
+    lambda doc: {**doc, "argv": ["rerun", *doc["argv"][1:]]},
     lambda doc: [doc],
-], ids=["no-out", "null-out", "params-array", "no-params", "command-array", "command-rerun",
+], ids=["no-argv", "argv-object", "argv-empty", "argv-number", "command-array", "command-rerun",
         "array"])
 def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, edit):
     out = tmp_path / "m"
@@ -618,6 +629,89 @@ def test_rerun_rejects_a_malformed_manifest(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["rerun", str(path)]) == 2
     assert "manifest" in _one_config_error_line(capsys)
+
+
+# a valid run of each subcommand, and the tolerance options its handler does not
+# read, which it no longer accepts
+_VALID = {
+    "classify": ["classify", "--profile", "step"],
+    "resonances": ["resonances", "--profile", "step", "--window", "0", "1"],
+    "theta": ["theta", "--profile", "step", "--alpha", "15.4"],
+    "spectrum": ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7"],
+    "scatter": ["scatter", "--profile", "step", "--alpha", "1", "--eps", "0.1", "--k", "1"],
+    "interval": ["interval", "--profile", "step", "--a", "-1", "--b", "2", "--alpha", "5",
+                 "--eps", "0.1", "--count", "1"],
+    "converge": ["converge", "--profile", "step", "--potential", "tilted_harmonic",
+                 "--radius", "8", "--alpha", "0", "--eps-ladder", "0.2,0.1,0.05,0.025",
+                 "--levels", "1", "--samples-per-unit", "101"],
+    "dive": ["dive", "--profile", "step", "--alpha", "1", "--eps-ladder", "0.1,0.05"],
+    "hypothesis": ["hypothesis", "--profiles", "step", "--window", "-1", "1"],
+}
+_UNREAD = {
+    "classify": ["--rel-tol", "--residual-tol", "--eig-tol"],
+    "resonances": ["--eig-tol", "--moment-tol"],
+    "theta": ["--eig-tol", "--moment-tol"],
+    "spectrum": ["--residual-tol", "--moment-tol"],
+    "scatter": ["--residual-tol", "--eig-tol", "--moment-tol"],
+    "interval": ["--moment-tol"],
+    "converge": ["--moment-tol"],
+    "dive": ["--residual-tol", "--eig-tol"],
+    "hypothesis": ["--eig-tol"],
+}
+
+
+@pytest.mark.parametrize("command, option",
+                         [(c, o) for c, options in _UNREAD.items() for o in options])
+def test_a_tolerance_the_handler_does_not_read_exits_2(tmp_path, capsys, command, option):
+    out = tmp_path / "o"
+    assert main(_VALID[command] + [option, "1e-9", "--out", str(out)]) == 2
+    assert option in _one_config_error_line(capsys)
+    assert not out.exists()
+
+
+_CLI = Path(__file__).resolve().parents[1] / "src" / "pointbarrier" / "cli.py"
+
+
+def _ns_reads(tree: ast.Module) -> dict[str, set[str]]:
+    """For each top-level function, the attributes it reads from ``ns``,
+    also through the top-level functions it passes ``ns`` to."""
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    direct, callees = {}, {}
+    for name, fn in funcs.items():
+        nodes = list(ast.walk(fn))
+        direct[name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name) and n.value.id == "ns"}
+        callees[name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Name) and n.func.id in funcs
+                         and any(isinstance(a, ast.Name) and a.id == "ns" for a in n.args)}
+
+    def reads(name, seen):
+        return direct[name].union(*(reads(c, seen | {c}) for c in callees[name] - seen))
+
+    return {name: reads(name, {name}) for name in funcs}
+
+
+def unread_options(path: Path = _CLI) -> list[str]:
+    """``subcommand --option`` of each option that the subcommand's handler
+    (its ``_COMMANDS`` entry in ``path``) never reads from ``ns``; ``--out``
+    is read for every subcommand by ``run``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "_COMMANDS" for t in node.targets)]
+    handlers = {key.value: value.id for key, value in zip(table.keys, table.values)}
+    reads = _ns_reads(tree)
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        f"{command} {action.option_strings[0] if action.option_strings else action.dest}"
+        for command, parser in sub.choices.items() if command in handlers
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        and action.dest != "out" and action.dest not in reads[handlers[command]]
+    ]
+
+
+def test_every_subcommand_option_is_read_by_its_handler():
+    assert unread_options() == []
 
 
 def test_spectrum_limit_needs_no_profile(tmp_path):

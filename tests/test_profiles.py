@@ -115,14 +115,16 @@ def test_odd_symmetry(odd_cubic):
 
 
 def test_builtin_errors():
-    with pytest.raises(ValueError):
-        builtin("gaussian", {})
+    # builtin builds the named shapes only; custom shapes come from JSON
+    for name in ("gaussian", "custom"):
+        with pytest.raises(ValueError):
+            builtin(name)
     with pytest.raises(ProfileFormatError):
-        builtin("custom", {"segments": [{"interval": [0.0, 1.0], "coeffs": [1.0]}]})
+        from_json_dict({"segments": [{"interval": [0.0, 1.0], "coeffs": [1.0]}]})
     with pytest.raises(ProfileFormatError):
-        builtin("custom", {"segments": "not-a-list"})
+        from_json_dict({"segments": "not-a-list"})
     with pytest.raises(ProfileFormatError):
-        builtin("custom", {})
+        from_json_dict({})
 
 
 def test_partition_validation():
@@ -179,7 +181,7 @@ def test_reflect(step, bump):
 
 
 def test_max_abs_samples_a_profile_once(monkeypatch):
-    p = builtin("asymmetric_bump", {})
+    p = builtin("asymmetric_bump")
     first = p.max_abs
 
     def unsampled(self, xi):

@@ -270,7 +270,7 @@ def test_near_degenerate_even_pair_is_found():
        ts=st.lists(st.floats(0.0, 400.0), min_size=2, max_size=40))
 def test_index_never_decreases_in_the_coupling_size(name, side, ts):
     p = (even_counterexample_profile() if name == "even_quadratic"
-         else profiles.builtin("asymmetric_bump" if name == "bump" else name, {}))
+         else profiles.builtin("asymmetric_bump" if name == "bump" else name))
     _, counts = resonance._counted(p, side, None)(np.sort(ts))
     assert np.all(np.diff(counts) >= 0), counts
 
@@ -355,7 +355,7 @@ def bump_scan():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resonance, "propagate_family", counted_propagate)
         mp.setattr(resonance, "_refine", counted_refine)
-        pts = resonance_scan(profiles.builtin("asymmetric_bump", {}), -200.0, 200.0, 0.1)
+        pts = resonance_scan(profiles.builtin("asymmetric_bump"), -200.0, 200.0, 0.1)
     return pts, sizes
 
 

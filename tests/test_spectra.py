@@ -218,7 +218,7 @@ def test_perturbed_input_validation(tilted, step):
 def test_diving_count_is_the_number_of_diving_levels(tilted, name):
     # the Sturm index at the bounded window's start against the levels the
     # diving search locates, on both sides of alpha = 0
-    p = profiles.builtin(name, {})
+    p = profiles.builtin(name)
     counts = set()
     for alpha in (-30.0, 0.0, 3.0, 60.0):
         for eps in (0.5, 0.05):
@@ -302,6 +302,26 @@ def test_interval_free_string(step):
     spec = interval_spectrum(-1.0, 2.0, step, 0.0, 1e-3, 5)
     ref = [(math.pi * k / 3.0) ** 2 for k in range(1, 6)]
     assert np.allclose(spec.eigenvalues, ref, rtol=1e-9)
+
+
+@pytest.mark.parametrize("a, b, eps, count", [(-1.0, 1.0, 0.5, 2), (-1.0, 2.0, 0.05, 2),
+                                               (-1.0, 2.0, 0.1, 1)])
+def test_interval_levels_on_grid_nodes_at_zero_coupling(step, a, b, eps, count):
+    # at alpha = 0 the levels (n pi / (b - a))^2 lie on nodes of the omega
+    # grid: a level the index counts on its node may change sign only in
+    # the next cell, and a tiny negative u(b) must not read as the angle pi
+    spec = interval_spectrum(a, b, step, 0.0, eps, count)
+    ref = [(n * math.pi / (b - a)) ** 2 for n in range(1, count + 1)]
+    assert spec.eigenvalues == pytest.approx(ref, rel=0.0, abs=spectra.DEFAULT_EIG_TOL)
+
+
+def test_interval_index_at_a_node_with_a_tiny_negative_shot(step):
+    # u(b) = -1.3e-16 at the node below (2 pi / 3)^2: levels 1 and 2 lie at
+    # or below it, not 3
+    fvec = spectra._interval_fvec(-1.0, 2.0, step, 0.0, 0.05, SolverConfig())
+    vals, counts = fvec(np.array([4.386490844928604]), True)
+    assert -1e-15 < vals[0] < 0.0
+    assert counts.tolist() == [2]
 
 
 def test_interval_limit_frequencies_continuity():
