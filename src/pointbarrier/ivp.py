@@ -13,10 +13,12 @@ one of two transports per segment:
   under commutators, so its exponent is a traceless 2x2 matrix whose
   exponential is closed form (cosh/sinh, cos/sin, or a series near zero).
   The mesh is built once per (segment, config) from ``c`` and the
-  tolerance alone and cached; a call exponentiates every interval of
-  every member in one vectorized pass and chains the 2x2 matrices with a
-  blocked scan.  A constant ``c`` needs one interval, on which the step
-  is the exact constant-coefficient propagator;
+  tolerance alone and cached together with each interval's shift-free
+  step coefficients, so a member's exponent is two multiply-adds away; a
+  call exponentiates every interval of every member in one vectorized
+  pass and chains the 2x2 matrices with a pairwise product tree.  A
+  constant ``c`` needs one interval, on which the step is the exact
+  constant-coefficient propagator;
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
   first-order system when ``w`` is callable, as in the coupling families
   ``alpha * profile`` of resonance shots, with mandatory step boundaries
@@ -391,24 +393,36 @@ _ROUNDING_FLOOR = 1e-14  # local tolerances below this only chase rounding noise
 _MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as underflow
 _WORK_CAP = 1 << 13  # intervals (or samples) x members handled per transport pass
 _CACHE_FLOATS = 1 << 16  # mesh cache budget in stored floats (512 kB)
-_RENORM_EVERY = 4  # chained products are rescaled every this many steps
+_RENORM_EVERY = 4  # the products of the chaining tree are rescaled every this many levels
 _SERIES_THRESHOLD = 1e-6  # |det| below this: the step's cosh/sinh by power series
 _EXACT_COUNT = 2.0**53  # largest zero count of one interval that a double holds exactly
 
 
 @dataclass(eq=False)
 class _Mesh:
-    """Intervals of one segment and c at the three Gauss nodes of each:
-    the member shifted by ``mw`` steps with ``q = cn + mw``."""
+    """Intervals of one segment with the shift-free Magnus coefficients of
+    each (``_coefficients``): the member shifted by ``mw`` steps with
+    ``_steps(coef, cmid + mw)``, and its Gauss mean coefficient over an
+    interval is ``cbar + mw``.  Per-interval arrays are (N, 1) columns
+    that broadcast over the members."""
 
     c: float | Callable[[float], float]
     x: np.ndarray  # N + 1 nodes in the direction of travel
-    h: np.ndarray
-    cn: np.ndarray  # (3, N)
+    h: np.ndarray  # (N,)
+    coef: tuple  # five (N, 1) arrays
+    cmid: np.ndarray  # c at the middle Gauss node, (N, 1)
+    cbar: np.ndarray  # Gauss mean of c, (N, 1)
+
+    @classmethod
+    def of(cls, c, x: np.ndarray, cn: np.ndarray) -> _Mesh:
+        """The mesh on nodes ``x`` from c at the Gauss nodes ``cn`` (3, N)."""
+        h = np.diff(x)
+        return cls(c, x, h, _coefficients(h[:, None], cn[..., None]), cn[1][:, None],
+                   np.tensordot(_GAUSS_WEIGHTS, cn, 1)[:, None])
 
     @property
     def floats(self) -> int:
-        return self.x.size + self.h.size + self.cn.size
+        return sum(a.size for a in (self.x, self.h, *self.coef, self.cmid, self.cbar))
 
 
 _MESH_CACHE: OrderedDict = OrderedDict()
@@ -438,43 +452,61 @@ def _nodes(c, lo: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 def _expm(x, y, z):
     """exp([[x, y], [z, -x]]) as (m11, m12, m21, m22, logscale), the matrix
-    being exp(logscale) times the entries; broadcasts over its arguments."""
+    being exp(logscale) times the entries; broadcasts over its arguments.
+    Each of the three branches of det = x^2 + yz is evaluated on its own
+    entries only."""
     det = x * x + y * z
-    r = np.sqrt(np.abs(det))
-    hyper = det > 0.0
-    # hyperbolic branch with exp(r) factored out of cosh r and sinh r
-    ch = np.where(hyper, 0.5 * (1.0 + np.exp(-2.0 * r)), np.cos(r))
-    sh = np.where(hyper, -0.5 * np.expm1(-2.0 * r), np.sin(r)) / r
-    logs = np.where(hyper, r, 0.0)
-    tiny = np.abs(det) <= _SERIES_THRESHOLD
-    if np.any(tiny):
-        ch = np.where(tiny, 1.0 + det / 2.0 * (1.0 + det / 12.0 * (1.0 + det / 30.0)), ch)
-        sh = np.where(tiny, 1.0 + det / 6.0 * (1.0 + det / 20.0 * (1.0 + det / 42.0)), sh)
-        logs = np.where(tiny, 0.0, logs)
+    ch, sh, logs = np.empty(det.shape), np.empty(det.shape), np.zeros(det.shape)
+    hyper = det > _SERIES_THRESHOLD
+    osc = det < -_SERIES_THRESHOLD
+    tiny = ~(hyper | osc)
+    if hyper.any():  # exp(r) factored out of cosh r and sinh r
+        r = np.sqrt(det[hyper])
+        e = np.expm1(-2.0 * r)
+        ch[hyper] = 1.0 + 0.5 * e
+        sh[hyper] = -0.5 * e / r
+        logs[hyper] = r
+    if osc.any():
+        r = np.sqrt(-det[osc])
+        ch[osc] = np.cos(r)
+        sh[osc] = np.sin(r) / r
+    if tiny.any():
+        d = det[tiny]
+        ch[tiny] = 1.0 + d / 2.0 * (1.0 + d / 12.0 * (1.0 + d / 30.0))
+        sh[tiny] = 1.0 + d / 6.0 * (1.0 + d / 20.0 * (1.0 + d / 42.0))
     shx = sh * x
     return ch + shx, sh * y, sh * z, ch - shx, logs
 
 
-def _steps(h, q):
-    """Sixth-order Magnus steps of -u'' + q u = 0 over signed lengths ``h``
-    from q at the three Gauss nodes (``q[0]``, ``q[1]``, ``q[2]``), as
-    ``_expm`` entries.
+def _coefficients(h, cn):
+    """Shift-free coefficients (xc, xq, y, zc, zq) of sixth-order Magnus
+    steps of -u'' + q u = 0 over signed lengths ``h``, from c at the three
+    Gauss nodes (``cn[0]``, ``cn[1]``, ``cn[2]``): the member with q = c +
+    s steps with the exponent [[xc + xq q2, y], [zc + zq q2, -x]], q2 =
+    cn[1] + s.  Broadcasts over its arguments; ``_steps`` applies it.
 
     With A = [[0, 1], [q, 0]] at the nodes, a1 = h A2, a2 = sqrt(15) h / 3
     (A3 - A1) and a3 = 10 h / 3 (A3 - 2 A2 + A1), the exponent is a1 + a3 /
     12 + [-20 a1 - a3 + C1, a2 + C2] / 240 with C1 = [a1, a2] and C2 =
-    -[a1, 2 a3 + C1] / 60, written out below as [[x, y], [z, -x]].
+    -[a1, 2 a3 + C1] / 60.  The differences a2 and a3 of q do not see a
+    constant shift, so the exponent is affine in q2.
     """
-    q1, q2, q3 = q
+    q1, q2, q3 = cn
     a2 = math.sqrt(15.0) / 3.0 * h * (q3 - q1)
     a3 = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)
-    hq2 = h * q2
-    x = h * a2 / 240.0 * (-20.0 + 4.0 / 3.0 * h * hq2 + h * a3 / 30.0)
+    xc = h * a2 / 240.0 * (h * a3 / 30.0 - 20.0)
+    xq = h * h * h * a2 / 180.0
     y = h + h * h / 240.0 * (h * a2 * a2 / 15.0 - 4.0 / 3.0 * a3)
-    z = hq2 + a3 / 12.0 + h / 240.0 * (
-        4.0 / 3.0 * hq2 * a3 + a3 * a3 / 15.0 - 2.0 * a2 * a2 + h * hq2 * a2 * a2 / 15.0
-    )
-    return _expm(x, y, z)
+    zc = a3 / 12.0 + h / 240.0 * (a3 * a3 / 15.0 - 2.0 * a2 * a2)
+    zq = h + h * h / 240.0 * (4.0 / 3.0 * a3 + h * a2 * a2 / 15.0)
+    return xc, xq, y, zc, zq
+
+
+def _steps(coef, q2):
+    """Magnus steps with the coefficients ``coef`` (``_coefficients``) at
+    the middle-node coefficients ``q2``, as ``_expm`` entries."""
+    xc, xq, y, zc, zq = coef
+    return _expm(xc + xq * q2, y, zc + zq * q2)
 
 
 def _step_defect(c, lo, h, cn, shifts):
@@ -485,9 +517,9 @@ def _step_defect(c, lo, h, cn, shifts):
     half = 0.5 * h
     A, B = _nodes(c, lo, half), _nodes(c, lo + half, half)
     col = h[:, None]
-    one = _steps(col, cn[..., None] + shifts)
-    sa = _steps(0.5 * col, A[..., None] + shifts)
-    sb = _steps(0.5 * col, B[..., None] + shifts)
+    one = _steps(_coefficients(col, cn[..., None]), cn[1][:, None] + shifts)
+    sa = _steps(_coefficients(0.5 * col, A[..., None]), A[1][:, None] + shifts)
+    sb = _steps(_coefficients(0.5 * col, B[..., None]), B[1][:, None] + shifts)
     f = np.exp(sa[4] + sb[4] - one[4])
     two = (
         (sb[0] * sa[0] + sb[1] * sa[2]) * f,
@@ -557,8 +589,7 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     lo, hi, cn = np.concatenate(lo), np.concatenate(hi), np.concatenate(cn, axis=1)
     direction = 1.0 if seg.b > seg.a else -1.0
     order = np.argsort(lo * direction, kind="stable")
-    lo, hi = lo[order], hi[order]
-    return _Mesh(c, np.append(lo, hi[-1]), hi - lo, cn[:, order])
+    return _Mesh.of(c, np.append(lo[order], hi[order][-1]), cn[:, order])
 
 
 def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
@@ -566,8 +597,8 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     ``_CACHE_FLOATS``).  A constant ``c_part`` needs no cache: its mesh is
     the whole segment, where the Magnus step is exact."""
     if not callable(seg.c_part):
-        lo, h = np.array([seg.a]), np.array([seg.b - seg.a])
-        return _Mesh(seg.c_part, np.array([seg.a, seg.b]), h, _nodes(seg.c_part, lo, h))
+        x = np.array([seg.a, seg.b], dtype=float)
+        return _Mesh.of(seg.c_part, x, _nodes(seg.c_part, x[:1], np.diff(x)))
     key = (seg, cfg)
     try:
         mesh = _MESH_CACHE.get(key)
@@ -586,13 +617,14 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
 
 
 def _sample_plan(mesh: _Mesh, xs: np.ndarray):
-    """(node index, partial length, c at its Gauss nodes) of the Magnus
+    """(node index, coefficients, c at the middle node) of the Magnus
     substep from the preceding mesh node to each sample point."""
     direction = 1.0 if mesh.h[0] > 0 else -1.0
     idx = np.searchsorted(mesh.x * direction, xs * direction, side="right") - 1
     idx = np.clip(idx, 0, mesh.h.size - 1)
     t = xs - mesh.x[idx]
-    return idx, t, _nodes(mesh.c, mesh.x[idx], t)
+    cn = _nodes(mesh.c, mesh.x[idx], t)
+    return idx, _coefficients(t[:, None], cn[..., None]), cn[1][:, None]
 
 
 def _unit(Y: np.ndarray, logs: np.ndarray):
@@ -606,54 +638,53 @@ def _chain(M: np.ndarray, L: np.ndarray, y: np.ndarray, ly: np.ndarray, nodes: b
     """Carry the states ``y`` (2, k) with log scales ``ly`` (k,) through the
     interval matrices ``M`` (2, 2, N, k) with log scales ``L`` (N, k).
 
-    Blocked scan: running products over S ~ sqrt(N) intervals inside each
-    block (vectorized across blocks), then the block products applied
-    block after block, so no Python loop runs over members or over every
-    interval.  Returns the end state and logs, and with ``nodes`` the
-    states (2, N + 1, k) and logs (N + 1, k) at every mesh node.
+    Pairwise tree: each level multiplies neighbouring matrices, the later
+    one on the left, for all pairs at once, and rescales the products
+    every ``_RENORM_EVERY`` levels; an odd level's last matrix is a tail.
+    The end state passes through the top product, then through the tails
+    from the highest level down.  With ``nodes`` a down-sweep gives the
+    states (2, N + 1, k) and logs (N + 1, k) at every mesh node: a pair
+    starts where its parent does, its second matrix where the first one
+    leaves.  Every operation is elementwise per member.
     """
-    N, k = L.shape
-    S = math.isqrt(N - 1) + 1
-    B = -(-N // S)
-    Mp = np.zeros((2, 2, B * S, k))
-    Mp[0, 0, N:] = Mp[1, 1, N:] = 1.0  # identity padding
-    Mp[:, :, :N] = M
-    # step-major layout: the matrices of step s of every block are contiguous
-    Mp = np.ascontiguousarray(Mp.reshape(2, 2, B, S, k).transpose(3, 0, 1, 2, 4))
-    Lp = np.zeros((B * S, k))
-    Lp[:N] = L
-    Lp = np.ascontiguousarray(Lp.reshape(B, S, k).swapaxes(0, 1))
-    P = np.empty((S, 2, 2, B, k))
-    P[0] = Mp[0]
-    for s in range(1, S):
-        m, p, q = Mp[s], P[s - 1], P[s]
-        np.multiply(m[:, 0, None], p[None, 0], out=q)
-        q += m[:, 1, None] * p[None, 1]
-        if s % _RENORM_EVERY == 0 or s == S - 1:
-            sc = np.abs(q).max(axis=(0, 1))
-            q /= sc
-            Lp[s] += np.log(sc)
-    LP = np.cumsum(Lp, axis=0)  # (S, B, k)
-    Yb = np.empty((2, B, k))
-    LY = np.empty((B, k))
-    cur, lcur = y, ly
-    for b in range(B):
-        Yb[:, b] = cur
-        LY[b] = lcur
-        T = P[S - 1, :, :, b]
-        cur = T[:, 0] * cur[0] + T[:, 1] * cur[1]
-        lcur = lcur + LP[S - 1, b]
-        if b % _RENORM_EVERY == _RENORM_EVERY - 1:
-            cur, lcur = _unit(cur, lcur)
+    k = L.shape[1]
+    tree = [(M, L)]
+    while M.shape[2] > 1:
+        n = M.shape[2] // 2 * 2
+        a, b = M[:, :, 0:n:2], M[:, :, 1:n:2]
+        M = b[:, 0, None] * a[None, 0]
+        M += b[:, 1, None] * a[None, 1]
+        L = L[0:n:2] + L[1:n:2]
+        if len(tree) % _RENORM_EVERY == 0:
+            sc = np.abs(M).max(axis=(0, 1))
+            M /= sc
+            L += np.log(sc)
+        tree.append((M, L))
+    cur = M[:, 0, 0] * y[0] + M[:, 1, 0] * y[1]
+    lcur = ly + L[0]
+    starts = {}
+    for level in reversed(range(len(tree) - 1)):
+        T, LT = tree[level]
+        if T.shape[2] % 2:
+            starts[level] = cur, lcur
+            cur = T[:, 0, -1] * cur[0] + T[:, 1, -1] * cur[1]
+            lcur = lcur + LT[-1]
     cur, lcur = _unit(cur, lcur)
     if not nodes:
         return cur, lcur, None, None
-    inner = P[:, :, 0] * Yb[0] + P[:, :, 1] * Yb[1]  # (S, 2, B, k)
-    states = np.concatenate(
-        [y[:, None], inner.transpose(1, 2, 0, 3).reshape(2, B * S, k)[:, :N]], axis=1
-    )
-    logs = np.concatenate([ly[None], (LP + LY).swapaxes(0, 1).reshape(B * S, k)[:N]])
-    return cur, lcur, states, logs
+    S, LS = y[:, None], ly[None]
+    for level in reversed(range(len(tree) - 1)):
+        T, LT = tree[level]
+        N, n = T.shape[2], 2 * S.shape[1]
+        a = T[:, :, 0:n:2]
+        S2, LS2 = np.empty((2, N, k)), np.empty((N, k))
+        S2[:, 0:n:2], LS2[0:n:2] = S, LS
+        S2[:, 1:n:2] = a[:, 0] * S[0] + a[:, 1] * S[1]
+        LS2[1:n:2] = LS + LT[0:n:2]
+        if N % 2:
+            S2[:, -1], LS2[-1] = starts[level]
+        S, LS = S2, LS2
+    return cur, lcur, np.concatenate([S, cur[:, None]], axis=1), np.concatenate([LS, lcur[None]])
 
 
 def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -700,21 +731,19 @@ def _mesh_apply(mesh, mw, Y, logs, counts, seg_samples, rec_states, rec_logs, re
     K = len(seg_samples)
     rows = slice(rec_i, rec_i + K)
     group = max(1, _WORK_CAP // max(N, K))
-    h = mesh.h[:, None]
     nodes = counts is not None or plan is not None
     for lo in range(0, mw.size, group):
         c = slice(lo, lo + group)
-        q = mesh.cn[..., None] + mw[c]
-        m11, m12, m21, m22, lg = _steps(h, q)
+        m11, m12, m21, m22, lg = _steps(mesh.coef, mesh.cmid + mw[c])
         y, ly = _unit(Y[:, c], logs[c])
         end, lend, st, sl = _chain(np.array([[m11, m12], [m21, m22]]), lg, y, ly, nodes)
         Y[:, c] = end
         logs[c] = lend
         if counts is not None:
-            counts[c] += _mesh_zero_counts(st, np.tensordot(_GAUSS_WEIGHTS, q, 1), mesh.h)
+            counts[c] += _mesh_zero_counts(st, mesh.cbar + mw[c], mesh.h)
         if plan is not None:
-            idx, t, cs = plan
-            p11, p12, p21, p22, pl = _steps(t[:, None], cs[..., None] + mw[c])
+            idx, coef, cmid = plan
+            p11, p12, p21, p22, pl = _steps(coef, cmid + mw[c])
             su, sv = st[:, idx]
             rec_states[rows, 0, c] = p11 * su + p12 * sv
             rec_states[rows, 1, c] = p21 * su + p22 * sv

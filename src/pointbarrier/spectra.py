@@ -172,11 +172,13 @@ class Spectrum:
 
     ``eigenfunctions[i]`` samples level i on the uniform grid ``x`` of
     [-R, R] (both None unless requested), normalized to unit L2 norm there
-    and oriented so the largest-magnitude sample is positive; a split
-    level is exactly 0 on its other half.  ``residuals`` are the
-    normalized matching-Wronskian values at convergence; ``flags`` carry
-    'ok', 'left'/'right' (split problems), 'degenerate' (near-coincident
-    split pairs) or 'diving' (below the bounded window).
+    and oriented so the leftmost sample of at least half the largest
+    magnitude is positive (a near-tie of two extreme lobes cannot flip
+    it); a split level is exactly 0 on its other half.  ``residuals`` are
+    the normalized matching-Wronskian values at convergence; ``flags``
+    carry 'ok', 'left'/'right' (split problems), 'degenerate' (near-
+    coincident split pairs, listed left half first whichever root rounds
+    lower) or 'diving' (below the bounded window).
     """
 
     eigenvalues: np.ndarray
@@ -417,9 +419,9 @@ def eigen_limit(
 
     Dirichlet walls sit at +-R (R from the potential record).  Split-type
     couplings solve their two half problems; they may return near-
-    coincident pairs, and both members are reported and flagged.  A
-    connected coupling (``ThetaCoupled``, ``ConnectedMatrix``) solves one
-    problem across the interface matrix.  Every problem is scanned
+    coincident pairs, and both members are reported and flagged, the left
+    one first.  A connected coupling (``ThetaCoupled``, ``ConnectedMatrix``)
+    solves one problem across the interface matrix.  Every problem is scanned
     upwards from a start below its lowest level, moved down until the
     Sturm index reads 0 there, so bound states of attractive couplings
     are found.  Raises ``TruncationDomainError`` when a requested level
@@ -432,21 +434,26 @@ def eigen_limit(
     gap_fn, start = _weyl_scan(U)
 
     found = []
-    for flag, problem in _limit_problems(U, bc):
+    for rank, (flag, problem) in enumerate(_limit_problems(U, bc)):
         fvec = _matching(problem, cfg)
         what = "coupled problem" if flag == "ok" else f"{flag} half problem"
         brackets = _verified_scan(fvec, *_scan_start(fvec, start, what), ceiling, gap_fn,
                                   k_max, what)
         roots, residuals = _refine(fvec, brackets, eig_tol)
-        found.extend((lam, res, flag, problem) for lam, res in zip(roots, residuals))
+        found.extend((lam, res, flag, problem, rank) for lam, res in zip(roots, residuals))
     found.sort(key=lambda t: t[0])
+    # flag before the cut: the partner of the last kept level may lie beyond
+    # it.  Which root of a degenerate pair rounds lower is noise, so the pair
+    # keeps the order of its problems
+    ties = [i for i in range(len(found) - 1) if found[i + 1][0] - found[i][0] < 10.0 * eig_tol]
+    for i in ties:
+        if found[i][4] > found[i + 1][4]:
+            found[i], found[i + 1] = found[i + 1], found[i]
     lams, residuals = np.array([t[:2] for t in found]).T
     flags, problems = [t[2] for t in found], [t[3] for t in found]
-    # flag before the cut: the partner of the last kept level may lie beyond it
-    for i in range(len(lams) - 1):
-        if lams[i + 1] - lams[i] < 10.0 * eig_tol:
-            flags[i] += ",degenerate"
-            flags[i + 1] += ",degenerate"
+    for i in ties:
+        flags[i] += ",degenerate"
+        flags[i + 1] += ",degenerate"
     lams, residuals, flags = lams[:k_max], residuals[:k_max], flags[:k_max]
 
     if lams.size and lams[-1] > ceiling:
@@ -759,7 +766,9 @@ def _attach_eigenfunctions(spec, R, problems, cfg, samples_per_unit):
     0.  A second shot is scaled so that its end state meets C applied to
     the first one's.  Samples stay (mantissa, log-exponent) pairs until
     the shots are joined, normalized to unit L2 norm on the grid and
-    oriented so the largest-magnitude sample is positive.
+    oriented so the leftmost sample with at least half the largest
+    magnitude is positive.  The largest sample alone would not do: the
+    outer lobes of an odd level of a symmetric potential tie to rounding.
     """
     xs = np.linspace(-R, R, int(round(2 * R * samples_per_unit)) + 1)
     funcs = np.zeros((len(spec.eigenvalues), len(xs)))
@@ -786,7 +795,8 @@ def _attach_eigenfunctions(spec, R, problems, cfg, samples_per_unit):
         nrm = math.sqrt(float(np.trapezoid(v * v, xs)))
         if nrm > 0:
             v = v / nrm
-            if v[np.argmax(np.abs(v))] < 0:
+            mag = np.abs(v)
+            if v[np.argmax(mag >= 0.5 * mag.max())] < 0:
                 v = -v
         funcs[i] = v
     spec.x = xs

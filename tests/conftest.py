@@ -10,7 +10,10 @@ amplitudes, the latter also in ``decimal`` arithmetic for barriers whose
 matrices leave the range of a double), the resonant transmission limit and
 the first-order eigenvalue corrector live here too: they check the
 library, which does not use them.  So does the boundary data of a limit
-eigenfunction at the origin, which only the corrector reads.
+eigenfunction at the origin, which only the corrector reads.  The
+Magnus transport's pieces are checked against their plain forms: the
+exponent written per member from the Blanes-Casas-Ros formula, and the
+chained interval matrices multiplied one interval at a time.
 """
 
 from __future__ import annotations
@@ -180,6 +183,43 @@ def constant_propagator(c: float, length: float) -> np.ndarray:
         return np.array([[math.cos(k * L), math.sin(k * L) / k],
                          [-k * math.sin(k * L), math.cos(k * L)]])
     return np.array([[1.0, L], [0.0, 1.0]])
+
+
+def magnus_exponent(h, q):
+    """(x, y, z) of the sixth-order Magnus exponent [[x, y], [z, -x]] of
+    -u'' + q u = 0 over signed lengths ``h``, from q at the three Gauss
+    nodes, written per member from the Blanes-Casas-Ros formula (BIT 40
+    (2000) 434-450): with A = [[0, 1], [q, 0]] at the nodes, a1 = h A2,
+    a2 = sqrt(15) h / 3 (A3 - A1) and a3 = 10 h / 3 (A3 - 2 A2 + A1), the
+    exponent is a1 + a3 / 12 + [-20 a1 - a3 + C1, a2 + C2] / 240 with C1 =
+    [a1, a2] and C2 = -[a1, 2 a3 + C1] / 60."""
+    q1, q2, q3 = q
+    a2 = math.sqrt(15.0) / 3.0 * h * (q3 - q1)
+    a3 = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)
+    hq2 = h * q2
+    x = h * a2 / 240.0 * (-20.0 + 4.0 / 3.0 * h * hq2 + h * a3 / 30.0)
+    y = h + h * h / 240.0 * (h * a2 * a2 / 15.0 - 4.0 / 3.0 * a3)
+    z = hq2 + a3 / 12.0 + h / 240.0 * (
+        4.0 / 3.0 * hq2 * a3 + a3 * a3 / 15.0 - 2.0 * a2 * a2 + h * hq2 * a2 * a2 / 15.0
+    )
+    return x, y, z
+
+
+def sequential_chain(M, L, y, ly):
+    """States (2, N + 1, k) and logs (N + 1, k) at every node of the states
+    ``y`` (2, k) with logs ``ly`` carried through the interval matrices
+    ``M`` (2, 2, N, k) with logs ``L`` (N, k) one interval at a time,
+    each state rescaled to unit max-norm."""
+    N, k = L.shape
+    states, logs = np.empty((2, N + 1, k)), np.empty((N + 1, k))
+    cur, lcur = np.array(y, dtype=float), np.array(ly, dtype=float)
+    for i in range(N):
+        states[:, i], logs[i] = cur, lcur
+        cur = M[:, 0, i] * cur[0] + M[:, 1, i] * cur[1]
+        s = np.abs(cur).max(axis=0)
+        cur, lcur = cur / s, lcur + L[i] + np.log(s)
+    states[:, N], logs[N] = cur, lcur
+    return states, logs
 
 
 def match_plane_waves(M, ep, em, ik):

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import constant_propagator, dop853_family
+from conftest import constant_propagator, dop853_family, magnus_exponent, sequential_chain
 
 from pointbarrier.errors import NumericsError, StepSizeUnderflowError
+from pointbarrier import ivp
 from pointbarrier.ivp import FamilySegment, SolverConfig, propagate_family
 
 
@@ -455,3 +456,103 @@ def test_rk_step_size_underflow():
     with pytest.raises(StepSizeUnderflowError) as err:
         propagate_family(segs, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
     assert abs(err.value.location - 0.5) < 0.1
+
+
+# -- pieces of the Magnus transport ---------------------------------------------
+
+def _true_scale_gap(a, la, b, lb):
+    """max |a e^la - b e^lb| / max |b e^lb| per state, without leaving a double."""
+    return np.abs(a * np.exp(la - lb) - b).max(axis=0) / np.abs(b).max(axis=0)
+
+
+@pytest.mark.parametrize("nodes", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 9, 33, 700])
+def test_chain_matches_a_sequential_product(N, k, nodes):
+    # every tree shape: odd levels leave tails at different depths
+    rng = np.random.default_rng(10 * N + k)
+    M = rng.normal(size=(2, 2, N, k))
+    L = rng.uniform(-1.0, 1.0, (N, k))
+    y = rng.normal(size=(2, k))
+    y /= np.abs(y).max(axis=0)
+    ly = rng.uniform(-1.0, 1.0, k)
+    end, lend, states, logs = ivp._chain(M, L, y, ly, nodes)
+    ref, lref = sequential_chain(M, L, y, ly)
+    tol = 2e-13 + 2e-15 * np.abs(lref)  # the product's rounding, then the log scale's
+    assert np.all(_true_scale_gap(end, lend, ref[:, -1], lref[-1]) <= tol[-1])
+    if nodes:
+        assert states.shape == (2, N + 1, k) and logs.shape == (N + 1, k)
+        assert np.all(_true_scale_gap(states, logs, ref, lref) <= tol)
+    else:
+        assert states is None and logs is None
+
+
+@pytest.mark.parametrize("nodes", [False, True])
+def test_chain_keeps_states_beyond_a_double_finite(nodes):
+    # |q| around 1e8 on 700 intervals: exact constant-coefficient steps
+    # with exp(r) factored out of the hyperbolic ones, whose true-scale
+    # product leaves the range of a double
+    rng = np.random.default_rng(7)
+    N, k = 700, 2
+    q = rng.choice([-1.0, 1.0], (N, k)) * 1e8 * rng.uniform(0.5, 2.0, (N, k))
+    h = rng.uniform(1e-4, 2e-3, (N, 1))
+    w = np.sqrt(np.abs(q))
+    r = h * w
+    hyper = q > 0.0
+    ch = np.where(hyper, 0.5 * (1.0 + np.exp(-2.0 * r)), np.cos(r))
+    sh = np.where(hyper, -0.5 * np.expm1(-2.0 * r), np.sin(r))
+    M = np.array([[ch, sh / w], [np.where(hyper, w, -w) * sh, ch]])
+    L = np.where(hyper, r, 0.0)
+    y, ly = np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(k)
+    ref, lref = sequential_chain(M, L, y, ly)
+    assert lref[-1].min() > math.log(np.finfo(float).max)
+    end, lend, states, logs = ivp._chain(M, L, y, ly, nodes)
+    tol = 2e-13 + 2e-15 * np.abs(lref)
+    assert np.all(np.isfinite(end)) and np.all(np.isfinite(lend))
+    assert np.all(_true_scale_gap(end, lend, ref[:, -1], lref[-1]) <= tol[-1])
+    if nodes:
+        assert np.all(np.isfinite(states)) and np.all(np.isfinite(logs))
+        assert np.all(_true_scale_gap(states, logs, ref, lref) <= tol)
+
+
+def test_coefficient_split_matches_the_direct_exponent():
+    # c and the shifts are multiples of 2^-10, so every shifted node value
+    # c + s is exact and the direct formula loses nothing to it; about a
+    # twelfth of the entries lie on the series branch of _expm
+    rng = np.random.default_rng(3)
+    N = 400
+    h = rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(-5.0, -1.0, N)
+    cn = np.round(rng.normal(size=(3, N)) * 10.0 ** rng.uniform(-1.0, 3.0, N) * 1024.0) / 1024.0
+    s = rng.choice([-1.0, 1.0], 15) * 10.0 ** rng.uniform(-3.0, 12.0, 15)
+    s = np.round(np.append(s, [0.0, 1e12, -1e12]) * 1024.0) / 1024.0
+    q = cn[..., None] + s
+    assert np.array_equal(q - s, np.broadcast_to(cn[..., None], q.shape))
+    x, y, z = magnus_exponent(h[:, None], q)
+    det = x * x + y * z
+    assert 0.05 < np.mean(np.abs(det) <= ivp._SERIES_THRESHOLD) < 0.5
+    assert np.any(det > 1e6) and np.any(det < -1e6)
+    got = ivp._steps(ivp._coefficients(h[:, None], cn[..., None]), cn[1][:, None] + s)
+    want = ivp._expm(x, y, z)
+    gap = np.abs(np.array(got[:4]) * np.exp(got[4] - want[4]) - np.array(want[:4])).max(axis=0)
+    # the entries are at most 1 + |x| + |y| + |z| times exp(logscale); the
+    # exponent's rounding moves them by that times r = sqrt|det|
+    bound = (1.0 + np.sqrt(np.abs(det))) * (1.0 + np.abs(x) + np.abs(y) + np.abs(z))
+    assert np.all(gap <= 1e-14 * bound)
+
+
+def test_expm_branches_match_scipy():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(2, 300))
+    z = (rng.choice([-1.0, 1.0], 300) * 10.0 ** rng.uniform(-9.0, 2.5, 300) - x * x) / y
+    m11, m12, m21, m22, logs = ivp._expm(x, y, z)
+    det = x * x + y * z
+    for branch in (det > 1e-6, det < -1e-6, np.abs(det) <= 1e-6):
+        assert branch.sum() > 50
+    # the bound of test_coefficient_split_matches_the_direct_exponent
+    bound = (1.0 + np.sqrt(np.abs(det))) * (1.0 + np.abs(x) + np.abs(y) + np.abs(z))
+    for i in range(300):
+        want = expm(np.array([[x[i], y[i]], [z[i], -x[i]]]))
+        got = np.array([[m11[i], m12[i]], [m21[i], m22[i]]]) * math.exp(logs[i])
+        assert np.abs(got - want).max() <= 1e-14 * bound[i] * math.exp(logs[i])
