@@ -166,6 +166,11 @@ def polynomial_potential(coeffs: Sequence[float], radius: float, label: str | No
     return ConfiningPotential(U, radius, label or ("poly:" + ",".join(repr(c) for c in cs)))
 
 
+def _rounding_gap(lam):
+    """How far two eigenvalues may descend and still count as ascending."""
+    return 1e-9 * np.maximum(1.0, np.abs(lam))
+
+
 @dataclass
 class Spectrum:
     """Ordered eigenvalues with optional sampled eigenfunctions.
@@ -177,8 +182,9 @@ class Spectrum:
     it); a split level is exactly 0 on its other half.  ``residuals`` are
     the normalized matching-Wronskian values at convergence; ``flags``
     carry 'ok', 'left'/'right' (split problems), 'degenerate' (near-
-    coincident split pairs, listed left half first whichever root rounds
-    lower) or 'diving' (below the bounded window).
+    coincident split pairs; a pair equal to rounding lists its left half
+    first whichever root rounds lower) or 'diving' (below the bounded
+    window).
     """
 
     eigenvalues: np.ndarray
@@ -189,7 +195,7 @@ class Spectrum:
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
-        if lam.size > 1 and np.any(np.diff(lam) < -1e-9 * np.maximum(1.0, np.abs(lam[:-1]))):
+        if lam.size > 1 and np.any(np.diff(lam) < -_rounding_gap(lam[:-1])):
             raise ValueError("eigenvalues must be ascending")
 
 
@@ -419,12 +425,12 @@ def eigen_limit(
 
     Dirichlet walls sit at +-R (R from the potential record).  Split-type
     couplings solve their two half problems; they may return near-
-    coincident pairs, and both members are reported and flagged, the left
-    one first.  A connected coupling (``ThetaCoupled``, ``ConnectedMatrix``)
-    solves one problem across the interface matrix.  Every problem is scanned
-    upwards from a start below its lowest level, moved down until the
-    Sturm index reads 0 there, so bound states of attractive couplings
-    are found.  Raises ``TruncationDomainError`` when a requested level
+    coincident pairs, and both members are reported and flagged, ascending
+    (the left one first when they are equal to rounding).  A connected
+    coupling (``ThetaCoupled``, ``ConnectedMatrix``) solves one problem
+    across the interface matrix.  Every problem is scanned upwards from a
+    start below its lowest level, moved down until the Sturm index reads 0
+    there, so bound states of attractive couplings are found.  Raises ``TruncationDomainError`` when a requested level
     comes within ``_WALL_MARGIN`` of the wall potential.
     """
     if k_max < 1:
@@ -442,13 +448,16 @@ def eigen_limit(
         roots, residuals = _refine(fvec, brackets, eig_tol)
         found.extend((lam, res, flag, problem, rank) for lam, res in zip(roots, residuals))
     found.sort(key=lambda t: t[0])
-    # flag before the cut: the partner of the last kept level may lie beyond
-    # it.  Which root of a degenerate pair rounds lower is noise, so the pair
-    # keeps the order of its problems
-    ties = [i for i in range(len(found) - 1) if found[i + 1][0] - found[i][0] < 10.0 * eig_tol]
-    for i in ties:
-        if found[i][4] > found[i + 1][4]:
+    # which root of an exactly degenerate pair rounds lower is noise, so a
+    # pair within rounding keeps the order of its problems; a wider pair,
+    # however close, stays ascending
+    for i in range(len(found) - 1):
+        if (found[i][4] > found[i + 1][4]
+                and found[i + 1][0] - found[i][0] <= _rounding_gap(found[i + 1][0])):
             found[i], found[i + 1] = found[i + 1], found[i]
+    # flag before the cut: the partner of the last kept level may lie beyond it
+    ties = [i for i in range(len(found) - 1)
+            if abs(found[i + 1][0] - found[i][0]) < 10.0 * eig_tol]
     lams, residuals = np.array([t[:2] for t in found]).T
     flags, problems = [t[2] for t in found], [t[3] for t in found]
     for i in ties:

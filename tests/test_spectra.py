@@ -221,6 +221,18 @@ def test_a_degenerate_split_pair_lists_its_left_half_first(coeffs, radius):
     assert spec.flags == ["left,degenerate", "right,degenerate"] * 2
 
 
+@pytest.mark.parametrize("tilt, first", [(-1e-7, "right"), (1e-7, "left"), (-1e-6, "right")])
+def test_a_near_degenerate_split_pair_stays_ascending(tilt, first):
+    # a small odd term splits the halves by about |tilt|: above rounding,
+    # below ten eig_tol, so the pair is flagged but listed by value
+    spec = eigen_limit(polynomial_potential([0.0, tilt, 1.0], 7.0), DirichletSplit(), 4,
+                       eig_tol=1e-6, eigenfunctions=False)
+    gaps = np.diff(spec.eigenvalues)[::2]
+    assert np.all(gaps > 1e-9 * spec.eigenvalues[1::2]) and np.all(gaps < 1e-5), gaps
+    other = "left" if first == "right" else "right"
+    assert spec.flags == [f"{first},degenerate", f"{other},degenerate"] * 2
+
+
 def test_split_eigenfunctions_vanish_on_the_dead_half(tilted):
     spec = eigen_limit(tilted, DirichletSplit(), 4, eigenfunctions=True)
     assert sorted(f.split(",")[0] for f in spec.flags) == ["left", "left", "right", "right"]
