@@ -151,11 +151,9 @@ def _rk_span(
     x0: float,
     x1: float,
     Y: np.ndarray,
-    logs: np.ndarray,
     cfg: SolverConfig,
     hmax: float,
     hmin: float,
-    rescale: bool,
     record_xs=None,
     record_fn=None,
     counts: np.ndarray | None = None,
@@ -172,7 +170,7 @@ def _rk_span(
     if span == 0.0 and record_xs is None:
         return
     path = _rk_span_scalar if Y.shape[1] == 1 else _rk_span_vector
-    path(qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counts)
+    path(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn, counts)
 
 
 def _stops(x1: float, record_xs) -> list[float]:
@@ -182,14 +180,13 @@ def _stops(x1: float, record_xs) -> list[float]:
 
 
 def _rk_span_scalar(
-    qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counts=None
+    qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn, counts=None
 ) -> None:
     """Single-trajectory path in plain Python scalars."""
     rtol, atol = cfg.rel_tol, _RK_ABS_TOL
     direction = 1.0 if x1 > x0 else -1.0
     u = Y[0, 0].item()
     v = Y[1, 0].item()
-    lg = float(logs[0])
     q = qv  # float-valued closure supplied by propagate_family for n == 1
     psign = (u > 0) - (u < 0)
 
@@ -262,14 +259,6 @@ def _rk_span_scalar(
                     if sgn and psign and sgn != psign:
                         counts[0] += 1
                     psign = sgn or psign
-                if rescale:
-                    s = max(abs(u), abs(v))
-                    if s > 1e3 or (0.0 < s < 1e-3):
-                        u /= s
-                        v /= s
-                        ku1 /= s
-                        kv1 /= s
-                        lg += math.log(s)
                 fac = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
                 if not clip:
                     h *= max(0.2, fac)
@@ -285,16 +274,14 @@ def _rk_span_scalar(
         if record_fn is not None and i_stop < len(stops) - 1:
             Y[0, 0] = u
             Y[1, 0] = v
-            logs[0] = lg
             record_fn(i_stop)
         i_stop += 1
     Y[0, 0] = u
     Y[1, 0] = v
-    logs[0] = lg
 
 
 def _rk_span_vector(
-    qv, x0, x1, Y, logs, cfg, hmax, hmin, rescale, record_xs, record_fn, counts=None
+    qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn, counts=None
 ) -> None:
     """Family path: flat (2n,) states, stage combinations via BLAS matvec,
     every array of the step loop allocated once per call."""
@@ -358,15 +345,6 @@ def _rk_span_vector(
                     np.sign(y[:n], out=sgn)
                     counts += sgn * psign < 0
                     np.copyto(psign, sgn, where=sgn != 0)
-                if rescale:
-                    s = np.maximum(np.abs(y[:n]), np.abs(y[n:]))
-                    if not np.all((s > 1e-3) & (s < 1e3)):
-                        s = np.where(s == 0.0, 1.0, s)
-                        y[:n] /= s
-                        y[n:] /= s
-                        K[0, :n] /= s
-                        K[0, n:] /= s
-                        logs += np.log(s)
                 fac = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
                 if not clip:
                     h *= max(0.2, fac)
@@ -692,32 +670,40 @@ def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np
     (2, N + 1, k) and the mean coefficient ``qbar`` (N, k) of every
     interval.
 
-    An interval whose mean coefficient turns u through more than a radian
-    (-qbar h^2 > 1) counts the multiples of pi crossed by the Pruefer
-    angle atan2(w u, u'), w = sqrt(-qbar): the mean-coefficient closed
-    form predicts the turn w |h|, the actual end state fixes its
-    fraction.  Any other interval holds at most one zero (the variation
-    cap of the mesh bounds max(-q) h^2 well below pi^2), seen as a sign
-    flip.  A turn count that a double cannot hold exactly (above 2^53, or
-    not finite) raises ``NumericsError``.
+    Each node has its own half-turn: whether its Pruefer angle atan2(u,
+    u'), taken in [0, 2 pi) along the direction of travel, has reached pi.
+    It reads the signs alone (u < 0, or an exact zero of u met with u' <
+    0), so the interval that ends on a node and the one that starts there
+    agree on a zero sitting there: the first counts it.  An interval
+    whose mean coefficient turns u through more than a radian (-qbar h^2
+    > 1) counts its whole laps of the scaled angle atan2(w u, u'), w =
+    sqrt(-qbar), as the mean-coefficient closed form predicts them from
+    the turn w |h| and the node angles, plus the change of half-turn.
+    Any other interval holds at most one zero (the variation cap of the
+    mesh bounds max(-q) h^2 well below pi^2), seen as a change of
+    half-turn.  A turn count that a double cannot hold exactly (above
+    2^53, or not finite) raises ``NumericsError``.
     """
     u, v = states
-    u0, u1, v0, v1 = u[:-1], u[1:], v[:-1], v[1:]
-    hh = h[:, None]
-    add = ((u0 != 0.0) & (u1 != 0.0) & ((u0 < 0.0) != (u1 < 0.0))).astype(int)
-    osc = -qbar * hh * hh > 1.0
+    sg = 1.0 if h[0] > 0 else -1.0
+    half = (u < 0.0) | ((u == 0.0) & (sg * v < 0.0))
+    add = (half[1:] != half[:-1]).astype(int)
+    osc = -qbar * (h * h)[:, None] > 1.0
     if osc.any():
-        w = np.sqrt(np.where(osc, -qbar, 1.0))
-        sg = np.sign(hh)
-        th0 = np.arctan2(w * u0, sg * v0)
-        ph1 = np.arctan2(w * u1, sg * v1)
-        th1 = ph1 + 2.0 * math.pi * np.round((th0 + w * np.abs(hh) - ph1) / (2.0 * math.pi))
-        turns = np.where(osc, np.floor(th1 / math.pi) - np.floor(th0 / math.pi), 0.0)
+        i, k = np.nonzero(osc)
+        w = np.sqrt(-qbar[i, k])
+
+        def angle(node):  # in [0, 2 pi], on the side of pi that ``half`` reads
+            ph = np.arctan2(w * u[node, k], sg * v[node, k])
+            return np.where(half[node, k] & (ph <= 0.0), ph + 2.0 * math.pi, ph)
+
+        laps = np.round((angle(i) + w * np.abs(h[i]) - angle(i + 1)) / (2.0 * math.pi))
+        turns = 2.0 * laps + half[i + 1, k] - half[i, k]
         if not np.all(np.abs(turns) <= _EXACT_COUNT):  # NaN fails too
             raise NumericsError(
                 f"a mesh interval turns u through {np.max(np.abs(turns)):.6g} half-periods, "
                 "more than a double counts exactly")
-        add = np.where(osc, turns.astype(int), add)
+        add[i, k] = turns
     return add.sum(axis=0)
 
 
@@ -769,7 +755,9 @@ def propagate_family(
     shared finite real (2,) state or a (2, n) block; a complex one raises
     ``ValueError``.  Consecutive segments must join; they may run in
     either direction, consistently.  ``samples`` requests state records
-    at given x locations (visited in path order).  A returned state, log
+    at given x locations (visited in path order).  ``rescale`` keeps the
+    log scales of the Magnus segments; a Runge-Kutta segment starts from
+    true-scale states and adds no scale.  A returned state, log
     or sample that is not finite, or a zero count that a double cannot
     hold exactly, raises ``NumericsError``; numpy warns of nothing inside.
     """
@@ -829,28 +817,27 @@ def propagate_family(
                             seg_samples, rec_states, rec_logs, rec_i)
                 rec_i += len(seg_samples)
                 continue
-            if not rescale:  # the RK's absolute tolerance reads true states
-                Y *= np.exp(logs)
-                logs[:] = 0.0
+            Y *= np.exp(logs)  # the RK's absolute tolerance reads true states
+            logs[:] = 0.0
             cp, wp = seg.c_part, seg.w_part
             c0 = None if callable(cp) else float(cp)
             # tiny families run faster member-by-member on the scalar fast path
             base = rec_i
             lanes = [slice(i, i + 1) for i in range(n)] if 1 < n <= 6 else [slice(0, n)]
             for lane in lanes:
-                Yl, logs_l = Y[:, lane], logs[lane]
+                Yl = Y[:, lane]
                 ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
 
-                def record(j: int, _lane=lane, _Y=Yl, _logs=logs_l) -> None:
+                def record(j: int, _lane=lane, _Y=Yl) -> None:
                     rec_states[base + j, :, _lane] = _Y
-                    rec_logs[base + j, _lane] = _logs
+                    rec_logs[base + j, _lane] = 0.0
 
                 if c0 is None:
                     qv = lambda x, ml=ml: cp(x) + ml * wp(x)
                 else:
                     qv = lambda x, ml=ml: c0 + ml * wp(x)
                 _rk_span(
-                    qv, seg.a, seg.b, Yl, logs_l, cfg, hmax, hmin, rescale,
+                    qv, seg.a, seg.b, Yl, cfg, hmax, hmin,
                     record_xs=seg_samples if len(seg_samples) else None,
                     record_fn=record if len(seg_samples) else None,
                     counts=counts[lane] if counts is not None else None,

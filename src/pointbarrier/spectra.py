@@ -58,6 +58,7 @@ __all__ = [
 DEFAULT_EIG_TOL = 1e-8
 _WALL_MARGIN = 25.0  # least gap between the wall potential and a requested level
 _DEPTH_FLOOR = 1e-7  # shallowest interval well scanned, relative to the lower bound
+_DIVE_RATIO = 1.25  # ratio of neighbouring points of the grid of a diving search
 SAMPLES_PER_UNIT = 2001
 _CHUNK = 48
 _BELOW_PI = math.nextafter(math.pi, 0.0)
@@ -388,15 +389,16 @@ def _verified_scan(
     return brackets[:k_needed]
 
 
-def _grid_roots(fvec, grid: np.ndarray, xtol: float, rtol: float) -> np.ndarray:
-    """Roots of ``fvec`` in the cells of the ascending ``grid``: cells are
-    split until the zero counts show every root, then refined together."""
+def _diving_levels(fvec, bottom: float, top: float, eig_tol: float):
+    """(roots, residuals) of every root of ``fvec`` in (bottom, top],
+    bottom < top < 0: the cells of one geometric grid whose neighbouring
+    points are at most ``_DIVE_RATIO`` apart are split until the index
+    shows every root (``resolve_cells``), then refined to ``eig_tol``."""
+    n = math.ceil(math.log(bottom / top) / math.log(_DIVE_RATIO)) + 1
+    grid = np.geomspace(bottom, top, n)
     brackets: list[tuple[float, float]] = []
     resolve_cells(fvec, grid, *fvec(grid, True), brackets)
-    if not brackets:
-        return np.empty(0)
-    lo, hi = np.array(brackets).T
-    return illinois_vector(fvec, lo, hi, xtol=xtol, rtol=rtol)
+    return _refine(fvec, brackets, eig_tol)
 
 
 def _refine(fvec, brackets, eig_tol):
@@ -523,12 +525,16 @@ def eigen_perturbed(
     operator -y'' + (U + alpha eps^-2 profile(x/eps)) y on [-R, R].
 
     The Sturm index counts the levels below the bounded window, which dive
-    like eps^-2, and only the levels asked for are located.  Diving ones
-    are searched for down to -2 |alpha| max|profile| eps^-2, a lower bound
-    of the operator, and refined to about 1e-7 relative (only their count
-    and magnitude matter); a search that finds other than the counted
-    number raises ``NumericsError``.  Bounded ones are scanned upwards and
-    refined to ``eig_tol``.
+    like eps^-2, and only the levels asked for are located, all as roots,
+    to ``eig_tol``, of the one matching function whose index counted them.
+    Diving ones are searched for from the scan start of the bounded window
+    less 2 |alpha| max|profile| eps^-2, which lies below the operator, up
+    to that start; a search that finds other than the counted number
+    raises ``NumericsError``.  Bounded ones are scanned upwards.  The
+    walls' meshes are sized from U, not from the level, so a level of size
+    eps^-2 is good to a few 1e-7 relative, not to ``eig_tol``: 17 diving
+    levels of tilted_harmonic (R = 8) at eps from 0.05 to 1e-3 were within
+    3.4e-7 of a DOP853 oracle.
     """
     k_lo, k_hi = k_range
     if not (1 <= k_lo <= k_hi):
@@ -549,7 +555,8 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
         raise ValueError("barrier wider than the computational box")
     gap_fn, lam_split = _weyl_scan(U)
     barrier = _barrier_chain(p, alpha, eps, U)
-    problem = _perturbed_chains(U, barrier, eps, U.truncation_radius)
+    R = U.truncation_radius  # Dirichlet walls at -+R, matched at +eps past the barrier
+    problem = _Problem([_wall_chain(U, -R, -eps) + barrier, _wall_chain(U, R, eps)])
     fvec = _matching(problem, cfg)
     shot = fvec(np.array([lam_split]), True)
     n_dive = int(shot[1][0])
@@ -559,7 +566,8 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
         lams, residuals, flags = np.empty(0), np.empty(0), []
         first = n_dive + 1  # the global index of lams[0]
         if k_lo <= n_dive:
-            lams, residuals = _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split)
+            depth = 2.0 * abs(alpha) * p.max_abs / (eps * eps)
+            lams, residuals = _diving_levels(fvec, lam_split - depth, lam_split, eig_tol)
             if lams.size != n_dive:
                 raise NumericsError(f"the Sturm index counts {n_dive} levels below "
                                     f"{lam_split:.6g}, but the diving search found {lams.size}")
@@ -578,50 +586,6 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
         return spec
 
     return n_dive, levels
-
-
-def _perturbed_chains(U, barrier, eps, wall) -> _Problem:
-    """The squeezed problem with Dirichlet walls at -+wall, matched at
-    x = +eps: the left shot crosses the ``barrier`` chain."""
-    return _Problem([_wall_chain(U, -wall, -eps) + barrier, _wall_chain(U, wall, eps)])
-
-
-def _perturbed_negative_levels(U, p, alpha, eps, barrier, lam_split):
-    """All eigenvalues below ``lam_split``, chunked by depth.
-
-    For each depth band the Dirichlet walls are pulled in to
-    eps + 44 / sqrt(|lambda|/2) (clamped to R): outside that range the
-    solutions decay through at least ~60 e-folds, so the wall position is
-    irrelevant, and the integration span stays O(1) even for levels of
-    size eps^-2.  A cheaper tolerance is used: these levels scale like
-    eps^-2 and only their count and leading digits matter.
-    """
-    depth = 2.0 * abs(alpha) * p.max_abs / (eps * eps)
-    lam_min = min(lam_split, -depth)
-    loose = SolverConfig(rel_tol=1e-8)
-    R = U.truncation_radius
-
-    bands = []
-    top = lam_split
-    while top > lam_min:
-        bottom = max(lam_min, top * 4.0 if top < -1.0 else top - 4.0)
-        if bottom > lam_min and lam_min / bottom < 1.5:
-            bottom = lam_min
-        bands.append((bottom, top))
-        top = bottom
-
-    roots_all = []
-    res_all = []
-    for bottom, top in bands:
-        wall = min(R, eps + 44.0 / math.sqrt(max(1.0, 0.5 * abs(top))))
-        fvec = _matching(_perturbed_chains(U, barrier, eps, wall), loose)
-        roots = _grid_roots(fvec, np.linspace(bottom, top, 60), xtol=1e-11, rtol=1e-8)
-        if not roots.size:
-            continue
-        roots_all.extend(float(r) for r in roots)
-        res_all.extend(float(abs(v)) for v in fvec(roots))
-    order = np.argsort(roots_all)
-    return np.array(roots_all)[order], np.array(res_all)[order]
 
 
 # -- interval problem (no background potential) ------------------------------------
@@ -680,18 +644,16 @@ def interval_negative_levels(
 ) -> np.ndarray:
     """All negative eigenvalues of the squeezed barrier on (a, b), ascending.
 
-    Scans the rescaled depth mu = eps^2 lambda on a geometric grid from the
-    operator lower bound -2 |alpha| max|profile| down to ``_DEPTH_FLOOR``
-    (1e-7) times that depth, which picks up arbitrarily shallow wells at
-    desk scale.
+    Searches (like the diving levels of ``eigen_perturbed``) from the
+    operator lower bound -2 |alpha| max|profile| eps^-2 up to
+    ``_DEPTH_FLOOR`` (1e-7) times that bound, which picks up arbitrarily
+    shallow wells at desk scale, and refines to ``DEFAULT_EIG_TOL``.
     """
     if alpha == 0.0:
         return np.empty(0)
-    cfg = cfg or DEFAULT_CONFIG
-    fvec = _interval_fvec(a, b, p, alpha, eps, cfg)
-    depth = 2.0 * abs(alpha) * p.max_abs
-    mu = -np.geomspace(depth, depth * _DEPTH_FLOOR, 220)
-    return np.sort(_grid_roots(fvec, mu / (eps * eps), xtol=1e-12, rtol=1e-10))
+    fvec = _interval_fvec(a, b, p, alpha, eps, cfg or DEFAULT_CONFIG)
+    bottom = -2.0 * abs(alpha) * p.max_abs / (eps * eps)
+    return _diving_levels(fvec, bottom, bottom * _DEPTH_FLOOR, DEFAULT_EIG_TOL)[0]
 
 
 def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 The transcendental constants (resonant couplings of the step profile) are
 recomputed here by plain bisection on tanh(k) - tan(k), independently of
 the library's scan machinery, and frozen for the whole session.  Family
-propagations are checked against scipy's DOP853 integrator, and eigenvalues
-against a tridiagonal finite-difference diagonalization.  The closed forms
+propagations are checked against scipy's DOP853 integrator, eigenvalues
+against a tridiagonal finite-difference diagonalization, and diving levels
+against bisection on the matching Wronskian of DOP853 shots.  The closed forms
 of the step profile (its resonance function, coupling ratio and scattering
 amplitudes, the latter also in ``decimal`` arithmetic for barriers whose
 matrices leave the range of a double), the resonant transmission limit and
@@ -84,6 +85,30 @@ def dop853_family(segments, m, init, samples=None):
         y = sol.y[:, -1]
     sampled = np.array(recorded) if samples is not None else None
     return y.reshape(2, n), sampled, zeros
+
+
+def diving_level_oracle(U, p, alpha, eps, lo, hi, iters=40):
+    """The level of -y'' + (U + alpha eps^-2 p(x/eps)) y in (lo, hi), lo <
+    hi < 0, by ``bisect_oracle`` on the normalized matching Wronskian at x
+    = eps of two ``dop853_family`` shots from Dirichlet walls: the left
+    one across the barrier.  A wall sits 25 e-folds of the shallower end
+    out from the barrier (at most at -+R), where a shot of the whole box
+    would leave the range of a double; the level moves by about e^-50
+    relative."""
+    wall = min(U.truncation_radius, eps + 25.0 / math.sqrt(-hi))
+    inv2 = alpha / (eps * eps)
+    barrier = [FamilySegment(eps * seg.a, eps * seg.b,
+                             lambda x, seg=seg: U.U(x) + inv2 * seg(x / eps), -1.0)
+               for seg in p.segments]
+    left = [FamilySegment(-wall, -eps, U.U, -1.0)] + barrier
+    right = [FamilySegment(wall, eps, U.U, -1.0)]
+
+    def wronskian(lam):
+        (u0, v0), (u1, v1) = (dop853_family(chain, lam, np.array([0.0, 1.0]))[0][:, 0]
+                              for chain in (left, right))
+        return (u0 * v1 - v0 * u1) / (math.hypot(u0, v0) * math.hypot(u1, v1))
+
+    return bisect_oracle(wronskian, lo, hi, iters)
 
 
 def fd_levels(U, lo, hi, n, k, s=0.0):

@@ -197,6 +197,19 @@ def test_interval_study(tmp_path, alpha1):
     assert max(rel_diffs) <= 1e-3
 
 
+def test_interval_at_zero_coupling_counts_a_zero_on_a_join_once(tmp_path):
+    # level 8 of (-0.5, 0.5) has a zero of u on the join x = -0.1 (u =
+    # +1.6e-17); counted by both segments, it would hide four levels.  The
+    # alpha = 0 limit is exact
+    out = tmp_path / "iv0"
+    assert run(["interval", "--profile", "step", "--a", "-0.5", "--b", "0.5", "--alpha", "0",
+                "--eps", "0.1", "--count", "8", "--out", str(out)]) == 0
+    rows = _read_rows(out / "interval.csv")
+    assert [int(r["index"]) for r in rows] == list(range(1, 9))
+    assert float(rows[-1]["lambda"]) == pytest.approx((8.0 * math.pi) ** 2, rel=1e-12)
+    assert max(float(r["rel_diff"]) for r in rows) < 1e-9
+
+
 def test_theta_refinement(tmp_path, alpha1, theta1):
     out = tmp_path / "th"
     assert run(["theta", "--profile", "step", "--alpha", "15.4", "--out", str(out)]) == 0

@@ -186,6 +186,23 @@ def test_family_rescaling_tracks_logs():
     assert value == pytest.approx(80.0 - math.log(2.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_rescaled_runge_kutta_segments_keep_the_true_scale(n):
+    # a Runge-Kutta segment starts from true-scale states and adds no
+    # scale, so rescale=True hands back the states of rescale=False times
+    # the log scales of the Magnus segments after it; on the scalar path,
+    # the one-member lanes and the vector path
+    chain = [FamilySegment(0.0, 2.0, 40.0, 0.0),
+             FamilySegment(2.0, 3.0, 0.0, lambda x: 1.0 + x),
+             FamilySegment(3.0, 4.0, lambda x: 25.0 + x, 0.0)]
+    m = np.linspace(-30.0, 20.0, n)
+    plain = propagate_family(chain, m, np.array([1.0, 0.0]), count_zeros=True)
+    scaled = propagate_family(chain, m, np.array([1.0, 0.0]), rescale=True, count_zeros=True)
+    assert np.all(scaled.logs > 5.0)
+    assert np.array_equal(scaled.states * np.exp(scaled.logs), plain.states)
+    assert np.array_equal(scaled.zero_counts, plain.zero_counts)
+
+
 def test_results_beyond_a_double_raise():
     # u(1) = cosh(1000) overflows as a true state but not as a scaled one
     segs = [FamilySegment(0.0, 1.0, 1e6, 0.0)]
@@ -212,17 +229,58 @@ def test_family_samples_match_endpoints():
 
 
 def test_zero_counting_oscillatory():
-    # u = sin(2 pi x) / (2 pi): zeros in (0, 1] at 0.5 and 1.0
+    # u = sin(2 pi x) / (2 pi) has zeros at 0.5 and 1.0, but the shot ends at
+    # u(1) = -3.9e-17 with u' > 0: its Pruefer angle is short of 2 pi, so the
+    # count that agrees with its sign is 1
     w = 2.0 * math.pi
     segs = [FamilySegment(0.0, 1.0, -w * w, 0.0)]
     res = propagate_family(segs, np.zeros(1), np.array([0.0, 1.0]), count_zeros=True)
-    assert res.zero_counts[0] == 2
+    assert -1e-16 < res.states[0, 0] < 0.0 < res.states[1, 0]
+    assert res.zero_counts[0] == 1
     # same count through an independent integrator, on a span that does not
     # end at a zero
     segs = [FamilySegment(0.0, 1.2, -w * w, 0.0)]
     res = propagate_family(segs, np.zeros(1), np.array([0.0, 1.0]), count_zeros=True)
     _, _, rk_zeros = dop853_family(segs, np.zeros(1), np.array([0.0, 1.0]))
     assert res.zero_counts[0] == rk_zeros[0] == 2
+
+
+def test_a_zero_on_a_join_is_counted_once():
+    # lambda = (7.5 pi)^2 from (0, 1) at -0.5: u(-0.1) = sin(3 pi) / w, which
+    # rounds to +1.6e-17.  The interval that ends on the join and the one
+    # that starts there read its half-turn alike, so the join adds no zero
+    lam = np.array([(7.5 * math.pi) ** 2])
+    counts = []
+    for joins in ([-0.5, 0.5], [-0.5, -0.1, 0.5]):
+        segs = [FamilySegment(a, b, 0.0, -1.0) for a, b in zip(joins, joins[1:])]
+        counts.append(propagate_family(segs, lam, np.array([0.0, 1.0]),
+                                       count_zeros=True).zero_counts[0])
+    assert counts == [7, 7]
+
+
+@pytest.mark.parametrize("u_node", [0.0, -0.0, 1e-17, -1e-17])
+@pytest.mark.parametrize("w", [3.25 * math.pi, 0.3])
+def test_a_zero_on_a_mesh_node_counts_where_its_signs_put_it(u_node, w):
+    # u = sin(w (x - 1)) on the nodes 0, 1, 2 with u(1) replaced; w = 3.25 pi
+    # makes both intervals oscillating (7 zeros in all), w = 0.3 makes them
+    # sign-read ones that share one zero.  The zero at the node is reached
+    # when u(1) is an exact zero or has the sign of u'(1), and the two
+    # intervals count the zeros of (0, 2] once whichever holds it
+    from pointbarrier.ivp import _mesh_zero_counts
+
+    x = np.array([0.0, 1.0, 2.0])
+    u, v = np.sin(w * (x - 1.0)), w * np.cos(w * (x - 1.0))
+    u[1] = u_node
+    states = np.array([u, v])[:, :, None]
+    h = np.diff(x)
+    qbar = np.full((2, 1), -w * w)
+    counts = [int(_mesh_zero_counts(states[:, j:j + 2], qbar[j:j + 1], h[j:j + 1])[0])
+              for j in range(2)]
+    reached = u_node == 0.0 or (u_node > 0.0) == (v[1] > 0.0)
+    expected = {(True, True): [4, 3], (True, False): [3, 4],
+                (False, True): [1, 0], (False, False): [0, 1]}[w > 1.0, reached]
+    assert counts == expected
+    assert _mesh_zero_counts(states, qbar, h)[0] == sum(expected)
 
 
 @pytest.mark.parametrize("c_part", [1.0, lambda x: 0.0 * x + 1.0])

@@ -6,6 +6,7 @@ from conftest import (
     BoundaryTrace,
     corrector_lambda1,
     diving_count,
+    diving_level_oracle,
     fd_levels,
     limit_trace,
     reflect,
@@ -283,7 +284,7 @@ def test_bounded_levels_are_found_without_locating_the_diving_ones(tilted, step,
     def located(*args):
         raise AssertionError("diving levels located")
 
-    monkeypatch.setattr(spectra, "_perturbed_negative_levels", located)
+    monkeypatch.setattr(spectra, "_diving_levels", located)
     bounded = eigen_perturbed(tilted, step, alpha1, eps, (n + 1, n + 3))
     assert n >= 1
     assert bounded.flags == ["ok"] * 3
@@ -291,14 +292,31 @@ def test_bounded_levels_are_found_without_locating_the_diving_ones(tilted, step,
     assert np.array_equal(bounded.residuals, full.residuals[n:])
 
 
+@pytest.mark.parametrize("name, alpha, eps, k, level", [
+    ("step", None, 0.01, 1, -107537.81303),
+    ("asymmetric_bump", -50.0, 0.002, 3, -696313.748),
+])
+def test_diving_levels_match_a_dop853_oracle(tilted, alpha1, name, alpha, eps, k, level):
+    # the diving levels are refined on the matching function whose index
+    # counts them; the walls' meshes are sized from U, not from the level,
+    # so the bound is a few 1e-7, not eig_tol
+    p = profiles.builtin(name)
+    alpha = alpha1 if alpha is None else alpha
+    spec = eigen_perturbed(tilted, p, alpha, eps, (k, k))
+    ref = diving_level_oracle(tilted, p, alpha, eps, level * (1.0 + 1e-6), level * (1.0 - 1e-6),
+                              iters=20)
+    assert spec.flags == ["diving"]
+    assert abs(spec.eigenvalues[0] - ref) <= 3e-7 * abs(ref)
+
+
 def test_a_diving_search_short_of_the_count_raises(tilted, step, alpha1, monkeypatch):
-    found = spectra._perturbed_negative_levels
+    found = spectra._diving_levels
 
     def one_short(*args):
         roots, residuals = found(*args)
         return roots[1:], residuals[1:]
 
-    monkeypatch.setattr(spectra, "_perturbed_negative_levels", one_short)
+    monkeypatch.setattr(spectra, "_diving_levels", one_short)
     with pytest.raises(NumericsError, match="counts 1 levels .* found 0"):
         eigen_perturbed(tilted, step, alpha1, 0.1, (1, 2))
 
@@ -360,13 +378,32 @@ def test_interval_levels_on_grid_nodes_at_zero_coupling(step, a, b, eps, count):
     assert spec.eigenvalues == pytest.approx(ref, rel=0.0, abs=spectra.DEFAULT_EIG_TOL)
 
 
+@pytest.mark.parametrize("a, b", [(-0.5, 0.5), (-1.0, 1.0), (-1.0, 2.0), (-1.0, 3.0), (-2.0, 2.0),
+                                  (-0.25, 0.75), (-1.5, 0.5), (-3.0, 1.0)])
+def test_interval_levels_at_zero_coupling_with_zeros_on_mesh_nodes(a, b):
+    # at alpha = 0 a level's shot often has a zero of u on a mesh node or a
+    # segment join (exactly 0.0 at the join x = 0 for asymmetric_bump on
+    # (-0.25, 0.75) at (4 pi)^2, eps = 0.1); counted twice or not at all, it
+    # would skip levels or raise a false halving-floor error
+    for eps in (0.5, 0.25, 0.2, 0.125, 0.1, 0.05, 1e-3):
+        if not a < -eps < eps < b:
+            continue
+        for name in ("step", "odd_cubic", "asymmetric_bump"):
+            spec = interval_spectrum(a, b, profiles.builtin(name), 0.0, eps, 16)
+            ref = [(n * math.pi / (b - a)) ** 2 for n in range(1, 17)]
+            assert spec.eigenvalues == pytest.approx(ref, rel=0.0, abs=spectra.DEFAULT_EIG_TOL), (
+                eps, name)
+
+
 def test_interval_index_at_a_node_with_a_tiny_negative_shot(step):
-    # u(b) = -1.3e-16 at the node below (2 pi / 3)^2: levels 1 and 2 lie at
-    # or below it, not 3
+    # one ulp above (2 pi / 3)^2, where level 2 lies to rounding, the shot
+    # has crossed once and ends at u(b) = -1.3e-16: short of its second
+    # zero by its sign, so the index reads 1, as the sign does (the scan
+    # brackets a root on a node either way), and never 3
     fvec = spectra._interval_fvec(-1.0, 2.0, step, 0.0, 0.05, SolverConfig())
     vals, counts = fvec(np.array([4.386490844928604]), True)
     assert -1e-15 < vals[0] < 0.0
-    assert counts.tolist() == [2]
+    assert counts.tolist() == [1]
 
 
 def test_interval_limit_frequencies_continuity():
