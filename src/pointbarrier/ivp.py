@@ -19,10 +19,17 @@ one of two transports per segment:
   pass and chains the 2x2 matrices with a pairwise product tree.  A
   constant ``c`` needs one interval, on which the step is the exact
   constant-coefficient propagator;
+* the same Magnus transport when ``w`` is callable and the call counts
+  zeros, as in the counted coupling families ``alpha * profile`` of a
+  resonance scan: each member runs on the mesh of its weight bucket
+  2^ceil(log2 max(|m|, 1)), built once per (segment, config, bucket) for
+  the weights up to +-bucket and cached with c and w at the Gauss nodes,
+  so a member's results depend on its own weight alone;
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
-  first-order system when ``w`` is callable, as in the coupling families
-  ``alpha * profile`` of resonance shots, with mandatory step boundaries
-  at the segment ends (piecewise coefficients lose no order).
+  first-order system when ``w`` is callable and the call counts no
+  zeros, as in the shots that refine and confirm a resonance, with
+  mandatory step boundaries at the segment ends (piecewise coefficients
+  lose no order).
 
 States carry an accumulated log-scale so that strongly exponential regimes
 never overflow; determinant signs are unaffected because the scales are
@@ -33,6 +40,7 @@ family of two equal members from ``init = eye(2)``.
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -56,7 +64,9 @@ class SolverConfig:
     ``rel_tol`` bounds the one-step vs two-half-step defect of every mesh
     interval and the local error of every RK step relative to the state
     (with the absolute floor ``_RK_ABS_TOL``).  The tolerance alone sizes
-    the mesh; the RK steps are capped at 1e-2 times the span of the chain.
+    the mesh of a constant w, the tolerance and the weight bucket that of
+    a callable w; the RK steps, which carry the uncounted families of a
+    callable w, are capped at 1e-2 times the span of the chain.
     A mesh interval or RK step shorter than ``_MIN_STEP`` times its span
     (of the segment, for a mesh) raises ``StepSizeUnderflowError``.
     """
@@ -79,8 +89,9 @@ class FamilySegment:
     ``c_part(x) + m * w_part(x)``; each part is either a plain float
     (constant on the segment) or a callable of ``x``.  A float ``w_part``
     (zero included) puts the segment on the Magnus mesh, where a float
-    ``c_part`` takes one exact step; a callable ``w_part`` puts it on the
-    Runge-Kutta pair.
+    ``c_part`` takes one exact step.  A callable ``w_part`` puts it on one
+    Magnus mesh per weight bucket when the call counts zeros, and on the
+    Runge-Kutta pair when it does not.
     """
 
     a: float
@@ -141,10 +152,6 @@ _MIN_STEP = 1e-14  # underflow floor of a step or mesh interval, relative to its
 
 
 # -- adaptive RK on a family ---------------------------------------------------
-#
-# Zero counts of the RK come from sign flips of u between accepted steps,
-# which are far shorter than the local zero spacing (h ~ 0.03 / sqrt|q|
-# versus pi / sqrt|q|).
 
 def _rk_span(
     qv: Callable[[float], np.ndarray | float],
@@ -156,21 +163,19 @@ def _rk_span(
     hmin: float,
     record_xs=None,
     record_fn=None,
-    counts: np.ndarray | None = None,
 ) -> None:
     """Advance Y in place from x0 to x1 (monotone span, no interior breaks).
 
     ``record_xs`` (sorted along the direction of travel) forces exact stops
     where ``record_fn(index_in_record_xs)`` is invoked; the adaptive step
-    and the FSAL stage survive across the stops.  ``counts`` (one entry
-    per column of ``Y``) gathers the zeros of u.  A single-column ``Y``
+    and the FSAL stage survive across the stops.  A single-column ``Y``
     takes the scalar path.
     """
     span = abs(x1 - x0)
     if span == 0.0 and record_xs is None:
         return
     path = _rk_span_scalar if Y.shape[1] == 1 else _rk_span_vector
-    path(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn, counts)
+    path(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn)
 
 
 def _stops(x1: float, record_xs) -> list[float]:
@@ -179,16 +184,13 @@ def _stops(x1: float, record_xs) -> list[float]:
     return stops
 
 
-def _rk_span_scalar(
-    qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn, counts=None
-) -> None:
+def _rk_span_scalar(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn) -> None:
     """Single-trajectory path in plain Python scalars."""
     rtol, atol = cfg.rel_tol, _RK_ABS_TOL
     direction = 1.0 if x1 > x0 else -1.0
     u = Y[0, 0].item()
     v = Y[1, 0].item()
     q = qv  # float-valued closure supplied by propagate_family for n == 1
-    psign = (u > 0) - (u < 0)
 
     (a21,) = _DP_A[1]
     a31, a32 = _DP_A[2]
@@ -254,11 +256,6 @@ def _rk_span_scalar(
                 x = xe
                 u, v = u5, v5
                 ku1, kv1 = ku7, kv7
-                if counts is not None:
-                    sgn = (u > 0) - (u < 0)
-                    if sgn and psign and sgn != psign:
-                        counts[0] += 1
-                    psign = sgn or psign
                 fac = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
                 if not clip:
                     h *= max(0.2, fac)
@@ -280,9 +277,7 @@ def _rk_span_scalar(
     Y[1, 0] = v
 
 
-def _rk_span_vector(
-    qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn, counts=None
-) -> None:
+def _rk_span_vector(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn) -> None:
     """Family path: flat (2n,) states, stage combinations via BLAS matvec,
     every array of the step loop allocated once per call."""
     rtol, atol = cfg.rel_tol, _RK_ABS_TOL
@@ -291,8 +286,6 @@ def _rk_span_vector(
     y = Y.reshape(-1).copy()  # [u_0..u_{n-1}, v_0..v_{n-1}]
     y5, comb, stage, err, scale = (np.empty_like(y) for _ in range(5))
     K = np.empty((7, 2 * n))
-    psign = np.sign(y[:n])
-    sgn = np.empty_like(psign)
 
     def eval_rhs(x: float, state: np.ndarray, out: np.ndarray) -> None:
         out[:n] = state[n:]
@@ -341,10 +334,6 @@ def _rk_span_vector(
                 x += hh
                 y, y5 = y5, y
                 K[0] = K[6]
-                if counts is not None:
-                    np.sign(y[:n], out=sgn)
-                    counts += sgn * psign < 0
-                    np.copyto(psign, sgn, where=sgn != 0)
                 fac = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
                 if not clip:
                     h *= max(0.2, fac)
@@ -365,7 +354,7 @@ def _rk_span_vector(
 
 _GAUSS = math.sqrt(15.0) / 10.0  # Gauss nodes sit at 1/2 - _GAUSS, 1/2, 1/2 + _GAUSS
 _GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
-_VARIATION_CAP = 0.5  # bound on h^2 times the spread of c over an interval's nodes (zero counts)
+_VARIATION_CAP = 0.5  # bound on h^2 times the spread of q over an interval's nodes (zero counts)
 _MAX_SPLIT = 8  # most pieces a rejected interval is cut into per refinement pass
 _ROUNDING_FLOOR = 1e-14  # local tolerances below this only chase rounding noise
 _MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as underflow
@@ -377,30 +366,79 @@ _EXACT_COUNT = 2.0**53  # largest zero count of one interval that a double holds
 
 
 @dataclass(eq=False)
-class _Mesh:
-    """Intervals of one segment with the shift-free Magnus coefficients of
-    each (``_coefficients``): the member shifted by ``mw`` steps with
-    ``_steps(coef, cmid + mw)``, and its Gauss mean coefficient over an
-    interval is ``cbar + mw``.  Per-interval arrays are (N, 1) columns
-    that broadcast over the members."""
+class _Steps:
+    """Magnus steps over the signed lengths ``h`` (N,), each from the
+    coefficients at its three Gauss nodes, for the members of a family.
 
-    c: float | Callable[[float], float]
-    x: np.ndarray  # N + 1 nodes in the direction of travel
-    h: np.ndarray  # (N,)
-    coef: tuple  # five (N, 1) arrays
-    cmid: np.ndarray  # c at the middle Gauss node, (N, 1)
-    cbar: np.ndarray  # Gauss mean of c, (N, 1)
+    A constant w keeps the shift-free coefficients of each step
+    (``_coefficients``): the member shifted by ``mw`` steps with
+    ``_steps(coef, cmid + mw)``.  A callable w keeps c and w at the nodes
+    (``cn``, ``wn``), and the member with weight m forms its own
+    coefficients from c + m w there.  Per-step arrays are (N, 1) columns
+    and node arrays (3, N, 1), which broadcast over the members.
+    """
+
+    h: np.ndarray
+    coef: tuple | None = None  # constant w: five shift-free coefficient columns
+    cmid: np.ndarray | None = None  # constant w: c at the middle Gauss node
+    cn: np.ndarray | None = None  # callable w: c at the Gauss nodes
+    wn: np.ndarray | None = None  # callable w: w at the Gauss nodes
 
     @classmethod
-    def of(cls, c, x: np.ndarray, cn: np.ndarray) -> _Mesh:
-        """The mesh on nodes ``x`` from c at the Gauss nodes ``cn`` (3, N)."""
-        h = np.diff(x)
-        return cls(c, x, h, _coefficients(h[:, None], cn[..., None]), cn[1][:, None],
-                   np.tensordot(_GAUSS_WEIGHTS, cn, 1)[:, None])
+    def of(cls, h: np.ndarray, nodes: np.ndarray) -> _Steps:
+        """The steps over ``h`` from ``nodes`` (``_nodes`` of c, or of c
+        and a callable w)."""
+        if len(nodes) == 1:
+            cn = nodes[0]
+            return cls(h, _coefficients(h[:, None], cn[..., None]), cn[1][:, None])
+        return cls(h, cn=nodes[0][..., None], wn=nodes[1][..., None])
+
+    def matrices(self, m):
+        """The steps of the members ``m`` (k,), as ``_expm`` entries (N,
+        k); ``m`` holds the shifts mw of a constant w, or the weights of a
+        callable one."""
+        if self.wn is None:
+            return _steps(self.coef, self.cmid + m)
+        qn = self.cn + m * self.wn
+        return _steps(_coefficients(self.h[:, None], qn), qn[1])
 
     @property
     def floats(self) -> int:
-        return sum(a.size for a in (self.x, self.h, *self.coef, self.cmid, self.cbar))
+        arrays = (self.h, *(self.coef or ()), self.cmid, self.cn, self.wn)
+        return sum(a.size for a in arrays if a is not None)
+
+
+@dataclass(eq=False)
+class _Mesh:
+    """Intervals of one segment, their Magnus steps and the Gauss means of
+    c and of a callable w over each, (N, 1) columns: the member ``m`` has
+    the mean coefficient ``qbar(m)``."""
+
+    fs: tuple  # c, and w when callable
+    x: np.ndarray  # N + 1 nodes in the direction of travel
+    steps: _Steps
+    cbar: np.ndarray
+    wbar: np.ndarray | None
+
+    @classmethod
+    def of(cls, fs: tuple, x: np.ndarray, nodes: np.ndarray) -> _Mesh:
+        """The mesh of ``fs`` on the nodes ``x``, from ``_nodes`` of ``fs``."""
+        cbar, *wbar = (np.tensordot(_GAUSS_WEIGHTS, n, 1)[:, None] for n in nodes)
+        return cls(fs, x, _Steps.of(np.diff(x), nodes), cbar, wbar[0] if wbar else None)
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.steps.h
+
+    def qbar(self, m):
+        """Gauss mean coefficient of every interval for the members ``m``
+        (``_Steps.matrices``)."""
+        return self.cbar + m if self.wbar is None else self.cbar + m * self.wbar
+
+    @property
+    def floats(self) -> int:
+        arrays = (self.x, self.cbar, self.wbar)
+        return self.steps.floats + sum(a.size for a in arrays if a is not None)
 
 
 _MESH_CACHE: OrderedDict = OrderedDict()
@@ -422,10 +460,12 @@ def _eval_c(c, xs: np.ndarray) -> np.ndarray:
     return np.fromiter((c(float(x)) for x in xs), dtype=float, count=xs.size)
 
 
-def _nodes(c, lo: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``c`` at the three Gauss nodes of every interval [lo, lo + h]: (3, N)."""
+def _nodes(fs, lo: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Each function of ``fs`` at the three Gauss nodes of every interval
+    [lo, lo + h]: (len(fs), 3, N)."""
     xs = np.concatenate([lo + (0.5 - _GAUSS) * h, lo + 0.5 * h, lo + (0.5 + _GAUSS) * h])
-    return _eval_c(c, xs).reshape(3, lo.size)
+    vals = [_eval_c(f, xs).reshape(1, 3, lo.size) for f in fs]
+    return vals[0] if len(vals) == 1 else np.concatenate(vals)
 
 
 def _expm(x, y, z):
@@ -487,17 +527,18 @@ def _steps(coef, q2):
     return _expm(xc + xq * q2, y, zc + zq * q2)
 
 
-def _step_defect(c, lo, h, cn, shifts):
+def _step_defect(fs, lo, h, nodes, weights):
     """Relative gap between one Magnus step and two half steps per
-    interval, maximized over the reference shifts of c, in the norm that
-    scales u' by h (so the measure has no units); also returns c at the
-    nodes of both halves."""
+    interval, maximized over the reference members ``weights`` (shifts of
+    c for a constant w, weights of a callable one), in the norm that
+    scales u' by h (so the measure has no units); also returns ``fs`` at
+    the nodes of both halves."""
     half = 0.5 * h
-    A, B = _nodes(c, lo, half), _nodes(c, lo + half, half)
+    A, B = _nodes(fs, lo, half), _nodes(fs, lo + half, half)
     col = h[:, None]
-    one = _steps(_coefficients(col, cn[..., None]), cn[1][:, None] + shifts)
-    sa = _steps(_coefficients(0.5 * col, A[..., None]), A[1][:, None] + shifts)
-    sb = _steps(_coefficients(0.5 * col, B[..., None]), B[1][:, None] + shifts)
+    one = _Steps.of(h, nodes).matrices(weights)
+    sa = _Steps.of(half, A).matrices(weights)
+    sb = _Steps.of(half, B).matrices(weights)
     f = np.exp(sa[4] + sb[4] - one[4])
     two = (
         (sb[0] * sa[0] + sb[1] * sa[2]) * f,
@@ -512,37 +553,55 @@ def _step_defect(c, lo, h, cn, shifts):
     return np.where(np.isfinite(est), est, np.inf), A, B
 
 
-def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
+def _spread(nodes, weights) -> np.ndarray:
+    """Spread of the member coefficient over the Gauss nodes of each
+    interval: of c for a constant w, else the largest over the reference
+    weights (the spread is convex in the weight, so the outer two bound
+    every weight between them)."""
+    if len(nodes) == 1:
+        return np.ptp(nodes[0], axis=0)
+    cn, wn = nodes
+    return np.ptp(cn[..., None] + weights * wn[..., None], axis=0).max(axis=1)
+
+
+def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) -> _Mesh:
     """Refine a uniform mesh of ``seg`` until every interval passes.
 
     An interval passes when its one-step vs two-half-step defect is at most
-    ``rel_tol`` (the per-step test of the adaptive RK) and c spreads by at
-    most ``_VARIATION_CAP / h^2`` over its Gauss nodes; the mesh keeps its
-    two halves, whose error is about a sixty-fourth of the defect (the
-    analogue of the RK's local extrapolation).  The defect is taken for
-    the members whose coefficient is ``c``, ``c - min c`` and ``c - max
-    c``: the ends of the range where the segment's bound states live,
-    as seen at the nodes of the first pass.  The first pass is the whole
-    segment; an interval shorter than ``_MIN_STEP`` times the segment
-    raises ``StepSizeUnderflowError``.  Nothing here depends on the
-    family.
+    ``rel_tol`` (the per-step test of the adaptive RK) and the member
+    coefficient spreads by at most ``_VARIATION_CAP / h^2`` over its Gauss
+    nodes; the mesh keeps its two halves, whose error is about a
+    sixty-fourth of the defect (the analogue of the RK's local
+    extrapolation).  For a constant w (``bucket`` None) the defect is
+    taken for the members whose coefficient is ``c``, ``c - min c`` and
+    ``c - max c``: the ends of the range where the segment's bound states
+    live, as seen at the nodes of the first pass.  For a callable w it is
+    taken at the weights 0 and +-2^bucket, which bound the members of that
+    bucket (the top bucket, 2^1024, at +-the largest double).  The first
+    pass is the whole segment; an interval shorter than ``_MIN_STEP``
+    times the segment raises ``StepSizeUnderflowError``.  Nothing here
+    depends on the family.
     """
-    c = seg.c_part
+    fs = (seg.c_part,) if bucket is None else (seg.c_part, seg.w_part)
     hmin = _MIN_STEP * abs(seg.b - seg.a)
     lo, hi = np.array([float(seg.a)]), np.array([float(seg.b)])
-    cn = _nodes(c, lo, hi - lo)
-    seen = cn[np.isfinite(cn)]
-    shifts = np.unique([0.0, -seen.min(), -seen.max()]) if seen.size else np.zeros(1)
+    nodes = _nodes(fs, lo, hi - lo)
+    if bucket is None:
+        seen = nodes[0][np.isfinite(nodes[0])]
+        weights = np.unique([0.0, -seen.min(), -seen.max()]) if seen.size else np.zeros(1)
+    else:
+        top = math.ldexp(1.0, bucket) if bucket < 1024 else sys.float_info.max
+        weights = np.array([-top, 0.0, top])
     tol = max(cfg.rel_tol, _ROUNDING_FLOOR)
     kept = []
     total = 0
     while lo.size:
         h = hi - lo
-        est, A, B = _step_defect(c, lo, h, cn, shifts)
-        ok = (est <= tol) & (np.ptp(cn, axis=0) * h * h <= _VARIATION_CAP)
+        est, A, B = _step_defect(fs, lo, h, nodes, weights)
+        ok = (est <= tol) & (_spread(nodes, weights) * h * h <= _VARIATION_CAP)
         mid = lo + 0.5 * h
-        kept.append((lo[ok], mid[ok], A[:, ok]))
-        kept.append((mid[ok], hi[ok], B[:, ok]))
+        kept.append((lo[ok], mid[ok], A[..., ok]))
+        kept.append((mid[ok], hi[ok], B[..., ok]))
         total += 2 * int(ok.sum())
         bad = ~ok
         if not bad.any():
@@ -562,30 +621,32 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
         new_lo = start + width * (j / parts[owner])
         new_hi = np.where(j + 1 == parts[owner], hi[owner], start + width * ((j + 1) / parts[owner]))
         lo, hi = new_lo, new_hi
-        cn = _nodes(c, lo, hi - lo)
-    lo, hi, cn = zip(*kept)
-    lo, hi, cn = np.concatenate(lo), np.concatenate(hi), np.concatenate(cn, axis=1)
+        nodes = _nodes(fs, lo, hi - lo)
+    lo, hi, nodes = zip(*kept)
+    lo, hi, nodes = np.concatenate(lo), np.concatenate(hi), np.concatenate(nodes, axis=2)
     direction = 1.0 if seg.b > seg.a else -1.0
     order = np.argsort(lo * direction, kind="stable")
-    return _Mesh.of(c, np.append(lo[order], hi[order][-1]), cn[:, order])
+    return _Mesh.of(fs, np.append(lo[order], hi[order][-1]), nodes[..., order])
 
 
-def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
-    """The cached mesh of (seg, cfg), built on first use (LRU, bounded by
-    ``_CACHE_FLOATS``).  A constant ``c_part`` needs no cache: its mesh is
-    the whole segment, where the Magnus step is exact."""
-    if not callable(seg.c_part):
+def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) -> _Mesh:
+    """The cached mesh of (seg, cfg), or of (seg, cfg, bucket) for a
+    callable w, built on first use (LRU, bounded by ``_CACHE_FLOATS``).  A
+    constant ``c_part`` with a constant w needs no cache: its mesh is the
+    whole segment, where the Magnus step is exact."""
+    if bucket is None and not callable(seg.c_part):
         x = np.array([seg.a, seg.b], dtype=float)
-        return _Mesh.of(seg.c_part, x, _nodes(seg.c_part, x[:1], np.diff(x)))
-    key = (seg, cfg)
+        fs = (seg.c_part,)
+        return _Mesh.of(fs, x, _nodes(fs, x[:1], np.diff(x)))
+    key = (seg, cfg) if bucket is None else (seg, cfg, bucket)
     try:
         mesh = _MESH_CACHE.get(key)
     except TypeError:  # unhashable coefficient: build without caching
-        return _build_mesh(seg, cfg)
+        return _build_mesh(seg, cfg, bucket)
     if mesh is not None:
         _MESH_CACHE.move_to_end(key)
         return mesh
-    mesh = _build_mesh(seg, cfg)
+    mesh = _build_mesh(seg, cfg, bucket)
     _MESH_CACHE[key] = mesh
     stored = sum(m.floats for m in _MESH_CACHE.values())
     while stored > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
@@ -594,15 +655,31 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig) -> _Mesh:
     return mesh
 
 
+def _meshes(seg: FamilySegment, cfg: SolverConfig, m: np.ndarray):
+    """``(mesh, cols, mw)`` for each mesh that carries members of the
+    family ``m`` across ``seg``: the member indices ``cols`` (None: all)
+    and the values ``mw`` that ``_Steps.matrices`` takes for them.  A
+    constant w puts the whole family on one mesh; a callable w puts each
+    member on the mesh of its weight bucket 2^e, e = ceil(log2 max(|m|,
+    1)), so that its results depend on its own weight alone."""
+    if not callable(seg.w_part):
+        yield _mesh_for(seg, cfg), None, m * float(seg.w_part)
+        return
+    mant, e = np.frexp(np.maximum(np.abs(m), 1.0))
+    e -= mant == 0.5  # a power of two is the top of its own bucket
+    for bucket in np.unique(e):
+        cols = np.flatnonzero(e == bucket)
+        yield _mesh_for(seg, cfg, int(bucket)), cols, m[cols]
+
+
 def _sample_plan(mesh: _Mesh, xs: np.ndarray):
-    """(node index, coefficients, c at the middle node) of the Magnus
-    substep from the preceding mesh node to each sample point."""
+    """(node index, steps) of the Magnus substep from the preceding mesh
+    node to each sample point."""
     direction = 1.0 if mesh.h[0] > 0 else -1.0
     idx = np.searchsorted(mesh.x * direction, xs * direction, side="right") - 1
     idx = np.clip(idx, 0, mesh.h.size - 1)
     t = xs - mesh.x[idx]
-    cn = _nodes(mesh.c, mesh.x[idx], t)
-    return idx, _coefficients(t[:, None], cn[..., None]), cn[1][:, None]
+    return idx, _Steps.of(t, _nodes(mesh.fs, mesh.x[idx], t))
 
 
 def _unit(Y: np.ndarray, logs: np.ndarray):
@@ -707,8 +784,10 @@ def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np
     return add.sum(axis=0)
 
 
-def _mesh_apply(mesh, mw, Y, logs, counts, seg_samples, rec_states, rec_logs, rec_i) -> None:
-    """Advance the family (Y, logs), shifted by ``mw``, in place across one
+def _mesh_apply(mesh, mw, cols, Y, logs, counts, seg_samples, rec_states, rec_logs,
+                rec_i) -> None:
+    """Advance the members ``cols`` (None: all) of the family (Y, logs),
+    with the values ``mw`` of ``_Steps.matrices``, in place across one
     meshed segment, recording ``seg_samples`` from row ``rec_i`` on.
     Members are taken in groups of at most ``_WORK_CAP`` intervals x
     members."""
@@ -719,17 +798,18 @@ def _mesh_apply(mesh, mw, Y, logs, counts, seg_samples, rec_states, rec_logs, re
     group = max(1, _WORK_CAP // max(N, K))
     nodes = counts is not None or plan is not None
     for lo in range(0, mw.size, group):
-        c = slice(lo, lo + group)
-        m11, m12, m21, m22, lg = _steps(mesh.coef, mesh.cmid + mw[c])
+        part = mw[lo:lo + group]
+        c = slice(lo, lo + group) if cols is None else cols[lo:lo + group]
+        m11, m12, m21, m22, lg = mesh.steps.matrices(part)
         y, ly = _unit(Y[:, c], logs[c])
         end, lend, st, sl = _chain(np.array([[m11, m12], [m21, m22]]), lg, y, ly, nodes)
         Y[:, c] = end
         logs[c] = lend
         if counts is not None:
-            counts[c] += _mesh_zero_counts(st, mesh.cbar + mw[c], mesh.h)
+            counts[c] += _mesh_zero_counts(st, mesh.qbar(part), mesh.h)
         if plan is not None:
-            idx, coef, cmid = plan
-            p11, p12, p21, p22, pl = _steps(coef, cmid + mw[c])
+            idx, sub = plan
+            p11, p12, p21, p22, pl = sub.matrices(part)
             su, sv = st[:, idx]
             rec_states[rows, 0, c] = p11 * su + p12 * sv
             rec_states[rows, 1, c] = p21 * su + p22 * sv
@@ -757,7 +837,9 @@ def propagate_family(
     either direction, consistently.  ``samples`` requests state records
     at given x locations (visited in path order).  ``rescale`` keeps the
     log scales of the Magnus segments; a Runge-Kutta segment starts from
-    true-scale states and adds no scale.  A returned state, log
+    true-scale states and adds no scale.  ``count_zeros`` counts the
+    interior zeros of u per member, and puts every segment on a Magnus
+    mesh (``FamilySegment``).  A returned state, log
     or sample that is not finite, or a zero count that a double cannot
     hold exactly, raises ``NumericsError``; numpy warns of nothing inside.
     """
@@ -812,9 +894,10 @@ def propagate_family(
                 inside = (((rest - seg.a) * direction >= -1e-12)
                           & ((seg.b - rest) * direction >= -1e-12))
                 seg_samples = rest if inside.all() else rest[:int(np.argmin(inside))]
-            if not callable(seg.w_part):
-                _mesh_apply(_mesh_for(seg, cfg), m * float(seg.w_part), Y, logs, counts,
-                            seg_samples, rec_states, rec_logs, rec_i)
+            if not callable(seg.w_part) or counts is not None:
+                for mesh, cols, mw in _meshes(seg, cfg, m):
+                    _mesh_apply(mesh, mw, cols, Y, logs, counts, seg_samples, rec_states,
+                                rec_logs, rec_i)
                 rec_i += len(seg_samples)
                 continue
             Y *= np.exp(logs)  # the RK's absolute tolerance reads true states
@@ -840,7 +923,6 @@ def propagate_family(
                     qv, seg.a, seg.b, Yl, cfg, hmax, hmin,
                     record_xs=seg_samples if len(seg_samples) else None,
                     record_fn=record if len(seg_samples) else None,
-                    counts=counts[lane] if counts is not None else None,
                 )
             rec_i += len(seg_samples)
 

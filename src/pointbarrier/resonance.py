@@ -22,6 +22,7 @@ as |alpha| grows, so a scan knows how many roots each grid cell holds.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import BracketShortfallError, NotInResonanceSetError, NumericsError
 from .ivp import DEFAULT_CONFIG, FamilyResult, FamilySegment, SolverConfig, propagate_family
 from .profiles import Profile, ProfileKind, classify
-from .rootfind import illinois_vector, resolve_cells
+from .rootfind import illinois_vector, resolve_cells, sign_change
 
 __all__ = [
     "ResonancePoint",
@@ -143,14 +144,18 @@ def resonance_scan(
     """All resonant couplings in [alpha_min, alpha_max], sorted ascending.
 
     Each side of alpha = 0 is scanned in t = |alpha| on the points of one
-    uniform grid of the window.  The Neumann index (see ``_counted``)
-    rises by exactly one at each resonance of a side, so
-    ``resolve_cells`` halves every cell that hides roots until each shows
-    its own sign change of D, and the brackets of both sides are refined
-    together by ``illinois_vector``.  A side that brackets fewer roots
-    than its index rise at the halving floor raises ``NumericsError``.
-    alpha = 0 is inserted analytically whenever the window contains it.
-    Roots whose shot misses ``residual_tol`` come back ``flagged``.
+    uniform grid of the window, ceil(width / scan_step) cells (at most
+    2^53).  The Neumann index (see ``_counted``) rises by exactly one at
+    each resonance of a side, so ``_side_brackets`` shoots only the grid
+    points that locate the cells where it rises, ``resolve_cells`` halves
+    every cell that hides roots until each shows its own sign change of
+    D, and the brackets of both sides are refined together by
+    ``illinois_vector``.  The counted shots run on the Magnus mesh, the
+    refine and the shots of the roots on the Runge-Kutta pair.  A side
+    that brackets fewer roots than its index rise at the halving floor
+    raises ``NumericsError``.  alpha = 0 is inserted analytically whenever
+    the window contains it.  Roots whose shot misses ``residual_tol`` come
+    back ``flagged``.
     """
     if not alpha_min < alpha_max:
         raise ValueError("need alpha_min < alpha_max")
@@ -158,20 +163,53 @@ def resonance_scan(
         raise ValueError("scan_step must be positive")
     if not math.isfinite((alpha_max - alpha_min) / scan_step):
         raise ValueError("(alpha_max - alpha_min) / scan_step must be finite")
+    n_cells = max(1, math.ceil((alpha_max - alpha_min) / scan_step))
+    if n_cells > 2**53:
+        raise ValueError(f"the scan grid would have {n_cells:.3g} cells, more than 2^53")
     cfg = cfg or DEFAULT_CONFIG
 
-    n_cells = max(1, math.ceil((alpha_max - alpha_min) / scan_step))
-    grid = np.linspace(alpha_min, alpha_max, n_cells + 1)
     cls = classify(p)
     m0 = cls.m0 if cls.kind is ProfileKind.GENERAL else 0.0
     brackets = []
     for side in (-1.0, 1.0):
-        brackets.extend(_side_brackets(p, side, side * grid, m0, cfg))
+        size, t = _side_grid(alpha_min, alpha_max, n_cells, side)
+        brackets.extend(_side_brackets(p, side, size, t, m0, cfg))
     points = [_point(p, r, cfg, residual_tol) for r in _refine(p, brackets, cfg)]
     if alpha_min <= 0.0 <= alpha_max:
         points.append(_point(p, 0.0, cfg, residual_tol))
     points.sort(key=lambda pt: pt.alpha)
     return points
+
+
+def _side_grid(lo: float, hi: float, n: int, side: float):
+    """``(size, t)``: the points of the uniform grid of [lo, hi] with ``n``
+    cells that lie on one ``side`` (+1 or -1) of alpha = 0, as t = side *
+    alpha in ascending order, and ``t(k)`` for an index array ``k`` of
+    them, computed from the index alone.
+
+    Grid point i is lo + i ((hi - lo) / n), and hi for i = n: the points of
+    ``np.linspace(lo, hi, n + 1)``, bitwise.  A side whose part of the
+    window reaches beyond 0 starts at t = 0, followed by the grid points
+    strictly on that side; one that does not reach 0 has no points.
+    """
+    d = (hi - lo) / n
+
+    def alpha(i):
+        return np.where(i == n, hi, lo + i * d)
+
+    if side > 0.0:
+        if hi <= 0.0:
+            return 0, None
+        if lo >= 0.0:
+            return n + 1, alpha
+        i0 = bisect.bisect_right(range(n + 1), 0.0, key=alpha)  # the first point above 0
+        return n - i0 + 2, lambda k: np.where(k == 0, 0.0, alpha(i0 + k - 1))
+    if lo >= 0.0:
+        return 0, None
+    if hi <= 0.0:
+        return n + 1, lambda k: -alpha(n - k)
+    i1 = bisect.bisect_left(range(n + 1), 0.0, key=alpha) - 1  # the last point below 0
+    return i1 + 2, lambda k: np.where(k == 0, 0.0, -alpha(i1 - k + 1))
 
 
 def _counted(p, side, cfg):
@@ -195,23 +233,48 @@ def _counted(p, side, cfg):
     return fvec
 
 
-def _side_brackets(p, side, ts, m0, cfg) -> list[tuple[float, float]]:
+def _side_brackets(p, side, size, t, m0, cfg) -> list[tuple[float, float]]:
     """Sign-change brackets, in alpha, of the resonances on one ``side``
-    (+1 or -1) of alpha = 0, from the grid points ``ts`` = side * grid.
+    (+1 or -1) of alpha = 0, among the ``size`` grid points ``t(k)`` =
+    side * alpha of that side (``_side_grid``).
 
     A side that holds 0 starts its scan there, where the shot is exactly
     (1, 0) and N = 1.  For a nonzero mean m0 the ground level leaves 0
     upwards on the side where alpha m0 > 0, so N starts at 0 there.
+
+    The two ends of the side are shot first.  Then, one ``fvec`` round per
+    level, every range of grid indices between neighbouring shot points
+    whose N rises, or whose D changes sign, is split at its middle index,
+    until each such range is one grid cell.  N never decreases in t, so a
+    range where it neither rises nor D changes sign holds no root, and the
+    cells of the points shot are those where ``resolve_cells`` would find
+    roots on the full grid: it gets the points shot, with their values and
+    counts, and returns the brackets it would return there.
     """
-    ts = np.sort(ts)
-    if ts[-1] <= 0.0:
+    if size == 0:
         return []
-    if ts[0] < 0.0:
-        ts = np.concatenate(([0.0], ts[ts > 0.0]))
     fvec = _counted(p, side, cfg)
+    ks = np.array([0, size - 1])
+    ts = t(ks)
     fs, cs = fvec(ts, True)
     if ts[0] == 0.0 and side * m0 > 0.0:
         cs[0] -= 1
+    shot = [(ks, ts, fs, cs)]
+    ka, fa, ca, kb, fb, cb = ks[:1], fs[:1], cs[:1], ks[1:], fs[1:], cs[1:]
+    while True:
+        split = (kb - ka > 1) & ((cb > ca) | sign_change(fa, fb))
+        if not split.any():
+            break
+        ka, fa, ca, kb, fb, cb = (v[split] for v in (ka, fa, ca, kb, fb, cb))
+        km = (ka + kb) // 2
+        tm = t(km)
+        fm, cm = fvec(tm, True)
+        shot.append((km, tm, fm, cm))
+        ka, fa, ca = np.concatenate((ka, km)), np.concatenate((fa, fm)), np.concatenate((ca, cm))
+        kb, fb, cb = np.concatenate((km, kb)), np.concatenate((fm, fb)), np.concatenate((cm, cb))
+    ks, ts, fs, cs = (np.concatenate(v) for v in zip(*shot))
+    order = np.argsort(ks)
+    ts, fs, cs = ts[order], fs[order], cs[order]
     out: list[tuple[float, float]] = []
     try:
         resolve_cells(fvec, ts, fs, cs, out)

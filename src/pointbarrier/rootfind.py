@@ -38,6 +38,12 @@ def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple
     return out
 
 
+def sign_change(fa, fb):
+    """Whether each cell with the end values ``fa`` and ``fb`` brackets a
+    sign change: a zero of f exactly on a node ends the cell to its left."""
+    return (fa != 0.0) & ((fb == 0.0) | ((fa < 0.0) != (fb < 0.0)))
+
+
 def resolve_cells(fvec, xs, fs, cs, out) -> None:
     """Append to ``out`` the sign-change brackets in the cells of the
     ascending points ``xs``, with values ``fs`` and zero counts ``cs``, in
@@ -66,7 +72,7 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
     xa, fa, ca, xb, fb, cb = x[:-1], f[:-1], c[:-1], x[1:], f[1:], c[1:]
     lo, hi = [], []
     for depth in range(41):
-        sign = (fa != 0.0) & ((fb == 0.0) | ((fa < 0.0) != (fb < 0.0)))
+        sign = sign_change(fa, fb)
         rise = cb - ca
         floor = 1e-5 * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
         uncounted = sign & (rise == 0)

@@ -88,6 +88,25 @@ def test_resonances_finds_the_near_degenerate_even_pair(tmp_path):
     assert np.allclose(alphas, [106.86346, 106.86817], rtol=0.0, atol=1e-5)
 
 
+def test_fine_scan_grids_are_never_built(tmp_path, capsys):
+    # 2e12 cells: the scan computes its grid points from their indices and
+    # shoots a few dozen of them per root, so it ends without a traceback
+    # (the shots at |alpha| = 1e6 overflow)
+    code = main(["resonances", "--profile", "step", "--window", "-1e6", "1e6",
+                 "--scan-step", "1e-6", "--out", str(tmp_path / "huge")])
+    assert code in (0, 2, 3)
+    assert len(capsys.readouterr().err.strip().splitlines()) <= 1
+    # 3e6 cells on [0, 30] find the roots of the default 0.1 grid
+    alphas = {}
+    for scan_step in ("1e-5", "0.1"):
+        out = tmp_path / scan_step
+        assert main(["resonances", "--profile", "asymmetric_bump", "--window", "0", "30",
+                     "--scan-step", scan_step, "--out", str(out)]) == 0
+        alphas[scan_step] = [float(row["alpha"]) for row in _read_rows(out / "resonances.csv")]
+    assert len(alphas["0.1"]) == 2
+    assert alphas["1e-5"] == pytest.approx(alphas["0.1"], rel=0.0, abs=1e-12)
+
+
 def test_resonances_shortfall_exits_3(tmp_path, capsys):
     # the pair at 350.8957 is 4e-6 apart, below the 1e-5 relative halving
     # floor: the index counts two roots that no cell separates
@@ -315,6 +334,7 @@ def test_exit_codes(tmp_path, capsys):
         ["theta", "--profile", "step", "--alpha", "1", "--search-width", "1e308"],
         ["resonances", "--profile", "step", "--window", "-1e308", "1e308",
          "--scan-step", "1e300"],
+        ["resonances", "--profile", "step", "--window", "0", "1", "--scan-step", "1e-16"],
         ["scatter", "--profile", "step", "--alpha", "1", "--eps", "0.1", "--k", "1e200"],
     ]
     capsys.readouterr()
@@ -368,6 +388,12 @@ def test_strong_barriers_scatter_without_a_warning(profile, alpha, eps, k, tmp_p
     ["resonances", "--profile", "step", "--window", "-1e6", "1e6", "--scan-step", "1e5"],
     # alpha = 1e300 turns the oscillatory half through about 3e149 half-periods
     ["theta", "--profile", "step", "--alpha", "15.4182", "--refine", "--search-width", "1e300"],
+    # couplings whose counted shots no mesh of their weight bucket resolves
+    ["resonances", "--profile", "asymmetric_bump", "--window", "1e307", "1.5e307",
+     "--scan-step", "1e306"],
+    # e^1000 and more: the counted shots at alpha = 1e6 leave the range of a double
+    ["resonances", "--profile", "asymmetric_bump", "--window", "1e6", "1.001e6",
+     "--scan-step", "1e2"],
 ])
 def test_shots_beyond_a_double_exit_3_without_a_warning(argv, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:

@@ -191,16 +191,19 @@ def test_rescaled_runge_kutta_segments_keep_the_true_scale(n):
     # a Runge-Kutta segment starts from true-scale states and adds no
     # scale, so rescale=True hands back the states of rescale=False times
     # the log scales of the Magnus segments after it; on the scalar path,
-    # the one-member lanes and the vector path
+    # the one-member lanes and the vector path.  Counted, the callable w
+    # runs on the bucket meshes, which keep their scales alike
     chain = [FamilySegment(0.0, 2.0, 40.0, 0.0),
              FamilySegment(2.0, 3.0, 0.0, lambda x: 1.0 + x),
              FamilySegment(3.0, 4.0, lambda x: 25.0 + x, 0.0)]
     m = np.linspace(-30.0, 20.0, n)
-    plain = propagate_family(chain, m, np.array([1.0, 0.0]), count_zeros=True)
-    scaled = propagate_family(chain, m, np.array([1.0, 0.0]), rescale=True, count_zeros=True)
-    assert np.all(scaled.logs > 5.0)
-    assert np.array_equal(scaled.states * np.exp(scaled.logs), plain.states)
-    assert np.array_equal(scaled.zero_counts, plain.zero_counts)
+    for count_zeros in (False, True):
+        plain = propagate_family(chain, m, np.array([1.0, 0.0]), count_zeros=count_zeros)
+        scaled = propagate_family(chain, m, np.array([1.0, 0.0]), rescale=True,
+                                  count_zeros=count_zeros)
+        assert np.all(scaled.logs > 5.0)
+        assert np.array_equal(scaled.states * np.exp(scaled.logs), plain.states)
+        assert np.array_equal(scaled.zero_counts, plain.zero_counts)
 
 
 def test_results_beyond_a_double_raise():
@@ -283,34 +286,51 @@ def test_a_zero_on_a_mesh_node_counts_where_its_signs_put_it(u_node, w):
     assert _mesh_zero_counts(states, qbar, h)[0] == sum(expected)
 
 
-@pytest.mark.parametrize("c_part", [1.0, lambda x: 0.0 * x + 1.0])
-def test_zero_counts_with_several_zeros_per_mesh_interval(c_part):
+@pytest.mark.parametrize("c_part, w_part", [
+    (1.0, -1.0),
+    (lambda x: 0.0 * x + 1.0, -1.0),
+    (1.0, lambda x: 0.0 * x - 1.0),
+], ids=["1.0", "<lambda>", "callable-w"])
+def test_zero_counts_with_several_zeros_per_mesh_interval(c_part, w_part):
     # -u'' + (1 - lambda) u = 0 from (0, 1): u = sin(w x) / w with w^2 = lambda - 1,
     # so (0, L] holds floor(w L / pi) zeros.  A float c is one exact step over
     # the whole segment; the callable one passes on its first pass, which
-    # keeps the two halves of the segment.
+    # keeps the two halves of the segment.  A callable w, counted against
+    # DOP853 as well, puts each member on the mesh of its weight bucket,
+    # which passes on its first pass too
     from pointbarrier.ivp import _mesh_for
 
     L = 3.0
-    segs = [FamilySegment(0.0, L, c_part, -1.0)]
+    segs = [FamilySegment(0.0, L, c_part, w_part)]
     w = np.array([0.7, 3.3, 12.9, 41.7, 95.3, 250.1])
     res = propagate_family(segs, w * w + 1.0, np.array([0.0, 1.0]), count_zeros=True)
     assert np.array_equal(res.zero_counts, np.floor(w * L / math.pi))
-    widest = np.abs(_mesh_for(segs[0], SolverConfig()).h).max()
+    bucket = None
+    if callable(w_part):
+        _, _, rk_zeros = dop853_family(segs, w * w + 1.0, np.array([0.0, 1.0]))
+        assert np.array_equal(res.zero_counts, rk_zeros)
+        bucket = 16  # 250.1^2 + 1 is in (2^15, 2^16]
+    widest = np.abs(_mesh_for(segs[0], SolverConfig(), bucket).h).max()
     assert w.max() * widest / math.pi > 15  # zeros in one interval
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
-def test_rk_zero_counts_match_an_independent_integrator(n):
-    # a callable w runs on the RK pair: its scalar path (n = 1), one lane
-    # per member (n <= 6) and the vector path
+def test_bucket_mesh_zero_counts_match_an_independent_integrator(n):
+    # a callable w in a counted call runs on the Magnus mesh of each
+    # member's weight bucket: one member, members in buckets of their own
+    # and several members per bucket; its samples and end states match
+    # to 1e-9 of each member's largest
     chain = [FamilySegment(-1.0, 0.0, 0.0, lambda x: 1.0 + x),
              FamilySegment(0.0, 1.0, 0.0, lambda x: -1.0 - x * x)]
     m = np.linspace(-300.0, 290.0, n) if n > 1 else np.array([-250.0])
-    res = propagate_family(chain, m, np.array([1.0, 0.0]), count_zeros=True)
-    _, _, ref = dop853_family(chain, m, np.array([1.0, 0.0]))
+    xs = np.linspace(-1.0, 1.0, 9)
+    res = propagate_family(chain, m, np.array([1.0, 0.0]), samples=xs, count_zeros=True)
+    end, sampled, ref = dop853_family(chain, m, np.array([1.0, 0.0]), samples=xs)
     assert res.zero_counts.max() >= 3
     assert np.array_equal(res.zero_counts, ref)
+    scale = np.abs(sampled).max(axis=(0, 1))
+    assert np.all(np.abs(res.sample_states - sampled) <= 1e-9 * scale)
+    assert np.all(np.abs(res.states - end) <= 1e-9 * scale)
 
 
 def test_zero_counting_hyperbolic():
@@ -459,6 +479,24 @@ def test_mesh_member_results_do_not_depend_on_the_family():
         assert np.array_equal(family.sample_states[:, :, part], alone.sample_states)
         assert np.array_equal(family.sample_logs[:, part], alone.sample_logs)
 
+    # a counted callable w: each member runs on the mesh of its weight
+    # bucket, whatever else the family holds; m = 0, negative weights and
+    # weights of exactly a power of two, which top their own bucket
+    from pointbarrier.profiles import builtin
+
+    bump = [FamilySegment(s.a, s.b, 0.0, s) for s in builtin("asymmetric_bump").segments]
+    m = np.array([-200.0, -128.0, -100.0, -3.5, -1.0, 0.0, 0.25, 1.0, 2.0, 2.5,
+                  64.0, 64.5, 128.0, 199.9])
+    family = propagate_family(bump, m, np.array([1.0, 0.0]), rescale=True, count_zeros=True)
+    assert family.zero_counts.max() >= 3
+    for i in range(m.size):
+        for part in ([i], [i, (i + 5) % m.size]):
+            alone = propagate_family(bump, m[part], np.array([1.0, 0.0]), rescale=True,
+                                     count_zeros=True)
+            assert np.array_equal(family.states[:, part], alone.states)
+            assert np.array_equal(family.logs[part], alone.logs)
+            assert np.array_equal(family.zero_counts[part], alone.zero_counts)
+
 
 def test_samples_go_to_segments_in_path_order(monkeypatch):
     # each segment records the samples from the last one taken up to the
@@ -468,9 +506,9 @@ def test_samples_go_to_segments_in_path_order(monkeypatch):
     seen = []
     mesh_apply, rk_span = ivp._mesh_apply, ivp._rk_span
 
-    def spy_mesh(mesh, mw, Y, logs, counts, seg_samples, *rest):
+    def spy_mesh(mesh, mw, cols, Y, logs, counts, seg_samples, *rest):
         seen.append(np.asarray(seg_samples).tolist())
-        mesh_apply(mesh, mw, Y, logs, counts, seg_samples, *rest)
+        mesh_apply(mesh, mw, cols, Y, logs, counts, seg_samples, *rest)
 
     def spy_rk(*args, record_xs=None, **kwargs):
         seen.append([] if record_xs is None else np.asarray(record_xs).tolist())

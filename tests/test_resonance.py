@@ -10,6 +10,7 @@ from pointbarrier import profiles, resonance
 from pointbarrier.errors import NotInResonanceSetError, NumericsError
 from pointbarrier.experiments import even_counterexample_profile
 from pointbarrier.ivp import FamilySegment
+from pointbarrier.rootfind import resolve_cells
 from pointbarrier.resonance import (
     coupling_theta,
     eigenfunction,
@@ -180,6 +181,8 @@ def test_scan_input_validation(step):
         resonance_scan(step, 1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         resonance_scan(step, 0.0, 1.0, -0.5)
+    with pytest.raises(ValueError, match="more than 2\\^53"):
+        resonance_scan(step, 0.0, 1.0, 1e-16)
 
 
 def test_halving_rescan_recovers_two_roots_in_one_cell(step, kappa_roots):
@@ -382,3 +385,70 @@ def test_bump_refine_takes_a_handful_of_shots(bump_scan):
     # the secant refine needs 8 family propagations here, 45 by bisection
     _, sizes = bump_scan
     assert 0 < len(sizes) <= 12, sizes
+
+
+# -- the sparse index bisection of a side ----------------------------------------
+
+def _full_grid(lo, hi, n, side):
+    """The side's points of np.linspace(lo, hi, n + 1) as t = side *
+    alpha, ascending, from 0 when the side's part of the window reaches
+    beyond it (None for a side without points)."""
+    ts = np.sort(side * np.linspace(lo, hi, n + 1))
+    if ts[-1] <= 0.0:
+        return None
+    return np.concatenate(([0.0], ts[ts > 0.0])) if ts[0] < 0.0 else ts
+
+
+@pytest.mark.parametrize("lo, hi, scan_step", [
+    (-200.0, 200.0, 0.1), (-30.0, 30.0, 0.2), (0.0, 30.0, 1e-5), (-60.0, 0.0, 0.1),
+    (-45.3, 61.7, 0.25), (10.0, 110.0, 50.0), (-3.0, -0.0, 0.3), (-7.3, 0.1, 0.013),
+    (-1e4, 1e4, 0.37), (1e307, 1.5e307, 1e306),
+])
+def test_side_grid_is_linspace_bitwise(lo, hi, scan_step):
+    # every point from its index alone, signed zeros included
+    n = max(1, math.ceil((hi - lo) / scan_step))
+    for side in (-1.0, 1.0):
+        size, t = resonance._side_grid(lo, hi, n, side)
+        want = _full_grid(lo, hi, n, side)
+        if want is None:
+            assert size == 0
+            continue
+        assert size == want.size
+        assert t(np.arange(size)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name, lo, hi, scan_step", [
+    ("step", -200.0, 200.0, 0.1),
+    ("asymmetric_bump", -200.0, 200.0, 0.1),
+    ("odd_cubic", -200.0, 200.0, 0.1),
+    ("even_quadratic", -30.0, 30.0, 0.2),
+])
+def test_side_brackets_are_those_of_the_full_grid(monkeypatch, name, lo, hi, scan_step):
+    # the bisection shoots only the points that locate the cells where the
+    # index rises, and resolve_cells brackets the same cells as on the full
+    # grid, which this test shoots point by point as the reference
+    p = even_counterexample_profile() if name == "even_quadratic" else profiles.builtin(name)
+    n = max(1, math.ceil((hi - lo) / scan_step))
+    propagate, members = resonance.propagate_family, []
+
+    def spy(segs, m, *args, **kwargs):
+        members.append(np.size(m))
+        return propagate(segs, m, *args, **kwargs)
+
+    for side in (-1.0, 1.0):
+        ts = _full_grid(lo, hi, n, side)
+        fvec = resonance._counted(p, side, None)
+        fs, cs = fvec(ts, True)
+        want: list = []
+        resolve_cells(fvec, ts, fs, cs, want)
+        want = [(a, b) if side > 0.0 else (-b, -a) for a, b in want]
+        assert want
+        members.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(resonance, "propagate_family", spy)
+            got = resonance._side_brackets(p, side, *resonance._side_grid(lo, hi, n, side),
+                                           0.0, None)
+        assert got == want
+        assert sum(members) < ts.size / 10
+        if name == "asymmetric_bump":
+            assert sum(members) <= 64, members
