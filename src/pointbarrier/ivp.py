@@ -14,17 +14,20 @@ one of two transports per segment:
   exponential is closed form (cosh/sinh, cos/sin, or a series near zero).
   The mesh is built once per (segment, config) from ``c`` and the
   tolerance alone and cached together with each interval's shift-free
-  step coefficients, so a member's exponent is two multiply-adds away; a
-  call exponentiates every interval of every member in one vectorized
-  pass and chains the 2x2 matrices with a pairwise product tree.  A
+  step coefficients, so a member's exponent is two multiply-adds away.  A
   constant ``c`` needs one interval, on which the step is the exact
-  constant-coefficient propagator;
+  constant-coefficient propagator.  The meshes of a chain's consecutive
+  segments join into one interval sequence, and those of all chains of a
+  call stack on the member axis, padded with identity steps: one pass
+  exponentiates them and chains the 2x2 matrices with one pairwise
+  product tree, the interval axis innermost;
 * the same Magnus transport when ``w`` is callable and the call counts
   zeros, as in the counted coupling families ``alpha * profile`` of a
   resonance scan: each member runs on the mesh of its weight bucket
   2^ceil(log2 max(|m|, 1)), built once per (segment, config, bucket) for
   the weights up to +-bucket and cached with c and w at the Gauss nodes,
-  so a member's results depend on its own weight alone;
+  one pass per bucket, so a member's results depend on its own weight
+  and the chains alone;
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
   first-order system when ``w`` is callable and the call counts no
   zeros, as in the shots that refine and confirm a resonance, with
@@ -43,6 +46,7 @@ import math
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +57,7 @@ __all__ = [
     "SolverConfig",
     "FamilySegment",
     "FamilyResult",
+    "propagate_chains",
     "propagate_family",
 ]
 
@@ -358,7 +363,7 @@ _VARIATION_CAP = 0.5  # bound on h^2 times the spread of q over an interval's no
 _MAX_SPLIT = 8  # most pieces a rejected interval is cut into per refinement pass
 _ROUNDING_FLOOR = 1e-14  # local tolerances below this only chase rounding noise
 _MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as underflow
-_WORK_CAP = 1 << 13  # intervals (or samples) x members handled per transport pass
+_WORK_CAP = 1 << 13  # intervals (or samples) x members x chains handled per transport pass
 _CACHE_FLOATS = 1 << 16  # mesh cache budget in stored floats (512 kB)
 _RENORM_EVERY = 4  # the products of the chaining tree are rescaled every this many levels
 _SERIES_THRESHOLD = 1e-6  # |det| below this: the step's cosh/sinh by power series
@@ -367,78 +372,69 @@ _EXACT_COUNT = 2.0**53  # largest zero count of one interval that a double holds
 
 @dataclass(eq=False)
 class _Steps:
-    """Magnus steps over the signed lengths ``h`` (N,), each from the
-    coefficients at its three Gauss nodes, for the members of a family.
+    """Magnus steps over the signed lengths ``h`` (N,) as ``rows`` (9, N):
+    h, the Gauss means of c and w (the member with weight m has the mean
+    coefficient cbar + m wbar), then for a constant w (``shift``) c at the
+    middle node and the shift-free ``_coefficients``, with which the member
+    steps as ``_exponent(coef, cmid + m w)``, and for a callable w c and w
+    at the three Gauss nodes, from which it forms its own coefficients."""
 
-    A constant w keeps the shift-free coefficients of each step
-    (``_coefficients``): the member shifted by ``mw`` steps with
-    ``_steps(coef, cmid + mw)``.  A callable w keeps c and w at the nodes
-    (``cn``, ``wn``), and the member with weight m forms its own
-    coefficients from c + m w there.  Per-step arrays are (N, 1) columns
-    and node arrays (3, N, 1), which broadcast over the members.
-    """
-
-    h: np.ndarray
-    coef: tuple | None = None  # constant w: five shift-free coefficient columns
-    cmid: np.ndarray | None = None  # constant w: c at the middle Gauss node
-    cn: np.ndarray | None = None  # callable w: c at the Gauss nodes
-    wn: np.ndarray | None = None  # callable w: w at the Gauss nodes
+    shift: bool
+    rows: np.ndarray
 
     @classmethod
-    def of(cls, h: np.ndarray, nodes: np.ndarray) -> _Steps:
-        """The steps over ``h`` from ``nodes`` (``_nodes`` of c, or of c
-        and a callable w)."""
+    def of(cls, h: np.ndarray, nodes: np.ndarray, w) -> _Steps:
+        """The steps over ``h`` from ``nodes``: ``_nodes`` of c, with the
+        constant ``w``, or of c and a callable w."""
+        means = [np.tensordot(_GAUSS_WEIGHTS, n, 1) for n in nodes]
         if len(nodes) == 1:
-            cn = nodes[0]
-            return cls(h, _coefficients(h[:, None], cn[..., None]), cn[1][:, None])
-        return cls(h, cn=nodes[0][..., None], wn=nodes[1][..., None])
+            return cls(True, np.array([h, means[0], np.full(h.shape, float(w)), nodes[0][1],
+                                       *_coefficients(h, nodes[0])]))
+        return cls(False, np.array([h, *means, *nodes[0], *nodes[1]]))
 
-    def matrices(self, m):
-        """The steps of the members ``m`` (k,), as ``_expm`` entries (N,
-        k); ``m`` holds the shifts mw of a constant w, or the weights of a
-        callable one."""
-        if self.wn is None:
-            return _steps(self.coef, self.cmid + m)
-        qn = self.cn + m * self.wn
-        return _steps(_coefficients(self.h[:, None], qn), qn[1])
+    @classmethod
+    def join(cls, parts: list[_Steps]) -> _Steps:
+        """The steps of ``parts``, all of one kind of w, in sequence."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(parts[0].shift, np.concatenate([p.rows for p in parts], axis=1))
+
+    @classmethod
+    def stack(cls, parts: list[_Steps]) -> _Steps:
+        """The steps of ``parts``, of one kind of w, side by side as rows (9,
+        L, N), the shorter padded with zeros, which step as the identity."""
+        if len(parts) == 1:
+            return cls(parts[0].shift, parts[0].rows[:, None])
+        rows = np.zeros((9, len(parts), max(p.h.size for p in parts)))
+        for j, p in enumerate(parts):
+            rows[:, j, :p.h.size] = p.rows
+        return cls(parts[0].shift, rows)
 
     @property
-    def floats(self) -> int:
-        arrays = (self.h, *(self.coef or ()), self.cmid, self.cn, self.wn)
-        return sum(a.size for a in arrays if a is not None)
+    def h(self) -> np.ndarray:
+        return self.rows[0]
+
+    def exponents(self, m):
+        """The exponents (x, y, z) of the steps of the members ``m`` (k,
+        1): (k, N) each, or (L, k, N) for stacked steps."""
+        r = self.rows[..., None, :]
+        if self.shift:
+            return _exponent(r[4:], r[3] + m * r[2])
+        return _node_exponents(r[0], r[3:].reshape(2, 3, *r.shape[1:]), m)
 
 
 @dataclass(eq=False)
 class _Mesh:
-    """Intervals of one segment, their Magnus steps and the Gauss means of
-    c and of a callable w over each, (N, 1) columns: the member ``m`` has
-    the mean coefficient ``qbar(m)``."""
+    """Intervals of one segment: their nodes ``x`` (N + 1) in the direction
+    of travel and their Magnus steps."""
 
-    fs: tuple  # c, and w when callable
-    x: np.ndarray  # N + 1 nodes in the direction of travel
+    seg: FamilySegment
+    x: np.ndarray
     steps: _Steps
-    cbar: np.ndarray
-    wbar: np.ndarray | None
-
-    @classmethod
-    def of(cls, fs: tuple, x: np.ndarray, nodes: np.ndarray) -> _Mesh:
-        """The mesh of ``fs`` on the nodes ``x``, from ``_nodes`` of ``fs``."""
-        cbar, *wbar = (np.tensordot(_GAUSS_WEIGHTS, n, 1)[:, None] for n in nodes)
-        return cls(fs, x, _Steps.of(np.diff(x), nodes), cbar, wbar[0] if wbar else None)
 
     @property
     def h(self) -> np.ndarray:
         return self.steps.h
-
-    def qbar(self, m):
-        """Gauss mean coefficient of every interval for the members ``m``
-        (``_Steps.matrices``)."""
-        return self.cbar + m if self.wbar is None else self.cbar + m * self.wbar
-
-    @property
-    def floats(self) -> int:
-        arrays = (self.x, self.cbar, self.wbar)
-        return self.steps.floats + sum(a.size for a in arrays if a is not None)
 
 
 _MESH_CACHE: OrderedDict = OrderedDict()
@@ -501,7 +497,7 @@ def _coefficients(h, cn):
     steps of -u'' + q u = 0 over signed lengths ``h``, from c at the three
     Gauss nodes (``cn[0]``, ``cn[1]``, ``cn[2]``): the member with q = c +
     s steps with the exponent [[xc + xq q2, y], [zc + zq q2, -x]], q2 =
-    cn[1] + s.  Broadcasts over its arguments; ``_steps`` applies it.
+    cn[1] + s.  Broadcasts over its arguments; ``_exponent`` applies it.
 
     With A = [[0, 1], [q, 0]] at the nodes, a1 = h A2, a2 = sqrt(15) h / 3
     (A3 - A1) and a3 = 10 h / 3 (A3 - 2 A2 + A1), the exponent is a1 + a3 /
@@ -520,11 +516,21 @@ def _coefficients(h, cn):
     return xc, xq, y, zc, zq
 
 
-def _steps(coef, q2):
-    """Magnus steps with the coefficients ``coef`` (``_coefficients``) at
-    the middle-node coefficients ``q2``, as ``_expm`` entries."""
+def _exponent(coef, q2):
+    """Exponents (x, y, z) of the Magnus steps with the coefficients
+    ``coef`` (``_coefficients``) at the middle-node coefficients ``q2``."""
     xc, xq, y, zc, zq = coef
-    return _expm(xc + xq * q2, y, zc + zq * q2)
+    return xc + xq * q2, y, zc + zq * q2
+
+
+def _node_exponents(h, nodes, m):
+    """Exponents of the Magnus steps over ``h`` of the members ``m`` (k, 1)
+    from ``nodes`` with a member axis before the interval axis: ``_nodes``
+    of c, each member shifting c by its m, or of c and a callable w."""
+    if len(nodes) == 1:
+        return _exponent(_coefficients(h, nodes[0]), nodes[0][1] + m)
+    qn = nodes[0] + m * nodes[1]
+    return _exponent(_coefficients(h, qn), qn[1])
 
 
 def _step_defect(fs, lo, h, nodes, weights):
@@ -535,10 +541,8 @@ def _step_defect(fs, lo, h, nodes, weights):
     the nodes of both halves."""
     half = 0.5 * h
     A, B = _nodes(fs, lo, half), _nodes(fs, lo + half, half)
-    col = h[:, None]
-    one = _Steps.of(h, nodes).matrices(weights)
-    sa = _Steps.of(half, A).matrices(weights)
-    sb = _Steps.of(half, B).matrices(weights)
+    one, sa, sb = (_expm(*_node_exponents(t, n[..., None, :], weights))
+                   for t, n in ((h, nodes), (half, A), (half, B)))
     f = np.exp(sa[4] + sb[4] - one[4])
     two = (
         (sb[0] * sa[0] + sb[1] * sa[2]) * f,
@@ -546,10 +550,10 @@ def _step_defect(fs, lo, h, nodes, weights):
         (sb[2] * sa[0] + sb[3] * sa[2]) * f,
         (sb[2] * sa[1] + sb[3] * sa[3]) * f,
     )
-    scale = (1.0, 1.0 / col, col, 1.0)
+    scale = (1.0, 1.0 / h, h, 1.0)
     gap = np.max([np.abs(p - t) * s for p, t, s in zip(one, two, scale)], axis=0)
     size = np.max([np.abs(t) * s for t, s in zip(two, scale)], axis=0)
-    est = np.max(gap / size, axis=1)
+    est = np.max(gap / size, axis=0)
     return np.where(np.isfinite(est), est, np.inf), A, B
 
 
@@ -561,7 +565,7 @@ def _spread(nodes, weights) -> np.ndarray:
     if len(nodes) == 1:
         return np.ptp(nodes[0], axis=0)
     cn, wn = nodes
-    return np.ptp(cn[..., None] + weights * wn[..., None], axis=0).max(axis=1)
+    return np.ptp(cn[:, None] + weights * wn[:, None], axis=0).max(axis=0)
 
 
 def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) -> _Mesh:
@@ -592,6 +596,7 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None
     else:
         top = math.ldexp(1.0, bucket) if bucket < 1024 else sys.float_info.max
         weights = np.array([-top, 0.0, top])
+    weights = weights[:, None]  # a column of members (``_node_exponents``)
     tol = max(cfg.rel_tol, _ROUNDING_FLOOR)
     kept = []
     total = 0
@@ -626,7 +631,8 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None
     lo, hi, nodes = np.concatenate(lo), np.concatenate(hi), np.concatenate(nodes, axis=2)
     direction = 1.0 if seg.b > seg.a else -1.0
     order = np.argsort(lo * direction, kind="stable")
-    return _Mesh.of(fs, np.append(lo[order], hi[order][-1]), nodes[..., order])
+    x = np.append(lo[order], hi[order][-1])
+    return _Mesh(seg, x, _Steps.of(np.diff(x), nodes[..., order], seg.w_part))
 
 
 def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) -> _Mesh:
@@ -635,9 +641,8 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) 
     constant ``c_part`` with a constant w needs no cache: its mesh is the
     whole segment, where the Magnus step is exact."""
     if bucket is None and not callable(seg.c_part):
-        x = np.array([seg.a, seg.b], dtype=float)
-        fs = (seg.c_part,)
-        return _Mesh.of(fs, x, _nodes(fs, x[:1], np.diff(x)))
+        x, h = np.array([seg.a, seg.b], dtype=float), np.array([seg.b - seg.a], dtype=float)
+        return _Mesh(seg, x, _Steps.of(h, _nodes((seg.c_part,), x[:1], h), seg.w_part))
     key = (seg, cfg) if bucket is None else (seg, cfg, bucket)
     try:
         mesh = _MESH_CACHE.get(key)
@@ -648,38 +653,32 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) 
         return mesh
     mesh = _build_mesh(seg, cfg, bucket)
     _MESH_CACHE[key] = mesh
-    stored = sum(m.floats for m in _MESH_CACHE.values())
+    stored = sum(m.x.size + m.steps.rows.size for m in _MESH_CACHE.values())
     while stored > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
         _, old = _MESH_CACHE.popitem(last=False)
-        stored -= old.floats
+        stored -= old.x.size + old.steps.rows.size
     return mesh
 
 
-def _meshes(seg: FamilySegment, cfg: SolverConfig, m: np.ndarray):
-    """``(mesh, cols, mw)`` for each mesh that carries members of the
-    family ``m`` across ``seg``: the member indices ``cols`` (None: all)
-    and the values ``mw`` that ``_Steps.matrices`` takes for them.  A
-    constant w puts the whole family on one mesh; a callable w puts each
-    member on the mesh of its weight bucket 2^e, e = ceil(log2 max(|m|,
-    1)), so that its results depend on its own weight alone."""
-    if not callable(seg.w_part):
-        yield _mesh_for(seg, cfg), None, m * float(seg.w_part)
-        return
+def _buckets(m: np.ndarray) -> list:
+    """(bucket, member indices) for each weight bucket 2^e, e = ceil(log2
+    max(|m|, 1)), that holds members of the family ``m``."""
     mant, e = np.frexp(np.maximum(np.abs(m), 1.0))
     e -= mant == 0.5  # a power of two is the top of its own bucket
-    for bucket in np.unique(e):
-        cols = np.flatnonzero(e == bucket)
-        yield _mesh_for(seg, cfg, int(bucket)), cols, m[cols]
+    return [(int(bucket), np.flatnonzero(e == bucket)) for bucket in np.unique(e)]
 
 
 def _sample_plan(mesh: _Mesh, xs: np.ndarray):
-    """(node index, steps) of the Magnus substep from the preceding mesh
-    node to each sample point."""
+    """(node index, length, nodes, w) of the Magnus substep from the
+    preceding mesh node to each sample point, for ``_node_exponents`` with
+    the member m shifting c by m w (w = 1 for a callable w)."""
     direction = 1.0 if mesh.h[0] > 0 else -1.0
     idx = np.searchsorted(mesh.x * direction, xs * direction, side="right") - 1
-    idx = np.clip(idx, 0, mesh.h.size - 1)
-    t = xs - mesh.x[idx]
-    return idx, _Steps.of(t, _nodes(mesh.fs, mesh.x[idx], t))
+    idx = np.minimum(np.maximum(idx, 0), mesh.h.size - 1)
+    t, seg = xs - mesh.x[idx], mesh.seg
+    fs = (seg.c_part,) if mesh.steps.shift else (seg.c_part, seg.w_part)
+    w = float(seg.w_part) if mesh.steps.shift else 1.0
+    return idx, t, _nodes(fs, mesh.x[idx], t), np.full(t.shape, w)
 
 
 def _unit(Y: np.ndarray, logs: np.ndarray):
@@ -691,61 +690,63 @@ def _unit(Y: np.ndarray, logs: np.ndarray):
 
 def _chain(M: np.ndarray, L: np.ndarray, y: np.ndarray, ly: np.ndarray, nodes: bool):
     """Carry the states ``y`` (2, k) with log scales ``ly`` (k,) through the
-    interval matrices ``M`` (2, 2, N, k) with log scales ``L`` (N, k).
+    interval matrices ``M`` (2, 2, k, N) with log scales ``L`` (k, N).
 
     Pairwise tree: each level multiplies neighbouring matrices, the later
     one on the left, for all pairs at once, and rescales the products
     every ``_RENORM_EVERY`` levels; an odd level's last matrix is a tail.
     The end state passes through the top product, then through the tails
     from the highest level down.  With ``nodes`` a down-sweep gives the
-    states (2, N + 1, k) and logs (N + 1, k) at every mesh node: a pair
+    states (2, k, N + 1) and logs (k, N + 1) at every mesh node: a pair
     starts where its parent does, its second matrix where the first one
-    leaves.  Every operation is elementwise per member.
+    leaves.  Matrix j of level l starts at node j 2^l, so every level
+    writes its nodes into one array in place.  Every operation is
+    elementwise per member.
     """
-    k = L.shape[1]
+    k, N = L.shape
     tree = [(M, L)]
-    while M.shape[2] > 1:
-        n = M.shape[2] // 2 * 2
-        a, b = M[:, :, 0:n:2], M[:, :, 1:n:2]
+    while M.shape[3] > 1:
+        n = M.shape[3] // 2 * 2
+        a, b = M[..., 0:n:2], M[..., 1:n:2]
         M = b[:, 0, None] * a[None, 0]
         M += b[:, 1, None] * a[None, 1]
-        L = L[0:n:2] + L[1:n:2]
+        L = L[:, 0:n:2] + L[:, 1:n:2]
         if len(tree) % _RENORM_EVERY == 0:
             sc = np.abs(M).max(axis=(0, 1))
             M /= sc
             L += np.log(sc)
         tree.append((M, L))
-    cur = M[:, 0, 0] * y[0] + M[:, 1, 0] * y[1]
-    lcur = ly + L[0]
+    cur = M[:, 0, :, 0] * y[0] + M[:, 1, :, 0] * y[1]
+    lcur = ly + L[:, 0]
     starts = {}
     for level in reversed(range(len(tree) - 1)):
         T, LT = tree[level]
-        if T.shape[2] % 2:
+        if T.shape[3] % 2:
             starts[level] = cur, lcur
-            cur = T[:, 0, -1] * cur[0] + T[:, 1, -1] * cur[1]
-            lcur = lcur + LT[-1]
+            cur = T[:, 0, :, -1] * cur[0] + T[:, 1, :, -1] * cur[1]
+            lcur = lcur + LT[:, -1]
     cur, lcur = _unit(cur, lcur)
     if not nodes:
         return cur, lcur, None, None
-    S, LS = y[:, None], ly[None]
+    S, LS = np.empty((2, k, N + 1)), np.empty((k, N + 1))
+    S[..., 0], LS[:, 0], S[..., N], LS[:, N] = y, ly, cur, lcur
     for level in reversed(range(len(tree) - 1)):
         T, LT = tree[level]
-        N, n = T.shape[2], 2 * S.shape[1]
-        a = T[:, :, 0:n:2]
-        S2, LS2 = np.empty((2, N, k)), np.empty((N, k))
-        S2[:, 0:n:2], LS2[0:n:2] = S, LS
-        S2[:, 1:n:2] = a[:, 0] * S[0] + a[:, 1] * S[1]
-        LS2[1:n:2] = LS + LT[0:n:2]
-        if N % 2:
-            S2[:, -1], LS2[-1] = starts[level]
-        S, LS = S2, LS2
-    return cur, lcur, np.concatenate([S, cur[:, None]], axis=1), np.concatenate([LS, lcur[None]])
+        step, n = 1 << level, T.shape[3] // 2 * 2
+        pairs, seconds = slice(0, n * step, 2 * step), slice(step, n * step, 2 * step)
+        a, Sp = T[..., 0:n:2], S[..., pairs]
+        np.add(a[:, 0] * Sp[0], a[:, 1] * Sp[1], out=S[..., seconds])
+        np.add(LS[:, pairs], LT[:, 0:n:2], out=LS[:, seconds])
+        if T.shape[3] % 2:
+            S[..., n * step], LS[:, n * step] = starts[level]
+    return cur, lcur, S, LS
 
 
 def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Zeros of u per member across the mesh, from the node states
-    (2, N + 1, k) and the mean coefficient ``qbar`` (N, k) of every
-    interval.
+    (2, k, N + 1), the mean coefficient ``qbar`` (k, N) and the signed
+    length ``h`` (k, N) of every interval; a zero-length interval ends a
+    shorter chain's row and counts nothing.
 
     Each node has its own half-turn: whether its Pruefer angle atan2(u,
     u'), taken in [0, 2 pi) along the direction of travel, has reached pi.
@@ -762,72 +763,210 @@ def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np
     2^53, or not finite) raises ``NumericsError``.
     """
     u, v = states
-    sg = 1.0 if h[0] > 0 else -1.0
+    sg = np.where(h[:, :1] > 0.0, 1.0, -1.0)
     half = (u < 0.0) | ((u == 0.0) & (sg * v < 0.0))
-    add = (half[1:] != half[:-1]).astype(int)
-    osc = -qbar * (h * h)[:, None] > 1.0
+    add = (half[:, 1:] != half[:, :-1]).astype(int)
+    osc = -qbar * (h * h) > 1.0
     if osc.any():
-        i, k = np.nonzero(osc)
-        w = np.sqrt(-qbar[i, k])
+        k, i = np.nonzero(osc)
+        w = np.sqrt(-qbar[k, i])
 
         def angle(node):  # in [0, 2 pi], on the side of pi that ``half`` reads
-            ph = np.arctan2(w * u[node, k], sg * v[node, k])
-            return np.where(half[node, k] & (ph <= 0.0), ph + 2.0 * math.pi, ph)
+            ph = np.arctan2(w * u[k, node], sg[k, 0] * v[k, node])
+            return np.where(half[k, node] & (ph <= 0.0), ph + 2.0 * math.pi, ph)
 
-        laps = np.round((angle(i) + w * np.abs(h[i]) - angle(i + 1)) / (2.0 * math.pi))
-        turns = 2.0 * laps + half[i + 1, k] - half[i, k]
+        laps = np.round((angle(i) + w * np.abs(h[k, i]) - angle(i + 1)) / (2.0 * math.pi))
+        turns = 2.0 * laps + half[k, i + 1] - half[k, i]
         if not np.all(np.abs(turns) <= _EXACT_COUNT):  # NaN fails too
             raise NumericsError(
                 f"a mesh interval turns u through {np.max(np.abs(turns)):.6g} half-periods, "
                 "more than a double counts exactly")
-        add[i, k] = turns
-    return add.sum(axis=0)
-
-
-def _mesh_apply(mesh, mw, cols, Y, logs, counts, seg_samples, rec_states, rec_logs,
-                rec_i) -> None:
-    """Advance the members ``cols`` (None: all) of the family (Y, logs),
-    with the values ``mw`` of ``_Steps.matrices``, in place across one
-    meshed segment, recording ``seg_samples`` from row ``rec_i`` on.
-    Members are taken in groups of at most ``_WORK_CAP`` intervals x
-    members."""
-    plan = _sample_plan(mesh, seg_samples) if len(seg_samples) else None
-    N = mesh.h.size
-    K = len(seg_samples)
-    rows = slice(rec_i, rec_i + K)
-    group = max(1, _WORK_CAP // max(N, K))
-    nodes = counts is not None or plan is not None
-    for lo in range(0, mw.size, group):
-        part = mw[lo:lo + group]
-        c = slice(lo, lo + group) if cols is None else cols[lo:lo + group]
-        m11, m12, m21, m22, lg = mesh.steps.matrices(part)
-        y, ly = _unit(Y[:, c], logs[c])
-        end, lend, st, sl = _chain(np.array([[m11, m12], [m21, m22]]), lg, y, ly, nodes)
-        Y[:, c] = end
-        logs[c] = lend
-        if counts is not None:
-            counts[c] += _mesh_zero_counts(st, mesh.qbar(part), mesh.h)
-        if plan is not None:
-            idx, sub = plan
-            p11, p12, p21, p22, pl = sub.matrices(part)
-            su, sv = st[:, idx]
-            rec_states[rows, 0, c] = p11 * su + p12 * sv
-            rec_states[rows, 1, c] = p21 * su + p22 * sv
-            rec_logs[rows, c] = sl[idx] + pl
+        add[k, i] = turns
+    return add.sum(axis=1)
 
 
 # -- family propagation over segment chains -----------------------------------
 
-def propagate_family(
-    segments: Sequence[FamilySegment],
-    m,
-    init,
-    cfg: SolverConfig | None = None,
-    *,
-    rescale: bool = False,
-    samples=None,
-    count_zeros: bool = False,
-) -> FamilyResult:
+class _Shot:
+    """The family along one chain: states ``Y`` (2, n) with log scales,
+    zero counts and sample records (None: not asked for), segment i's
+    samples in the rows ``rows[i]`` of ``xs``; a sample on a join goes to
+    the earlier segment."""
+
+    def __init__(self, chain, Y: np.ndarray, samples, count_zeros: bool):
+        if not chain:
+            raise ValueError("need at least one segment")
+        direction = 1.0 if chain[-1].b > chain[0].a else -1.0
+        if any((seg.b - seg.a) * direction <= 0 for seg in chain):
+            raise ValueError("segments must advance monotonically")
+        if any(abs(a.b - b.a) > 1e-12 * max(1.0, abs(a.b)) for a, b in zip(chain, chain[1:])):
+            raise ValueError("segments must join end-to-start")
+        n = Y.shape[1]
+        self.chain, self.Y, self.logs = chain, Y, np.zeros(n)
+        self.counts = np.zeros(n, dtype=int) if count_zeros else None
+        self.rows = self.rec_states = self.rec_logs = None
+        if samples is None:
+            return
+        self.xs = np.asarray(samples, dtype=float)
+        path = self.xs * direction
+        if np.any(path[1:] < path[:-1]):
+            raise ValueError("samples must be ordered along the integration direction")
+        cuts = np.searchsorted(path, [seg.b * direction + 1e-12 for seg in chain], side="right")
+        if cuts[-1] != path.size or path.size and path[0] < chain[0].a * direction - 1e-12:
+            raise ValueError("some sample points fell outside the integration path")
+        self.rows = [slice(lo, hi) for lo, hi in zip([0, *cuts[:-1]], cuts)]
+        self.rec_states, self.rec_logs = np.empty((path.size, 2, n)), np.empty((path.size, n))
+
+    def pieces(self, count_zeros: bool) -> list:
+        """(route, first, stop) of each run of segments on one transport: the
+        mesh of a constant w (False), the bucket meshes of a counted
+        callable w (True), or the Runge-Kutta pair (None, one segment)."""
+        routes = [callable(seg.w_part) if count_zeros or not callable(seg.w_part) else None
+                  for seg in self.chain]
+        cuts = [i for i in range(1, len(routes))
+                if routes[i] is None or routes[i] is not routes[i - 1]]
+        return [(routes[a], a, b) for a, b in zip([0, *cuts], [*cuts, len(routes)])]
+
+    def lane(self, first: int, stop: int, cfg: SolverConfig, bucket: int | None):
+        """(shot, steps, plan) of the segments first:stop as one interval
+        sequence on the meshes of ``bucket`` (None: a constant w); the plan
+        (None: no samples) holds each sample's node, substep and row."""
+        meshes = [_mesh_for(seg, cfg) if bucket is None else _mesh_for(seg, cfg, bucket)
+                  for seg in self.chain[first:stop]]
+        steps = _Steps.join([mesh.steps for mesh in meshes])
+        if self.rows is None:
+            return self, steps, None
+        plans = [_sample_plan(mesh, self.xs[r]) for mesh, r in zip(meshes, self.rows[first:stop])]
+        offsets = np.cumsum([0] + [mesh.h.size for mesh in meshes[:-1]])
+        plans = [(p[0] + offset, *p[1:]) for p, offset in zip(plans, offsets)]
+        plan = plans[0] if len(plans) == 1 else [np.concatenate(p, axis=-1) for p in zip(*plans)]
+        rows = slice(self.rows[first].start, self.rows[stop - 1].stop)
+        return self, steps, (*plan, rows) if plan[0].size else None
+
+    def rk(self, i: int, m: np.ndarray, cfg: SolverConfig) -> None:
+        """Carry the family across segment i on the Runge-Kutta pair, from
+        true-scale states."""
+        seg, Y = self.chain[i], self.Y
+        Y *= np.exp(self.logs)  # the RK's absolute tolerance reads true states
+        self.logs[:] = 0.0
+        span = abs(self.chain[-1].b - self.chain[0].a)
+        xs, base = (self.xs[self.rows[i]], self.rows[i].start) if self.rows else ((), 0)
+        cp, wp = seg.c_part, seg.w_part
+        c0 = None if callable(cp) else float(cp)
+        # tiny families run faster member-by-member on the scalar fast path
+        lanes = [slice(j, j + 1) for j in range(m.size)] if 1 < m.size <= 6 else [slice(0, m.size)]
+        for lane in lanes:
+            Yl = Y[:, lane]
+            ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
+
+            def record(j: int, _lane=lane, _Y=Yl) -> None:
+                self.rec_states[base + j, :, _lane] = _Y
+                self.rec_logs[base + j, _lane] = 0.0
+
+            if c0 is None:
+                qv = lambda x, ml=ml: cp(x) + ml * wp(x)
+            else:
+                qv = lambda x, ml=ml: c0 + ml * wp(x)
+            _rk_span(
+                qv, seg.a, seg.b, Yl, cfg, _RK_MAX_STEP * span, _MIN_STEP * span,
+                record_xs=xs if len(xs) else None,
+                record_fn=record if len(xs) else None,
+            )
+
+
+def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
+    """Carry the members ``cols`` of the family ``m`` in place across one
+    interval sequence per lane (``_Shot.lane``), stacked (``_Steps.stack``)
+    for one ``_expm`` and one ``_chain`` call; each row counts its zeros
+    on its own lengths and direction, and a member's bits do not depend on
+    the rest of the family.  Members go in groups of at most ``_WORK_CAP``
+    intervals (or samples) x members x lanes."""
+    steps = _Steps.stack([steps for _, steps, _ in lanes])
+    L, N = steps.h.shape
+    S = max((plan[0].size for _, _, plan in lanes if plan), default=0)
+    counting = lanes[0][0].counts is not None
+    group = max(1, _WORK_CAP // (L * max(N, S)))
+    for lo in range(0, cols.size, group):
+        c = cols[lo:lo + group]
+        g = c.size
+        if c[-1] - c[0] == g - 1:  # a run of members: basic indexing is cheaper
+            c = slice(c[0], c[-1] + 1)
+        w = m[c, None]
+        m11, m12, m21, m22, lg = (e.reshape(L * g, N) for e in _expm(*steps.exponents(w)))
+        y = np.concatenate([shot.Y[:, c] for shot, _, _ in lanes], axis=1)
+        ly = np.concatenate([shot.logs[c] for shot, _, _ in lanes])
+        end, lend, st, sl = _chain(np.array([[m11, m12], [m21, m22]]), lg, *_unit(y, ly),
+                                   counting or S > 0)
+        if counting:
+            qbar = steps.rows[1, :, None] + w * steps.rows[2, :, None]
+            add = _mesh_zero_counts(st, qbar.reshape(L * g, N), np.repeat(steps.h, g, axis=0))
+        for j, (shot, _, plan) in enumerate(lanes):
+            r = slice(j * g, j * g + g)
+            shot.Y[:, c], shot.logs[c] = end[:, r], lend[r]
+            if counting:
+                shot.counts[c] += add[r]
+            if plan:
+                idx, t, nodes, ws, rows = plan
+                p11, p12, p21, p22, pl = _expm(*_node_exponents(t, nodes[..., None, :], w * ws))
+                su, sv = st[:, r][..., idx]
+                shot.rec_states[rows, 0, c] = (p11 * su + p12 * sv).T
+                shot.rec_states[rows, 1, c] = (p21 * su + p22 * sv).T
+                shot.rec_logs[rows, c] = (sl[r][:, idx] + pl).T
+
+
+def propagate_chains(chains: Sequence[Sequence[FamilySegment]], m, init,
+                     cfg: SolverConfig | None = None, *, rescale: bool = False, samples=None,
+                     count_zeros: bool = False) -> list[FamilyResult]:
+    """``propagate_family`` of one family on each of ``chains``, which may
+    differ in span and direction, with ``samples`` None or one sequence per
+    chain.  Their meshed segments run in one pass (per weight bucket),
+    whose padding moves a chain's results against a call of its own by
+    rounding only."""
+    cfg = cfg or DEFAULT_CONFIG
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    n = m.size
+    init = np.asarray(init)
+    if np.iscomplexobj(init) or not np.all(np.isfinite(init)):
+        raise ValueError("init must be a finite real state")
+    if init.shape not in ((2,), (2, n)):
+        raise ValueError(f"init must have shape (2,) or (2, {n})")
+    shots = [_Shot(chain, np.zeros((2, n)) + init.reshape(2, -1), xs, count_zeros)
+             for chain, xs in zip(chains, [None] * len(chains) if samples is None else samples)]
+
+    # one boundary for the whole call: an overflow or a NaN inside shows
+    # up as a non-finite result, which raises below
+    with np.errstate(all="ignore"):
+        for pieces in zip_longest(*(shot.pieces(count_zeros) for shot in shots)):
+            runs = {}
+            for shot, piece in zip(shots, pieces):
+                if piece is not None and piece[0] is None:
+                    shot.rk(piece[1], m, cfg)
+                elif piece is not None:
+                    runs.setdefault(piece[0], []).append((shot, piece[1], piece[2]))
+            for route, run in runs.items():
+                for bucket, cols in _buckets(m) if route else [(None, np.arange(n))]:
+                    _carry([shot.lane(first, stop, cfg, bucket) for shot, first, stop in run],
+                           m, cols)
+        for shot in shots:
+            if not rescale:  # hand back true states
+                shot.Y *= np.exp(shot.logs)
+                shot.logs[:] = 0.0
+                if shot.rec_states is not None:
+                    shot.rec_states *= np.exp(shot.rec_logs)[:, None, :]
+                    shot.rec_logs[:] = 0.0
+            results = [shot.Y, shot.logs, shot.rec_states, shot.rec_logs]
+            if not all(np.isfinite(r).all() for r in results if r is not None):
+                raise NumericsError(  # + 0.0: the end of a negative side reads 0, not -0
+                    f"the propagation over [{shot.chain[0].a:.10g}, {shot.chain[-1].b:.10g}] of "
+                    f"weights {m.min() + 0.0:.10g} to {m.max() + 0.0:.10g} leaves the range "
+                    "of a double")
+    return [FamilyResult(shot.Y, shot.logs, shot.rec_states, shot.rec_logs, shot.counts)
+            for shot in shots]
+
+
+def propagate_family(segments: Sequence[FamilySegment], m, init,
+                     cfg: SolverConfig | None = None, *, rescale: bool = False, samples=None,
+                     count_zeros: bool = False) -> FamilyResult:
     """Carry Cauchy data across an ordered chain of coefficient segments.
 
     ``m`` is the family weight vector (shape (n,), possibly n = 1); the
@@ -839,107 +978,11 @@ def propagate_family(
     log scales of the Magnus segments; a Runge-Kutta segment starts from
     true-scale states and adds no scale.  ``count_zeros`` counts the
     interior zeros of u per member, and puts every segment on a Magnus
-    mesh (``FamilySegment``).  A returned state, log
-    or sample that is not finite, or a zero count that a double cannot
-    hold exactly, raises ``NumericsError``; numpy warns of nothing inside.
+    mesh (``FamilySegment``).  A returned state, log or sample that is not
+    finite, or a zero count that a double cannot hold exactly, raises
+    ``NumericsError``; numpy warns of nothing inside.  The one-chain case
+    of ``propagate_chains``.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    n = m.size
-    init = np.asarray(init)
-    if np.iscomplexobj(init) or not np.all(np.isfinite(init)):
-        raise ValueError("init must be a finite real state")
-    if init.ndim == 1:
-        Y = np.repeat(init.astype(float).reshape(2, 1), n, axis=1)
-    else:
-        Y = init.astype(float)
-        if Y.shape != (2, n):
-            raise ValueError(f"init must have shape (2,) or (2, {n})")
-    logs = np.zeros(n)
-
-    if not segments:
-        raise ValueError("need at least one segment")
-    x_start = segments[0].a
-    x_end = segments[-1].b
-    direction = 1.0 if x_end > x_start else -1.0
-    for seg in segments:
-        if (seg.b - seg.a) * direction <= 0:
-            raise ValueError("segments must advance monotonically")
-    for left, right in zip(segments, segments[1:]):
-        if abs(left.b - right.a) > 1e-12 * max(1.0, abs(left.b)):
-            raise ValueError("segments must join end-to-start")
-
-    if samples is not None:
-        sample_x = np.asarray(samples, dtype=float)
-        if sample_x.size and np.any(np.diff(sample_x) * direction < 0):
-            raise ValueError("samples must be ordered along the integration direction")
-        rec_states = np.empty((sample_x.size, 2, n))
-        rec_logs = np.empty((sample_x.size, n))
-    else:
-        sample_x = None
-        rec_states = rec_logs = None
-    rec_i = 0
-    counts = np.zeros(n, dtype=int) if count_zeros else None
-    span = abs(x_end - x_start)
-    hmax, hmin = _RK_MAX_STEP * span, _MIN_STEP * span
-
-    # one boundary for the whole chain: an overflow or a NaN inside shows
-    # up as a non-finite result, which raises below
-    with np.errstate(all="ignore"):
-        for seg in segments:
-            seg_samples = np.empty(0)
-            if sample_x is not None:
-                # the samples from rec_i on up to the first one off this segment
-                rest = sample_x[rec_i:]
-                inside = (((rest - seg.a) * direction >= -1e-12)
-                          & ((seg.b - rest) * direction >= -1e-12))
-                seg_samples = rest if inside.all() else rest[:int(np.argmin(inside))]
-            if not callable(seg.w_part) or counts is not None:
-                for mesh, cols, mw in _meshes(seg, cfg, m):
-                    _mesh_apply(mesh, mw, cols, Y, logs, counts, seg_samples, rec_states,
-                                rec_logs, rec_i)
-                rec_i += len(seg_samples)
-                continue
-            Y *= np.exp(logs)  # the RK's absolute tolerance reads true states
-            logs[:] = 0.0
-            cp, wp = seg.c_part, seg.w_part
-            c0 = None if callable(cp) else float(cp)
-            # tiny families run faster member-by-member on the scalar fast path
-            base = rec_i
-            lanes = [slice(i, i + 1) for i in range(n)] if 1 < n <= 6 else [slice(0, n)]
-            for lane in lanes:
-                Yl = Y[:, lane]
-                ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
-
-                def record(j: int, _lane=lane, _Y=Yl) -> None:
-                    rec_states[base + j, :, _lane] = _Y
-                    rec_logs[base + j, _lane] = 0.0
-
-                if c0 is None:
-                    qv = lambda x, ml=ml: cp(x) + ml * wp(x)
-                else:
-                    qv = lambda x, ml=ml: c0 + ml * wp(x)
-                _rk_span(
-                    qv, seg.a, seg.b, Yl, cfg, hmax, hmin,
-                    record_xs=seg_samples if len(seg_samples) else None,
-                    record_fn=record if len(seg_samples) else None,
-                )
-            rec_i += len(seg_samples)
-
-        if sample_x is not None and rec_i != sample_x.size:
-            raise ValueError("some sample points fell outside the integration path")
-        if not rescale:  # hand back true states
-            Y *= np.exp(logs)
-            logs[:] = 0.0
-            if rec_states is not None:
-                rec_states *= np.exp(rec_logs)[:, None, :]
-                rec_logs[:] = 0.0
-
-    results = (Y, logs) if rec_states is None else (Y, logs, rec_states, rec_logs)
-    if not all(np.isfinite(r).all() for r in results):
-        raise NumericsError(
-            f"the propagation over [{x_start:.10g}, {x_end:.10g}] of weights "
-            f"{m.min():.10g} to {m.max():.10g} leaves the range of a double")
-
-    return FamilyResult(Y, logs, rec_states, rec_logs, counts)
-
+    return propagate_chains([segments], m, init, cfg, rescale=rescale,
+                            samples=None if samples is None else [samples],
+                            count_zeros=count_zeros)[0]

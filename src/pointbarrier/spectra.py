@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericsError, SpectralWindowError, TruncationDomainError
-from .ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_family
+from .ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_chains, propagate_family
 from .profiles import Profile, Segment
 from .rootfind import illinois_vector, resolve_cells, sign_change_brackets
 
@@ -287,11 +287,8 @@ def _matching(problem: _Problem, cfg):
     r_fixed = _reduced_angle(W) or math.pi
 
     def fvec(lams: np.ndarray, with_counts: bool = False):
-        shots = [
-            propagate_family(chain, lams, np.array([0.0, 1.0]), cfg,
-                             rescale=True, count_zeros=with_counts)
-            for chain in chains
-        ]
+        shots = propagate_chains(chains, lams, np.array([0.0, 1.0]), cfg, rescale=True,
+                                 count_zeros=with_counts)
         V = shots[0].states if C is None else C @ shots[0].states
         Y = shots[1].states if len(shots) == 2 else W
         vals = (V[0] * Y[1] - V[1] * Y[0]) / (_norm2(V) * _norm2(Y))

@@ -230,20 +230,39 @@ def magnus_exponent(h, q):
     return x, y, z
 
 
+def spy_shots(monkeypatch, module, record):
+    """Call ``record(chain, m)`` for each chain that ``module`` shoots from
+    now on, one call per chain, whether through ``propagate_family`` or
+    ``propagate_chains``."""
+    family, chains = module.propagate_family, module.propagate_chains
+
+    def one(chain, m, *args, **kwargs):
+        record(chain, np.asarray(m))
+        return family(chain, m, *args, **kwargs)
+
+    def several(chain_list, m, *args, **kwargs):
+        for chain in chain_list:
+            record(chain, np.asarray(m))
+        return chains(chain_list, m, *args, **kwargs)
+
+    monkeypatch.setattr(module, "propagate_family", one)
+    monkeypatch.setattr(module, "propagate_chains", several)
+
+
 def sequential_chain(M, L, y, ly):
-    """States (2, N + 1, k) and logs (N + 1, k) at every node of the states
+    """States (2, k, N + 1) and logs (k, N + 1) at every node of the states
     ``y`` (2, k) with logs ``ly`` carried through the interval matrices
-    ``M`` (2, 2, N, k) with logs ``L`` (N, k) one interval at a time,
+    ``M`` (2, 2, k, N) with logs ``L`` (k, N) one interval at a time,
     each state rescaled to unit max-norm."""
-    N, k = L.shape
-    states, logs = np.empty((2, N + 1, k)), np.empty((N + 1, k))
+    k, N = L.shape
+    states, logs = np.empty((2, k, N + 1)), np.empty((k, N + 1))
     cur, lcur = np.array(y, dtype=float), np.array(ly, dtype=float)
     for i in range(N):
-        states[:, i], logs[i] = cur, lcur
-        cur = M[:, 0, i] * cur[0] + M[:, 1, i] * cur[1]
+        states[..., i], logs[:, i] = cur, lcur
+        cur = M[:, 0, :, i] * cur[0] + M[:, 1, :, i] * cur[1]
         s = np.abs(cur).max(axis=0)
-        cur, lcur = cur / s, lcur + L[i] + np.log(s)
-    states[:, N], logs[N] = cur, lcur
+        cur, lcur = cur / s, lcur + L[:, i] + np.log(s)
+    states[..., N], logs[:, N] = cur, lcur
     return states, logs
 
 

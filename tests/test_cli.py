@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -402,6 +403,7 @@ def test_shots_beyond_a_double_exit_3_without_a_warning(argv, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+    assert not re.search(r"-0(?![.\d])", err[0]), err  # a negative side ends at 0, not -0
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import step_theta
+from conftest import spy_shots, step_theta
 
 from pointbarrier.errors import PreconditionError
 from pointbarrier.experiments import (
@@ -37,14 +37,12 @@ def test_each_rung_shoots_its_scan_start_once(tilted, step, monkeypatch):
     ladder = [0.2, 0.1, 0.05, 0.025]
     start = spectra._weyl_scan(tilted)[1]
     starts = dict.fromkeys(ladder, 0)
-    propagate = spectra.propagate_family
 
-    def spy(chain, lams, *args, **kwargs):
+    def spy(chain, lams):
         if chain[-1].b in starts and np.array_equal(lams, [start]):
             starts[chain[-1].b] += 1
-        return propagate(chain, lams, *args, **kwargs)
 
-    monkeypatch.setattr(spectra, "propagate_family", spy)
+    spy_shots(monkeypatch, spectra, spy)
     convergence_study(tilted, step, 0.0, ladder, 1, samples_per_unit=101)
     assert starts == dict.fromkeys(ladder, 2)
 

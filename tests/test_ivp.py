@@ -6,7 +6,7 @@ from conftest import constant_propagator, dop853_family, magnus_exponent, sequen
 
 from pointbarrier.errors import NumericsError, StepSizeUnderflowError
 from pointbarrier import ivp
-from pointbarrier.ivp import FamilySegment, SolverConfig, propagate_family
+from pointbarrier.ivp import FamilySegment, SolverConfig, propagate_chains, propagate_family
 
 
 def _fundamental(q, a, b, breakpoints=(), cfg=None):
@@ -259,6 +259,16 @@ def test_a_zero_on_a_join_is_counted_once():
         counts.append(propagate_family(segs, lam, np.array([0.0, 1.0]),
                                        count_zeros=True).zero_counts[0])
     assert counts == [7, 7]
+    # a callable c puts two intervals on each segment, and the join is a
+    # node inside the joined sequence of the chain; alone, and stacked with
+    # a longer chain of its own that pads it
+    segs = [FamilySegment(a, b, lambda x: 0.0 * x, -1.0) for a, b in [(-0.5, -0.1), (-0.1, 0.5)]]
+    assert [ivp._mesh_for(seg, ivp.DEFAULT_CONFIG).h.size for seg in segs] == [2, 2]
+    longer = [FamilySegment(0.5, -0.5, lambda x: 0.0 * x + 1e-3 * x ** 7, -1.0)]
+    assert ivp._mesh_for(longer[0], ivp.DEFAULT_CONFIG).h.size > 4
+    alone = propagate_family(segs, lam, np.array([0.0, 1.0]), count_zeros=True)
+    stacked = propagate_chains([segs, longer], lam, np.array([0.0, 1.0]), count_zeros=True)
+    assert alone.zero_counts[0] == stacked[0].zero_counts[0] == 7
 
 
 @pytest.mark.parametrize("u_node", [0.0, -0.0, 1e-17, -1e-17])
@@ -274,10 +284,10 @@ def test_a_zero_on_a_mesh_node_counts_where_its_signs_put_it(u_node, w):
     x = np.array([0.0, 1.0, 2.0])
     u, v = np.sin(w * (x - 1.0)), w * np.cos(w * (x - 1.0))
     u[1] = u_node
-    states = np.array([u, v])[:, :, None]
-    h = np.diff(x)
-    qbar = np.full((2, 1), -w * w)
-    counts = [int(_mesh_zero_counts(states[:, j:j + 2], qbar[j:j + 1], h[j:j + 1])[0])
+    states = np.array([u, v])[:, None]  # one member; the interval axis last
+    h = np.diff(x)[None]
+    qbar = np.full((1, 2), -w * w)
+    counts = [int(_mesh_zero_counts(states[..., j:j + 2], qbar[:, j:j + 1], h[:, j:j + 1])[0])
               for j in range(2)]
     reached = u_node == 0.0 or (u_node > 0.0) == (v[1] > 0.0)
     expected = {(True, True): [4, 3], (True, False): [3, 4],
@@ -479,6 +489,23 @@ def test_mesh_member_results_do_not_depend_on_the_family():
         assert np.array_equal(family.sample_states[:, :, part], alone.sample_states)
         assert np.array_equal(family.sample_logs[:, part], alone.sample_logs)
 
+    # within a pass of several chains: the right shot of the same problem,
+    # whose padding and stacking must not mix members either
+    chains = [chain, [FamilySegment(4.0, 0.05, lambda x: x * x + x, -1.0)]]
+    paths = [xs, np.linspace(4.0, 0.05, 97)]
+
+    def run_chains(m):
+        return propagate_chains(chains, m, init, rescale=True, samples=paths, count_zeros=True)
+
+    family = run_chains(lams)
+    for part in (slice(3, 4), slice(63, 64), slice(5, 41)):
+        for whole, alone in zip(family, run_chains(lams[part])):
+            assert np.array_equal(whole.states[:, part], alone.states)
+            assert np.array_equal(whole.logs[part], alone.logs)
+            assert np.array_equal(whole.zero_counts[part], alone.zero_counts)
+            assert np.array_equal(whole.sample_states[:, :, part], alone.sample_states)
+            assert np.array_equal(whole.sample_logs[:, part], alone.sample_logs)
+
     # a counted callable w: each member runs on the mesh of its weight
     # bucket, whatever else the family holds; m = 0, negative weights and
     # weights of exactly a power of two, which top their own bucket
@@ -498,23 +525,54 @@ def test_mesh_member_results_do_not_depend_on_the_family():
             assert np.array_equal(family.zero_counts[part], alone.zero_counts)
 
 
+def test_chains_carried_together_match_their_own_calls():
+    # two chains of very unequal interval counts, run in opposite
+    # directions: a wall segment, an exact constant-c step and a barrier on
+    # one, a single exact step on the other.  Carried in one pass, the
+    # shorter chain padded with identity steps, each matches its own call
+    # to rounding, samples included, and counts the same zeros
+    def bump(x):
+        return 200.0 * (1.0 - 4.0 * x * x)
+
+    chains = [[FamilySegment(-4.0, -1.0, lambda x: x * x + x, -1.0),
+               FamilySegment(-1.0, -0.5, 3.0, -1.0),
+               FamilySegment(-0.5, 0.5, bump, -1.0)],
+              [FamilySegment(2.0, 0.5, 1.0, -1.0)]]
+    sizes = [sum(ivp._mesh_for(seg, ivp.DEFAULT_CONFIG).h.size for seg in chain)
+             for chain in chains]
+    assert sizes[0] > 100 and sizes[1] == 1
+    samples = [np.linspace(-4.0, 0.5, 37), np.linspace(2.0, 0.5, 5)]
+    lams = np.linspace(-5.0, 60.0, 9)
+    init = np.array([0.0, 1.0])
+    together = propagate_chains(chains, lams, init, rescale=True, samples=samples,
+                                count_zeros=True)
+    assert together[0].zero_counts.max() >= 3
+    for chain, xs, res in zip(chains, samples, together):
+        alone = propagate_family(chain, lams, init, rescale=True, samples=xs, count_zeros=True)
+        assert np.array_equal(res.zero_counts, alone.zero_counts)
+        assert np.all(_true_scale_gap(res.states, res.logs, alone.states, alone.logs) <= 1e-13)
+        for got, want in zip(zip(res.sample_states, res.sample_logs),
+                             zip(alone.sample_states, alone.sample_logs)):
+            assert np.all(_true_scale_gap(*got, *want) <= 1e-13)
+
+
 def test_samples_go_to_segments_in_path_order(monkeypatch):
     # each segment records the samples from the last one taken up to the
     # first off it; a sample at a join goes to the earlier segment
     from pointbarrier import ivp
 
     seen = []
-    mesh_apply, rk_span = ivp._mesh_apply, ivp._rk_span
+    sample_plan, rk_span = ivp._sample_plan, ivp._rk_span
 
-    def spy_mesh(mesh, mw, cols, Y, logs, counts, seg_samples, *rest):
+    def spy_mesh(mesh, seg_samples):
         seen.append(np.asarray(seg_samples).tolist())
-        mesh_apply(mesh, mw, cols, Y, logs, counts, seg_samples, *rest)
+        return sample_plan(mesh, seg_samples)
 
     def spy_rk(*args, record_xs=None, **kwargs):
         seen.append([] if record_xs is None else np.asarray(record_xs).tolist())
         rk_span(*args, record_xs=record_xs, **kwargs)
 
-    monkeypatch.setattr(ivp, "_mesh_apply", spy_mesh)
+    monkeypatch.setattr(ivp, "_sample_plan", spy_mesh)
     monkeypatch.setattr(ivp, "_rk_span", spy_rk)
     segs = [
         FamilySegment(0.0, 1.0, lambda x: x, -1.0),
@@ -567,17 +625,17 @@ def _true_scale_gap(a, la, b, lb):
 def test_chain_matches_a_sequential_product(N, k, nodes):
     # every tree shape: odd levels leave tails at different depths
     rng = np.random.default_rng(10 * N + k)
-    M = rng.normal(size=(2, 2, N, k))
-    L = rng.uniform(-1.0, 1.0, (N, k))
+    M = rng.normal(size=(2, 2, N, k)).transpose(0, 1, 3, 2)  # the interval axis last
+    L = rng.uniform(-1.0, 1.0, (N, k)).T
     y = rng.normal(size=(2, k))
     y /= np.abs(y).max(axis=0)
     ly = rng.uniform(-1.0, 1.0, k)
     end, lend, states, logs = ivp._chain(M, L, y, ly, nodes)
     ref, lref = sequential_chain(M, L, y, ly)
     tol = 2e-13 + 2e-15 * np.abs(lref)  # the product's rounding, then the log scale's
-    assert np.all(_true_scale_gap(end, lend, ref[:, -1], lref[-1]) <= tol[-1])
+    assert np.all(_true_scale_gap(end, lend, ref[..., -1], lref[:, -1]) <= tol[:, -1])
     if nodes:
-        assert states.shape == (2, N + 1, k) and logs.shape == (N + 1, k)
+        assert states.shape == (2, k, N + 1) and logs.shape == (k, N + 1)
         assert np.all(_true_scale_gap(states, logs, ref, lref) <= tol)
     else:
         assert states is None and logs is None
@@ -590,8 +648,8 @@ def test_chain_keeps_states_beyond_a_double_finite(nodes):
     # product leaves the range of a double
     rng = np.random.default_rng(7)
     N, k = 700, 2
-    q = rng.choice([-1.0, 1.0], (N, k)) * 1e8 * rng.uniform(0.5, 2.0, (N, k))
-    h = rng.uniform(1e-4, 2e-3, (N, 1))
+    q = (rng.choice([-1.0, 1.0], (N, k)) * 1e8 * rng.uniform(0.5, 2.0, (N, k))).T
+    h = rng.uniform(1e-4, 2e-3, (N, 1)).T
     w = np.sqrt(np.abs(q))
     r = h * w
     hyper = q > 0.0
@@ -601,11 +659,11 @@ def test_chain_keeps_states_beyond_a_double_finite(nodes):
     L = np.where(hyper, r, 0.0)
     y, ly = np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(k)
     ref, lref = sequential_chain(M, L, y, ly)
-    assert lref[-1].min() > math.log(np.finfo(float).max)
+    assert lref[:, -1].min() > math.log(np.finfo(float).max)
     end, lend, states, logs = ivp._chain(M, L, y, ly, nodes)
     tol = 2e-13 + 2e-15 * np.abs(lref)
     assert np.all(np.isfinite(end)) and np.all(np.isfinite(lend))
-    assert np.all(_true_scale_gap(end, lend, ref[:, -1], lref[-1]) <= tol[-1])
+    assert np.all(_true_scale_gap(end, lend, ref[..., -1], lref[:, -1]) <= tol[:, -1])
     if nodes:
         assert np.all(np.isfinite(states)) and np.all(np.isfinite(logs))
         assert np.all(_true_scale_gap(states, logs, ref, lref) <= tol)
@@ -627,7 +685,7 @@ def test_coefficient_split_matches_the_direct_exponent():
     det = x * x + y * z
     assert 0.05 < np.mean(np.abs(det) <= ivp._SERIES_THRESHOLD) < 0.5
     assert np.any(det > 1e6) and np.any(det < -1e6)
-    got = ivp._steps(ivp._coefficients(h[:, None], cn[..., None]), cn[1][:, None] + s)
+    got = ivp._expm(*ivp._exponent(ivp._coefficients(h[:, None], cn[..., None]), cn[1][:, None] + s))
     want = ivp._expm(x, y, z)
     gap = np.abs(np.array(got[:4]) * np.exp(got[4] - want[4]) - np.array(want[:4])).max(axis=0)
     # the entries are at most 1 + |x| + |y| + |z| times exp(logscale); the

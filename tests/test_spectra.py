@@ -10,6 +10,7 @@ from conftest import (
     fd_levels,
     limit_trace,
     reflect,
+    spy_shots,
 )
 
 from pointbarrier import profiles, spectra
@@ -335,13 +336,8 @@ def test_a_second_solve_shares_the_barrier_meshes_and_the_start_shot(tilted, ste
     build = ivp._build_mesh
     monkeypatch.setattr(ivp, "_build_mesh", lambda *args: builds.append(args) or build(*args))
     start = spectra._weyl_scan(tilted)[1]
-    propagate = spectra.propagate_family
-
-    def spy(chain, lams, *args, **kwargs):
-        starts.append(int(np.count_nonzero(np.asarray(lams) == start)))
-        return propagate(chain, lams, *args, **kwargs)
-
-    monkeypatch.setattr(spectra, "propagate_family", spy)
+    spy_shots(monkeypatch, spectra,
+              lambda chain, lams: starts.append(int(np.count_nonzero(lams == start))))
     eigen_perturbed(tilted, step, alpha1, eps, (n + 1, n + 2), eigenfunctions=True,
                     samples_per_unit=101)
     assert builds == []
@@ -474,16 +470,10 @@ def test_a_level_on_a_grid_node_costs_no_halving(odd_cubic, monkeypatch):
 
 
 def _family_members(monkeypatch):
-    """The family members of every ``spectra.propagate_family`` call from now
-    on, one entry per call."""
+    """The family members of every chain that ``spectra`` shoots from now
+    on, one entry per chain."""
     members = []
-    propagate = spectra.propagate_family
-
-    def spy(chain, lams, *args, **kwargs):
-        members.append(np.size(lams))
-        return propagate(chain, lams, *args, **kwargs)
-
-    monkeypatch.setattr(spectra, "propagate_family", spy)
+    spy_shots(monkeypatch, spectra, lambda chain, lams: members.append(lams.size))
     return members
 
 
@@ -699,14 +689,7 @@ def test_delta_coupling_against_finite_differences(name, s):
 def test_deep_bound_level_is_reached_in_few_steps(monkeypatch, harmonic):
     # s = -50 binds a level near -625, so the scan starts far below min U:
     # the gap there is the distance to min U, not a fixed 0.5
-    members = []
-    propagate = spectra.propagate_family
-
-    def counted(chain, lams, *args, **kwargs):
-        members.append(np.size(lams))
-        return propagate(chain, lams, *args, **kwargs)
-
-    monkeypatch.setattr(spectra, "propagate_family", counted)
+    members = _family_members(monkeypatch)
     spec = eigen_limit(harmonic, ConnectedMatrix(1.0, 0.0, -50.0, 1.0), 3, eigenfunctions=False)
     assert sum(members) < 1000
     R = harmonic.truncation_radius
