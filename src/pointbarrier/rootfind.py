@@ -1,20 +1,23 @@
 """Bracketing and root refinement used by every spectral scan.
 
-Scans evaluate a smooth miss function on a grid (often vectorized), pick up
-sign changes, then polish the brackets.  Every eigenvalue and resonance
-scan brackets with ``resolve_cells``: an exact root count at the grid
-points tells it which cells hide roots.  ``illinois_vector`` is the one
-refiner: it polishes many brackets at once, with the miss function
-evaluated on a whole vector of points per iteration (one family
-propagation).  It shoots only the brackets still open, so each root
-depends on its own bracket alone, and keeps its secant point a tolerance
-step inside the bracket, so an end that already sits on the root closes
-the bracket at the next shot.
+An exact root count (a Sturm or Neumann index) at the points of a window
+tells ``resolve_cells`` which cells hide roots, and it halves those
+cells until each wanted root shows its own sign change.  Every
+eigenvalue search hands it the two ends of its window; a resonance scan
+hands it the cells of its grid where the index rises.  ``sign_change``
+is the one rule for which cell a sign change, or a zero on a node,
+belongs to.  ``illinois_vector`` is the one refiner: it polishes many
+brackets at once, with the miss function evaluated on a whole vector of
+points per iteration (one family propagation).  It shoots only the
+brackets still open, so each root depends on its own bracket alone, and
+keeps its secant point a tolerance step inside the bracket, so an end
+that already sits on the root closes the bracket at the next shot.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from typing import Callable
 
 import numpy as np
 
@@ -23,28 +26,13 @@ from .errors import BracketShortfallError
 _MAXITER = 80  # most shots after the first in ``illinois_vector``
 
 
-def sign_change_brackets(xs: Sequence[float], fs: Sequence[float]) -> list[tuple[float, float]]:
-    """Consecutive grid cells where f changes sign strictly."""
-    out = []
-    for i in range(len(xs) - 1):
-        fa, fb = fs[i], fs[i + 1]
-        if fa == 0.0:
-            continue
-        if fb == 0.0:
-            # zero exactly on a node: pair with the next nonzero value later
-            continue
-        if (fa < 0.0) != (fb < 0.0):
-            out.append((xs[i], xs[i + 1]))
-    return out
-
-
 def sign_change(fa, fb):
     """Whether each cell with the end values ``fa`` and ``fb`` brackets a
     sign change: a zero of f exactly on a node ends the cell to its left."""
     return (fa != 0.0) & ((fb == 0.0) | ((fa < 0.0) != (fb < 0.0)))
 
 
-def resolve_cells(fvec, xs, fs, cs, out) -> None:
+def resolve_cells(fvec, xs, fs, cs, out, need=None, floor=1e-5) -> None:
     """Append to ``out`` the sign-change brackets in the cells of the
     ascending points ``xs``, with values ``fs`` and zero counts ``cs``, in
     ascending order.
@@ -54,32 +42,44 @@ def resolve_cells(fvec, xs, fs, cs, out) -> None:
     cell whose count rises by two or more, or by one with no sign change
     (a count that is not an exact index), hides roots: it is halved until
     each root shows its own sign change, down to a width of
-    1e-5 max(1, |xa|, |xb|) or 40 halvings.  A rise of one without a sign
-    change next to a sign change without a rise is a root on their common
-    node, which rounding puts on one side by its sign and on the other by
-    its count: the sign-change cell brackets it, and neither is halved.
-    Halving is level-synchronous: every pending cell of one level is split
-    at once and all the midpoints are shot in one ``fvec(mids, True)``
-    call.  The cells stay disjoint, so sorting the brackets by their left
-    ends gives the order of a left-to-right depth-first halving.  Raises
-    ``BracketShortfallError`` when the brackets fall short of the count's
-    rise ``cs[-1] - cs[0]`` (roots closer than the halving floor).
+    ``floor`` max(1, |xa|, |xb|), or after 2 log2(1 / floor) + 7 halvings
+    (40 at the default floor, 86 at 1e-12): enough for a cell up to
+    128 / ``floor`` times wider than max(1, |x|) to close down onto the
+    floor at x.  A rise of one without a sign change next to a sign
+    change without a rise is a root on their common node, which rounding
+    puts on one side by its sign and on the other by its count: the
+    sign-change cell brackets it, and neither is halved.  With ``need``,
+    only the lowest ``need`` roots are wanted: a cell whose lower count
+    reaches ``cs[0] + need`` is neither halved nor bracketed, except the
+    sign-change cell of a wanted root on its left node.  The counts are
+    never clamped, so a wanted cell that holds more roots than it needs
+    is still halved.  Halving is level-synchronous: every pending cell of
+    one level is split at once and all the midpoints are shot in one
+    ``fvec(mids, True)`` call.  The cells stay disjoint, so sorting the
+    brackets by their left ends gives the order of a left-to-right
+    depth-first halving.  Raises ``BracketShortfallError``
+    when the brackets fall short of the wanted rise of the count (roots
+    closer than the halving floor).
     """
     x = np.asarray(xs, dtype=float)
     f = np.asarray(fs, dtype=float)
     c = np.asarray(cs, dtype=int)
-    counted = int(c[-1] - c[0])
+    top = c[-1] if need is None else min(c[-1], c[0] + need)
+    counted = int(top - c[0])
     xa, fa, ca, xb, fb, cb = x[:-1], f[:-1], c[:-1], x[1:], f[1:], c[1:]
+    cap = int(2.0 * math.log2(1.0 / floor)) + 7
     lo, hi = [], []
-    for depth in range(41):
+    for depth in range(cap + 1):
         sign = sign_change(fa, fb)
         rise = cb - ca
-        floor = 1e-5 * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb)))
+        wanted = ca < top
         uncounted = sign & (rise == 0)
         on_node = np.isin(xb, xa[uncounted]) | np.isin(xa, xb[uncounted])
-        split = (((rise >= 2) | ((rise == 1) & ~sign & ~on_node)) & (xb - xa > floor)
-                 & (depth < 40))
-        done = sign & ~split
+        unsigned = (rise == 1) & ~sign
+        split = (wanted & ((rise >= 2) | (unsigned & ~on_node))
+                 & (xb - xa > floor * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb))))
+                 & (depth < cap))
+        done = sign & ~split & (wanted | (uncounted & np.isin(xa, xb[wanted & unsigned])))
         lo.append(xa[done])
         hi.append(xb[done])
         if not split.any():

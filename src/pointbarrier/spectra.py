@@ -9,11 +9,13 @@ the normalized matching Wronskian.  Each problem is one value
 (``_Problem``), from which one formula builds its Wronskian (``_matching``)
 and one assembler its eigenfunctions (``_attach_eigenfunctions``).  The
 Wronskian is evaluated for whole vectors of trial eigenvalues at once (one
-family propagation per grid pass), together with the exact Sturm index of
-every trial value: the number of eigenvalues at or below it, from the zero
-counts of the shots and the Pruefer angles at the matching point.  The
-index steers the bracketing scan, and the roots are polished by a
-safeguarded vectorized secant iteration.
+family propagation per call), together with the exact Sturm index of every
+trial value: the number of eigenvalues at or below it, from the zero
+counts of the shots and the Pruefer angles at the matching point.  Every
+search brackets its levels by one rule: the two ends of a window whose
+index counts them are shot, and ``rootfind.resolve_cells`` halves the
+window on the index until each level shows its own sign change.  The
+roots are polished by a safeguarded vectorized secant iteration.
 
 The interface condition at the origin is one of:
 
@@ -37,7 +39,7 @@ import numpy as np
 from .errors import NumericsError, SpectralWindowError, TruncationDomainError
 from .ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_chains, propagate_family
 from .profiles import Profile, Segment
-from .rootfind import illinois_vector, resolve_cells, sign_change_brackets
+from .rootfind import illinois_vector, resolve_cells, sign_change
 
 __all__ = [
     "DirichletSplit",
@@ -58,9 +60,8 @@ __all__ = [
 DEFAULT_EIG_TOL = 1e-8
 _WALL_MARGIN = 25.0  # least gap between the wall potential and a requested level
 _DEPTH_FLOOR = 1e-7  # shallowest interval well scanned, relative to the lower bound
-_DIVE_RATIO = 1.25  # ratio of neighbouring points of the grid of a diving search
+_FLOOR = 1e-12  # narrowest bracket of a level, relative to max(1, |lambda|)
 SAMPLES_PER_UNIT = 2001
-_CHUNK = 48
 _BELOW_PI = math.nextafter(math.pi, 0.0)
 
 
@@ -272,7 +273,8 @@ def _matching(problem: _Problem, cfg):
     ``fvec(lams)`` returns the normalized Wronskian
     (V0 W1 - V1 W0) / (|V| |W|) of V = C Y, the first shot's end state
     carried across C, and W, the second shot's end state or, for one
-    chain, the fixed end vector.  ``fvec(lams, True)`` also returns the
+    chain, the fixed end vector; it is 0 where a shot ends in exactly
+    (0, 0), a root to rounding.  ``fvec(lams, True)`` also returns the
     exact number of eigenvalues <= lam, the matching-point Pruefer index
     of SLEIGN2:
 
@@ -291,7 +293,9 @@ def _matching(problem: _Problem, cfg):
                                  count_zeros=with_counts)
         V = shots[0].states if C is None else C @ shots[0].states
         Y = shots[1].states if len(shots) == 2 else W
-        vals = (V[0] * Y[1] - V[1] * Y[0]) / (_norm2(V) * _norm2(Y))
+        norms = _norm2(V) * _norm2(Y)
+        vals = np.divide(V[0] * Y[1] - V[1] * Y[0], norms, out=np.zeros(norms.shape),
+                         where=norms != 0.0)
         if not with_counts:
             return vals
         r = _reduced_angle(Y) if len(shots) == 2 else r_fixed
@@ -301,101 +305,46 @@ def _matching(problem: _Problem, cfg):
     return fvec
 
 
-# -- Weyl-informed eigenvalue grids ---------------------------------------------
+# -- window halving -----------------------------------------------------------------
 
-def _weyl_scan(U: ConfiningPotential) -> tuple[Callable[[float], float], float]:
-    """The Weyl gap function of U and a scan start below min(0, min U),
-    both from one sampling of U on [-R, R].  Below min U the gap is the
-    distance to min U (at least 0.5), so a deep start reaches it in a few
-    steps."""
+def _window_start(U: ConfiningPotential) -> float:
+    """min(0, min U) - 1, with min U from a sampling of U on [-R, R]: the
+    bottom of the bounded window of a squeezed problem, below which its
+    levels dive."""
     R = U.truncation_radius
-    xs = np.linspace(-R, R, 801)
-    Us = np.array([U.U(float(x)) for x in xs])
-    u_min = float(Us.min())
-
-    def gap(lam: float) -> float:
-        diff = lam - Us
-        mask = diff > 1e-9
-        if not np.any(mask):
-            return max(0.5, u_min - lam)
-        dens = np.trapezoid(1.0 / np.sqrt(diff[mask]), xs[mask]) / (2.0 * math.pi)
-        if dens <= 0.0:
-            return 0.5
-        return min(1.0 / dens, 20.0)
-
-    return gap, min(0.0, u_min) - 1.0
+    return min(0.0, min(U.U(float(x)) for x in np.linspace(-R, R, 801))) - 1.0
 
 
-def _verified_scan(
-    fvec,
-    start: float,
-    shot,
-    ceiling: float,
-    gap_fn: Callable[[float], float],
-    k_needed: int,
-    what: str,
-):
-    """March upward bracketing sign changes of the matching Wronskian.
-
-    ``fvec(lams, True) -> (values, Sturm index)``; ``shot`` is that of
-    ``[start]``, taken by the caller.  Each chunk of the grid, in steps of
-    half of ``gap_fn``, is shot in one call.  The index counts the
-    eigenvalues at or below each point exactly, so ``resolve_cells``
-    halves a cell across which it rises by two or more (near-degenerate
-    pairs of split-like problems defeat any fixed grid) until every root
-    shows its own sign change.  A chunk is resolved only up to its first
-    point that counts every level still needed, and one cell past it with
-    the index held at that point's: a level on that point may show its
-    sign change only in the next cell, and a pair closer than the halving
-    floor raises ``NumericsError`` only when it holds a requested level.
-    Only the rises of the index matter, so levels below ``start``
-    (the diving levels of the squeezed problem) are neither found nor in
-    the way.
-    """
+def _bracket(fvec, xs, vals, counts, need=None):
+    """Brackets of the lowest ``need`` roots of ``fvec`` (every root
+    without ``need``) in the window (xs[0], xs[1]], from the values and
+    Sturm indices of its ends, halved by ``resolve_cells`` down to
+    ``_FLOOR``; levels at or below xs[0] are not in the way."""
     brackets: list[tuple[float, float]] = []
-    xs = [start]
-    vals, counts = shot  # shots of xs[:vals.size]
-    guard = 0
-    while len(brackets) < k_needed:
-        lam = xs[-1]
-        for _ in range(_CHUNK):
-            lam = lam + 0.5 * gap_fn(lam)
-            xs.append(lam)
-            if lam > ceiling:
-                break
-        v, c = fvec(np.array(xs[vals.size:]), True)
-        vals, counts = np.concatenate((vals, v)), np.concatenate((counts, c))
-        reached = np.flatnonzero(counts - counts[0] >= k_needed - len(brackets))
-        if reached.size:
-            end = min(reached[0] + 2, len(xs))
-            cs = np.minimum(counts[:end], counts[reached[0]])
-        else:
-            end, cs = len(xs), counts
-        resolve_cells(fvec, xs[:end], vals[:end], cs, brackets)
-        xs, vals, counts = xs[-1:], vals[-1:], counts[-1:]
-        if xs[0] > ceiling:
-            if len(brackets) < k_needed:
-                raise TruncationDomainError(
-                    f"{what}: only {len(brackets)} of {k_needed} eigenvalues found below "
-                    f"the wall ceiling {ceiling:.6g}; enlarge the truncation radius"
-                )
-            break
-        guard += 1
-        if guard > 4000:
-            raise SpectralWindowError(f"{what}: eigenvalue search did not terminate")
-    return brackets[:k_needed]
+    resolve_cells(fvec, xs, vals, counts, brackets, need, _FLOOR)
+    return brackets[:need]
+
+
+def _below_ceiling(fvec, start: float, shot, ceiling: float, k: int, what: str):
+    """Brackets of the lowest ``k`` levels of ``fvec`` in (start, ceiling],
+    ``shot`` the counted shot of [start]; raises ``TruncationDomainError``
+    when fewer than ``k`` lie there."""
+    top = fvec(np.array([ceiling]), True)
+    found = int(top[1][0] - shot[1][0])
+    if found < k:
+        raise TruncationDomainError(
+            f"{what}: only {max(found, 0)} of {k} eigenvalues found below "
+            f"the wall ceiling {ceiling:.6g}; enlarge the truncation radius"
+        )
+    return _bracket(fvec, [start, ceiling], np.concatenate((shot[0], top[0])),
+                    np.concatenate((shot[1], top[1])), k)
 
 
 def _diving_levels(fvec, bottom: float, top: float, eig_tol: float):
     """(roots, residuals) of every root of ``fvec`` in (bottom, top],
-    bottom < top < 0: the cells of one geometric grid whose neighbouring
-    points are at most ``_DIVE_RATIO`` apart are split until the index
-    shows every root (``resolve_cells``), then refined to ``eig_tol``."""
-    n = math.ceil(math.log(bottom / top) / math.log(_DIVE_RATIO)) + 1
-    grid = np.geomspace(bottom, top, n)
-    brackets: list[tuple[float, float]] = []
-    resolve_cells(fvec, grid, *fvec(grid, True), brackets)
-    return _refine(fvec, brackets, eig_tol)
+    bracketed by halving that window and refined to ``eig_tol``."""
+    ends = np.array([bottom, top])
+    return _refine(fvec, _bracket(fvec, ends, *fvec(ends, True)), eig_tol)
 
 
 def _refine(fvec, brackets, eig_tol):
@@ -427,23 +376,25 @@ def eigen_limit(
     coincident pairs, and both members are reported and flagged, ascending
     (the left one first when they are equal to rounding).  A connected
     coupling (``ThetaCoupled``, ``ConnectedMatrix``) solves one problem
-    across the interface matrix.  Every problem is scanned upwards from a
-    start below its lowest level, moved down until the Sturm index reads 0
-    there, so bound states of attractive couplings are found.  Raises ``TruncationDomainError`` when a requested level
-    comes within ``_WALL_MARGIN`` of the wall potential.
+    across the interface matrix.  The levels of each problem are bracketed
+    by halving the window (start, ceiling]: the start lies below its
+    lowest level, moved down until the Sturm index reads 0 there, so bound
+    states of attractive couplings are found, and the ceiling lies
+    ``_WALL_MARGIN`` below the wall potential.  Raises
+    ``TruncationDomainError`` when fewer than ``k_max`` levels of a
+    problem lie below the ceiling.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     cfg = cfg or DEFAULT_CONFIG
     ceiling = U.wall_floor() - _WALL_MARGIN
-    gap_fn, start = _weyl_scan(U)
+    start = _window_start(U)
 
     found = []
     for rank, (flag, problem) in enumerate(_limit_problems(U, bc)):
         fvec = _matching(problem, cfg)
         what = "coupled problem" if flag == "ok" else f"{flag} half problem"
-        brackets = _verified_scan(fvec, *_scan_start(fvec, start, what), ceiling, gap_fn,
-                                  k_max, what)
+        brackets = _below_ceiling(fvec, *_scan_start(fvec, start, what), ceiling, k_max, what)
         roots, residuals = _refine(fvec, brackets, eig_tol)
         found.extend((lam, res, flag, problem, rank) for lam, res in zip(roots, residuals))
     found.sort(key=lambda t: t[0])
@@ -462,15 +413,7 @@ def eigen_limit(
     for i in ties:
         flags[i] += ",degenerate"
         flags[i + 1] += ",degenerate"
-    lams, residuals, flags = lams[:k_max], residuals[:k_max], flags[:k_max]
-
-    if lams.size and lams[-1] > ceiling:
-        raise TruncationDomainError(
-            f"eigenvalue {lams[-1]:.6g} is within {_WALL_MARGIN} of the wall potential "
-            f"{U.wall_floor():.6g}; enlarge the truncation radius"
-        )
-
-    spec = Spectrum(lams, residuals, flags)
+    spec = Spectrum(lams[:k_max], residuals[:k_max], flags[:k_max])
     if eigenfunctions:
         _attach_eigenfunctions(spec, U.truncation_radius, problems, cfg, samples_per_unit)
     return spec
@@ -521,17 +464,18 @@ def eigen_perturbed(
     """Eigenvalues k_lo..k_hi (1-based, global) of the squeezed-barrier
     operator -y'' + (U + alpha eps^-2 profile(x/eps)) y on [-R, R].
 
-    The Sturm index counts the levels below the bounded window, which dive
-    like eps^-2, and only the levels asked for are located, all as roots,
-    to ``eig_tol``, of the one matching function whose index counted them.
-    Diving ones are searched for from the scan start of the bounded window
-    less 2 |alpha| max|profile| eps^-2, which lies below the operator, up
-    to that start; a search that finds other than the counted number
-    raises ``NumericsError``.  Bounded ones are scanned upwards.  The
-    walls' meshes are sized from U, not from the level, so a level of size
-    eps^-2 is good to a few 1e-7 relative, not to ``eig_tol``: 17 diving
-    levels of tilted_harmonic (R = 8) at eps from 0.05 to 1e-3 were within
-    3.4e-7 of a DOP853 oracle.
+    The Sturm index counts the levels below the bounded window, which
+    starts at min(0, min U) - 1: they dive like eps^-2.  Only the levels
+    asked for are located, all as roots, to ``eig_tol``, of the one
+    matching function whose index counted them, each set by halving one
+    window: the diving ones from the start less 2 |alpha| max|profile|
+    eps^-2, which lies below the operator, up to the start (a search that
+    finds other than the counted number raises ``NumericsError``), the
+    bounded ones from the start up to the wall ceiling, as in
+    ``eigen_limit``.  The walls' meshes are sized from U, not from the
+    level, so a level of size eps^-2 is good to a few 1e-7 relative, not
+    to ``eig_tol``: 17 diving levels of tilted_harmonic (R = 8) at eps
+    from 0.05 to 1e-3 were within 3.4e-7 of a DOP853 oracle.
     """
     k_lo, k_hi = k_range
     if not (1 <= k_lo <= k_hi):
@@ -541,16 +485,16 @@ def eigen_perturbed(
 
 
 def _perturbed_problem(U, p, alpha, eps, cfg):
-    """(n_dive, levels) of the squeezed-barrier problem, from one Weyl scan
-    and one counted shot at the scan start of the bounded window: its Sturm
-    index ``n_dive`` is the number of diving levels, and ``levels(k_range,
-    eig_tol, eigenfunctions, samples_per_unit)`` solves for the levels
-    k_lo..k_hi (see ``eigen_perturbed``)."""
+    """(n_dive, levels) of the squeezed-barrier problem, from one counted
+    shot at the start of the bounded window: its Sturm index ``n_dive`` is
+    the number of diving levels, and ``levels(k_range, eig_tol,
+    eigenfunctions, samples_per_unit)`` solves for the levels k_lo..k_hi
+    (see ``eigen_perturbed``)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
     if eps >= U.truncation_radius:
         raise ValueError("barrier wider than the computational box")
-    gap_fn, lam_split = _weyl_scan(U)
+    lam_split = _window_start(U)
     barrier = _barrier_chain(p, alpha, eps, U)
     R = U.truncation_radius  # Dirichlet walls at -+R, matched at +eps past the barrier
     problem = _Problem([_wall_chain(U, -R, -eps) + barrier, _wall_chain(U, R, eps)])
@@ -570,8 +514,8 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
                                     f"{lam_split:.6g}, but the diving search found {lams.size}")
             flags, first = ["diving"] * n_dive, 1
         if k_hi > n_dive:
-            brackets = _verified_scan(fvec, lam_split, shot, U.wall_floor() - _WALL_MARGIN,
-                                      gap_fn, k_hi - n_dive, "squeezed-barrier problem")
+            brackets = _below_ceiling(fvec, lam_split, shot, U.wall_floor() - _WALL_MARGIN,
+                                      k_hi - n_dive, "squeezed-barrier problem")
             roots, res = _refine(fvec, brackets, eig_tol)
             lams, residuals = np.concatenate((lams, roots)), np.concatenate((residuals, res))
             flags += ["ok"] * roots.size
@@ -610,24 +554,29 @@ def interval_spectrum(
     """Lowest ``count`` nonnegative eigenvalues of the squeezed barrier on
     (a, b) with Dirichlet ends and no background potential.
 
-    ``_verified_scan`` marches up from lambda = 0 in steps of
-    pi / (8 (|a| + b)) in omega = sqrt(lambda); the Sturm index halves
-    near-coincident pairs (both half-intervals close to resonance) apart.
+    The window (0, top] is halved on the Sturm index until each level
+    shows its own sign change, near-coincident pairs (both half-intervals
+    close to resonance) included.  ``top`` is level j = N(0) + ``count`` of
+    the outer Dirichlet pieces (a, -eps) and (eps, b), raised by 1e-6
+    relative: by min-max a Dirichlet condition at -+eps raises every
+    level, so level j of (a, b) lies at or below ``top``, and an index
+    that counts fewer levels there raises ``NumericsError``.
     """
     if not (a < -eps < eps < b):
         raise ValueError("need a < -eps < eps < b")
     if count < 1:
         raise ValueError("count must be at least 1")
-    cfg = cfg or DEFAULT_CONFIG
-    fvec = _interval_fvec(a, b, p, alpha, eps, cfg)
-    d_omega = math.pi / (8.0 * (abs(a) + b))
-
-    def gap(lam: float) -> float:  # lam + gap / 2 = (sqrt(lam) + d_omega)^2
-        return 2.0 * d_omega * (2.0 * math.sqrt(lam) + d_omega)
-
-    brackets = _verified_scan(fvec, 0.0, fvec(np.array([0.0]), True), math.inf, gap, count,
-                              "interval problem")
-    lams, residuals = _refine(fvec, brackets, eig_tol)
+    fvec = _interval_fvec(a, b, p, alpha, eps, cfg or DEFAULT_CONFIG)
+    low = fvec(np.array([0.0]), True)
+    top = split_limit_frequencies(a + eps, b - eps, int(low[1][0]) + count)[-1] ** 2
+    top *= 1.0 + 1e-6
+    high = fvec(np.array([top]), True)
+    vals, counts = np.concatenate((low[0], high[0])), np.concatenate((low[1], high[1]))
+    if counts[1] - counts[0] < count:
+        raise NumericsError(
+            f"interval problem: the index counts {counts[1] - counts[0]} levels in "
+            f"(0, {top:.6g}], fewer than the {count} that min-max puts there")
+    lams, residuals = _refine(fvec, _bracket(fvec, [0.0, top], vals, counts, count), eig_tol)
     return Spectrum(lams, residuals, ["ok"] * len(lams))
 
 
@@ -690,10 +639,9 @@ def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> 
         fs = G(ws)
         xs = np.concatenate(([w0], ws))
         vals = np.concatenate(([f0], fs))
-        brackets = [(lo, hi) for lo, hi in sign_change_brackets(xs, vals) if lo > 0.0]
-        if brackets:
-            lo, hi = np.array(brackets[:count - len(roots)]).T
-            w = illinois_vector(G, lo, hi, xtol=1e-14, rtol=4e-16)
+        cells = np.flatnonzero(sign_change(vals[:-1], vals[1:]))[:count - len(roots)]
+        if cells.size:
+            w = illinois_vector(G, xs[cells], xs[cells + 1], xtol=1e-14, rtol=4e-16)
             stop = np.zeros(w.shape, dtype=bool)
             for _ in range(3):
                 d = dG(w)

@@ -556,15 +556,22 @@ _PARSE_REJECTS = [
 
 def test_spectrum_limit_pair_below_the_halving_floor_exits_3(tmp_path, capsys):
     # matrix:0,-1e-6,1e6,0 nearly splits the box into two Dirichlet halves:
-    # level 4 is one of a pair 6e-6 apart that no cell separates
+    # levels 2 and 3 are a pair 4.5e-6 apart, which the halving resolves
     common = ["spectrum", "--mode", "limit", "--potential", "harmonic",
               "--bc", "matrix:0,-0.000001,1000000,0", "--levels", "4"]
     for radius in ("9", "7"):
-        assert main(common + ["--radius", radius, "--out", str(tmp_path / radius)]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("numerical failure:"), err
-        assert "halving floor" in err[0]
-        assert "enlarge the truncation radius" not in err[0]
+        out = tmp_path / radius
+        assert main(common + ["--radius", radius, "--out", str(out)]) == 0
+        lams = [float(row["eigenvalue"]) for row in _read_rows(out / "spectrum.csv")]
+        assert lams[0] < -9.9e11
+        assert lams[1:] == pytest.approx([2.9999977432, 3.0000022568, 6.9999966146], abs=1e-9)
+    # at eps = 1e-12 the interval pair at pi^2 is closer than the floor
+    assert main(["interval", "--profile", "step", "--a", "-1", "--b", "2", "--alpha", "5",
+                 "--eps", "1e-12", "--count", "2", "--out", str(tmp_path / "iv")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+    assert "halving floor" in err[0]
+    assert "enlarge the truncation radius" not in err[0]
 
 
 def test_spectrum_limit_flags_a_degenerate_partner_beyond_the_cut(tmp_path):

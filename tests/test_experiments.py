@@ -35,7 +35,7 @@ def test_each_rung_shoots_its_scan_start_once(tilted, step, monkeypatch):
     from pointbarrier import spectra
 
     ladder = [0.2, 0.1, 0.05, 0.025]
-    start = spectra._weyl_scan(tilted)[1]
+    start = spectra._window_start(tilted)
     starts = dict.fromkeys(ladder, 0)
 
     def spy(chain, lams):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from pointbarrier.errors import NumericsError
-from pointbarrier.rootfind import illinois_vector, resolve_cells, sign_change_brackets
+from pointbarrier.rootfind import illinois_vector, resolve_cells, sign_change
 
 
 def test_sign_change_brackets():
-    xs = [0.0, 1.0, 2.0, 3.0, 4.0]
-    fs = [1.0, -1.0, -2.0, 0.0, 3.0]
-    assert sign_change_brackets(xs, fs) == [(0.0, 1.0)]
+    # the zero on the node 3 ends the cell to its left, and the cell that
+    # starts on it brackets nothing
+    xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    fs = np.array([1.0, -1.0, -2.0, 0.0, 3.0])
+    cells = np.flatnonzero(sign_change(fs[:-1], fs[1:]))
+    assert list(zip(xs[cells].tolist(), xs[cells + 1].tolist())) == [(0.0, 1.0), (2.0, 3.0)]
 
 
 def test_resolve_cells_raises_when_brackets_fall_short_of_the_count():
@@ -29,6 +32,39 @@ def test_resolve_cells_raises_when_brackets_fall_short_of_the_count():
     out = []
     resolve_cells(fvec, grid[:5], *fvec(grid[:5], True), out)
     assert out == [(0.0, 0.5)]  # the root on the node 0.5 ends the cell to its left
+
+
+def _cluster(roots):
+    """f with a simple root at each of ``roots`` and the exact count of
+    the roots at or below x; ``shots`` records the points of each call."""
+    roots = np.asarray(roots)
+    shots = []
+
+    def fvec(x, with_counts=False):
+        x = np.asarray(x, dtype=float)
+        shots.append(x.tolist())
+        return np.prod(x[:, None] - roots, axis=1), np.sum(x[:, None] >= roots, axis=1)
+
+    return fvec, shots
+
+
+def test_resolve_cells_halves_a_wanted_cell_holding_more_roots_than_it_needs():
+    # the cell (2, 4] holds the second root and two more: a count clamped
+    # at the two roots wanted would read a rise of one with a sign change
+    # there and bracket the cluster whole
+    fvec, shots = _cluster([0.5, 2.6, 2.7, 2.8])
+    ends = np.array([0.0, 4.0])
+    out = []
+    resolve_cells(fvec, ends, *fvec(ends, True), out, need=2)
+    assert len(out) == 2
+    (a0, b0), (a1, b1) = out
+    assert a0 < 0.5 < b0 <= 2.0 and 2.5 <= a1 < 2.6 < b1 <= 2.7
+    # one root wanted: the cell above it is neither halved nor bracketed
+    shots.clear()
+    out = []
+    resolve_cells(fvec, ends, *fvec(ends, True), out, need=1)
+    assert out == [(0.0, 2.0)]
+    assert shots == [[0.0, 4.0], [2.0]]
 
 
 def test_illinois_vector_polynomials():

@@ -335,7 +335,7 @@ def test_a_second_solve_shares_the_barrier_meshes_and_the_start_shot(tilted, ste
     builds, starts = [], []
     build = ivp._build_mesh
     monkeypatch.setattr(ivp, "_build_mesh", lambda *args: builds.append(args) or build(*args))
-    start = spectra._weyl_scan(tilted)[1]
+    start = spectra._window_start(tilted)
     spy_shots(monkeypatch, spectra,
               lambda chain, lams: starts.append(int(np.count_nonzero(lams == start))))
     eigen_perturbed(tilted, step, alpha1, eps, (n + 1, n + 2), eigenfunctions=True,
@@ -346,9 +346,8 @@ def test_a_second_solve_shares_the_barrier_meshes_and_the_start_shot(tilted, ste
 
 def test_limit_levels_below_a_pair_closer_than_the_halving_floor_are_found():
     # C = [[0, -1e-6], [1e6, 0]] nearly decouples two Dirichlet halves: the
-    # pair at 7 is about 6e-6 apart, below the 7e-5 floor there, but the
-    # two levels asked for lie below it (four levels exit 3: see
-    # test_cli::test_spectrum_limit_pair_below_the_halving_floor_exits_3)
+    # pair at 3 is about 4.5e-6 apart; level 2 lies below the pair's
+    # upper member, which is neither halved nor bracketed
     U = polynomial_potential([0.0, 0.0, 1.0], 9.0)
     spec = eigen_limit(U, ConnectedMatrix(0.0, -1e-6, 1e6, 0.0), 2, eigenfunctions=False)
     assert spec.eigenvalues.size == 2 and spec.eigenvalues[0] < -9.9e11
@@ -402,6 +401,17 @@ def test_interval_index_at_a_node_with_a_tiny_negative_shot(step):
     assert counts.tolist() == [1]
 
 
+def test_a_shot_ending_in_zero_is_a_root_of_the_matching_function(step):
+    # the diving problem of `dive --profile step --alpha -5 --eps-ladder
+    # 0.002` on (-2, 2): at this lambda the shot ends in exactly (0, 0), log
+    # 2894.7, and the normalized Wronskian was 0 / 0
+    fvec = spectra._interval_fvec(-2.0, 2.0, step, -5.0, 0.002, SolverConfig())
+    lam = np.array([-523791.9872291057])
+    assert fvec(lam).tolist() == [0.0]
+    vals, counts = fvec(lam, True)
+    assert vals.tolist() == [0.0] and counts.size == 1
+
+
 def test_interval_limit_frequencies_continuity():
     w = interval_limit_frequencies(-1.0, 1.0, 1.0, 5)
     assert np.allclose(w, [math.pi * k / 2 for k in range(1, 6)], atol=1e-12)
@@ -449,20 +459,30 @@ def test_interval_nonresonant_limit(step):
 
 
 def test_a_level_on_a_grid_node_costs_no_halving(odd_cubic, monkeypatch):
-    # at alpha = 0 the levels of (-2, 0.6569) lie on nodes of the omega
-    # grid, where rounding can put one below the node by its count and
-    # above it by its sign: the sign-change cell brackets it as it is
+    # at alpha = 0 on (-(L + eps), L + eps) with L + eps = L sqrt(2 / (1 + 1e-6))
+    # level 2, (pi / (L + eps))^2, is half the top of the window, the pair
+    # (pi / L)^2 raised by 1e-6 relative: it lies on the first halving node
+    # to the last bit, and that one node separates both levels
     halvings = []
     resolve = spectra.resolve_cells
 
-    def spy(fvec, xs, fs, cs, out):
+    def spy(fvec, xs, fs, cs, out, *args):
         def shoot(mids, with_counts=False):
-            halvings.append(np.size(mids))
+            halvings.append(np.asarray(mids).tolist())
             return fvec(mids, with_counts)
 
-        resolve(shoot, xs, fs, cs, out)
+        resolve(shoot, xs, fs, cs, out, *args)
 
     monkeypatch.setattr(spectra, "resolve_cells", spy)
+    L = 0.75
+    eps = L * (math.sqrt(2.0 / (1.0 + 1e-6)) - 1.0)
+    a, b = -(L + eps), L + eps
+    spec = interval_spectrum(a, b, odd_cubic, -0.0, eps, 2)
+    ref = [(n * math.pi / (b - a)) ** 2 for n in (1, 2)]
+    assert halvings == [[ref[1]]]
+    assert np.max(np.abs(np.sqrt(spec.eigenvalues) - np.sqrt(ref))) < 1e-11
+    # the lowest level of (-2, 0.6569) is the only one in its window
+    halvings.clear()
     spec = interval_spectrum(-2.0, 0.6569, odd_cubic, -0.0, 0.5, 1)
     assert halvings == []
     omega = interval_limit_frequencies(-2.0, 0.6569, 1.0, 1)[0]
@@ -478,8 +498,8 @@ def _family_members(monkeypatch):
 
 
 def test_interval_scan_shoots_only_the_chunks_it_needs(monkeypatch, step, odd_cubic):
-    # the lowest level of (-2, 0.6569) lies 8 omega steps up, in the first
-    # chunk of 48; the split pairs at eps = 1e-3 are halved apart
+    # the lowest level of (-2, 0.6569) is the only one in its window, and
+    # the split pairs at eps = 1e-3 are halved apart
     members = _family_members(monkeypatch)
     interval_spectrum(-2.0, 0.6569, odd_cubic, -0.0, 0.5, 1)
     assert sum(members) <= 60
@@ -491,16 +511,25 @@ def test_interval_scan_shoots_only_the_chunks_it_needs(monkeypatch, step, odd_cu
 
 
 def test_interval_pair_closer_than_the_halving_floor_raises(step):
-    # at eps = 1e-5 the split pairs near (k pi)^2 are closer than
-    # 1e-5 max(1, lambda); the halving happens to separate those at pi^2
-    # and 4 pi^2, but not the one at 9 pi^2, whose lower member is level 8
-    with pytest.raises(NumericsError, match="halving floor"):
-        interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 8)
+    # at eps = 1e-5 the split pairs near (k pi)^2 are about 1e-5 apart,
+    # above the floor of 1e-12 max(1, lambda): every level resolves, the
+    # lower member of the pair at 9 pi^2 as level 8 (see
+    # test_interval_split_pairs_resolve_at_a_small_eps)
     assert interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 7).eigenvalues[-1] < 62.0
-    # the lowest level lies below every pair, in the same chunk of omega as
-    # the pair at pi^2: the scan stops at it, so no pair can fail the call
     spec = interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 1)
     assert spec.eigenvalues == pytest.approx([2.4674269787], abs=1e-9)
+    # at eps = 1e-12 the pair at pi^2 is closer than the floor
+    with pytest.raises(NumericsError, match="halving floor"):
+        interval_spectrum(-1.0, 2.0, step, 5.0, 1e-12, 2)
+
+
+def test_interval_split_pairs_resolve_at_a_small_eps(step):
+    spec = interval_spectrum(-1.0, 2.0, step, 5.0, 1e-5, 8)
+    limits = split_limit_frequencies(-1.0, 2.0, 8)
+    assert spec.eigenvalues.size == 8
+    assert np.max(np.abs(np.sqrt(spec.eigenvalues) - limits)) < 1e-4
+    gaps = np.diff(spec.eigenvalues)
+    assert np.all(gaps > 0.0) and np.sum(gaps < 1e-3) == 2  # the pairs at pi^2 and 4 pi^2
 
 
 def test_interval_validation(step):
@@ -687,8 +716,8 @@ def test_delta_coupling_against_finite_differences(name, s):
 
 
 def test_deep_bound_level_is_reached_in_few_steps(monkeypatch, harmonic):
-    # s = -50 binds a level near -625, so the scan starts far below min U:
-    # the gap there is the distance to min U, not a fixed 0.5
+    # s = -50 binds a level near -625, so the window starts far below min U:
+    # halving it costs a shot per level of depth, not a step per unit
     members = _family_members(monkeypatch)
     spec = eigen_limit(harmonic, ConnectedMatrix(1.0, 0.0, -50.0, 1.0), 3, eigenfunctions=False)
     assert sum(members) < 1000
@@ -784,7 +813,7 @@ def test_perturbed_scan_splits_only_cells_holding_two_levels(monkeypatch, tilted
     resolve = spectra.resolve_cells
     split_rises = []
 
-    def spy(fvec, xs, fs, cs, out):
+    def spy(fvec, xs, fs, cs, out, *args):
         known = dict(zip(np.asarray(xs, dtype=float).tolist(), np.asarray(cs).tolist()))
 
         def shoot_mids(mids, with_counts=False):
@@ -796,9 +825,9 @@ def test_perturbed_scan_splits_only_cells_holding_two_levels(monkeypatch, tilted
             known.update(zip(np.asarray(mids).tolist(), counts.tolist()))
             return vals, counts
 
-        resolve(shoot_mids, xs, fs, cs, out)
+        resolve(shoot_mids, xs, fs, cs, out, *args)
 
     monkeypatch.setattr(spectra, "resolve_cells", spy)
     spec = eigen_perturbed(tilted, step, alpha1, 0.05, (1, 4))
     assert spec.flags == ["diving", "ok", "ok", "ok"]
-    assert all(rise >= 2 for rise in split_rises), split_rises
+    assert split_rises and all(rise >= 2 for rise in split_rises), split_rises
