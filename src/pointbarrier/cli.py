@@ -343,8 +343,16 @@ def _cmd_theta(ns, outdir: Path) -> list[str]:
 def _cmd_spectrum(ns, outdir: Path) -> list[str]:
     cfg = _solver_config(ns)
     U = _parse_potential(ns.potential, ns.radius)
+    unread = ((("--k-lo", ns.k_lo), ("--alpha", ns.alpha), ("--eps", ns.eps))
+              if ns.mode == "limit" else (("--bc", ns.bc),))
+    given = [flag for flag, value in unread if value is not None]
+    if given:
+        raise ConfigError(f"{ns.mode} mode takes no {', '.join(given)}")
+    first = 1 if ns.k_lo is None else ns.k_lo  # global index of the first level
     if ns.mode == "limit":
-        bc = _parse_bc(ns.bc)
+        if ns.profile is not None:  # accepted, and unread, but it must be readable
+            _parse_profile(ns.profile)
+        bc = _parse_bc("theta:1.0" if ns.bc is None else ns.bc)
         spec = eigen_limit(
             U, bc, ns.levels, cfg, ns.eig_tol, eigenfunctions=ns.eigenfunctions
         )
@@ -353,10 +361,9 @@ def _cmd_spectrum(ns, outdir: Path) -> list[str]:
             raise ConfigError("perturbed mode needs --profile, --alpha and --eps")
         p = _parse_profile(ns.profile)
         spec = eigen_perturbed(
-            U, p, ns.alpha, ns.eps, (ns.k_lo, ns.k_lo + ns.levels - 1), cfg, ns.eig_tol,
+            U, p, ns.alpha, ns.eps, (first, first + ns.levels - 1), cfg, ns.eig_tol,
             eigenfunctions=ns.eigenfunctions,
         )
-    first = ns.k_lo if ns.mode == "perturbed" else 1  # global index of the first level
     _write_csv(
         outdir / "spectrum.csv",
         ["index", "eigenvalue", "residual", "flag"],
@@ -530,17 +537,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("spectrum", help="eigenvalues of the limit or squeezed operator")
     common(sp, "--rel-tol", "--eig-tol", profile=False)
-    sp.add_argument("--profile", help="barrier profile (perturbed mode only)")
+    sp.add_argument("--profile", help="barrier profile (read in perturbed mode only)")
     sp.add_argument("--mode", choices=["limit", "perturbed"], required=True)
     sp.add_argument("--potential", type=_checked_spec(_potential_coeffs), required=True,
                     help="harmonic | tilted_harmonic | poly:c0,c1,...")
     sp.add_argument("--radius", type=_positive, required=True, help="truncation radius")
-    sp.add_argument("--bc", type=_checked_spec(_parse_bc), default="theta:1.0",
-                    help="dirichlet-split | theta:V | matrix:c11,c12,c21,c22[,phi] | separated:...")
-    sp.add_argument("--alpha", type=_finite)
-    sp.add_argument("--eps", type=_finite)
+    # None tells an option given from one left at its default: each mode
+    # rejects the options of the other
+    sp.add_argument("--bc", type=_checked_spec(_parse_bc),
+                    help="limit mode: dirichlet-split | theta:V (default theta:1.0) | "
+                         "matrix:c11,c12,c21,c22[,phi] | separated:...")
+    sp.add_argument("--alpha", type=_finite, help="perturbed mode")
+    sp.add_argument("--eps", type=_finite, help="perturbed mode")
     sp.add_argument("--levels", type=_positive_int, default=5)
-    sp.add_argument("--k-lo", type=_positive_int, default=1)
+    sp.add_argument("--k-lo", type=_positive_int, help="perturbed mode (default 1)")
     sp.add_argument("--eigenfunctions", action="store_true")
 
     sp = sub.add_parser("scatter", help="reflection/transmission amplitudes")

@@ -22,17 +22,18 @@ one of two transports per segment:
   exponentiates them and chains the 2x2 matrices with one pairwise
   product tree, the interval axis innermost;
 * the same Magnus transport when ``w`` is callable and the call counts
-  zeros, as in the counted coupling families ``alpha * profile`` of a
-  resonance scan: each member runs on the mesh of its weight bucket
+  zeros or records samples, as in the counted coupling families ``alpha *
+  profile`` of a resonance scan and the sampled resonance eigenfunctions:
+  each member runs on the mesh of its weight bucket
   2^ceil(log2 max(|m|, 1)), built once per (segment, config, bucket) for
   the weights up to +-bucket and cached with c and w at the Gauss nodes,
   one pass per bucket, so a member's results depend on its own weight
   and the chains alone;
 * an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
-  first-order system when ``w`` is callable and the call counts no
-  zeros, as in the shots that refine and confirm a resonance, with
-  mandatory step boundaries at the segment ends (piecewise coefficients
-  lose no order).
+  first-order system when ``w`` is callable and the call neither counts
+  zeros nor records samples, as in the endpoint shots that refine and
+  confirm a resonance, with mandatory step boundaries at the segment ends
+  (piecewise coefficients lose no order).
 
 States carry an accumulated log-scale so that strongly exponential regimes
 never overflow; determinant signs are unaffected because the scales are
@@ -70,8 +71,9 @@ class SolverConfig:
     interval and the local error of every RK step relative to the state
     (with the absolute floor ``_RK_ABS_TOL``).  The tolerance alone sizes
     the mesh of a constant w, the tolerance and the weight bucket that of
-    a callable w; the RK steps, which carry the uncounted families of a
-    callable w, are capped at 1e-2 times the span of the chain.
+    a callable w; the RK steps, which carry the uncounted, unsampled
+    families of a callable w, are capped at 1e-2 times the span of the
+    chain.
     A mesh interval or RK step shorter than ``_MIN_STEP`` times its span
     (of the segment, for a mesh) raises ``StepSizeUnderflowError``.
     """
@@ -95,8 +97,8 @@ class FamilySegment:
     (constant on the segment) or a callable of ``x``.  A float ``w_part``
     (zero included) puts the segment on the Magnus mesh, where a float
     ``c_part`` takes one exact step.  A callable ``w_part`` puts it on one
-    Magnus mesh per weight bucket when the call counts zeros, and on the
-    Runge-Kutta pair when it does not.
+    Magnus mesh per weight bucket when the call counts zeros or records
+    samples, and on the Runge-Kutta pair when it does neither.
     """
 
     a: float
@@ -158,44 +160,14 @@ _MIN_STEP = 1e-14  # underflow floor of a step or mesh interval, relative to its
 
 # -- adaptive RK on a family ---------------------------------------------------
 
-def _rk_span(
-    qv: Callable[[float], np.ndarray | float],
-    x0: float,
-    x1: float,
-    Y: np.ndarray,
-    cfg: SolverConfig,
-    hmax: float,
-    hmin: float,
-    record_xs=None,
-    record_fn=None,
-) -> None:
-    """Advance Y in place from x0 to x1 (monotone span, no interior breaks).
-
-    ``record_xs`` (sorted along the direction of travel) forces exact stops
-    where ``record_fn(index_in_record_xs)`` is invoked; the adaptive step
-    and the FSAL stage survive across the stops.  A single-column ``Y``
-    takes the scalar path.
-    """
-    span = abs(x1 - x0)
-    if span == 0.0 and record_xs is None:
-        return
-    path = _rk_span_scalar if Y.shape[1] == 1 else _rk_span_vector
-    path(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn)
-
-
-def _stops(x1: float, record_xs) -> list[float]:
-    stops = list(record_xs) if record_xs is not None else []
-    stops.append(x1)
-    return stops
-
-
-def _rk_span_scalar(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn) -> None:
-    """Single-trajectory path in plain Python scalars."""
+def _rk_span_scalar(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
+    """Advance the single column of Y in place from x0 to x1 (a span with
+    no interior breaks), in plain Python scalars."""
     rtol, atol = cfg.rel_tol, _RK_ABS_TOL
     direction = 1.0 if x1 > x0 else -1.0
     u = Y[0, 0].item()
     v = Y[1, 0].item()
-    q = qv  # float-valued closure supplied by propagate_family for n == 1
+    q = qv  # float-valued closure supplied by _Shot.rk for a one-member lane
 
     (a21,) = _DP_A[1]
     a31, a32 = _DP_A[2]
@@ -211,80 +183,72 @@ def _rk_span_scalar(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn) -> Non
     kv1 = q(x) * u
     qmag = abs(q(x0))
     span = abs(x1 - x0)
-    h = direction * min(hmax, span if span > 0 else hmax, 0.5 / (math.sqrt(qmag) + (1.0 / span if span > 0 else 1.0)))
+    h = direction * min(hmax, span, 0.5 / (math.sqrt(qmag) + 1.0 / span))
 
-    stops = _stops(x1, record_xs)
-    i_stop = 0
-    while i_stop < len(stops):
-        target = stops[i_stop]
-        while (target - x) * direction > 1e-15 * max(1.0, abs(target)):
-            clip = abs(h) > abs(target - x)
-            hh = target - x if clip else h
-            # unrolled Dormand-Prince stages for the linear system
-            su = u + hh * (a21 * ku1)
-            sv = v + hh * (a21 * kv1)
-            xs = x + c2 * hh
-            ku2 = sv
-            kv2 = q(xs) * su
-            su = u + hh * (a31 * ku1 + a32 * ku2)
-            sv = v + hh * (a31 * kv1 + a32 * kv2)
-            xs = x + c3 * hh
-            ku3 = sv
-            kv3 = q(xs) * su
-            su = u + hh * (a41 * ku1 + a42 * ku2 + a43 * ku3)
-            sv = v + hh * (a41 * kv1 + a42 * kv2 + a43 * kv3)
-            xs = x + c4 * hh
-            ku4 = sv
-            kv4 = q(xs) * su
-            su = u + hh * (a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4)
-            sv = v + hh * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
-            xs = x + c5 * hh
-            ku5 = sv
-            kv5 = q(xs) * su
-            su = u + hh * (a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5)
-            sv = v + hh * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
-            xs = x + c6 * hh
-            ku6 = sv
-            kv6 = q(xs) * su
-            u5 = u + hh * (b1 * ku1 + b3 * ku3 + b4 * ku4 + b5 * ku5 + b6 * ku6)
-            v5 = v + hh * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
-            xe = x + hh
-            ku7 = v5
-            kv7 = q(xe) * u5
+    while (x1 - x) * direction > 1e-15 * max(1.0, abs(x1)):
+        clip = abs(h) > abs(x1 - x)
+        hh = x1 - x if clip else h
+        # unrolled Dormand-Prince stages for the linear system
+        su = u + hh * (a21 * ku1)
+        sv = v + hh * (a21 * kv1)
+        xs = x + c2 * hh
+        ku2 = sv
+        kv2 = q(xs) * su
+        su = u + hh * (a31 * ku1 + a32 * ku2)
+        sv = v + hh * (a31 * kv1 + a32 * kv2)
+        xs = x + c3 * hh
+        ku3 = sv
+        kv3 = q(xs) * su
+        su = u + hh * (a41 * ku1 + a42 * ku2 + a43 * ku3)
+        sv = v + hh * (a41 * kv1 + a42 * kv2 + a43 * kv3)
+        xs = x + c4 * hh
+        ku4 = sv
+        kv4 = q(xs) * su
+        su = u + hh * (a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4)
+        sv = v + hh * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
+        xs = x + c5 * hh
+        ku5 = sv
+        kv5 = q(xs) * su
+        su = u + hh * (a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5)
+        sv = v + hh * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
+        xs = x + c6 * hh
+        ku6 = sv
+        kv6 = q(xs) * su
+        u5 = u + hh * (b1 * ku1 + b3 * ku3 + b4 * ku4 + b5 * ku5 + b6 * ku6)
+        v5 = v + hh * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
+        xe = x + hh
+        ku7 = v5
+        kv7 = q(xe) * u5
 
-            eu = hh * (e1 * ku1 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * ku7)
-            ev = hh * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
-            den_u = atol + rtol * max(abs(u), abs(u5))
-            den_v = atol + rtol * max(abs(v), abs(v5))
-            err = max(abs(eu) / den_u, abs(ev) / den_v)
-            if err <= 1.0:
-                x = xe
-                u, v = u5, v5
-                ku1, kv1 = ku7, kv7
-                fac = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
-                if not clip:
-                    h *= max(0.2, fac)
-                    if abs(h) > hmax:
-                        h = direction * hmax
+        eu = hh * (e1 * ku1 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * ku7)
+        ev = hh * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
+        den_u = atol + rtol * max(abs(u), abs(u5))
+        den_v = atol + rtol * max(abs(v), abs(v5))
+        err = max(abs(eu) / den_u, abs(ev) / den_v)
+        if err <= 1.0:
+            x = xe
+            u, v = u5, v5
+            ku1, kv1 = ku7, kv7
+            fac = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
+            if not clip:
+                h *= max(0.2, fac)
+                if abs(h) > hmax:
+                    h = direction * hmax
+        else:
+            if not math.isfinite(err):
+                h = hh * 0.1
             else:
-                if not math.isfinite(err):
-                    h = hh * 0.1
-                else:
-                    h = hh * max(0.1, 0.9 * err**-0.2)
-                if abs(h) < hmin:
-                    raise StepSizeUnderflowError(x)
-        if record_fn is not None and i_stop < len(stops) - 1:
-            Y[0, 0] = u
-            Y[1, 0] = v
-            record_fn(i_stop)
-        i_stop += 1
+                h = hh * max(0.1, 0.9 * err**-0.2)
+            if abs(h) < hmin:
+                raise StepSizeUnderflowError(x)
     Y[0, 0] = u
     Y[1, 0] = v
 
 
-def _rk_span_vector(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn) -> None:
-    """Family path: flat (2n,) states, stage combinations via BLAS matvec,
-    every array of the step loop allocated once per call."""
+def _rk_span_vector(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
+    """Advance Y in place from x0 to x1 (a span with no interior breaks):
+    flat (2n,) states, stage combinations via BLAS matvec, every array of
+    the step loop allocated once per call."""
     rtol, atol = cfg.rel_tol, _RK_ABS_TOL
     direction = 1.0 if x1 > x0 else -1.0
     n = Y.shape[1]
@@ -296,63 +260,48 @@ def _rk_span_vector(qv, x0, x1, Y, cfg, hmax, hmin, record_xs, record_fn) -> Non
         out[:n] = state[n:]
         np.multiply(qv(x), state[:n], out=out[n:])
 
-    def flush() -> None:
-        Y[0] = y[:n]
-        Y[1] = y[n:]
-
     x = x0
     eval_rhs(x, y, K[0])
     qmag = float(np.max(np.abs(qv(x))))
     span = abs(x1 - x0)
-    h = direction * min(
-        hmax,
-        span if span > 0 else hmax,
-        0.5 / (math.sqrt(qmag) + (1.0 / span if span > 0 else 1.0)),
-    )
+    h = direction * min(hmax, span, 0.5 / (math.sqrt(qmag) + 1.0 / span))
 
-    stops = _stops(x1, record_xs)
-    i_stop = 0
-    while i_stop < len(stops):
-        target = stops[i_stop]
-        while (target - x) * direction > 1e-15 * max(1.0, abs(target)):
-            clip = abs(h) > abs(target - x)
-            hh = target - x if clip else h
-            for i in range(1, 7):
-                np.matmul(_DP_A_ROWS[i], K[:i], out=comb)
-                np.multiply(hh, comb, out=stage)
-                stage += y
-                eval_rhs(x + _DP_C[i] * hh, stage, K[i])
-            np.matmul(_DP_B5_ROW, K[:6], out=comb)
-            np.multiply(hh, comb, out=y5)
-            y5 += y
-            np.matmul(_DP_E_ROW, K, out=err)
-            np.abs(y, out=scale)
-            np.maximum(scale, np.abs(y5, out=comb), out=scale)
-            scale *= rtol
-            scale += atol
-            np.abs(err, out=err)
-            err /= scale
-            err_norm = abs(hh) * float(err.max())
-            if not math.isfinite(err_norm):
-                err_norm = math.inf
-            if err_norm <= 1.0:
-                x += hh
-                y, y5 = y5, y
-                K[0] = K[6]
-                fac = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
-                if not clip:
-                    h *= max(0.2, fac)
-                    if abs(h) > hmax:
-                        h = direction * hmax
-            else:
-                h = hh * (max(0.1, 0.9 * err_norm**-0.2) if math.isfinite(err_norm) else 0.1)
-                if abs(h) < hmin:
-                    raise StepSizeUnderflowError(x)
-        if record_fn is not None and i_stop < len(stops) - 1:
-            flush()
-            record_fn(i_stop)
-        i_stop += 1
-    flush()
+    while (x1 - x) * direction > 1e-15 * max(1.0, abs(x1)):
+        clip = abs(h) > abs(x1 - x)
+        hh = x1 - x if clip else h
+        for i in range(1, 7):
+            np.matmul(_DP_A_ROWS[i], K[:i], out=comb)
+            np.multiply(hh, comb, out=stage)
+            stage += y
+            eval_rhs(x + _DP_C[i] * hh, stage, K[i])
+        np.matmul(_DP_B5_ROW, K[:6], out=comb)
+        np.multiply(hh, comb, out=y5)
+        y5 += y
+        np.matmul(_DP_E_ROW, K, out=err)
+        np.abs(y, out=scale)
+        np.maximum(scale, np.abs(y5, out=comb), out=scale)
+        scale *= rtol
+        scale += atol
+        np.abs(err, out=err)
+        err /= scale
+        err_norm = abs(hh) * float(err.max())
+        if not math.isfinite(err_norm):
+            err_norm = math.inf
+        if err_norm <= 1.0:
+            x += hh
+            y, y5 = y5, y
+            K[0] = K[6]
+            fac = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
+            if not clip:
+                h *= max(0.2, fac)
+                if abs(h) > hmax:
+                    h = direction * hmax
+        else:
+            h = hh * (max(0.1, 0.9 * err_norm**-0.2) if math.isfinite(err_norm) else 0.1)
+            if abs(h) < hmin:
+                raise StepSizeUnderflowError(x)
+    Y[0] = y[:n]
+    Y[1] = y[n:]
 
 
 # -- sixth-order Magnus transport on a cached mesh ------------------------------
@@ -817,11 +766,13 @@ class _Shot:
         self.rows = [slice(lo, hi) for lo, hi in zip([0, *cuts[:-1]], cuts)]
         self.rec_states, self.rec_logs = np.empty((path.size, 2, n)), np.empty((path.size, n))
 
-    def pieces(self, count_zeros: bool) -> list:
+    def pieces(self) -> list:
         """(route, first, stop) of each run of segments on one transport: the
-        mesh of a constant w (False), the bucket meshes of a counted
-        callable w (True), or the Runge-Kutta pair (None, one segment)."""
-        routes = [callable(seg.w_part) if count_zeros or not callable(seg.w_part) else None
+        mesh of a constant w (False), the bucket meshes of a callable w on a
+        counted or sampled shot (True), or the Runge-Kutta pair (None, one
+        segment)."""
+        meshed = self.counts is not None or self.rows is not None
+        routes = [callable(seg.w_part) if meshed or not callable(seg.w_part) else None
                   for seg in self.chain]
         cuts = [i for i in range(1, len(routes))
                 if routes[i] is None or routes[i] is not routes[i - 1]]
@@ -850,7 +801,6 @@ class _Shot:
         Y *= np.exp(self.logs)  # the RK's absolute tolerance reads true states
         self.logs[:] = 0.0
         span = abs(self.chain[-1].b - self.chain[0].a)
-        xs, base = (self.xs[self.rows[i]], self.rows[i].start) if self.rows else ((), 0)
         cp, wp = seg.c_part, seg.w_part
         c0 = None if callable(cp) else float(cp)
         # tiny families run faster member-by-member on the scalar fast path
@@ -858,20 +808,12 @@ class _Shot:
         for lane in lanes:
             Yl = Y[:, lane]
             ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
-
-            def record(j: int, _lane=lane, _Y=Yl) -> None:
-                self.rec_states[base + j, :, _lane] = _Y
-                self.rec_logs[base + j, _lane] = 0.0
-
             if c0 is None:
                 qv = lambda x, ml=ml: cp(x) + ml * wp(x)
             else:
                 qv = lambda x, ml=ml: c0 + ml * wp(x)
-            _rk_span(
-                qv, seg.a, seg.b, Yl, cfg, _RK_MAX_STEP * span, _MIN_STEP * span,
-                record_xs=xs if len(xs) else None,
-                record_fn=record if len(xs) else None,
-            )
+            path = _rk_span_scalar if Yl.shape[1] == 1 else _rk_span_vector
+            path(qv, seg.a, seg.b, Yl, cfg, _RK_MAX_STEP * span, _MIN_STEP * span)
 
 
 def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
@@ -936,7 +878,7 @@ def propagate_chains(chains: Sequence[Sequence[FamilySegment]], m, init,
     # one boundary for the whole call: an overflow or a NaN inside shows
     # up as a non-finite result, which raises below
     with np.errstate(all="ignore"):
-        for pieces in zip_longest(*(shot.pieces(count_zeros) for shot in shots)):
+        for pieces in zip_longest(*(shot.pieces() for shot in shots)):
             runs = {}
             for shot, piece in zip(shots, pieces):
                 if piece is not None and piece[0] is None:
@@ -977,11 +919,11 @@ def propagate_family(segments: Sequence[FamilySegment], m, init,
     at given x locations (visited in path order).  ``rescale`` keeps the
     log scales of the Magnus segments; a Runge-Kutta segment starts from
     true-scale states and adds no scale.  ``count_zeros`` counts the
-    interior zeros of u per member, and puts every segment on a Magnus
-    mesh (``FamilySegment``).  A returned state, log or sample that is not
-    finite, or a zero count that a double cannot hold exactly, raises
-    ``NumericsError``; numpy warns of nothing inside.  The one-chain case
-    of ``propagate_chains``.
+    interior zeros of u per member.  A call that counts zeros or records
+    samples puts every segment on a Magnus mesh (``FamilySegment``).  A
+    returned state, log or sample that is not finite, or a zero count that
+    a double cannot hold exactly, raises ``NumericsError``; numpy warns of
+    nothing inside.  The one-chain case of ``propagate_chains``.
     """
     return propagate_chains([segments], m, init, cfg, rescale=rescale,
                             samples=None if samples is None else [samples],

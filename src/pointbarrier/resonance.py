@@ -92,7 +92,8 @@ def shoot(p: Profile, alpha: float, cfg: SolverConfig | None = None) -> tuple[fl
 
     ``w'(1)`` is the resonance miss function D(alpha).  Piecewise-constant
     profile segments take one exact constant-coefficient step; the others
-    run on the Runge-Kutta pair.
+    run on the Runge-Kutta pair, which carries only such endpoint shots
+    (unsampled and uncounted).
     """
     res = shoot_family(p, [alpha], cfg)
     return float(res.states[0, 0]), float(res.states[1, 0])
@@ -118,7 +119,12 @@ def scaled_residual(p: Profile, alpha, w1, dw1):
 
 def eigenfunction(p: Profile, alpha: float, cfg: SolverConfig | None = None):
     """``(xi, w)``: the left-Neumann shot at ``alpha``, normalized to
-    w(-1) = 1, sampled on a uniform grid of 401 points of [-1, 1]."""
+    w(-1) = 1, sampled on a uniform grid of 401 points of [-1, 1].
+
+    A sampled shot runs on the Magnus meshes: the weight-bucket mesh of
+    ``alpha`` on a non-constant segment (the mesh the scan's counted
+    shots use), one exact step on a constant one.  Each sample is one
+    Magnus substep from the mesh node before it."""
     xi = np.linspace(-1.0, 1.0, _EIGENFUNCTION_SAMPLES)
     res = propagate_family(
         _alpha_segments(p), np.array([alpha]), np.array([1.0, 0.0]), cfg or DEFAULT_CONFIG,
@@ -150,8 +156,9 @@ def resonance_scan(
     points that locate the cells where it rises, ``resolve_cells`` halves
     every cell that hides roots until each shows its own sign change of
     D, and the brackets of both sides are refined together by
-    ``illinois_vector``.  The counted shots run on the Magnus mesh, the
-    refine and the shots of the roots on the Runge-Kutta pair.  A side
+    ``illinois_vector``.  The counted shots run on the weight-bucket Magnus
+    meshes, the refine and the endpoint shots of the roots on the
+    Runge-Kutta pair.  A side
     that brackets fewer roots than its index rise at the halving floor
     raises ``NumericsError``.  alpha = 0 is inserted analytically whenever
     the window contains it.  Roots whose shot misses ``residual_tol`` come

@@ -610,8 +610,8 @@ def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> 
     the pole-free form G(w) = sin(bw)cos(aw) - theta^2 sin(aw)cos(bw) so
     that coincident tangent poles (e.g. theta = 1 with |a| = b) are kept.
     Brackets come from a fine frequency grid, a chunk at a time; one
-    ``illinois_vector`` call refines the brackets of a chunk, and three
-    Newton steps on G polish each root.
+    ``illinois_vector`` call refines the brackets of a chunk to a few
+    ulps.
     """
     if not (a < 0.0 < b):
         raise ValueError("need a < 0 < b")
@@ -621,13 +621,6 @@ def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> 
 
     def G(w):
         return np.sin(b * w) * np.cos(a * w) - t2 * np.sin(a * w) * np.cos(b * w)
-
-    def dG(w):
-        return (
-            b * np.cos(b * w) * np.cos(a * w)
-            - a * np.sin(b * w) * np.sin(a * w)
-            - t2 * (a * np.cos(a * w) * np.cos(b * w) - b * np.sin(a * w) * np.sin(b * w))
-        )
 
     dw = math.pi / (16.0 * (abs(a) + b) * max(1.0, min(10.0, abs(theta))))
     roots: list[float] = []
@@ -642,11 +635,6 @@ def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> 
         cells = np.flatnonzero(sign_change(vals[:-1], vals[1:]))[:count - len(roots)]
         if cells.size:
             w = illinois_vector(G, xs[cells], xs[cells + 1], xtol=1e-14, rtol=4e-16)
-            stop = np.zeros(w.shape, dtype=bool)
-            for _ in range(3):
-                d = dG(w)
-                stop |= d == 0.0
-                w = np.where(stop, w, w - G(w) / np.where(stop, 1.0, d))
             roots.extend(w[w > 1e-12].tolist())
         w0 = float(ws[-1])
         f0 = float(fs[-1])

@@ -5,11 +5,14 @@ recomputed here by plain bisection on tanh(k) - tan(k), independently of
 the library's scan machinery, and frozen for the whole session.  Family
 propagations are checked against scipy's DOP853 integrator, eigenvalues
 against a tridiagonal finite-difference diagonalization, and diving levels
-against bisection on the matching Wronskian of DOP853 shots.  The closed forms
-of the step profile (its resonance function, coupling ratio and scattering
-amplitudes, the latter also in ``decimal`` arithmetic for barriers whose
-matrices leave the range of a double), the resonant transmission limit and
-the first-order eigenvalue corrector live here too: they check the
+against bisection on the matching Wronskian of DOP853 shots.  Shots of the
+coupling equation on polynomial profiles are also checked against a Taylor
+shot in ``decimal`` arithmetic, which shares nothing with the library or
+with DOP853.  The closed forms of the step profile (its resonance
+function, coupling ratio and scattering amplitudes, the latter also in
+``decimal`` arithmetic for barriers whose matrices leave the range of a
+double), the resonant transmission limit and the first-order eigenvalue
+corrector live here too: they check the
 library, which does not use them.  So does the boundary data of a limit
 eigenfunction at the origin, which only the corrector reads.  The
 Magnus transport's pieces are checked against their plain forms: the
@@ -192,6 +195,56 @@ def step_theta(alpha: float) -> float:
         return math.cosh(s) / c
     s = math.sqrt(-alpha)
     return math.cos(s) / math.cosh(s)
+
+
+def _taylor_shift(coeffs, x0: Decimal) -> list[Decimal]:
+    """Ascending coefficients of P(x0 + t) from those of P(x), by repeated
+    synthetic division (no powers, so x0 = 0 raises nothing)."""
+    c = [Decimal(v) for v in coeffs]
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += x0 * c[j + 1]
+    return c
+
+
+def taylor_shot(p: Profile, alpha: float, xs) -> np.ndarray:
+    """States (w, w') (k, 2) at the points ``xs`` of [-1, 1] of w'' =
+    alpha P(xi) w from (1, 0) at xi = -1, in ``decimal`` arithmetic only
+    (Corliss & Chang, ACM TOMS 8 (1982) 114-144).
+
+    On a polynomial segment the solution is entire; its Taylor
+    coefficients about x0 follow (n + 2)(n + 1) a_{n+2} = alpha sum_j p_j
+    a_{n-j}, with p_j those of P re-expanded about x0.  The series is
+    summed to 80 terms at 50 digits and re-expanded every 0.05 in xi, at
+    every breakpoint and at every sample: a step h drops terms of about
+    (sqrt(|alpha P|) h)^80 / 80!, far below 1e-50 for |alpha P| up to 1e4.
+    """
+    terms = 80
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(alpha)
+        grid = {Decimal(-1) + Decimal("0.05") * i for i in range(41)}
+        stops = sorted(grid | {Decimal(s.a) for s in p.segments} | {Decimal(s.b) for s in p.segments}
+                       | {Decimal(float(x)) for x in xs})
+        stops = [s for s in stops if Decimal(-1) <= s <= Decimal(1)]
+        w, dw = Decimal(1), Decimal(0)
+        at = {stops[0]: (w, dw)}
+        for x0, x1 in zip(stops, stops[1:]):
+            mid = (x0 + x1) / 2
+            seg = next(s for s in p.segments if Decimal(s.a) <= mid <= Decimal(s.b))
+            pc = _taylor_shift(seg.coeffs, x0)
+            c = [w, dw]
+            for n in range(terms - 2):
+                conv = sum(pc[j] * c[n - j] for j in range(min(n, len(pc) - 1) + 1))
+                c.append(a * conv / ((n + 2) * (n + 1)))
+            t = x1 - x0
+            w, dw = Decimal(0), Decimal(0)
+            for n in range(terms - 1, -1, -1):  # Horner, for w and w'
+                w = w * t + c[n]
+                if n:
+                    dw = dw * t + n * c[n]
+            at[x1] = (w, dw)
+        return np.array([[float(v) for v in at[Decimal(float(x))]] for x in xs])
 
 
 def constant_propagator(c: float, length: float) -> np.ndarray:

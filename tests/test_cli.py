@@ -771,6 +771,33 @@ def test_spectrum_limit_needs_no_profile(tmp_path):
                  "--out", str(tmp_path / "np")]) == 2
 
 
+_LIMIT = ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+          "--levels", "2"]
+_PERTURBED = ["spectrum", "--mode", "perturbed", "--potential", "tilted_harmonic",
+              "--radius", "8", "--profile", "step", "--alpha", "1", "--eps", "0.1"]
+
+
+@pytest.mark.parametrize("args, named", [
+    (_LIMIT + ["--k-lo", "3", "--alpha", "5", "--eps", "0.1"], "--k-lo, --alpha, --eps"),
+    (_LIMIT + ["--k-lo", "1"], "--k-lo"),
+    (_LIMIT + ["--eps", "0.1"], "--eps"),
+    (_PERTURBED + ["--bc", "dirichlet-split"], "--bc"),
+    (_PERTURBED + ["--bc", "theta:1.0"], "--bc"),
+])
+def test_spectrum_rejects_what_its_mode_does_not_read(tmp_path, capsys, args, named):
+    # each mode reads only its own options, and names every other one given
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert _one_config_error_line(capsys).endswith(f"mode takes no {named}")
+
+
+def test_spectrum_limit_reads_the_profile_it_is_given(tmp_path, capsys):
+    # limit mode accepts a --profile (the benchmark passes one) but it must parse
+    assert main(_LIMIT + ["--profile", "step", "--out", str(tmp_path / "ok")]) == 0
+    missing = str(tmp_path / "missing.json")
+    assert main(_LIMIT + ["--profile", missing, "--out", str(tmp_path / "x")]) == 2
+    assert "unknown profile" in _one_config_error_line(capsys)
+
+
 def _off_dipole_step(tmp_path):
     # the step profile scaled by 1.000001: m0 = 0, m1 = -1.000001
     doc = {

@@ -558,31 +558,41 @@ def test_chains_carried_together_match_their_own_calls():
 
 def test_samples_go_to_segments_in_path_order(monkeypatch):
     # each segment records the samples from the last one taken up to the
-    # first off it; a sample at a join goes to the earlier segment
+    # first off it; a sample at a join goes to the earlier segment.  A
+    # sampled call carries a callable w on its bucket meshes, never on the
+    # RK pair
     from pointbarrier import ivp
 
-    seen = []
-    sample_plan, rk_span = ivp._sample_plan, ivp._rk_span
+    seen, rk_calls = [], []
+    sample_plan = ivp._sample_plan
 
     def spy_mesh(mesh, seg_samples):
         seen.append(np.asarray(seg_samples).tolist())
         return sample_plan(mesh, seg_samples)
 
-    def spy_rk(*args, record_xs=None, **kwargs):
-        seen.append([] if record_xs is None else np.asarray(record_xs).tolist())
-        rk_span(*args, record_xs=record_xs, **kwargs)
+    def spy_rk(path):
+        def run(qv, x0, x1, *args):
+            rk_calls.append((x0, x1))
+            return path(qv, x0, x1, *args)
+        return run
 
     monkeypatch.setattr(ivp, "_sample_plan", spy_mesh)
-    monkeypatch.setattr(ivp, "_rk_span", spy_rk)
+    for name in ("_rk_span_scalar", "_rk_span_vector"):
+        monkeypatch.setattr(ivp, name, spy_rk(getattr(ivp, name)))
     segs = [
         FamilySegment(0.0, 1.0, lambda x: x, -1.0),
         FamilySegment(1.0, 2.0, 3.0, -1.0),
-        FamilySegment(2.0, 2.5, 0.0, lambda x: -1.0 - x),  # RK
+        FamilySegment(2.0, 2.5, 0.0, lambda x: -1.0 - x),  # RK when neither counted nor sampled
         FamilySegment(2.5, 3.0, 1.0, -1.0),
     ]
+    m = np.array([0.5, 2.0])
+    propagate_family(segs, m, np.array([0.0, 1.0]))
+    assert rk_calls == [(2.0, 2.5)] * 2  # the RK takes a family of two member by member
+    rk_calls.clear()
     xs = [0.0, 0.5, 1.0, 1.5, 2.0, 2.0, 3.0]
-    res = propagate_family(segs, np.array([0.5, 2.0]), np.array([0.0, 1.0]), samples=xs)
-    # the RK takes a family of two member by member
+    res = propagate_family(segs, m, np.array([0.0, 1.0]), samples=xs)
+    assert rk_calls == []
+    # the callable-w segment plans once per weight bucket, of 0.5 and of 2.0
     assert seen == [[0.0, 0.5, 1.0], [1.5, 2.0, 2.0], [], [], [3.0]]
     assert np.all(np.isfinite(res.sample_states))
     assert np.allclose(res.sample_states[-1], res.states, rtol=1e-9)
@@ -590,6 +600,7 @@ def test_samples_go_to_segments_in_path_order(monkeypatch):
     seen.clear()
     back = [FamilySegment(s.b, s.a, s.c_part, s.w_part) for s in reversed(segs)]
     propagate_family(back, np.array([0.5]), np.array([0.0, 1.0]), samples=[2.2, 2.0, 0.5, 0.0])
+    assert rk_calls == []
     assert seen == [[], [2.2, 2.0], [], [0.5, 0.0]]
 
     for off in ([0.5, 3.5], [-0.5, 0.5], [0.5, 3.0 + 1e-9]):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import bisect_oracle, dop853_family, step_h, step_theta
+from conftest import bisect_oracle, dop853_family, step_h, step_theta, taylor_shot
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -364,15 +364,48 @@ def bump_scan():
 
 def test_bump_roots_straddle_an_independent_sign_change(bump_scan, bump):
     # every refined root, flagged or not, sits within 1e-7 of a zero of D
-    # shot by DOP853: D changes sign across [r - 1e-7, r + 1e-7]
+    # shot by DOP853 and by the decimal Taylor shot: D changes sign across
+    # [r - 1e-7, r + 1e-7]
     pts, _ = bump_scan
     roots = np.array([pt.alpha for pt in pts if pt.alpha != 0.0])
     assert roots.size == 7
     ends = np.concatenate((roots - 1e-7, roots + 1e-7))
     segs = [FamilySegment(s.a, s.b, 0.0, s) for s in bump.segments]
-    dw1 = dop853_family(segs, ends, np.array([1.0, 0.0]))[0][1]
-    left, right = dw1[:roots.size], dw1[roots.size:]
-    assert np.all((left < 0.0) != (right < 0.0)), (roots, left, right)
+    oracles = {
+        "dop853": dop853_family(segs, ends, np.array([1.0, 0.0]))[0][1],
+        "taylor": np.array([taylor_shot(bump, a, [1.0])[0, 1] for a in ends]),
+    }
+    for name, dw1 in oracles.items():
+        left, right = dw1[:roots.size], dw1[roots.size:]
+        assert np.all((left < 0.0) != (right < 0.0)), (name, roots, left, right)
+
+
+def test_bump_eigenfunctions_meet_the_taylor_shot(bump_scan, bump):
+    # the sampled eigenfunction of every confirmed root, against the decimal
+    # Taylor shot at every tenth sample, relative to max |w|
+    pts, _ = bump_scan
+    confirmed = [pt.alpha for pt in pts if not pt.flagged]
+    assert len(confirmed) == 6
+    for alpha in confirmed:
+        xi, w = eigenfunction(bump, alpha)
+        ref = taylor_shot(bump, alpha, xi[::10])[:, 0]
+        gap = np.max(np.abs(w[::10] - ref)) / np.max(np.abs(ref))
+        assert gap <= 1e-9, (alpha, gap)
+
+
+def test_taylor_shot_meets_the_step_closed_forms(step, kappa_roots):
+    # theta at the positive step roots in [0, 200]; on the negative side
+    # theta at a rounded root is ill-conditioned (the shot decays towards
+    # xi = 1), so there D need only change sign across r +- 1e-7
+    g = lambda k: math.tanh(k) - math.tan(k)
+    kappas = [bisect_oracle(g, n * math.pi + 0.2, (n + 0.5) * math.pi - 0.2) for n in (1, 2, 3, 4)]
+    assert kappas[:2] == list(kappa_roots)
+    for k in kappas:
+        assert k * k < 200.0
+        w1 = taylor_shot(step, k * k, [1.0])[0, 0]
+        assert w1 == pytest.approx(step_theta(k * k), rel=1e-12)
+        left, right = (taylor_shot(step, -k * k + d, [1.0])[0, 1] for d in (-1e-7, 1e-7))
+        assert (left < 0.0) != (right < 0.0), (k, left, right)
 
 
 def test_bump_candidates_stay_flagged(bump_scan):
