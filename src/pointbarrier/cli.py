@@ -6,6 +6,9 @@ subcommand, the full parameter set, the tool version and the wall time;
 ``rerun`` replays the argument vector of a manifest.  CSV payloads write
 floats as ``%.17e`` (18 significant digits) and contain nothing
 run-dependent, so identical configurations produce byte-identical files.
+A numpy kernel gives the bytes of ``'%.17e' % x`` for a float column
+(``_float_field``); ``%`` formats only what it leaves out and the floats
+of mixed columns.  Rows are laid out and written as byte blocks.
 
 Exit status: 0 on success, 2 for configuration errors, 3 for numerical
 failures, 4 for violated preconditions (e.g. a profile outside the
@@ -87,68 +90,169 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-# -- small format helpers -----------------------------------------------------
+# -- CSV payloads ---------------------------------------------------------------
 
 _FLOAT = "%.17e"
 _FLOATS = (float, np.floating)
-_CHUNK_ROWS = 2048  # rows formatted by one % and written by one call
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter of a 53-bit significand
+_E_LO, _E_HI = -291, 291  # decimal exponents of the kernel's |x| in [1e-290, 1e290]
+_TABLES = {}  # per decimal exponent, built on first use by _tables
+_ROWS = 4096  # rows per numpy pass: its temporaries stay small and in cache
 
 
-def _needs_quotes(text: str) -> bool:
-    """Whether csv.QUOTE_MINIMAL quotes ``text``: a comma, a quote, CR or LF."""
-    return "," in text or '"' in text or "\r" in text or "\n" in text
+def _tables() -> dict:
+    """Per decimal exponent E = _E_LO.._E_HI, from Python ints: 10**(17 -
+    E) = hi + lo as a double-double (int true division rounds correctly),
+    the Veltkamp halves of hi, and the exponent as ``%.17e`` writes it."""
+    if not _TABLES:
+        rows, exps = [], [b"%+03d" % E for E in range(_E_LO, _E_HI + 1)]
+        for E in range(_E_LO, _E_HI + 1):
+            P, Q = (10**(17 - E), 1) if E <= 17 else (1, 10**(E - 17))
+            num, den = (P / Q).as_integer_ratio()
+            rows.append((P / Q, (P * den - num * Q) / (Q * den)))
+        hi, lo = np.array(rows).T
+        m, e = np.frexp(hi)  # split the significand: hi * _SPLIT may overflow
+        head = np.ldexp(m * _SPLIT - (m * _SPLIT - m), e)
+        _TABLES.update(hi=hi, lo=lo, head=head, tail=hi - head,
+                       exp=np.array(exps, "S4").view(np.uint8).reshape(-1, 4))
+    return _TABLES
+
+
+def _scaled(a, E):
+    """(D, step, unsure): D = a 10**(17 - E) rounded half to even; step = +-1
+    where E must move for a 10**(17 - E) to lie in [10**17, 10**18); unsure
+    where 10**(17 - E) is no double, so that the product errs (by < 1e-12),
+    and it lies within 1e-9 of a half.  Else the product is exact (Dekker,
+    Numer. Math. 18 (1971) 224-242), ties too."""
+    t, i = _tables(), E - _E_LO
+    hi, lo, hi_head, hi_tail = t["hi"][i], t["lo"][i], t["head"][i], t["tail"][i]
+    c = a * _SPLIT
+    head = c - (c - a)
+    tail = a - head
+    p = a * hi
+    s = ((((head * hi_head - p) + head * hi_tail) + tail * hi_head) + tail * hi_tail) + a * lo
+    below = np.floor(s)
+    frac = s - below
+    base = np.minimum(p, 2e18).astype(np.int64) + below.astype(np.int64)
+    D = base + ((frac > 0.5) | ((frac == 0.5) & (base % 2 == 1)))
+    step = (base >= 10**18).astype(np.int64) - (base < 10**17)
+    return D, step, (lo != 0.0) & (np.abs(frac - 0.5) < 1e-9)
+
+
+def _float_field(values):
+    """The field (cells, start, stop) of the bytes of ``'%.17e' % x`` for
+    each x of ``values``, formatted ``_ROWS`` at a time by ``_format``."""
+    x = np.asarray(values, dtype=np.float64)
+    cells = np.empty((25, x.size), np.uint8)
+    start, stop = np.empty(x.size, np.uint8), np.empty(x.size, np.uint8)
+    for lo in range(0, x.size, _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        _format(x[rows], cells[:, rows], start[rows], stop[rows])
+    return cells.T, start, stop
+
+
+def _format(x, cells, start, stop) -> None:
+    """Write ``'%.17e' % x`` for each x by position into ``cells`` (sign,
+    digit, '.', 17 digits, 'e' and the exponent), from ``start`` to
+    ``stop``.  ``%`` formats only the cells outside |x| in [1e-290, 1e290]
+    but zeros (subnormal, huge or not finite: the split of x or the table
+    would overflow) and the unsure ones."""
+    a = np.abs(x)
+    kernel, zero = (a >= 1e-290) & (a <= 1e290), a == 0.0
+    a = np.where(kernel, a, 1.0)  # a zero reads as 1.0 until its digits are zeroed
+    E = np.floor(np.log10(a)).astype(np.int64)
+    D, step, unsure = _scaled(a, E)
+    moved = np.flatnonzero(step)  # floor(log10) may be one off
+    E[moved] += step[moved]
+    D[moved], step[moved], unsure[moved] = _scaled(a[moved], E[moved])
+    up = D == 10**18  # rounded up to the next power of ten
+    D[up], E[up], D[zero] = 10**17, E[up] + 1, 0
+    for pos in range(19, 2, -1):  # one int64 division by a scalar per digit
+        q = D // 10
+        cells[pos] = D - 10 * q + ord("0")
+        D = q
+    cells[1] = D + ord("0")
+    cells[[0, 2, 20]] = np.frombuffer(b"-.e", np.uint8)[:, None]
+    cells[21:] = _tables()["exp"][E - _E_LO].T
+    start[:], stop[:] = ~np.signbit(x), 24 + (np.abs(E) >= 100)
+    for i in np.flatnonzero(~(kernel | zero) | unsure | (step != 0)):
+        text = (_FLOAT % x[i]).encode()
+        cells[:len(text), i] = np.frombuffer(text, np.uint8)
+        start[i], stop[i] = 0, len(text)
 
 
 def _text(cell) -> str:
     """One cell of a column that is not all floats: a float as ``%.17e``,
-    anything else as ``str`` quoted as csv.QUOTE_MINIMAL does (a flag such
-    as left,degenerate, or a profile label)."""
+    anything else as ``str`` quoted as csv.QUOTE_MINIMAL does (a comma, a
+    quote, CR or LF: a flag such as left,degenerate, or a profile label)."""
     if isinstance(cell, _FLOATS):
         return _FLOAT % cell
     text = str(cell)
-    if _needs_quotes(text):
+    if any(ch in text for ch in ',"\r\n'):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _column(cells):
-    """(row template field, % arguments) of one column of a chunk."""
-    kinds = set(map(type, cells))
-    if all(issubclass(kind, _FLOATS) for kind in kinds):
-        return _FLOAT, cells
-    if kinds == {str} and not _needs_quotes("".join(cells)):
-        return "%s", cells  # text that needs no quotes, such as a formatted grid
-    return "%s", [_text(cell) for cell in cells]
+def _text_field(cells):
+    """The field of a column that is not all floats, cell by cell."""
+    encoded = [_text(cell).encode() for cell in cells]
+    stop = np.array([len(b) for b in encoded], dtype=np.int64)
+    width = max(int(stop.max(initial=0)), 1)
+    return (np.array(encoded, f"S{width}").view(np.uint8).reshape(-1, width),
+            np.zeros_like(stop), stop)
+
+
+def _write_fields(path: Path, header: list[str], fields) -> None:
+    """Write one (cells, start, stop) field per ``header`` name, ``_ROWS``
+    rows at a time: row i holds ``cells[i, start[i]:stop[i]]`` of each,
+    joined by ',', the padding dropped by position."""
+    width = sum(cells.shape[1] + 1 for cells, _, _ in fields)
+    with open(path, "w") as fh:  # text mode: every write is a str
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(fields[0][1]) if fields else 0, _ROWS):
+            part = [(cells[lo:lo + _ROWS], start[lo:lo + _ROWS], stop[lo:lo + _ROWS])
+                    for cells, start, stop in fields]
+            block = np.empty((len(part[0][1]), width), np.uint8)
+            keep = np.ones(block.shape, bool)
+            at = 0
+            for cells, start, stop in part:
+                block[:, at:at + cells.shape[1]], block[:, at + cells.shape[1]] = cells, ord(",")
+                # padding lies only before the latest start and from the earliest stop
+                for j in [*range(start.max()), *range(stop.min(), cells.shape[1])]:
+                    keep[:, at + j] = (start <= j) & (j < stop)
+                at += cells.shape[1] + 1
+            block[:, -1] = ord("\n")
+            fh.write(str(block[keep].data, "utf-8"))
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write ``columns``, one sequence of cells per ``header`` name, all of
-    one length; a table of no rows may give no columns.  Each chunk of
-    ``_CHUNK_ROWS`` rows is one ``%`` over a row template repeated once per
-    row, on the chunk's cells laid out row by row."""
+    one length; a table of no rows may give no columns.  Its columns of
+    floats are formatted together, by one ``_float_field``."""
     columns = list(columns)
-    n_rows = len(columns[0]) if columns else 0
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n_rows, _CHUNK_ROWS):
-            fields, cells = zip(*(_column(col[lo:lo + _CHUNK_ROWS]) for col in columns))
-            n, k = len(cells[0]), len(cells)
-            flat = [None] * (n * k)
-            for j, col in enumerate(cells):
-                flat[j::k] = col
-            fh.write((",".join(fields) + "\n") * n % tuple(flat))
+    floats = [j for j, col in enumerate(columns) if (
+        col.dtype.kind == "f" if isinstance(col, np.ndarray)
+        else all(isinstance(cell, _FLOATS) for cell in col))]
+    fields = [None if j in floats else _text_field(col) for j, col in enumerate(columns)]
+    if floats:
+        n = len(columns[floats[0]])
+        cells, start, stop = _float_field(np.concatenate(
+            [np.asarray(columns[j], dtype=np.float64) for j in floats]))
+        for k, j in enumerate(floats):
+            fields[j] = cells[k * n:(k + 1) * n], start[k * n:(k + 1) * n], stop[k * n:(k + 1) * n]
+    _write_fields(path, header, fields)
 
 
 def _curve_csvs(outdir: Path, prefix: str, header: list[str], curves) -> list[str]:
     """Write each sampled (grid, values) curve to ``{prefix}_{i:03d}.csv``.
     A grid equal to the one before it is not formatted again, so curves on
     one shared grid format it once."""
-    names, grid, grid_text = [], None, None
+    names, grid, grid_field = [], None, None
     for i, (x, v) in enumerate(curves):
         if grid is None or not np.array_equal(x, grid):
-            grid, grid_text = x, list(map(_FLOAT.__mod__, x.tolist()))
+            grid, grid_field = x, _float_field(x)
         name = f"{prefix}_{i:03d}.csv"
-        _write_csv(outdir / name, header, [grid_text, v.tolist()])
+        _write_fields(outdir / name, header, [grid_field, _float_field(v)])
         names.append(name)
     return names
 

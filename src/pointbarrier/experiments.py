@@ -30,6 +30,7 @@ from .spectra import (
     ConfiningPotential,
     DirichletSplit,
     ThetaCoupled,
+    _check_grid,
     _perturbed_problem,
     eigen_limit,
     interval_negative_levels,
@@ -140,8 +141,9 @@ def convergence_study(
     problem locates only the ``k_count`` levels above them, with their
     eigenfunctions.  They are matched in order against the limit levels
     inside a trust window of half the local limit gap.  The per-level convergence order is fitted by
-    least squares on the smallest four ladder entries.
-    """
+    least squares on the smallest four ladder entries.  An eigenfunction
+    grid of over ``MAX_GRID_POINTS`` points raises ``ValueError`` first."""
+    _check_grid(U.truncation_radius, samples_per_unit)
     cfg = cfg or DEFAULT_CONFIG
     eps_ladder = [float(e) for e in eps_ladder]
     if len(eps_ladder) < 4:

@@ -62,6 +62,7 @@ _WALL_MARGIN = 25.0  # least gap between the wall potential and a requested leve
 _DEPTH_FLOOR = 1e-7  # shallowest interval well scanned, relative to the lower bound
 _FLOOR = 1e-12  # narrowest bracket of a level, relative to max(1, |lambda|)
 SAMPLES_PER_UNIT = 2001
+MAX_GRID_POINTS = 2**27  # of one sampled eigenfunction: 1 GiB as float64
 _BELOW_PI = math.nextafter(math.pi, 0.0)
 
 
@@ -382,10 +383,13 @@ def eigen_limit(
     states of attractive couplings are found, and the ceiling lies
     ``_WALL_MARGIN`` below the wall potential.  Raises
     ``TruncationDomainError`` when fewer than ``k_max`` levels of a
-    problem lie below the ceiling.
+    problem lie below the ceiling, and ``ValueError`` (before any shot)
+    for an eigenfunction grid of over ``MAX_GRID_POINTS`` points.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    if eigenfunctions:
+        _check_grid(U.truncation_radius, samples_per_unit)
     cfg = cfg or DEFAULT_CONFIG
     ceiling = U.wall_floor() - _WALL_MARGIN
     start = _window_start(U)
@@ -480,6 +484,8 @@ def eigen_perturbed(
     k_lo, k_hi = k_range
     if not (1 <= k_lo <= k_hi):
         raise ValueError("need 1 <= k_lo <= k_hi")
+    if eigenfunctions:
+        _check_grid(U.truncation_radius, samples_per_unit)
     _, levels = _perturbed_problem(U, p, alpha, eps, cfg or DEFAULT_CONFIG)
     return levels(k_range, eig_tol, eigenfunctions, samples_per_unit)
 
@@ -659,6 +665,13 @@ def split_limit_frequencies(a: float, b: float, count: int) -> np.ndarray:
 
 
 # -- eigenfunction assembly ----------------------------------------------------------
+
+def _check_grid(R: float, samples_per_unit) -> None:
+    """Reject an eigenfunction grid of [-R, R] of over ``MAX_GRID_POINTS`` points."""
+    if samples_per_unit > (MAX_GRID_POINTS - 1) / (2.0 * R):
+        raise ValueError(f"samples_per_unit={samples_per_unit} puts more than {MAX_GRID_POINTS} "
+                         f"points on the eigenfunction grid of [-{R:g}, {R:g}]")
+
 
 def _attach_eigenfunctions(spec, R, problems, cfg, samples_per_unit):
     """Sample the eigenfunction of each level of ``spec`` on the uniform

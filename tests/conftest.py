@@ -8,7 +8,8 @@ against a tridiagonal finite-difference diagonalization, and diving levels
 against bisection on the matching Wronskian of DOP853 shots.  Shots of the
 coupling equation on polynomial profiles are also checked against a Taylor
 shot in ``decimal`` arithmetic, which shares nothing with the library or
-with DOP853.  The closed forms of the step profile (its resonance
+with DOP853, and resonance sets against Chebyshev collocation.  The
+closed forms of the step profile (its resonance
 function, coupling ratio and scattering amplitudes, the latter also in
 ``decimal`` arithmetic for barriers whose matrices leave the range of a
 double), the resonant transmission limit and the first-order eigenvalue
@@ -245,6 +246,46 @@ def taylor_shot(p: Profile, alpha: float, xs) -> np.ndarray:
                     dw = dw * t + n * c[n]
             at[x1] = (w, dw)
         return np.array([[float(v) for v in at[Decimal(float(x))]] for x in xs])
+
+
+def collocation_resonances(p: Profile, lo: float, hi: float, n: int) -> np.ndarray:
+    """The nonzero resonances alpha in [lo, hi] of ``p``, ascending, by
+    Chebyshev collocation (Trefethen, *Spectral Methods in MATLAB*, SIAM
+    2000, ch. 6-7), which shares nothing with the library's shots.
+
+    They are mu = -alpha of -w'' = mu P w on (-1, 1) with Neumann ends, on
+    n + 1 Chebyshev points per segment, with w and w' continuous at the
+    breakpoints.  Those rows and the Neumann rows of B are zero, so the
+    pencil (A, B) is shifted and inverted: the eigenvalues nu of (A - s
+    B)^-1 B give mu = s + 1/nu.  alpha = 0 is left out: for a zero-mean
+    profile it is a double root, which rounding splits into a pair near
+    +-1e-5 or a complex one.
+    """
+    t = -np.cos(np.pi * np.arange(n + 1) / n)  # ascending
+    c = np.where((t == t[0]) | (t == t[-1]), 2.0, 1.0) * (-1.0) ** np.arange(n + 1)
+    D = np.outer(c, 1.0 / c) / (t[:, None] - t[None, :] + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    size = len(p.segments) * (n + 1)
+    A, B = np.zeros((size, size)), np.zeros((size, size))
+    blocks = []
+    for s, seg in enumerate(p.segments):
+        i = slice(s * (n + 1), (s + 1) * (n + 1))
+        D1 = D * (2.0 / (seg.b - seg.a))
+        A[i, i] = -D1 @ D1
+        B[i, i] = np.diag([seg(x) for x in seg.a + (seg.b - seg.a) * (t + 1.0) / 2.0])
+        A[i.start], B[i.start], A[i.stop - 1], B[i.stop - 1] = 0.0, 0.0, 0.0, 0.0
+        blocks.append((i, D1))
+    (first, D_first), (last, D_last) = blocks[0], blocks[-1]
+    A[first.start, first] = D_first[0]  # w'(-1) = 0
+    A[last.stop - 1, last] = D_last[-1]  # w'(1) = 0
+    for (i, Di), (j, Dj) in zip(blocks, blocks[1:]):
+        A[i.stop - 1, i.stop - 1], A[i.stop - 1, j.start] = 1.0, -1.0  # w
+        A[j.start, i], A[j.start, j] = Di[-1], -Dj[0]  # w'
+    shift = 0.3
+    nu = np.linalg.eigvals(np.linalg.solve(A - shift * B, B))
+    mu = shift + 1.0 / nu[np.abs(nu) > 1e-12]
+    alpha = -mu[np.abs(mu.imag) <= 1e-6 * np.maximum(1.0, np.abs(mu))].real
+    return np.sort(alpha[(lo <= alpha) & (alpha <= hi) & (np.abs(alpha) > 1e-3)])
 
 
 def constant_propagator(c: float, length: float) -> np.ndarray:

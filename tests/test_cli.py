@@ -8,13 +8,17 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import step_scatter_decimal, write_csv_per_cell
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pointbarrier.cli import _CHUNK_ROWS, _build_parser, _write_csv, main, run
+from pointbarrier import cli
+from pointbarrier.cli import _build_parser, _float_field, _write_csv, main, run
 from pointbarrier.profiles import builtin
 from pointbarrier.resonance import eigenfunction
 
@@ -470,11 +474,10 @@ _CELLS = [
 ]
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [0, 1, 2047, 2048, 2049])
 def test_csv_writer_matches_the_per_cell_reference(tmp_path, n_rows):
     # one column per kind of cell, one that cycles through every kind, and
-    # one that holds floats until its last row: the last chunk of
-    # _CHUNK_ROWS + 1 rows then mixes a float column with text
+    # one that holds floats until its last row, where it holds text
     rng = np.random.default_rng(n_rows)
     floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
     rows = [
@@ -483,9 +486,74 @@ def test_csv_writer_matches_the_per_cell_reference(tmp_path, n_rows):
         for i in range(n_rows)
     ]
     header = [f"c{j}" for j in range(len(_CELLS) + 4)]
-    _write_csv(tmp_path / "chunked.csv", header, zip(*rows))
+    _write_csv(tmp_path / "block.csv", header, zip(*rows))
     write_csv_per_cell(tmp_path / "per_cell.csv", header, rows)
-    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+
+
+def _hard_floats() -> list:
+    """Cells a vectorized %.17e can get wrong: exact ties at the 18th
+    digit, rounded up and down to even, where 10**(17 - E) is a double and
+    where it is not; powers of ten and their neighbours, powers of two
+    past 2**53, the ends of the double range, zeros, and float32 and
+    float16 cells."""
+    ties = [1125899906842623.875, 1125899906842624.125, 19 * 2.0**-24, 17 * 2.0**-24]
+    tens = 10.0 ** np.arange(-310, 309)
+    near = np.concatenate((tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)))
+    twos = 2.0 ** np.arange(54, 1024)
+    ends = [2.2250738585072014e-308, 5e-324, 1.7976931348623157e308, 9.999999999999999e22,
+            1e-290, 1e290, -0.0, 0.0]
+    small = [np.float32(0.1), np.float32(-3.4028235e38), np.float32(1e-45), np.float16(0.1),
+             np.float16(-65504.0), np.float16(6e-8)]
+    cells = [*ties, *near.tolist(), *twos.tolist(), *ends]
+    return [*cells, *(-c for c in cells), *small]
+
+
+def test_csv_writer_formats_hard_floats_as_the_reference(tmp_path):
+    # a float column of hard cells, and the same column ending in an int,
+    # which makes it a column of text cells; 5,684 rows take two passes
+    cells = _hard_floats()
+    assert cli._ROWS < len(cells) < 2 * cli._ROWS
+    rows = list(zip(cells, [*cells[:-1], 7]))
+    _write_csv(tmp_path / "block.csv", ["x", "mixed"], zip(*rows))
+    write_csv_per_cell(tmp_path / "per_cell.csv", ["x", "mixed"], rows)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
+
+
+def test_only_cells_out_of_range_or_near_a_tie_are_formatted_one_by_one(monkeypatch):
+    # the kernel steps a misjudged decimal exponent itself: of the hard
+    # cells, % sees those outside [1e-290, 1e290] and at most a few whose
+    # scaled value lies within 1e-9 of a half where 10**(17 - E) is no double
+    taken = []
+
+    class Counted(str):
+        def __mod__(self, value):
+            taken.append(float(value))
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr("pointbarrier.cli._FLOAT", Counted("%.17e"))
+    x = np.array(_hard_floats())
+    _float_field(x)
+    a = np.abs(x)
+    outside = set(x[(a != 0.0) & ((a < 1e-290) | (a > 1e290))].tolist())
+    inside = [v for v in taken if v not in outside]
+    assert outside <= set(taken) and len(inside) <= 4, inside
+    for v in inside:
+        E = math.floor(math.log10(abs(v)))
+        scaled = Fraction(abs(v)) * Fraction(10) ** (17 - E)
+        E += (scaled >= 10**18) - (scaled < 10**17)
+        scaled = Fraction(abs(v)) * Fraction(10) ** (17 - E)
+        assert not 0 <= 17 - E <= 22 and abs(scaled % 1 - Fraction(1, 2)) < 1e-9, v
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.lists(st.floats(width=64), max_size=40),
+                 st.lists(st.floats(width=32).map(np.float32), max_size=40)))
+def test_csv_writer_formats_any_float_as_the_reference(tmp_path, cells):
+    _write_csv(tmp_path / "block.csv", ["x"], [cells])
+    write_csv_per_cell(tmp_path / "per_cell.csv", ["x"], [(c,) for c in cells])
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "per_cell.csv").read_bytes()
 
 
 def test_a_profile_label_with_a_newline_is_quoted(tmp_path):
@@ -844,3 +912,23 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_an_oversized_eigenfunction_grid_exits_2_with_one_line(tmp_path):
+    # 1.6e9 grid points would take 12 GiB per array; the child's address
+    # space is capped, so a grid that is allocated all the same fails fast
+    # (exit 1) instead of taking the memory
+    resource = pytest.importorskip("resource")
+    cap = 3 * 2**30
+    argv = ["converge", "--profile", "step", "--potential", "tilted_harmonic", "--radius", "8",
+            "--alpha", "15.418206", "--eps-ladder", "0.2,0.1,0.05,0.025", "--levels", "3",
+            "--samples-per-unit", "100000000", "--out", str(tmp_path / "big")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-m", "pointbarrier.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.splitlines() == [
+        "configuration error: samples_per_unit=100000000 puts more than 134217728 points "
+        "on the eigenfunction grid of [-8, 8]"]

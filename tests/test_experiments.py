@@ -12,7 +12,15 @@ from pointbarrier.experiments import (
     hypothesis_scan,
 )
 from pointbarrier.profiles import classify
-from pointbarrier.spectra import ThetaCoupled, eigen_limit, interval_negative_levels
+from pointbarrier.spectra import (
+    MAX_GRID_POINTS,
+    DirichletSplit,
+    ThetaCoupled,
+    _check_grid,
+    eigen_limit,
+    eigen_perturbed,
+    interval_negative_levels,
+)
 
 
 def test_zero_coupling_study_is_exact(tilted, step):
@@ -45,6 +53,33 @@ def test_each_rung_shoots_its_scan_start_once(tilted, step, monkeypatch):
     spy_shots(monkeypatch, spectra, spy)
     convergence_study(tilted, step, 0.0, ladder, 1, samples_per_unit=101)
     assert starts == dict.fromkeys(ladder, 2)
+
+
+def test_an_oversized_eigenfunction_grid_is_rejected_before_any_shot(tilted, step, monkeypatch):
+    # 2 R samples_per_unit + 1 = 1.6e9 points would take 12 GiB per array
+    from pointbarrier import resonance, spectra
+
+    def no_shot(*args, **kwargs):
+        raise AssertionError("a shot before the grid was checked")
+
+    for module, name in ((spectra, "propagate_family"), (spectra, "propagate_chains"),
+                         (resonance, "propagate_family")):
+        monkeypatch.setattr(module, name, no_shot)
+    calls = [
+        lambda: eigen_limit(tilted, DirichletSplit(), 2, samples_per_unit=10**8),
+        lambda: eigen_perturbed(tilted, step, 5.0, 0.1, (1, 2), eigenfunctions=True,
+                                samples_per_unit=10**8),
+        lambda: convergence_study(tilted, step, 5.0, [0.2, 0.1, 0.05, 0.025], 2,
+                                  samples_per_unit=10**8),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="samples_per_unit=100000000 puts more than"):
+            call()
+    # the bound itself, and an int too large for a float
+    _check_grid(8.0, (MAX_GRID_POINTS - 1) // 16)
+    for spu in ((MAX_GRID_POINTS - 1) // 16 + 1, 10**400):
+        with pytest.raises(ValueError):
+            _check_grid(8.0, spu)
 
 
 def test_study_requires_disjoint_half_spectra(harmonic, step):

@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import bisect_oracle, dop853_family, step_h, step_theta, taylor_shot
+from conftest import (
+    bisect_oracle,
+    collocation_resonances,
+    dop853_family,
+    step_h,
+    step_theta,
+    taylor_shot,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -406,6 +413,27 @@ def test_taylor_shot_meets_the_step_closed_forms(step, kappa_roots):
         assert w1 == pytest.approx(step_theta(k * k), rel=1e-12)
         left, right = (taylor_shot(step, -k * k + d, [1.0])[0, 1] for d in (-1e-7, 1e-7))
         assert (left < 0.0) != (right < 0.0), (k, left, right)
+
+
+def test_collocation_meets_the_step_closed_forms_and_itself(step, bump):
+    t = _step_resonances(200.0)
+    want = np.concatenate((-t[::-1], t))
+    assert want.size == 8
+    got = collocation_resonances(step, -200.0, 200.0, 48)
+    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+    for p in (step, bump):  # N against 2N points per segment
+        coarse, fine = (collocation_resonances(p, -200.0, 200.0, n) for n in (48, 96))
+        assert coarse == pytest.approx(fine, rel=1e-8, abs=0.0)
+
+
+def test_every_collocation_bump_root_has_a_scan_point(bump_scan, bump):
+    # flagged or not: the pair near -152.305 and -90.370 is flagged today
+    pts, _ = bump_scan
+    scanned = np.array([pt.alpha for pt in pts])
+    roots = collocation_resonances(bump, -200.0, 200.0, 48)
+    assert roots.size == 7
+    for r in roots:
+        assert np.min(np.abs(scanned - r)) <= 1e-7, (r, scanned)
 
 
 def test_bump_candidates_stay_flagged(bump_scan):
