@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, PreconditionError
+from .errors import AlignmentError, PointBarrierError, PreconditionError
 from .ivp import DEFAULT_CONFIG, SolverConfig
 from .parallel import pmap
 from .profiles import DEFAULT_MOMENT_TOL, Profile, Segment, is_dipole_normalized
@@ -32,6 +32,7 @@ from .spectra import (
     ThetaCoupled,
     _check_grid,
     _perturbed_problem,
+    _refine_each,
     eigen_limit,
     interval_negative_levels,
 )
@@ -138,9 +139,11 @@ def convergence_study(
     (coupled interface at a resonance, decoupled Dirichlet halves
     otherwise).  For every ladder entry one counted shot gives the Sturm
     index of the perturbed levels below the bounded window, and the same
-    problem locates only the ``k_count`` levels above them, with their
-    eigenfunctions.  They are matched in order against the limit levels
-    inside a trust window of half the local limit gap.  The per-level convergence order is fitted by
+    problem brackets only the ``k_count`` levels above them.  The brackets
+    of all entries are refined in lockstep; then each entry in ladder order
+    takes its eigenfunctions and matches its levels in order against the
+    limit levels inside a trust window of half the local limit gap, and
+    the first that fails raises.  The per-level convergence order is fitted by
     least squares on the smallest four ladder entries.  An eigenfunction
     grid of over ``MAX_GRID_POINTS`` points raises ``ValueError`` first."""
     _check_grid(U.truncation_radius, samples_per_unit)
@@ -172,9 +175,18 @@ def convergence_study(
     )
     limit_gap = float(np.min(np.diff(limit.eigenvalues))) if k_count > 1 else 2.0
 
-    def ladder_entry(eps: float):
-        n_dive, levels = _perturbed_problem(U, p, alpha, eps, cfg)
-        spec = levels((n_dive + 1, n_dive + k_count), eig_tol, True, samples_per_unit)
+    def bracket(eps: float):
+        try:
+            n_dive, problem, brackets, finish = _perturbed_problem(U, p, alpha, eps, cfg)
+            return problem, brackets((n_dive + 1, n_dive + k_count)), n_dive, finish
+        except (PointBarrierError, ValueError) as exc:  # raised in its turn, in ladder order
+            return exc
+
+    def ladder_entry(eps: float, rung, refined):
+        if isinstance(rung, Exception):
+            raise rung
+        _, _, n_dive, finish = rung
+        spec = finish((n_dive + 1, n_dive + k_count), *next(refined), True, samples_per_unit)
         if not np.array_equal(spec.x, limit.x):
             raise AlignmentError("perturbed and limit eigenfunction grids differ")
         lam_row = []
@@ -193,7 +205,9 @@ def convergence_study(
             )
         return n_dive, lam_row, dist_row
 
-    entries = pmap(ladder_entry, eps_ladder)
+    rungs = [bracket(eps) for eps in eps_ladder]
+    refined = iter(_refine_each([r for r in rungs if not isinstance(r, Exception)], cfg, eig_tol))
+    entries = [ladder_entry(eps, rung, refined) for eps, rung in zip(eps_ladder, rungs)]
     diving_counts = [e[0] for e in entries]
     lam_table = [e[1] for e in entries]
     dist_table = [e[2] for e in entries]

@@ -12,15 +12,15 @@ one of two transports per segment:
   nodes (Blanes, Casas & Ros, BIT 40 (2000) 434-450); sl(2) is closed
   under commutators, so its exponent is a traceless 2x2 matrix whose
   exponential is closed form (cosh/sinh, cos/sin, or a series near zero).
-  The mesh is built once per (segment, config) from ``c`` and the
+  The mesh is built once per (segment value, config) from ``c`` and the
   tolerance alone and cached together with each interval's shift-free
   step coefficients, so a member's exponent is two multiply-adds away.  A
   constant ``c`` needs one interval, on which the step is the exact
   constant-coefficient propagator.  The meshes of a chain's consecutive
   segments join into one interval sequence, and those of all chains of a
-  call stack on the member axis, padded with identity steps: one pass
-  exponentiates them and chains the 2x2 matrices with one pairwise
-  product tree, the interval axis innermost;
+  call stack on the member axis, padded with identity steps, each with
+  its own weight row: one pass exponentiates them and chains the 2x2
+  matrices with one pairwise product tree, the interval axis innermost;
 * the same Magnus transport when ``w`` is callable and the call counts
   zeros or records samples, as in the counted coupling families ``alpha *
   profile`` of a resonance scan and the sampled resonance eigenfunctions:
@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import Callable, Sequence
 
@@ -98,13 +98,16 @@ class FamilySegment:
     (zero included) puts the segment on the Magnus mesh, where a float
     ``c_part`` takes one exact step.  A callable ``w_part`` puts it on one
     Magnus mesh per weight bucket when the call counts zeros or records
-    samples, and on the Runge-Kutta pair when it does neither.
+    samples, and on the Runge-Kutta pair when it does neither.  Meshes are
+    cached by value; ``mesh_end`` (None: ``b``), at or beyond ``b``, ends
+    the meshed span: the segment runs on the mesh of [a, mesh_end] cut at b.
     """
 
     a: float
     b: float
     c_part: float | Callable[[float], float]
     w_part: float | Callable[[float], float] = 0.0
+    mesh_end: float | None = None
 
 
 @dataclass
@@ -374,16 +377,22 @@ class _Steps:
 
 @dataclass(eq=False)
 class _Mesh:
-    """Intervals of one segment: their nodes ``x`` (N + 1) in the direction
-    of travel and their Magnus steps."""
+    """Intervals of one segment: their starts ``lo`` (N) in the direction of
+    travel and their Magnus steps in ``parts``, for a cut (``_cut``) a view
+    of its mesh's steps and its last interval's; ``cuts`` by their end."""
 
     seg: FamilySegment
-    x: np.ndarray
-    steps: _Steps
+    lo: np.ndarray
+    parts: list
+    cuts: dict = field(default_factory=dict)
 
     @property
     def h(self) -> np.ndarray:
-        return self.steps.h
+        return _Steps.join(self.parts).h
+
+    def stored(self) -> int:  # floats kept for it and its cuts, views but their last step
+        return (self.lo.size + 1 + self.parts[0].rows.size
+                + sum(cut.parts[-1].rows.size for cut in self.cuts.values()))
 
 
 _MESH_CACHE: OrderedDict = OrderedDict()
@@ -581,32 +590,52 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None
     direction = 1.0 if seg.b > seg.a else -1.0
     order = np.argsort(lo * direction, kind="stable")
     x = np.append(lo[order], hi[order][-1])
-    return _Mesh(seg, x, _Steps.of(np.diff(x), nodes[..., order], seg.w_part))
+    return _Mesh(seg, x[:-1], [_Steps.of(np.diff(x), nodes[..., order], seg.w_part)])
+
+
+def _cut(mesh: _Mesh, seg: FamilySegment) -> _Mesh:
+    """``mesh`` cut at ``seg.b``: its intervals that start before b, the last
+    one ending at b with c (and w) at its own Gauss nodes; a shorter step
+    has a smaller defect and spread, so the cut passes its mesh's tests."""
+    if (seg.mesh_end - seg.b) * (seg.b - seg.a) < 0.0:
+        raise ValueError("mesh_end must lie at or beyond the end of its segment")
+    direction = 1.0 if seg.b > seg.a else -1.0
+    k = int(np.searchsorted(mesh.lo * direction, seg.b * direction, side="left"))
+    lo, head = mesh.lo[k - 1:k], mesh.parts[0]
+    fs = (seg.c_part, seg.w_part) if callable(seg.w_part) else (seg.c_part,)
+    last = _Steps.of(seg.b - lo, _nodes(fs, lo, seg.b - lo), seg.w_part)
+    return _Mesh(seg, mesh.lo[:k], [_Steps(head.shift, head.rows[:, :k - 1]), last])
 
 
 def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) -> _Mesh:
     """The cached mesh of (seg, cfg), or of (seg, cfg, bucket) for a
-    callable w, built on first use (LRU, bounded by ``_CACHE_FLOATS``).  A
-    constant ``c_part`` with a constant w needs no cache: its mesh is the
-    whole segment, where the Magnus step is exact."""
+    callable w, built on first use (LRU, bounded by ``_CACHE_FLOATS``) and
+    keyed by the segment's value over [a, mesh_end], whose cut at b a
+    segment short of mesh_end gets: a segment's mesh depends on it alone.
+    A constant ``c_part`` with a constant w needs no cache: its mesh is
+    the whole segment, where the Magnus step is exact."""
     if bucket is None and not callable(seg.c_part):
-        x, h = np.array([seg.a, seg.b], dtype=float), np.array([seg.b - seg.a], dtype=float)
-        return _Mesh(seg, x, _Steps.of(h, _nodes((seg.c_part,), x[:1], h), seg.w_part))
-    key = (seg, cfg) if bucket is None else (seg, cfg, bucket)
+        lo, h = np.array([seg.a], dtype=float), np.array([seg.b - seg.a], dtype=float)
+        return _Mesh(seg, lo, [_Steps.of(h, _nodes((seg.c_part,), lo, h), seg.w_part)])
+    end = seg.b if seg.mesh_end is None else seg.mesh_end
+    key = (seg.a, end, seg.c_part, seg.w_part, cfg, bucket)
     try:
         mesh = _MESH_CACHE.get(key)
     except TypeError:  # unhashable coefficient: build without caching
-        return _build_mesh(seg, cfg, bucket)
-    if mesh is not None:
+        mesh = _build_mesh(replace(seg, b=end, mesh_end=None), cfg, bucket)
+        return mesh if end == seg.b else _cut(mesh, seg)
+    if mesh is None:
+        mesh = _MESH_CACHE[key] = _build_mesh(replace(seg, b=end, mesh_end=None), cfg, bucket)
+    else:
         _MESH_CACHE.move_to_end(key)
-        return mesh
-    mesh = _build_mesh(seg, cfg, bucket)
-    _MESH_CACHE[key] = mesh
-    stored = sum(m.x.size + m.steps.rows.size for m in _MESH_CACHE.values())
+        if end == seg.b or seg.b in mesh.cuts:
+            return mesh.cuts.get(seg.b, mesh)
+    cut = mesh if end == seg.b else mesh.cuts.setdefault(seg.b, _cut(mesh, seg))
+    stored = sum(m.stored() for m in _MESH_CACHE.values())
     while stored > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
         _, old = _MESH_CACHE.popitem(last=False)
-        stored -= old.x.size + old.steps.rows.size
-    return mesh
+        stored -= old.stored()
+    return cut
 
 
 def _buckets(m: np.ndarray) -> list:
@@ -621,13 +650,13 @@ def _sample_plan(mesh: _Mesh, xs: np.ndarray):
     """(node index, length, nodes, w) of the Magnus substep from the
     preceding mesh node to each sample point, for ``_node_exponents`` with
     the member m shifting c by m w (w = 1 for a callable w)."""
-    direction = 1.0 if mesh.h[0] > 0 else -1.0
-    idx = np.searchsorted(mesh.x * direction, xs * direction, side="right") - 1
-    idx = np.minimum(np.maximum(idx, 0), mesh.h.size - 1)
-    t, seg = xs - mesh.x[idx], mesh.seg
-    fs = (seg.c_part,) if mesh.steps.shift else (seg.c_part, seg.w_part)
-    w = float(seg.w_part) if mesh.steps.shift else 1.0
-    return idx, t, _nodes(fs, mesh.x[idx], t), np.full(t.shape, w)
+    direction = 1.0 if mesh.parts[-1].h[0] > 0 else -1.0
+    idx = np.searchsorted(mesh.lo * direction, xs * direction, side="right") - 1
+    idx = np.minimum(np.maximum(idx, 0), mesh.lo.size - 1)
+    t, seg = xs - mesh.lo[idx], mesh.seg
+    fs = (seg.c_part,) if mesh.parts[-1].shift else (seg.c_part, seg.w_part)
+    w = float(seg.w_part) if mesh.parts[-1].shift else 1.0
+    return idx, t, _nodes(fs, mesh.lo[idx], t), np.full(t.shape, w)
 
 
 def _unit(Y: np.ndarray, logs: np.ndarray):
@@ -737,12 +766,12 @@ def _mesh_zero_counts(states: np.ndarray, qbar: np.ndarray, h: np.ndarray) -> np
 # -- family propagation over segment chains -----------------------------------
 
 class _Shot:
-    """The family along one chain: states ``Y`` (2, n) with log scales,
-    zero counts and sample records (None: not asked for), segment i's
-    samples in the rows ``rows[i]`` of ``xs``; a sample on a join goes to
-    the earlier segment."""
+    """The family ``m`` (n,) along one chain: states ``Y`` (2, n) with log
+    scales, zero counts and sample records (None: not asked for), segment
+    i's samples in the rows ``rows[i]`` of ``xs``; a sample on a join goes
+    to the earlier segment."""
 
-    def __init__(self, chain, Y: np.ndarray, samples, count_zeros: bool):
+    def __init__(self, chain, m: np.ndarray, Y: np.ndarray, samples, count_zeros: bool):
         if not chain:
             raise ValueError("need at least one segment")
         direction = 1.0 if chain[-1].b > chain[0].a else -1.0
@@ -751,7 +780,7 @@ class _Shot:
         if any(abs(a.b - b.a) > 1e-12 * max(1.0, abs(a.b)) for a, b in zip(chain, chain[1:])):
             raise ValueError("segments must join end-to-start")
         n = Y.shape[1]
-        self.chain, self.Y, self.logs = chain, Y, np.zeros(n)
+        self.chain, self.m, self.Y, self.logs = chain, m, Y, np.zeros(n)
         self.counts = np.zeros(n, dtype=int) if count_zeros else None
         self.rows = self.rec_states = self.rec_logs = None
         if samples is None:
@@ -784,20 +813,20 @@ class _Shot:
         (None: no samples) holds each sample's node, substep and row."""
         meshes = [_mesh_for(seg, cfg) if bucket is None else _mesh_for(seg, cfg, bucket)
                   for seg in self.chain[first:stop]]
-        steps = _Steps.join([mesh.steps for mesh in meshes])
+        steps = _Steps.join([part for mesh in meshes for part in mesh.parts])
         if self.rows is None:
             return self, steps, None
         plans = [_sample_plan(mesh, self.xs[r]) for mesh, r in zip(meshes, self.rows[first:stop])]
-        offsets = np.cumsum([0] + [mesh.h.size for mesh in meshes[:-1]])
+        offsets = np.cumsum([0] + [mesh.lo.size for mesh in meshes[:-1]])
         plans = [(p[0] + offset, *p[1:]) for p, offset in zip(plans, offsets)]
         plan = plans[0] if len(plans) == 1 else [np.concatenate(p, axis=-1) for p in zip(*plans)]
         rows = slice(self.rows[first].start, self.rows[stop - 1].stop)
         return self, steps, (*plan, rows) if plan[0].size else None
 
-    def rk(self, i: int, m: np.ndarray, cfg: SolverConfig) -> None:
+    def rk(self, i: int, cfg: SolverConfig) -> None:
         """Carry the family across segment i on the Runge-Kutta pair, from
         true-scale states."""
-        seg, Y = self.chain[i], self.Y
+        seg, Y, m = self.chain[i], self.Y, self.m
         Y *= np.exp(self.logs)  # the RK's absolute tolerance reads true states
         self.logs[:] = 0.0
         span = abs(self.chain[-1].b - self.chain[0].a)
@@ -817,12 +846,12 @@ class _Shot:
 
 
 def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
-    """Carry the members ``cols`` of the family ``m`` in place across one
-    interval sequence per lane (``_Shot.lane``), stacked (``_Steps.stack``)
-    for one ``_expm`` and one ``_chain`` call; each row counts its zeros
-    on its own lengths and direction, and a member's bits do not depend on
-    the rest of the family.  Members go in groups of at most ``_WORK_CAP``
-    intervals (or samples) x members x lanes."""
+    """Carry the members ``cols`` of the weights ``m`` (one row, or one per
+    lane) in place across one interval sequence per lane (``_Shot.lane``),
+    stacked (``_Steps.stack``) for one ``_expm`` and one ``_chain`` call;
+    each row counts its zeros on its own lengths and direction, and a
+    member's bits do not depend on the rest of the family.  Members go in
+    groups of at most ``_WORK_CAP`` intervals (or samples) x members x lanes."""
     steps = _Steps.stack([steps for _, steps, _ in lanes])
     L, N = steps.h.shape
     S = max((plan[0].size for _, _, plan in lanes if plan), default=0)
@@ -833,7 +862,8 @@ def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
         g = c.size
         if c[-1] - c[0] == g - 1:  # a run of members: basic indexing is cheaper
             c = slice(c[0], c[-1] + 1)
-        w = m[c, None]
+        # (g, 1), or (L, g, 1) for rows of their own
+        w = m[c, None] if m.ndim == 1 else np.stack([shot.m[c] for shot, _, _ in lanes])[..., None]
         m11, m12, m21, m22, lg = (e.reshape(L * g, N) for e in _expm(*steps.exponents(w)))
         y = np.concatenate([shot.Y[:, c] for shot, _, _ in lanes], axis=1)
         ly = np.concatenate([shot.logs[c] for shot, _, _ in lanes])
@@ -849,7 +879,8 @@ def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
                 shot.counts[c] += add[r]
             if plan:
                 idx, t, nodes, ws, rows = plan
-                p11, p12, p21, p22, pl = _expm(*_node_exponents(t, nodes[..., None, :], w * ws))
+                wj = w if m.ndim == 1 else w[j]
+                p11, p12, p21, p22, pl = _expm(*_node_exponents(t, nodes[..., None, :], wj * ws))
                 su, sv = st[:, r][..., idx]
                 shot.rec_states[rows, 0, c] = (p11 * su + p12 * sv).T
                 shot.rec_states[rows, 1, c] = (p21 * su + p22 * sv).T
@@ -861,19 +892,25 @@ def propagate_chains(chains: Sequence[Sequence[FamilySegment]], m, init,
                      count_zeros: bool = False) -> list[FamilyResult]:
     """``propagate_family`` of one family on each of ``chains``, which may
     differ in span and direction, with ``samples`` None or one sequence per
-    chain.  Their meshed segments run in one pass (per weight bucket),
-    whose padding moves a chain's results against a call of its own by
-    rounding only."""
+    chain, and ``m`` one weight row for every chain or, with a constant w
+    throughout, one per chain.  Their meshed segments run in one pass (per
+    weight bucket), whose padding moves a chain's results against a call
+    of its own by rounding only."""
     cfg = cfg or DEFAULT_CONFIG
     m = np.atleast_1d(np.asarray(m, dtype=float))
-    n = m.size
+    if m.ndim > 1 and (m.shape[:-1] != (len(chains),)
+                       or any(callable(seg.w_part) for chain in chains for seg in chain)):
+        raise ValueError("m must be one weight row, or one per chain with constant w_parts")
+    n = m.shape[-1]
     init = np.asarray(init)
     if np.iscomplexobj(init) or not np.all(np.isfinite(init)):
         raise ValueError("init must be a finite real state")
     if init.shape not in ((2,), (2, n)):
         raise ValueError(f"init must have shape (2,) or (2, {n})")
-    shots = [_Shot(chain, np.zeros((2, n)) + init.reshape(2, -1), xs, count_zeros)
-             for chain, xs in zip(chains, [None] * len(chains) if samples is None else samples)]
+    rows = m if m.ndim == 2 else [m] * len(chains)
+    shots = [_Shot(chain, row, np.zeros((2, n)) + init.reshape(2, -1), xs, count_zeros)
+             for chain, row, xs in zip(chains, rows,
+                                       [None] * len(chains) if samples is None else samples)]
 
     # one boundary for the whole call: an overflow or a NaN inside shows
     # up as a non-finite result, which raises below
@@ -882,7 +919,7 @@ def propagate_chains(chains: Sequence[Sequence[FamilySegment]], m, init,
             runs = {}
             for shot, piece in zip(shots, pieces):
                 if piece is not None and piece[0] is None:
-                    shot.rk(piece[1], m, cfg)
+                    shot.rk(piece[1], cfg)
                 elif piece is not None:
                     runs.setdefault(piece[0], []).append((shot, piece[1], piece[2]))
             for route, run in runs.items():
@@ -900,8 +937,8 @@ def propagate_chains(chains: Sequence[Sequence[FamilySegment]], m, init,
             if not all(np.isfinite(r).all() for r in results if r is not None):
                 raise NumericsError(  # + 0.0: the end of a negative side reads 0, not -0
                     f"the propagation over [{shot.chain[0].a:.10g}, {shot.chain[-1].b:.10g}] of "
-                    f"weights {m.min() + 0.0:.10g} to {m.max() + 0.0:.10g} leaves the range "
-                    "of a double")
+                    f"weights {shot.m.min() + 0.0:.10g} to {shot.m.max() + 0.0:.10g} leaves "
+                    "the range of a double")
     return [FamilyResult(shot.Y, shot.logs, shot.rec_states, shot.rec_logs, shot.counts)
             for shot in shots]
 

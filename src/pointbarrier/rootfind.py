@@ -7,11 +7,12 @@ eigenvalue search hands it the two ends of its window; a resonance scan
 hands it the cells of its grid where the index rises.  ``sign_change``
 is the one rule for which cell a sign change, or a zero on a node,
 belongs to.  ``illinois_vector`` is the one refiner: it polishes many
-brackets at once, with the miss function evaluated on a whole vector of
-points per iteration (one family propagation).  It shoots only the
-brackets still open, so each root depends on its own bracket alone, and
-keeps its secant point a tolerance step inside the bracket, so an end
-that already sits on the root closes the bracket at the next shot.
+brackets at once, of one problem or of several (an owner per bracket),
+with the miss function evaluated on a whole vector of points per
+iteration (one family propagation).  It shoots only the brackets still
+open, so each root depends on its own bracket alone, and keeps its
+secant point a tolerance step inside the bracket, so an end that already
+sits on the root closes the bracket at the next shot.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ def illinois_vector(
     hi,
     xtol: float = 1e-13,
     rtol: float = 1e-14,
+    owners=None,
 ) -> np.ndarray:
     """Safeguarded regula falsi (Illinois weighting) on many brackets at once.
 
@@ -114,7 +116,11 @@ def illinois_vector(
     shot in one ``fvec`` call; after that each call carries only the open
     brackets, those still wider than ``tol``, so a converged bracket is
     never shot again and each root depends on its own bracket alone
-    (bitwise, for an ``fvec`` whose members do not depend on the family).
+    (bitwise for an ``fvec`` whose members do not depend on the family, to
+    rounding for one that pads the problems it stacks).  With ``owners``,
+    the problem of each bracket (an array), each call is ``fvec(x,
+    owners=...)`` with the owner of each point: one call per round serves
+    every problem with an open bracket.
     The secant point is kept ``tol / 2`` inside its bracket, Brent's
     minimum step: once an end sits on the root, the next point lands
     across it and closes the bracket, where regula falsi would creep.
@@ -123,7 +129,11 @@ def illinois_vector(
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
-    f = np.asarray(fvec(np.concatenate((lo, hi))), dtype=float)
+
+    def shoot(x, which):  # the brackets ``which`` at the points x
+        return np.asarray(fvec(x) if owners is None else fvec(x, owners=owners[which]), float)
+
+    f = shoot(np.concatenate((lo, hi)), np.tile(np.arange(lo.size), 2))
     flo, fhi = f[:lo.size].copy(), f[lo.size:].copy()
     bad = (flo != 0.0) & (fhi != 0.0) & ((flo < 0.0) == (fhi < 0.0))
     if np.any(bad):
@@ -141,7 +151,7 @@ def illinois_vector(
             x = (a * fb - b * fa) / (fb - fa)
         x = np.where(np.isfinite(x), x, 0.5 * (a + b))
         x = np.clip(x, np.minimum(a, b) + half, np.maximum(a, b) - half)
-        fx = np.asarray(fvec(x), dtype=float)
+        fx = shoot(x, live)
         replace_hi = (fx < 0.0) != (fa < 0.0)
         # Illinois: halve the retained endpoint's value on a repeated side
         s = side[live]

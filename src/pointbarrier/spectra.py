@@ -37,7 +37,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericsError, SpectralWindowError, TruncationDomainError
-from .ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_chains, propagate_family
+from .ivp import (DEFAULT_CONFIG, FamilySegment, SolverConfig, _eval_c, propagate_chains,
+                  propagate_family)
 from .profiles import Profile, Segment
 from .rootfind import illinois_vector, resolve_cells, sign_change
 
@@ -156,17 +157,24 @@ class ConfiningPotential:
         return min(self.U(-R), self.U(R))
 
 
-def polynomial_potential(coeffs: Sequence[float], radius: float, label: str | None = None) -> ConfiningPotential:
-    """Confining potential sum(c_j x^j) on [-radius, radius]."""
-    cs = tuple(float(c) for c in coeffs)
+@dataclass(frozen=True)
+class _Polynomial:
+    """sum(coeffs[j] x^j) by Horner's rule, also on arrays.  A value, not a
+    closure: potentials parsed by different calls share their meshes."""
 
-    def U(x: float) -> float:
+    coeffs: tuple[float, ...]
+
+    def __call__(self, x):
         acc = 0.0
-        for c in reversed(cs):
+        for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    return ConfiningPotential(U, radius, label or ("poly:" + ",".join(repr(c) for c in cs)))
+
+def polynomial_potential(coeffs: Sequence[float], radius: float, label: str | None = None) -> ConfiningPotential:
+    """Confining potential sum(c_j x^j) on [-radius, radius]."""
+    cs = tuple(float(c) for c in coeffs)
+    return ConfiningPotential(_Polynomial(cs), radius, label or ("poly:" + ",".join(map(repr, cs))))
 
 
 def _rounding_gap(lam):
@@ -209,7 +217,8 @@ def _norm2(Y: np.ndarray) -> np.ndarray:
 
 
 def _wall_chain(U: ConfiningPotential, wall: float, target: float) -> list[FamilySegment]:
-    return [FamilySegment(wall, target, U.U, -1.0)]
+    """The wall from ``wall`` to ``target`` on the mesh of its half box."""
+    return [FamilySegment(wall, target, U.U, -1.0, 0.0)]
 
 
 @dataclass(frozen=True)
@@ -268,40 +277,51 @@ class _Problem(NamedTuple):
     W: tuple[float, float] = (0.0, 1.0)
 
 
-def _matching(problem: _Problem, cfg):
-    """The matching function of ``problem``.
+def _matching(problems: list[_Problem], cfg):
+    """The matching function of ``problems``.
 
-    ``fvec(lams)`` returns the normalized Wronskian
-    (V0 W1 - V1 W0) / (|V| |W|) of V = C Y, the first shot's end state
-    carried across C, and W, the second shot's end state or, for one
-    chain, the fixed end vector; it is 0 where a shot ends in exactly
-    (0, 0), a root to rounding.  ``fvec(lams, True)`` also returns the
-    exact number of eigenvalues <= lam, the matching-point Pruefer index
-    of SLEIGN2:
+    ``fvec(lams, owners=owners)`` returns, at each trial value lams[i] of
+    the problem problems[owners[i]] (owners None: problems[0]), the
+    normalized Wronskian (V0 W1 - V1 W0) / (|V| |W|) of V = C Y, the first
+    shot's end state carried across C, and W, the second shot's end state
+    or, for one chain, the fixed end vector; it is 0 where a shot ends in
+    exactly (0, 0), a root to rounding.  ``fvec(lams, True)`` also returns
+    the exact number of eigenvalues <= lam, the matching-point Pruefer
+    index of SLEIGN2:
 
         N = (zeros of the shots) + [a < F0] + [a >= r],
 
     with a, F0 and r the reduced angles of V, C (0, 1) and W in [0, pi),
     except that a fixed W takes r in (0, pi]: a Dirichlet end has r = pi.
+    Each evaluation is one ``propagate_chains`` call, each problem's values
+    padded to a common count by repeating its last one (pads dropped).
     """
-    chains, C, W = problem
-    F0 = 0.0 if C is None else _reduced_angle(C[:, 1])
-    W = np.asarray(W, dtype=float)
-    r_fixed = _reduced_angle(W) or math.pi
+    F0s = [0.0 if C is None else _reduced_angle(C[:, 1]) for _, C, _ in problems]
+    init = np.array([0.0, 1.0])
 
-    def fvec(lams: np.ndarray, with_counts: bool = False):
-        shots = propagate_chains(chains, lams, np.array([0.0, 1.0]), cfg, rescale=True,
-                                 count_zeros=with_counts)
-        V = shots[0].states if C is None else C @ shots[0].states
-        Y = shots[1].states if len(shots) == 2 else W
-        norms = _norm2(V) * _norm2(Y)
-        vals = np.divide(V[0] * Y[1] - V[1] * Y[0], norms, out=np.zeros(norms.shape),
-                         where=norms != 0.0)
-        if not with_counts:
-            return vals
-        r = _reduced_angle(Y) if len(shots) == 2 else r_fixed
-        a = _reduced_angle(V)
-        return vals, sum(shot.zero_counts for shot in shots) + (a < F0) + (a >= r)
+    def fvec(lams: np.ndarray, with_counts: bool = False, owners=None):
+        lams = np.asarray(lams, dtype=float)
+        which = [0] if owners is None else np.unique(owners)
+        groups = [np.arange(lams.size)] if owners is None else [np.flatnonzero(owners == i)
+                                                                for i in which]
+        n = max(idx.size for idx in groups)
+        rows = [lams[idx[np.minimum(np.arange(n), idx.size - 1)]]
+                for i, idx in zip(which, groups) for _ in problems[i].chains]
+        shots = iter(propagate_chains([chain for i in which for chain in problems[i].chains], rows,
+                                      init, cfg, rescale=True, count_zeros=with_counts))
+        vals, counts = np.empty(lams.size), np.empty(lams.size, dtype=int)
+        for i, idx in zip(which, groups):
+            (_, C, W), own = problems[i], [next(shots) for _ in problems[i].chains]
+            V = own[0].states[:, :idx.size] if C is None else C @ own[0].states[:, :idx.size]
+            Y = own[1].states[:, :idx.size] if len(own) == 2 else W
+            norms = _norm2(V) * _norm2(Y)
+            vals[idx] = np.divide(V[0] * Y[1] - V[1] * Y[0], norms, out=np.zeros(norms.shape),
+                                  where=norms != 0.0)
+            if with_counts:
+                r = _reduced_angle(Y) if len(own) == 2 else (_reduced_angle(W) or math.pi)
+                a = _reduced_angle(V)
+                counts[idx] = sum(s.zero_counts[:idx.size] for s in own) + (a < F0s[i]) + (a >= r)
+        return (vals, counts) if with_counts else vals
 
     return fvec
 
@@ -309,11 +329,11 @@ def _matching(problem: _Problem, cfg):
 # -- window halving -----------------------------------------------------------------
 
 def _window_start(U: ConfiningPotential) -> float:
-    """min(0, min U) - 1, with min U from a sampling of U on [-R, R]: the
-    bottom of the bounded window of a squeezed problem, below which its
-    levels dive."""
+    """min(0, min U) - 1, with min U from a sampling of U on [-R, R] (one
+    array call where U takes one, ``ivp._eval_c``): the bottom of the
+    bounded window of a squeezed problem, below which its levels dive."""
     R = U.truncation_radius
-    return min(0.0, min(U.U(float(x)) for x in np.linspace(-R, R, 801))) - 1.0
+    return min(0.0, float(np.min(_eval_c(U.U, np.linspace(-R, R, 801))))) - 1.0
 
 
 def _bracket(fvec, xs, vals, counts, need=None):
@@ -348,14 +368,24 @@ def _diving_levels(fvec, bottom: float, top: float, eig_tol: float):
     return _refine(fvec, _bracket(fvec, ends, *fvec(ends, True)), eig_tol)
 
 
-def _refine(fvec, brackets, eig_tol):
+def _refine(fvec, brackets, eig_tol, owners=None):
     if not brackets:
         return np.empty(0), np.empty(0)
     lo, hi = np.array(brackets).T
     xtol = max(1e-13, min(1e-10, eig_tol * 1e-3))
-    roots = illinois_vector(fvec, lo, hi, xtol=xtol, rtol=1e-14)
-    residuals = np.abs(fvec(roots))
+    roots = illinois_vector(fvec, lo, hi, xtol=xtol, rtol=1e-14, owners=owners)
+    residuals = np.abs(fvec(roots, owners=owners))
     return roots, residuals
+
+
+def _refine_each(solves, cfg, eig_tol) -> list:
+    """(roots, residuals) of each solve (problem, brackets, ...), refined in
+    lockstep: each round is one ``propagate_chains`` call for them all."""
+    owners = np.repeat(np.arange(len(solves)), [len(solve[1]) for solve in solves])
+    roots, residuals = _refine(_matching([solve[0] for solve in solves], cfg),
+                               [b for solve in solves for b in solve[1]], eig_tol,
+                               owners if len(solves) > 1 else None)
+    return [(roots[owners == j], residuals[owners == j]) for j in range(len(solves))]
 
 
 # -- limit operator --------------------------------------------------------------
@@ -381,10 +411,11 @@ def eigen_limit(
     by halving the window (start, ceiling]: the start lies below its
     lowest level, moved down until the Sturm index reads 0 there, so bound
     states of attractive couplings are found, and the ceiling lies
-    ``_WALL_MARGIN`` below the wall potential.  Raises
-    ``TruncationDomainError`` when fewer than ``k_max`` levels of a
-    problem lie below the ceiling, and ``ValueError`` (before any shot)
-    for an eigenfunction grid of over ``MAX_GRID_POINTS`` points.
+    ``_WALL_MARGIN`` below the wall potential; two half problems are refined
+    in lockstep.  Raises ``TruncationDomainError`` when fewer than
+    ``k_max`` levels of a problem lie below the ceiling, and ``ValueError``
+    (before any shot) for an eigenfunction grid of over ``MAX_GRID_POINTS``
+    points.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -394,13 +425,16 @@ def eigen_limit(
     ceiling = U.wall_floor() - _WALL_MARGIN
     start = _window_start(U)
 
-    found = []
-    for rank, (flag, problem) in enumerate(_limit_problems(U, bc)):
-        fvec = _matching(problem, cfg)
+    def bracket(flag, problem):
+        fvec = _matching([problem], cfg)
         what = "coupled problem" if flag == "ok" else f"{flag} half problem"
-        brackets = _below_ceiling(fvec, *_scan_start(fvec, start, what), ceiling, k_max, what)
-        roots, residuals = _refine(fvec, brackets, eig_tol)
-        found.extend((lam, res, flag, problem, rank) for lam, res in zip(roots, residuals))
+        return problem, _below_ceiling(fvec, *_scan_start(fvec, start, what), ceiling, k_max, what)
+
+    flagged = _limit_problems(U, bc)
+    found = []
+    outcomes = _refine_each([bracket(*fp) for fp in flagged], cfg, eig_tol)
+    for rank, ((flag, problem), outcome) in enumerate(zip(flagged, outcomes)):
+        found.extend((lam, res, flag, problem, rank) for lam, res in zip(*outcome))
     found.sort(key=lambda t: t[0])
     # which root of an exactly degenerate pair rounds lower is noise, so a
     # pair within rounding keeps the order of its problems; a wider pair,
@@ -486,16 +520,19 @@ def eigen_perturbed(
         raise ValueError("need 1 <= k_lo <= k_hi")
     if eigenfunctions:
         _check_grid(U.truncation_radius, samples_per_unit)
-    _, levels = _perturbed_problem(U, p, alpha, eps, cfg or DEFAULT_CONFIG)
-    return levels(k_range, eig_tol, eigenfunctions, samples_per_unit)
+    cfg = cfg or DEFAULT_CONFIG
+    n_dive, problem, brackets, finish = _perturbed_problem(U, p, alpha, eps, cfg)
+    [outcome] = _refine_each([(problem, brackets(k_range))], cfg, eig_tol)
+    return finish(k_range, *outcome, eigenfunctions, samples_per_unit)
 
 
 def _perturbed_problem(U, p, alpha, eps, cfg):
-    """(n_dive, levels) of the squeezed-barrier problem, from one counted
-    shot at the start of the bounded window: its Sturm index ``n_dive`` is
-    the number of diving levels, and ``levels(k_range, eig_tol,
-    eigenfunctions, samples_per_unit)`` solves for the levels k_lo..k_hi
-    (see ``eigen_perturbed``)."""
+    """(n_dive, problem, brackets, finish) of the squeezed-barrier problem,
+    from one counted shot at the start of the bounded window: its Sturm
+    index ``n_dive`` is the number of diving levels, ``brackets(k_range)``
+    brackets the levels k_lo..k_hi (every diving one when k_lo is one), and
+    ``finish(k_range, roots, residuals, eigenfunctions, samples_per_unit)``
+    gives their spectrum from the refined roots (see ``eigen_perturbed``)."""
     if not 0.0 < eps < 1.0:
         raise ValueError("need 0 < eps < 1")
     if eps >= U.truncation_radius:
@@ -504,35 +541,37 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
     barrier = _barrier_chain(p, alpha, eps, U)
     R = U.truncation_radius  # Dirichlet walls at -+R, matched at +eps past the barrier
     problem = _Problem([_wall_chain(U, -R, -eps) + barrier, _wall_chain(U, R, eps)])
-    fvec = _matching(problem, cfg)
+    fvec = _matching([problem], cfg)
     shot = fvec(np.array([lam_split]), True)
     n_dive = int(shot[1][0])
 
-    def levels(k_range, eig_tol, eigenfunctions, samples_per_unit) -> Spectrum:
+    def brackets(k_range) -> list:
         k_lo, k_hi = k_range
-        lams, residuals, flags = np.empty(0), np.empty(0), []
-        first = n_dive + 1  # the global index of lams[0]
+        found = []
         if k_lo <= n_dive:
-            depth = 2.0 * abs(alpha) * p.max_abs / (eps * eps)
-            lams, residuals = _diving_levels(fvec, lam_split - depth, lam_split, eig_tol)
-            if lams.size != n_dive:
+            ends = np.array([lam_split - 2.0 * abs(alpha) * p.max_abs / (eps * eps), lam_split])
+            found = _bracket(fvec, ends, *fvec(ends, True))
+            if len(found) != n_dive:
                 raise NumericsError(f"the Sturm index counts {n_dive} levels below "
-                                    f"{lam_split:.6g}, but the diving search found {lams.size}")
-            flags, first = ["diving"] * n_dive, 1
+                                    f"{lam_split:.6g}, but the diving search found {len(found)}")
         if k_hi > n_dive:
-            brackets = _below_ceiling(fvec, lam_split, shot, U.wall_floor() - _WALL_MARGIN,
-                                      k_hi - n_dive, "squeezed-barrier problem")
-            roots, res = _refine(fvec, brackets, eig_tol)
-            lams, residuals = np.concatenate((lams, roots)), np.concatenate((residuals, res))
-            flags += ["ok"] * roots.size
+            found += _below_ceiling(fvec, lam_split, shot, U.wall_floor() - _WALL_MARGIN,
+                                    k_hi - n_dive, "squeezed-barrier problem")
+        return found
+
+    def finish(k_range, roots, residuals, eigenfunctions, samples_per_unit) -> Spectrum:
+        k_lo, k_hi = k_range
+        flags = ["diving"] * n_dive if k_lo <= n_dive else []
+        first = 1 if flags else n_dive + 1  # the global index of roots[0]
+        flags += ["ok"] * (roots.size - len(flags))
         chosen = slice(k_lo - first, k_hi - first + 1)
-        spec = Spectrum(lams[chosen], residuals[chosen], flags[chosen])
+        spec = Spectrum(roots[chosen], residuals[chosen], flags[chosen])
         if eigenfunctions:
             _attach_eigenfunctions(spec, U.truncation_radius, [problem] * len(spec.flags), cfg,
                                    samples_per_unit)
         return spec
 
-    return n_dive, levels
+    return n_dive, problem, brackets, finish
 
 
 # -- interval problem (no background potential) ------------------------------------
@@ -544,7 +583,7 @@ def _interval_fvec(a, b, p, alpha, eps, cfg):
         + _barrier_chain(p, alpha, eps, None)
         + [FamilySegment(eps, b, 0.0, -1.0)]
     )
-    return _matching(_Problem([chain]), cfg)
+    return _matching([_Problem([chain])], cfg)
 
 
 def interval_spectrum(

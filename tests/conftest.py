@@ -327,7 +327,8 @@ def magnus_exponent(h, q):
 def spy_shots(monkeypatch, module, record):
     """Call ``record(chain, m)`` for each chain that ``module`` shoots from
     now on, one call per chain, whether through ``propagate_family`` or
-    ``propagate_chains``."""
+    ``propagate_chains``; ``m`` is the chain's own weight row when the
+    call gives one per chain."""
     family, chains = module.propagate_family, module.propagate_chains
 
     def one(chain, m, *args, **kwargs):
@@ -335,8 +336,9 @@ def spy_shots(monkeypatch, module, record):
         return family(chain, m, *args, **kwargs)
 
     def several(chain_list, m, *args, **kwargs):
-        for chain in chain_list:
-            record(chain, np.asarray(m))
+        rows = np.asarray(m)
+        for j, chain in enumerate(chain_list):
+            record(chain, rows[j] if rows.ndim == 2 else rows)
         return chains(chain_list, m, *args, **kwargs)
 
     monkeypatch.setattr(module, "propagate_family", one)

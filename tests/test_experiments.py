@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import spy_shots, step_theta
 
-from pointbarrier.errors import PreconditionError
+from pointbarrier.errors import AlignmentError, PreconditionError, TruncationDomainError
 from pointbarrier.experiments import (
     convergence_study,
     diving_study,
@@ -20,6 +20,7 @@ from pointbarrier.spectra import (
     eigen_limit,
     eigen_perturbed,
     interval_negative_levels,
+    polynomial_potential,
 )
 
 
@@ -191,3 +192,67 @@ def test_probability_ratio_trend(tilted, theta1):
         gaps.append(abs(ratio - theta1**2) / theta1**2)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[1] / gaps[2] == pytest.approx(2.0, rel=0.25)
+
+
+# -- the ladder's errors and meshes -------------------------------------------------
+
+LADDER = [0.2, 0.1, 0.05, 0.025]
+
+
+def _rungs_fail(monkeypatch, failures):
+    """Route the rungs at the ladder entries of ``failures`` to what they
+    map to: a potential to solve the rung with, or an error to raise."""
+    from pointbarrier import experiments, spectra
+
+    problem = spectra._perturbed_problem
+
+    def rung(U, p, alpha, eps, cfg):
+        fail = failures.get(eps)
+        if isinstance(fail, Exception):
+            raise fail
+        return problem(U if fail is None else fail, p, alpha, eps, cfg)
+
+    monkeypatch.setattr(experiments, "_perturbed_problem", rung)
+
+
+def test_a_rung_whose_window_fails_raises_its_own_error(tilted, step, monkeypatch):
+    # a box of radius 3 puts the wall ceiling below the bounded window of
+    # the second rung alone
+    _rungs_fail(monkeypatch, {0.1: polynomial_potential([0.0, 1.0, 1.0], 3.0)})
+    with pytest.raises(TruncationDomainError, match="squeezed-barrier problem: only 0 of 2"):
+        convergence_study(tilted, step, 0.0, LADDER, 2, samples_per_unit=101)
+
+
+def test_the_first_failing_rung_in_ladder_order_raises(tilted, step, monkeypatch):
+    # rung 2 finds its levels 10 above the limit's (outside the trust
+    # window) and rung 3 fails in its window: rung 2's error is raised
+    _rungs_fail(monkeypatch, {0.1: polynomial_potential([10.0, 1.0, 1.0], 8.0),
+                              0.05: TruncationDomainError("rung 3 failed")})
+    with pytest.raises(AlignmentError, match="at eps=0.1 has no limit level"):
+        convergence_study(tilted, step, 0.0, LADDER, 2, samples_per_unit=101)
+    # and rung 3's without rung 2's
+    _rungs_fail(monkeypatch, {0.05: TruncationDomainError("rung 3 failed")})
+    with pytest.raises(TruncationDomainError, match="rung 3 failed"):
+        convergence_study(tilted, step, 0.0, LADDER, 2, samples_per_unit=101)
+
+
+def test_a_converge_call_builds_one_wall_mesh_per_side_and_a_second_builds_none(
+        step, alpha1, monkeypatch):
+    # the limit problem and every rung share the two half-box wall meshes,
+    # and a potential parsed again is the same value; the cache holds the
+    # two walls and the 8 barrier pieces in under 30,000 floats
+    from collections import OrderedDict
+
+    from pointbarrier import ivp
+
+    monkeypatch.setattr(ivp, "_MESH_CACHE", OrderedDict())
+    builds = []
+    build = ivp._build_mesh
+    monkeypatch.setattr(ivp, "_build_mesh", lambda *args: builds.append(args) or build(*args))
+    for call in range(2):
+        U = polynomial_potential([0.0, 1.0, 1.0], 8.0, "tilted_harmonic")
+        rep = convergence_study(U, step, alpha1, LADDER, 2, samples_per_unit=101)
+        assert rep.resonant
+        assert len(builds) <= (10 if call == 0 else 0)
+        builds.clear()
+        assert sum(mesh.stored() for mesh in ivp._MESH_CACHE.values()) <= 30_000

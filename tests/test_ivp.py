@@ -721,3 +721,83 @@ def test_expm_branches_match_scipy():
         want = expm(np.array([[x[i], y[i]], [z[i], -x[i]]]))
         got = np.array([[m11[i], m12[i]], [m21[i], m22[i]]]) * math.exp(logs[i])
         assert np.abs(got - want).max() <= 1e-14 * bound[i] * math.exp(logs[i])
+
+
+def test_a_cut_mesh_counts_like_a_fresh_mesh_of_its_span():
+    # the wall [-8, -eps] on the mesh of [-8, 0] cut at -eps: its nodes
+    # before -eps and one last interval up to it, kept with that mesh.  It
+    # counts the zeros of a mesh built for [-8, -eps] alone, and its
+    # states agree with that mesh's to the mesh tolerance
+    U = lambda x: x * x + x  # noqa: E731
+    lams = np.linspace(-1.0, 60.0, 123)
+    init = np.array([0.0, 1.0])
+    for eps in (0.2, 0.05, 1e-3):
+        for wall, end in ((-8.0, -eps), (8.0, eps)):
+            cut = FamilySegment(wall, end, U, -1.0, 0.0)
+            fresh = FamilySegment(wall, end, U, -1.0)
+            a, b = (propagate_family([seg], lams, init, rescale=True, count_zeros=True)
+                    for seg in (cut, fresh))
+            mesh = ivp._mesh_for(cut, ivp.DEFAULT_CONFIG)
+            whole = ivp._mesh_for(FamilySegment(wall, 0.0, U, -1.0), ivp.DEFAULT_CONFIG)
+            assert mesh is ivp._mesh_for(cut, ivp.DEFAULT_CONFIG)
+            assert np.shares_memory(mesh.parts[0].rows, whole.parts[0].rows)
+            assert np.array_equal(mesh.lo, whole.lo[:mesh.lo.size])
+            assert mesh.h.sum() == pytest.approx(end - wall, rel=1e-15)
+            assert a.zero_counts.max() >= 8
+            assert np.array_equal(a.zero_counts, b.zero_counts)
+            assert np.all(_true_scale_gap(a.states, a.logs, b.states, b.logs) <= 1e-10)
+    # a callable w in a counted call: the cut of each weight bucket's mesh
+    from pointbarrier.profiles import builtin
+
+    seg = builtin("asymmetric_bump").segments[0]
+    m = np.array([-150.0, -3.5, 0.0, 2.5, 64.0, 199.9])
+    a, b = (propagate_family([FamilySegment(seg.a, -0.3, 1.0, seg, end)], m, init, rescale=True,
+                             count_zeros=True) for end in (seg.b, None))
+    assert a.zero_counts.max() >= 2
+    assert np.array_equal(a.zero_counts, b.zero_counts)
+    assert np.all(_true_scale_gap(a.states, a.logs, b.states, b.logs) <= 1e-10)
+    with pytest.raises(ValueError, match="mesh_end"):
+        propagate_family([FamilySegment(-8.0, -1.0, U, -1.0, -2.0)], lams, init)
+
+
+def test_the_mesh_cache_keeps_no_copy_of_a_cut():
+    # a cut stores its last interval only, and goes with its mesh
+    U = lambda x: x * x + x  # noqa: E731
+    seg = FamilySegment(-8.0, -0.05, U, -1.0, 0.0)
+    propagate_family([seg], np.array([1.0]), np.array([0.0, 1.0]))
+    mesh = ivp._mesh_for(seg, ivp.DEFAULT_CONFIG)
+    whole = ivp._mesh_for(FamilySegment(-8.0, 0.0, U, -1.0), ivp.DEFAULT_CONFIG)
+    assert any(m is whole for m in ivp._MESH_CACHE.values())
+    assert whole.cuts[seg.b] is mesh
+    assert whole.stored() == whole.lo.size + 1 + whole.parts[0].rows.size + 9
+
+
+def test_chains_with_their_own_weight_rows_match_their_own_calls():
+    # one weight row per chain: the rows ride in one pass, stacked and
+    # padded, and each chain matches its own call to rounding
+    chains = [_wall_and_barrier_chain(),
+              [FamilySegment(4.0, 0.05, lambda x: x * x + x, -1.0)],
+              [FamilySegment(2.0, 0.5, 1.0, -1.0)]]
+    rows = np.array([np.linspace(-5.0, 60.0, 7), np.linspace(3.0, 9.0, 7), np.full(7, 40.0)])
+    samples = [np.linspace(-4.0, 0.05, 31), np.linspace(4.0, 0.05, 9), np.linspace(2.0, 0.5, 4)]
+    init = np.array([0.0, 1.0])
+    together = propagate_chains(chains, rows, init, rescale=True, samples=samples,
+                                count_zeros=True)
+    assert together[0].zero_counts.max() >= 3
+    for chain, row, xs, res in zip(chains, rows, samples, together):
+        alone = propagate_family(chain, row, init, rescale=True, samples=xs, count_zeros=True)
+        assert np.array_equal(res.zero_counts, alone.zero_counts)
+        assert np.all(_true_scale_gap(res.states, res.logs, alone.states, alone.logs) <= 1e-12)
+        for got, want in zip(zip(res.sample_states, res.sample_logs),
+                             zip(alone.sample_states, alone.sample_logs)):
+            assert np.all(_true_scale_gap(*got, *want) <= 1e-12)
+    with pytest.raises(ValueError, match="one per chain"):
+        propagate_chains(chains, rows[:2], init)
+    with pytest.raises(ValueError, match="constant w_parts"):
+        propagate_chains([[FamilySegment(0.0, 1.0, 0.0, lambda x: x)]], rows[:1], init)
+
+
+def test_an_overflow_names_the_weights_of_its_own_chain():
+    chains = [[FamilySegment(0.0, 1.0, 0.0, -1.0)], [FamilySegment(0.0, 8.0, 0.0, -1.0)]]
+    with pytest.raises(NumericsError, match=r"\[0, 8\] of weights -2000000 to -1000000 "):
+        propagate_chains(chains, np.array([[1.0, 2.0], [-1e6, -2e6]]), np.array([0.0, 1.0]))

@@ -129,3 +129,27 @@ def test_illinois_vector_shoots_only_open_brackets():
     # no call carries a bracket twice
     assert all(np.unique(o).size == o.size for o in owners)
     assert sum(np.any(o == 0) for o in owners) < sum(np.any(o == 1) for o in owners)
+
+
+def test_illinois_vector_hands_each_point_its_owner():
+    # brackets of three problems (the owners) in one run: every call holds
+    # the owner of each point it shoots, and each problem's roots are those
+    # of a run of its own
+    problems = [_poly, lambda x: np.sin(np.pi * x * x), lambda x: x - 0.25]
+    lo = np.array([0.0, 0.5, 1.3, 2.1, 0.0, 1.6])
+    hi = np.array([1.0, 1.2, 1.5, 2.3, 1.0, 1.9])
+    owners = np.array([0, 1, 0, 1, 2, 0])
+    calls = []
+
+    def fvec(x, owners):
+        calls.append((x, owners))
+        return np.array([problems[o](np.array([xi]))[0] for xi, o in zip(x, owners)])
+
+    roots = illinois_vector(fvec, lo, hi, xtol=1e-12, owners=owners)
+    assert calls[0][1].tolist() == owners.tolist() * 2
+    for x, o in calls:  # each point lies in a bracket of its owner
+        inside = (lo <= x[:, None]) & (x[:, None] <= hi) & (owners == o[:, None])
+        assert inside.any(axis=1).all()
+    for i, f in enumerate(problems):
+        own = owners == i
+        assert roots[own].tolist() == illinois_vector(f, lo[own], hi[own], xtol=1e-12).tolist()

@@ -311,13 +311,14 @@ def test_diving_levels_match_a_dop853_oracle(tilted, alpha1, name, alpha, eps, k
 
 
 def test_a_diving_search_short_of_the_count_raises(tilted, step, alpha1, monkeypatch):
-    found = spectra._diving_levels
+    # the diving search is the one that brackets every root of its window
+    found = spectra._bracket
 
-    def one_short(*args):
-        roots, residuals = found(*args)
-        return roots[1:], residuals[1:]
+    def one_short(fvec, xs, vals, counts, need=None):
+        brackets = found(fvec, xs, vals, counts, need)
+        return brackets if need else brackets[1:]
 
-    monkeypatch.setattr(spectra, "_diving_levels", one_short)
+    monkeypatch.setattr(spectra, "_bracket", one_short)
     with pytest.raises(NumericsError, match="counts 1 levels .* found 0"):
         eigen_perturbed(tilted, step, alpha1, 0.1, (1, 2))
 
@@ -779,7 +780,7 @@ def test_sturm_index_counts_finite_difference_levels(name, cfg):
         problems = _limit_problems(U, bc)
         assert len(problems) == len(refs)
         for (what, problem), ref in zip(problems, refs):
-            fvec = _matching(problem, cfg)
+            fvec = _matching([problem], cfg)
             # grid points within the FD error of a level are left out
             lams = grid[np.min(np.abs(grid[:, None] - ref), axis=1) > 1e-3]
             assert lams.size > 170
@@ -797,7 +798,7 @@ def test_sturm_index_rises_once_per_sign_change(harmonic, cfg, bc):
 
     lams = np.linspace(-40.0, 16.0, 1121)
     for what, problem in _limit_problems(harmonic, bc):
-        f, N = _matching(problem, cfg)(lams, True)
+        f, N = _matching([problem], cfg)(lams, True)
         assert N[0] == 0, what
         rises = np.diff(N)
         assert np.all(rises >= 0), what
@@ -831,3 +832,68 @@ def test_perturbed_scan_splits_only_cells_holding_two_levels(monkeypatch, tilted
     spec = eigen_perturbed(tilted, step, alpha1, 0.05, (1, 4))
     assert spec.flags == ["diving", "ok", "ok", "ok"]
     assert split_rises and all(rise >= 2 for rise in split_rises), split_rises
+
+
+# -- lockstep and shared meshes ----------------------------------------------------
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [3.0, -2.0, 0.5, 0.1, 0.01],
+                                    [-0.3, 0.7, 2.0, 0.0, 1e-3]])
+def test_window_start_takes_the_minimum_of_the_scalar_calls(coeffs):
+    # one array call of the potential, bitwise the minimum of 801 scalar calls
+    for R in (1.0, 7.0, 8.0):
+        U = polynomial_potential(coeffs, R)
+        scalar = min(U.U(float(x)) for x in np.linspace(-R, R, 801))
+        assert spectra._window_start(U) == min(0.0, scalar) - 1.0
+
+
+def test_potentials_parsed_twice_are_one_value(tilted):
+    again = polynomial_potential([0.0, 1.0, 1.0], 8.0, "tilted_harmonic")
+    assert again == tilted and hash(again) == hash(tilted) and again.U is not tilted.U
+    assert spectra._wall_chain(again, -8.0, -0.1) == spectra._wall_chain(tilted, -8.0, -0.1)
+    xs = np.linspace(-8.0, 8.0, 17)
+    assert np.array_equal(tilted.U(xs), [tilted.U(float(x)) for x in xs])
+
+
+def test_problems_matched_together_match_their_own_calls(tilted, step, alpha1, cfg):
+    # each problem's members are padded to a common count by repeating its
+    # last member and carried in one pass; the values and indices of each
+    # problem match a call of its own to rounding, and one problem alone is
+    # bitwise its own call
+    problems = [spectra._perturbed_problem(tilted, step, alpha1, eps, cfg)[1]
+                for eps in (0.2, 0.05)]
+    problems += [problem for _, problem in spectra._limit_problems(tilted, DirichletSplit())]
+    fvec = spectra._matching(problems, cfg)
+    lams = np.linspace(-3.0, 14.0, 23)
+    owners = np.array([0, 1, 2, 3, 1, 1, 0, 2, 1, 3, 3, 1, 0, 0, 2, 2, 1, 3, 1, 0, 1, 1, 2])
+    vals, counts = fvec(lams, True, owners=owners)
+    for i, problem in enumerate(problems):
+        own = owners == i
+        f, N = spectra._matching([problem], cfg)(lams[own], True)
+        assert np.array_equal(N, counts[own])
+        assert np.allclose(vals[own], f, rtol=0.0, atol=1e-12)
+        alone_vals, alone_counts = fvec(lams[own], True, owners=owners[own])
+        assert np.array_equal(alone_vals, f) and np.array_equal(alone_counts, N)
+    assert np.array_equal(fvec(lams, owners=owners), vals)
+
+
+def test_eigen_perturbed_does_not_depend_on_what_ran_before(tilted, step, monkeypatch):
+    # the walls run on cuts of the half-box meshes, whichever solve built them
+    from collections import OrderedDict
+
+    from pointbarrier import ivp
+    from pointbarrier.experiments import convergence_study
+
+    def fresh_then(before):
+        monkeypatch.setattr(ivp, "_MESH_CACHE", OrderedDict())
+        before()
+        spec = eigen_perturbed(tilted, step, 5.0, 0.05, (1, 4))
+        return spec.eigenvalues, spec.residuals
+
+    first = fresh_then(lambda: None)
+    assert first[0].size == 4
+    for before in (lambda: eigen_limit(tilted, ThetaCoupled(2.0), 3, eigenfunctions=False),
+                   lambda: eigen_limit(tilted, DirichletSplit(), 3, eigenfunctions=False),
+                   lambda: convergence_study(tilted, step, 5.0, [0.2, 0.1, 0.05, 0.025], 1,
+                                             samples_per_unit=101)):
+        again = fresh_then(before)
+        assert np.array_equal(again[0], first[0]) and np.array_equal(again[1], first[1])
