@@ -79,12 +79,13 @@ class ConfigError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors become ``ConfigError`` (exit 2, one line) instead of
-    a usage dump, and every negative float (``-1e-05`` too, not only
-    ``-digits[.digits]``) reads as a value rather than as an option."""
+    a usage dump, and every negative float (``-1e-05`` too) or comma list
+    of floats that starts with one (``-3,1``) reads as a value, not an option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        number = r"(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+        self._negative_number_matcher = re.compile(rf"^-{number}(,[-+]?{number})*$")
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -660,8 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scatter", help="reflection/transmission amplitudes")
     common(sp)
     tolerance(sp, "--rel-tol", help=f"propagator tolerance, capped at {SCATTER_CONFIG.rel_tol:g}")
-    # two spellings of each comma-separated list; "--alphas=-2,4" keeps a
-    # list that starts with "-" from reading as an option
+    # two spellings of each comma-separated list, "--alphas -2,4" or "--alphas=-2,4"
     sp.add_argument("--alphas", "--alpha", type=_finite_list, required=True)
     sp.add_argument("--eps-ladder", "--eps", type=_finite_list, required=True)
     sp.add_argument("--ks", "--k", type=_finite_list, required=True)

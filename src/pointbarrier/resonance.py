@@ -14,10 +14,11 @@ the squeezed barrier, as well as its limiting transmission probability.
 ``alpha = 0`` is always resonant (constants solve the equation, theta = 1)
 but is a *double* zero of D for zero-mean profiles, so scans insert it
 analytically instead of relying on a sign change.  Away from 0 every
-resonance is a simple zero of D, and the scan counts them: the Neumann
-index N(alpha), the number of eigenvalues <= 0 of
--w'' + alpha profile w = lambda w, rises by exactly one at each resonance
-as |alpha| grows, so a scan knows how many roots each grid cell holds.
+resonance is a simple zero of D, and the scan counts them: a resonance is
+an eigenvalue 0 of -w'' + alpha profile w = lambda w with Neumann ends, so
+N(alpha), its number of eigenvalues <= 0 (the index of ``spectra._matching``),
+rises by one at each resonance as |alpha| grows, and a scan knows how many
+roots each grid cell holds.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import BracketShortfallError, NotInResonanceSetError, NumericsError
 from .ivp import DEFAULT_CONFIG, FamilyResult, FamilySegment, SolverConfig, propagate_family
 from .profiles import Profile, ProfileKind, classify
 from .rootfind import illinois_vector, resolve_cells, sign_change
+from .spectra import _matching, _Problem
 
 __all__ = [
     "ResonancePoint",
@@ -56,9 +58,10 @@ class ResonancePoint:
     the natural derivative scale of the shot (see ``scaled_residual``), so
     it stays meaningful when the eigenfunction grows exponentially in the
     coupling constant.  ``flagged`` marks a counted root whose shot misses
-    the scan's residual tolerance: the index proves a resonance there, but
-    the shot is too inexact to confirm it.  A point carries no samples of
-    its eigenfunction; ``eigenfunction`` shoots them on request.
+    the scan's residual tolerance or lost w(1) (theta exactly 0): the index
+    proves a resonance there, but the shot is too inexact to confirm it.
+    A point carries no samples of its eigenfunction; ``eigenfunction``
+    shoots them on request.
     """
 
     alpha: float
@@ -136,7 +139,8 @@ def eigenfunction(p: Profile, alpha: float, cfg: SolverConfig | None = None):
 def _point(p, alpha, cfg, residual_tol) -> ResonancePoint:
     w1, dw1 = shoot(p, alpha, cfg)
     rho = scaled_residual(p, alpha, w1, dw1)
-    return ResonancePoint(float(alpha), float(w1), rho, flagged=not rho <= residual_tol)
+    lost = w1 == 0.0  # theta is never 0 at a resonance: w(1) = w'(1) = 0 makes w = 0
+    return ResonancePoint(float(alpha), float(w1), rho, flagged=not rho <= residual_tol or lost)
 
 
 def resonance_scan(
@@ -151,18 +155,18 @@ def resonance_scan(
 
     Each side of alpha = 0 is scanned in t = |alpha| on the points of one
     uniform grid of the window, ceil(width / scan_step) cells (at most
-    2^53).  The Neumann index (see ``_counted``) rises by exactly one at
-    each resonance of a side, so ``_side_brackets`` shoots only the grid
+    2^53).  The Neumann index (see ``_neumann_index``) rises by exactly one
+    at each resonance of a side, so ``_side_brackets`` shoots only the grid
     points that locate the cells where it rises, ``resolve_cells`` halves
     every cell that hides roots until each shows its own sign change of
     D, and the brackets of both sides are refined together by
-    ``illinois_vector``.  The counted shots run on the weight-bucket Magnus
-    meshes, the refine and the endpoint shots of the roots on the
-    Runge-Kutta pair.  A side
-    that brackets fewer roots than its index rise at the halving floor
+    ``illinois_vector``.  The counted shots are the rescaled matching shots
+    of ``spectra`` on the weight-bucket Magnus meshes, the refine and the
+    endpoint shots of the roots run at true scale on the Runge-Kutta pair.
+    A side that brackets fewer roots than its index rise at the halving floor
     raises ``NumericsError``.  alpha = 0 is inserted analytically whenever
-    the window contains it.  Roots whose shot misses ``residual_tol`` come
-    back ``flagged``.
+    the window contains it.  Roots whose shot misses ``residual_tol``, or
+    lost w(1), come back ``flagged``.
     """
     if not alpha_min < alpha_max:
         raise ValueError("need alpha_min < alpha_max")
@@ -219,25 +223,12 @@ def _side_grid(lo: float, hi: float, n: int, side: float):
     return i1 + 2, lambda k: np.where(k == 0, 0.0, -alpha(i1 - k + 1))
 
 
-def _counted(p, side, cfg):
-    """``fvec(ts, True) -> (D, N)`` at alpha = side * ts.
-
-    N is the Neumann index: the number of eigenvalues <= 0 of
-    -w'' + alpha profile w = lambda w with Neumann ends, read off the
-    left Neumann shot as its zero count plus [atan2(w, w') mod pi >= pi/2]
-    at xi = 1.  Each eigencurve crosses 0 only at a resonance, with slope
-    of sign -sgn(alpha), so N never decreases in t and rises by exactly
-    one at each resonance (Binding & Volkmer, SIAM Rev. 38 (1996) 27-48).
-    """
-    segs = _alpha_segments(p)
-
-    def fvec(ts, with_counts=True):
-        res = propagate_family(segs, side * np.asarray(ts, dtype=float),
-                               np.array([1.0, 0.0]), cfg, count_zeros=True)
-        w1, dw1 = res.states
-        return dw1, res.zero_counts + (np.arctan2(w1, dw1) % math.pi >= 0.5 * math.pi)
-
-    return fvec
+def _neumann_index(p, cfg):
+    """``fvec(alphas, True) -> (D, N)`` of the Neumann problem's matching
+    shots from (1, 0): D = -w'(1) / |(w, w')(1)|, and N never decreases in
+    |alpha|, since each eigencurve crosses 0 only at a resonance, with slope
+    of sign -sgn(alpha) (Binding & Volkmer, SIAM Rev. 38 (1996) 27-48)."""
+    return _matching([_Problem([_alpha_segments(p)], W=(1.0, 0.0), start=(1.0, 0.0))], cfg)
 
 
 def _side_brackets(p, side, size, t, m0, cfg) -> list[tuple[float, float]]:
@@ -245,9 +236,10 @@ def _side_brackets(p, side, size, t, m0, cfg) -> list[tuple[float, float]]:
     (+1 or -1) of alpha = 0, among the ``size`` grid points ``t(k)`` =
     side * alpha of that side (``_side_grid``).
 
-    A side that holds 0 starts its scan there, where the shot is exactly
-    (1, 0) and N = 1.  For a nonzero mean m0 the ground level leaves 0
-    upwards on the side where alpha m0 > 0, so N starts at 0 there.
+    It counts on ``_neumann_index`` at alpha = side * t.  A side that holds
+    0 starts its scan there, where the shot is exactly (1, 0) and N = 1.
+    For a nonzero mean m0 the ground level leaves 0 upwards on the side
+    where alpha m0 > 0, so N starts at 0 there.
 
     The two ends of the side are shot first.  Then, one ``fvec`` round per
     level, every range of grid indices between neighbouring shot points
@@ -260,7 +252,8 @@ def _side_brackets(p, side, size, t, m0, cfg) -> list[tuple[float, float]]:
     """
     if size == 0:
         return []
-    fvec = _counted(p, side, cfg)
+    index = _neumann_index(p, cfg)
+    fvec = lambda ts, with_counts=False: index(side * ts, with_counts)
     ks = np.array([0, size - 1])
     ts = t(ks)
     fs, cs = fvec(ts, True)
@@ -314,14 +307,14 @@ def coupling_theta(
     the endpoint ratio w(1)/w(-1) of the Neumann eigenfunction.
 
     The caller must supply a refined resonant coupling; if the shot's
-    scale-normalized Neumann defect exceeds ``residual_tol`` the value is
-    rejected.
+    scale-normalized Neumann defect exceeds ``residual_tol``, or the shot
+    lost w(1), the value is rejected.
     """
     pt = _point(p, alpha_resonant, cfg, residual_tol)
     if pt.flagged:
+        why = ("the shot lost w(1), which reads exactly 0" if pt.theta == 0.0 else
+               f"scaled Neumann defect {pt.residual:.3e} exceeds {residual_tol:.1e}")
         raise NotInResonanceSetError(
-            f"alpha={alpha_resonant} is not in the resonance set of {p.label!r}: "
-            f"scaled Neumann defect {pt.residual:.3e} exceeds {residual_tol:.1e}"
-        )
+            f"alpha={alpha_resonant} is not in the resonance set of {p.label!r}: {why}")
     return pt
 

@@ -265,16 +265,17 @@ def _reduced_angle(Y):
 
 
 class _Problem(NamedTuple):
-    """One eigenvalue problem: Dirichlet shots along ``chains`` meet at
+    """One eigenvalue problem: shots along ``chains`` from ``start`` meet at
     their common end, the matching point, where the interface matrix ``C``
     (None: none) carries the first shot's end state across.  A lone shot
-    meets the fixed end vector ``W``: (0, 1) for a Dirichlet end, (h1, h2)
-    for h1 v' = h2 v.  It is matched as if it ran towards +x: one run
-    towards -x takes C = diag(1, -1) and W mirrored alike."""
+    meets the fixed end vector ``W``, as if it ran towards +x: one run
+    towards -x takes C = diag(1, -1) and W mirrored alike.  A start or W of
+    (0, 1) is a Dirichlet end, (h1, h2) one with h1 v' = h2 v."""
 
     chains: list[list[FamilySegment]]
     C: np.ndarray | None = None
     W: tuple[float, float] = (0.0, 1.0)
+    start: tuple[float, float] = (0.0, 1.0)
 
 
 def _matching(problems: list[_Problem], cfg):
@@ -293,11 +294,13 @@ def _matching(problems: list[_Problem], cfg):
 
     with a, F0 and r the reduced angles of V, C (0, 1) and W in [0, pi),
     except that a fixed W takes r in (0, pi]: a Dirichlet end has r = pi.
-    Each evaluation is one ``propagate_chains`` call, each problem's values
-    padded to a common count by repeating its last one (pads dropped).
+    Each evaluation is one ``propagate_chains`` call from the problems'
+    one ``start``, on the weight row ``lams`` without ``owners``, else on
+    each problem's values padded to a common count by repeating its last
+    one (pads dropped).  Resonance scans count on it too.
     """
-    F0s = [0.0 if C is None else _reduced_angle(C[:, 1]) for _, C, _ in problems]
-    init = np.array([0.0, 1.0])
+    F0s = [0.0 if C is None else _reduced_angle(C[:, 1]) for _, C, _, _ in problems]
+    init, = {problem.start for problem in problems}
 
     def fvec(lams: np.ndarray, with_counts: bool = False, owners=None):
         lams = np.asarray(lams, dtype=float)
@@ -305,13 +308,14 @@ def _matching(problems: list[_Problem], cfg):
         groups = [np.arange(lams.size)] if owners is None else [np.flatnonzero(owners == i)
                                                                 for i in which]
         n = max(idx.size for idx in groups)
-        rows = [lams[idx[np.minimum(np.arange(n), idx.size - 1)]]
-                for i, idx in zip(which, groups) for _ in problems[i].chains]
+        rows = lams if owners is None else [lams[idx[np.minimum(np.arange(n), idx.size - 1)]]
+                                            for i, idx in zip(which, groups)
+                                            for _ in problems[i].chains]
         shots = iter(propagate_chains([chain for i in which for chain in problems[i].chains], rows,
                                       init, cfg, rescale=True, count_zeros=with_counts))
         vals, counts = np.empty(lams.size), np.empty(lams.size, dtype=int)
         for i, idx in zip(which, groups):
-            (_, C, W), own = problems[i], [next(shots) for _ in problems[i].chains]
+            (_, C, W, _), own = problems[i], [next(shots) for _ in problems[i].chains]
             V = own[0].states[:, :idx.size] if C is None else C @ own[0].states[:, :idx.size]
             Y = own[1].states[:, :idx.size] if len(own) == 2 else W
             norms = _norm2(V) * _norm2(Y)
@@ -728,14 +732,14 @@ def _attach_eigenfunctions(spec, R, problems, cfg, samples_per_unit):
     """
     xs = np.linspace(-R, R, int(round(2 * R * samples_per_unit)) + 1)
     funcs = np.zeros((len(spec.eigenvalues), len(xs)))
-    for i, (lam, (chains, C, _)) in enumerate(zip(spec.eigenvalues, problems)):
+    for i, (lam, (chains, C, _, start)) in enumerate(zip(spec.eigenvalues, problems)):
         n_left = int(np.searchsorted(xs, chains[0][-1].b, side="right"))
         vals, logs = np.zeros(len(xs)), np.full(len(xs), -np.inf)
         for j, chain in enumerate(chains):
             from_left = chain[0].a < chain[-1].b
             side = slice(0, n_left) if from_left else slice(n_left, None)
             path = xs[side] if from_left else xs[side][::-1]
-            res = propagate_family(chain, np.array([float(lam)]), np.array([0.0, 1.0]), cfg,
+            res = propagate_family(chain, np.array([float(lam)]), np.array(start), cfg,
                                    rescale=True, samples=path)
             u, log = res.sample_states[:, 0, 0], res.sample_logs[:, 0]
             end, end_log = res.states[:, 0], float(res.logs[0])

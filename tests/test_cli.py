@@ -389,16 +389,16 @@ def test_strong_barriers_scatter_without_a_warning(profile, alpha, eps, k, tmp_p
 
 
 @pytest.mark.parametrize("argv", [
-    # cosh(1000) overflows the state handed back at |alpha| = 1e6
+    # cosh(1000) overflows the refine's unscaled shots at |alpha| = 1e6
     ["resonances", "--profile", "step", "--window", "-1e6", "1e6", "--scan-step", "1e5"],
     # alpha = 1e300 turns the oscillatory half through about 3e149 half-periods
     ["theta", "--profile", "step", "--alpha", "15.4182", "--refine", "--search-width", "1e300"],
     # couplings whose counted shots no mesh of their weight bucket resolves
     ["resonances", "--profile", "asymmetric_bump", "--window", "1e307", "1.5e307",
      "--scan-step", "1e306"],
-    # e^1000 and more: the counted shots at alpha = 1e6 leave the range of a double
-    ["resonances", "--profile", "asymmetric_bump", "--window", "1e6", "1.001e6",
-     "--scan-step", "1e2"],
+    # the counted shots at alpha = 1e6 are rescaled and bracket a root, but
+    # the Runge-Kutta steps of its refine underflow
+    ["resonances", "--profile", "asymmetric_bump", "--window", "1e6", "1.01e6"],
 ])
 def test_shots_beyond_a_double_exit_3_without_a_warning(argv, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -409,6 +409,53 @@ def test_shots_beyond_a_double_exit_3_without_a_warning(argv, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("numerical failure:"), err
     assert not re.search(r"-0(?![.\d])", err[0]), err  # a negative side ends at 0, not -0
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_rootless_window_at_a_million_reads_its_index_without_overflow(tmp_path):
+    # e^1000 and more: the counted shots at alpha = 1e6 are rescaled, so
+    # the index reads 250 at both ends, and a window without a rise holds
+    # no root
+    from pointbarrier import resonance
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["resonances", "--profile", "asymmetric_bump", "--window", "1e6", "1.001e6",
+                     "--scan-step", "1e2", "--out", str(tmp_path / "o")]) == 0
+    assert _read_rows(tmp_path / "o" / "resonances.csv") == []
+    _, counts = resonance._neumann_index(builtin("asymmetric_bump"), None)(
+        np.array([1e6, 1.001e6]), True)
+    assert counts.tolist() == [250, 250]
+
+
+ZERO_THETA_ALPHA = -518.7710813322594  # a step root whose shot ends in (0, 0)
+
+
+def test_a_shot_that_lost_w1_is_a_candidate_not_a_resonance(tmp_path):
+    out = tmp_path / "z"
+    assert main(["resonances", "--profile", "step", "--window", "-600", "-500",
+                 "--scan-step", "1", "--out", str(out)]) == 0
+    assert all(float(r["theta"]) != 0.0 for r in _read_rows(out / "resonances.csv"))
+    candidates = [float(r["alpha"]) for r in _read_rows(out / "resonance_candidates.csv")]
+    assert candidates == [pytest.approx(ZERO_THETA_ALPHA, abs=1e-9)]
+
+
+def test_theta_at_a_shot_that_lost_w1_says_so(tmp_path, capsys):
+    argv = ["theta", "--profile", "step", "--alpha", repr(ZERO_THETA_ALPHA), "--no-refine",
+            "--out", str(tmp_path / "t")]
+    assert main(argv) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "the shot lost w(1)" in err[0], err
+
+
+def test_converge_at_a_shot_that_lost_w1_takes_the_non_resonant_branch(tmp_path, capsys):
+    # not a configuration error (exit 2, "theta must be nonzero"): the
+    # coupling is no confirmed resonance, and the non-resonant ladder
+    # leaves its trust window, a numerical failure
+    assert main(["converge", "--profile", "step", "--potential", "tilted_harmonic",
+                 "--radius", "8", "--alpha", repr(ZERO_THETA_ALPHA),
+                 "--eps-ladder", "0.2,0.1,0.05,0.025", "--levels", "2",
+                 "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 @pytest.mark.parametrize("argv", [
@@ -685,6 +732,19 @@ def test_boundary_validation(tmp_path, capsys, args):
     assert "Traceback" not in err
     # the parser rejects before anything is written
     assert out.exists() == (args in _LIBRARY_REJECTS)
+
+
+@pytest.mark.parametrize("alphas", ["-3,1", "-1e-05,2.5E+1,-.5"])
+def test_a_list_that_starts_negative_is_a_value_in_both_spellings(tmp_path, alphas):
+    tail = ["--eps", "0.1", "--ks", "1"]
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    assert main(["scatter", "--profile", "step", "--alphas", alphas, *tail,
+                 "--out", str(spaced)]) == 0
+    assert main(["scatter", "--profile", "step", f"--alphas={alphas}", *tail,
+                 "--out", str(joined)]) == 0
+    assert _read(spaced / "scatter.csv") == _read(joined / "scatter.csv")
+    rows = _read_rows(spaced / "scatter.csv")
+    assert [float(r["alpha"]) for r in rows] == [float(a) for a in alphas.split(",")]
 
 
 def test_rerun_negative_list_round_trip(tmp_path):

@@ -213,6 +213,10 @@ def test_results_beyond_a_double_raise():
         propagate_family(segs, np.zeros(1), np.array([1.0, 0.0]))
     res = propagate_family(segs, np.zeros(1), np.array([1.0, 0.0]), rescale=True)
     assert math.log(abs(res.states[0, 0])) + res.logs[0] == pytest.approx(1000.0 - math.log(2.0))
+    # the message names the weight range, whose end -0.0 reads 0, not -0
+    with pytest.raises(NumericsError, match=r"of weights 0 to 1000000 leaves"):
+        propagate_family([FamilySegment(0.0, 1.0, 0.0, 1.0)], np.array([-0.0, 1e6]),
+                         np.array([1.0, 0.0]))
     # sqrt(1e300) / pi half-periods on one interval: more than a double counts
     segs = [FamilySegment(0.0, 1.0, -1e300, 0.0)]
     with pytest.raises(NumericsError, match="counts exactly"):

@@ -6,6 +6,7 @@ from conftest import (
     bisect_oracle,
     collocation_resonances,
     dop853_family,
+    spy_shots,
     step_h,
     step_theta,
     taylor_shot,
@@ -13,7 +14,7 @@ from conftest import (
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pointbarrier import profiles, resonance
+from pointbarrier import profiles, resonance, spectra
 from pointbarrier.errors import NotInResonanceSetError, NumericsError
 from pointbarrier.experiments import even_counterexample_profile
 from pointbarrier.ivp import FamilySegment
@@ -102,6 +103,19 @@ def test_scan_samples_no_eigenfunction(monkeypatch, step, bump):
 def test_theta_rejects_non_resonant(step):
     with pytest.raises(NotInResonanceSetError):
         coupling_theta(step, 5.0)
+
+
+def test_a_shot_that_lost_w1_is_flagged(step):
+    # the step root near -518.771 has theta = cos k / cosh k of about
+    # -1.8e-10, but its shot ends in exactly (0, 0): the residual reads 0,
+    # and only theta = 0, impossible at a resonance, shows the loss
+    pts = resonance_scan(step, -600.0, -500.0, 1.0)
+    lost = [pt for pt in pts if pt.theta == 0.0]
+    assert len(lost) == 1 and lost[0].flagged and lost[0].residual == 0.0
+    assert step_theta(lost[0].alpha) == pytest.approx(-1.815e-10, rel=1e-3)
+    assert all(pt.theta != 0.0 for pt in pts if not pt.flagged)
+    with pytest.raises(NotInResonanceSetError, match=r"the shot lost w\(1\)"):
+        coupling_theta(step, lost[0].alpha)
 
 
 def test_theta_at_zero(step, bump, odd_cubic):
@@ -234,7 +248,7 @@ def test_index_counts_the_closed_form_step_roots(step, side):
     # N(t) = 1 + the number of resonances in (0, t] on either side: the
     # constants at alpha = 0 are the one level <= 0 until the first one
     ts = np.linspace(0.0, 400.0, 1601)
-    _, counts = resonance._counted(step, side, None)(ts)
+    _, counts = resonance._neumann_index(step, None)(side * ts, True)
     roots = _step_resonances(400.0)
     assert roots.size == 6
     assert counts.tolist() == (1 + np.searchsorted(roots, ts, side="right")).tolist()
@@ -273,6 +287,18 @@ def test_near_degenerate_even_pair_is_found():
     assert not any(pt.flagged for pt in pts)
 
 
+@pytest.mark.parametrize("t", [1e4, 1e5, 1e6, 1e7])
+def test_index_at_large_couplings_meets_the_weyl_count(bump, t):
+    # N(alpha) against (1/pi) int sqrt(|alpha| max(-sgn(alpha) profile, 0)):
+    # the right lobe 64 xi (1/2 - xi) of -profile on (0, 1/2) gives
+    # sqrt(alpha) / 4, the left lobe 8 xi (1 + xi) of profile on (-1, 0)
+    # sqrt(|alpha|) / (2 sqrt 2); the matching shots are rescaled, so no
+    # state leaves the range of a double
+    _, counts = resonance._neumann_index(bump, None)(np.array([t, -t]), True)
+    weyl = [math.sqrt(t) / 4.0, math.sqrt(t) / (2.0 * math.sqrt(2.0))]
+    assert np.abs(counts - weyl).max() <= 1.0, (counts, weyl)
+
+
 @settings(max_examples=12, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(["step", "odd_cubic", "bump", "even_quadratic"]),
@@ -281,7 +307,7 @@ def test_near_degenerate_even_pair_is_found():
 def test_index_never_decreases_in_the_coupling_size(name, side, ts):
     p = (even_counterexample_profile() if name == "even_quadratic"
          else profiles.builtin("asymmetric_bump" if name == "bump" else name))
-    _, counts = resonance._counted(p, side, None)(np.sort(ts))
+    _, counts = resonance._neumann_index(p, None)(side * np.sort(ts), True)
     assert np.all(np.diff(counts) >= 0), counts
 
 
@@ -490,15 +516,11 @@ def test_side_brackets_are_those_of_the_full_grid(monkeypatch, name, lo, hi, sca
     # grid, which this test shoots point by point as the reference
     p = even_counterexample_profile() if name == "even_quadratic" else profiles.builtin(name)
     n = max(1, math.ceil((hi - lo) / scan_step))
-    propagate, members = resonance.propagate_family, []
-
-    def spy(segs, m, *args, **kwargs):
-        members.append(np.size(m))
-        return propagate(segs, m, *args, **kwargs)
-
+    members = []
     for side in (-1.0, 1.0):
         ts = _full_grid(lo, hi, n, side)
-        fvec = resonance._counted(p, side, None)
+        index = resonance._neumann_index(p, None)
+        fvec = lambda ts, with_counts=False: index(side * ts, with_counts)
         fs, cs = fvec(ts, True)
         want: list = []
         resolve_cells(fvec, ts, fs, cs, want)
@@ -506,10 +528,11 @@ def test_side_brackets_are_those_of_the_full_grid(monkeypatch, name, lo, hi, sca
         assert want
         members.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(resonance, "propagate_family", spy)
+            # the counted shots are the matching problem's, in spectra
+            spy_shots(mp, spectra, lambda chain, m: members.append(np.size(m)))
             got = resonance._side_brackets(p, side, *resonance._side_grid(lo, hi, n, side),
                                            0.0, None)
         assert got == want
-        assert sum(members) < ts.size / 10
+        assert 0 < sum(members) < ts.size / 10
         if name == "asymmetric_bump":
             assert sum(members) <= 64, members
