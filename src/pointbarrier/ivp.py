@@ -3,8 +3,8 @@
 Everything downstream (shooting, spectra, scattering) reduces to carrying
 real Cauchy data (u, u') across an interval.  The engine propagates whole
 *families* of coefficients ``q_i(x) = c(x) + m_i * w(x)`` at once
-(vectorized over the family index) along a chain of segments, and picks
-one of two transports per segment:
+(vectorized over the family index) along a chain of segments, on one
+transport in two forms:
 
 * a sixth-order Magnus transport when ``w`` is a constant (zero
   included): the members differ by a constant shift, as in every
@@ -21,19 +21,13 @@ one of two transports per segment:
   call stack on the member axis, padded with identity steps, each with
   its own weight row: one pass exponentiates them and chains the 2x2
   matrices with one pairwise product tree, the interval axis innermost;
-* the same Magnus transport when ``w`` is callable and the call counts
-  zeros or records samples, as in the counted coupling families ``alpha *
-  profile`` of a resonance scan and the sampled resonance eigenfunctions:
-  each member runs on the mesh of its weight bucket
+* the same Magnus transport when ``w`` is callable, as in the coupling
+  families ``alpha * profile`` of a resonance scan and the sampled
+  resonance eigenfunctions: each member runs on the mesh of its weight bucket
   2^ceil(log2 max(|m|, 1)), built once per (segment, config, bucket) for
   the weights up to +-bucket and cached with c and w at the Gauss nodes,
   one pass per bucket, so a member's results depend on its own weight
-  and the chains alone;
-* an embedded Dormand-Prince 5(4) adaptive Runge-Kutta pair on the
-  first-order system when ``w`` is callable and the call neither counts
-  zeros nor records samples, as in the endpoint shots that refine and
-  confirm a resonance, with mandatory step boundaries at the segment ends
-  (piecewise coefficients lose no order).
+  and the chains alone.
 
 States carry an accumulated log-scale so that strongly exponential regimes
 never overflow; determinant signs are unaffected because the scales are
@@ -65,17 +59,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerance of the Magnus mesh and the Runge-Kutta pair.
+    """Tolerance of the Magnus mesh.
 
     ``rel_tol`` bounds the one-step vs two-half-step defect of every mesh
-    interval and the local error of every RK step relative to the state
-    (with the absolute floor ``_RK_ABS_TOL``).  The tolerance alone sizes
-    the mesh of a constant w, the tolerance and the weight bucket that of
-    a callable w; the RK steps, which carry the uncounted, unsampled
-    families of a callable w, are capped at 1e-2 times the span of the
-    chain.
-    A mesh interval or RK step shorter than ``_MIN_STEP`` times its span
-    (of the segment, for a mesh) raises ``StepSizeUnderflowError``.
+    interval.  The tolerance alone sizes the mesh of a constant w, the
+    tolerance and the weight bucket that of a callable w.  A mesh interval
+    shorter than ``_MIN_STEP`` times its segment raises
+    ``StepSizeUnderflowError``.
     """
 
     rel_tol: float = 1e-10
@@ -97,10 +87,9 @@ class FamilySegment:
     (constant on the segment) or a callable of ``x``.  A float ``w_part``
     (zero included) puts the segment on the Magnus mesh, where a float
     ``c_part`` takes one exact step.  A callable ``w_part`` puts it on one
-    Magnus mesh per weight bucket when the call counts zeros or records
-    samples, and on the Runge-Kutta pair when it does neither.  Meshes are
-    cached by value; ``mesh_end`` (None: ``b``), at or beyond ``b``, ends
-    the meshed span: the segment runs on the mesh of [a, mesh_end] cut at b.
+    Magnus mesh per weight bucket.  Meshes are cached by value;
+    ``mesh_end`` (None: ``b``), at or beyond ``b``, ends the meshed span:
+    the segment runs on the mesh of [a, mesh_end] cut at b.
     """
 
     a: float
@@ -130,183 +119,6 @@ class FamilyResult:
     zero_counts: np.ndarray | None = None
 
 
-# -- Dormand-Prince 5(4) tableau ---------------------------------------------
-
-_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_DP_B4 = (
-    5179.0 / 57600.0,
-    0.0,
-    7571.0 / 16695.0,
-    393.0 / 640.0,
-    -92097.0 / 339200.0,
-    187.0 / 2100.0,
-    1.0 / 40.0,
-)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-_DP_A_ROWS = tuple(np.array(row) for row in _DP_A)  # the tableau as the vector path reads it
-_DP_B5_ROW = np.array(_DP_B5[:6])
-_DP_E_ROW = np.array(_DP_E)
-_RK_ABS_TOL = 1e-12  # absolute floor of the RK error test
-_RK_MAX_STEP = 1e-2  # RK step cap, relative to the span of the chain
-_MIN_STEP = 1e-14  # underflow floor of a step or mesh interval, relative to its span
-
-
-# -- adaptive RK on a family ---------------------------------------------------
-
-def _rk_span_scalar(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
-    """Advance the single column of Y in place from x0 to x1 (a span with
-    no interior breaks), in plain Python scalars."""
-    rtol, atol = cfg.rel_tol, _RK_ABS_TOL
-    direction = 1.0 if x1 > x0 else -1.0
-    u = Y[0, 0].item()
-    v = Y[1, 0].item()
-    q = qv  # float-valued closure supplied by _Shot.rk for a one-member lane
-
-    (a21,) = _DP_A[1]
-    a31, a32 = _DP_A[2]
-    a41, a42, a43 = _DP_A[3]
-    a51, a52, a53, a54 = _DP_A[4]
-    a61, a62, a63, a64, a65 = _DP_A[5]
-    b1, _, b3, b4, b5, b6 = _DP_A[6]
-    e1, _, e3, e4, e5, e6, e7 = _DP_E
-    c2, c3, c4, c5, c6 = _DP_C[1:6]
-
-    x = x0
-    ku1 = v
-    kv1 = q(x) * u
-    qmag = abs(q(x0))
-    span = abs(x1 - x0)
-    h = direction * min(hmax, span, 0.5 / (math.sqrt(qmag) + 1.0 / span))
-
-    while (x1 - x) * direction > 1e-15 * max(1.0, abs(x1)):
-        clip = abs(h) > abs(x1 - x)
-        hh = x1 - x if clip else h
-        # unrolled Dormand-Prince stages for the linear system
-        su = u + hh * (a21 * ku1)
-        sv = v + hh * (a21 * kv1)
-        xs = x + c2 * hh
-        ku2 = sv
-        kv2 = q(xs) * su
-        su = u + hh * (a31 * ku1 + a32 * ku2)
-        sv = v + hh * (a31 * kv1 + a32 * kv2)
-        xs = x + c3 * hh
-        ku3 = sv
-        kv3 = q(xs) * su
-        su = u + hh * (a41 * ku1 + a42 * ku2 + a43 * ku3)
-        sv = v + hh * (a41 * kv1 + a42 * kv2 + a43 * kv3)
-        xs = x + c4 * hh
-        ku4 = sv
-        kv4 = q(xs) * su
-        su = u + hh * (a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4)
-        sv = v + hh * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
-        xs = x + c5 * hh
-        ku5 = sv
-        kv5 = q(xs) * su
-        su = u + hh * (a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5)
-        sv = v + hh * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
-        xs = x + c6 * hh
-        ku6 = sv
-        kv6 = q(xs) * su
-        u5 = u + hh * (b1 * ku1 + b3 * ku3 + b4 * ku4 + b5 * ku5 + b6 * ku6)
-        v5 = v + hh * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
-        xe = x + hh
-        ku7 = v5
-        kv7 = q(xe) * u5
-
-        eu = hh * (e1 * ku1 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * ku7)
-        ev = hh * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
-        den_u = atol + rtol * max(abs(u), abs(u5))
-        den_v = atol + rtol * max(abs(v), abs(v5))
-        err = max(abs(eu) / den_u, abs(ev) / den_v)
-        if err <= 1.0:
-            x = xe
-            u, v = u5, v5
-            ku1, kv1 = ku7, kv7
-            fac = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
-            if not clip:
-                h *= max(0.2, fac)
-                if abs(h) > hmax:
-                    h = direction * hmax
-        else:
-            if not math.isfinite(err):
-                h = hh * 0.1
-            else:
-                h = hh * max(0.1, 0.9 * err**-0.2)
-            if abs(h) < hmin:
-                raise StepSizeUnderflowError(x)
-    Y[0, 0] = u
-    Y[1, 0] = v
-
-
-def _rk_span_vector(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
-    """Advance Y in place from x0 to x1 (a span with no interior breaks):
-    flat (2n,) states, stage combinations via BLAS matvec, every array of
-    the step loop allocated once per call."""
-    rtol, atol = cfg.rel_tol, _RK_ABS_TOL
-    direction = 1.0 if x1 > x0 else -1.0
-    n = Y.shape[1]
-    y = Y.reshape(-1).copy()  # [u_0..u_{n-1}, v_0..v_{n-1}]
-    y5, comb, stage, err, scale = (np.empty_like(y) for _ in range(5))
-    K = np.empty((7, 2 * n))
-
-    def eval_rhs(x: float, state: np.ndarray, out: np.ndarray) -> None:
-        out[:n] = state[n:]
-        np.multiply(qv(x), state[:n], out=out[n:])
-
-    x = x0
-    eval_rhs(x, y, K[0])
-    qmag = float(np.max(np.abs(qv(x))))
-    span = abs(x1 - x0)
-    h = direction * min(hmax, span, 0.5 / (math.sqrt(qmag) + 1.0 / span))
-
-    while (x1 - x) * direction > 1e-15 * max(1.0, abs(x1)):
-        clip = abs(h) > abs(x1 - x)
-        hh = x1 - x if clip else h
-        for i in range(1, 7):
-            np.matmul(_DP_A_ROWS[i], K[:i], out=comb)
-            np.multiply(hh, comb, out=stage)
-            stage += y
-            eval_rhs(x + _DP_C[i] * hh, stage, K[i])
-        np.matmul(_DP_B5_ROW, K[:6], out=comb)
-        np.multiply(hh, comb, out=y5)
-        y5 += y
-        np.matmul(_DP_E_ROW, K, out=err)
-        np.abs(y, out=scale)
-        np.maximum(scale, np.abs(y5, out=comb), out=scale)
-        scale *= rtol
-        scale += atol
-        np.abs(err, out=err)
-        err /= scale
-        err_norm = abs(hh) * float(err.max())
-        if not math.isfinite(err_norm):
-            err_norm = math.inf
-        if err_norm <= 1.0:
-            x += hh
-            y, y5 = y5, y
-            K[0] = K[6]
-            fac = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
-            if not clip:
-                h *= max(0.2, fac)
-                if abs(h) > hmax:
-                    h = direction * hmax
-        else:
-            h = hh * (max(0.1, 0.9 * err_norm**-0.2) if math.isfinite(err_norm) else 0.1)
-            if abs(h) < hmin:
-                raise StepSizeUnderflowError(x)
-    Y[0] = y[:n]
-    Y[1] = y[n:]
-
-
 # -- sixth-order Magnus transport on a cached mesh ------------------------------
 
 _GAUSS = math.sqrt(15.0) / 10.0  # Gauss nodes sit at 1/2 - _GAUSS, 1/2, 1/2 + _GAUSS
@@ -314,6 +126,7 @@ _GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 _VARIATION_CAP = 0.5  # bound on h^2 times the spread of q over an interval's nodes (zero counts)
 _MAX_SPLIT = 8  # most pieces a rejected interval is cut into per refinement pass
 _ROUNDING_FLOOR = 1e-14  # local tolerances below this only chase rounding noise
+_MIN_STEP = 1e-14  # underflow floor of a mesh interval, relative to its segment
 _MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as underflow
 _WORK_CAP = 1 << 13  # intervals (or samples) x members x chains handled per transport pass
 _CACHE_FLOATS = 1 << 16  # mesh cache budget in stored floats (512 kB)
@@ -530,11 +343,11 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None
     """Refine a uniform mesh of ``seg`` until every interval passes.
 
     An interval passes when its one-step vs two-half-step defect is at most
-    ``rel_tol`` (the per-step test of the adaptive RK) and the member
+    ``rel_tol`` (an adaptive integrator's per-step test) and the member
     coefficient spreads by at most ``_VARIATION_CAP / h^2`` over its Gauss
     nodes; the mesh keeps its two halves, whose error is about a
-    sixty-fourth of the defect (the analogue of the RK's local
-    extrapolation).  For a constant w (``bucket`` None) the defect is
+    sixty-fourth of the defect (the analogue of an adaptive integrator's
+    local extrapolation).  For a constant w (``bucket`` None) the defect is
     taken for the members whose coefficient is ``c``, ``c - min c`` and
     ``c - max c``: the ends of the range where the segment's bound states
     live, as seen at the nodes of the first pass.  For a callable w it is
@@ -797,14 +610,10 @@ class _Shot:
 
     def pieces(self) -> list:
         """(route, first, stop) of each run of segments on one transport: the
-        mesh of a constant w (False), the bucket meshes of a callable w on a
-        counted or sampled shot (True), or the Runge-Kutta pair (None, one
-        segment)."""
-        meshed = self.counts is not None or self.rows is not None
-        routes = [callable(seg.w_part) if meshed or not callable(seg.w_part) else None
-                  for seg in self.chain]
-        cuts = [i for i in range(1, len(routes))
-                if routes[i] is None or routes[i] is not routes[i - 1]]
+        mesh of a constant w (False) or the bucket meshes of a callable w
+        (True)."""
+        routes = [callable(seg.w_part) for seg in self.chain]
+        cuts = [i for i in range(1, len(routes)) if routes[i] is not routes[i - 1]]
         return [(routes[a], a, b) for a, b in zip([0, *cuts], [*cuts, len(routes)])]
 
     def lane(self, first: int, stop: int, cfg: SolverConfig, bucket: int | None):
@@ -822,27 +631,6 @@ class _Shot:
         plan = plans[0] if len(plans) == 1 else [np.concatenate(p, axis=-1) for p in zip(*plans)]
         rows = slice(self.rows[first].start, self.rows[stop - 1].stop)
         return self, steps, (*plan, rows) if plan[0].size else None
-
-    def rk(self, i: int, cfg: SolverConfig) -> None:
-        """Carry the family across segment i on the Runge-Kutta pair, from
-        true-scale states."""
-        seg, Y, m = self.chain[i], self.Y, self.m
-        Y *= np.exp(self.logs)  # the RK's absolute tolerance reads true states
-        self.logs[:] = 0.0
-        span = abs(self.chain[-1].b - self.chain[0].a)
-        cp, wp = seg.c_part, seg.w_part
-        c0 = None if callable(cp) else float(cp)
-        # tiny families run faster member-by-member on the scalar fast path
-        lanes = [slice(j, j + 1) for j in range(m.size)] if 1 < m.size <= 6 else [slice(0, m.size)]
-        for lane in lanes:
-            Yl = Y[:, lane]
-            ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
-            if c0 is None:
-                qv = lambda x, ml=ml: cp(x) + ml * wp(x)
-            else:
-                qv = lambda x, ml=ml: c0 + ml * wp(x)
-            path = _rk_span_scalar if Yl.shape[1] == 1 else _rk_span_vector
-            path(qv, seg.a, seg.b, Yl, cfg, _RK_MAX_STEP * span, _MIN_STEP * span)
 
 
 def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
@@ -887,15 +675,25 @@ def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
                 shot.rec_logs[rows, c] = (sl[r][:, idx] + pl).T
 
 
+def _check_finite(chain, m: np.ndarray, results: list) -> None:
+    """Raise ``NumericsError`` unless each of ``results`` (None: absent),
+    the outcome of carrying the weights ``m`` along ``chain``, is finite."""
+    if not all(np.isfinite(r).all() for r in results if r is not None):
+        raise NumericsError(  # + 0.0: the end of a negative side reads 0, not -0
+            f"the propagation over [{chain[0].a:.10g}, {chain[-1].b:.10g}] of "
+            f"weights {m.min() + 0.0:.10g} to {m.max() + 0.0:.10g} leaves "
+            "the range of a double")
+
+
 def propagate_chains(chains: Sequence[Sequence[FamilySegment]], m, init,
                      cfg: SolverConfig | None = None, *, rescale: bool = False, samples=None,
                      count_zeros: bool = False) -> list[FamilyResult]:
     """``propagate_family`` of one family on each of ``chains``, which may
     differ in span and direction, with ``samples`` None or one sequence per
     chain, and ``m`` one weight row for every chain or, with a constant w
-    throughout, one per chain.  Their meshed segments run in one pass (per
-    weight bucket), whose padding moves a chain's results against a call
-    of its own by rounding only."""
+    throughout, one per chain.  Their segments run in one pass (per weight
+    bucket), whose padding moves a chain's results against a call of its
+    own by rounding only."""
     cfg = cfg or DEFAULT_CONFIG
     m = np.atleast_1d(np.asarray(m, dtype=float))
     if m.ndim > 1 and (m.shape[:-1] != (len(chains),)
@@ -918,9 +716,7 @@ def propagate_chains(chains: Sequence[Sequence[FamilySegment]], m, init,
         for pieces in zip_longest(*(shot.pieces() for shot in shots)):
             runs = {}
             for shot, piece in zip(shots, pieces):
-                if piece is not None and piece[0] is None:
-                    shot.rk(piece[1], cfg)
-                elif piece is not None:
+                if piece is not None:
                     runs.setdefault(piece[0], []).append((shot, piece[1], piece[2]))
             for route, run in runs.items():
                 for bucket, cols in _buckets(m) if route else [(None, np.arange(n))]:
@@ -933,12 +729,8 @@ def propagate_chains(chains: Sequence[Sequence[FamilySegment]], m, init,
                 if shot.rec_states is not None:
                     shot.rec_states *= np.exp(shot.rec_logs)[:, None, :]
                     shot.rec_logs[:] = 0.0
-            results = [shot.Y, shot.logs, shot.rec_states, shot.rec_logs]
-            if not all(np.isfinite(r).all() for r in results if r is not None):
-                raise NumericsError(  # + 0.0: the end of a negative side reads 0, not -0
-                    f"the propagation over [{shot.chain[0].a:.10g}, {shot.chain[-1].b:.10g}] of "
-                    f"weights {shot.m.min() + 0.0:.10g} to {shot.m.max() + 0.0:.10g} leaves "
-                    "the range of a double")
+            _check_finite(shot.chain, shot.m,
+                          [shot.Y, shot.logs, shot.rec_states, shot.rec_logs])
     return [FamilyResult(shot.Y, shot.logs, shot.rec_states, shot.rec_logs, shot.counts)
             for shot in shots]
 
@@ -954,11 +746,9 @@ def propagate_family(segments: Sequence[FamilySegment], m, init,
     ``ValueError``.  Consecutive segments must join; they may run in
     either direction, consistently.  ``samples`` requests state records
     at given x locations (visited in path order).  ``rescale`` keeps the
-    log scales of the Magnus segments; a Runge-Kutta segment starts from
-    true-scale states and adds no scale.  ``count_zeros`` counts the
-    interior zeros of u per member.  A call that counts zeros or records
-    samples puts every segment on a Magnus mesh (``FamilySegment``).  A
-    returned state, log or sample that is not finite, or a zero count that
+    log scales.  ``count_zeros`` counts the interior zeros of u per member.
+    Every segment runs on a Magnus mesh (``FamilySegment``).  A returned
+    state, log or sample that is not finite, or a zero count that
     a double cannot hold exactly, raises ``NumericsError``; numpy warns of
     nothing inside.  The one-chain case of ``propagate_chains``.
     """

@@ -1,11 +1,11 @@
 """Piecewise-polynomial barrier profiles supported on [-1, 1].
 
 A profile is the fixed shape of the squeezed potential
-``alpha * eps**-2 * profile(x / eps)``.  Profiles are represented as an
-ordered list of polynomial segments whose intervals partition [-1, 1]
-exactly; evaluation outside [-1, 1] is identically zero.  The piecewise
-polynomial representation keeps moments exact (no quadrature) and lets
-the propagator take one exact step over each constant segment.
+``alpha * eps**-2 * profile(x / eps)``, which vanishes outside [-1, 1].
+Profiles are represented as an ordered list of polynomial segments whose
+intervals partition [-1, 1] exactly, each evaluated on its own.  The
+piecewise polynomial representation keeps moments exact (no quadrature)
+and lets the propagator take one exact step over each constant segment.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ _MAX_ABS_SAMPLES = 257  # samples per non-constant segment in ``Profile.max_abs`
 
 @dataclass(frozen=True)
 class Segment:
-    """One polynomial piece: coefficients in ascending degree on [a, b]."""
+    """One polynomial piece: coefficients in ascending degree on [a, b],
+    evaluated by Horner's rule (also on arrays)."""
 
     a: float
     b: float
@@ -53,9 +54,6 @@ class Profile:
     * segment intervals are a gapless, overlap-free partition of [-1, 1];
     * every segment interval has positive length;
     * every breakpoint and coefficient is finite.
-
-    Values at internal breakpoints take the right-hand segment
-    (right-continuous tie-break); the value at +1 takes the last segment.
     """
 
     segments: tuple[Segment, ...]
@@ -81,11 +79,6 @@ class Profile:
                 raise ProfileFormatError(
                     f"segments ({left.a},{left.b}) and ({right.a},{right.b}) do not meet"
                 )
-
-    # -- evaluation ---------------------------------------------------------
-
-    def __call__(self, xi: float) -> float:
-        return evaluate(self, xi)
 
     @cached_property
     def max_abs(self) -> float:
@@ -127,22 +120,6 @@ class ProfileClass:
     m0: float
     m1: float
     c: float | None = field(default=None)
-
-
-def evaluate(p: Profile, xi: float) -> float:
-    """Value of the profile at ``xi``; exactly 0 outside [-1, 1].
-
-    Internal breakpoints resolve to the right-hand segment.
-    """
-    if xi < -1.0 or xi > 1.0:
-        return 0.0
-    if xi >= p.segments[-1].a:
-        return p.segments[-1](xi)
-    # linear scan is fine: profiles have a handful of segments
-    for seg in p.segments:
-        if seg.a <= xi < seg.b:
-            return seg(xi)
-    return p.segments[0](xi)
 
 
 def moment(p: Profile, k: int) -> float:

@@ -26,11 +26,14 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .errors import BracketShortfallError, NotInResonanceSetError, NumericsError
-from .ivp import DEFAULT_CONFIG, FamilyResult, FamilySegment, SolverConfig, propagate_family
+from .errors import (BracketShortfallError, NotInResonanceSetError, NumericsError,
+                     StepSizeUnderflowError)
+from .ivp import (DEFAULT_CONFIG, FamilyResult, FamilySegment, SolverConfig, _check_finite,
+                  propagate_family)
 from .profiles import Profile, ProfileKind, classify
 from .rootfind import illinois_vector, resolve_cells, sign_change
 from .spectra import _matching, _Problem
@@ -81,22 +84,35 @@ def _alpha_segments(p: Profile) -> list[FamilySegment]:
 
 def shoot_family(p: Profile, alphas, cfg: SolverConfig | None = None) -> FamilyResult:
     """Left-Neumann shots, w(-1) = 1 and w'(-1) = 0, for a whole vector of
-    coupling constants at once."""
-    return propagate_family(
-        _alpha_segments(p),
-        np.asarray(alphas, dtype=float),
-        np.array([1.0, 0.0]),
-        cfg or DEFAULT_CONFIG,
-    )
+    coupling constants at once, at true scale.
+
+    Each run of constant profile segments is one ``propagate_family`` call
+    (one exact step per segment); each polynomial segment runs on the
+    Dormand-Prince pair (``_rk_segment``), which carries these unsampled,
+    uncounted endpoint shots alone.  A state that leaves the range of a
+    double raises ``NumericsError``, as in ``propagate_family``."""
+    cfg = cfg or DEFAULT_CONFIG
+    m = np.atleast_1d(np.asarray(alphas, dtype=float))
+    segs = _alpha_segments(p)
+    Y = np.repeat([[1.0], [0.0]], m.size, axis=1)
+    with np.errstate(all="ignore"):  # a non-finite state raises below
+        for constant, run in groupby(segs, lambda seg: not callable(seg.w_part)):
+            if not constant:
+                for seg in run:
+                    _rk_segment(seg, m, Y, cfg, abs(segs[-1].b - segs[0].a))
+                continue
+            _check_finite(segs, m, [Y])  # propagate_family starts from finite states only
+            res = propagate_family(list(run), m, Y, cfg, rescale=True)
+            Y = res.states * np.exp(res.logs)
+    _check_finite(segs, m, [Y])
+    return FamilyResult(Y, np.zeros(m.size))
 
 
 def shoot(p: Profile, alpha: float, cfg: SolverConfig | None = None) -> tuple[float, float]:
     """Endpoint data (w(1), w'(1)) of the shot with w(-1) = 1, w'(-1) = 0.
 
-    ``w'(1)`` is the resonance miss function D(alpha).  Piecewise-constant
-    profile segments take one exact constant-coefficient step; the others
-    run on the Runge-Kutta pair, which carries only such endpoint shots
-    (unsampled and uncounted).
+    ``w'(1)`` is the resonance miss function D(alpha), shot by
+    ``shoot_family``.
     """
     res = shoot_family(p, [alpha], cfg)
     return float(res.states[0, 0]), float(res.states[1, 0])
@@ -318,3 +334,193 @@ def coupling_theta(
             f"alpha={alpha_resonant} is not in the resonance set of {p.label!r}: {why}")
     return pt
 
+
+# -- the Dormand-Prince 5(4) pair of the endpoint shots ----------------------------
+
+_DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
+_DP_A = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+)
+_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
+_DP_B4 = (
+    5179.0 / 57600.0,
+    0.0,
+    7571.0 / 16695.0,
+    393.0 / 640.0,
+    -92097.0 / 339200.0,
+    187.0 / 2100.0,
+    1.0 / 40.0,
+)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+_DP_A_ROWS = tuple(np.array(row) for row in _DP_A)  # the tableau as the vector path reads it
+_DP_B5_ROW = np.array(_DP_B5[:6])
+_DP_E_ROW = np.array(_DP_E)
+_RK_ABS_TOL = 1e-12  # absolute floor of the RK error test
+_RK_MAX_STEP = 1e-2  # RK step cap, relative to the span of the profile
+_RK_MIN_STEP = 1e-14  # RK underflow floor, relative to the span of the profile
+
+
+def _rk_segment(seg: FamilySegment, m: np.ndarray, Y: np.ndarray, cfg: SolverConfig,
+                span: float) -> None:
+    """Carry the true-scale states ``Y`` (2, n) of the couplings ``m`` in
+    place across ``seg``, where q = 0 + m w(x), with steps capped at
+    ``_RK_MAX_STEP`` and floored at ``_RK_MIN_STEP`` times ``span``."""
+    wp = seg.w_part
+    # tiny families run faster member-by-member on the scalar fast path
+    lanes = [slice(j, j + 1) for j in range(m.size)] if 1 < m.size <= 6 else [slice(0, m.size)]
+    for lane in lanes:
+        Yl = Y[:, lane]
+        ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
+        qv = lambda x, ml=ml: 0.0 + ml * wp(x)
+        path = _rk_span_scalar if Yl.shape[1] == 1 else _rk_span_vector
+        path(qv, seg.a, seg.b, Yl, cfg, _RK_MAX_STEP * span, _RK_MIN_STEP * span)
+
+
+def _rk_span_scalar(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
+    """Advance the single column of Y in place from x0 to x1 (a span with
+    no interior breaks), in plain Python scalars."""
+    rtol, atol = cfg.rel_tol, _RK_ABS_TOL
+    direction = 1.0 if x1 > x0 else -1.0
+    u = Y[0, 0].item()
+    v = Y[1, 0].item()
+    q = qv  # float-valued closure supplied by _rk_segment for a one-member lane
+
+    (a21,) = _DP_A[1]
+    a31, a32 = _DP_A[2]
+    a41, a42, a43 = _DP_A[3]
+    a51, a52, a53, a54 = _DP_A[4]
+    a61, a62, a63, a64, a65 = _DP_A[5]
+    b1, _, b3, b4, b5, b6 = _DP_A[6]
+    e1, _, e3, e4, e5, e6, e7 = _DP_E
+    c2, c3, c4, c5, c6 = _DP_C[1:6]
+
+    x = x0
+    ku1 = v
+    kv1 = q(x) * u
+    qmag = abs(q(x0))
+    span = abs(x1 - x0)
+    h = direction * min(hmax, span, 0.5 / (math.sqrt(qmag) + 1.0 / span))
+
+    while (x1 - x) * direction > 1e-15 * max(1.0, abs(x1)):
+        clip = abs(h) > abs(x1 - x)
+        hh = x1 - x if clip else h
+        # unrolled Dormand-Prince stages for the linear system
+        su = u + hh * (a21 * ku1)
+        sv = v + hh * (a21 * kv1)
+        xs = x + c2 * hh
+        ku2 = sv
+        kv2 = q(xs) * su
+        su = u + hh * (a31 * ku1 + a32 * ku2)
+        sv = v + hh * (a31 * kv1 + a32 * kv2)
+        xs = x + c3 * hh
+        ku3 = sv
+        kv3 = q(xs) * su
+        su = u + hh * (a41 * ku1 + a42 * ku2 + a43 * ku3)
+        sv = v + hh * (a41 * kv1 + a42 * kv2 + a43 * kv3)
+        xs = x + c4 * hh
+        ku4 = sv
+        kv4 = q(xs) * su
+        su = u + hh * (a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4)
+        sv = v + hh * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
+        xs = x + c5 * hh
+        ku5 = sv
+        kv5 = q(xs) * su
+        su = u + hh * (a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5)
+        sv = v + hh * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
+        xs = x + c6 * hh
+        ku6 = sv
+        kv6 = q(xs) * su
+        u5 = u + hh * (b1 * ku1 + b3 * ku3 + b4 * ku4 + b5 * ku5 + b6 * ku6)
+        v5 = v + hh * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
+        xe = x + hh
+        ku7 = v5
+        kv7 = q(xe) * u5
+
+        eu = hh * (e1 * ku1 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * ku7)
+        ev = hh * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
+        den_u = atol + rtol * max(abs(u), abs(u5))
+        den_v = atol + rtol * max(abs(v), abs(v5))
+        err = max(abs(eu) / den_u, abs(ev) / den_v)
+        if err <= 1.0:
+            x = xe
+            u, v = u5, v5
+            ku1, kv1 = ku7, kv7
+            fac = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
+            if not clip:
+                h *= max(0.2, fac)
+                if abs(h) > hmax:
+                    h = direction * hmax
+        else:
+            if not math.isfinite(err):
+                h = hh * 0.1
+            else:
+                h = hh * max(0.1, 0.9 * err**-0.2)
+            if abs(h) < hmin:
+                raise StepSizeUnderflowError(x)
+    Y[0, 0] = u
+    Y[1, 0] = v
+
+
+def _rk_span_vector(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
+    """Advance Y in place from x0 to x1 (a span with no interior breaks):
+    flat (2n,) states, stage combinations via BLAS matvec, every array of
+    the step loop allocated once per call."""
+    rtol, atol = cfg.rel_tol, _RK_ABS_TOL
+    direction = 1.0 if x1 > x0 else -1.0
+    n = Y.shape[1]
+    y = Y.reshape(-1).copy()  # [u_0..u_{n-1}, v_0..v_{n-1}]
+    y5, comb, stage, err, scale = (np.empty_like(y) for _ in range(5))
+    K = np.empty((7, 2 * n))
+
+    def eval_rhs(x: float, state: np.ndarray, out: np.ndarray) -> None:
+        out[:n] = state[n:]
+        np.multiply(qv(x), state[:n], out=out[n:])
+
+    x = x0
+    eval_rhs(x, y, K[0])
+    qmag = float(np.max(np.abs(qv(x))))
+    span = abs(x1 - x0)
+    h = direction * min(hmax, span, 0.5 / (math.sqrt(qmag) + 1.0 / span))
+
+    while (x1 - x) * direction > 1e-15 * max(1.0, abs(x1)):
+        clip = abs(h) > abs(x1 - x)
+        hh = x1 - x if clip else h
+        for i in range(1, 7):
+            np.matmul(_DP_A_ROWS[i], K[:i], out=comb)
+            np.multiply(hh, comb, out=stage)
+            stage += y
+            eval_rhs(x + _DP_C[i] * hh, stage, K[i])
+        np.matmul(_DP_B5_ROW, K[:6], out=comb)
+        np.multiply(hh, comb, out=y5)
+        y5 += y
+        np.matmul(_DP_E_ROW, K, out=err)
+        np.abs(y, out=scale)
+        np.maximum(scale, np.abs(y5, out=comb), out=scale)
+        scale *= rtol
+        scale += atol
+        np.abs(err, out=err)
+        err /= scale
+        err_norm = abs(hh) * float(err.max())
+        if not math.isfinite(err_norm):
+            err_norm = math.inf
+        if err_norm <= 1.0:
+            x += hh
+            y, y5 = y5, y
+            K[0] = K[6]
+            fac = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
+            if not clip:
+                h *= max(0.2, fac)
+                if abs(h) > hmax:
+                    h = direction * hmax
+        else:
+            h = hh * (max(0.1, 0.9 * err_norm**-0.2) if math.isfinite(err_norm) else 0.1)
+            if abs(h) < hmin:
+                raise StepSizeUnderflowError(x)
+    Y[0] = y[:n]
+    Y[1] = y[n:]

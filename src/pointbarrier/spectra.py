@@ -79,7 +79,7 @@ class ThetaCoupled:
     """v(+0) = theta v(-0) and theta v'(+0) = v'(-0), theta != 0.
 
     Equivalent to ``ConnectedMatrix`` with diag(theta, 1/theta) and zero
-    phase.
+    phase; both diagonal entries must be finite.
     """
 
     theta: float
@@ -87,6 +87,8 @@ class ThetaCoupled:
     def __post_init__(self):
         if self.theta == 0.0:
             raise ValueError("theta must be nonzero")
+        if not abs(self.theta) + abs(1.0 / self.theta) < math.inf:  # NaN fails too
+            raise ValueError(f"theta and 1/theta must be finite, got theta = {self.theta!r}")
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.theta, 0.0], [0.0, 1.0 / self.theta]])
@@ -109,7 +111,7 @@ class ConnectedMatrix:
 
     def __post_init__(self):
         det = self.c11 * self.c22 - self.c12 * self.c21
-        if abs(det - 1.0) > 1e-12:
+        if not abs(det - 1.0) <= 1e-12:  # NaN fails too, as does any non-finite entry
             raise ValueError(f"interface matrix determinant must be 1, got {det}")
         if not -math.pi / 2 <= self.phi <= math.pi / 2:
             raise ValueError("phi must lie in [-pi/2, pi/2]")
@@ -128,6 +130,8 @@ class Separated:
     h2p: float
 
     def __post_init__(self):
+        if not all(math.isfinite(h) for h in (self.h1m, self.h2m, self.h1p, self.h2p)):
+            raise ValueError("projective pairs must be finite")
         if self.h1m == self.h2m == 0.0 or self.h1p == self.h2p == 0.0:
             raise ValueError("each projective pair must be nonzero")
 
@@ -149,32 +153,22 @@ class ConfiningPotential:
     label: str = "potential"
 
     def __post_init__(self):
-        if self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
+        if not 0.0 < self.truncation_radius < math.inf:  # NaN fails too
+            raise ValueError("truncation_radius must be positive and finite")
 
     def wall_floor(self) -> float:
         R = self.truncation_radius
         return min(self.U(-R), self.U(R))
 
 
-@dataclass(frozen=True)
-class _Polynomial:
-    """sum(coeffs[j] x^j) by Horner's rule, also on arrays.  A value, not a
+def polynomial_potential(coeffs: Sequence[float], radius: float,
+                         label: str | None = None) -> ConfiningPotential:
+    """Confining potential sum(c_j x^j) on [-radius, radius], evaluated by
+    Horner's rule (``profiles.Segment``, also on arrays).  A value, not a
     closure: potentials parsed by different calls share their meshes."""
-
-    coeffs: tuple[float, ...]
-
-    def __call__(self, x):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def polynomial_potential(coeffs: Sequence[float], radius: float, label: str | None = None) -> ConfiningPotential:
-    """Confining potential sum(c_j x^j) on [-radius, radius]."""
     cs = tuple(float(c) for c in coeffs)
-    return ConfiningPotential(_Polynomial(cs), radius, label or ("poly:" + ",".join(map(repr, cs))))
+    return ConfiningPotential(Segment(-radius, radius, cs), radius,
+                              label or ("poly:" + ",".join(map(repr, cs))))
 
 
 def _rounding_gap(lam):
@@ -213,7 +207,7 @@ class Spectrum:
 # -- matching Wronskians -------------------------------------------------------
 
 def _norm2(Y: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.abs(Y[0]) ** 2 + np.abs(Y[1]) ** 2)
+    return np.hypot(Y[0], Y[1])
 
 
 def _wall_chain(U: ConfiningPotential, wall: float, target: float) -> list[FamilySegment]:

@@ -493,16 +493,27 @@ def transmission_limit(theta: float) -> float:
     return 4.0 * t2 / (1.0 + t2) ** 2
 
 
-# -- first-order eigenvalue correction -----------------------------------------
+# -- profile values ------------------------------------------------------------
+
+def evaluate(p: Profile, xi: float) -> float:
+    """Value of the profile ``p`` at ``xi``: exactly 0 outside [-1, 1], an
+    internal breakpoint on its right-hand segment, +1 on the last one."""
+    if xi < -1.0 or xi > 1.0:
+        return 0.0
+    return next((seg for seg in p.segments if xi < seg.b), p.segments[-1])(xi)
+
 
 def reflect(p: Profile) -> Profile:
-    """Profile mirrored through the origin: ``reflect(p)(xi) == p(-xi)``."""
+    """Profile mirrored through the origin: ``evaluate(reflect(p), xi) ==
+    evaluate(p, -xi)``."""
     segs = []
     for seg in reversed(p.segments):
         coeffs = tuple(c * (-1.0) ** j for j, c in enumerate(seg.coeffs))
         segs.append(Segment(-seg.b, -seg.a, coeffs))
     return Profile(tuple(segs), label=p.label + "_reflected")
 
+
+# -- first-order eigenvalue correction -----------------------------------------
 
 class BoundaryTrace(NamedTuple):
     """One-sided boundary data (v, v') at the origin of a normalized

@@ -659,6 +659,8 @@ _PARSE_REJECTS = [
      "--bc", "separated:nan,1,0,1"],
     ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
      "--bc", "matrix:1,0,0,inf"],
+    ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+     "--bc", "theta:1e-320"],  # 1/theta is inf
     ["converge", "--profile", "step", "--potential", "poly:0,inf,1", "--radius", "7",
      "--alpha", "1", "--eps-ladder", "0.2,0.1"],
     ["interval", "--profile", "step", "--a", "-1", "--b", "inf", "--alpha", "1",

@@ -187,12 +187,10 @@ def test_family_rescaling_tracks_logs():
 
 
 @pytest.mark.parametrize("n", [1, 3, 9])
-def test_rescaled_runge_kutta_segments_keep_the_true_scale(n):
-    # a Runge-Kutta segment starts from true-scale states and adds no
-    # scale, so rescale=True hands back the states of rescale=False times
-    # the log scales of the Magnus segments after it; on the scalar path,
-    # the one-member lanes and the vector path.  Counted, the callable w
-    # runs on the bucket meshes, which keep their scales alike
+def test_rescaled_bucket_mesh_segments_keep_the_true_scale(n):
+    # a callable-w segment runs on its bucket meshes, counted or not, and
+    # keeps its log scales as the other meshes do, so rescale=True hands
+    # back the states of rescale=False times the log scales
     chain = [FamilySegment(0.0, 2.0, 40.0, 0.0),
              FamilySegment(2.0, 3.0, 0.0, lambda x: 1.0 + x),
              FamilySegment(3.0, 4.0, lambda x: 25.0 + x, 0.0)]
@@ -204,6 +202,22 @@ def test_rescaled_runge_kutta_segments_keep_the_true_scale(n):
         assert np.all(scaled.logs > 5.0)
         assert np.array_equal(scaled.states * np.exp(scaled.logs), plain.states)
         assert np.array_equal(scaled.zero_counts, plain.zero_counts)
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_a_callable_w_runs_on_its_bucket_meshes_whatever_the_call_asks(n):
+    # neither counting zeros nor recording samples moves the end states of
+    # a callable-w chain: one transport carries every call
+    chain = [FamilySegment(-1.0, 0.0, 0.0, lambda x: -8.0 * x * (1.0 + x)),
+             FamilySegment(0.0, 0.5, 0.0, lambda x: -32.0 * x + 64.0 * x * x),
+             FamilySegment(0.5, 1.0, 0.0, 0.0)]
+    m = np.linspace(-150.0, 90.0, n)
+    init = np.array([1.0, 0.0])
+    plain = propagate_family(chain, m, init)
+    counted = propagate_family(chain, m, init, count_zeros=True)
+    sampled = propagate_family(chain, m, init, samples=[-0.5, 0.25, 1.0])
+    assert np.array_equal(plain.states, counted.states)
+    assert np.array_equal(plain.states, sampled.states)
 
 
 def test_results_beyond_a_double_raise():
@@ -562,40 +576,26 @@ def test_chains_carried_together_match_their_own_calls():
 
 def test_samples_go_to_segments_in_path_order(monkeypatch):
     # each segment records the samples from the last one taken up to the
-    # first off it; a sample at a join goes to the earlier segment.  A
-    # sampled call carries a callable w on its bucket meshes, never on the
-    # RK pair
+    # first off it; a sample at a join goes to the earlier segment
     from pointbarrier import ivp
 
-    seen, rk_calls = [], []
+    seen = []
     sample_plan = ivp._sample_plan
 
     def spy_mesh(mesh, seg_samples):
         seen.append(np.asarray(seg_samples).tolist())
         return sample_plan(mesh, seg_samples)
 
-    def spy_rk(path):
-        def run(qv, x0, x1, *args):
-            rk_calls.append((x0, x1))
-            return path(qv, x0, x1, *args)
-        return run
-
     monkeypatch.setattr(ivp, "_sample_plan", spy_mesh)
-    for name in ("_rk_span_scalar", "_rk_span_vector"):
-        monkeypatch.setattr(ivp, name, spy_rk(getattr(ivp, name)))
     segs = [
         FamilySegment(0.0, 1.0, lambda x: x, -1.0),
         FamilySegment(1.0, 2.0, 3.0, -1.0),
-        FamilySegment(2.0, 2.5, 0.0, lambda x: -1.0 - x),  # RK when neither counted nor sampled
+        FamilySegment(2.0, 2.5, 0.0, lambda x: -1.0 - x),
         FamilySegment(2.5, 3.0, 1.0, -1.0),
     ]
     m = np.array([0.5, 2.0])
-    propagate_family(segs, m, np.array([0.0, 1.0]))
-    assert rk_calls == [(2.0, 2.5)] * 2  # the RK takes a family of two member by member
-    rk_calls.clear()
     xs = [0.0, 0.5, 1.0, 1.5, 2.0, 2.0, 3.0]
     res = propagate_family(segs, m, np.array([0.0, 1.0]), samples=xs)
-    assert rk_calls == []
     # the callable-w segment plans once per weight bucket, of 0.5 and of 2.0
     assert seen == [[0.0, 0.5, 1.0], [1.5, 2.0, 2.0], [], [], [3.0]]
     assert np.all(np.isfinite(res.sample_states))
@@ -604,7 +604,6 @@ def test_samples_go_to_segments_in_path_order(monkeypatch):
     seen.clear()
     back = [FamilySegment(s.b, s.a, s.c_part, s.w_part) for s in reversed(segs)]
     propagate_family(back, np.array([0.5]), np.array([0.0, 1.0]), samples=[2.2, 2.0, 0.5, 0.0])
-    assert rk_calls == []
     assert seen == [[], [2.2, 2.0], [], [0.5, 0.0]]
 
     for off in ([0.5, 3.5], [-0.5, 0.5], [0.5, 3.0 + 1e-9]):
@@ -619,8 +618,8 @@ def test_mesh_step_size_underflow():
     assert abs(err.value.location - 0.5) < 0.1
 
 
-def test_rk_step_size_underflow():
-    # a callable w puts the same singular coefficient on the RK pair
+def test_bucket_mesh_step_size_underflow():
+    # a callable w puts the same singular coefficient on its bucket meshes
     segs = [FamilySegment(0.0, 0.6, lambda x: 1.0 / (0.5 - x) ** 2, lambda x: 1.0)]
     with pytest.raises(StepSizeUnderflowError) as err:
         propagate_family(segs, np.array([1.0, 2.0]), np.array([1.0, 0.0]))

@@ -11,13 +11,12 @@ from pointbarrier.profiles import (
     Segment,
     builtin,
     classify,
-    evaluate,
     from_json_dict,
     is_dipole_normalized,
     moment,
 )
 
-from conftest import gauss_legendre_moment, reflect
+from conftest import evaluate, gauss_legendre_moment, reflect
 
 
 def test_step_evaluation(step):

@@ -179,6 +179,33 @@ def test_shots_match_an_independent_integrator(profile, request):
     assert np.all(np.abs(shots - ref) <= 1e-9 * np.abs(ref).max(axis=0))
 
 
+def test_endpoint_shots_take_the_lobes_lane_by_lane(monkeypatch, step, bump):
+    # shoot_family carries each polynomial lobe on the Runge-Kutta pair: a
+    # family of 2-6 couplings one by one on the scalar path, of 1 or of 7
+    # and more together; the step profile, constant throughout, makes no
+    # RK call
+    calls = []
+    for name in ("_rk_span_scalar", "_rk_span_vector"):
+        def spy(qv, x0, x1, Y, *args, path=getattr(resonance, name), name=name):
+            calls.append((name, x0, x1, Y.shape[1]))
+            return path(qv, x0, x1, Y, *args)
+        monkeypatch.setattr(resonance, name, spy)
+    lobes = [(-1.0, 0.0), (0.0, 0.5)]
+    for n in (1, 2, 6, 7, 12):
+        calls.clear()
+        shoot_family(bump, np.linspace(-50.0, 50.0, n))
+        if 1 < n <= 6:
+            want = [("_rk_span_scalar", a, b, 1) for a, b in lobes for _ in range(n)]
+        else:
+            path = "_rk_span_scalar" if n == 1 else "_rk_span_vector"
+            want = [(path, a, b, n) for a, b in lobes]
+        assert calls == want
+    calls.clear()
+    shoot_family(step, np.linspace(-50.0, 50.0, 7))
+    resonance_scan(step, -20.0, 20.0)
+    assert calls == []
+
+
 def test_scaled_residual_discriminates(step, alpha1):
     w1, dw1 = shoot(step, alpha1)
     assert scaled_residual(step, alpha1, w1, dw1) < 1e-12

@@ -56,6 +56,25 @@ def test_connected_matrix_validation():
         Separated(0.0, 0.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ThetaCoupled(math.nan),
+    lambda: ThetaCoupled(math.inf),
+    lambda: ThetaCoupled(-math.inf),
+    lambda: ThetaCoupled(1e-320),  # 1/theta is inf
+    lambda: ConnectedMatrix(math.nan, 0.0, 0.0, 1.0),
+    lambda: ConnectedMatrix(1.0, math.inf, 0.0, 1.0),
+    lambda: Separated(math.nan, 1.0, 0.0, 1.0),
+    lambda: Separated(0.0, 1.0, 1.0, math.inf),
+    lambda: spectra.ConfiningPotential(lambda x: x * x, math.nan),
+    lambda: spectra.ConfiningPotential(lambda x: x * x, math.inf),
+], ids=["theta-nan", "theta-inf", "theta-minus-inf", "theta-subnormal", "matrix-nan",
+        "matrix-inf", "separated-nan", "separated-inf", "radius-nan", "radius-inf"])
+def test_non_finite_parameters_are_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+    ThetaCoupled(1e300), ThetaCoupled(-1e-300)  # both entries finite
+
+
 # -- limit operator ---------------------------------------------------------------
 
 def test_split_half_line_oscillator(harmonic):
@@ -114,6 +133,14 @@ def test_theta_to_infinity_is_dirichlet_neumann(tilted):
         tilted, Separated(0.0, 1.0, 1.0, 0.0), 4, eigenfunctions=False
     ).eigenvalues
     assert np.allclose(coupled, dn, atol=1e-5)
+
+
+def test_an_extreme_theta_matches_without_overflow(harmonic):
+    # theta = 1e300 squares past the largest double in |C Y|: the norms of
+    # the matching Wronskian must not, and the limit is Dirichlet on the
+    # left (levels 3, 7), Neumann on the right (1, 5)
+    spec = eigen_limit(harmonic, ThetaCoupled(1e300), 4, eigenfunctions=False)
+    assert np.allclose(spec.eigenvalues, [1.0, 3.0, 5.0, 7.0], atol=1e-9)
 
 
 def test_truncation_stability():
