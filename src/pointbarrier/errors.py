@@ -55,8 +55,8 @@ class TruncationDomainError(NumericsError):
 
 
 class SpectralWindowError(NumericsError):
-    """An eigenvalue search window was exhausted before the requested number
-    of levels was found."""
+    """No start below the lowest level of a limit problem was found: its
+    Sturm index still counts levels at the lowest start tried."""
 
 
 class AlignmentError(NumericsError):

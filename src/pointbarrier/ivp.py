@@ -199,10 +199,6 @@ class _Mesh:
     parts: list
     cuts: dict = field(default_factory=dict)
 
-    @property
-    def h(self) -> np.ndarray:
-        return _Steps.join(self.parts).h
-
     def stored(self) -> int:  # floats kept for it and its cuts, views but their last step
         return (self.lo.size + 1 + self.parts[0].rows.size
                 + sum(cut.parts[-1].rows.size for cut in self.cuts.values()))

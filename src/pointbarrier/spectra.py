@@ -12,10 +12,11 @@ Wronskian is evaluated for whole vectors of trial eigenvalues at once (one
 family propagation per call), together with the exact Sturm index of every
 trial value: the number of eigenvalues at or below it, from the zero
 counts of the shots and the Pruefer angles at the matching point.  Every
-search brackets its levels by one rule: the two ends of a window whose
-index counts them are shot, and ``rootfind.resolve_cells`` halves the
-window on the index until each level shows its own sign change.  The
-roots are polished by a safeguarded vectorized secant iteration.
+search brackets its levels by one rule (``_levels``): the two ends of a
+window whose index counts them are shot, each once, and
+``rootfind.resolve_cells`` halves the window on the index until each
+level shows its own sign change.  The roots are polished by one
+safeguarded vectorized secant iteration (``_refine_each``).
 
 The interface condition at the origin is one of:
 
@@ -40,7 +41,7 @@ from .errors import NumericsError, SpectralWindowError, TruncationDomainError
 from .ivp import (DEFAULT_CONFIG, FamilySegment, SolverConfig, _eval_c, propagate_chains,
                   propagate_family)
 from .profiles import Profile, Segment
-from .rootfind import illinois_vector, resolve_cells, sign_change
+from .rootfind import illinois_vector, resolve_cells
 
 __all__ = [
     "DirichletSplit",
@@ -185,7 +186,11 @@ class Spectrum:
     and oriented so the leftmost sample of at least half the largest
     magnitude is positive (a near-tie of two extreme lobes cannot flip
     it); a split level is exactly 0 on its other half.  ``residuals`` are
-    the normalized matching-Wronskian values at convergence; ``flags``
+    the normalized matching-Wronskian values at convergence, and one near
+    1 is no failed level by itself: across a level that the Sturm index
+    proves the Wronskian may jump between -1 and +1 instead of passing
+    through 0 (levels 3 and 7 of the harmonic well at theta = 1e300, both
+    right); ``flags``
     carry 'ok', 'left'/'right' (split problems), 'degenerate' (near-
     coincident split pairs; a pair equal to rounding lists its left half
     first whichever root rounds lower) or 'diving' (below the bounded
@@ -205,10 +210,6 @@ class Spectrum:
 
 
 # -- matching Wronskians -------------------------------------------------------
-
-def _norm2(Y: np.ndarray) -> np.ndarray:
-    return np.hypot(Y[0], Y[1])
-
 
 def _wall_chain(U: ConfiningPotential, wall: float, target: float) -> list[FamilySegment]:
     """The wall from ``wall`` to ``target`` on the mesh of its half box."""
@@ -312,7 +313,7 @@ def _matching(problems: list[_Problem], cfg):
             (_, C, W, _), own = problems[i], [next(shots) for _ in problems[i].chains]
             V = own[0].states[:, :idx.size] if C is None else C @ own[0].states[:, :idx.size]
             Y = own[1].states[:, :idx.size] if len(own) == 2 else W
-            norms = _norm2(V) * _norm2(Y)
+            norms = np.hypot(*V) * np.hypot(*Y)
             vals[idx] = np.divide(V[0] * Y[1] - V[1] * Y[0], norms, out=np.zeros(norms.shape),
                                   where=norms != 0.0)
             if with_counts:
@@ -334,56 +335,50 @@ def _window_start(U: ConfiningPotential) -> float:
     return min(0.0, float(np.min(_eval_c(U.U, np.linspace(-R, R, 801))))) - 1.0
 
 
-def _bracket(fvec, xs, vals, counts, need=None):
-    """Brackets of the lowest ``need`` roots of ``fvec`` (every root
-    without ``need``) in the window (xs[0], xs[1]], from the values and
-    Sturm indices of its ends, halved by ``resolve_cells`` down to
-    ``_FLOOR``; levels at or below xs[0] are not in the way."""
+def _levels(fvec, lo: float, hi: float, need=None, low=None, high=None):
+    """(brackets, count): the number of levels of ``fvec`` that the Sturm
+    index counts in (lo, hi], and the brackets of the lowest ``need`` (all
+    without ``need``; none when fewer are counted, which the caller raises),
+    halved by ``resolve_cells`` down to ``_FLOOR``.  ``low`` and ``high``
+    are the caller's counted shots of lo and hi; the other ends are shot in
+    one call.  Levels at or below lo are not in the way."""
+    ends, shots = np.array([lo, hi]), [low, high]
+    todo = [i for i, shot in enumerate(shots) if shot is None]
+    if todo:
+        vals, counts = fvec(ends[todo], True)
+        for j, i in enumerate(todo):
+            shots[i] = vals[j:j + 1], counts[j:j + 1]
+    vals, counts = (np.concatenate(part) for part in zip(*shots))
+    count = int(counts[1] - counts[0])
     brackets: list[tuple[float, float]] = []
-    resolve_cells(fvec, xs, vals, counts, brackets, need, _FLOOR)
-    return brackets[:need]
-
-
-def _below_ceiling(fvec, start: float, shot, ceiling: float, k: int, what: str):
-    """Brackets of the lowest ``k`` levels of ``fvec`` in (start, ceiling],
-    ``shot`` the counted shot of [start]; raises ``TruncationDomainError``
-    when fewer than ``k`` lie there."""
-    top = fvec(np.array([ceiling]), True)
-    found = int(top[1][0] - shot[1][0])
-    if found < k:
-        raise TruncationDomainError(
-            f"{what}: only {max(found, 0)} of {k} eigenvalues found below "
-            f"the wall ceiling {ceiling:.6g}; enlarge the truncation radius"
-        )
-    return _bracket(fvec, [start, ceiling], np.concatenate((shot[0], top[0])),
-                    np.concatenate((shot[1], top[1])), k)
-
-
-def _diving_levels(fvec, bottom: float, top: float, eig_tol: float):
-    """(roots, residuals) of every root of ``fvec`` in (bottom, top],
-    bracketed by halving that window and refined to ``eig_tol``."""
-    ends = np.array([bottom, top])
-    return _refine(fvec, _bracket(fvec, ends, *fvec(ends, True)), eig_tol)
-
-
-def _refine(fvec, brackets, eig_tol, owners=None):
-    if not brackets:
-        return np.empty(0), np.empty(0)
-    lo, hi = np.array(brackets).T
-    xtol = max(1e-13, min(1e-10, eig_tol * 1e-3))
-    roots = illinois_vector(fvec, lo, hi, xtol=xtol, rtol=1e-14, owners=owners)
-    residuals = np.abs(fvec(roots, owners=owners))
-    return roots, residuals
+    if need is None or count >= need:
+        resolve_cells(fvec, ends, vals, counts, brackets, need, _FLOOR)
+    return brackets[:need], count
 
 
 def _refine_each(solves, cfg, eig_tol) -> list:
     """(roots, residuals) of each solve (problem, brackets, ...), refined in
-    lockstep: each round is one ``propagate_chains`` call for them all."""
+    lockstep to ``eig_tol``: each round is one ``propagate_chains`` call for
+    them all, and a lone problem is matched without owners."""
     owners = np.repeat(np.arange(len(solves)), [len(solve[1]) for solve in solves])
-    roots, residuals = _refine(_matching([solve[0] for solve in solves], cfg),
-                               [b for solve in solves for b in solve[1]], eig_tol,
-                               owners if len(solves) > 1 else None)
+    if not owners.size:
+        return [(np.empty(0), np.empty(0))] * len(solves)
+    fvec = _matching([solve[0] for solve in solves], cfg)
+    each = owners if len(solves) > 1 else None
+    lo, hi = np.array([b for solve in solves for b in solve[1]]).T
+    xtol = max(1e-13, min(1e-10, eig_tol * 1e-3))
+    roots = illinois_vector(fvec, lo, hi, xtol=xtol, rtol=1e-14, owners=each)
+    residuals = np.abs(fvec(roots, owners=each))
     return [(roots[owners == j], residuals[owners == j]) for j in range(len(solves))]
+
+
+def _check_ceiling(what: str, found: int, k: int, ceiling: float) -> None:
+    """Raise ``TruncationDomainError`` when the index counts ``found`` < ``k``
+    levels below the wall ceiling."""
+    if found < k:
+        raise TruncationDomainError(
+            f"{what}: only {max(found, 0)} of {k} eigenvalues found below "
+            f"the wall ceiling {ceiling:.6g}; enlarge the truncation radius")
 
 
 # -- limit operator --------------------------------------------------------------
@@ -426,14 +421,16 @@ def eigen_limit(
     def bracket(flag, problem):
         fvec = _matching([problem], cfg)
         what = "coupled problem" if flag == "ok" else f"{flag} half problem"
-        return problem, _below_ceiling(fvec, *_scan_start(fvec, start, what), ceiling, k_max, what)
+        lo, shot = _scan_start(fvec, start, what)
+        brackets, count = _levels(fvec, lo, ceiling, k_max, low=shot)
+        _check_ceiling(what, count, k_max, ceiling)
+        return problem, brackets
 
     flagged = _limit_problems(U, bc)
-    found = []
     outcomes = _refine_each([bracket(*fp) for fp in flagged], cfg, eig_tol)
-    for rank, ((flag, problem), outcome) in enumerate(zip(flagged, outcomes)):
-        found.extend((lam, res, flag, problem, rank) for lam, res in zip(*outcome))
-    found.sort(key=lambda t: t[0])
+    found = sorted(((lam, res, flag, problem, rank)
+                    for rank, ((flag, problem), outcome) in enumerate(zip(flagged, outcomes))
+                    for lam, res in zip(*outcome)), key=lambda t: t[0])
     # which root of an exactly degenerate pair rounds lower is noise, so a
     # pair within rounding keeps the order of its problems; a wider pair,
     # however close, stays ascending
@@ -455,9 +452,6 @@ def eigen_limit(
     return spec
 
 
-_MIRROR = np.diag([1.0, -1.0])
-
-
 def _limit_problems(U, bc) -> list[tuple[str, _Problem]]:
     """(flag, problem) of each problem of the limit operator: the two half
     problems of a split coupling, or the one coupled problem."""
@@ -468,7 +462,7 @@ def _limit_problems(U, bc) -> list[tuple[str, _Problem]]:
     if isinstance(bc, Separated):
         # the right half is the mirror image of a left one: x -> -x flips v'
         return [("left", _Problem([left], W=(bc.h1m, bc.h2m))),
-                ("right", _Problem([right], _MIRROR, (bc.h1p, -bc.h2p)))]
+                ("right", _Problem([right], np.diag([1.0, -1.0]), (bc.h1p, -bc.h2p)))]
     return [("ok", _Problem([left, right], bc.matrix()))]
 
 
@@ -547,14 +541,16 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
         k_lo, k_hi = k_range
         found = []
         if k_lo <= n_dive:
-            ends = np.array([lam_split - 2.0 * abs(alpha) * p.max_abs / (eps * eps), lam_split])
-            found = _bracket(fvec, ends, *fvec(ends, True))
+            bottom = lam_split - 2.0 * abs(alpha) * p.max_abs / (eps * eps)
+            found = _levels(fvec, bottom, lam_split, high=shot)[0]
             if len(found) != n_dive:
                 raise NumericsError(f"the Sturm index counts {n_dive} levels below "
                                     f"{lam_split:.6g}, but the diving search found {len(found)}")
         if k_hi > n_dive:
-            found += _below_ceiling(fvec, lam_split, shot, U.wall_floor() - _WALL_MARGIN,
-                                    k_hi - n_dive, "squeezed-barrier problem")
+            ceiling, k = U.wall_floor() - _WALL_MARGIN, k_hi - n_dive
+            bounded, count = _levels(fvec, lam_split, ceiling, k, low=shot)
+            _check_ceiling("squeezed-barrier problem", count, k, ceiling)
+            found += bounded
         return found
 
     def finish(k_range, roots, residuals, eigenfunctions, samples_per_unit) -> Spectrum:
@@ -574,14 +570,31 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
 
 # -- interval problem (no background potential) ------------------------------------
 
-def _interval_fvec(a, b, p, alpha, eps, cfg):
-    """u(b) of the Dirichlet shot from a across the barrier, normalized."""
-    chain = (
-        [FamilySegment(a, -eps, 0.0, -1.0)]
-        + _barrier_chain(p, alpha, eps, None)
-        + [FamilySegment(eps, b, 0.0, -1.0)]
-    )
-    return _matching([_Problem([chain])], cfg)
+def _interval_problem(a, b, p, alpha, eps) -> _Problem:
+    """The Dirichlet shot from a across the barrier to b, where it meets
+    the Dirichlet end."""
+    return _Problem([[FamilySegment(a, -eps, 0.0, -1.0)]
+                     + _barrier_chain(p, alpha, eps, None)
+                     + [FamilySegment(eps, b, 0.0, -1.0)]])
+
+
+def _interval_levels(problem, a, b, count, cfg, eig_tol):
+    """(levels, residuals) of the lowest ``count`` levels above 0 of the
+    interval ``problem``, whose free outer pieces are as long as (a, 0) and
+    (0, b), found in the window of ``interval_spectrum``."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    fvec = _matching([problem], cfg)
+    low = fvec(np.array([0.0]), True)
+    top = split_limit_frequencies(a, b, int(low[1][0]) + count)[-1] ** 2
+    top *= 1.0 + 1e-6
+    brackets, found = _levels(fvec, 0.0, top, count, low=low)
+    if found < count:
+        raise NumericsError(
+            f"interval problem: the index counts {found} levels in "
+            f"(0, {top:.6g}], fewer than the {count} that min-max puts there")
+    [levels] = _refine_each([(problem, brackets)], cfg, eig_tol)
+    return levels
 
 
 def interval_spectrum(
@@ -607,19 +620,8 @@ def interval_spectrum(
     """
     if not (a < -eps < eps < b):
         raise ValueError("need a < -eps < eps < b")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    fvec = _interval_fvec(a, b, p, alpha, eps, cfg or DEFAULT_CONFIG)
-    low = fvec(np.array([0.0]), True)
-    top = split_limit_frequencies(a + eps, b - eps, int(low[1][0]) + count)[-1] ** 2
-    top *= 1.0 + 1e-6
-    high = fvec(np.array([top]), True)
-    vals, counts = np.concatenate((low[0], high[0])), np.concatenate((low[1], high[1]))
-    if counts[1] - counts[0] < count:
-        raise NumericsError(
-            f"interval problem: the index counts {counts[1] - counts[0]} levels in "
-            f"(0, {top:.6g}], fewer than the {count} that min-max puts there")
-    lams, residuals = _refine(fvec, _bracket(fvec, [0.0, top], vals, counts, count), eig_tol)
+    lams, residuals = _interval_levels(_interval_problem(a, b, p, alpha, eps), a + eps, b - eps,
+                                       count, cfg or DEFAULT_CONFIG, eig_tol)
     return Spectrum(lams, residuals, ["ok"] * len(lams))
 
 
@@ -640,51 +642,26 @@ def interval_negative_levels(
     """
     if alpha == 0.0:
         return np.empty(0)
-    fvec = _interval_fvec(a, b, p, alpha, eps, cfg or DEFAULT_CONFIG)
+    cfg = cfg or DEFAULT_CONFIG
+    problem = _interval_problem(a, b, p, alpha, eps)
     bottom = -2.0 * abs(alpha) * p.max_abs / (eps * eps)
-    return _diving_levels(fvec, bottom, bottom * _DEPTH_FLOOR, DEFAULT_EIG_TOL)[0]
+    brackets = _levels(_matching([problem], cfg), bottom, bottom * _DEPTH_FLOOR)[0]
+    return _refine_each([(problem, brackets)], cfg, DEFAULT_EIG_TOL)[0][0]
 
 
 def interval_limit_frequencies(a: float, b: float, theta: float, count: int) -> np.ndarray:
     """First ``count`` positive limit eigenfrequencies of the interval
-    problem at a resonant coupling with ratio ``theta``.
-
-    These are the roots of ``tan(b w) = theta^2 tan(a w)``, evaluated in
-    the pole-free form G(w) = sin(bw)cos(aw) - theta^2 sin(aw)cos(bw) so
-    that coincident tangent poles (e.g. theta = 1 with |a| = b) are kept.
-    Brackets come from a fine frequency grid, a chunk at a time; one
-    ``illinois_vector`` call refines the brackets of a chunk to a few
-    ulps.
-    """
+    problem at a resonant coupling with ratio ``theta``: the roots of
+    ``tan(b w) = theta^2 tan(a w)``, square roots of the levels of the
+    ``ThetaCoupled(theta)`` problem on (a, 0) and (0, b) with Dirichlet
+    ends, found as those of ``interval_spectrum`` and refined to 1e-13.
+    By min-max level ``count`` of the Dirichlet intervals (a, 0) and (0, b)
+    tops the window: Dirichlet at 0 restricts the coupled form domain."""
     if not (a < 0.0 < b):
         raise ValueError("need a < 0 < b")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    t2 = theta * theta
-
-    def G(w):
-        return np.sin(b * w) * np.cos(a * w) - t2 * np.sin(a * w) * np.cos(b * w)
-
-    dw = math.pi / (16.0 * (abs(a) + b) * max(1.0, min(10.0, abs(theta))))
-    roots: list[float] = []
-    w0 = 0.0
-    f0 = 0.0  # G(0) = 0 is the trivial root, excluded
-    guard = 0
-    while len(roots) < count:
-        ws = w0 + dw * np.arange(1, 2049)
-        fs = G(ws)
-        xs = np.concatenate(([w0], ws))
-        vals = np.concatenate(([f0], fs))
-        cells = np.flatnonzero(sign_change(vals[:-1], vals[1:]))[:count - len(roots)]
-        if cells.size:
-            w = illinois_vector(G, xs[cells], xs[cells + 1], xtol=1e-14, rtol=4e-16)
-            roots.extend(w[w > 1e-12].tolist())
-        w0 = float(ws[-1])
-        f0 = float(fs[-1])
-        guard += 1
-        if guard > 400:
-            raise SpectralWindowError("frequency search did not terminate")
-    return np.array(roots[:count])
+    problem = _Problem([[FamilySegment(a, 0.0, 0.0, -1.0)], [FamilySegment(b, 0.0, 0.0, -1.0)]],
+                       ThetaCoupled(theta).matrix())
+    return np.sqrt(_interval_levels(problem, a, b, count, DEFAULT_CONFIG, 1e-13)[0])
 
 
 def split_limit_frequencies(a: float, b: float, count: int) -> np.ndarray:
@@ -694,11 +671,8 @@ def split_limit_frequencies(a: float, b: float, count: int) -> np.ndarray:
     of the decoupled operator and are listed twice."""
     if not (a < 0.0 < b):
         raise ValueError("need a < 0 < b")
-    vals = []
-    for k in range(1, count + 1):
-        vals.append(k * math.pi / abs(a))
-        vals.append(k * math.pi / b)
-    return np.array(sorted(vals)[:count])
+    vals = sorted(k * math.pi / side for k in range(1, count + 1) for side in (abs(a), b))
+    return np.array(vals[:count])
 
 
 # -- eigenfunction assembly ----------------------------------------------------------

@@ -281,9 +281,9 @@ def test_a_zero_on_a_join_is_counted_once():
     # node inside the joined sequence of the chain; alone, and stacked with
     # a longer chain of its own that pads it
     segs = [FamilySegment(a, b, lambda x: 0.0 * x, -1.0) for a, b in [(-0.5, -0.1), (-0.1, 0.5)]]
-    assert [ivp._mesh_for(seg, ivp.DEFAULT_CONFIG).h.size for seg in segs] == [2, 2]
+    assert [ivp._mesh_for(seg, ivp.DEFAULT_CONFIG).lo.size for seg in segs] == [2, 2]
     longer = [FamilySegment(0.5, -0.5, lambda x: 0.0 * x + 1e-3 * x ** 7, -1.0)]
-    assert ivp._mesh_for(longer[0], ivp.DEFAULT_CONFIG).h.size > 4
+    assert ivp._mesh_for(longer[0], ivp.DEFAULT_CONFIG).lo.size > 4
     alone = propagate_family(segs, lam, np.array([0.0, 1.0]), count_zeros=True)
     stacked = propagate_chains([segs, longer], lam, np.array([0.0, 1.0]), count_zeros=True)
     assert alone.zero_counts[0] == stacked[0].zero_counts[0] == 7
@@ -326,7 +326,7 @@ def test_zero_counts_with_several_zeros_per_mesh_interval(c_part, w_part):
     # keeps the two halves of the segment.  A callable w, counted against
     # DOP853 as well, puts each member on the mesh of its weight bucket,
     # which passes on its first pass too
-    from pointbarrier.ivp import _mesh_for
+    from pointbarrier.ivp import _mesh_for, _Steps
 
     L = 3.0
     segs = [FamilySegment(0.0, L, c_part, w_part)]
@@ -338,7 +338,7 @@ def test_zero_counts_with_several_zeros_per_mesh_interval(c_part, w_part):
         _, _, rk_zeros = dop853_family(segs, w * w + 1.0, np.array([0.0, 1.0]))
         assert np.array_equal(res.zero_counts, rk_zeros)
         bucket = 16  # 250.1^2 + 1 is in (2^15, 2^16]
-    widest = np.abs(_mesh_for(segs[0], SolverConfig(), bucket).h).max()
+    widest = np.abs(_Steps.join(_mesh_for(segs[0], SolverConfig(), bucket).parts).h).max()
     assert w.max() * widest / math.pi > 15  # zeros in one interval
 
 
@@ -421,7 +421,7 @@ def test_wall_mesh_is_sized_by_the_tolerance_alone():
     from pointbarrier.ivp import _mesh_for
 
     seg = FamilySegment(-3.0, 0.0, lambda x: x * x, 1.0)
-    assert _mesh_for(seg, SolverConfig()).h.size < 200
+    assert _mesh_for(seg, SolverConfig()).lo.size < 200
     zeros = _assert_members_match_dop853([seg], np.linspace(-9.0, 0.0, 7))
     assert zeros.max() >= 2
 
@@ -492,7 +492,7 @@ def test_mesh_member_results_do_not_depend_on_the_family():
     xs = np.linspace(-4.0, 0.05, 301)
     init = np.array([0.0, 1.0])
     wall_mesh = ivp._mesh_for(chain[0], ivp.DEFAULT_CONFIG)
-    assert lams.size * max(wall_mesh.h.size, xs.size) > 2 * ivp._WORK_CAP
+    assert lams.size * max(wall_mesh.lo.size, xs.size) > 2 * ivp._WORK_CAP
 
     def run(m):
         return propagate_family(chain, m, init, rescale=True, samples=xs, count_zeros=True)
@@ -556,7 +556,7 @@ def test_chains_carried_together_match_their_own_calls():
                FamilySegment(-1.0, -0.5, 3.0, -1.0),
                FamilySegment(-0.5, 0.5, bump, -1.0)],
               [FamilySegment(2.0, 0.5, 1.0, -1.0)]]
-    sizes = [sum(ivp._mesh_for(seg, ivp.DEFAULT_CONFIG).h.size for seg in chain)
+    sizes = [sum(ivp._mesh_for(seg, ivp.DEFAULT_CONFIG).lo.size for seg in chain)
              for chain in chains]
     assert sizes[0] > 100 and sizes[1] == 1
     samples = [np.linspace(-4.0, 0.5, 37), np.linspace(2.0, 0.5, 5)]
@@ -745,7 +745,7 @@ def test_a_cut_mesh_counts_like_a_fresh_mesh_of_its_span():
             assert mesh is ivp._mesh_for(cut, ivp.DEFAULT_CONFIG)
             assert np.shares_memory(mesh.parts[0].rows, whole.parts[0].rows)
             assert np.array_equal(mesh.lo, whole.lo[:mesh.lo.size])
-            assert mesh.h.sum() == pytest.approx(end - wall, rel=1e-15)
+            assert ivp._Steps.join(mesh.parts).h.sum() == pytest.approx(end - wall, rel=1e-15)
             assert a.zero_counts.max() >= 8
             assert np.array_equal(a.zero_counts, b.zero_counts)
             assert np.all(_true_scale_gap(a.states, a.logs, b.states, b.logs) <= 1e-10)

@@ -48,8 +48,8 @@ def test_constant_segments_take_one_exact_step(step, bump, monkeypatch):
 
     monkeypatch.setattr(ivp, "_mesh_for", recorded)
     scatter_sweep(bump, 17.0, [(0.01, 1.3)])
-    assert [m.h.size for m in meshes][-1] == 1  # the zero segment on (1/2, 1)
-    assert min(m.h.size for m in meshes[:-1]) > 1
+    assert [m.lo.size for m in meshes][-1] == 1  # the zero segment on (1/2, 1)
+    assert min(m.lo.size for m in meshes[:-1]) > 1
 
 
 @pytest.mark.parametrize("alpha", [0.0, 4.0, -4.0, 19.9, -19.9])

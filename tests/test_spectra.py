@@ -308,13 +308,12 @@ def test_bounded_levels_are_found_without_locating_the_diving_ones(tilted, step,
     eps = 0.05
     n = diving_count(tilted, step, alpha1, eps)
     full = eigen_perturbed(tilted, step, alpha1, eps, (1, n + 3))
-
-    def located(*args):
-        raise AssertionError("diving levels located")
-
-    monkeypatch.setattr(spectra, "_diving_levels", located)
+    # the bounded window starts at lam_split: no trial value below it is shot
+    lowest = []
+    spy_shots(monkeypatch, spectra, lambda chain, lams: lowest.append(lams.min()))
     bounded = eigen_perturbed(tilted, step, alpha1, eps, (n + 1, n + 3))
     assert n >= 1
+    assert lowest and min(lowest) == spectra._window_start(tilted)
     assert bounded.flags == ["ok"] * 3
     assert np.array_equal(bounded.eigenvalues, full.eigenvalues[n:])
     assert np.array_equal(bounded.residuals, full.residuals[n:])
@@ -339,13 +338,13 @@ def test_diving_levels_match_a_dop853_oracle(tilted, alpha1, name, alpha, eps, k
 
 def test_a_diving_search_short_of_the_count_raises(tilted, step, alpha1, monkeypatch):
     # the diving search is the one that brackets every root of its window
-    found = spectra._bracket
+    found = spectra._levels
 
-    def one_short(fvec, xs, vals, counts, need=None):
-        brackets = found(fvec, xs, vals, counts, need)
-        return brackets if need else brackets[1:]
+    def one_short(fvec, lo, hi, need=None, **shots):
+        brackets, count = found(fvec, lo, hi, need, **shots)
+        return (brackets if need else brackets[1:]), count
 
-    monkeypatch.setattr(spectra, "_bracket", one_short)
+    monkeypatch.setattr(spectra, "_levels", one_short)
     with pytest.raises(NumericsError, match="counts 1 levels .* found 0"):
         eigen_perturbed(tilted, step, alpha1, 0.1, (1, 2))
 
@@ -423,7 +422,8 @@ def test_interval_index_at_a_node_with_a_tiny_negative_shot(step):
     # has crossed once and ends at u(b) = -1.3e-16: short of its second
     # zero by its sign, so the index reads 1, as the sign does (the scan
     # brackets a root on a node either way), and never 3
-    fvec = spectra._interval_fvec(-1.0, 2.0, step, 0.0, 0.05, SolverConfig())
+    fvec = spectra._matching([spectra._interval_problem(-1.0, 2.0, step, 0.0, 0.05)],
+                             SolverConfig())
     vals, counts = fvec(np.array([4.386490844928604]), True)
     assert -1e-15 < vals[0] < 0.0
     assert counts.tolist() == [1]
@@ -433,7 +433,8 @@ def test_a_shot_ending_in_zero_is_a_root_of_the_matching_function(step):
     # the diving problem of `dive --profile step --alpha -5 --eps-ladder
     # 0.002` on (-2, 2): at this lambda the shot ends in exactly (0, 0), log
     # 2894.7, and the normalized Wronskian was 0 / 0
-    fvec = spectra._interval_fvec(-2.0, 2.0, step, -5.0, 0.002, SolverConfig())
+    fvec = spectra._matching([spectra._interval_problem(-2.0, 2.0, step, -5.0, 0.002)],
+                             SolverConfig())
     lam = np.array([-523791.9872291057])
     assert fvec(lam).tolist() == [0.0]
     vals, counts = fvec(lam, True)
@@ -462,6 +463,23 @@ def test_interval_limit_frequencies_large_theta():
         [math.pi * k for k in (1, 2)] + [(k - 0.5) * math.pi / 2 for k in range(1, 7)]
     )[:8]
     assert np.allclose(roots, expected, atol=1e-4)
+
+
+def test_interval_limit_frequencies_of_a_near_coincident_pair():
+    # the Dirichlet level 3 pi of (-1, 0) against the Neumann-at-0 level of
+    # (0, 1/6): at theta = 1e6 they split into a pair at 3 pi -+ 7.8e-7 pi.
+    # Each root lies within 1e-12 relative of a sign change of the pole-free
+    # form and of the roots of a grid search on that form
+    a, b, t2 = -1.0, 1.0 / 6.0, 1e12
+    roots = interval_limit_frequencies(a, b, 1e6, 6)
+    grid = [3.141592653589213, 6.2831853071778525, 9.424775511279634, 9.42478041025912,
+            12.566370614360903, 15.707963267949541]
+    assert roots == pytest.approx(grid, rel=1e-12, abs=0.0)
+    assert roots[3] - roots[2] == pytest.approx(2 * 7.8e-7 * math.pi, rel=1e-2)
+    for w in roots:
+        g = [math.sin(b * x) * math.cos(a * x) - t2 * math.sin(a * x) * math.cos(b * x)
+             for x in (w * (1.0 - 1e-12), w * (1.0 + 1e-12))]
+        assert g[0] * g[1] < 0.0, w
 
 
 def test_split_limit_frequencies_multiplicity():
@@ -565,6 +583,8 @@ def test_interval_validation(step):
         interval_spectrum(0.1, 2.0, step, 1.0, 0.2, 3)
     with pytest.raises(ValueError):
         interval_limit_frequencies(1.0, 2.0, 1.0, 3)
+    with pytest.raises(ValueError, match="theta must be nonzero"):
+        interval_limit_frequencies(-1.0, 2.0, 0.0, 3)
 
 
 # -- first-order corrector --------------------------------------------------------------
