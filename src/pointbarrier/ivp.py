@@ -204,7 +204,14 @@ class _Mesh:
                 + sum(cut.parts[-1].rows.size for cut in self.cuts.values()))
 
 
-_MESH_CACHE: OrderedDict = OrderedDict()
+class _MeshCache(OrderedDict):
+    """Meshes by key, the least recently used first, with ``floats`` the
+    sum of their ``stored``, kept as they come and go."""
+
+    floats = 0
+
+
+_MESH_CACHE = _MeshCache()
 
 
 def _eval_c(c, xs: np.ndarray) -> np.ndarray:
@@ -350,13 +357,17 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None
     taken at the weights 0 and +-2^bucket, which bound the members of that
     bucket (the top bucket, 2^1024, at +-the largest double).  The first
     pass is the whole segment; an interval shorter than ``_MIN_STEP``
-    times the segment raises ``StepSizeUnderflowError``.  Nothing here
-    depends on the family.
+    times the segment raises ``StepSizeUnderflowError``.  A constant c
+    with a constant w keeps the first pass, one interval, on which the
+    Magnus step is the exact propagator.  Nothing here depends on the
+    family.
     """
     fs = (seg.c_part,) if bucket is None else (seg.c_part, seg.w_part)
     hmin = _MIN_STEP * abs(seg.b - seg.a)
     lo, hi = np.array([float(seg.a)]), np.array([float(seg.b)])
     nodes = _nodes(fs, lo, hi - lo)
+    if bucket is None and not callable(seg.c_part):
+        return _Mesh(seg, lo, [_Steps.of(hi - lo, nodes, seg.w_part)])
     if bucket is None:
         seen = nodes[0][np.isfinite(nodes[0])]
         weights = np.unique([0.0, -seen.min(), -seen.max()]) if seen.size else np.zeros(1)
@@ -420,12 +431,7 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) 
     """The cached mesh of (seg, cfg), or of (seg, cfg, bucket) for a
     callable w, built on first use (LRU, bounded by ``_CACHE_FLOATS``) and
     keyed by the segment's value over [a, mesh_end], whose cut at b a
-    segment short of mesh_end gets: a segment's mesh depends on it alone.
-    A constant ``c_part`` with a constant w needs no cache: its mesh is
-    the whole segment, where the Magnus step is exact."""
-    if bucket is None and not callable(seg.c_part):
-        lo, h = np.array([seg.a], dtype=float), np.array([seg.b - seg.a], dtype=float)
-        return _Mesh(seg, lo, [_Steps.of(h, _nodes((seg.c_part,), lo, h), seg.w_part)])
+    segment short of mesh_end gets: a segment's mesh depends on it alone."""
     end = seg.b if seg.mesh_end is None else seg.mesh_end
     key = (seg.a, end, seg.c_part, seg.w_part, cfg, bucket)
     try:
@@ -435,16 +441,15 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) 
         return mesh if end == seg.b else _cut(mesh, seg)
     if mesh is None:
         mesh = _MESH_CACHE[key] = _build_mesh(replace(seg, b=end, mesh_end=None), cfg, bucket)
-    else:
-        _MESH_CACHE.move_to_end(key)
-        if end == seg.b or seg.b in mesh.cuts:
-            return mesh.cuts.get(seg.b, mesh)
-    cut = mesh if end == seg.b else mesh.cuts.setdefault(seg.b, _cut(mesh, seg))
-    stored = sum(m.stored() for m in _MESH_CACHE.values())
-    while stored > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
+        _MESH_CACHE.floats += mesh.stored()
+    _MESH_CACHE.move_to_end(key)
+    if end != seg.b and seg.b not in mesh.cuts:
+        mesh.cuts[seg.b] = _cut(mesh, seg)
+        _MESH_CACHE.floats += mesh.cuts[seg.b].parts[-1].rows.size
+    while _MESH_CACHE.floats > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
         _, old = _MESH_CACHE.popitem(last=False)
-        stored -= old.stored()
-    return cut
+        _MESH_CACHE.floats -= old.stored()
+    return mesh.cuts.get(seg.b, mesh)
 
 
 def _buckets(m: np.ndarray) -> list:

@@ -35,7 +35,7 @@ from .errors import (BracketShortfallError, NotInResonanceSetError, NumericsErro
 from .ivp import (DEFAULT_CONFIG, FamilyResult, FamilySegment, SolverConfig, _check_finite,
                   propagate_family)
 from .profiles import Profile, ProfileKind, classify
-from .rootfind import illinois_vector, resolve_cells, sign_change
+from .rootfind import illinois_vector, resolve_cells
 from .spectra import _matching, _Problem
 
 __all__ = [
@@ -172,17 +172,18 @@ def resonance_scan(
     Each side of alpha = 0 is scanned in t = |alpha| on the points of one
     uniform grid of the window, ceil(width / scan_step) cells (at most
     2^53).  The Neumann index (see ``_neumann_index``) rises by exactly one
-    at each resonance of a side, so ``_side_brackets`` shoots only the grid
-    points that locate the cells where it rises, ``resolve_cells`` halves
-    every cell that hides roots until each shows its own sign change of
-    D, and the brackets of both sides are refined together by
-    ``illinois_vector``.  The counted shots are the rescaled matching shots
-    of ``spectra`` on the weight-bucket Magnus meshes, the refine and the
-    endpoint shots of the roots run at true scale on the Runge-Kutta pair.
-    A side that brackets fewer roots than its index rise at the halving floor
-    raises ``NumericsError``.  alpha = 0 is inserted analytically whenever
-    the window contains it.  Roots whose shot misses ``residual_tol``, or
-    lost w(1), come back ``flagged``.
+    at each resonance of a side, so ``resolve_cells`` (``_side_brackets``)
+    shoots only the grid points that locate the cells where it rises,
+    halves every cell that hides roots down to the one floor until each
+    shows its own sign change of D, and the brackets of both sides are
+    refined together by ``illinois_vector``.  The counted shots are the
+    rescaled matching shots of ``spectra`` on the weight-bucket Magnus
+    meshes, the refine and the endpoint shots of the roots run at true
+    scale on the Runge-Kutta pair.  A side that brackets fewer roots than
+    its index rise at the halving floor raises ``NumericsError``.  alpha =
+    0 is inserted analytically whenever the window contains it.  Roots
+    whose shot misses ``residual_tol``, or lost w(1), come back
+    ``flagged``.
     """
     if not alpha_min < alpha_max:
         raise ValueError("need alpha_min < alpha_max")
@@ -250,57 +251,34 @@ def _neumann_index(p, cfg):
 def _side_brackets(p, side, size, t, m0, cfg) -> list[tuple[float, float]]:
     """Sign-change brackets, in alpha, of the resonances on one ``side``
     (+1 or -1) of alpha = 0, among the ``size`` grid points ``t(k)`` =
-    side * alpha of that side (``_side_grid``).
+    side * alpha of that side (``_side_grid``), found by ``resolve_cells``.
 
     It counts on ``_neumann_index`` at alpha = side * t.  A side that holds
     0 starts its scan there, where the shot is exactly (1, 0) and N = 1.
     For a nonzero mean m0 the ground level leaves 0 upwards on the side
-    where alpha m0 > 0, so N starts at 0 there.
-
-    The two ends of the side are shot first.  Then, one ``fvec`` round per
-    level, every range of grid indices between neighbouring shot points
-    whose N rises, or whose D changes sign, is split at its middle index,
-    until each such range is one grid cell.  N never decreases in t, so a
-    range where it neither rises nor D changes sign holds no root, and the
-    cells of the points shot are those where ``resolve_cells`` would find
-    roots on the full grid: it gets the points shot, with their values and
-    counts, and returns the brackets it would return there.
+    where alpha m0 > 0, so N starts at 0 there.  N never decreases in t,
+    so a range of grid indices where it neither rises nor D changes sign
+    holds no root.  A side whose index counts more resonances than show a
+    sign change at the halving floor raises ``NumericsError``, naming its
+    window in alpha.
     """
     if size == 0:
         return []
     index = _neumann_index(p, cfg)
-    fvec = lambda ts, with_counts=False: index(side * ts, with_counts)
-    ks = np.array([0, size - 1])
-    ts = t(ks)
-    fs, cs = fvec(ts, True)
-    if ts[0] == 0.0 and side * m0 > 0.0:
-        cs[0] -= 1
-    shot = [(ks, ts, fs, cs)]
-    ka, fa, ca, kb, fb, cb = ks[:1], fs[:1], cs[:1], ks[1:], fs[1:], cs[1:]
-    while True:
-        split = (kb - ka > 1) & ((cb > ca) | sign_change(fa, fb))
-        if not split.any():
-            break
-        ka, fa, ca, kb, fb, cb = (v[split] for v in (ka, fa, ca, kb, fb, cb))
-        km = (ka + kb) // 2
-        tm = t(km)
-        fm, cm = fvec(tm, True)
-        shot.append((km, tm, fm, cm))
-        ka, fa, ca = np.concatenate((ka, km)), np.concatenate((fa, fm)), np.concatenate((ca, cm))
-        kb, fb, cb = np.concatenate((km, kb)), np.concatenate((fm, fb)), np.concatenate((cm, cb))
-    ks, ts, fs, cs = (np.concatenate(v) for v in zip(*shot))
-    order = np.argsort(ks)
-    ts, fs, cs = ts[order], fs[order], cs[order]
-    out: list[tuple[float, float]] = []
+
+    def counted(ts, _):
+        fs, cs = index(side * ts, True)
+        return fs, cs - ((side * m0 > 0.0) & (ts == 0.0))
+
     try:
-        resolve_cells(fvec, ts, fs, cs, out)
+        brackets, _ = resolve_cells(counted, t, size)
     except BracketShortfallError as exc:
-        lo, hi = sorted((side * ts[0], side * ts[-1]))
+        lo, hi = sorted(side * t(np.array([0, size - 1])) + 0.0)  # + 0.0: no -0
         raise NumericsError(
             f"resonance scan of profile {p.label!r} on [{lo:.10g}, {hi:.10g}]: the Neumann "
             f"index counts {exc.counted} resonances, but only {exc.found} show a sign change "
             "at the halving floor") from None
-    return [(a, b) if side > 0.0 else (-b, -a) for a, b in out]
+    return [(a, b) if side > 0.0 else (-b, -a) for a, b in brackets]
 
 
 def _refine(p, brackets, cfg) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Bracketing and root refinement used by every spectral scan.
 
-An exact root count (a Sturm or Neumann index) at the points of a window
-tells ``resolve_cells`` which cells hide roots, and it halves those
-cells until each wanted root shows its own sign change.  Every
-eigenvalue search hands it the two ends of its window; a resonance scan
-hands it the cells of its grid where the index rises.  ``sign_change``
+An exact root count (a Sturm or Neumann index) at the points of a grid
+tells ``resolve_cells``, the one window search, which cells hide roots:
+it bisects grid indices down to the cells where the count rises or the
+value changes sign, then halves those cells down to one floor,
+``_FLOOR``, until each wanted root shows its own sign change.  Every
+eigenvalue search hands it its window as a grid of one cell; a
+resonance scan hands it the grid of one side of alpha = 0.  ``sign_change``
 is the one rule for which cell a sign change, or a zero on a node,
 belongs to.  ``illinois_vector`` is the one refiner: it polishes many
 brackets at once, of one problem or of several (an owner per bracket),
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import BracketShortfallError
 
 _MAXITER = 80  # most shots after the first in ``illinois_vector``
+_FLOOR = 1e-12  # narrowest bracket of ``resolve_cells``, relative to max(1, |x|)
 
 
 def sign_change(fa, fb):
@@ -33,44 +36,69 @@ def sign_change(fa, fb):
     return (fa != 0.0) & ((fb == 0.0) | ((fa < 0.0) != (fb < 0.0)))
 
 
-def resolve_cells(fvec, xs, fs, cs, out, need=None, floor=1e-5) -> None:
-    """Append to ``out`` the sign-change brackets in the cells of the
-    ascending points ``xs``, with values ``fs`` and zero counts ``cs``, in
-    ascending order.
+def resolve_cells(fvec, grid, size, need=None, ends=(None, None)):
+    """(brackets, count): the sign-change brackets, ascending, of the roots
+    that an exact count locates on the ascending grid of ``size`` points
+    ``grid(k)`` (an index array in, its points out), and the rise of the
+    count across the grid.  ``fvec(xs, True)`` returns the values and the
+    counts of the roots at or below each point.
 
-    A zero of f exactly on a node ends the bracket of the cell to its
-    left, where a count of the roots at or below each point puts it.  A
-    cell whose count rises by two or more, or by one with no sign change
-    (a count that is not an exact index), hides roots: it is halved until
-    each root shows its own sign change, down to a width of
-    ``floor`` max(1, |xa|, |xb|), or after 2 log2(1 / floor) + 7 halvings
-    (40 at the default floor, 86 at 1e-12): enough for a cell up to
-    128 / ``floor`` times wider than max(1, |x|) to close down onto the
-    floor at x.  A rise of one without a sign change next to a sign
-    change without a rise is a root on their common node, which rounding
-    puts on one side by its sign and on the other by its count: the
-    sign-change cell brackets it, and neither is halved.  With ``need``,
-    only the lowest ``need`` roots are wanted: a cell whose lower count
-    reaches ``cs[0] + need`` is neither halved nor bracketed, except the
-    sign-change cell of a wanted root on its left node.  The counts are
-    never clamped, so a wanted cell that holds more roots than it needs
-    is still halved.  Halving is level-synchronous: every pending cell of
-    one level is split at once and all the midpoints are shot in one
-    ``fvec(mids, True)`` call.  The cells stay disjoint, so sorting the
-    brackets by their left ends gives the order of a left-to-right
-    depth-first halving.  Raises ``BracketShortfallError``
-    when the brackets fall short of the wanted rise of the count (roots
-    closer than the halving floor).
+    The two ends are shot first, in one call, but for those of ``ends``
+    that the caller holds (None or a (values, counts) pair of one point
+    each).  With ``need``, only the lowest ``need`` roots are wanted, and
+    a grid that counts fewer is not halved: the caller raises.  Then, one
+    ``fvec`` call per level, every range of grid indices between
+    neighbouring shot points whose count rises, or whose value changes
+    sign, is split at its middle index until it is one grid cell; a range
+    that does neither holds no root of an exact count.  An eigenvalue
+    window is a grid of one cell.
+
+    Only when every range is settled are the cells halved on their values
+    (the on-node rule below compares the neighbouring cells of one level),
+    again one call per level for every pending cell.  A zero of f exactly
+    on a node ends the bracket of the cell to its left, where the count
+    puts it.  A cell whose count rises by two or more, or by one with no
+    sign change (a count that is not an exact index), hides roots: it is
+    halved until each root shows its own sign change, down to a width of
+    ``_FLOOR`` max(1, |xa|, |xb|), or after 2 log2(1 / ``_FLOOR``) + 7 =
+    86 halvings: enough for a cell up to 128 / ``_FLOOR`` times wider
+    than max(1, |x|) to close down onto the floor at x.  A rise of one
+    without a sign change next to a sign change without a rise is a root
+    on their common node, which rounding puts on one side by its sign and
+    on the other by its count: the sign-change cell brackets it, and
+    neither is halved.  A cell whose lower count reaches the lowest count
+    plus ``need`` is neither halved nor bracketed, except the sign-change
+    cell of a wanted root on its left node.  The counts are never clamped,
+    so a wanted cell that holds more roots than it needs is still halved.
+    Raises ``BracketShortfallError`` when the brackets fall short of the
+    wanted rise of the count (roots closer than the floor).
     """
-    x = np.asarray(xs, dtype=float)
-    f = np.asarray(fs, dtype=float)
-    c = np.asarray(cs, dtype=int)
+    k = np.array([0, size - 1])
+    shots = list(ends)
+    todo = [i for i, shot in enumerate(shots) if shot is None]
+    if todo:
+        vals, counts = fvec(grid(k[todo]), True)
+        for j, i in enumerate(todo):
+            shots[i] = vals[j:j + 1], counts[j:j + 1]
+    f, c = (np.concatenate(part) for part in zip(*shots))
+    count = int(c[-1] - c[0])
+    if need is not None and count < need:
+        return [], count
     top = c[-1] if need is None else min(c[-1], c[0] + need)
-    counted = int(top - c[0])
-    xa, fa, ca, xb, fb, cb = x[:-1], f[:-1], c[:-1], x[1:], f[1:], c[1:]
-    cap = int(2.0 * math.log2(1.0 / floor)) + 7
+    while True:  # index bisection, the shot points kept in order
+        active = (c[1:] > c[:-1]) | sign_change(f[:-1], f[1:])
+        split = np.flatnonzero(active & (np.diff(k) > 1))
+        if not split.size:
+            break
+        km = (k[split] + k[split + 1]) // 2
+        fm, cm = fvec(grid(km), True)
+        k, f, c = (np.insert(v, split + 1, m) for v, m in ((k, km), (f, fm), (c, cm)))
+    x = grid(k)
+    xa, fa, ca = x[:-1][active], f[:-1][active], c[:-1][active]
+    xb, fb, cb = x[1:][active], f[1:][active], c[1:][active]
+    cap = int(2.0 * math.log2(1.0 / _FLOOR)) + 7
     lo, hi = [], []
-    for depth in range(cap + 1):
+    for depth in range(cap + 1):  # value halving
         sign = sign_change(fa, fb)
         rise = cb - ca
         wanted = ca < top
@@ -78,7 +106,7 @@ def resolve_cells(fvec, xs, fs, cs, out, need=None, floor=1e-5) -> None:
         on_node = np.isin(xb, xa[uncounted]) | np.isin(xa, xb[uncounted])
         unsigned = (rise == 1) & ~sign
         split = (wanted & ((rise >= 2) | (unsigned & ~on_node))
-                 & (xb - xa > floor * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb))))
+                 & (xb - xa > _FLOOR * np.maximum(1.0, np.maximum(np.abs(xa), np.abs(xb))))
                  & (depth < cap))
         done = sign & ~split & (wanted | (uncounted & np.isin(xa, xb[wanted & unsigned])))
         lo.append(xa[done])
@@ -91,13 +119,14 @@ def resolve_cells(fvec, xs, fs, cs, out, need=None, floor=1e-5) -> None:
         xa, fa, ca = np.concatenate((xa, xm)), np.concatenate((fa, fm)), np.concatenate((ca, cm))
         xb, fb, cb = np.concatenate((xm, xb)), np.concatenate((fm, fb)), np.concatenate((cm, cb))
     lo, hi = np.concatenate(lo), np.concatenate(hi)
+    counted = int(top - c[0])
     if lo.size < counted:
         raise BracketShortfallError(
             counted, lo.size,
             f"the index counts {counted} roots in ({x[0]:.10g}, {x[-1]:.10g}], but only "
             f"{lo.size} show a sign change at the halving floor")
     order = np.argsort(lo)
-    out.extend(zip(lo[order].tolist(), hi[order].tolist()))
+    return list(zip(lo[order].tolist(), hi[order].tolist()))[:need], count
 
 
 def illinois_vector(

@@ -12,11 +12,11 @@ Wronskian is evaluated for whole vectors of trial eigenvalues at once (one
 family propagation per call), together with the exact Sturm index of every
 trial value: the number of eigenvalues at or below it, from the zero
 counts of the shots and the Pruefer angles at the matching point.  Every
-search brackets its levels by one rule (``_levels``): the two ends of a
-window whose index counts them are shot, each once, and
-``rootfind.resolve_cells`` halves the window on the index until each
-level shows its own sign change.  The roots are polished by one
-safeguarded vectorized secant iteration (``_refine_each``).
+search brackets its levels by one ``rootfind.resolve_cells`` call on its
+window as a grid of one cell: the two ends, each shot once, and halving
+on the index down to the one floor until each level shows its own sign
+change.  The roots are polished by one safeguarded vectorized secant
+iteration (``_refine_each``).
 
 The interface condition at the origin is one of:
 
@@ -62,7 +62,6 @@ __all__ = [
 DEFAULT_EIG_TOL = 1e-8
 _WALL_MARGIN = 25.0  # least gap between the wall potential and a requested level
 _DEPTH_FLOOR = 1e-7  # shallowest interval well scanned, relative to the lower bound
-_FLOOR = 1e-12  # narrowest bracket of a level, relative to max(1, |lambda|)
 SAMPLES_PER_UNIT = 2001
 MAX_GRID_POINTS = 2**27  # of one sampled eigenfunction: 1 GiB as float64
 _BELOW_PI = math.nextafter(math.pi, 0.0)
@@ -335,27 +334,6 @@ def _window_start(U: ConfiningPotential) -> float:
     return min(0.0, float(np.min(_eval_c(U.U, np.linspace(-R, R, 801))))) - 1.0
 
 
-def _levels(fvec, lo: float, hi: float, need=None, low=None, high=None):
-    """(brackets, count): the number of levels of ``fvec`` that the Sturm
-    index counts in (lo, hi], and the brackets of the lowest ``need`` (all
-    without ``need``; none when fewer are counted, which the caller raises),
-    halved by ``resolve_cells`` down to ``_FLOOR``.  ``low`` and ``high``
-    are the caller's counted shots of lo and hi; the other ends are shot in
-    one call.  Levels at or below lo are not in the way."""
-    ends, shots = np.array([lo, hi]), [low, high]
-    todo = [i for i, shot in enumerate(shots) if shot is None]
-    if todo:
-        vals, counts = fvec(ends[todo], True)
-        for j, i in enumerate(todo):
-            shots[i] = vals[j:j + 1], counts[j:j + 1]
-    vals, counts = (np.concatenate(part) for part in zip(*shots))
-    count = int(counts[1] - counts[0])
-    brackets: list[tuple[float, float]] = []
-    if need is None or count >= need:
-        resolve_cells(fvec, ends, vals, counts, brackets, need, _FLOOR)
-    return brackets[:need], count
-
-
 def _refine_each(solves, cfg, eig_tol) -> list:
     """(roots, residuals) of each solve (problem, brackets, ...), refined in
     lockstep to ``eig_tol``: each round is one ``propagate_chains`` call for
@@ -366,8 +344,7 @@ def _refine_each(solves, cfg, eig_tol) -> list:
     fvec = _matching([solve[0] for solve in solves], cfg)
     each = owners if len(solves) > 1 else None
     lo, hi = np.array([b for solve in solves for b in solve[1]]).T
-    xtol = max(1e-13, min(1e-10, eig_tol * 1e-3))
-    roots = illinois_vector(fvec, lo, hi, xtol=xtol, rtol=1e-14, owners=each)
+    roots = illinois_vector(fvec, lo, hi, xtol=min(1e-10, eig_tol * 1e-3), rtol=1e-14, owners=each)
     residuals = np.abs(fvec(roots, owners=each))
     return [(roots[owners == j], residuals[owners == j]) for j in range(len(solves))]
 
@@ -422,7 +399,7 @@ def eigen_limit(
         fvec = _matching([problem], cfg)
         what = "coupled problem" if flag == "ok" else f"{flag} half problem"
         lo, shot = _scan_start(fvec, start, what)
-        brackets, count = _levels(fvec, lo, ceiling, k_max, low=shot)
+        brackets, count = resolve_cells(fvec, np.array([lo, ceiling]).take, 2, k_max, (shot, None))
         _check_ceiling(what, count, k_max, ceiling)
         return problem, brackets
 
@@ -542,13 +519,14 @@ def _perturbed_problem(U, p, alpha, eps, cfg):
         found = []
         if k_lo <= n_dive:
             bottom = lam_split - 2.0 * abs(alpha) * p.max_abs / (eps * eps)
-            found = _levels(fvec, bottom, lam_split, high=shot)[0]
+            found = resolve_cells(fvec, np.array([bottom, lam_split]).take, 2, ends=(None, shot))[0]
             if len(found) != n_dive:
                 raise NumericsError(f"the Sturm index counts {n_dive} levels below "
                                     f"{lam_split:.6g}, but the diving search found {len(found)}")
         if k_hi > n_dive:
             ceiling, k = U.wall_floor() - _WALL_MARGIN, k_hi - n_dive
-            bounded, count = _levels(fvec, lam_split, ceiling, k, low=shot)
+            bounded, count = resolve_cells(fvec, np.array([lam_split, ceiling]).take, 2, k,
+                                           (shot, None))
             _check_ceiling("squeezed-barrier problem", count, k, ceiling)
             found += bounded
         return found
@@ -588,7 +566,7 @@ def _interval_levels(problem, a, b, count, cfg, eig_tol):
     low = fvec(np.array([0.0]), True)
     top = split_limit_frequencies(a, b, int(low[1][0]) + count)[-1] ** 2
     top *= 1.0 + 1e-6
-    brackets, found = _levels(fvec, 0.0, top, count, low=low)
+    brackets, found = resolve_cells(fvec, np.array([0.0, top]).take, 2, count, (low, None))
     if found < count:
         raise NumericsError(
             f"interval problem: the index counts {found} levels in "
@@ -645,7 +623,8 @@ def interval_negative_levels(
     cfg = cfg or DEFAULT_CONFIG
     problem = _interval_problem(a, b, p, alpha, eps)
     bottom = -2.0 * abs(alpha) * p.max_abs / (eps * eps)
-    brackets = _levels(_matching([problem], cfg), bottom, bottom * _DEPTH_FLOOR)[0]
+    window = np.array([bottom, bottom * _DEPTH_FLOOR])
+    brackets = resolve_cells(_matching([problem], cfg), window.take, 2)[0]
     return _refine_each([(problem, brackets)], cfg, DEFAULT_EIG_TOL)[0][0]
 
 

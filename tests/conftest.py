@@ -33,7 +33,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
 
-from pointbarrier import profiles
+from pointbarrier import profiles, resonance
 from pointbarrier.errors import NotInResonanceSetError, PreconditionError
 from pointbarrier.ivp import DEFAULT_CONFIG, FamilySegment, SolverConfig, propagate_family
 from pointbarrier.profiles import Profile, Segment
@@ -343,6 +343,24 @@ def spy_shots(monkeypatch, module, record):
 
     monkeypatch.setattr(module, "propagate_family", one)
     monkeypatch.setattr(module, "propagate_chains", several)
+
+
+def phantom_count(monkeypatch, at: float) -> None:
+    """Make the Neumann index of every resonance scan from now on count one
+    more root at |alpha| >= ``at``, where D keeps its sign: a count that is
+    not an exact index, which no halving can resolve."""
+    index = resonance._neumann_index
+
+    def with_phantom(p, cfg):
+        fvec = index(p, cfg)
+
+        def counted(alphas, with_counts=False):
+            vals, counts = fvec(alphas, True)
+            return vals, counts + (np.abs(alphas) >= at)
+
+        return counted
+
+    monkeypatch.setattr(resonance, "_neumann_index", with_phantom)
 
 
 def sequential_chain(M, L, y, ly):

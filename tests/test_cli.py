@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import step_scatter_decimal, write_csv_per_cell
+from conftest import phantom_count, step_scatter_decimal, write_csv_per_cell
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -112,15 +112,16 @@ def test_fine_scan_grids_are_never_built(tmp_path, capsys):
     assert alphas["1e-5"] == pytest.approx(alphas["0.1"], rel=0.0, abs=1e-12)
 
 
-def test_resonances_shortfall_exits_3(tmp_path, capsys):
-    # the pair at 350.8957 is 4e-6 apart, below the 1e-5 relative halving
-    # floor: the index counts two roots that no cell separates
+def test_resonances_shortfall_exits_3(tmp_path, capsys, monkeypatch):
+    # an index that counts a root no sign change shows (a phantom count
+    # rise at 30.05) is a numerical failure, with one line naming the window
+    phantom_count(monkeypatch, 30.05)
     out = tmp_path / "short"
-    assert main(["resonances", "--profile", "even_quadratic", "--window", "350", "352",
+    assert main(["resonances", "--profile", "step", "--window", "0", "60", "--scan-step", "1",
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numerical failure:")
-    assert "[350, 352]" in err[0]
+    assert "[0, 60]" in err[0] and "halving floor" in err[0]
 
 
 def test_residual_gate_misses_go_to_candidates(tmp_path, kappa_roots):

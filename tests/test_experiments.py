@@ -240,12 +240,11 @@ def test_a_converge_call_builds_one_wall_mesh_per_side_and_a_second_builds_none(
         step, alpha1, monkeypatch):
     # the limit problem and every rung share the two half-box wall meshes,
     # and a potential parsed again is the same value; the cache holds the
-    # two walls and the 8 barrier pieces in under 30,000 floats
-    from collections import OrderedDict
-
+    # two walls, the 8 barrier pieces and the two one-interval meshes of the
+    # step's coupling shot in under 30,000 floats
     from pointbarrier import ivp
 
-    monkeypatch.setattr(ivp, "_MESH_CACHE", OrderedDict())
+    monkeypatch.setattr(ivp, "_MESH_CACHE", ivp._MeshCache())
     builds = []
     build = ivp._build_mesh
     monkeypatch.setattr(ivp, "_build_mesh", lambda *args: builds.append(args) or build(*args))
@@ -253,6 +252,8 @@ def test_a_converge_call_builds_one_wall_mesh_per_side_and_a_second_builds_none(
         U = polynomial_potential([0.0, 1.0, 1.0], 8.0, "tilted_harmonic")
         rep = convergence_study(U, step, alpha1, LADDER, 2, samples_per_unit=101)
         assert rep.resonant
-        assert len(builds) <= (10 if call == 0 else 0)
+        assert len(builds) <= (12 if call == 0 else 0)
+        assert sum(not callable(seg.c_part) for seg, *_ in builds) == (2 if call == 0 else 0)
         builds.clear()
-        assert sum(mesh.stored() for mesh in ivp._MESH_CACHE.values()) <= 30_000
+        assert ivp._MESH_CACHE.floats == sum(mesh.stored() for mesh in ivp._MESH_CACHE.values())
+        assert ivp._MESH_CACHE.floats <= 30_000

@@ -775,6 +775,27 @@ def test_the_mesh_cache_keeps_no_copy_of_a_cut():
     assert whole.stored() == whole.lo.size + 1 + whole.parts[0].rows.size + 9
 
 
+def test_the_mesh_cache_counts_its_floats_and_evicts_the_oldest(monkeypatch):
+    # a cut adds its last step to its mesh; a constant segment's mesh is one
+    # cached interval of 11 floats, so 200 floats to spare keep the 18 most
+    # recent, and the wall mesh, used in between, stays
+    monkeypatch.setattr(ivp, "_MESH_CACHE", ivp._MeshCache())
+    cache, cfg = ivp._MESH_CACHE, ivp.DEFAULT_CONFIG
+    U = lambda x: x * x + x  # noqa: E731
+    whole = ivp._mesh_for(FamilySegment(-1.0, 0.0, U, -1.0), cfg)
+    walls = [FamilySegment(-1.0, -0.1 * (j + 1), U, -1.0, 0.0) for j in range(5)]
+    for wall in walls:
+        ivp._mesh_for(wall, cfg)
+        assert cache.floats == whole.stored()
+    monkeypatch.setattr(ivp, "_CACHE_FLOATS", whole.stored() + 200)
+    for c in range(40):
+        assert ivp._mesh_for(FamilySegment(0.0, 1.0, float(c), -1.0), cfg).lo.size == 1
+        assert ivp._mesh_for(walls[c % 5], cfg) is whole.cuts[walls[c % 5].b]
+        assert cache.floats == sum(mesh.stored() for mesh in cache.values())
+    assert [key[2] for key in cache if key[2] is not U] == [float(c) for c in range(22, 40)]
+    assert len(whole.cuts) == 5 and any(mesh is whole for mesh in cache.values())
+
+
 def test_chains_with_their_own_weight_rows_match_their_own_calls():
     # one weight row per chain: the rows ride in one pass, stacked and
     # padded, and each chain matches its own call to rounding

@@ -6,6 +6,7 @@ from conftest import (
     bisect_oracle,
     collocation_resonances,
     dop853_family,
+    phantom_count,
     spy_shots,
     step_h,
     step_theta,
@@ -18,7 +19,7 @@ from pointbarrier import profiles, resonance, spectra
 from pointbarrier.errors import NotInResonanceSetError, NumericsError
 from pointbarrier.experiments import even_counterexample_profile
 from pointbarrier.ivp import FamilySegment
-from pointbarrier.rootfind import resolve_cells
+from pointbarrier.rootfind import resolve_cells, sign_change
 from pointbarrier.resonance import (
     coupling_theta,
     eigenfunction,
@@ -349,16 +350,28 @@ def test_constant_profile_resonances():
     assert [pt.theta for pt in pts] == pytest.approx([-1.0, 1.0, -1.0, 1.0], abs=1e-8)
 
 
-def test_negative_side_shortfall_names_the_alpha_window():
-    # -profile resonates at -alpha: the pair of 1 - 3 xi^2 at 350.8957,
-    # 4e-6 apart, becomes one at -350.8957 that no cell separates; the
-    # message names the window in alpha only, not in t = |alpha|
-    neg = profiles.Profile((profiles.Segment(-1.0, 1.0, (-1.0, 0.0, 3.0)),), label="negated")
+def test_negative_side_shortfall_names_the_alpha_window(monkeypatch, step):
+    # a phantom count rise at |alpha| = 45.05, where D keeps its sign: the
+    # negative side counts one resonance more than show a sign change, and
+    # the message names the window in alpha only, not in t = |alpha|
+    want = len(resonance_scan(step, -60.0, -30.0))
+    phantom_count(monkeypatch, 45.05)
     with pytest.raises(NumericsError) as info:
-        resonance_scan(neg, -352.0, -350.0)
-    assert str(info.value) == ("resonance scan of profile 'negated' on [-352, -350]: the "
-                               "Neumann index counts 2 resonances, but only 0 show a sign "
-                               "change at the halving floor")
+        resonance_scan(step, -60.0, -30.0)
+    assert str(info.value) == (f"resonance scan of profile 'step' on [-60, -30]: the "
+                               f"Neumann index counts {want + 1} resonances, but only {want} "
+                               "show a sign change at the halving floor")
+
+
+def test_a_pair_closer_than_1e_5_relative_is_bracketed():
+    # 1 - 3 xi^2 resonates at a pair near 350.8957 only 4.2e-6 apart (1.2e-8
+    # relative); its negation has the same pair at -350.8957
+    p = even_counterexample_profile()
+    neg = profiles.Profile((profiles.Segment(-1.0, 1.0, (-1.0, 0.0, 3.0)),), label="negated")
+    pair = [pt.alpha for pt in resonance_scan(p, 350.0, 352.0)]
+    assert pair == pytest.approx([350.895681689, 350.895685873], rel=0.0, abs=1e-8)
+    mirrored = [pt.alpha for pt in resonance_scan(neg, -352.0, -350.0)]
+    assert mirrored == pytest.approx([-a for a in reversed(pair)], rel=0.0, abs=1e-8)
 
 
 def _tilted_miss(alpha):
@@ -539,8 +552,10 @@ def test_side_grid_is_linspace_bitwise(lo, hi, scan_step):
 ])
 def test_side_brackets_are_those_of_the_full_grid(monkeypatch, name, lo, hi, scan_step):
     # the bisection shoots only the points that locate the cells where the
-    # index rises, and resolve_cells brackets the same cells as on the full
-    # grid, which this test shoots point by point as the reference
+    # index rises or D changes sign, and finds the brackets that the value
+    # halving finds on those cells of the full grid, which this test shoots
+    # point by point as the reference: each run of neighbouring such cells
+    # is a grid of its own, whose every range is split down to one cell
     p = even_counterexample_profile() if name == "even_quadratic" else profiles.builtin(name)
     n = max(1, math.ceil((hi - lo) / scan_step))
     members = []
@@ -549,8 +564,13 @@ def test_side_brackets_are_those_of_the_full_grid(monkeypatch, name, lo, hi, sca
         index = resonance._neumann_index(p, None)
         fvec = lambda ts, with_counts=False: index(side * ts, with_counts)
         fs, cs = fvec(ts, True)
+        live = np.concatenate(([False], (cs[1:] > cs[:-1]) | sign_change(fs[:-1], fs[1:]),
+                               [False]))
+        starts, stops = np.flatnonzero(live[1:] & ~live[:-1]), np.flatnonzero(live[:-1] & ~live[1:])
         want: list = []
-        resolve_cells(fvec, ts, fs, cs, want)
+        for i, j in zip(starts, stops):  # the cells i..j-1, the points i..j
+            ends = ((fs[i:i + 1], cs[i:i + 1]), (fs[j:j + 1], cs[j:j + 1]))
+            want += resolve_cells(fvec, ts[i:j + 1].take, j - i + 1, ends=ends)[0]
         want = [(a, b) if side > 0.0 else (-b, -a) for a, b in want]
         assert want
         members.clear()

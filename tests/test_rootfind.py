@@ -28,10 +28,9 @@ def test_resolve_cells_raises_when_brackets_fall_short_of_the_count():
 
     grid = np.linspace(0.0, 4.0, 9)
     with pytest.raises(NumericsError, match=r"counts 2 roots in \(0, 4\], but only 1"):
-        resolve_cells(fvec, grid, *fvec(grid, True), [])
-    out = []
-    resolve_cells(fvec, grid[:5], *fvec(grid[:5], True), out)
-    assert out == [(0.0, 0.5)]  # the root on the node 0.5 ends the cell to its left
+        resolve_cells(fvec, grid.take, grid.size)
+    # the root on the node 0.5 ends the cell to its left
+    assert resolve_cells(fvec, grid[:5].take, 5) == ([(0.0, 0.5)], 1)
 
 
 def _cluster(roots):
@@ -54,17 +53,42 @@ def test_resolve_cells_halves_a_wanted_cell_holding_more_roots_than_it_needs():
     # there and bracket the cluster whole
     fvec, shots = _cluster([0.5, 2.6, 2.7, 2.8])
     ends = np.array([0.0, 4.0])
-    out = []
-    resolve_cells(fvec, ends, *fvec(ends, True), out, need=2)
-    assert len(out) == 2
+    out, count = resolve_cells(fvec, ends.take, 2, need=2)
+    assert len(out) == 2 and count == 4
     (a0, b0), (a1, b1) = out
     assert a0 < 0.5 < b0 <= 2.0 and 2.5 <= a1 < 2.6 < b1 <= 2.7
     # one root wanted: the cell above it is neither halved nor bracketed
     shots.clear()
-    out = []
-    resolve_cells(fvec, ends, *fvec(ends, True), out, need=1)
-    assert out == [(0.0, 2.0)]
+    assert resolve_cells(fvec, ends.take, 2, need=1) == ([(0.0, 2.0)], 4)
     assert shots == [[0.0, 4.0], [2.0]]
+    # five roots wanted where four are counted: the caller raises, nothing is halved
+    shots.clear()
+    assert resolve_cells(fvec, ends.take, 2, need=5) == ([], 4)
+    assert shots == [[0.0, 4.0]]
+
+
+def test_resolve_cells_shoots_only_the_ends_the_caller_lacks():
+    fvec, shots = _cluster([0.5, 2.6])
+    ends = np.array([0.0, 4.0])
+    low = fvec(ends[:1], True)
+    shots.clear()
+    assert resolve_cells(fvec, ends.take, 2, ends=(low, None)) == ([(0.0, 2.0), (2.0, 4.0)], 2)
+    assert shots == [[4.0], [2.0]]
+
+
+def test_resolve_cells_bisects_grid_indices_before_halving_values():
+    # 1025 grid points with roots in two cells: the index phase shoots the
+    # ends, then one middle index per level of each range that holds a
+    # root, never a point between grid nodes, until each range is one cell
+    fvec, shots = _cluster([3.3, 700.1, 700.2])
+    grid = np.arange(1025.0)
+    brackets, count = resolve_cells(fvec, grid.take, grid.size)
+    assert count == 3
+    assert brackets[0] == (3.0, 4.0) and 700.0 <= brackets[1][0] < 700.1 < brackets[1][1] < 700.2
+    assert brackets[2][0] < 700.2 < brackets[2][1] <= 701.0
+    nodes = [shot for shot in shots if all(x == int(x) for x in shot)]
+    assert shots[:len(nodes)] == nodes and nodes[0] == [0.0, 1024.0]
+    assert len(nodes) == 11 and sum(map(len, nodes)) == 2 + 1 + 2 * 9
 
 
 def test_illinois_vector_polynomials():

@@ -25,11 +25,12 @@ def test_exact_cross_check(step):
 
 
 def test_constant_segments_take_one_exact_step(step, bump, monkeypatch):
-    # a constant profile segment is one exact step: no mesh is built or
-    # cached, and scatter_sweep is the two-propagator product of the closed form
+    # a constant profile segment is one exact step: its mesh, cached like
+    # any other, is one interval, and scatter_sweep is the two-propagator
+    # product of the closed form
     from pointbarrier import ivp
 
-    cached = list(ivp._MESH_CACHE)
+    monkeypatch.setattr(ivp, "_MESH_CACHE", ivp._MeshCache())
     for alpha in (0.5, 4.0, 12.5, 20.0):
         for eps in (1e-3, 0.05, 0.2):
             for k in (0.3, 1.0, 2.9):
@@ -37,7 +38,8 @@ def test_constant_segments_take_one_exact_step(step, bump, monkeypatch):
                 re = step_scatter_exact(math.sqrt(alpha), eps, k)
                 assert abs(rn.R - re.R) <= 1e-13
                 assert abs(rn.T - re.T) <= 1e-13
-    assert list(ivp._MESH_CACHE) == cached
+    meshes = list(ivp._MESH_CACHE.values())
+    assert len(meshes) == 4 * 2 and all(mesh.lo.size == 1 for mesh in meshes)
 
     meshes = []
     mesh_for = ivp._mesh_for

@@ -338,13 +338,13 @@ def test_diving_levels_match_a_dop853_oracle(tilted, alpha1, name, alpha, eps, k
 
 def test_a_diving_search_short_of_the_count_raises(tilted, step, alpha1, monkeypatch):
     # the diving search is the one that brackets every root of its window
-    found = spectra._levels
+    found = spectra.resolve_cells
 
-    def one_short(fvec, lo, hi, need=None, **shots):
-        brackets, count = found(fvec, lo, hi, need, **shots)
+    def one_short(fvec, grid, size, need=None, ends=(None, None)):
+        brackets, count = found(fvec, grid, size, need, ends)
         return (brackets if need else brackets[1:]), count
 
-    monkeypatch.setattr(spectra, "_levels", one_short)
+    monkeypatch.setattr(spectra, "resolve_cells", one_short)
     with pytest.raises(NumericsError, match="counts 1 levels .* found 0"):
         eigen_perturbed(tilted, step, alpha1, 0.1, (1, 2))
 
@@ -482,6 +482,50 @@ def test_interval_limit_frequencies_of_a_near_coincident_pair():
         assert g[0] * g[1] < 0.0, w
 
 
+def _tan_root(m: int, lo: float, hi: float, theta2: float) -> float:
+    """The root w = m pi / 10 + d of sin(5 w) cos(2 w) + theta2 cos(5 w)
+    sin(2 w), that is of tan(5 w) = theta2 tan(-2 w), with d in (lo, hi),
+    bisected on d.  5 w is m quarter turns plus 5 d and 2 w m fifth turns
+    plus 2 d: the rotations are exact (or, off a multiple of 5, far from
+    the small factor), so d comes out to rounding and w to an ulp or two."""
+    turn = (1.0, 0.0) if m % 5 == 0 else (math.cos(m * math.pi / 5), math.sin(m * math.pi / 5))
+    sign = -1.0 if m % 10 == 5 else 1.0
+
+    def f(d):
+        s, c = math.sin(5 * d), math.cos(5 * d)
+        s5, c5 = [(s, c), (c, -s), (-s, -c), (-c, s)][m % 4]
+        s, c = math.sin(2 * d), math.cos(2 * d)
+        s2, c2 = sign * (turn[1] * c + turn[0] * s), sign * (turn[0] * c - turn[1] * s)
+        return s5 * c2 + theta2 * c5 * s2
+
+    flo = f(lo)
+    assert flo * f(hi) < 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if (f(mid) < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return m * math.pi / 10 + 0.5 * (lo + hi)
+
+
+def test_interval_limit_frequencies_are_refined_to_their_tolerance():
+    # theta = 1e8 on (-2, 0) and (0, 5): each root lies within 1e-16 of a
+    # zero m pi / 10 of cos(5 w) (m odd) or of sin(2 w) (m = 5k), but for
+    # the pair 6.3e-9 apart about pi / 2, a zero of both.  The refine goes
+    # to 1e-13 relative: an absolute 1e-13 on the level put the lowest
+    # frequency 1.3e-13 off
+    theta2 = 1e16
+    want = [_tan_root(m, -1e-13, 1e-13, theta2) for m in (1, 3)]
+    want += [_tan_root(5, -1e-6, -1e-12, theta2), _tan_root(5, 1e-12, 1e-6, theta2)]
+    want += [_tan_root(m, -1e-13, 1e-13, theta2) for m in (7, 9, 10, 11)]
+    got = interval_limit_frequencies(-2.0, 5.0, 1e8, 8)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert want[3] - want[2] == pytest.approx(2.0 / (1e8 * math.sqrt(10.0)), rel=1e-6)
+
+
 def test_split_limit_frequencies_multiplicity():
     w = split_limit_frequencies(-1.0, 2.0, 6)
     # pi and 2 pi are shared by both intervals and appear twice
@@ -508,16 +552,17 @@ def test_a_level_on_a_grid_node_costs_no_halving(odd_cubic, monkeypatch):
     # at alpha = 0 on (-(L + eps), L + eps) with L + eps = L sqrt(2 / (1 + 1e-6))
     # level 2, (pi / (L + eps))^2, is half the top of the window, the pair
     # (pi / L)^2 raised by 1e-6 relative: it lies on the first halving node
-    # to the last bit, and that one node separates both levels
+    # to the last bit, and that one node separates both levels; the first
+    # call shoots the top of the window, whose bottom the caller holds
     halvings = []
     resolve = spectra.resolve_cells
 
-    def spy(fvec, xs, fs, cs, out, *args):
+    def spy(fvec, *args):
         def shoot(mids, with_counts=False):
             halvings.append(np.asarray(mids).tolist())
             return fvec(mids, with_counts)
 
-        resolve(shoot, xs, fs, cs, out, *args)
+        return resolve(shoot, *args)
 
     monkeypatch.setattr(spectra, "resolve_cells", spy)
     L = 0.75
@@ -525,12 +570,12 @@ def test_a_level_on_a_grid_node_costs_no_halving(odd_cubic, monkeypatch):
     a, b = -(L + eps), L + eps
     spec = interval_spectrum(a, b, odd_cubic, -0.0, eps, 2)
     ref = [(n * math.pi / (b - a)) ** 2 for n in (1, 2)]
-    assert halvings == [[ref[1]]]
+    assert len(halvings) == 2 and halvings[1] == [ref[1]]
     assert np.max(np.abs(np.sqrt(spec.eigenvalues) - np.sqrt(ref))) < 1e-11
     # the lowest level of (-2, 0.6569) is the only one in its window
     halvings.clear()
     spec = interval_spectrum(-2.0, 0.6569, odd_cubic, -0.0, 0.5, 1)
-    assert halvings == []
+    assert len(halvings) == 1
     omega = interval_limit_frequencies(-2.0, 0.6569, 1.0, 1)[0]
     assert abs(math.sqrt(spec.eigenvalues[0]) - omega) < 1e-11
 
@@ -646,13 +691,14 @@ def test_ladder_levels_follow_the_solver_tolerance(tilted, step, alpha1, theta1)
 # -- bracketing by count-guided halving -------------------------------------------
 
 def _recursive_resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, mids, depth=0):
-    """Reference: depth-first halving, one midpoint shot per call;
-    ``mids`` collects (depth, midpoint) of every shot."""
+    """Reference: depth-first halving, one midpoint shot per call, down to
+    1e-12 max(1, |x|) or 86 halvings; ``mids`` collects (depth, midpoint)
+    of every shot."""
     sign_change = fa != 0.0 and (fb == 0.0 or (fa < 0.0) != (fb < 0.0))
     expected = max(0, cb - ca)
     if expected >= 2 or (expected == 1 and not sign_change):
-        floor = 1e-5 * max(1.0, abs(xa), abs(xb))
-        if xb - xa > floor and depth < 40:
+        floor = 1e-12 * max(1.0, abs(xa), abs(xb))
+        if xb - xa > floor and depth < 86:
             xm = 0.5 * (xa + xb)
             vm, cm = fvec(np.array([xm]), True)
             fm, nm = float(vm[0]), int(cm[0])
@@ -667,7 +713,7 @@ def _recursive_resolve_cell(fvec, xa, fa, ca, xb, fb, cb, out, mids, depth=0):
 _ROOTS = np.array([0.5, 2.3, 2.3001, 4.0, 6.7])
 # cells: [0, 1] one plain root; [2, 3] a hidden pair; [3, 4] a root
 # exactly on its right node; [6, 7] a root
-_NODES = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e9]
+_NODES = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 1e17]
 
 
 def _counted_roots(phantoms):
@@ -684,8 +730,9 @@ def _counted_roots(phantoms):
 
 
 def _resolve_against_reference(fvec):
-    """``resolve_cells`` on ``_NODES`` with its calls recorded, next to the
-    recursive reference's brackets and (depth, midpoint) shots."""
+    """``resolve_cells`` on the grid ``_NODES`` with its calls recorded,
+    next to the recursive reference's brackets and (depth, midpoint) shots
+    on every cell of the full grid."""
     from pointbarrier.rootfind import resolve_cells
 
     calls = []
@@ -703,10 +750,14 @@ def _resolve_against_reference(fvec):
                                 float(fs[i + 1]), int(cs[i + 1]), want, mids)
     got, error = [], None
     try:
-        resolve_cells(counted, _NODES, fs, cs, got)
+        got = resolve_cells(counted, np.array(_NODES).take, len(_NODES))[0]
     except NumericsError as exc:
         error = exc
     depths = sorted({d for d, _ in mids})
+    # the index phase shoots grid nodes only, all before the first halving
+    nodes = sum(bool(np.isin(shot, _NODES).all()) for shot in calls)
+    assert all(np.isin(shot, _NODES).all() for shot in calls[:nodes])
+    calls = calls[nodes:]
     # one call per halving level, holding every midpoint of that level
     assert len(calls) == len(depths)
     for d, shot in zip(depths, calls):
@@ -732,12 +783,12 @@ def test_resolve_cells_matches_recursive_reference():
 
 def test_resolve_cells_raises_on_count_rises_no_sign_change_shows():
     # [5, 6] a count rise with no sign change, halved to the width floor;
-    # [8, 1e9] one that stops at 40 halvings before the floor: both are
+    # [8, 1e17] one that stops at 86 halvings before the floor: both are
     # halved as the reference does, then the shortfall raises
     _, _, depths, error = _resolve_against_reference(_counted_roots(np.array([5.25, 8.5])))
-    assert depths == list(range(40))
+    assert depths == list(range(86))
     assert error is not None
-    assert str(error) == ("the index counts 7 roots in (0, 1000000000], but only 5 show a "
+    assert str(error) == ("the index counts 7 roots in (0, 1e+17], but only 5 show a "
                           "sign change at the halving floor")
 
 
@@ -861,19 +912,20 @@ def test_perturbed_scan_splits_only_cells_holding_two_levels(monkeypatch, tilted
     resolve = spectra.resolve_cells
     split_rises = []
 
-    def spy(fvec, xs, fs, cs, out, *args):
-        known = dict(zip(np.asarray(xs, dtype=float).tolist(), np.asarray(cs).tolist()))
+    def spy(fvec, grid, size, need=None, ends=(None, None)):
+        window = grid(np.array([0, size - 1])).tolist()
+        known = {x: int(shot[1][0]) for x, shot in zip(window, ends) if shot is not None}
 
         def shoot_mids(mids, with_counts=False):
             vals, counts = fvec(mids, True)
-            pts = sorted(known)
-            for m in np.asarray(mids).tolist():
+            pts, mids = sorted(known), np.asarray(mids).tolist()
+            for m in mids if not set(mids) <= set(window) else []:  # not the window's ends
                 i = int(np.searchsorted(pts, m))
                 split_rises.append(known[pts[i]] - known[pts[i - 1]])
-            known.update(zip(np.asarray(mids).tolist(), counts.tolist()))
+            known.update(zip(mids, counts.tolist()))
             return vals, counts
 
-        resolve(shoot_mids, xs, fs, cs, out, *args)
+        return resolve(shoot_mids, grid, size, need, ends)
 
     monkeypatch.setattr(spectra, "resolve_cells", spy)
     spec = eigen_perturbed(tilted, step, alpha1, 0.05, (1, 4))
@@ -925,13 +977,11 @@ def test_problems_matched_together_match_their_own_calls(tilted, step, alpha1, c
 
 def test_eigen_perturbed_does_not_depend_on_what_ran_before(tilted, step, monkeypatch):
     # the walls run on cuts of the half-box meshes, whichever solve built them
-    from collections import OrderedDict
-
     from pointbarrier import ivp
     from pointbarrier.experiments import convergence_study
 
     def fresh_then(before):
-        monkeypatch.setattr(ivp, "_MESH_CACHE", OrderedDict())
+        monkeypatch.setattr(ivp, "_MESH_CACHE", ivp._MeshCache())
         before()
         spec = eigen_perturbed(tilted, step, 5.0, 0.05, (1, 4))
         return spec.eigenvalues, spec.residuals
