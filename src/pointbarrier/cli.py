@@ -768,6 +768,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a library entry point rejected its arguments
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a grid under its cap can still outgrow the memory
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

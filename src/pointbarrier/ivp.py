@@ -130,6 +130,8 @@ _MIN_STEP = 1e-14  # underflow floor of a mesh interval, relative to its segment
 _MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as underflow
 _WORK_CAP = 1 << 13  # intervals (or samples) x members x chains handled per transport pass
 _CACHE_FLOATS = 1 << 16  # mesh cache budget in stored floats (512 kB)
+# a cached one-interval mesh holds 951 bytes (tracemalloc), 88 of them its 11 stored floats
+_MESH_OVERHEAD = 108  # floats charged per cached mesh or cut beyond its arrays
 _RENORM_EVERY = 4  # the products of the chaining tree are rescaled every this many levels
 _SERIES_THRESHOLD = 1e-6  # |det| below this: the step's cosh/sinh by power series
 _EXACT_COUNT = 2.0**53  # largest zero count of one interval that a double holds exactly
@@ -199,9 +201,11 @@ class _Mesh:
     parts: list
     cuts: dict = field(default_factory=dict)
 
-    def stored(self) -> int:  # floats kept for it and its cuts, views but their last step
-        return (self.lo.size + 1 + self.parts[0].rows.size
-                + sum(cut.parts[-1].rows.size for cut in self.cuts.values()))
+    def stored(self) -> int:
+        """Floats charged for it and its cuts: their arrays (a cut's last step;
+        the rest are views), and ``_MESH_OVERHEAD`` each, which bounds their number."""
+        return (_MESH_OVERHEAD + self.lo.size + 1 + self.parts[0].rows.size
+                + sum(_MESH_OVERHEAD + cut.parts[-1].rows.size for cut in self.cuts.values()))
 
 
 class _MeshCache(OrderedDict):
@@ -445,7 +449,7 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) 
     _MESH_CACHE.move_to_end(key)
     if end != seg.b and seg.b not in mesh.cuts:
         mesh.cuts[seg.b] = _cut(mesh, seg)
-        _MESH_CACHE.floats += mesh.cuts[seg.b].parts[-1].rows.size
+        _MESH_CACHE.floats += _MESH_OVERHEAD + mesh.cuts[seg.b].parts[-1].rows.size
     while _MESH_CACHE.floats > _CACHE_FLOATS and len(_MESH_CACHE) > 1:
         _, old = _MESH_CACHE.popitem(last=False)
         _MESH_CACHE.floats -= old.stored()

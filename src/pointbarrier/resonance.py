@@ -88,9 +88,10 @@ def shoot_family(p: Profile, alphas, cfg: SolverConfig | None = None) -> FamilyR
 
     Each run of constant profile segments is one ``propagate_family`` call
     (one exact step per segment); each polynomial segment runs on the
-    Dormand-Prince pair (``_rk_segment``), which carries these unsampled,
-    uncounted endpoint shots alone.  A state that leaves the range of a
-    double raises ``NumericsError``, as in ``propagate_family``."""
+    Dormand-Prince kernel (``_rk_segment``, ``_rk_span``), which carries
+    these unsampled, uncounted endpoint shots alone, the members of a lane
+    on one shared step sequence.  A state that leaves the range of a double
+    raises ``NumericsError``, as in ``propagate_family``."""
     cfg = cfg or DEFAULT_CONFIG
     m = np.atleast_1d(np.asarray(alphas, dtype=float))
     segs = _alpha_segments(p)
@@ -179,7 +180,8 @@ def resonance_scan(
     refined together by ``illinois_vector``.  The counted shots are the
     rescaled matching shots of ``spectra`` on the weight-bucket Magnus
     meshes, the refine and the endpoint shots of the roots run at true
-    scale on the Runge-Kutta pair.  A side that brackets fewer roots than
+    scale on the Runge-Kutta kernel, whose lanes (``_rk_segment``) decide
+    which shots share their steps.  A side that brackets fewer roots than
     its index rise at the halving floor raises ``NumericsError``.  alpha =
     0 is inserted analytically whenever the window contains it.  Roots
     whose shot misses ``residual_tol``, or lost w(1), come back
@@ -313,7 +315,7 @@ def coupling_theta(
     return pt
 
 
-# -- the Dormand-Prince 5(4) pair of the endpoint shots ----------------------------
+# -- the Dormand-Prince 5(4) kernel of the true-scale shots, in lockstep lanes ------
 
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _DP_A = (
@@ -336,39 +338,45 @@ _DP_B4 = (
     1.0 / 40.0,
 )
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-_DP_A_ROWS = tuple(np.array(row) for row in _DP_A)  # the tableau as the vector path reads it
-_DP_B5_ROW = np.array(_DP_B5[:6])
-_DP_E_ROW = np.array(_DP_E)
 _RK_ABS_TOL = 1e-12  # absolute floor of the RK error test
 _RK_MAX_STEP = 1e-2  # RK step cap, relative to the span of the profile
 _RK_MIN_STEP = 1e-14  # RK underflow floor, relative to the span of the profile
+_RK_BLOCK = 18  # lanes of this many members and more step on numpy arrays
 
 
 def _rk_segment(seg: FamilySegment, m: np.ndarray, Y: np.ndarray, cfg: SolverConfig,
                 span: float) -> None:
     """Carry the true-scale states ``Y`` (2, n) of the couplings ``m`` in
     place across ``seg``, where q = 0 + m w(x), with steps capped at
-    ``_RK_MAX_STEP`` and floored at ``_RK_MIN_STEP`` times ``span``."""
-    wp = seg.w_part
-    # tiny families run faster member-by-member on the scalar fast path
+    ``_RK_MAX_STEP`` and floored at ``_RK_MIN_STEP`` times ``span``.
+
+    Each lane is one ``_rk_span`` run, whose members share one step
+    sequence: a family of 2-6 couplings goes member by member, one of 1 or
+    of 7 and more as one lane.  The split stays because the lanes set the
+    last bits of every shot.  Every member alone confirms 8 bump roots on
+    [-200, 200] where the frozen set has 6; every family as one lane keeps
+    the 6 and the flagged pair, but moves two thetas of ``even_quadratic``
+    by up to 5.3e-15 relative."""
     lanes = [slice(j, j + 1) for j in range(m.size)] if 1 < m.size <= 6 else [slice(0, m.size)]
     for lane in lanes:
-        Yl = Y[:, lane]
-        ml = float(m[lane.start]) if Yl.shape[1] == 1 else m
-        qv = lambda x, ml=ml: 0.0 + ml * wp(x)
-        path = _rk_span_scalar if Yl.shape[1] == 1 else _rk_span_vector
-        path(qv, seg.a, seg.b, Yl, cfg, _RK_MAX_STEP * span, _RK_MIN_STEP * span)
+        _rk_span(seg.w_part, m[lane].tolist(), seg.a, seg.b, Y[:, lane], cfg,
+                 _RK_MAX_STEP * span, _RK_MIN_STEP * span)
 
 
-def _rk_span_scalar(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
-    """Advance the single column of Y in place from x0 to x1 (a span with
-    no interior breaks), in plain Python scalars."""
+def _rk_span(wp, ms, x0, x1, Y, cfg, hmax, hmin) -> None:
+    """Advance the columns of Y in place from x0 to x1 (a span with no
+    interior breaks), one per coupling of ``ms``, where q = 0 + m wp(x).
+
+    Every member steps on one step sequence: wp is evaluated once per stage
+    for all of them, and a step passes only when every member passes its
+    error test.  The error of a step is the largest of the members' errors;
+    a non-finite one rejects the step.  A lane of fewer than ``_RK_BLOCK``
+    members runs its stages member by member in plain Python floats, a
+    wider one on numpy arrays (``_dp_block``).  Both do the same elementwise
+    arithmetic in the same order, so a member's state is bitwise the same
+    either way: the cut-off sets the speed only."""
     rtol, atol = cfg.rel_tol, _RK_ABS_TOL
     direction = 1.0 if x1 > x0 else -1.0
-    u = Y[0, 0].item()
-    v = Y[1, 0].item()
-    q = qv  # float-valued closure supplied by _rk_segment for a one-member lane
-
     (a21,) = _DP_A[1]
     a31, a32 = _DP_A[2]
     a41, a42, a43 = _DP_A[3]
@@ -376,129 +384,115 @@ def _rk_span_scalar(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
     a61, a62, a63, a64, a65 = _DP_A[5]
     b1, _, b3, b4, b5, b6 = _DP_A[6]
     e1, _, e3, e4, e5, e6, e7 = _DP_E
-    c2, c3, c4, c5, c6 = _DP_C[1:6]
+    c2, c3, c4, c5 = _DP_C[1:5]  # c6 = 1: stages 6 and 7 both sit at x + hh
 
     x = x0
-    ku1 = v
-    kv1 = q(x) * u
-    qmag = abs(q(x0))
+    w = wp(x)
+    qmag = max(abs(0.0 + m * w) for m in ms)
     span = abs(x1 - x0)
     h = direction * min(hmax, span, 0.5 / (math.sqrt(qmag) + 1.0 / span))
+    block = len(ms) >= _RK_BLOCK
+    if block:
+        stages, Z, K = _dp_block(ms, Y, w, rtol)
+    else:  # u, v and q u per member, q u being the first slope of the next step
+        us, vs = Y.tolist()
+        kv1s = [(0.0 + m * w) * u for m, u in zip(ms, us)]
 
     while (x1 - x) * direction > 1e-15 * max(1.0, abs(x1)):
         clip = abs(h) > abs(x1 - x)
         hh = x1 - x if clip else h
-        # unrolled Dormand-Prince stages for the linear system
-        su = u + hh * (a21 * ku1)
-        sv = v + hh * (a21 * kv1)
-        xs = x + c2 * hh
-        ku2 = sv
-        kv2 = q(xs) * su
-        su = u + hh * (a31 * ku1 + a32 * ku2)
-        sv = v + hh * (a31 * kv1 + a32 * kv2)
-        xs = x + c3 * hh
-        ku3 = sv
-        kv3 = q(xs) * su
-        su = u + hh * (a41 * ku1 + a42 * ku2 + a43 * ku3)
-        sv = v + hh * (a41 * kv1 + a42 * kv2 + a43 * kv3)
-        xs = x + c4 * hh
-        ku4 = sv
-        kv4 = q(xs) * su
-        su = u + hh * (a51 * ku1 + a52 * ku2 + a53 * ku3 + a54 * ku4)
-        sv = v + hh * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
-        xs = x + c5 * hh
-        ku5 = sv
-        kv5 = q(xs) * su
-        su = u + hh * (a61 * ku1 + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5)
-        sv = v + hh * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
-        xs = x + c6 * hh
-        ku6 = sv
-        kv6 = q(xs) * su
-        u5 = u + hh * (b1 * ku1 + b3 * ku3 + b4 * ku4 + b5 * ku5 + b6 * ku6)
-        v5 = v + hh * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
+        w2 = wp(x + c2 * hh)
+        w3 = wp(x + c3 * hh)
+        w4 = wp(x + c4 * hh)
+        w5 = wp(x + c5 * hh)
         xe = x + hh
-        ku7 = v5
-        kv7 = q(xe) * u5
-
-        eu = hh * (e1 * ku1 + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * ku7)
-        ev = hh * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
-        den_u = atol + rtol * max(abs(u), abs(u5))
-        den_v = atol + rtol * max(abs(v), abs(v5))
-        err = max(abs(eu) / den_u, abs(ev) / den_v)
+        w7 = wp(xe)
+        if block:
+            Z5, K7, err = stages(Z, K, hh, w2, w3, w4, w5, w7)
+        else:
+            err = 0.0
+            u5s, v5s, kv7s = [], [], []
+            for m, u, v, kv1 in zip(ms, us, vs, kv1s):
+                su = u + hh * (a21 * v)
+                sv = v + hh * (a21 * kv1)
+                ku2 = sv
+                kv2 = (0.0 + m * w2) * su
+                su = u + hh * (a31 * v + a32 * ku2)
+                sv = v + hh * (a31 * kv1 + a32 * kv2)
+                ku3 = sv
+                kv3 = (0.0 + m * w3) * su
+                su = u + hh * (a41 * v + a42 * ku2 + a43 * ku3)
+                sv = v + hh * (a41 * kv1 + a42 * kv2 + a43 * kv3)
+                ku4 = sv
+                kv4 = (0.0 + m * w4) * su
+                su = u + hh * (a51 * v + a52 * ku2 + a53 * ku3 + a54 * ku4)
+                sv = v + hh * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4)
+                ku5 = sv
+                kv5 = (0.0 + m * w5) * su
+                su = u + hh * (a61 * v + a62 * ku2 + a63 * ku3 + a64 * ku4 + a65 * ku5)
+                sv = v + hh * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5)
+                q7 = 0.0 + m * w7
+                ku6 = sv
+                kv6 = q7 * su
+                u5 = u + hh * (b1 * v + b3 * ku3 + b4 * ku4 + b5 * ku5 + b6 * ku6)
+                v5 = v + hh * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b5 * kv5 + b6 * kv6)
+                kv7 = q7 * u5
+                eu = hh * (e1 * v + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * v5)
+                ev = hh * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
+                e = max(abs(eu) / (atol + rtol * max(abs(u), abs(u5))),
+                        abs(ev) / (atol + rtol * max(abs(v), abs(v5))))
+                if e > err or e != e:  # a NaN, once in, stays: nothing compares above it
+                    err = e
+                u5s.append(u5)
+                v5s.append(v5)
+                kv7s.append(kv7)
         if err <= 1.0:
             x = xe
-            u, v = u5, v5
-            ku1, kv1 = ku7, kv7
+            if block:
+                Z, K = Z5, K7
+            else:
+                us, vs, kv1s = u5s, v5s, kv7s
             fac = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
             if not clip:
                 h *= max(0.2, fac)
                 if abs(h) > hmax:
                     h = direction * hmax
         else:
-            if not math.isfinite(err):
-                h = hh * 0.1
-            else:
-                h = hh * max(0.1, 0.9 * err**-0.2)
+            h = hh * (max(0.1, 0.9 * err**-0.2) if math.isfinite(err) else 0.1)
             if abs(h) < hmin:
                 raise StepSizeUnderflowError(x)
-    Y[0, 0] = u
-    Y[1, 0] = v
+    Y[:] = Z if block else (us, vs)
 
 
-def _rk_span_vector(qv, x0, x1, Y, cfg, hmax, hmin) -> None:
-    """Advance Y in place from x0 to x1 (a span with no interior breaks):
-    flat (2n,) states, stage combinations via BLAS matvec, every array of
-    the step loop allocated once per call."""
-    rtol, atol = cfg.rel_tol, _RK_ABS_TOL
-    direction = 1.0 if x1 > x0 else -1.0
-    n = Y.shape[1]
-    y = Y.reshape(-1).copy()  # [u_0..u_{n-1}, v_0..v_{n-1}]
-    y5, comb, stage, err, scale = (np.empty_like(y) for _ in range(5))
-    K = np.empty((7, 2 * n))
+def _dp_block(ms, Y, w, rtol):
+    """The stages of a step of ``_rk_span`` for a whole lane at once, on
+    numpy arrays: returns the step, ``(Z, K, hh, w2, w3, w4, w5, w7) -> (Z5,
+    K7, err)``, and the starting Z and K.  The state is Z = (u, v) with its
+    first slope K = (v, q u), each a (2, n) array;
+    a stage's slope is its Z with the rows swapped, times (1, 0 + m w).
+    Each new slope is added, times its tableau column, to the running sums
+    of every later stage, of the fifth-order state and of the error, so
+    each sum takes its terms in the float path's order (a zero coefficient
+    adds no term there, and none here).  The fifth-order state is the
+    sixth stage of that loop, its slope at x + hh the seventh."""
+    atol = _RK_ABS_TOL
+    tab = np.zeros((7, 7))  # rows: stages 2-6, the fifth-order state, the error
+    for i in range(1, 6):
+        tab[i - 1, :i] = _DP_A[i]
+    tab[5], tab[6] = _DP_B5, _DP_E
+    enters = [slice(0, 7), slice(1, 5), *(slice(j, 7) for j in range(2, 7))]  # b2 = e2 = 0
+    cols = [tab[rows, j, None, None] for j, rows in enumerate(enters)]
+    one = np.array([[1.0], [0.0]])
+    mm = np.array([[0.0] * len(ms), ms])
 
-    def eval_rhs(x: float, state: np.ndarray, out: np.ndarray) -> None:
-        out[:n] = state[n:]
-        np.multiply(qv(x), state[:n], out=out[n:])
+    def stages(Z, K, hh, w2, w3, w4, w5, w7):
+        Q = one + mm * np.array([w2, w3, w4, w5, w7, w7])[:, None, None]
+        S = cols[0] * K
+        for j in range(1, 7):
+            Zj = Z + hh * S[j - 1]
+            K = Zj[::-1] * Q[j - 1]
+            S[enters[j]] += cols[j] * K
+        err = float((abs(hh * S[6]) / (atol + rtol * np.maximum(abs(Z), abs(Zj)))).max())
+        return Zj, K, err
 
-    x = x0
-    eval_rhs(x, y, K[0])
-    qmag = float(np.max(np.abs(qv(x))))
-    span = abs(x1 - x0)
-    h = direction * min(hmax, span, 0.5 / (math.sqrt(qmag) + 1.0 / span))
-
-    while (x1 - x) * direction > 1e-15 * max(1.0, abs(x1)):
-        clip = abs(h) > abs(x1 - x)
-        hh = x1 - x if clip else h
-        for i in range(1, 7):
-            np.matmul(_DP_A_ROWS[i], K[:i], out=comb)
-            np.multiply(hh, comb, out=stage)
-            stage += y
-            eval_rhs(x + _DP_C[i] * hh, stage, K[i])
-        np.matmul(_DP_B5_ROW, K[:6], out=comb)
-        np.multiply(hh, comb, out=y5)
-        y5 += y
-        np.matmul(_DP_E_ROW, K, out=err)
-        np.abs(y, out=scale)
-        np.maximum(scale, np.abs(y5, out=comb), out=scale)
-        scale *= rtol
-        scale += atol
-        np.abs(err, out=err)
-        err /= scale
-        err_norm = abs(hh) * float(err.max())
-        if not math.isfinite(err_norm):
-            err_norm = math.inf
-        if err_norm <= 1.0:
-            x += hh
-            y, y5 = y5, y
-            K[0] = K[6]
-            fac = 5.0 if err_norm == 0.0 else min(5.0, 0.9 * err_norm**-0.2)
-            if not clip:
-                h *= max(0.2, fac)
-                if abs(h) > hmax:
-                    h = direction * hmax
-        else:
-            h = hh * (max(0.1, 0.9 * err_norm**-0.2) if math.isfinite(err_norm) else 0.1)
-            if abs(h) < hmin:
-                raise StepSizeUnderflowError(x)
-    Y[0] = y[:n]
-    Y[1] = y[n:]
+    return stages, Y.copy(), Y[::-1] * (one + mm * w)

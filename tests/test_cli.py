@@ -995,3 +995,23 @@ def test_an_oversized_eigenfunction_grid_exits_2_with_one_line(tmp_path):
     assert out.stderr.splitlines() == [
         "configuration error: samples_per_unit=100000000 puts more than 134217728 points "
         "on the eigenfunction grid of [-8, 8]"]
+
+
+def test_a_grid_under_its_cap_that_outgrows_the_memory_exits_3_with_one_line(tmp_path):
+    # 134,208,001 grid points are under the cap, but three levels of them
+    # take 3 GiB in one array, beyond the child's 3e9-byte address space:
+    # the allocation fails, and the run exits 3 with one line, not a
+    # traceback
+    resource = pytest.importorskip("resource")
+    cap = 3 * 10**9
+    argv = ["converge", "--profile", "step", "--potential", "tilted_harmonic", "--radius", "8",
+            "--alpha", "15.418206", "--eps-ladder", "0.2,0.1,0.05,0.025", "--levels", "3",
+            "--samples-per-unit", "8388000", "--out", str(tmp_path / "big")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-m", "pointbarrier.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert out.returncode == 3, out.stderr
+    [line] = out.stderr.splitlines()
+    assert line.startswith("error: out of memory: "), line

@@ -764,7 +764,8 @@ def test_a_cut_mesh_counts_like_a_fresh_mesh_of_its_span():
 
 
 def test_the_mesh_cache_keeps_no_copy_of_a_cut():
-    # a cut stores its last interval only, and goes with its mesh
+    # a cut stores its last interval only, and goes with its mesh; each is
+    # charged the fixed overhead of a cached mesh besides
     U = lambda x: x * x + x  # noqa: E731
     seg = FamilySegment(-8.0, -0.05, U, -1.0, 0.0)
     propagate_family([seg], np.array([1.0]), np.array([0.0, 1.0]))
@@ -772,13 +773,15 @@ def test_the_mesh_cache_keeps_no_copy_of_a_cut():
     whole = ivp._mesh_for(FamilySegment(-8.0, 0.0, U, -1.0), ivp.DEFAULT_CONFIG)
     assert any(m is whole for m in ivp._MESH_CACHE.values())
     assert whole.cuts[seg.b] is mesh
-    assert whole.stored() == whole.lo.size + 1 + whole.parts[0].rows.size + 9
+    assert whole.stored() == (whole.lo.size + 1 + whole.parts[0].rows.size + 9
+                              + 2 * ivp._MESH_OVERHEAD)
 
 
 def test_the_mesh_cache_counts_its_floats_and_evicts_the_oldest(monkeypatch):
     # a cut adds its last step to its mesh; a constant segment's mesh is one
-    # cached interval of 11 floats, so 200 floats to spare keep the 18 most
-    # recent, and the wall mesh, used in between, stays
+    # cached interval of 11 floats plus the overhead of a mesh, so room for
+    # 18 of them and 10 floats to spare keep the 18 most recent, and the
+    # wall mesh, used in between, stays
     monkeypatch.setattr(ivp, "_MESH_CACHE", ivp._MeshCache())
     cache, cfg = ivp._MESH_CACHE, ivp.DEFAULT_CONFIG
     U = lambda x: x * x + x  # noqa: E731
@@ -787,13 +790,28 @@ def test_the_mesh_cache_counts_its_floats_and_evicts_the_oldest(monkeypatch):
     for wall in walls:
         ivp._mesh_for(wall, cfg)
         assert cache.floats == whole.stored()
-    monkeypatch.setattr(ivp, "_CACHE_FLOATS", whole.stored() + 200)
+    monkeypatch.setattr(ivp, "_CACHE_FLOATS", whole.stored() + 18 * (11 + ivp._MESH_OVERHEAD) + 10)
     for c in range(40):
         assert ivp._mesh_for(FamilySegment(0.0, 1.0, float(c), -1.0), cfg).lo.size == 1
         assert ivp._mesh_for(walls[c % 5], cfg) is whole.cuts[walls[c % 5].b]
         assert cache.floats == sum(mesh.stored() for mesh in cache.values())
     assert [key[2] for key in cache if key[2] is not U] == [float(c) for c in range(22, 40)]
     assert len(whole.cuts) == 5 and any(mesh is whole for mesh in cache.values())
+
+
+def test_the_mesh_cache_budget_bounds_its_count(monkeypatch):
+    # each mesh is charged a fixed overhead beyond its arrays, so a
+    # thousand one-interval meshes of 11 floats each, which the floats of
+    # their arrays alone would all fit, keep only as many as the budget
+    # holds at 11 floats plus the overhead each
+    monkeypatch.setattr(ivp, "_MESH_CACHE", ivp._MeshCache())
+    for c in range(1000):
+        ivp._mesh_for(FamilySegment(0.0, 1.0, float(c), -1.0), ivp.DEFAULT_CONFIG)
+    cache = ivp._MESH_CACHE
+    assert 1000 * 11 < ivp._CACHE_FLOATS
+    assert len(cache) == ivp._CACHE_FLOATS // (11 + ivp._MESH_OVERHEAD)
+    assert cache.floats == sum(mesh.stored() for mesh in cache.values()) <= ivp._CACHE_FLOATS
+    assert [key[2] for key in cache] == [float(c) for c in range(1000 - len(cache), 1000)]
 
 
 def test_chains_with_their_own_weight_rows_match_their_own_calls():

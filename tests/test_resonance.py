@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pointbarrier import profiles, resonance, spectra
-from pointbarrier.errors import NotInResonanceSetError, NumericsError
+from pointbarrier.errors import NotInResonanceSetError, NumericsError, StepSizeUnderflowError
 from pointbarrier.experiments import even_counterexample_profile
 from pointbarrier.ivp import FamilySegment
 from pointbarrier.rootfind import resolve_cells, sign_change
@@ -181,30 +181,87 @@ def test_shots_match_an_independent_integrator(profile, request):
 
 
 def test_endpoint_shots_take_the_lobes_lane_by_lane(monkeypatch, step, bump):
-    # shoot_family carries each polynomial lobe on the Runge-Kutta pair: a
-    # family of 2-6 couplings one by one on the scalar path, of 1 or of 7
-    # and more together; the step profile, constant throughout, makes no
-    # RK call
+    # shoot_family carries each polynomial lobe on the Runge-Kutta kernel: a
+    # family of 2-6 couplings in one-member lanes, one per coupling and
+    # lobe, of 1 or of 7 and more in one lane per lobe; the step profile,
+    # constant throughout, makes no RK call
     calls = []
-    for name in ("_rk_span_scalar", "_rk_span_vector"):
-        def spy(qv, x0, x1, Y, *args, path=getattr(resonance, name), name=name):
-            calls.append((name, x0, x1, Y.shape[1]))
-            return path(qv, x0, x1, Y, *args)
-        monkeypatch.setattr(resonance, name, spy)
+
+    def spy(wp, ms, x0, x1, Y, *args, kernel=resonance._rk_span):
+        calls.append((x0, x1, len(ms), Y.shape[1]))
+        return kernel(wp, ms, x0, x1, Y, *args)
+
+    monkeypatch.setattr(resonance, "_rk_span", spy)
     lobes = [(-1.0, 0.0), (0.0, 0.5)]
     for n in (1, 2, 6, 7, 12):
         calls.clear()
         shoot_family(bump, np.linspace(-50.0, 50.0, n))
         if 1 < n <= 6:
-            want = [("_rk_span_scalar", a, b, 1) for a, b in lobes for _ in range(n)]
+            want = [(a, b, 1, 1) for a, b in lobes for _ in range(n)]
         else:
-            path = "_rk_span_scalar" if n == 1 else "_rk_span_vector"
-            want = [(path, a, b, n) for a, b in lobes]
+            want = [(a, b, n, n) for a, b in lobes]
         assert calls == want
     calls.clear()
     shoot_family(step, np.linspace(-50.0, 50.0, 7))
     resonance_scan(step, -20.0, 20.0)
     assert calls == []
+
+
+# endpoint shots of three bump couplings, frozen from the one-member
+# scalar Runge-Kutta kernel that the lockstep kernel replaced: the
+# unflagged root at -44.446 (ill-conditioned theta), a root at 82.611, and
+# a counted root at -152.305 that the endpoint shot flags
+_BUMP_SHOTS = {
+    -152.30544931934: ("0x1.9b2ec3d61c003p-15", "-0x1.8c7c866d0b96cp-20"),
+    -44.44583934727562: ("0x1.223f16d285555p-8", "-0x1.afc68d4f44e04p-28"),
+    82.61132888044321: ("0x1.290a6f171b7c5p+14", "-0x1.940f328800004p-21"),
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_BUMP_SHOTS))
+def test_one_member_shot_is_frozen_bitwise(bump, alpha):
+    # a one-member lane steps exactly as the scalar kernel it replaced
+    assert tuple(v.hex() for v in shoot(bump, alpha)) == _BUMP_SHOTS[alpha]
+
+
+@pytest.fixture(params=["floats", "arrays"])
+def stage_path(request, monkeypatch):
+    # every lane on the float path, or every lane on the array path
+    monkeypatch.setattr(resonance, "_RK_BLOCK", 10**9 if request.param == "floats" else 1)
+    return request.param
+
+
+def test_a_lane_is_invariant_under_a_permutation_of_its_members(bump, stage_path):
+    # one lane of 7 shares its step sequence, decided by the largest error
+    # of its members, so the order of the members changes no bit
+    alphas = np.linspace(-200.0, 200.0, 7)
+    perm = np.array([3, 0, 6, 2, 5, 1, 4])
+    lane = shoot_family(bump, alphas).states
+    assert np.array_equal(shoot_family(bump, alphas[perm]).states, lane[:, perm])
+    # and each member stays within 1e-9 of its own one-member shot,
+    # relative to the size of its state
+    for j, a in enumerate(alphas):
+        alone = shoot_family(bump, [a]).states[:, 0]
+        assert np.all(np.abs(lane[:, j] - alone) <= 1e-9 * np.abs(alone).max())
+
+
+def test_a_stiff_member_underflows_its_whole_lane(bump, stage_path):
+    # at 1e6 the member cannot keep the error test above the step floor,
+    # and the lane it shares with six tame members fails with it
+    with pytest.raises(StepSizeUnderflowError):
+        shoot_family(bump, [*np.linspace(-50.0, 50.0, 6), 1e6])
+
+
+@pytest.mark.parametrize("n", [1, 7, 30])
+def test_floats_and_arrays_step_a_lane_bitwise_alike(monkeypatch, bump, n):
+    # the two stage paths do the same arithmetic in the same order, so the
+    # lane-size cut-off between them changes no bit of any member
+    alphas = np.linspace(-700.0, 700.0, n)
+    shots = {}
+    for block in (10**9, 1):
+        monkeypatch.setattr(resonance, "_RK_BLOCK", block)
+        shots[block] = shoot_family(bump, alphas).states
+    assert np.array_equal(shots[1], shots[10**9])
 
 
 def test_scaled_residual_discriminates(step, alpha1):
