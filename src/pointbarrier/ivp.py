@@ -139,12 +139,13 @@ _EXACT_COUNT = 2.0**53  # largest zero count of one interval that a double holds
 
 @dataclass(eq=False)
 class _Steps:
-    """Magnus steps over the signed lengths ``h`` (N,) as ``rows`` (9, N):
-    h, the Gauss means of c and w (the member with weight m has the mean
-    coefficient cbar + m wbar), then for a constant w (``shift``) c at the
-    middle node and the shift-free ``_coefficients``, with which the member
-    steps as ``_exponent(coef, cmid + m w)``, and for a callable w c and w
-    at the three Gauss nodes, from which it forms its own coefficients."""
+    """Magnus steps over the signed lengths ``h`` (N,) of mesh intervals or
+    of sample substeps (``_sample_plan``) as ``rows`` (9, N): h, the Gauss
+    means of c and w (the member with weight m has the mean coefficient
+    cbar + m wbar), then for a constant w (``shift``) c at the middle node
+    and the shift-free ``_coefficients``, with which the member steps as
+    ``_exponent(coef, cmid + m w)``, and for a callable w c and w at the
+    three Gauss nodes, from which it forms its own coefficients."""
 
     shift: bool
     rows: np.ndarray
@@ -465,16 +466,15 @@ def _buckets(m: np.ndarray) -> list:
 
 
 def _sample_plan(mesh: _Mesh, xs: np.ndarray):
-    """(node index, length, nodes, w) of the Magnus substep from the
-    preceding mesh node to each sample point, for ``_node_exponents`` with
-    the member m shifting c by m w (w = 1 for a callable w)."""
+    """(node index, substeps) of the sample points ``xs``: the index of the
+    mesh node preceding each one, and the Magnus substeps (``_Steps``) from
+    there to it, built once for every member of the call."""
     direction = 1.0 if mesh.parts[-1].h[0] > 0 else -1.0
     idx = np.searchsorted(mesh.lo * direction, xs * direction, side="right") - 1
     idx = np.minimum(np.maximum(idx, 0), mesh.lo.size - 1)
     t, seg = xs - mesh.lo[idx], mesh.seg
     fs = (seg.c_part,) if mesh.parts[-1].shift else (seg.c_part, seg.w_part)
-    w = float(seg.w_part) if mesh.parts[-1].shift else 1.0
-    return idx, t, _nodes(fs, mesh.lo[idx], t), np.full(t.shape, w)
+    return idx, _Steps.of(t, _nodes(fs, mesh.lo[idx], t), seg.w_part)
 
 
 def _unit(Y: np.ndarray, logs: np.ndarray):
@@ -624,7 +624,8 @@ class _Shot:
     def lane(self, first: int, stop: int, cfg: SolverConfig, bucket: int | None):
         """(shot, steps, plan) of the segments first:stop as one interval
         sequence on the meshes of ``bucket`` (None: a constant w); the plan
-        (None: no samples) holds each sample's node, substep and row."""
+        (None: no samples) holds each sample's node, the substeps of all
+        samples joined (``_Steps.join``) and their rows."""
         meshes = [_mesh_for(seg, cfg) if bucket is None else _mesh_for(seg, cfg, bucket)
                   for seg in self.chain[first:stop]]
         steps = _Steps.join([part for mesh in meshes for part in mesh.parts])
@@ -632,17 +633,19 @@ class _Shot:
             return self, steps, None
         plans = [_sample_plan(mesh, self.xs[r]) for mesh, r in zip(meshes, self.rows[first:stop])]
         offsets = np.cumsum([0] + [mesh.lo.size for mesh in meshes[:-1]])
-        plans = [(p[0] + offset, *p[1:]) for p, offset in zip(plans, offsets)]
-        plan = plans[0] if len(plans) == 1 else [np.concatenate(p, axis=-1) for p in zip(*plans)]
+        idx = np.concatenate([i + offset for (i, _), offset in zip(plans, offsets)])
+        if not idx.size:
+            return self, steps, None
         rows = slice(self.rows[first].start, self.rows[stop - 1].stop)
-        return self, steps, (*plan, rows) if plan[0].size else None
+        return self, steps, (idx, _Steps.join([sub for _, sub in plans]), rows)
 
 
 def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
     """Carry the members ``cols`` of the weights ``m`` (one row, or one per
     lane) in place across one interval sequence per lane (``_Shot.lane``),
     stacked (``_Steps.stack``) for one ``_expm`` and one ``_chain`` call;
-    each row counts its zeros on its own lengths and direction, and a
+    each row counts its zeros on its own lengths and direction, and takes
+    its samples through its plan's substeps, built once for every group.  A
     member's bits do not depend on the rest of the family.  Members go in
     groups of at most ``_WORK_CAP`` intervals (or samples) x members x lanes."""
     steps = _Steps.stack([steps for _, steps, _ in lanes])
@@ -671,9 +674,8 @@ def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
             if counting:
                 shot.counts[c] += add[r]
             if plan:
-                idx, t, nodes, ws, rows = plan
-                wj = w if m.ndim == 1 else w[j]
-                p11, p12, p21, p22, pl = _expm(*_node_exponents(t, nodes[..., None, :], wj * ws))
+                idx, sub, rows = plan
+                p11, p12, p21, p22, pl = _expm(*sub.exponents(w if m.ndim == 1 else w[j]))
                 su, sv = st[:, r][..., idx]
                 shot.rec_states[rows, 0, c] = (p11 * su + p12 * sv).T
                 shot.rec_states[rows, 1, c] = (p21 * su + p22 * sv).T

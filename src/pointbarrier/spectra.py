@@ -7,9 +7,10 @@ shooting: Cauchy data is carried from each wall to a matching point, an
 interface condition is applied there, and the eigenvalues are the zeros of
 the normalized matching Wronskian.  Each problem is one value
 (``_Problem``), from which one formula builds its Wronskian (``_matching``)
-and one assembler its eigenfunctions (``_attach_eigenfunctions``).  The
-Wronskian is evaluated for whole vectors of trial eigenvalues at once (one
-family propagation per call), together with the exact Sturm index of every
+and one assembler its eigenfunctions (``_attach_eigenfunctions``, one
+sampled shot per chain for all the problem's levels).  The Wronskian is
+evaluated for whole vectors of trial eigenvalues at once (one family
+propagation per call), together with the exact Sturm index of every
 trial value: the number of eigenvalues at or below it, from the zero
 counts of the shots and the Pruefer angles at the matching point.  Every
 search brackets its levels by one ``rootfind.resolve_cells`` call on its
@@ -425,7 +426,7 @@ def eigen_limit(
         flags[i + 1] += ",degenerate"
     spec = Spectrum(lams[:k_max], residuals[:k_max], flags[:k_max])
     if eigenfunctions:
-        _attach_eigenfunctions(spec, U.truncation_radius, problems, cfg, samples_per_unit)
+        _attach_eigenfunctions(spec, U.truncation_radius, problems[:k_max], cfg, samples_per_unit)
     return spec
 
 
@@ -670,41 +671,47 @@ def _attach_eigenfunctions(spec, R, problems, cfg, samples_per_unit):
 
     A shot from -R samples the grid points at or left of the matching
     point, one from +R those right of it, and the side of a lone shot is
-    0.  A second shot is scaled so that its end state meets C applied to
-    the first one's.  Samples stay (mantissa, log-exponent) pairs until
-    the shots are joined, normalized to unit L2 norm on the grid and
-    oriented so the leftmost sample with at least half the largest
-    magnitude is positive.  The largest sample alone would not do: the
-    outer lobes of an odd level of a symmetric potential tie to rounding.
+    0.  Each chain of a problem is shot once, its levels as the family.  A
+    second shot is scaled so that its end state meets C applied to the
+    first one's.  Samples stay (mantissa, log-exponent) pairs until the
+    shots are joined, normalized to unit L2 norm on the grid and oriented
+    so the leftmost sample with at least half the largest magnitude is
+    positive.  The largest sample alone would not do: the outer lobes of an
+    odd level of a symmetric potential tie to rounding.
     """
     xs = np.linspace(-R, R, int(round(2 * R * samples_per_unit)) + 1)
     funcs = np.zeros((len(spec.eigenvalues), len(xs)))
-    for i, (lam, (chains, C, _, start)) in enumerate(zip(spec.eigenvalues, problems)):
+    for problem in {id(problem): problem for problem in problems}.values():
+        chains, C, _, start = problem
+        levels = [i for i, other in enumerate(problems) if other is problem]
         n_left = int(np.searchsorted(xs, chains[0][-1].b, side="right"))
-        vals, logs = np.zeros(len(xs)), np.full(len(xs), -np.inf)
-        for j, chain in enumerate(chains):
+        shots = []
+        for chain in chains:
             from_left = chain[0].a < chain[-1].b
             side = slice(0, n_left) if from_left else slice(n_left, None)
             path = xs[side] if from_left else xs[side][::-1]
-            res = propagate_family(chain, np.array([float(lam)]), np.array(start), cfg,
-                                   rescale=True, samples=path)
-            u, log = res.sample_states[:, 0, 0], res.sample_logs[:, 0]
-            end, end_log = res.states[:, 0], float(res.logs[0])
-            if not from_left:
-                u, log = u[::-1], log[::-1]
-            if j == 0:
-                target, target_log = (end if C is None else C @ end), end_log
-            else:
-                k = int(np.argmax(np.abs(end)))
-                u, log = target[k] / end[k] * u, log + (target_log - end_log)
-            vals[side], logs[side] = u, log
-        v = vals * np.exp(logs - logs.max())
-        nrm = math.sqrt(float(np.trapezoid(v * v, xs)))
-        if nrm > 0:
-            v = v / nrm
-            mag = np.abs(v)
-            if v[np.argmax(mag >= 0.5 * mag.max())] < 0:
-                v = -v
-        funcs[i] = v
+            shots.append((side, from_left, propagate_family(
+                chain, spec.eigenvalues[levels], np.array(start), cfg, rescale=True, samples=path)))
+        for col, i in enumerate(levels):
+            vals, logs = np.zeros(len(xs)), np.full(len(xs), -np.inf)
+            for j, (side, from_left, res) in enumerate(shots):
+                u, log = res.sample_states[:, 0, col], res.sample_logs[:, col]
+                end, end_log = res.states[:, col], float(res.logs[col])
+                if not from_left:
+                    u, log = u[::-1], log[::-1]
+                if j == 0:
+                    target, target_log = (end if C is None else C @ end), end_log
+                else:
+                    k = int(np.argmax(np.abs(end)))
+                    u, log = target[k] / end[k] * u, log + (target_log - end_log)
+                vals[side], logs[side] = u, log
+            v = vals * np.exp(logs - logs.max())
+            nrm = math.sqrt(float(np.trapezoid(v * v, xs)))
+            if nrm > 0:
+                v = v / nrm
+                mag = np.abs(v)
+                if v[np.argmax(mag >= 0.5 * mag.max())] < 0:
+                    v = -v
+            funcs[i] = v
     spec.x = xs
     spec.eigenfunctions = funcs

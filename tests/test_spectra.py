@@ -272,6 +272,50 @@ def test_split_eigenfunctions_vanish_on_the_dead_half(tilted):
         assert _leftmost_major_sample(v) > 0.0
 
 
+def _sampled_alone(spec, R, problems, cfg, samples_per_unit):
+    """The eigenfunction of each level of ``spec`` sampled by a call of its own."""
+    rows = []
+    for i, problem in enumerate(problems):
+        one = Spectrum(spec.eigenvalues[i:i + 1], spec.residuals[i:i + 1], spec.flags[i:i + 1])
+        spectra._attach_eigenfunctions(one, R, [problem], cfg, samples_per_unit)
+        assert np.array_equal(one.x, spec.x)
+        rows.append(one.eigenfunctions[0])
+    return np.array(rows)
+
+
+def test_levels_sampled_together_equal_each_level_sampled_alone(tilted, step, cfg):
+    # one sampled shot per chain carries all the levels of a problem as its
+    # family; each eigenfunction is bitwise that of a shot of its own level,
+    # in level order
+    from pointbarrier import ivp
+
+    R = tilted.truncation_radius
+    # connected: the walls of x^2 + x at -8 and +8 are meshed to different lengths
+    [(_, coupled)] = spectra._limit_problems(tilted, ThetaCoupled(2.0))
+    with np.errstate(all="ignore"):  # as inside a propagation
+        sizes = [ivp._mesh_for(chain[0], cfg).lo.size for chain in coupled.chains]
+    assert sizes[0] != sizes[1]
+    spec = eigen_limit(tilted, ThetaCoupled(2.0), 4, cfg, eigenfunctions=True,
+                       samples_per_unit=101)
+    assert np.array_equal(spec.eigenfunctions, _sampled_alone(spec, R, [coupled] * 4, cfg, 101))
+
+    # split: the levels of the two halves interleave
+    halves = dict(spectra._limit_problems(tilted, DirichletSplit()))
+    spec = eigen_limit(tilted, DirichletSplit(), 6, cfg, eigenfunctions=True,
+                       samples_per_unit=101)
+    sides = [flag.split(",")[0] for flag in spec.flags]
+    assert sum(a != b for a, b in zip(sides, sides[1:])) >= 2, sides
+    alone = _sampled_alone(spec, R, [halves[side] for side in sides], cfg, 101)
+    assert np.array_equal(spec.eigenfunctions, alone)
+
+    # squeezed, at a grid fine enough that the levels go in several work groups
+    problem = spectra._perturbed_problem(tilted, step, 5.0, 0.05, cfg)[1]
+    spec = eigen_perturbed(tilted, step, 5.0, 0.05, (1, 4), cfg, eigenfunctions=True,
+                           samples_per_unit=401)
+    assert 4 * 401 * R > ivp._WORK_CAP  # each side's samples times the levels
+    assert np.array_equal(spec.eigenfunctions, _sampled_alone(spec, R, [problem] * 4, cfg, 401))
+
+
 def test_perturbed_diving_scale(tilted, step, alpha1):
     # the lowest level dives like eps^-2 with the squeezed-cell ground level
     mu = interval_negative_levels(-30.0, 30.0, step, alpha1, 1.0)[0]
