@@ -206,7 +206,7 @@ def resonance_scan(
         brackets.extend(_side_brackets(p, side, size, t, m0, cfg))
     points = [_point(p, r, cfg, residual_tol) for r in _refine(p, brackets, cfg)]
     if alpha_min <= 0.0 <= alpha_max:
-        points.append(_point(p, 0.0, cfg, residual_tol))
+        points.append(ResonancePoint(0.0, 1.0, 0.0))  # its shot is exactly (1, 0)
     points.sort(key=lambda pt: pt.alpha)
     return points
 
@@ -341,7 +341,12 @@ _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 _RK_ABS_TOL = 1e-12  # absolute floor of the RK error test
 _RK_MAX_STEP = 1e-2  # RK step cap, relative to the span of the profile
 _RK_MIN_STEP = 1e-14  # RK underflow floor, relative to the span of the profile
-_RK_BLOCK = 18  # lanes of this many members and more step on numpy arrays
+_RK_BLOCK = 23  # lanes of this many members and more step on numpy arrays
+_HORNER = {  # Segment.__call__ unrolled by coefficient count, its leading 0.0 * x kept
+    2: lambda c0, c1: lambda x: (0.0 * x + c1) * x + c0,
+    3: lambda c0, c1, c2: lambda x: ((0.0 * x + c2) * x + c1) * x + c0,
+    4: lambda c0, c1, c2, c3: lambda x: (((0.0 * x + c3) * x + c2) * x + c1) * x + c0,
+}
 
 
 def _rk_segment(seg: FamilySegment, m: np.ndarray, Y: np.ndarray, cfg: SolverConfig,
@@ -358,14 +363,16 @@ def _rk_segment(seg: FamilySegment, m: np.ndarray, Y: np.ndarray, cfg: SolverCon
     the 6 and the flagged pair, but moves two thetas of ``even_quadratic``
     by up to 5.3e-15 relative."""
     lanes = [slice(j, j + 1) for j in range(m.size)] if 1 < m.size <= 6 else [slice(0, m.size)]
+    wp = _HORNER.get(len(seg.w_part.coeffs), lambda *_: seg.w_part)(*seg.w_part.coeffs)
     for lane in lanes:
-        _rk_span(seg.w_part, m[lane].tolist(), seg.a, seg.b, Y[:, lane], cfg,
+        _rk_span(wp, m[lane].tolist(), seg.a, seg.b, Y[:, lane], cfg,
                  _RK_MAX_STEP * span, _RK_MIN_STEP * span)
 
 
 def _rk_span(wp, ms, x0, x1, Y, cfg, hmax, hmin) -> None:
     """Advance the columns of Y in place from x0 to x1 (a span with no
-    interior breaks), one per coupling of ``ms``, where q = 0 + m wp(x).
+    interior breaks), one per coupling of ``ms``, where q = 0 + m wp(x):
+    wp rounds bitwise as ``Segment.__call__`` (``_HORNER`` unrolls it to cubics).
 
     Every member steps on one step sequence: wp is evaluated once per stage
     for all of them, and a step passes only when every member passes its
@@ -439,8 +446,12 @@ def _rk_span(wp, ms, x0, x1, Y, cfg, hmax, hmin) -> None:
                 kv7 = q7 * u5
                 eu = hh * (e1 * v + e3 * ku3 + e4 * ku4 + e5 * ku5 + e6 * ku6 + e7 * v5)
                 ev = hh * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6 + e7 * kv7)
-                e = max(abs(eu) / (atol + rtol * max(abs(u), abs(u5))),
-                        abs(ev) / (atol + rtol * max(abs(v), abs(v5))))
+                # the builtins max and abs spelled out; max(a, b) is b only if b > a
+                du, du5 = -u if u < 0.0 else u, -u5 if u5 < 0.0 else u5
+                dv, dv5 = -v if v < 0.0 else v, -v5 if v5 < 0.0 else v5
+                e = (-eu if eu < 0.0 else eu) / (atol + rtol * (du5 if du5 > du else du))
+                ev = (-ev if ev < 0.0 else ev) / (atol + rtol * (dv5 if dv5 > dv else dv))
+                e = ev if ev > e else e
                 if e > err or e != e:  # a NaN, once in, stays: nothing compares above it
                     err = e
                 u5s.append(u5)
@@ -452,9 +463,9 @@ def _rk_span(wp, ms, x0, x1, Y, cfg, hmax, hmin) -> None:
                 Z, K = Z5, K7
             else:
                 us, vs, kv1s = u5s, v5s, kv7s
-            fac = 5.0 if err == 0.0 else min(5.0, 0.9 * err**-0.2)
-            if not clip:
-                h *= max(0.2, fac)
+            if not clip:  # err <= 1 makes 0.9 err^-0.2 >= 0.9: only the cap of 5 binds
+                fac = 5.0 if err == 0.0 else 0.9 * err**-0.2
+                h *= 5.0 if fac > 5.0 else fac
                 if abs(h) > hmax:
                     h = direction * hmax
         else:

@@ -706,7 +706,11 @@ def _attach_eigenfunctions(spec, R, problems, cfg, samples_per_unit):
                     u, log = target[k] / end[k] * u, log + (target_log - end_log)
                 vals[side], logs[side] = u, log
             v = vals * np.exp(logs - logs.max())
-            nrm = math.sqrt(float(np.trapezoid(v * v, xs)))
+            with np.errstate(over="ignore"):  # shots scaled apart by a theta near 1e300
+                nrm = math.sqrt(float(np.trapezoid(v * v, xs)))
+            if math.isinf(nrm):  # so the squares overflow: square v / max|v| instead
+                v = v / np.abs(v).max()
+                nrm = math.sqrt(float(np.trapezoid(v * v, xs)))
             if nrm > 0:
                 v = v / nrm
                 mag = np.abs(v)

@@ -190,6 +190,24 @@ def test_spectrum_limit_csv(tmp_path):
     assert "eigenfunction_002.csv" in manifest["outputs"]
 
 
+def test_eigenfunctions_of_shots_scaled_apart_by_1e300_have_unit_norm(tmp_path):
+    # theta = 1e300 scales the right shot 1e300 times the left one, so the
+    # squares of the joined samples overflow; the norm must still be taken,
+    # without a warning, and no eigenfunction may come out as zeros
+    out = tmp_path / "sp"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "7",
+                     "--bc", "theta:1e300", "--levels", "4", "--eigenfunctions",
+                     "--out", str(out)])
+    assert code == 0
+    assert not caught, [str(w.message) for w in caught]
+    for i in range(4):
+        x, v = np.loadtxt(out / f"eigenfunction_{i:03d}.csv", delimiter=",", skiprows=1).T
+        assert np.any(v != 0.0)
+        assert np.trapezoid(v * v, x) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_spectrum_limit_levels_beyond_the_half_problems(tmp_path):
     # each Dirichlet half of the box has only 6 levels below the wall
     # ceiling of 24, but the coupled problem has 8: 1, 3, ..., 15

@@ -38,6 +38,18 @@ def test_shoot_at_zero_coupling(step, odd_cubic, bump):
         assert dw1 == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("window", [(-20.0, 20.0), (0.0, 20.0), (-20.0, 0.0)])
+def test_the_zero_row_of_a_scan_is_the_shot_at_zero(step, odd_cubic, bump, window):
+    # a scan inserts alpha = 0 without shooting it; the row must be the
+    # resonance point its shot gives, (1, 0) exactly, bit for bit
+    want = resonance.ResonancePoint(0.0, 1.0, 0.0)
+    for p in (step, odd_cubic, bump, even_counterexample_profile()):
+        (row,) = [pt for pt in resonance_scan(p, *window) if pt.alpha == 0.0]
+        shot = resonance._point(p, 0.0, None, resonance.DEFAULT_RESIDUAL_TOL)
+        assert row == shot == want
+        assert [math.copysign(1.0, v) for v in (row.alpha, row.theta, row.residual)] == [1.0] * 3
+
+
 def test_step_miss_function_closed_form(step):
     # D(alpha) = cos(k) cosh(k) * h(k) with k = sqrt(alpha)
     for kappa in (0.7, 1.9, 3.1, 4.4):
@@ -222,6 +234,47 @@ _BUMP_SHOTS = {
 def test_one_member_shot_is_frozen_bitwise(bump, alpha):
     # a one-member lane steps exactly as the scalar kernel it replaced
     assert tuple(v.hex() for v in shoot(bump, alpha)) == _BUMP_SHOTS[alpha]
+
+
+# a lane of 7 on [-200, 200], frozen from the kernel before its float path
+# was spelled out (the profile unrolled, the builtins max and abs replaced
+# by comparisons): rows w(1) and w'(1), the member at 0 exactly (1, 0)
+_BUMP_LANE = (
+    ("-0x1.98b1cd8ec0cf6p+18", "0x1.3dfd59e9d2b2fp+15", "-0x1.75243aeac81aep+11",
+     "0x1.0000000000000p+0", "0x1.e0b5e2c3aea3dp+14", "-0x1.f991aad939dd1p+20",
+     "0x1.a2ed5d6b004b5p+24"),
+    ("-0x1.62905f84f1a4fp+19", "0x1.0e77ddc9e5f42p+16", "-0x1.30dc02acf6eddp+12",
+     "0x0.0p+0", "0x1.6c69fb50c5463p+15", "-0x1.bced286f20276p+21",
+     "0x1.bac775bf2321cp+25"),
+)
+
+
+def test_a_lane_of_seven_is_frozen_bitwise(bump):
+    # the members of one lane share one step sequence, so this pins the
+    # float path's stages, error norm and controller, not one member alone
+    states = shoot_family(bump, np.linspace(-200.0, 200.0, 7)).states
+    assert tuple(tuple(float(v).hex() for v in row) for row in states) == _BUMP_LANE
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_the_unrolled_profile_rounds_as_the_segment(degree):
+    # the kernel's wp is a _HORNER closure where one unrolls the segment's
+    # coefficient count and the segment itself elsewhere; the closure must
+    # round as Segment.__call__ does, the sign of a zero included, so the
+    # leading 0.0 * x stays: a zero or negative-zero top coefficient, or
+    # all coefficients -0.0, tell it apart at x = +-0.0 and at the ends
+    assert set(resonance._HORNER) <= set(range(1, 8))
+    rng = np.random.default_rng(degree)
+    n = degree + 1
+    sets = [tuple(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)) for _ in range(4)]
+    sets += [(*c[:-1], top) for c, top in zip(sets, (0.0, -0.0))]
+    sets.append((-0.0,) * n)
+    for a, b in ((-1.0, 0.0), (0.0, 0.5), (-1.0, 1.0), (-0.75, -0.25)):
+        xs = [a, b, 0.0, -0.0, *rng.uniform(a, b, 40).tolist()]
+        for coeffs in sets:
+            seg = profiles.Segment(a, b, tuple(float(c) for c in coeffs))
+            wp = resonance._HORNER.get(n, lambda *_: seg)(*seg.coeffs)
+            assert [wp(x).hex() for x in xs] == [seg(x).hex() for x in xs], coeffs
 
 
 @pytest.fixture(params=["floats", "arrays"])
