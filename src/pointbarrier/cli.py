@@ -18,6 +18,7 @@ unit-dipole class where one is required).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -604,6 +605,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: a parse leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="pointbarrier",

@@ -31,8 +31,8 @@ transport in two forms:
 
 States carry an accumulated log-scale so that strongly exponential regimes
 never overflow; determinant signs are unaffected because the scales are
-positive.  The fundamental matrix of a chain is the propagation of a
-family of two equal members from ``init = eye(2)``.
+positive.  A chain's fundamental matrix is the propagation of two equal
+members from ``init = eye(2)``, which share one transport (``_carry``).
 """
 
 from __future__ import annotations
@@ -484,20 +484,23 @@ def _unit(Y: np.ndarray, logs: np.ndarray):
     return Y / s, logs + np.log(s)
 
 
-def _chain(M: np.ndarray, L: np.ndarray, y: np.ndarray, ly: np.ndarray, nodes: bool):
+def _chain(M: np.ndarray, L: np.ndarray, y: np.ndarray, ly: np.ndarray, nodes: bool,
+           runs: np.ndarray | None = None):
     """Carry the states ``y`` (2, k) with log scales ``ly`` (k,) through the
-    interval matrices ``M`` (2, 2, k, N) with log scales ``L`` (k, N).
+    interval matrices ``M`` (2, 2, r, N) with log scales ``L`` (r, N), row
+    ``runs[j]`` carrying state j (None: row j, r = k).
 
     Pairwise tree: each level multiplies neighbouring matrices, the later
     one on the left, for all pairs at once, and rescales the products
     every ``_RENORM_EVERY`` levels; an odd level's last matrix is a tail.
-    The end state passes through the top product, then through the tails
-    from the highest level down.  With ``nodes`` a down-sweep gives the
-    states (2, k, N + 1) and logs (k, N + 1) at every mesh node: a pair
-    starts where its parent does, its second matrix where the first one
-    leaves.  Matrix j of level l starts at node j 2^l, so every level
-    writes its nodes into one array in place.  Every operation is
-    elementwise per member.
+    The end state passes through its row's top product, then through its
+    tails from the highest level down.  With ``nodes`` (and ``runs`` None)
+    a down-sweep gives the states (2, k, N + 1) and logs (k, N + 1) at
+    every mesh node: a pair starts where its parent does, its second
+    matrix where the first one leaves.  Matrix j of level l starts at node
+    j 2^l, so every level writes its nodes into one array in place.  Every
+    operation is elementwise per member, so a state's bits do not depend
+    on the rows it shares.
     """
     k, N = L.shape
     tree = [(M, L)]
@@ -512,15 +515,16 @@ def _chain(M: np.ndarray, L: np.ndarray, y: np.ndarray, ly: np.ndarray, nodes: b
             M /= sc
             L += np.log(sc)
         tree.append((M, L))
-    cur = M[:, 0, :, 0] * y[0] + M[:, 1, :, 0] * y[1]
-    lcur = ly + L[:, 0]
+    r = slice(None) if runs is None else runs
+    cur = M[:, 0, r, 0] * y[0] + M[:, 1, r, 0] * y[1]
+    lcur = ly + L[r, 0]
     starts = {}
     for level in reversed(range(len(tree) - 1)):
         T, LT = tree[level]
         if T.shape[3] % 2:
             starts[level] = cur, lcur
-            cur = T[:, 0, :, -1] * cur[0] + T[:, 1, :, -1] * cur[1]
-            lcur = lcur + LT[:, -1]
+            cur = T[:, 0, r, -1] * cur[0] + T[:, 1, r, -1] * cur[1]
+            lcur = lcur + LT[r, -1]
     cur, lcur = _unit(cur, lcur)
     if not nodes:
         return cur, lcur, None, None
@@ -645,31 +649,46 @@ def _carry(lanes: list, m: np.ndarray, cols: np.ndarray) -> None:
     lane) in place across one interval sequence per lane (``_Shot.lane``),
     stacked (``_Steps.stack``) for one ``_expm`` and one ``_chain`` call;
     each row counts its zeros on its own lengths and direction, and takes
-    its samples through its plan's substeps, built once for every group.  A
-    member's bits do not depend on the rest of the family.  Members go in
-    groups of at most ``_WORK_CAP`` intervals (or samples) x members x lanes."""
+    its samples through its plan's substeps, built once for every group.
+    Without counts or samples, on one weight row, adjacent members whose
+    weights have the same bits form a run that shares one transport: its
+    exponents, ``_expm`` and product tree are taken once and carry every
+    state of the run (``_chain``).  A member's bits do not depend on the
+    rest of the family.  Members go in groups of whole runs, at most
+    ``_WORK_CAP`` intervals (or samples) x runs x lanes."""
     steps = _Steps.stack([steps for _, steps, _ in lanes])
     L, N = steps.h.shape
     S = max((plan[0].size for _, _, plan in lanes if plan), default=0)
     counting = lanes[0][0].counts is not None
+    nodes = counting or S > 0
+    heads = np.ones(cols.size, dtype=bool)  # the first member of each run
+    if not (nodes or m.ndim > 1):  # bits: +0.0 and -0.0 never share
+        bits = m[cols].view(np.int64)
+        heads[1:] = bits[1:] != bits[:-1]
+    starts = np.append(np.flatnonzero(heads), cols.size)
     group = max(1, _WORK_CAP // (L * max(N, S)))
-    for lo in range(0, cols.size, group):
-        c = cols[lo:lo + group]
-        g = c.size
-        if c[-1] - c[0] == g - 1:  # a run of members: basic indexing is cheaper
-            c = slice(c[0], c[-1] + 1)
+    for lo in range(0, starts.size - 1, group):
+        first = starts[lo:lo + group + 1]
+        c, g = cols[first[0]:first[-1]], first.size - 1
+        k = c.size
+        # the row of each state: lane j's member i takes run j g + (run of i)
+        runs = None if g == k else (np.cumsum(heads[first[0]:first[-1]]) - 1
+                                    + g * np.arange(L)[:, None]).ravel()
         # (g, 1), or (L, g, 1) for rows of their own
-        w = m[c, None] if m.ndim == 1 else np.stack([shot.m[c] for shot, _, _ in lanes])[..., None]
+        w = (m[cols[first[:-1]], None] if m.ndim == 1
+             else np.stack([shot.m[c] for shot, _, _ in lanes])[..., None])
+        if c[-1] - c[0] == k - 1:  # a run of members: basic indexing is cheaper
+            c = slice(c[0], c[-1] + 1)
         m11, m12, m21, m22, lg = (e.reshape(L * g, N) for e in _expm(*steps.exponents(w)))
         y = np.concatenate([shot.Y[:, c] for shot, _, _ in lanes], axis=1)
         ly = np.concatenate([shot.logs[c] for shot, _, _ in lanes])
         end, lend, st, sl = _chain(np.array([[m11, m12], [m21, m22]]), lg, *_unit(y, ly),
-                                   counting or S > 0)
+                                   nodes, runs)
         if counting:
             qbar = steps.rows[1, :, None] + w * steps.rows[2, :, None]
             add = _mesh_zero_counts(st, qbar.reshape(L * g, N), np.repeat(steps.h, g, axis=0))
         for j, (shot, _, plan) in enumerate(lanes):
-            r = slice(j * g, j * g + g)
+            r = slice(j * k, j * k + k)
             shot.Y[:, c], shot.logs[c] = end[:, r], lend[r]
             if counting:
                 shot.counts[c] += add[r]

@@ -16,7 +16,8 @@ segment: one exact constant-coefficient step over a constant segment, a
 Magnus mesh over any other.
 
 A sweep over ``(eps, k)`` at one alpha is one family propagation
-(``scatter_sweep``), so a sweep pays per alpha, not per point.
+(``scatter_sweep``): a point's two matrix columns share one transport, and
+so do the points of one weight (eps k)^2 that sit next to each other.
 """
 
 from __future__ import annotations
@@ -63,11 +64,13 @@ def scatter_sweep(p: Profile, alpha: float, points: Sequence[tuple[float, float]
     """Reflection/transmission amplitudes at every ``(eps, k)`` of ``points``.
 
     The barrier matrices of all points come from one family ``alpha *
-    profile - m`` with two members ``m = (eps k)^2`` per point.  A constant
+    profile - m``, m = (eps k)^2, in which a point's two matrix columns
+    (and adjacent points of one m) share one transport.  A constant
     segment takes one exact step; any other is carried across a Magnus
     mesh that depends on the profile and ``alpha`` only.  A member's bits do
     not depend on the family that carries it, and the matching is
-    elementwise, so each result equals its one-point sweep.
+    elementwise, so each result equals its one-point sweep.  A non-finite
+    ``alpha``, eps or k raises ``ValueError`` before any propagation.
 
     Each column of a point's x-variable barrier matrix M carries its own log
     scale; with L the larger of the two, M = e^L Mh.  Let g_j be the
@@ -83,6 +86,12 @@ def scatter_sweep(p: Profile, alpha: float, points: Sequence[tuple[float, float]
     Amplitudes that are not finite raise ``NumericsError``.
     """
     eps, k = np.asarray(points, dtype=float).reshape(-1, 2).T
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    bad = ~(np.isfinite(eps) & np.isfinite(k))
+    if bad.any():
+        e, kk = points[int(np.argmax(bad))]
+        raise ValueError(f"eps and k must be finite, got eps = {e!r}, k = {kk!r}")
     if (k <= 0).any():
         raise ValueError("wavenumber k must be positive")
     if (eps <= 0).any():

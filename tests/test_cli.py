@@ -164,6 +164,25 @@ def test_manifest_rerun_round_trip(tmp_path):
     assert json.loads(_read(out3 / "manifest.json"))["argv"] == argv + ["--out", str(out3)]
 
 
+def test_the_shared_parser_leaks_no_option_between_calls(tmp_path, capsys):
+    # the parser is built once per process: an option given to one call, or
+    # a call that exits 2 part-way through its parse, must not reach the next
+    scatter = ["scatter", "--profile", "step", "--alphas", "4", "--eps", "0.1", "--ks", "1"]
+    calls = [scatter + ["--rel-tol", "1e-13"], scatter,
+             ["spectrum", "--mode", "limit", "--potential", "harmonic", "--radius", "6",
+              "--levels", "2"]]
+    assert _build_parser() is _build_parser()
+    for i, argv in enumerate(calls):
+        if i == 2:
+            assert main(scatter + ["--rel-tol", "1e-14", "--ks", "nan"]) == 2
+            assert "--ks" in capsys.readouterr().err
+        out = tmp_path / str(i)
+        assert main(argv + ["--out", str(out)]) == 0
+        fresh = cli._namespace_params(_build_parser.__wrapped__().parse_args(argv))
+        assert json.loads(_read(out / "manifest.json"))["params"] == json.loads(json.dumps(fresh))
+    assert json.loads(_read(tmp_path / "1" / "manifest.json"))["params"]["rel_tol"] == 1e-10
+
+
 def test_scatter_single_and_sweep(tmp_path, alpha1, theta1):
     out = tmp_path / "s"
     assert run(["scatter", "--profile", "step", "--alpha", "15.418", "--eps", "1e-3",

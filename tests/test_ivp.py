@@ -543,6 +543,54 @@ def test_mesh_member_results_do_not_depend_on_the_family():
             assert np.array_equal(family.zero_counts[part], alone.zero_counts)
 
 
+def _bits(a):
+    return a.view(np.int64)
+
+
+def test_members_of_one_weight_share_a_transport_bitwise(monkeypatch):
+    # adjacent members whose weights have the same bits share one transport
+    # in a pass without counts or samples: runs of 1, 2 and 5, one run
+    # longer than a _WORK_CAP group that crosses where a group of members
+    # would end, and +0.0 next to -0.0, which never share.  Each member,
+    # from its own init column, equals its one-member propagation bitwise
+    # on one chain, on two stacked chains with a shared row, and on the
+    # bucket meshes of a callable w, where a run's members need not be
+    # neighbours in the family.  A spy counts the transports: one per run
+    # and lane
+    from pointbarrier.profiles import builtin
+
+    rows, real_chain = [], ivp._chain
+
+    def spy(M, *args):
+        rows.append(M.shape[2])
+        return real_chain(M, *args)
+
+    monkeypatch.setattr(ivp, "_chain", spy)
+
+    chain = _wall_and_barrier_chain()
+    group = ivp._WORK_CAP // sum(ivp._mesh_for(seg, ivp.DEFAULT_CONFIG).lo.size for seg in chain)
+    m = np.concatenate([[3.0, 7.5, 7.5], np.full(5, 3.0), np.full(group + 3, -2.0),
+                        [0.0, -0.0, -0.0, 0.0], np.linspace(-5.0, 60.0, group)])
+    assert group > 8  # the run of group + 3 members spans member group
+    bump = [FamilySegment(s.a, s.b, 0.0, s) for s in builtin("asymmetric_bump").segments]
+    mb = np.array([2.5, 2.5, 100.0, 2.5, 0.0, -0.0, -0.0, 2.5, 2.5, 2.5, -2.5])
+    # runs: 1, 2, 5, group + 3, then 0.0 | -0.0 -0.0 | 0.0 and group singles;
+    # on the bump the bucket of 2.5 holds one run of 2.5 and one of -2.5
+    cases = [([chain], m, 7 + group),
+             ([chain, [FamilySegment(4.0, 0.05, lambda x: x * x + x, -1.0)]], m, 2 * (7 + group)),
+             ([bump], mb, 5)]
+    for chains, w, transports in cases:
+        init = np.random.default_rng(w.size).normal(size=(2, w.size))
+        rows.clear()
+        together = propagate_chains(chains, w, init, rescale=True)
+        assert sum(rows) == transports and len(rows) >= 2
+        for i in range(w.size):
+            alone = propagate_chains(chains, w[i:i + 1], init[:, i:i + 1], rescale=True)
+            for got, want in zip(together, alone):
+                assert np.array_equal(_bits(got.states[:, i]), _bits(want.states[:, 0])), i
+                assert _bits(got.logs[i]) == _bits(want.logs[0]), i
+
+
 def test_chains_carried_together_match_their_own_calls():
     # two chains of very unequal interval counts, run in opposite
     # directions: a wall segment, an exact constant-c step and a barrier on

@@ -63,12 +63,18 @@ def test_sweep_members_equal_their_one_point_results(step, bump, odd_cubic, alph
     points = [(10.0 ** -3.5, 0.3)] + [(e, k) for e in (10.0 ** -2.2, 0.04, 0.2)
                                       for k in (0.3, 1.7, 3.0)]
     assert points[0][0] * points[0][1] < 1e-3
+    # repeated points, and adjacent points of one weight (eps k)^2: their
+    # members run in blocks of 2, 4 and 6 that share one transport each
+    repeated = [(0.1, 2.0), (0.2, 1.0), (0.1, 2.0), (0.04, 0.3), (0.04, 0.3), (0.04, 0.3),
+                (10.0 ** -3.5, 0.3), (0.04, 0.3)]
+    assert (0.1 * 2.0) ** 2 == (0.2 * 1.0) ** 2
     for profile in (step, bump, odd_cubic):
-        sweep = scatter_sweep(profile, alpha, points)
-        assert [(r.alpha, r.eps, r.k) for r in sweep] == [(alpha, e, k) for e, k in points]
-        for r, (eps, k) in zip(sweep, points):
-            alone = scatter_sweep(profile, alpha, [(eps, k)])[0]
-            assert r.R == alone.R and r.T == alone.T, (profile.label, eps, k)
+        for pts in (points, repeated):
+            sweep = scatter_sweep(profile, alpha, pts)
+            assert [(r.alpha, r.eps, r.k) for r in sweep] == [(alpha, e, k) for e, k in pts]
+            for r, (eps, k) in zip(sweep, pts):
+                alone = scatter_sweep(profile, alpha, [(eps, k)])[0]
+                assert r.R == alone.R and r.T == alone.T, (profile.label, eps, k)
 
 
 def test_decimal_oracle_agrees_with_the_closed_form():
@@ -201,6 +207,30 @@ def test_limit_law_for_general_profile(bump):
     assert r.transmission_probability == pytest.approx(
         transmission_limit(pt.theta), rel=1e-2
     )
+
+
+@pytest.mark.parametrize("alpha, point, name", [
+    (math.nan, (0.1, 1.0), "alpha"), (math.inf, (0.1, 1.0), "alpha"),
+    (-math.inf, (0.1, 1.0), "alpha"), (1.0, (math.nan, 1.0), "eps"),
+    (1.0, (math.inf, 1.0), "eps"), (1.0, (0.1, math.inf), "k"), (1.0, (0.1, math.nan), "k"),
+    (1.0, (0.1, -math.inf), "k"),
+])
+def test_non_finite_input_is_rejected_before_any_shot(step, bump, monkeypatch, alpha, point,
+                                                      name):
+    # the boundary names what is not finite; a NaN or an infinity used to
+    # reach the propagation and fail there as a numerical error
+    from pointbarrier import scattering
+
+    def shot(*args, **kwargs):
+        raise AssertionError("a non-finite input reached the propagation")
+
+    monkeypatch.setattr(scattering, "propagate_family", shot)
+    for profile in (step, bump):
+        with pytest.raises(ValueError, match=rf"finite, got .*{name} = |{name} must be finite"):
+            scatter_sweep(profile, alpha, [(0.1, 0.5), point])
+    # a finite (eps k)^2 past a double keeps its own message
+    with pytest.raises(ValueError, match=r"\(eps k\)\^2 overflows at eps = 1e\+200"):
+        scatter_sweep(step, 1.0, [(1e200, 1e200)])
 
 
 def test_input_validation(step):
