@@ -124,7 +124,6 @@ class FamilyResult:
 _GAUSS = math.sqrt(15.0) / 10.0  # Gauss nodes sit at 1/2 - _GAUSS, 1/2, 1/2 + _GAUSS
 _GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 _VARIATION_CAP = 0.5  # bound on h^2 times the spread of q over an interval's nodes (zero counts)
-_MAX_SPLIT = 8  # most pieces a rejected interval is cut into per refinement pass
 _ROUNDING_FLOOR = 1e-14  # local tolerances below this only chase rounding noise
 _MIN_STEP = 1e-14  # underflow floor of a mesh interval, relative to its segment
 _MAX_INTERVALS = 1 << 18  # a mesh that needs more intervals is treated as underflow
@@ -348,7 +347,7 @@ def _spread(nodes, weights) -> np.ndarray:
 
 
 def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) -> _Mesh:
-    """Refine a uniform mesh of ``seg`` until every interval passes.
+    """Place the nodes of ``seg`` until every interval passes.
 
     An interval passes when its one-step vs two-half-step defect is at most
     ``rel_tol`` (an adaptive integrator's per-step test) and the member
@@ -361,18 +360,24 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None
     live, as seen at the nodes of the first pass.  For a callable w it is
     taken at the weights 0 and +-2^bucket, which bound the members of that
     bucket (the top bucket, 2^1024, at +-the largest double).  The first
-    pass is the whole segment; an interval shorter than ``_MIN_STEP``
-    times the segment raises ``StepSizeUnderflowError``.  A constant c
-    with a constant w keeps the first pass, one interval, on which the
-    Magnus step is the exact propagator.  Nothing here depends on the
-    family.
+    pass is the whole segment.  A pass that fails anywhere re-places every
+    node by equidistribution (Pruess & Fulton, ACM TOMS 19 (1993) 360-376):
+    each interval needs a fractional count of intervals, from its defect
+    (which scales like h^7) and its spread (h^3), a failing one a little
+    more than 1, and the new nodes sit at equal steps of the cumulative
+    count, so every interval ends near the tolerance and none far below it.
+    A mesh that needs more than ``_MAX_INTERVALS`` intervals, or an
+    interval shorter than ``_MIN_STEP`` times the segment, raises
+    ``StepSizeUnderflowError``.  A constant c with a constant w keeps the
+    first pass, one interval, on which the Magnus step is the exact
+    propagator.  Nothing here depends on the family.
     """
     fs = (seg.c_part,) if bucket is None else (seg.c_part, seg.w_part)
     hmin = _MIN_STEP * abs(seg.b - seg.a)
-    lo, hi = np.array([float(seg.a)]), np.array([float(seg.b)])
-    nodes = _nodes(fs, lo, hi - lo)
+    x = np.array([float(seg.a), float(seg.b)])
+    nodes = _nodes(fs, x[:1], np.diff(x))
     if bucket is None and not callable(seg.c_part):
-        return _Mesh(seg, lo, [_Steps.of(hi - lo, nodes, seg.w_part)])
+        return _Mesh(seg, x[:1], [_Steps.of(np.diff(x), nodes, seg.w_part)])
     if bucket is None:
         seen = nodes[0][np.isfinite(nodes[0])]
         weights = np.unique([0.0, -seen.min(), -seen.max()]) if seen.size else np.zeros(1)
@@ -381,41 +386,33 @@ def _build_mesh(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None
         weights = np.array([-top, 0.0, top])
     weights = weights[:, None]  # a column of members (``_node_exponents``)
     tol = max(cfg.rel_tol, _ROUNDING_FLOOR)
-    kept = []
-    total = 0
-    while lo.size:
-        h = hi - lo
-        est, A, B = _step_defect(fs, lo, h, nodes, weights)
-        ok = (est <= tol) & (_spread(nodes, weights) * h * h <= _VARIATION_CAP)
-        mid = lo + 0.5 * h
-        kept.append((lo[ok], mid[ok], A[..., ok]))
-        kept.append((mid[ok], hi[ok], B[..., ok]))
-        total += 2 * int(ok.sum())
-        bad = ~ok
-        if not bad.any():
+    while True:
+        h = np.diff(x)
+        est, A, B = _step_defect(fs, x[:-1], h, nodes, weights)
+        spread = _spread(nodes, weights) * h * h
+        ok = (est <= tol) & (spread <= _VARIATION_CAP)
+        if ok.all():
             break
-        lo, hi, est = lo[bad], hi[bad], est[bad]
-        parts = np.ceil(1.2 * (est / tol) ** (1.0 / 7.0))  # the defect scales like h^7
-        parts = np.clip(np.nan_to_num(parts, nan=2.0), 2, _MAX_SPLIT).astype(int)
-        short = np.abs(hi - lo) / parts < hmin
-        if short.any() or total + 2 * int(parts.sum()) > _MAX_INTERVALS:
-            where = float(lo[np.argmax(short)] if short.any() else lo[0])
-            raise StepSizeUnderflowError(where)
-        # cut interval i into parts[i] equal pieces; shared edges stay bitwise equal
-        owner = np.repeat(np.arange(lo.size), parts)
-        j = np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
-        width = (hi - lo)[owner]
-        start = lo[owner]
-        new_lo = start + width * (j / parts[owner])
-        new_hi = np.where(j + 1 == parts[owner], hi[owner], start + width * ((j + 1) / parts[owner]))
-        lo, hi = new_lo, new_hi
-        nodes = _nodes(fs, lo, hi - lo)
-    lo, hi, nodes = zip(*kept)
-    lo, hi, nodes = np.concatenate(lo), np.concatenate(hi), np.concatenate(nodes, axis=2)
-    direction = 1.0 if seg.b > seg.a else -1.0
-    order = np.argsort(lo * direction, kind="stable")
-    x = np.append(lo[order], hi[order][-1])
-    return _Mesh(seg, x[:-1], [_Steps.of(np.diff(x), nodes[..., order], seg.w_part)])
+        # the intervals each one needs: the defect scales like h^7 up to a
+        # relative defect of 1 (unresolved), the spread like h^3
+        need = 1.05 * np.fmax((np.minimum(est, 1.0) / tol) ** (1.0 / 7.0),
+                              (spread / _VARIATION_CAP) ** (1.0 / 3.0))
+        need = np.where(ok, need, np.maximum(need, 1.1))
+        total = np.append(0.0, np.cumsum(need))
+        if 2.0 * total[-1] > _MAX_INTERVALS:  # both halves of each interval are kept
+            where = float(x[np.argmax(need)])
+            raise StepSizeUnderflowError(where, f"the mesh of [{seg.a!r}, {seg.b!r}] needs more "
+                                         f"than {_MAX_INTERVALS} intervals near x = {where!r}")
+        # equal steps of the cumulative need; shared edges stay bitwise equal
+        x = np.interp(np.linspace(0.0, total[-1], int(np.ceil(total[-1])) + 1), total, x)
+        short = np.abs(np.diff(x)) < hmin
+        if short.any():
+            raise StepSizeUnderflowError(float(x[np.argmax(short)]))
+        nodes = _nodes(fs, x[:-1], np.diff(x))
+    mid = x[:-1] + 0.5 * h
+    x = np.append(np.stack([x[:-1], mid], axis=1).ravel(), x[-1])
+    nodes = np.stack([A, B], axis=-1).reshape(*A.shape[:-1], -1)
+    return _Mesh(seg, x[:-1], [_Steps.of(np.diff(x), nodes, seg.w_part)])
 
 
 def _cut(mesh: _Mesh, seg: FamilySegment) -> _Mesh:
@@ -436,16 +433,20 @@ def _mesh_for(seg: FamilySegment, cfg: SolverConfig, bucket: int | None = None) 
     """The cached mesh of (seg, cfg), or of (seg, cfg, bucket) for a
     callable w, built on first use (LRU, bounded by ``_CACHE_FLOATS``) and
     keyed by the segment's value over [a, mesh_end], whose cut at b a
-    segment short of mesh_end gets: a segment's mesh depends on it alone."""
+    segment short of mesh_end gets: a segment's mesh depends on it alone.
+    A mesh of an unhashable segment, or one that would store more than half
+    the budget (and so evict the rest), is built for the call alone."""
     end = seg.b if seg.mesh_end is None else seg.mesh_end
     key = (seg.a, end, seg.c_part, seg.w_part, cfg, bucket)
     try:
         mesh = _MESH_CACHE.get(key)
-    except TypeError:  # unhashable coefficient: build without caching
-        mesh = _build_mesh(replace(seg, b=end, mesh_end=None), cfg, bucket)
-        return mesh if end == seg.b else _cut(mesh, seg)
+    except TypeError:  # unhashable coefficient
+        key = mesh = None
     if mesh is None:
-        mesh = _MESH_CACHE[key] = _build_mesh(replace(seg, b=end, mesh_end=None), cfg, bucket)
+        mesh = _build_mesh(replace(seg, b=end, mesh_end=None), cfg, bucket)
+        if key is None or 2 * mesh.stored() > _CACHE_FLOATS:
+            return mesh if end == seg.b else _cut(mesh, seg)
+        _MESH_CACHE[key] = mesh
         _MESH_CACHE.floats += mesh.stored()
     _MESH_CACHE.move_to_end(key)
     if end != seg.b and seg.b not in mesh.cuts:

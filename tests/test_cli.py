@@ -449,6 +449,21 @@ def test_shots_beyond_a_double_exit_3_without_a_warning(argv, tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_a_mesh_past_the_interval_cap_names_its_segment_and_the_cap(tmp_path, capsys):
+    # the counted shots at alpha = 1e11 need more bucket-mesh intervals
+    # than the engine holds: a numerical failure that says so, not a step
+    # size underflow at the segment's start
+    from pointbarrier import ivp
+
+    code = main(["resonances", "--profile", "asymmetric_bump", "--window", "1e11", "1.000001e11",
+                 "--scan-step", "1e4", "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert re.fullmatch(r"numerical failure: the mesh of \[-1\.0, 0\.0\] needs more than "
+                        rf"{ivp._MAX_INTERVALS} intervals near x = -0\.\d+", err[0]), err
+
+
 def test_a_rootless_window_at_a_million_reads_its_index_without_overflow(tmp_path):
     # e^1000 and more: the counted shots at alpha = 1e6 are rescaled, so
     # the index reads 250 at both ends, and a window without a rise holds

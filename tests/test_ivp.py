@@ -403,11 +403,11 @@ def test_mesh_is_sized_for_the_deepest_member():
     _assert_mesh_matches_rk(chain, np.array([1.0, 72.0, 139.7]), cfg)
 
 
-def _assert_members_match_dop853(chain, m):
+def _assert_members_match_dop853(chain, m, cfg=None):
     """End states to 1e-9 of each member's largest entry, and zero counts,
-    at the default config."""
+    at ``cfg`` (None: the default config)."""
     init = np.array([0.0, 1.0])
-    res = propagate_family(chain, m, init, count_zeros=True)
+    res = propagate_family(chain, m, init, cfg, count_zeros=True)
     ref, _, zeros = dop853_family(chain, m, init)
     assert np.all(np.abs(res.states - ref) <= 1e-9 * np.abs(ref).max(axis=0))
     assert np.array_equal(res.zero_counts, zeros)
@@ -432,6 +432,31 @@ def test_oscillating_coefficient_is_not_aliased_by_a_one_interval_start():
     seg = FamilySegment(0.0, 2.0, lambda x: 50.0 * np.cos(40.0 * x), -1.0)
     zeros = _assert_members_match_dop853([seg], np.array([-60.0, 0.0, 20.0, 49.0]))
     assert zeros.max() >= 4
+
+
+@pytest.mark.parametrize("alpha", [3.0, 12.0, 19.5, -12.0])
+def test_scatter_lobe_meshes_spread_their_defect_evenly(alpha):
+    # the bump lobes as scatter meshes them: every pair of kept halves (the
+    # interval whose defect was taken) meets rel_tol at the mesh's
+    # reference shifts, and the median one spends at least a quarter of it,
+    # so no interval is cut finer than the tolerance asks; every member
+    # across the range of c still matches DOP853
+    from pointbarrier.profiles import Segment, builtin
+    from pointbarrier.scattering import SCATTER_CONFIG
+
+    tol = SCATTER_CONFIG.rel_tol
+    for s in builtin("asymmetric_bump").segments[:2]:
+        c = Segment(s.a, s.b, tuple(alpha * k for k in s.coeffs))
+        seg = FamilySegment(s.a, s.b, c, -1.0)
+        x = np.append(ivp._mesh_for(seg, SCATTER_CONFIG).lo[::2], s.b)
+        lo, h = x[:-1], np.diff(x)
+        first = ivp._nodes((c,), np.array([s.a]), np.array([s.b - s.a]))[0]
+        shifts = np.unique([0.0, -first.min(), -first.max()])[:, None]
+        est, _, _ = ivp._step_defect((c,), lo, h, ivp._nodes((c,), lo, h), shifts)
+        assert est.max() <= tol
+        assert np.median(est) >= tol / 4
+        cs = c(np.linspace(s.a, s.b, 201))
+        _assert_members_match_dop853([seg], np.linspace(cs.min(), cs.max(), 7), SCATTER_CONFIG)
 
 
 def _assert_mesh_matches_rk(chain, lams, cfg=None):
@@ -860,6 +885,37 @@ def test_the_mesh_cache_budget_bounds_its_count(monkeypatch):
     assert len(cache) == ivp._CACHE_FLOATS // (11 + ivp._MESH_OVERHEAD)
     assert cache.floats == sum(mesh.stored() for mesh in cache.values()) <= ivp._CACHE_FLOATS
     assert [key[2] for key in cache] == [float(c) for c in range(1000 - len(cache), 1000)]
+
+
+def test_a_mesh_larger_than_half_the_cache_is_built_for_its_call_alone(monkeypatch):
+    # a counted bump shot at alpha = 1e6 meshes each lobe on bucket 2^20,
+    # more than half of _CACHE_FLOATS: neither mesh is cached, so the
+    # meshes of the shots before it stay, and repeating those shots builds
+    # nothing
+    from pointbarrier.profiles import builtin
+
+    monkeypatch.setattr(ivp, "_MESH_CACHE", ivp._MeshCache())
+    chain = [FamilySegment(s.a, s.b, 0.0, s.coeffs[0] if s.is_constant else s)
+             for s in builtin("asymmetric_bump").segments]
+    init = np.array([1.0, 0.0])
+    warm = np.array([-40.0, -3.0, 2.5, 12.0, 100.0])
+    before = propagate_family(chain, warm, init, count_zeros=True)
+    cache = ivp._MESH_CACHE
+    keys, floats = list(cache), cache.floats
+    assert len(keys) >= 7
+    deep = propagate_family(chain, np.array([1e6]), init, rescale=True, count_zeros=True)
+    assert deep.zero_counts[0] > 100
+    assert list(cache) == keys and cache.floats == floats
+    builds = []
+    build = ivp._build_mesh
+    monkeypatch.setattr(ivp, "_build_mesh", lambda *args: builds.append(args) or build(*args))
+    again = propagate_family(chain, warm, init, count_zeros=True)
+    assert builds == []
+    assert np.array_equal(again.states, before.states)
+    assert np.array_equal(again.zero_counts, before.zero_counts)
+    assert np.array_equal(propagate_family(chain, np.array([1e6]), init, rescale=True,
+                                           count_zeros=True).states, deep.states)
+    assert len(builds) == 2  # both lobes again
 
 
 def test_chains_with_their_own_weight_rows_match_their_own_calls():
